@@ -164,8 +164,7 @@ def run_task(cfg, args):
     except (StepFailure, LockedConfiguration, OutOfRangeError) as exc:
         status, error = "partial", f"{type(exc).__name__}: {exc}"
     manifest = lio.manifest_dict(cfg, [os.path.basename(o) for o in outputs],
-                                 status=status, terminations=terminations,
-                                 threads=args.threads, seed=args.seed)
+                                 status=status, terminations=terminations)
     if error is not None:
         manifest["error"] = error
     lio.write_json(manifest, os.path.join(outdir, "manifest.json"))
@@ -283,9 +282,12 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
                 raise ConfigError(str(exc)) from exc
             tilt = psi
         elif state_spec.get("type") == "angles":
-            rho = np.radians(np.asarray(_require(state_spec, "rho_o_deg"),
-                                        dtype=float))
-            state = FoldState.from_angles(geom, rho)
+            try:
+                rho = np.radians(np.asarray(_require(state_spec, "rho_o_deg"),
+                                            dtype=float))
+                state = FoldState.from_angles(geom, rho)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError("state.type must be flat | uniform | angles")
         if "tilt_deg" in state_spec:
@@ -316,10 +318,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=f"{name} task")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="sweep parallelism hint (vectorized sweeps ignore it)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all current algorithms are deterministic")
         p.add_argument("--set", action="append", dest="overrides", default=[],
                        metavar="KEY.PATH=VALUE", help="override a config key")
     args = parser.parse_args(argv)

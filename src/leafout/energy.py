@@ -132,7 +132,7 @@ def uniform_path_arrays(geom, psi_range, n_samples=None, step=DEFAULT_PSI_STEP):
             n_samples = int(round((hi - lo) / step)) + 1
         psis = np.linspace(lo, hi, int(n_samples))
     rho_m = main_angles(geom.alpha, psis)
-    rho_b = boundary_angles(geom.alpha, psis, rho_m)
+    rho_b = boundary_angles(geom.alpha, psis)
     rho_s = sub_angle_from_main(geom.alpha, rho_m)
     return psis, rho_m, rho_s, rho_b, clipped
 

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from . import __version__
+from .kinematics import SVD_CUTOFF
 
 
 def fmt(x):
@@ -175,8 +176,7 @@ def config_hash(config):
     ).hexdigest()
 
 
-def manifest_dict(config, outputs, status="ok", terminations=None,
-                  threads=1, seed=None):
+def manifest_dict(config, outputs, status="ok", terminations=None):
     return {
         "tool": "leafout",
         "version": __version__,
@@ -185,8 +185,6 @@ def manifest_dict(config, outputs, status="ok", terminations=None,
         "outputs": sorted(outputs),
         "status": status,
         "terminations": terminations or {},
-        "threads": threads,
-        "seed": seed,
-        "svd_cutoff": 1e-10,
+        "svd_cutoff": SVD_CUTOFF,
         "null_basis": "numpy.linalg.svd, descending singular values",
     }

@@ -18,9 +18,6 @@ NEWTON_MAX_ITER = 50
 SVD_CUTOFF = 1e-10      # relative singular-value cutoff of the pseudo-inverse
 MIN_STEP = 1e-8         # radians; step halving gives up below this
 
-_KX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-
-
 class StepFailure(RuntimeError):
     """Newton correction did not converge for this step."""
 
@@ -58,10 +55,11 @@ class FoldState:
             raise ValueError("angle vector has wrong length")
         if check:
             lo, hi = angle_bounds(geom)
-            if np.any(rho_o < lo - box_tol) or np.any(rho_o > hi + box_tol):
+            # written so that NaN angles fail both checks
+            if not np.all((rho_o >= lo - box_tol) & (rho_o <= hi + box_tol)):
                 raise ValueError("angles violate mountain/valley boxes")
             res = residual(geom, rho_o).max_abs()
-            if res > tol:
+            if not res <= tol:
                 raise NotClosedError(f"closure residual {res:.3e} > {tol:.1e}")
         rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_o[0::2], 0.0, np.pi))
         return cls(rho_o=rho_o, rho_s=np.asarray(rho_s, dtype=float))
@@ -157,26 +155,20 @@ def residual(geom, rho_o):
 def constraint_matrix(geom, rho_o):
     """Analytic 3 x N Jacobian of the residual w.r.t. the fold angles.
 
-    Assembled from prefix/suffix partial products of the rotation chain.
+    With a_j the first column of the prefix product chi_1 ... chi_{j-1}
+    (crease j's axis in the base frame), dF/drho_j = skew(a_j) F, whose
+    skew components are (tr F I - F) a_j / 2 in (x, y, z) order; the rows
+    are reordered to the residual's (r_a, r_b, r_c) = (z, x, y).  This is
+    the single-vertex result of Belcastro & Hull (2002) and Tachi (2009).
     """
-    rho_o = np.asarray(rho_o, dtype=float)
-    N = len(rho_o)
-    X = _chain_matrices(geom, rho_o)
-    pre = np.empty((N + 1, 3, 3))
-    suf = np.empty((N + 1, 3, 3))
-    pre[0] = np.eye(3)
-    suf[N] = np.eye(3)
-    for j in range(N):
-        pre[j + 1] = pre[j] @ X[j]
-    for j in range(N - 1, -1, -1):
-        suf[j] = X[j] @ suf[j + 1]
-    C = np.empty((3, N))
-    for j in range(N):
-        dF = pre[j] @ (_KX @ X[j]) @ suf[j + 1]
-        C[0, j] = 0.5 * (dF[1, 0] - dF[0, 1])
-        C[1, j] = 0.5 * (dF[2, 1] - dF[1, 2])
-        C[2, j] = 0.5 * (dF[0, 2] - dF[2, 0])
-    return C
+    X = _chain_matrices(geom, np.asarray(rho_o, dtype=float))
+    A = np.empty((3, len(X)))
+    F = np.eye(3)
+    for j, Xj in enumerate(X):
+        A[:, j] = F[:, 0]
+        F = F @ Xj
+    C = 0.5 * (np.trace(F) * np.eye(3) - F) @ A
+    return C[[2, 0, 1]]
 
 
 def pseudo_inverse(C, rcond=SVD_CUTOFF):

@@ -37,25 +37,6 @@ def axis_angle(axis, angle):
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def rotate_about(axis, angle, v):
-    """Rodrigues rotation of vector(s) v about a unit axis.
-
-    Vectorized over `angle` (scalar or 1-d array); v is a single 3-vector.
-    """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    v = np.asarray(v, dtype=float)
-    angle = np.asarray(angle, dtype=float)
-    c = np.cos(angle)
-    s = np.sin(angle)
-    cross = np.cross(axis, v)
-    dot = np.dot(axis, v)
-    if angle.ndim == 0:
-        return v * c + cross * s + axis * (dot * (1.0 - c))
-    return (v[None, :] * c[:, None] + cross[None, :] * s[:, None]
-            + axis[None, :] * (dot * (1.0 - c))[:, None])
-
-
 def is_rotation(R, tol=1e-12):
     """Proper-rotation check: orthonormal within tol and det == +1."""
     R = np.asarray(R)

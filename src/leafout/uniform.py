@@ -3,22 +3,25 @@
 When every unit cell folds identically, the configuration is a function
 of one Euler angle psi (rotation of each unit's local frame about its
 in-plane radial axis; negative in the open phase, positive in the closed
-phase, zero when flat).  The main-crease angle follows from requiring the
-boundary crease to stay in the vertical mirror plane between adjacent
-units, and the boundary-crease angle from matching the rotation of the
-main-crease axis across that crease against the inter-unit rotation of
-2 alpha about the vertical axis.
+phase, zero when flat).  Both vertex crease angles follow from psi
+exactly:
+
+* the boundary crease stays in the vertical mirror plane between
+  adjacent units, cos(a) cos(rho_M/2) + sin(a) sin(psi) sin(rho_M/2) =
+  cos(a) cos(psi), whose root in [0, pi] is
+  rho_M = 2 (atan2(sin(a) sin(psi), cos(a)) + atan2(|sin(psi)|, cos(a) cos(psi)));
+* matching the rotation across the boundary crease against the
+  inter-unit turn of 2 alpha pins its angle to rho_B = -2 |psi|.
+
+The motion range is therefore [-pi/2, pi/2 - alpha]: the open side ends
+when the boundary crease reaches its mountain limit -pi, the closed side
+when the main crease folds flat.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import FoldState, FoldingPath
-from .rotations import rot_z, rotate_about
-
-BISECT_TOL = 1e-12
-PRESCAN_STEP = 1e-3     # radians, bracket scan resolution
-FLAT_PSI_TOL = 1e-8     # |psi| below this is snapped to the exact flat state
 
 
 class OutOfRangeError(ValueError):
@@ -37,78 +40,56 @@ class UniformState:
     @classmethod
     def at(cls, alpha, psi):
         rho_m = main_angle_from_psi(alpha, psi)
-        rho_b = boundary_angle_from_psi(alpha, psi, rho_m)
-        return cls(psi=float(psi), rho_m=rho_m, rho_b=rho_b,
+        return cls(psi=float(psi), rho_m=rho_m,
+                   rho_b=boundary_angle_from_psi(alpha, psi),
                    b=boundary_vector(alpha, psi, rho_m))
 
 
-def _main_residual(alpha, psi, rho_m):
-    """Mirror-plane condition for the boundary crease; zero on the path."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return (ca * np.cos(rho_m / 2) - ca * np.cos(psi)
-            + sa * np.sin(psi) * np.sin(rho_m / 2))
+def psi_motion_range(alpha):
+    """Admissible interval [-pi/2, pi/2 - alpha] of psi, as (lo, hi).
+
+    The open side ends where the boundary crease reaches its mountain
+    limit (rho_B = -pi), the closed side where the main crease is fully
+    folded (rho_M = pi).
+    """
+    return -np.pi / 2, np.pi / 2 - alpha
+
+
+def _checked_psi(alpha, psi):
+    """psi as a float array, rejected unless inside the motion range."""
+    psi = np.asarray(psi, dtype=float)
+    lo, hi = psi_motion_range(alpha)
+    inside = (psi >= lo) & (psi <= hi)      # False for NaN
+    if not np.all(inside):
+        bad = np.ravel(psi)[~np.ravel(inside)][0]
+        raise OutOfRangeError(
+            f"psi={np.degrees(bad):.3f} deg outside the uniform motion range "
+            f"[{np.degrees(lo):.3f}, {np.degrees(hi):.3f}] deg")
+    return psi
 
 
 def main_angle_from_psi(alpha, psi):
-    """Main-crease angle rho_M in [0, pi] for Euler angle psi.
+    """Main-crease angle rho_M in [0, pi] for Euler angle(s) psi.
 
-    Bracketed bisection after a coarse pre-scan; a missing bracket means
-    psi is outside the motion range and is reported as such.  Fold angles
-    at |psi| < 1e-8 are below the residual's floating-point resolution,
-    so such inputs return the exact flat state.
+    Exact root of the mirror-plane condition; the atan2 form stays
+    accurate near the flat state.  Accepts a scalar or an array.
     """
-    if abs(psi) < FLAT_PSI_TOL:
-        return 0.0
-    grid = np.arange(0.0, np.pi + PRESCAN_STEP, PRESCAN_STEP)
-    grid[-1] = np.pi
-    vals = _main_residual(alpha, psi, grid)
-    sign = np.sign(vals)
-    crossings = np.where(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.where(vals == 0.0)[0]
-    if len(exact):
-        return float(grid[exact[0]])
-    if len(crossings) == 0:
-        raise OutOfRangeError(
-            f"no main-angle bracket for psi={np.degrees(psi):.3f} deg; "
-            "outside the uniform motion range")
-    lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
-    flo = _main_residual(alpha, psi, lo)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fmid = _main_residual(alpha, psi, mid)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+    psi = _checked_psi(alpha, psi)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    s = np.sin(psi)
+    return 2 * (np.arctan2(sa * s, ca) + np.arctan2(np.abs(s), ca * np.cos(psi)))
 
 
-def main_angles(alpha, psis):
-    """Vectorized rho_M(psi) over an array of admissible psi values.
+def boundary_angle_from_psi(alpha, psi):
+    """Boundary-crease angle rho_B = -2|psi| in [-pi, 0] for Euler
+    angle(s) psi.  Accepts a scalar or an array."""
+    psi = _checked_psi(alpha, psi)
+    return 0.0 - 2 * np.abs(psi)        # 0.0 - keeps the flat state at +0.0
 
-    The residual is positive at 0 and negative at pi everywhere inside
-    the motion range, so [0, pi] brackets the unique root directly.
-    """
-    psis = np.asarray(psis, dtype=float)
-    lo = np.zeros_like(psis)
-    hi = np.full_like(psis, np.pi)
-    f_hi = _main_residual(alpha, psis, hi)
-    if np.any(f_hi > 0):
-        bad = psis[f_hi > 0]
-        raise OutOfRangeError(
-            f"psi values outside the motion range, e.g. {np.degrees(bad[0]):.3f} deg")
-    f_lo = _main_residual(alpha, psis, lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        f_mid = _main_residual(alpha, psis, mid)
-        same = f_lo * f_mid > 0.0
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(np.abs(psis) < FLAT_PSI_TOL, 0.0, out)
+
+# array spellings of the same maps
+main_angles = main_angle_from_psi
+boundary_angles = boundary_angle_from_psi
 
 
 def boundary_vector(alpha, psi, rho_m):
@@ -123,155 +104,19 @@ def boundary_vector(alpha, psi, rho_m):
     ])
 
 
-def _boundary_residual(alpha, psi, rho_m, rho_b):
-    """Signed mismatch of the crease rotation against the 2 alpha turn.
-
-    Rotating the main-crease axis e2 about the boundary crease b by
-    (-pi + rho_b) must reproduce rot_z(2 alpha) e2; the residual is the
-    sine of the remaining angle gap about b.
-    """
-    b = boundary_vector(alpha, psi, rho_m)
-    e2 = np.array([0.0, np.cos(psi), np.sin(psi)])
-    target = rot_z(2 * alpha) @ e2
-    v = rotate_about(b, -np.pi + np.asarray(rho_b, dtype=float), e2)
-    return np.cross(v, target) @ b
-
-
-def boundary_angle_from_psi(alpha, psi, rho_m=None):
-    """Boundary-crease angle rho_B in [-pi, 0] matching the unit turn.
-
-    Solved by pre-scan plus bisection of the signed rotation mismatch;
-    candidate roots are validated against the full vector gap, and a
-    missing root is reported as out of range.
-    """
-    if abs(psi) < FLAT_PSI_TOL:
-        return 0.0
-    if rho_m is None:
-        rho_m = main_angle_from_psi(alpha, psi)
-    grid = np.arange(-np.pi, 0.0 + PRESCAN_STEP, PRESCAN_STEP)
-    grid[-1] = 0.0
-    vals = _boundary_residual(alpha, psi, rho_m, grid)
-    sign = np.sign(vals)
-    b = boundary_vector(alpha, psi, rho_m)
-    e2 = np.array([0.0, np.cos(psi), np.sin(psi)])
-    target = rot_z(2 * alpha) @ e2
-    # exact zeros on the scan grid are roots themselves
-    for idx in np.where(vals == 0.0)[0]:
-        v = rotate_about(b, -np.pi + grid[idx], e2)
-        if np.linalg.norm(v - target) < 1e-8:
-            return float(grid[idx])
-    crossings = np.where(sign[:-1] * sign[1:] < 0)[0]
-    for idx in crossings:
-        lo, hi = grid[idx], grid[idx + 1]
-        flo = _boundary_residual(alpha, psi, rho_m, lo)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            fmid = _boundary_residual(alpha, psi, rho_m, mid)
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-            if hi - lo < BISECT_TOL:
-                break
-        root = 0.5 * (lo + hi)
-        v = rotate_about(b, -np.pi + root, e2)
-        if np.linalg.norm(v - target) < 1e-8:
-            return root
-    raise OutOfRangeError(
-        f"no boundary-angle root for psi={np.degrees(psi):.3f} deg")
-
-
-def boundary_angles(alpha, psis, rho_ms):
-    """Vectorized rho_B(psi); the mismatch crosses zero once in [-pi, 0]."""
-    psis = np.asarray(psis, dtype=float)
-    rho_ms = np.asarray(rho_ms, dtype=float)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    s, cm = np.sin(rho_ms / 2), np.cos(rho_ms / 2)
-    b = np.stack([-sa * cm,
-                  ca * np.cos(psis) - sa * np.sin(psis) * s,
-                  ca * np.sin(psis) + sa * np.cos(psis) * s], axis=-1)
-    e2 = np.stack([np.zeros_like(psis), np.cos(psis), np.sin(psis)], axis=-1)
-    target = e2 @ rot_z(2 * alpha).T
-
-    def mismatch(rho_b):
-        ang = -np.pi + rho_b
-        c = np.cos(ang)[:, None]
-        sn = np.sin(ang)[:, None]
-        dot = np.sum(b * e2, axis=-1)[:, None]
-        v = e2 * c + np.cross(b, e2) * sn + b * (dot * (1.0 - c))
-        return np.sum(np.cross(v, target) * b, axis=-1)
-
-    lo = np.full_like(psis, -np.pi)
-    hi = np.zeros_like(psis)
-    f_lo = mismatch(lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        f_mid = mismatch(mid)
-        same = f_lo * f_mid > 0.0
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(np.abs(psis) < FLAT_PSI_TOL, 0.0, out)
-
-
 def uniform_state(geom, psi):
     """Closed FoldState of the uniform motion at Euler angle psi."""
-    rho_m = main_angle_from_psi(geom.alpha, psi)
-    rho_b = boundary_angle_from_psi(geom.alpha, psi, rho_m)
     rho = np.empty(geom.n_vertex_creases)
-    rho[0::2] = rho_m
-    rho[1::2] = rho_b
+    rho[0::2] = main_angle_from_psi(geom.alpha, psi)
+    rho[1::2] = boundary_angle_from_psi(geom.alpha, psi)
     return FoldState.from_angles(geom, rho)
-
-
-_MOTION_RANGE_CACHE = {}
-
-
-def psi_motion_range(alpha, coarse=np.radians(1.0)):
-    """Admissible open interval of psi, discovered by bracket loss.
-
-    The open side ends where the boundary crease reaches its mountain
-    limit, the closed side where the main crease reaches the fully folded
-    limit; both are found numerically by scanning outward from zero and
-    bisecting the last admissible point against the first inadmissible.
-    """
-    key = round(float(alpha), 15)
-    if key in _MOTION_RANGE_CACHE:
-        return _MOTION_RANGE_CACHE[key]
-
-    def admissible(psi):
-        if psi == 0.0:
-            return True
-        try:
-            rho_m = main_angle_from_psi(alpha, psi)
-            boundary_angle_from_psi(alpha, psi, rho_m)
-            return True
-        except OutOfRangeError:
-            return False
-
-    bounds = []
-    for sgn in (-1.0, 1.0):
-        psi = 0.0
-        while admissible(psi + sgn * coarse) and abs(psi) < np.pi:
-            psi += sgn * coarse
-        lo, hi = psi, psi + sgn * coarse
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-        bounds.append(lo)
-    _MOTION_RANGE_CACHE[key] = (bounds[0], bounds[1])
-    return _MOTION_RANGE_CACHE[key]
 
 
 def clip_psi_range(alpha, psi_range, margin=1e-6):
     """Clip a requested psi interval to the motion range.
 
-    Returns (lo, hi, clipped); a small margin keeps solvers away from the
-    exact fold limits where the root brackets degenerate.
+    Returns (lo, hi, clipped); a small margin keeps paths off the exact
+    fold limits.
     """
     lo, hi = psi_motion_range(alpha)
     want_lo, want_hi = min(psi_range), max(psi_range)
@@ -292,7 +137,7 @@ def uniform_path(geom, psi_range, n_samples, check_closure=True):
     keep = (psis >= lo) & (psis <= hi)
     psis = psis[keep]
     rho_ms = main_angles(geom.alpha, psis)
-    rho_bs = boundary_angles(geom.alpha, psis, rho_ms)
+    rho_bs = boundary_angles(geom.alpha, psis)
     states = []
     for p, rm, rb in zip(psis, rho_ms, rho_bs):
         rho = np.empty(geom.n_vertex_creases)

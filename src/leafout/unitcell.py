@@ -9,17 +9,17 @@ This layout is a documented reconstruction; the crease pattern figure
 fixes it only up to that mirror symmetry.
 
 In the symmetric folding branch both sub creases share one fold angle
-rho_S, and rho_S is a strictly increasing function of the main-crease
-angle rho_M.  ``sub_angle_from_main`` solves the vertex closure for it:
-with the near panels folded by rho_M, the outward midline direction is
-swept around the sub crease until it returns to the unit's mirror plane.
+rho_S, a strictly increasing function of the main-crease angle rho_M
+given exactly by the degree-4 vertex relation
+
+    tan(rho_S / 2) = tan(rho_M / 2) / cos(alpha),
+
+which ``sub_angle_from_main`` evaluates in atan2 form and
+``d_sub_d_main`` differentiates.
 """
 import numpy as np
 
 from .rotations import rot_x, rot_z
-
-#: bisection tolerance for the vertex closure root solve, radians
-BISECT_TOL = 1e-12
 
 
 def boundary_direction(alpha, rho_m):
@@ -39,82 +39,34 @@ def boundary_direction(alpha, rho_m):
     ], axis=-1)
 
 
-def _midline_deviation(alpha, rho_m, theta):
-    """First component of the folded outward-midline direction.
-
-    theta is the hinge rotation of the outer panel about the sub crease,
-    measured from the unfolded (coplanar) position.  The component
-    vanishes exactly when the midline returns to the mirror plane, which
-    is the vertex closure condition in the symmetric branch.
-    Vectorized over broadcastable (rho_m, theta).
-    """
-    rho_m = np.asarray(rho_m, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    b = boundary_direction(alpha, rho_m)
-    e2 = np.array([0.0, 1.0, 0.0])
-    c, s = np.cos(theta), np.sin(theta)
-    cross_x = np.cross(b, e2)[..., 0]
-    dot = b[..., 1]          # b . e2
-    bx = b[..., 0]
-    # x-component of Rodrigues rotation of e2 about b by theta
-    return s * cross_x + (1.0 - c) * dot * bx
-
-
 def sub_angle_from_main(alpha, rho_m):
     """Sub-crease fold angle rho_S for a given main-crease angle rho_M.
 
-    Solved by bracketed bisection of the vertex closure residual; the
-    root is unique in (0, pi) and the endpoints map exactly (0 -> 0,
-    pi -> pi).  Accepts a scalar or an array of rho_M values.
+    Exact: rho_S = 2 atan2(sin(rho_M/2), cos(alpha) cos(rho_M/2)), which
+    maps the endpoints exactly (0 -> 0, pi -> pi).  Accepts a scalar or an
+    array of rho_M values.
     """
     if not 0.0 < alpha < np.pi / 2:
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
     rho_m = np.asarray(rho_m, dtype=float)
     if np.any(rho_m < -1e-12) or np.any(rho_m > np.pi + 1e-12):
         raise ValueError("rho_M outside [0, pi]")
-    scalar = rho_m.ndim == 0
-    rm = np.atleast_1d(np.clip(rho_m, 0.0, np.pi))
-
-    # interior points: residual is positive just below 0 and negative at
-    # -pi, so [-pi, -eps] always brackets the fold branch
-    lo = np.full_like(rm, -np.pi)
-    hi = np.full_like(rm, -1e-9)
-    interior = (rm > 1e-15) & (rm < np.pi - 1e-15)
-    f_lo = _midline_deviation(alpha, rm, lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        f_mid = _midline_deviation(alpha, rm, mid)
-        take_hi = f_lo * f_mid <= 0.0
-        hi = np.where(take_hi, mid, hi)
-        same = ~take_hi
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        if np.max(hi - lo) < BISECT_TOL:
-            break
-    theta = 0.5 * (lo + hi)
-    out = np.where(interior, -theta, np.where(rm <= 1e-15, 0.0, np.pi))
-    return float(out[0]) if scalar else out
+    half = np.clip(rho_m, 0.0, np.pi) / 2
+    return 2 * np.arctan2(np.sin(half), np.cos(alpha) * np.cos(half))
 
 
-def d_sub_d_main(alpha, rho_m, h=1e-6):
-    """Derivative d rho_S / d rho_M via the implicit closure residual.
+def d_sub_d_main(alpha, rho_m):
+    """Derivative d rho_S / d rho_M = cos^2(rho_S/2) / (cos(alpha) cos^2(rho_M/2)).
 
-    Uses central differences of the residual partials at the solved root;
-    the endpoints are rejected because the closure residual is degenerate
-    there.
+    Only rho_M strictly inside (0, pi) is accepted; the slope diverges at
+    pi.
     """
     rho_m = float(rho_m)
     if not 0.0 < rho_m < np.pi:
         raise ValueError("rho_M must be strictly inside (0, pi)")
-    theta = -sub_angle_from_main(alpha, rho_m)
-    # keep the stencil inside the admissible angle box near the endpoints
-    h = min(h, rho_m / 4, (np.pi - rho_m) / 4)
-    g_t = (_midline_deviation(alpha, rho_m, theta + h)
-           - _midline_deviation(alpha, rho_m, theta - h)) / (2 * h)
-    g_m = (_midline_deviation(alpha, rho_m + h, theta)
-           - _midline_deviation(alpha, rho_m - h, theta)) / (2 * h)
-    # implicit function theorem on g(rho_m, theta) = 0, rho_S = -theta
-    return float(g_m / g_t)
+    rho_s = sub_angle_from_main(alpha, rho_m)
+    return float(np.cos(rho_s / 2) ** 2
+                 / (np.cos(alpha) * np.cos(rho_m / 2) ** 2))
 
 
 def vertex_sector_angles(alpha):

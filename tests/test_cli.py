@@ -181,6 +181,31 @@ def test_export_mesh_out_of_range_psi(tmp_path, capsys):
     assert rc == 2
 
 
+def _export_mesh_rejected(tmp_path, capsys, state):
+    cfg = write_cfg(tmp_path, {"name": "export-mesh", "state": state})
+    out = tmp_path / "o"
+    rc = main(["export-mesh", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not (out / "mesh.obj").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_export_mesh_nan_psi(tmp_path, capsys):
+    _export_mesh_rejected(tmp_path, capsys,
+                          {"type": "uniform", "psi_deg": float("nan")})
+
+
+def test_export_mesh_nan_angles(tmp_path, capsys):
+    _export_mesh_rejected(tmp_path, capsys,
+                          {"type": "angles", "rho_o_deg": [float("nan")] + [0.0] * 9})
+
+
+def test_export_mesh_non_closing_angles(tmp_path, capsys):
+    _export_mesh_rejected(tmp_path, capsys,
+                          {"type": "angles", "rho_o_deg": [30.0] + [0.0] * 9})
+
+
 def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
     from leafout import cli as cli_mod
     from leafout.kinematics import StepFailure

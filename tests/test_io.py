@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import leafout as lf
 from leafout import io as lio
+from leafout.kinematics import SVD_CUTOFF
 
 
 def test_fmt_is_17_significant_digits():
@@ -113,6 +114,9 @@ def test_manifest_contents():
     # hash invariant under key order
     cfg2 = {"geometry": {"n_cell": 5}, "task": {"name": "uniform-path"}}
     assert lio.config_hash(cfg2) == m["config_sha256"]
+    # no fields for options that change nothing; the cutoff is the solver's
+    assert "threads" not in m and "seed" not in m
+    assert m["svd_cutoff"] == SVD_CUTOFF
 
 
 def test_trigger_rows_and_contour(geom5):

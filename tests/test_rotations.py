@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafout.rotations import axis_angle, is_rotation, rot_x, rot_z, rotate_about, skew
+from leafout.rotations import axis_angle, is_rotation, rot_x, rot_z, skew
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -33,24 +33,6 @@ def test_axis_angle_is_proper_rotation(ax, ay, az, ang):
     # the axis is fixed
     u = axis / np.linalg.norm(axis)
     assert np.allclose(R @ u, u, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(angles)
-def test_rotate_about_matches_matrix(ang):
-    axis = np.array([0.2, -0.5, 0.8])
-    v = np.array([1.0, 2.0, -0.3])
-    assert np.allclose(rotate_about(axis, ang, v), axis_angle(axis, ang) @ v,
-                       atol=1e-12)
-
-
-def test_rotate_about_vectorized_angles():
-    axis = np.array([0.0, 0.0, 1.0])
-    angs = np.array([0.0, np.pi / 2, np.pi])
-    out = rotate_about(axis, angs, np.array([1.0, 0.0, 0.0]))
-    assert out.shape == (3, 3)
-    assert np.allclose(out[1], [0, 1, 0], atol=1e-15)
-    assert np.allclose(out[2], [-1, 0, 0], atol=1e-12)
 
 
 def test_axis_angle_rejects_zero_axis():

@@ -92,13 +92,22 @@ def test_uniform_path_sampling_contract(geom5):
 
 
 def test_motion_range_matches_fold_limits():
-    lo, hi = lf.psi_motion_range(ALPHA)
-    # closed side ends with the main crease fully folded, open side with
-    # the boundary crease at its mountain limit
-    assert np.isclose(hi, np.pi / 2 - ALPHA, atol=1e-3)
-    assert np.isclose(lo, -np.pi / 2, atol=1e-3)
-    assert lf.main_angle_from_psi(ALPHA, hi - 1e-6) > np.pi - 0.01
-    assert lf.boundary_angle_from_psi(ALPHA, lo + 1e-6) < -np.pi + 0.01
+    for n_cell in range(3, 13):
+        alpha = np.pi / n_cell
+        lo, hi = lf.psi_motion_range(alpha)
+        # closed side ends with the main crease fully folded, open side
+        # with the boundary crease at its mountain limit
+        assert abs(hi - (np.pi / 2 - alpha)) <= 1e-15
+        assert abs(lo + np.pi / 2) <= 1e-15
+        assert abs(lf.main_angle_from_psi(alpha, hi) - np.pi) < 1e-12
+        assert abs(main_angle_oracle(alpha, hi - 1e-6) - np.pi) < 1e-5
+        assert lf.boundary_angle_from_psi(alpha, lo) == -np.pi
+        # a psi one ulp past either bound is rejected by both maps
+        for psi in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+            with pytest.raises(lf.OutOfRangeError):
+                lf.main_angle_from_psi(alpha, psi)
+            with pytest.raises(lf.OutOfRangeError):
+                lf.boundary_angle_from_psi(alpha, psi)
 
 
 def test_out_of_range_reported():
@@ -106,15 +115,20 @@ def test_out_of_range_reported():
         lf.main_angle_from_psi(ALPHA, np.pi / 2)
     with pytest.raises(lf.OutOfRangeError):
         main_angles(ALPHA, np.array([0.1, np.pi / 2]))
+    for psi in (np.nan, np.array([0.1, np.nan])):
+        with pytest.raises(lf.OutOfRangeError):
+            main_angles(ALPHA, psi)
+        with pytest.raises(lf.OutOfRangeError):
+            boundary_angles(ALPHA, psi)
 
 
 def test_vectorized_solvers_match_scalar():
     psis = np.radians(np.array([-80.0, -33.3, -5.0, 12.5, 47.0]))
     rms = main_angles(ALPHA, psis)
-    rbs = boundary_angles(ALPHA, psis, rms)
+    rbs = boundary_angles(ALPHA, psis)
     for p, rm, rb in zip(psis, rms, rbs):
         assert abs(rm - lf.main_angle_from_psi(ALPHA, p)) < 1e-10
-        assert abs(rb - lf.boundary_angle_from_psi(ALPHA, p, rm)) < 1e-10
+        assert abs(rb - lf.boundary_angle_from_psi(ALPHA, p)) < 1e-10
 
 
 def test_boundary_vector_matches_mesh_edge(geom5):
