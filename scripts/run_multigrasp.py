@@ -26,8 +26,7 @@ def main():
                                 delta_rho_c=np.radians(args.delta_deg))
                 for p in lf.default_program_set(geom.n_cell)]
     bundle = {"geometry": geom.to_dict(), "programs": []}
-    for prog in programs:
-        res = lf.run_program(geom, prog, springs=springs)
+    for prog, res in zip(programs, lf.run_programs(geom, programs, springs=springs)):
         lio.write_path_csv(geom, res.path,
                            os.path.join(args.out, f"trace_{prog.label()}.csv"),
                            res.trace.energy)

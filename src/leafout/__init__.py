@@ -13,7 +13,7 @@ from .geometry import (CreaseId, CreaseKind, FoldedMesh, Frame,
 from .kinematics import (ClosureResidual, FoldState, FoldingPath,
                          LockedConfiguration, NotClosedError, StepFailure,
                          StepRequest, chain_product, constraint_matrix,
-                         project_step, residual, trace_path)
+                         project_step, residual, trace_path, trace_paths)
 from .unitcell import d_sub_d_main, sub_angle_from_main
 from .uniform import (OutOfRangeError, UniformState, boundary_angle_from_psi,
                       boundary_vector, main_angle_from_psi, psi_motion_range,
@@ -26,4 +26,5 @@ from .droptest import (DropScenario, TriggerMap, TriggerPrediction,
                        prototype_barrier, prototype_spring_model, trigger_map)
 from .explore import (ConfigSpaceTrace, GraspProgram, GraspResult,
                       compare_programs, default_program_set,
-                      energy_along_program, near_flat_start, run_program)
+                      energy_along_program, near_flat_start, run_program,
+                      run_programs)

@@ -18,7 +18,7 @@ from . import __version__
 from .droptest import DropScenario, trigger_map
 from .energy import (SpringModel, characterize_bistability,
                      landscape_over_psi, path_energies, ratio_surface)
-from .explore import GraspProgram, run_program
+from .explore import GraspProgram, run_programs
 from .geometry import build_geometry, geometry_to_json, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, LockedConfiguration, StepFailure
 from .uniform import OutOfRangeError, uniform_path, uniform_state
@@ -123,11 +123,25 @@ def validate_config(cfg):
         progs = task.get("programs")
         if not isinstance(progs, list) or not progs:
             raise ConfigError("multi-grasp task needs a non-empty programs list")
+        seen = set()
         for p in progs:
             if not isinstance(p, list) or not p:
                 raise ConfigError("each program is a non-empty list of unit indices")
             if any(not isinstance(u, int) or u < 1 or u > geom.n_cell for u in p):
                 raise ConfigError(f"program {p} has unit indices outside 1..n_cell")
+            units = frozenset(p)
+            if units in seen:
+                raise ConfigError(f"program {p} drives the same units as an "
+                                  "earlier program")
+            seen.add(units)
+        delta = task.get("delta_rho_c_deg", 0.5)
+        if (isinstance(delta, bool) or not isinstance(delta, (int, float))
+                or not 0 < delta < np.inf):
+            raise ConfigError(f"delta_rho_c_deg must be a finite number > 0, "
+                              f"got {delta!r}")
+        steps = task.get("max_steps", 400)
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise ConfigError(f"max_steps must be an integer >= 1, got {steps!r}")
     if name == "drop-test":
         d = task.get("drop", {})
         for key in ("m_ball_g", "R_ball_mm"):
@@ -247,12 +261,17 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
 
     elif name == "multi-grasp":
         springs = build_springs_from_config(geom, cfg)
+        programs = [GraspProgram(tuple(units),
+                                 delta_rho_c=_deg(task.get("delta_rho_c_deg", 0.5)),
+                                 max_steps=int(task.get("max_steps", 400)))
+                    for units in task["programs"]]
+        try:
+            results, failure = run_programs(geom, programs, springs=springs), None
+        except StepFailure as exc:
+            results, failure = exc.completed, exc
         bundle = {"geometry": geom.to_dict(), "programs": []}
-        for units in task["programs"]:
-            prog = GraspProgram(tuple(units),
-                                delta_rho_c=_deg(task.get("delta_rho_c_deg", 0.5)),
-                                max_steps=int(task.get("max_steps", 400)))
-            res = run_program(geom, prog, springs=springs)
+        for res in results:
+            prog = res.program
             f = os.path.join(outdir, f"trace_{prog.label()}.csv")
             lio.write_path_csv(geom, res.path, f, res.trace.energy)
             outputs.append(f)
@@ -265,6 +284,8 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
                            "x": [float(v) for v in res.trace.x],
                            "y": [float(v) for v in res.trace.y],
                            "z": [float(v) for v in res.trace.z]}}))
+        if failure is not None:
+            raise failure
         fj = os.path.join(outdir, "multigrasp_bundle.json")
         lio.write_json(bundle, fj)
         outputs.append(fj)

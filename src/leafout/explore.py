@@ -4,7 +4,8 @@ Selected unit cells receive an identical controlled increment on their
 main-crease angles each step; the remaining angles follow the projected
 kinematics.  Folding modes are compared in a configuration space spanned
 by the main-angle differences (rho_M2 - rho_M4, rho_M3 - rho_M5) against
-the cumulative controlled angle.
+the cumulative controlled angle.  A set of programs is stepped together
+(``run_programs``); each program's trace is the one it has alone.
 
 Paths start from a slightly folded uniform state rather than the exact
 flat state, which is a branch point where the mountain/valley assignment
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import path_energies
-from .kinematics import (FoldState, FoldingPath, StepRequest, pseudo_inverse,
-                         constraint_matrix, residual, trace_path)
+from .kinematics import (FoldState, FoldingPath, StepFailure, StepRequest,
+                         constraint_matrix, pseudo_inverse, residual, trace_paths)
 
 NEAR_FLAT_MAIN = np.radians(7.1)
 NEAR_FLAT_BOUNDARY = np.radians(-3.6)
@@ -96,34 +97,56 @@ def config_space_trace(path, energies=None):
     return ConfigSpaceTrace(x=x, y=y, z=path.params.copy(), energy=energies)
 
 
-def run_program(geom, program, springs=None, tol=1e-10):
-    """Trace one grasping program from the near-flat start.
+def run_programs(geom, programs, springs=None, tol=1e-10):
+    """Trace grasping programs together from their near-flat starts.
 
-    Controlled units must exist in the pattern; the trace drives toward
-    the closed phase (increasing main angles).  Returns the folding path
-    plus the configuration-space trace, with energies when a spring model
-    is supplied.
+    Controlled units must exist in the pattern; each trace drives toward
+    the closed phase (increasing main angles).  Returns one result per
+    program: the folding path plus the configuration-space trace, with
+    energies when a spring model is supplied.  The programs are stepped
+    in lockstep, and each result equals that of the program traced alone.
+    If a program fails, the raised StepFailure's ``completed`` holds the
+    results of the programs listed before it.
     """
     if geom.n_cell < 5:
         raise ValueError("configuration-space coordinates need n_cell >= 5")
-    if max(program.controlled_units) > geom.n_cell or min(program.controlled_units) < 1:
-        raise ValueError("controlled unit index outside 1..n_cell")
+    for program in programs:
+        if (max(program.controlled_units) > geom.n_cell
+                or min(program.controlled_units) < 1):
+            raise ValueError("controlled unit index outside 1..n_cell")
+    starts = [near_flat_start(geom, p.start_main, p.start_boundary)
+              for p in programs]
+    drivers = [_constant_driver(geom, p) for p in programs]
+    try:
+        paths = trace_paths(geom, starts, drivers, [p.max_steps for p in programs],
+                            on_boundary="freeze", param_name="delta_rho_c", tol=tol)
+    except StepFailure as exc:
+        done = [_grasp_result(geom, p, path, springs)
+                for p, path in zip(programs, exc.completed)]
+        raise StepFailure(f"{programs[len(done)].label()}: {exc}",
+                          completed=done) from exc
+    return [_grasp_result(geom, p, path, springs)
+            for p, path in zip(programs, paths)]
+
+
+def _constant_driver(geom, program):
+    """The same controlled increment on every selected main crease, each step."""
     ctrl = tuple(2 * (u - 1) for u in program.controlled_units)
-    start = near_flat_start(geom, program.start_main, program.start_boundary)
-    n = geom.n_vertex_creases
+    d0 = np.zeros(geom.n_vertex_creases)
+    d0[list(ctrl)] = program.delta_rho_c
+    req = StepRequest(d0, controlled_indices=ctrl, step_scale=program.delta_rho_c)
+    return lambda k, rho_o: req
 
-    def driver(k, state):
-        d0 = np.zeros(n)
-        for c in ctrl:
-            d0[c] = program.delta_rho_c
-        return StepRequest(d0, controlled_indices=ctrl,
-                           step_scale=program.delta_rho_c)
 
-    path = trace_path(geom, start, driver, program.max_steps,
-                      on_boundary="freeze", param_name="delta_rho_c", tol=tol)
+def _grasp_result(geom, program, path, springs):
     energies = path_energies(geom, springs, path) if springs is not None else None
     return GraspResult(program=program, path=path,
                        trace=config_space_trace(path, energies))
+
+
+def run_program(geom, program, springs=None, tol=1e-10):
+    """Trace one grasping program; the one-program case of run_programs."""
+    return run_programs(geom, [program], springs=springs, tol=tol)[0]
 
 
 def energy_along_program(result, springs, geom):
@@ -154,4 +177,4 @@ def compare_programs(geom, programs, springs=None):
     """Run several programs on shared axes; needs at least two."""
     if len(programs) < 2:
         raise ValueError("need at least two programs to compare")
-    return [run_program(geom, p, springs=springs) for p in programs]
+    return run_programs(geom, programs, springs=springs)

@@ -3,9 +3,18 @@
 The N = 2 n_cell creases at the central vertex alternate between main and
 boundary creases with a uniform flat sector angle alpha between
 neighbours.  A fold state is valid when the chained crease rotations
-compose to the identity; stepping projects a requested increment onto the
-tangent space of that constraint and Newton-corrects the residual, with
-prescribed (controlled) increments honoured exactly.
+compose to the identity.
+
+Stepping traces a stack of paths in lockstep.  One prefix pass over the
+chain gives every path's closure residual and its 3 x N Jacobian C.  The
+tangent increment prescribes the fixed (controlled or frozen) entries
+exactly and moves the free ones by the minimum-norm amount that keeps
+C t = 0: t_fixed = d, t_free = -pinv(C_free) C_fixed d.  C_free is C with
+the fixed columns zeroed, so one batched SVD serves every path whatever
+its fixed set; Newton corrects the free angles through the same masked
+pseudo-inverse.  Each path keeps its own masks, substeps, retries and
+termination, and every array operation acts on each path's rows alone,
+so a path's trace is the same whichever paths are stepped beside it.
 """
 from dataclasses import dataclass, field
 
@@ -17,9 +26,19 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SVD_CUTOFF = 1e-10      # relative singular-value cutoff of the pseudo-inverse
 MIN_STEP = 1e-8         # radians; step halving gives up below this
+LOCK_TOL = 1e-8         # unmet tangent constraint that counts as locked
+
 
 class StepFailure(RuntimeError):
-    """Newton correction did not converge for this step."""
+    """A step could not be closed, even after halving it down to MIN_STEP.
+
+    When a batch of paths is traced, ``completed`` holds the results of
+    the paths listed before the failing one.
+    """
+
+    def __init__(self, message, completed=()):
+        super().__init__(message)
+        self.completed = list(completed)
 
 
 class LockedConfiguration(RuntimeError):
@@ -114,19 +133,20 @@ class ClosureResidual:
 
 
 def _chain_matrices(geom, rho_o):
+    """chi_j = rot_x(rho_j) rot_z(alpha) for angles of any shape (..., N)."""
     c, s = np.cos(rho_o), np.sin(rho_o)
     ca, sa = np.cos(geom.alpha), np.sin(geom.alpha)
-    X = np.empty((len(rho_o), 3, 3))
+    X = np.empty(np.shape(rho_o) + (3, 3))
     # rot_x(rho) @ rot_z(alpha), written out once
-    X[:, 0, 0] = ca
-    X[:, 0, 1] = -sa
-    X[:, 0, 2] = 0.0
-    X[:, 1, 0] = sa * c
-    X[:, 1, 1] = ca * c
-    X[:, 1, 2] = -s
-    X[:, 2, 0] = sa * s
-    X[:, 2, 1] = ca * s
-    X[:, 2, 2] = c
+    X[..., 0, 0] = ca
+    X[..., 0, 1] = -sa
+    X[..., 0, 2] = 0.0
+    X[..., 1, 0] = sa * c
+    X[..., 1, 1] = ca * c
+    X[..., 1, 2] = -s
+    X[..., 2, 0] = sa * s
+    X[..., 2, 1] = ca * s
+    X[..., 2, 2] = c
     return X
 
 
@@ -152,23 +172,35 @@ def residual(geom, rho_o):
     return _extract_residual(chain_product(geom, rho_o))
 
 
-def constraint_matrix(geom, rho_o):
-    """Analytic 3 x N Jacobian of the residual w.r.t. the fold angles.
+def _closure(geom, rho):
+    """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows.
 
-    With a_j the first column of the prefix product chi_1 ... chi_{j-1}
-    (crease j's axis in the base frame), dF/drho_j = skew(a_j) F, whose
-    skew components are (tr F I - F) a_j / 2 in (x, y, z) order; the rows
-    are reordered to the residual's (r_a, r_b, r_c) = (z, x, y).  This is
-    the single-vertex result of Belcastro & Hull (2002) and Tachi (2009).
+    One prefix pass gives both.  With a_j the first column of the prefix
+    product chi_1 ... chi_{j-1} (crease j's axis in the base frame),
+    dF/drho_j = skew(a_j) F, whose skew components are (tr F I - F) a_j / 2
+    in (x, y, z) order; the rows are reordered to the residual's
+    (r_a, r_b, r_c) = (z, x, y).  This is the single-vertex result of
+    Belcastro & Hull (2002) and Tachi (2009).
     """
-    X = _chain_matrices(geom, np.asarray(rho_o, dtype=float))
-    A = np.empty((3, len(X)))
-    F = np.eye(3)
-    for j, Xj in enumerate(X):
-        A[:, j] = F[:, 0]
-        F = F @ Xj
-    C = 0.5 * (np.trace(F) * np.eye(3) - F) @ A
-    return C[[2, 0, 1]]
+    X = _chain_matrices(geom, rho)
+    n_path, n = rho.shape
+    A = np.empty((n_path, 3, n))
+    A[:, :, 0] = (1.0, 0.0, 0.0)
+    F = X[:, 0]
+    for j in range(1, n):
+        A[:, :, j] = F[:, :, 0]
+        F = F @ X[:, j]
+    r = 0.5 * np.stack([F[:, 1, 0] - F[:, 0, 1], F[:, 2, 1] - F[:, 1, 2],
+                        F[:, 0, 2] - F[:, 2, 0]], axis=-1)
+    T = -F
+    T[:, (0, 1, 2), (0, 1, 2)] += np.trace(F, axis1=1, axis2=2)[:, None]
+    C = 0.5 * (T @ A)
+    return r, C[:, [2, 0, 1]]
+
+
+def constraint_matrix(geom, rho_o):
+    """Analytic 3 x N Jacobian of the residual w.r.t. the fold angles."""
+    return _closure(geom, np.asarray(rho_o, dtype=float)[None])[1][0]
 
 
 def pseudo_inverse(C, rcond=SVD_CUTOFF):
@@ -185,36 +217,111 @@ def null_space(C, rcond=SVD_CUTOFF):
     return Vt[rank:].T
 
 
-def _newton_correct(geom, rho, free_idx, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-    """Drive the residual to tol by min-norm updates of the free angles."""
-    rho = rho.copy()
-    if len(free_idx) == 0:
-        if residual(geom, rho).max_abs() > tol:
-            raise StepFailure("no free angles left to correct the residual")
-        return rho
-    for _ in range(max_iter):
-        r = residual(geom, rho).as_array()
-        if np.max(np.abs(r)) < tol:
-            return rho
-        Cu = constraint_matrix(geom, rho)[:, free_idx]
-        rho[free_idx] -= pseudo_inverse(Cu) @ r
-    raise StepFailure("Newton correction did not converge")
+def _masked_solve(C, free, v, rcond=SVD_CUTOFF):
+    """pinv(C_free) v per row, with C_free = C with non-free columns zeroed.
+
+    The result is the minimum-norm x with x = 0 off the free entries that
+    best solves C x = v, using pseudo_inverse's relative cutoff.
+    """
+    U, s, Vt = np.linalg.svd(np.where(free[:, None, :], C, 0.0),
+                             full_matrices=False)
+    keep = s > rcond * s[:, :1]
+    w = np.divide((U * v[:, :, None]).sum(axis=1), s,
+                  out=np.zeros_like(s), where=keep)
+    return np.where(free, (Vt * w[:, :, None]).sum(axis=1), 0.0)
 
 
-def _tangent_step(geom, rho, d0, fixed_idx, lock_tol=1e-8):
-    """Min-norm tangent increment with exact values at fixed indices."""
-    C = constraint_matrix(geom, rho)
-    Z = null_space(C)
-    if len(fixed_idx) == 0:
-        return Z @ (Z.T @ d0)
-    d = d0[fixed_idx]
-    y, *_ = np.linalg.lstsq(Z[fixed_idx, :], d, rcond=None)
-    t = Z @ y
-    if np.max(np.abs(t[fixed_idx] - d)) > lock_tol * max(1.0, np.max(np.abs(d))):
-        raise LockedConfiguration(
-            "prescribed increments lie outside the feasible tangent space")
-    t[fixed_idx] = d
-    return t
+def _tangent(C, seed, fixed):
+    """Tangent increments per row and their unmet constraint max |C t|.
+
+    Fixed entries of ``seed`` are kept exactly; the free entries move by
+    the least amount that makes C t = 0.  A row with nothing fixed thus
+    projects its whole seed onto the tangent space.
+    """
+    t = seed - _masked_solve(C, ~fixed, (C * seed[:, None, :]).sum(axis=-1))
+    return t, np.abs((C * t[:, None, :]).sum(axis=-1)).max(axis=-1)
+
+
+def _newton(geom, rho, free, tol):
+    """Min-norm Newton updates of the free angles until each row closes.
+
+    Updates ``rho`` in place; returns the residuals and Jacobians at the
+    final iterates and which rows closed to below ``tol``.
+    """
+    r, C = _closure(geom, rho)
+    closed = np.abs(r).max(axis=-1) < tol
+    movable = free.any(axis=-1)
+    for _ in range(NEWTON_MAX_ITER):
+        rows = np.flatnonzero(~closed & movable)
+        if rows.size == 0:
+            break
+        rho[rows] -= _masked_solve(C[rows], free[rows], r[rows])
+        r[rows], C[rows] = _closure(geom, rho[rows])
+        closed[rows] = np.abs(r[rows]).max(axis=-1) < tol
+    return r, C, closed
+
+
+_OK, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX, _NOT_CLOSED = range(5)
+_FAILURES = {
+    _NOT_CONVERGED: "Newton correction did not converge",
+    _OUTSIDE_BOX: "clamped state cannot be closed inside the boxes",
+    _NOT_CLOSED: "residual above tolerance after step",
+}
+
+
+def _project(geom, rho, r, C, d0, fixed, step_scale, tol):
+    """One constrained step of each row of a stack of closed states.
+
+    ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
+    Jacobians, ``d0`` the requested increments (zero at frozen entries),
+    ``fixed`` the controlled-or-frozen mask and ``step_scale`` (B,) the
+    substep caps.  ``rho``, ``r`` and ``C`` are updated in place.  Returns
+    the (B, N) mask of clamped angles and a status code per row.
+    """
+    lo, hi = angle_bounds(geom)
+    free = ~fixed
+    # without fixed entries the whole request seeds the tangent
+    seed = np.where(fixed | ~fixed.any(axis=-1, keepdims=True), d0, 0.0)
+    lock_tol = LOCK_TOL * np.maximum(1.0, np.abs(seed).max(axis=-1))
+    t, unmet = _tangent(C, seed, fixed)
+    status = np.where(unmet > lock_tol, _LOCKED, _OK)
+    n_sub = np.maximum(1, np.ceil(np.abs(t).max(axis=-1) / step_scale)).astype(int)
+    t /= n_sub[:, None]
+    for k in range(n_sub.max()):
+        rows = np.flatnonzero((status == _OK) & (n_sub > k))
+        if k > 0:
+            t[rows], unmet = _tangent(C[rows], seed[rows] / n_sub[rows, None],
+                                      fixed[rows])
+            locked = unmet > lock_tol[rows]
+            status[rows[locked]] = _LOCKED
+            rows = rows[~locked]
+        if rows.size == 0:
+            break
+        moved = rho[rows] + t[rows]
+        r[rows], C[rows], closed = _newton(geom, moved, free[rows], tol)
+        rho[rows] = moved
+        status[rows[~closed]] = _NOT_CONVERGED
+
+    clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
+    rows = np.flatnonzero(clamped.any(axis=-1))
+    if rows.size:
+        moved = np.clip(rho[rows], lo, hi)
+        r[rows], C[rows], closed = _newton(geom, moved, free[rows] & ~clamped[rows],
+                                           tol)
+        rho[rows] = moved
+        status[rows[~closed]] = _NOT_CONVERGED
+        outside = np.any((moved < lo - 1e-9) | (moved > hi + 1e-9), axis=-1)
+        status[rows[outside & closed]] = _OUTSIDE_BOX
+    # written so that a NaN residual fails the check
+    status[(status == _OK) & ~(np.abs(r).max(axis=-1) <= tol)] = _NOT_CLOSED
+    return clamped, status
+
+
+def _require_closed(r, tol, what):
+    res = np.abs(r).max(axis=-1)
+    bad = np.flatnonzero(~(res <= tol))
+    if bad.size:
+        raise NotClosedError(f"{what} residual {res[bad[0]]:.3e} > {tol:.1e}")
 
 
 @dataclass
@@ -228,48 +335,36 @@ def project_step(geom, state, req, frozen=(), tol=NEWTON_TOL):
     """One constrained step from a closed state.
 
     The increment is the minimum-norm tangent vector matching the
-    controlled components of ``delta_rho_0`` exactly (the uncontrolled
-    entries of ``delta_rho_0`` seed the remaining tangent freedom), then a
-    Newton correction over the uncontrolled angles restores closure.
-    Requests larger than ``step_scale`` are split into equal substeps.
+    controlled components of ``delta_rho_0`` exactly (without controlled
+    or frozen entries, the whole ``delta_rho_0`` is projected onto the
+    tangent space), then a Newton correction over the uncontrolled angles
+    restores closure.  Requests larger than ``step_scale`` are split into
+    equal substeps.
 
     ``frozen`` indices are held at their current value (used by path
     tracers to pin angles at a mountain/valley box face).  Angles that
     leave their box after correction are clamped and reported; the caller
     decides whether that terminates or freezes.
     """
-    rho = state.rho_o.copy()
-    ctrl = tuple(req.controlled_indices)
+    rho = np.array([state.rho_o], dtype=float)
+    r, C = _closure(geom, rho)
+    _require_closed(r, tol, "start state")
     frozen = tuple(int(i) for i in frozen)
-    fixed = sorted(set(ctrl) | set(frozen))
+    fixed = np.zeros(rho.shape, dtype=bool)
+    fixed[0, list(req.controlled_indices)] = True
+    fixed[0, list(frozen)] = True
     d0 = req.delta_rho_0.copy()
     d0[list(frozen)] = 0.0
-    free_idx = np.array([i for i in range(len(rho)) if i not in set(fixed)],
-                        dtype=int)
-
-    t_probe = _tangent_step(geom, rho, d0, fixed)
-    n_sub = max(1, int(np.ceil(np.max(np.abs(t_probe)) / req.step_scale)))
-    d_sub = d0 / n_sub
-    for k in range(n_sub):
-        t = t_probe if n_sub == 1 else _tangent_step(geom, rho, d_sub, fixed)
-        rho = rho + t
-        rho = _newton_correct(geom, rho, free_idx, tol=tol)
-
-    lo, hi = angle_bounds(geom)
-    viol = np.where((rho < lo - 1e-12) | (rho > hi + 1e-12))[0]
-    clamped = tuple(int(i) for i in viol)
-    if clamped:
-        rho = np.clip(rho, lo, hi)
-        still_free = np.array([i for i in free_idx if i not in set(clamped)],
-                              dtype=int)
-        rho = _newton_correct(geom, rho, still_free, tol=tol)
-        if np.any(rho < lo - 1e-9) or np.any(rho > hi + 1e-9):
-            raise StepFailure("clamped state cannot be closed inside the boxes")
-    new = FoldState.from_angles(geom, rho, check=False)
-    new_res = residual(geom, rho).max_abs()
-    if new_res > tol:
-        raise StepFailure(f"residual {new_res:.2e} after step")
-    return StepResult(state=new, clamped=clamped, frozen=frozen)
+    clamped, status = _project(geom, rho, r, C, d0[None], fixed,
+                               np.array([req.step_scale]), tol)
+    if status[0] == _LOCKED:
+        raise LockedConfiguration(
+            "prescribed increments lie outside the feasible tangent space")
+    if status[0] != _OK:
+        raise StepFailure(_FAILURES[status[0]])
+    return StepResult(state=FoldState.from_angles(geom, rho[0], check=False),
+                      clamped=tuple(np.flatnonzero(clamped[0]).tolist()),
+                      frozen=frozen)
 
 
 @dataclass
@@ -291,90 +386,133 @@ class FoldingPath:
         return len(self.states)
 
 
-def trace_path(geom, start, driver, n_steps, on_boundary="stop",
-               param_name="step", tol=NEWTON_TOL):
-    """Trace a folding path from a closed start state.
+def trace_paths(geom, starts, drivers, n_steps, on_boundary="stop",
+                param_name="step", tol=NEWTON_TOL):
+    """Trace one folding path per closed start state, all in lockstep.
 
-    ``driver(k, state)`` returns the StepRequest for step k, or None to
-    stop.  Failed steps are retried with halved step_scale down to
-    MIN_STEP.  When an uncontrolled angle reaches its box face the path
-    either terminates (``on_boundary='stop'``) or pins that angle to the
-    face for the remainder of the path and continues (``'freeze'``, which
-    preserves the mountain/valley assignment of every crease); controlled
-    angles reaching their box always terminate the path.
+    ``drivers[b](k, rho_o)`` returns the StepRequest for step k of path b
+    given its current fold angles, or None to stop.  ``n_steps`` caps the
+    steps, one number for all paths or one per path.  Failed steps are
+    retried with halved step_scale down to MIN_STEP.  When an uncontrolled
+    angle reaches its box face the path either terminates
+    (``on_boundary='stop'``) or pins that angle to the face for the
+    remainder of the path and continues (``'freeze'``, which preserves the
+    mountain/valley assignment of every crease); controlled angles
+    reaching their box always terminate the path.
+
+    Every path is traced exactly as it would be alone.  If a path fails
+    even at MIN_STEP, the other paths still run to their end, then the
+    first failing path's StepFailure is raised with ``completed`` holding
+    the paths listed before it.
     """
     if on_boundary not in ("stop", "freeze"):
         raise ValueError("on_boundary must be 'stop' or 'freeze'")
-    res0 = residual(geom, start.rho_o).max_abs()
-    if res0 > tol:
-        raise NotClosedError(f"start state residual {res0:.3e}")
+    if len(starts) != len(drivers):
+        raise ValueError("need one driver per start state")
+    n_path = len(starts)
+    n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (n_path,))
+    rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)
+    r, C = _closure(geom, rho)
+    _require_closed(r, tol, "start state")
     lo, hi = angle_bounds(geom)
-    states = [start]
-    params = [0.0]
-    frozen = set()
-    frozen_hist = [tuple()]
-    termination = "completed"
-    state = start
-    for k in range(n_steps):
-        req = driver(k, state)
-        if req is None:
-            break
+    frozen = np.zeros(rho.shape, dtype=bool)
+    frozen_now = [()] * n_path
+    angles = [[] for _ in range(n_path)]
+    params = [[0.0] for _ in range(n_path)]
+    frozen_hist = [[()] for _ in range(n_path)]
+    termination = ["max-steps"] * n_path
+    failures = {}
+    done = np.zeros(n_path, dtype=bool)
+
+    def finish(paths, reason):
+        for b in paths:
+            termination[b] = reason
+        done[paths] = True
+
+    for k in range(int(n_steps.max(initial=0))):
+        done |= k >= n_steps
+        rows = np.flatnonzero(~done)
+        reqs = [drivers[b](k, rho[b].copy()) for b in rows]
+        stopped = np.array([req is None for req in reqs], dtype=bool)
+        finish(rows[stopped], "completed")
+        rows, reqs = rows[~stopped], [req for req in reqs if req is not None]
+        if not reqs:
+            continue
+        d0 = np.array([req.delta_rho_0 for req in reqs])
+        ctrl = np.zeros(d0.shape, dtype=bool)
+        for i, req in enumerate(reqs):
+            ctrl[i, list(req.controlled_indices)] = True
         # controlled angles may at most reach their box face
-        d0 = req.delta_rho_0.copy()
-        at_face = True
-        for c in req.controlled_indices:
-            room_lo = lo[c] - state.rho_o[c]
-            room_hi = hi[c] - state.rho_o[c]
-            d0[c] = np.clip(d0[c], room_lo, room_hi)
-            if abs(d0[c]) > 1e-14:
-                at_face = False
-        if req.controlled_indices and at_face:
-            termination = "controlled-at-boundary"
-            break
-        req_k = StepRequest(d0, req.controlled_indices, req.step_scale)
-        scale = req_k.step_scale
-        while True:
-            try:
-                out = project_step(geom, state, req_k, frozen=tuple(frozen), tol=tol)
-                break
-            except StepFailure:
-                scale = scale / 2
-                if scale < MIN_STEP:
-                    raise
-                req_k = StepRequest(req_k.delta_rho_0, req_k.controlled_indices,
-                                    scale)
-            except LockedConfiguration:
-                termination = "locked"
-                out = None
-                break
-        if out is None:
-            break
-        if out.clamped:
+        d0 = np.where(ctrl, np.clip(d0, lo - rho[rows], hi - rho[rows]), d0)
+        at_face = ctrl.any(axis=-1) & np.all(~ctrl | (np.abs(d0) <= 1e-14), axis=-1)
+        finish(rows[at_face], "controlled-at-boundary")
+        scale = np.array([req.step_scale for req in reqs], dtype=float)[~at_face]
+        rows, d0, ctrl = rows[~at_face], d0[~at_face], ctrl[~at_face]
+        dparam = np.where(ctrl.any(axis=-1), np.abs(np.where(ctrl, d0, 0.0)).max(axis=-1),
+                          np.abs(d0).max(axis=-1))
+        fixed = ctrl | frozen[rows]
+        d0[frozen[rows]] = 0.0
+        pending = np.arange(rows.size)
+        while pending.size:
+            b = rows[pending]
+            new_rho, new_r, new_C = rho[b], r[b], C[b]
+            clamped, status = _project(geom, new_rho, new_r, new_C, d0[pending],
+                                       fixed[pending], scale[pending], tol)
+            ok = status == _OK
+            finish(b[status == _LOCKED], "locked")
+            failed = ~ok & (status != _LOCKED)
+            scale[pending[failed]] /= 2
+            given_up = failed & (scale[pending] < MIN_STEP)
+            for i in np.flatnonzero(given_up):
+                failures[b[i]] = _FAILURES[status[i]]
+            finish(b[given_up], "failed")
+            hit = ok & clamped.any(axis=-1)
+            if on_boundary == "freeze":
+                frozen[b[hit]] |= clamped[hit]
+                for i in np.flatnonzero(hit):
+                    frozen_now[b[i]] = tuple(np.flatnonzero(frozen[b[i]]).tolist())
+            for i in np.flatnonzero(ok):
+                angles[b[i]].append(new_rho[i])
+                params[b[i]].append(params[b[i]][-1] + float(dparam[pending[i]]))
+                frozen_hist[b[i]].append(frozen_now[b[i]])
             if on_boundary == "stop":
-                states.append(out.state)
-                params.append(params[-1] + _param_increment(req_k))
-                frozen_hist.append(tuple(sorted(frozen)))
-                termination = "boundary"
-                break
-            frozen |= set(out.clamped)
-        state = out.state
-        states.append(state)
-        params.append(params[-1] + _param_increment(req_k))
-        frozen_hist.append(tuple(sorted(frozen)))
-        # controlled angles pinned at their face end the sweep
-        if req.controlled_indices and all(
-                state.rho_o[c] >= hi[c] - 1e-12 or state.rho_o[c] <= lo[c] + 1e-12
-                for c in req.controlled_indices):
-            termination = "controlled-at-boundary"
-            break
-    else:
-        termination = "max-steps" if termination == "completed" else termination
+                finish(b[hit], "boundary")
+                ok &= ~hit
+            moved = b[ok]
+            rho[moved], r[moved], C[moved] = new_rho[ok], new_r[ok], new_C[ok]
+            # controlled angles pinned at their face end the sweep
+            c = ctrl[pending[ok]]
+            pinned = c.any(axis=-1) & np.all(
+                ~c | (rho[moved] >= hi - 1e-12) | (rho[moved] <= lo + 1e-12), axis=-1)
+            finish(moved[pinned], "controlled-at-boundary")
+            pending = pending[failed & ~given_up]
+
+    paths = []
+    for b in range(n_path):
+        if b in failures:
+            raise StepFailure(failures[b], completed=paths)
+        paths.append(_build_path(geom, starts[b], angles[b], params[b],
+                                 param_name, termination[b], frozen_hist[b]))
+    return paths
+
+
+def _build_path(geom, start, angles, params, param_name, termination, frozen_hist):
+    """FoldingPath of a start state plus the traced angle rows; the sub
+    angles of all rows come from one array call."""
+    states = [start]
+    if angles:
+        rho = np.array(angles)
+        rho_s = sub_angle_from_main(geom.alpha, np.clip(rho[:, 0::2], 0.0, np.pi))
+        states += [FoldState(rho_o=a, rho_s=s) for a, s in zip(rho, rho_s)]
     return FoldingPath(states=states, params=np.array(params),
                        param_name=param_name, termination=termination,
                        frozen_history=frozen_hist)
 
 
-def _param_increment(req):
-    if req.controlled_indices:
-        return float(np.max(np.abs(req.delta_rho_0[list(req.controlled_indices)])))
-    return float(np.max(np.abs(req.delta_rho_0))) if req.delta_rho_0.size else 0.0
+def trace_path(geom, start, driver, n_steps, on_boundary="stop",
+               param_name="step", tol=NEWTON_TOL):
+    """Trace a folding path from a closed start state; the one-path case
+    of ``trace_paths``, whose ``driver(k, rho_o)`` gets the current fold
+    angles."""
+    return trace_paths(geom, [start], [driver], n_steps, on_boundary=on_boundary,
+                       param_name=param_name, tol=tol)[0]

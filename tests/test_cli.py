@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from leafout.cli import main
 
@@ -160,6 +161,25 @@ def test_multi_grasp_rejects_bad_programs(tmp_path):
     assert main(["multi-grasp", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("task", [
+    {"delta_rho_c_deg": 0.0},
+    {"delta_rho_c_deg": -0.5},
+    {"delta_rho_c_deg": float("nan")},
+    {"max_steps": 0},
+    {"max_steps": -5},
+    {"max_steps": 2.5},
+    {"programs": [[1, 2], [2, 1]]},
+])
+def test_multi_grasp_rejects_bad_step_settings(tmp_path, capsys, task):
+    cfg = write_cfg(tmp_path, {"name": "multi-grasp", "programs": [[1, 2]],
+                               "max_steps": 5, **task},
+                    springs=BASE["springs"])
+    out = tmp_path / "o"
+    assert main(["multi-grasp", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
 def test_export_mesh_task(tmp_path):
     cfg = write_cfg(tmp_path, {"name": "export-mesh",
                                "state": {"type": "uniform", "psi_deg": -30.0}})
@@ -213,7 +233,7 @@ def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
     def boom(*a, **kw):
         raise StepFailure("synthetic non-convergence")
 
-    monkeypatch.setattr(cli_mod, "run_program", boom)
+    monkeypatch.setattr(cli_mod, "run_programs", boom)
     cfg = write_cfg(tmp_path, {"name": "multi-grasp", "programs": [[1, 2]]},
                     springs=BASE["springs"])
     out = tmp_path / "o"
@@ -222,6 +242,30 @@ def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "partial"
     assert "synthetic non-convergence" in manifest["error"]
+
+
+def test_failing_program_keeps_earlier_outputs(tmp_path, monkeypatch):
+    # 2 rad steps: units 1-3 cannot close its first step inside the boxes,
+    # and with the halving floor above the step it gives up at once
+    from leafout import kinematics
+    monkeypatch.setattr(kinematics, "MIN_STEP", 3.0)
+    cfg = write_cfg(tmp_path, {"name": "multi-grasp",
+                               "programs": [[1, 2], [1, 3], [1, 2, 3]],
+                               "delta_rho_c_deg": float(np.degrees(2.0)),
+                               "max_steps": 5},
+                    springs=BASE["springs"])
+    out = tmp_path / "o"
+    rc = main(["multi-grasp", "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert "units-1-3" in manifest["error"]
+    assert manifest["outputs"] == ["trace_units-1-2.csv"]
+    assert list(manifest["terminations"]) == ["units-1-2"]
+    assert (out / "trace_units-1-2.csv").exists()
+    assert not (out / "trace_units-1-3.csv").exists()
+    assert not (out / "trace_units-1-2-3.csv").exists()
+    assert not (out / "multigrasp_bundle.json").exists()
 
 
 def test_set_override_and_env_outdir(tmp_path, monkeypatch):

@@ -133,6 +133,20 @@ def test_default_program_set_distinct(geom5):
             assert d > np.radians(5.0)
 
 
+def test_batch_matches_single_programs(geom5, springs_grasp):
+    # lockstep stepping leaves every program's trace bit for bit as alone
+    programs = lf.default_program_set(geom5.n_cell)
+    batch = lf.run_programs(geom5, programs, springs=springs_grasp)
+    for program, together in zip(programs, batch):
+        alone = lf.run_program(geom5, program, springs=springs_grasp)
+        assert np.array_equal(alone.path.angles(), together.path.angles())
+        assert np.array_equal(alone.path.sub_angles(), together.path.sub_angles())
+        assert np.array_equal(alone.path.params, together.path.params)
+        assert np.array_equal(alone.trace.energy, together.trace.energy)
+        assert alone.path.termination == together.path.termination
+        assert alone.path.frozen_history == together.path.frozen_history
+
+
 def test_program_validation(geom5):
     with pytest.raises(ValueError):
         lf.GraspProgram(())

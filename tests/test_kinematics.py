@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import leafout as lf
-from leafout.kinematics import (LockedConfiguration, StepRequest, angle_bounds,
-                                null_space, pseudo_inverse, project_step,
-                                trace_path)
+from leafout import kinematics
+from leafout.kinematics import (LockedConfiguration, StepFailure, StepRequest,
+                                angle_bounds, null_space, pseudo_inverse,
+                                project_step, trace_path, trace_paths)
 from leafout.rotations import rot_x, rot_z
 from oracles import chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation
 
@@ -194,6 +195,39 @@ def test_trace_requires_closed_start(geom5):
     bad.rho_o[0] = 0.3
     with pytest.raises(lf.NotClosedError):
         trace_path(geom5, bad, lambda k, s: StepRequest(np.zeros(10)), 2)
+
+
+def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
+    rho = uniform_minus30.rho_o.copy()
+    rho[3] = np.nan
+    bad = lf.FoldState(rho_o=rho, rho_s=uniform_minus30.rho_s.copy())
+    with pytest.raises(lf.NotClosedError):
+        trace_path(geom5, bad, lambda k, s: StepRequest(np.zeros(10)), 2)
+    with pytest.raises(lf.NotClosedError):
+        project_step(geom5, bad, StepRequest(np.zeros(10)))
+
+
+def _constant_driver(ctrl, amount, step_scale):
+    d0 = np.zeros(10)
+    d0[list(ctrl)] = amount
+    req = StepRequest(d0, ctrl, step_scale=step_scale)
+    return lambda k, rho_o: req
+
+
+def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
+    # a 2 rad unsplit step on units 1 and 3 cannot be closed inside the
+    # boxes; with the halving floor above its scale it fails at once, while
+    # small steps on units 1 and 2 trace normally beside it
+    monkeypatch.setattr(kinematics, "MIN_STEP", 3.0)
+    start = lf.near_flat_start(geom5)
+    good = _constant_driver((0, 2), np.radians(0.5), 4.0)
+    bad = _constant_driver((0, 4), 2.0, 4.0)
+    alone = trace_path(geom5, start, good, 5)
+    with pytest.raises(StepFailure, match="inside the boxes") as info:
+        trace_paths(geom5, [start, start, start], [good, bad, good], 5)
+    (first,) = info.value.completed
+    assert np.array_equal(first.angles(), alone.angles())
+    assert first.termination == alone.termination == "max-steps"
 
 
 def test_trace_terminates_at_controlled_box(geom5):
