@@ -36,8 +36,7 @@ def main():
                           [np.radians(r) for r in args.rest_deg],
                           n_h=args.n_h, n_rest=args.n_rest, observations=obs)
 
-    lio.write_csv(lio.trigger_map_rows(tmap),
-                  os.path.join(args.out, "trigger_map.csv"))
+    lio.write_trigger_map_csv(tmap, os.path.join(args.out, "trigger_map.csv"))
     lio.write_json(lio.trigger_contour_json_dict(tmap),
                    os.path.join(args.out, "egap_zero_contour.json"))
     i = int(np.argmin(np.abs(tmap.rest_angles - scenario.rest_angle)))

@@ -23,8 +23,7 @@ def main():
     gb = np.arange(np.radians(-178.0), np.radians(-2.0) + 1e-9, step)
     surf = lf.ratio_surface(geom, gm, gb)
 
-    lio.write_csv(lio.surface_rows(surf),
-                  os.path.join(args.out, "ratio_surface.csv"))
+    lio.write_surface_csv(surf, os.path.join(args.out, "ratio_surface.csv"))
     lio.write_json(lio.contours_to_json_dict(surf),
                    os.path.join(args.out, "xi_zero_contour.json"))
     n_def = int(np.isfinite(surf.xi).sum())

@@ -37,7 +37,7 @@ def main():
                                          np.radians(-rest))
         curve = lf.landscape_over_psi(geom, springs, (lo + 1e-4, hi - 1e-4))
         fname = os.path.join(args.out, f"landscape_rest{rest:g}.csv")
-        lio.write_csv(lio.landscape_rows(curve), fname)
+        lio.write_landscape_csv(curve, fname)
         reports[f"{rest:g}"] = lf.characterize_bistability(curve).to_dict()
         print(f"rest {rest:6.1f} deg -> {reports[f'{rest:g}']['stability_class']}")
 

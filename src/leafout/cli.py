@@ -21,7 +21,7 @@ from .energy import (SpringModel, characterize_bistability,
 from .explore import GraspProgram, run_programs
 from .geometry import build_geometry, geometry_to_json, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, LockedConfiguration, StepFailure
-from .uniform import OutOfRangeError, uniform_path, uniform_state
+from .uniform import OutOfRangeError, psi_samples, uniform_path, uniform_state
 from . import io as lio
 
 TASKS = ("uniform-path", "energy-landscape", "ratio-surface", "drop-test",
@@ -34,6 +34,16 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# integer task keys per task: (default, least accepted value); a None
+# default leaves the key optional
+_COUNTS = {
+    "uniform-path": {"n_samples": (241, 2)},
+    "energy-landscape": {"n_samples": (None, 2)},
+    "drop-test": {"n_h": (25, 1), "n_rest": (25, 1)},
+    "multi-grasp": {"max_steps": (400, 1)},
+}
 
 
 def _deg(x):
@@ -139,15 +149,45 @@ def validate_config(cfg):
                 or not 0 < delta < np.inf):
             raise ConfigError(f"delta_rho_c_deg must be a finite number > 0, "
                               f"got {delta!r}")
-        steps = task.get("max_steps", 400)
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise ConfigError(f"max_steps must be an integer >= 1, got {steps!r}")
+    for key in _COUNTS.get(name, {}):
+        _count(task, key)
+    if name == "uniform-path":
+        try:
+            psi_samples(geom.alpha, _psi_range(task), _count(task, "n_samples"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if name == "energy-landscape":
+        _psi_range(task)
     if name == "drop-test":
-        d = task.get("drop", {})
-        for key in ("m_ball_g", "R_ball_mm"):
-            if key in d and float(d[key]) <= 0:
-                raise ConfigError(f"{key} must be positive")
+        _drop_scenario(task)
     return geom
+
+
+def _count(task, key):
+    """Integer task setting, checked against its least accepted value."""
+    default, least = _COUNTS[task["name"]][key]
+    v = task.get(key, default)
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int)
+                          or v < least):
+        raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _drop_scenario(task):
+    d = task.get("drop", {})
+    try:
+        return DropScenario(
+            m_ball=float(d.get("m_ball_g", 22.3)) * 1e-3,
+            R_ball=float(d.get("R_ball_mm", 35.0)) * 1e-3,
+            h=float(d.get("h_mm", 360.0)) * 1e-3,
+            g=float(d.get("g", 9.81)),
+            kappa_pet=float(d.get("kappa_pet", 0.76)),
+            kappa_pet_unit=d.get("kappa_pet_unit", "N*mm/rad/mm"),
+            effective_width_mm=(float(d["effective_width_mm"])
+                                if "effective_width_mm" in d else None),
+            rest_angle=_deg(d.get("rest_angle_deg", 71.8)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad drop settings: {exc}") from exc
 
 
 def _outdir(cfg, args):
@@ -159,9 +199,11 @@ def _outdir(cfg, args):
 
 def _psi_range(task, default=(-60.0, 60.0)):
     rng = task.get("psi_range_deg", list(default))
-    if len(rng) != 2:
-        raise ConfigError("psi_range_deg must be [lo, hi]")
-    return _deg(rng[0]), _deg(rng[1])
+    try:
+        lo, hi = (_deg(x) for x in rng)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"psi_range_deg must be [lo, hi], got {rng!r}") from exc
+    return lo, hi
 
 
 def run_task(cfg, args):
@@ -190,8 +232,7 @@ def run_task(cfg, args):
 
 def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
     if name == "uniform-path":
-        n_samples = int(task.get("n_samples", 241))
-        path = uniform_path(geom, _psi_range(task), n_samples)
+        path = uniform_path(geom, _psi_range(task), _count(task, "n_samples"))
         energies = None
         if "springs" in cfg:
             energies = path_energies(geom, build_springs_from_config(geom, cfg), path)
@@ -206,10 +247,10 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
     elif name == "energy-landscape":
         springs = build_springs_from_config(geom, cfg)
         curve = landscape_over_psi(geom, springs, _psi_range(task),
-                                   task.get("n_samples"))
+                                   _count(task, "n_samples"))
         report = characterize_bistability(curve)
         f = os.path.join(outdir, "landscape.csv")
-        lio.write_csv(lio.landscape_rows(curve), f)
+        lio.write_landscape_csv(curve, f)
         outputs.append(f)
         fj = os.path.join(outdir, "bistability.json")
         lio.write_json(report.to_dict(), fj)
@@ -225,35 +266,24 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
         gb = np.arange(_deg(b_rng[0]), _deg(b_rng[1]) + 1e-9, step)
         surface = ratio_surface(geom, gm, gb)
         f = os.path.join(outdir, "ratio_surface.csv")
-        lio.write_csv(lio.surface_rows(surface), f)
+        lio.write_surface_csv(surface, f)
         outputs.append(f)
         fj = os.path.join(outdir, "xi_zero_contour.json")
         lio.write_json(lio.contours_to_json_dict(surface), fj)
         outputs.append(fj)
 
     elif name == "drop-test":
-        d = task.get("drop", {})
-        scenario = DropScenario(
-            m_ball=float(d.get("m_ball_g", 22.3)) * 1e-3,
-            R_ball=float(d.get("R_ball_mm", 35.0)) * 1e-3,
-            h=float(d.get("h_mm", 360.0)) * 1e-3,
-            g=float(d.get("g", 9.81)),
-            kappa_pet=float(d.get("kappa_pet", 0.76)),
-            kappa_pet_unit=d.get("kappa_pet_unit", "N*mm/rad/mm"),
-            effective_width_mm=(float(d["effective_width_mm"])
-                                if "effective_width_mm" in d else None),
-            rest_angle=_deg(d.get("rest_angle_deg", 71.8)))
+        scenario = _drop_scenario(task)
         h_rng = [x * 1e-3 for x in task.get("h_range_mm", [50.0, 800.0])]
         r_rng = [_deg(x) for x in task.get("rest_range_deg", [40.0, 100.0])]
         obs = None
         if task.get("observations_csv"):
             obs = lio.read_observations_csv(task["observations_csv"])
         tmap = trigger_map(geom, scenario, h_rng, r_rng,
-                           n_h=int(task.get("n_h", 25)),
-                           n_rest=int(task.get("n_rest", 25)),
+                           n_h=_count(task, "n_h"), n_rest=_count(task, "n_rest"),
                            observations=obs)
         f = os.path.join(outdir, "trigger_map.csv")
-        lio.write_csv(lio.trigger_map_rows(tmap), f)
+        lio.write_trigger_map_csv(tmap, f)
         outputs.append(f)
         fj = os.path.join(outdir, "egap_zero_contour.json")
         lio.write_json(lio.trigger_contour_json_dict(tmap), fj)
@@ -263,7 +293,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
         springs = build_springs_from_config(geom, cfg)
         programs = [GraspProgram(tuple(units),
                                  delta_rho_c=_deg(task.get("delta_rho_c_deg", 0.5)),
-                                 max_steps=int(task.get("max_steps", 400)))
+                                 max_steps=_count(task, "max_steps"))
                     for units in task["programs"]]
         try:
             results, failure = run_programs(geom, programs, springs=springs), None

@@ -74,11 +74,15 @@ class DropScenario:
     rest_angle: float = np.radians(71.8)      # magnitude of the PET rest fold
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("m_ball", "R_ball", "g", "kappa_pet", "rest_angle"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.h < 0:
-            raise ValueError("drop height must be non-negative")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.h < np.inf:
+            raise ValueError("drop height must be finite and non-negative")
+        if self.effective_width_mm is not None \
+                and not 0 < self.effective_width_mm < np.inf:
+            raise ValueError("effective_width_mm must be finite and positive")
         kappa_pet_si(self.kappa_pet, self.kappa_pet_unit)   # validate unit
 
 
@@ -156,6 +160,8 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
     """
     if min(h_range) < 0 or min(rest_angle_range) <= 0:
         raise ValueError("ranges must be positive")
+    if min(n_h, n_rest) < 1:
+        raise ValueError("n_h and n_rest must be at least 1")
     heights = np.linspace(h_range[0], h_range[1], n_h)
     rests = np.linspace(rest_angle_range[0], rest_angle_range[1], n_rest)
     kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .unitcell import sub_angle_from_main
-from .uniform import boundary_angles, clip_psi_range, main_angles, psi_motion_range
+from .uniform import (boundary_angles, clip_psi_range, main_angles,
+                      psi_motion_range, sample_count)
 
 DEFAULT_PSI_STEP = np.radians(0.5)
 
@@ -31,8 +32,9 @@ class SpringModel:
         self.rest_angle = np.asarray(self.rest_angle, dtype=float)
         if self.kappa.shape != self.rest_angle.shape:
             raise ConfigurationError("kappa and rest_angle length mismatch")
-        if np.any(self.kappa < 0):
-            raise ConfigurationError("negative stiffness")
+        # written so that NaN stiffness fails too
+        if not np.all((self.kappa >= 0) & (self.kappa < np.inf)):
+            raise ConfigurationError("stiffness must be finite and non-negative")
 
     @classmethod
     def uniform(cls, geom, kappa, rest_main, rest_boundary, rest_sub=None):
@@ -117,6 +119,8 @@ def uniform_path_arrays(geom, psi_range, n_samples=None, step=DEFAULT_PSI_STEP):
     psi = 0 exactly: the energy kinks there (the two fold phases meet at
     a corner), and extremum refinement benefits from an exact node.
     """
+    if n_samples is not None:
+        n_samples = sample_count(n_samples)
     lo, hi, clipped = clip_psi_range(geom.alpha, psi_range)
     if lo < 0.0 < hi:
         if n_samples is None:
@@ -124,13 +128,13 @@ def uniform_path_arrays(geom, psi_range, n_samples=None, step=DEFAULT_PSI_STEP):
             n_hi = max(1, int(round(hi / step)))
         else:
             n_lo = max(1, int(round((n_samples - 1) * (-lo) / (hi - lo))))
-            n_hi = max(1, int(n_samples) - 1 - n_lo)
+            n_hi = max(1, n_samples - 1 - n_lo)
         psis = np.concatenate([np.linspace(lo, 0.0, n_lo + 1),
                                np.linspace(0.0, hi, n_hi + 1)[1:]])
     else:
         if n_samples is None:
             n_samples = int(round((hi - lo) / step)) + 1
-        psis = np.linspace(lo, hi, int(n_samples))
+        psis = np.linspace(lo, hi, n_samples)
     rho_m = main_angles(geom.alpha, psis)
     rho_b = boundary_angles(geom.alpha, psis)
     rho_s = sub_angle_from_main(geom.alpha, rho_m)

@@ -2,12 +2,12 @@
 
 All CSV files carry a header row, '.' decimal separator and floats
 printed with 17 significant digits, so re-running a configuration yields
-byte-identical outputs.  Manifests record the configuration hash and
-tool version but never timestamps.
+byte-identical outputs.  The table writers format each whole row with
+one printf-style string and stream the lines to the file.  Manifests
+record the configuration hash and tool version but never timestamps.
 """
 import csv
 import hashlib
-import io as _io
 import json
 
 import numpy as np
@@ -15,10 +15,12 @@ import numpy as np
 from . import __version__
 from .kinematics import SVD_CUTOFF
 
+FLOAT = "%.17g"     # deterministic float format, 17 significant digits
+
 
 def fmt(x):
-    """Deterministic float formatting, 17 significant digits."""
-    return f"{float(x):.17g}"
+    """One float in the CSV format."""
+    return FLOAT % float(x)
 
 
 def _angle_columns(n_cell):
@@ -29,32 +31,19 @@ def _angle_columns(n_cell):
     return cols
 
 
-def path_rows(geom, path, energies=None):
-    """Rows of a folding-path table: step, parameter, all vertex angles,
-    all sub angles, energy (empty when no spring model applies)."""
-    angles = path.angles()
-    subs = path.sub_angles()
-    header = (["step", path.param_name] + _angle_columns(geom.n_cell)
-              + [f"rho_S_{n}" for n in range(1, geom.n_cell + 1)] + ["energy"])
-    rows = [header]
-    for k in range(len(path)):
-        row = [str(k), fmt(path.params[k])]
-        row += [fmt(a) for a in angles[k]]
-        row += [fmt(a) for a in subs[k]]
-        row.append(fmt(energies[k]) if energies is not None else "")
-        rows.append(row)
-    return rows
-
-
-def write_csv(rows, fname):
+def _write_lines(fname, header, line, rows):
+    """Header row, then ``line % row`` for each row, streamed to the file."""
     with open(fname, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
-def csv_text(rows):
-    buf = _io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _write_table(fname, header, columns, end="\n"):
+    """CSV of equal-length float columns, one FLOAT per cell, each line
+    closed by ``end``."""
+    table = np.column_stack(columns).astype(float)
+    line = ",".join([FLOAT] * table.shape[1]) + end
+    _write_lines(fname, header, line, map(tuple, table.tolist()))
 
 
 def read_csv(fname):
@@ -83,7 +72,17 @@ def read_path_csv(fname):
 
 
 def write_path_csv(geom, path, fname, energies=None):
-    write_csv(path_rows(geom, path, energies), fname)
+    """Folding-path table: step, parameter, all vertex angles, all sub
+    angles, energy (empty when no spring model applies)."""
+    n = geom.n_cell
+    header = (["step", path.param_name] + _angle_columns(n)
+              + [f"rho_S_{k}" for k in range(1, n + 1)] + ["energy"])
+    # the step index prints as an integer under FLOAT
+    columns = [np.arange(len(path)), path.params, path.rho_o, path.rho_s]
+    if energies is None:
+        _write_table(fname, header, columns, end=",\n")
+    else:
+        _write_table(fname, header, columns + [energies])
 
 
 def path_to_json_dict(geom, path, energies=None, extra=None):
@@ -91,33 +90,31 @@ def path_to_json_dict(geom, path, energies=None, extra=None):
         "geometry": geom.to_dict(),
         "param_name": path.param_name,
         "termination": path.termination,
-        "params": [float(p) for p in path.params],
-        "rho_o": [[float(a) for a in s.rho_o] for s in path.states],
-        "rho_s": [[float(a) for a in s.rho_s] for s in path.states],
+        "params": path.params.tolist(),
+        "rho_o": path.rho_o.tolist(),
+        "rho_s": path.rho_s.tolist(),
     }
     if energies is not None:
-        d["energy"] = [float(e) for e in energies]
+        d["energy"] = np.asarray(energies, dtype=float).tolist()
     if extra:
         d.update(extra)
     return d
 
 
-def landscape_rows(curve):
-    rows = [["psi", "energy", "rho_M", "rho_S", "rho_B"]]
-    for k in range(len(curve.psi)):
-        rows.append([fmt(curve.psi[k]), fmt(curve.energy[k]),
-                     fmt(curve.rho_m[k]), fmt(curve.rho_s[k]),
-                     fmt(curve.rho_b[k])])
-    return rows
+def write_landscape_csv(curve, fname):
+    """Uniform landscape table: psi, energy and the three crease angles."""
+    _write_table(fname, ["psi", "energy", "rho_M", "rho_S", "rho_B"],
+                 [curve.psi, curve.energy, curve.rho_m, curve.rho_s, curve.rho_b])
 
 
-def surface_rows(surface):
-    rows = [["rest_main", "rest_boundary", "xi"]]
-    for i, rm in enumerate(surface.rest_main):
-        for j, rb in enumerate(surface.rest_boundary):
-            v = surface.xi[i, j]
-            rows.append([fmt(rm), fmt(rb), fmt(v) if np.isfinite(v) else "nan"])
-    return rows
+def write_surface_csv(surface, fname):
+    """Ratio-surface table, one row per grid point in row-major order; a
+    non-finite xi is written nan."""
+    n_main, n_boundary = surface.xi.shape
+    xi = np.where(np.isfinite(surface.xi), surface.xi, np.nan)
+    _write_table(fname, ["rest_main", "rest_boundary", "xi"],
+                 [np.repeat(surface.rest_main, n_boundary),
+                  np.tile(surface.rest_boundary, n_main), xi.ravel()])
 
 
 def contours_to_json_dict(surface):
@@ -128,13 +125,12 @@ def contours_to_json_dict(surface):
     }
 
 
-def trigger_map_rows(tmap):
-    rows = [["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"]]
-    for row in tmap.predictions:
-        for p in row:
-            rows.append([fmt(p.rest_angle), fmt(p.h), fmt(p.E_ball),
-                         fmt(p.delta_E_g), fmt(p.E_gap), p.outcome])
-    return rows
+def write_trigger_map_csv(tmap, fname):
+    """Trigger-map table, one row per prediction, rest angle by rest angle."""
+    _write_lines(fname, ["rest_angle", "h", "E_ball", "delta_E_g", "E_gap",
+                         "outcome"], ",".join([FLOAT] * 5) + ",%s\n",
+                 ((p.rest_angle, p.h, p.E_ball, p.delta_E_g, p.E_gap, p.outcome)
+                  for row in tmap.predictions for p in row))
 
 
 def trigger_contour_json_dict(tmap):

@@ -73,13 +73,7 @@ class FoldState:
         if rho_o.shape != (geom.n_vertex_creases,):
             raise ValueError("angle vector has wrong length")
         if check:
-            lo, hi = angle_bounds(geom)
-            # written so that NaN angles fail both checks
-            if not np.all((rho_o >= lo - box_tol) & (rho_o <= hi + box_tol)):
-                raise ValueError("angles violate mountain/valley boxes")
-            res = residual(geom, rho_o).max_abs()
-            if not res <= tol:
-                raise NotClosedError(f"closure residual {res:.3e} > {tol:.1e}")
+            check_states(geom, rho_o[None], tol=tol, box_tol=box_tol)
         rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_o[0::2], 0.0, np.pi))
         return cls(rho_o=rho_o, rho_s=np.asarray(rho_s, dtype=float))
 
@@ -318,10 +312,27 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol):
 
 
 def _require_closed(r, tol, what):
+    """Raise NotClosedError naming the first row of residuals ``r`` above
+    ``tol``; written so that a NaN residual fails."""
     res = np.abs(r).max(axis=-1)
     bad = np.flatnonzero(~(res <= tol))
     if bad.size:
-        raise NotClosedError(f"{what} residual {res[bad[0]]:.3e} > {tol:.1e}")
+        raise NotClosedError(f"{what} {bad[0]}: closure residual "
+                             f"{res[bad[0]]:.3e} > {tol:.1e}")
+
+
+def check_states(geom, rho_o, tol=NEWTON_TOL, box_tol=1e-9):
+    """Check a stack of fold states (M, N) against the mountain/valley
+    boxes and the closure tolerance, all rows in one closure pass.
+
+    The error names the first failing row; NaN angles fail both checks.
+    """
+    lo, hi = angle_bounds(geom)
+    inside = np.all((rho_o >= lo - box_tol) & (rho_o <= hi + box_tol), axis=-1)
+    if not inside.all():
+        raise ValueError(f"state {np.flatnonzero(~inside)[0]}: angles violate "
+                         "mountain/valley boxes")
+    _require_closed(_closure(geom, rho_o)[0], tol, "state")
 
 
 @dataclass
@@ -369,21 +380,30 @@ def project_step(geom, state, req, frozen=(), tol=NEWTON_TOL):
 
 @dataclass
 class FoldingPath:
-    """Ordered closed states with the driving parameter and termination."""
-    states: list
+    """Ordered closed states as arrays: fold angles ``rho_o`` (M, N) and
+    sub angles ``rho_s`` (M, n_cell), with the driving parameter of each
+    state and the termination."""
+    rho_o: np.ndarray
+    rho_s: np.ndarray
     params: np.ndarray
     param_name: str = "step"
     termination: str = "completed"
     frozen_history: list = field(default_factory=list)
 
+    @property
+    def states(self):
+        """The rows as FoldState objects, for callers that want them."""
+        return [FoldState(rho_o=a, rho_s=s)
+                for a, s in zip(self.angles(), self.sub_angles())]
+
     def angles(self):
-        return np.array([s.rho_o for s in self.states])
+        return self.rho_o.copy()
 
     def sub_angles(self):
-        return np.array([s.rho_s for s in self.states])
+        return self.rho_s.copy()
 
     def __len__(self):
-        return len(self.states)
+        return len(self.rho_o)
 
 
 def trace_paths(geom, starts, drivers, n_steps, on_boundary="stop",
@@ -498,13 +518,13 @@ def trace_paths(geom, starts, drivers, n_steps, on_boundary="stop",
 
 def _build_path(geom, start, angles, params, param_name, termination, frozen_hist):
     """FoldingPath of a start state plus the traced angle rows; the sub
-    angles of all rows come from one array call."""
-    states = [start]
+    angles of all traced rows come from one array call."""
+    rho = np.array([start.rho_o, *angles])
+    rho_s = np.empty((len(rho), geom.n_cell))
+    rho_s[0] = start.rho_s
     if angles:
-        rho = np.array(angles)
-        rho_s = sub_angle_from_main(geom.alpha, np.clip(rho[:, 0::2], 0.0, np.pi))
-        states += [FoldState(rho_o=a, rho_s=s) for a, s in zip(rho, rho_s)]
-    return FoldingPath(states=states, params=np.array(params),
+        rho_s[1:] = sub_angle_from_main(geom.alpha, np.clip(rho[1:, 0::2], 0.0, np.pi))
+    return FoldingPath(rho_o=rho, rho_s=rho_s, params=np.array(params),
                        param_name=param_name, termination=termination,
                        frozen_history=frozen_hist)
 

@@ -18,10 +18,12 @@ when the boundary crease reaches its mountain limit -pi, the closed side
 when the main crease folds flat.
 """
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .kinematics import FoldState, FoldingPath
+from .kinematics import FoldState, FoldingPath, check_states
+from .unitcell import sub_angle_from_main
 
 
 class OutOfRangeError(ValueError):
@@ -124,25 +126,43 @@ def clip_psi_range(alpha, psi_range, margin=1e-6):
     return max(want_lo, lo + margin), min(want_hi, hi - margin), clipped
 
 
-def uniform_path(geom, psi_range, n_samples, check_closure=True):
+def sample_count(n_samples):
+    """``n_samples`` as an int; anything but an integer >= 2 is rejected."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, Integral) \
+            or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    return int(n_samples)
+
+
+def psi_samples(alpha, psi_range, n_samples):
+    """Uniform psi grid over a requested interval, cut to the motion range.
+
+    Returns (psis, truncated).  Raises ValueError unless ``n_samples`` is
+    an integer >= 2 and at least two samples fall inside the motion range
+    (a NaN endpoint leaves none).
+    """
+    lo, hi, truncated = clip_psi_range(alpha, psi_range)
+    psis = np.linspace(psi_range[0], psi_range[1], sample_count(n_samples))
+    psis = psis[(psis >= lo) & (psis <= hi)]
+    if psis.size < 2:
+        raise ValueError(f"{psis.size} of {n_samples} samples fall inside the "
+                         "uniform motion range; need at least two")
+    return psis, truncated
+
+
+def uniform_path(geom, psi_range, n_samples):
     """Densely sampled uniform folding path over a psi interval.
 
     Sampling is uniform over the requested interval; samples beyond the
-    motion range are clipped away and the truncation flagged.
+    motion range are clipped away and the truncation flagged.  Every
+    sample is checked against the angle boxes and the closure tolerance
+    in one batched pass; the error names the first failing sample.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    lo, hi, truncated = clip_psi_range(geom.alpha, psi_range)
-    psis = np.linspace(psi_range[0], psi_range[1], n_samples)
-    keep = (psis >= lo) & (psis <= hi)
-    psis = psis[keep]
-    rho_ms = main_angles(geom.alpha, psis)
-    rho_bs = boundary_angles(geom.alpha, psis)
-    states = []
-    for p, rm, rb in zip(psis, rho_ms, rho_bs):
-        rho = np.empty(geom.n_vertex_creases)
-        rho[0::2] = rm
-        rho[1::2] = rb
-        states.append(FoldState.from_angles(geom, rho, check=check_closure))
-    return FoldingPath(states=states, params=psis, param_name="psi",
+    psis, truncated = psi_samples(geom.alpha, psi_range, n_samples)
+    rho = np.empty((psis.size, geom.n_vertex_creases))
+    rho[:, 0::2] = main_angles(geom.alpha, psis)[:, None]
+    rho[:, 1::2] = boundary_angles(geom.alpha, psis)[:, None]
+    check_states(geom, rho)
+    rho_s = sub_angle_from_main(geom.alpha, np.clip(rho[:, 0::2], 0.0, np.pi))
+    return FoldingPath(rho_o=rho, rho_s=rho_s, params=psis, param_name="psi",
                        termination="truncated" if truncated else "completed")

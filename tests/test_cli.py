@@ -180,6 +180,41 @@ def test_multi_grasp_rejects_bad_step_settings(tmp_path, capsys, task):
     assert not out.exists()
 
 
+NAN_SPRINGS = {"kappa": float("nan"), "rest_deg": {"rho_m": 120.0, "rho_b": -30.0}}
+DROP = {"name": "drop-test", "h_range_mm": [100.0, 600.0],
+        "rest_range_deg": [60.0, 80.0], "n_h": 4, "n_rest": 3}
+
+
+@pytest.mark.parametrize("task,extra", [
+    ({"name": "uniform-path", "n_samples": 0}, {}),
+    ({"name": "uniform-path", "n_samples": 1}, {}),
+    ({"name": "uniform-path", "n_samples": -5}, {}),
+    ({"name": "uniform-path", "n_samples": float("nan")}, {}),
+    ({"name": "uniform-path", "n_samples": 7.9}, {}),
+    ({"name": "uniform-path", "psi_range_deg": [float("nan"), 20.0]}, {}),
+    ({"name": "uniform-path", "psi_range_deg": [100.0, 120.0]}, {}),
+    ({"name": "uniform-path", "n_samples": 11}, {"springs": NAN_SPRINGS}),
+    ({"name": "energy-landscape", "n_samples": 0}, {}),
+    ({"name": "energy-landscape", "n_samples": 1}, {}),
+    ({"name": "energy-landscape", "n_samples": 91}, {"springs": NAN_SPRINGS}),
+    ({"name": "multi-grasp", "programs": [[1, 2]], "max_steps": 5},
+     {"springs": NAN_SPRINGS}),
+    ({**DROP, "n_h": 0}, {}),
+    ({**DROP, "n_rest": 0}, {}),
+    ({**DROP, "drop": {"kappa_pet": float("nan")}}, {}),
+], ids=["n_samples-0", "n_samples-1", "n_samples-neg", "n_samples-nan",
+        "n_samples-float", "psi_range-nan", "psi_range-outside",
+        "path-kappa-nan", "landscape-n_samples-0", "landscape-n_samples-1",
+        "landscape-kappa-nan", "grasp-kappa-nan", "n_h-0", "n_rest-0",
+        "kappa_pet-nan"])
+def test_bad_sampling_and_stiffness_rejected(tmp_path, capsys, task, extra):
+    cfg = write_cfg(tmp_path, task, **extra)
+    out = tmp_path / "o"
+    assert main([task["name"], "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
 def test_export_mesh_task(tmp_path):
     cfg = write_cfg(tmp_path, {"name": "export-mesh",
                                "state": {"type": "uniform", "psi_deg": -30.0}})

@@ -138,3 +138,19 @@ def test_monostable_prototype_rejected(geom5):
     springs = lf.SpringModel.per_kind(geom5, 0.0, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         lf.prototype_barrier(geom5, springs)
+
+
+def test_scenario_rejects_non_finite_values():
+    for kw in ({"m_ball": np.nan}, {"g": np.inf}, {"kappa_pet": np.nan},
+               {"h_m": np.nan}, {"effective_width_mm": np.nan},
+               {"effective_width_mm": 0.0}):
+        with pytest.raises(ValueError):
+            prototype_scenario(**kw)
+
+
+def test_trigger_map_needs_a_cell(geom5):
+    scen = prototype_scenario()
+    for n_h, n_rest in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="n_h and n_rest"):
+            lf.trigger_map(geom5, scen, (0.1, 0.5), (np.radians(60), np.radians(80)),
+                           n_h=n_h, n_rest=n_rest)

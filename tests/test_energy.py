@@ -264,3 +264,18 @@ def test_interior_extrema_ignores_endpoints():
     y = np.array([0.0, 1.0, 0.5, 1.5, 0.2])
     mins, maxs = interior_extrema(np.arange(5.0), y)
     assert mins == [2] and maxs == [1, 3]
+
+
+def test_non_finite_stiffness_rejected(geom5):
+    for kappa in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            lf.SpringModel.uniform(geom5, kappa, 0.5, -0.5)
+        with pytest.raises(ConfigurationError):
+            lf.SpringModel.per_kind(geom5, 0.0, 0.0, kappa, 0.0, -0.5)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1, -5, 7.9, np.nan, True])
+def test_landscape_sample_count_validated(geom5, springs_bistable, n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        lf.landscape_over_psi(geom5, springs_bistable,
+                              (np.radians(-50), np.radians(40)), n_samples)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,7 +9,19 @@ from hypothesis import strategies as st
 
 import leafout as lf
 from leafout import io as lio
+from leafout.energy import RatioSurface
 from leafout.kinematics import SVD_CUTOFF
+
+
+def _g(x):
+    """Cell format of the cell-by-cell writers the table writers replaced."""
+    return f"{float(x):.17g}"
+
+
+def _csv_reference(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def test_fmt_is_17_significant_digits():
@@ -59,12 +73,106 @@ def test_path_csv_round_trips_exactly(geom5, tmp_path):
     assert lio.read_path_csv(fname)[4] is None
 
 
-def test_csv_writer_deterministic(tmp_path):
-    rows = [["a", "b"], [lio.fmt(1.0 / 3.0), lio.fmt(np.pi)]]
+def test_csv_writer_deterministic(geom5, springs_bistable, tmp_path):
+    curve = lf.landscape_over_psi(geom5, springs_bistable,
+                                  (np.radians(-30), np.radians(30)), 13)
     f1, f2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    lio.write_csv(rows, f1)
-    lio.write_csv(rows, f2)
+    lio.write_landscape_csv(curve, f1)
+    lio.write_landscape_csv(curve, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(width=64))
+def test_float_format_matches_reference(x):
+    assert lio.FLOAT % x == _g(x)
+    assert lio.fmt(x) == _g(x)
+
+
+def _path_reference(geom, path, energies):
+    n = geom.n_cell
+    header = (["step", path.param_name]
+              + [f"rho_{k}_{u}" for u in range(1, n + 1) for k in ("M", "B")]
+              + [f"rho_S_{u}" for u in range(1, n + 1)] + ["energy"])
+    rows = [header]
+    for k, state in enumerate(path.states):
+        rows.append([str(k), _g(path.params[k])] + [_g(a) for a in state.rho_o]
+                    + [_g(a) for a in state.rho_s]
+                    + [_g(energies[k]) if energies is not None else ""])
+    return _csv_reference(rows)
+
+
+@pytest.mark.parametrize("with_energy", [False, True])
+def test_path_csv_matches_reference(geom5, springs_bistable, tmp_path,
+                                    with_energy):
+    path = lf.uniform_path(geom5, (np.radians(-70), np.radians(45)), 47)
+    energies = (lf.path_energies(geom5, springs_bistable, path)
+                if with_energy else None)
+    f = tmp_path / "p.csv"
+    lio.write_path_csv(geom5, path, f, energies)
+    assert f.read_bytes() == _path_reference(geom5, path, energies).encode()
+
+
+def test_traced_path_csv_matches_reference(geom5, springs_grasp, tmp_path):
+    res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=12),
+                         springs=springs_grasp)
+    f = tmp_path / "t.csv"
+    lio.write_path_csv(geom5, res.path, f, res.trace.energy)
+    assert f.read_bytes() == _path_reference(geom5, res.path,
+                                             res.trace.energy).encode()
+
+
+def test_landscape_csv_matches_reference(geom5, springs_bistable, tmp_path):
+    curve = lf.landscape_over_psi(geom5, springs_bistable,
+                                  (np.radians(-80), np.radians(50)), 61)
+    rows = [["psi", "energy", "rho_M", "rho_S", "rho_B"]]
+    for k in range(len(curve.psi)):
+        rows.append([_g(curve.psi[k]), _g(curve.energy[k]), _g(curve.rho_m[k]),
+                     _g(curve.rho_s[k]), _g(curve.rho_b[k])])
+    f = tmp_path / "l.csv"
+    lio.write_landscape_csv(curve, f)
+    assert f.read_bytes() == _csv_reference(rows).encode()
+
+
+def _surface_reference(surface):
+    rows = [["rest_main", "rest_boundary", "xi"]]
+    for i, rm in enumerate(surface.rest_main):
+        for j, rb in enumerate(surface.rest_boundary):
+            v = surface.xi[i, j]
+            rows.append([_g(rm), _g(rb), _g(v) if np.isfinite(v) else "nan"])
+    return _csv_reference(rows)
+
+
+def test_surface_csv_matches_reference(geom5, tmp_path):
+    surf = lf.ratio_surface(geom5, np.radians([5.0, 60.0, 120.0]),
+                            np.radians([-170.0, -120.0, -60.0, -10.0]))
+    assert np.isnan(surf.xi).any() and np.isfinite(surf.xi).any()
+    f = tmp_path / "s.csv"
+    lio.write_surface_csv(surf, f)
+    assert f.read_bytes() == _surface_reference(surf).encode()
+    # every non-finite xi is written nan, whatever its sign
+    odd = RatioSurface(rest_main=np.array([0.5, 1.0]),
+                       rest_boundary=np.array([-1.0, -0.5]),
+                       xi=np.array([[0.25, -np.nan], [np.inf, -np.inf]]),
+                       contours=[])
+    lio.write_surface_csv(odd, f)
+    assert f.read_bytes() == _surface_reference(odd).encode()
+    assert f.read_text().count(",nan\n") == 3
+
+
+def test_trigger_map_csv_matches_reference(geom5, tmp_path):
+    scen = lf.DropScenario(m_ball=22.3e-3, R_ball=35e-3, h=0.36)
+    tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
+                          (np.radians(60), np.radians(80)), n_h=5, n_rest=3)
+    rows = [["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"]]
+    for row in tmap.predictions:
+        for p in row:
+            rows.append([_g(p.rest_angle), _g(p.h), _g(p.E_ball),
+                         _g(p.delta_E_g), _g(p.E_gap), p.outcome])
+    assert {r[-1] for r in rows[1:]} == {"grasp", "no-trigger"}
+    f = tmp_path / "m.csv"
+    lio.write_trigger_map_csv(tmap, f)
+    assert f.read_bytes() == _csv_reference(rows).encode()
 
 
 def test_path_json_round_trip(geom5, tmp_path):
@@ -78,11 +186,12 @@ def test_path_json_round_trip(geom5, tmp_path):
     assert np.allclose(back["rho_o"][2], path.states[2].rho_o)
 
 
-def test_surface_rows_mark_undefined(geom5):
+def test_surface_rows_mark_undefined(geom5, tmp_path):
     gm = np.radians([5.0, 60.0])
     gb = np.radians([-170.0, -60.0])
     surf = lf.ratio_surface(geom5, gm, gb)
-    rows = lio.surface_rows(surf)
+    lio.write_surface_csv(surf, tmp_path / "s.csv")
+    rows = lio.read_csv(tmp_path / "s.csv")
     assert rows[0] == ["rest_main", "rest_boundary", "xi"]
     assert len(rows) == 5
     values = {r[2] for r in rows[1:]}
@@ -119,13 +228,14 @@ def test_manifest_contents():
     assert m["svd_cutoff"] == SVD_CUTOFF
 
 
-def test_trigger_rows_and_contour(geom5):
+def test_trigger_rows_and_contour(geom5, tmp_path):
     scen = lf.DropScenario(m_ball=22.3e-3, R_ball=35e-3, h=0.36)
     tmap = lf.trigger_map(geom5, scen, (0.2, 0.5), (np.radians(60),
                                                     np.radians(80)),
                           n_h=3, n_rest=2,
                           observations=[(0.1, "cross"), (0.36, "circle")])
-    rows = lio.trigger_map_rows(tmap)
+    lio.write_trigger_map_csv(tmap, tmp_path / "m.csv")
+    rows = lio.read_csv(tmp_path / "m.csv")
     assert len(rows) == 1 + 3 * 2
     d = lio.trigger_contour_json_dict(tmap)
     assert len(d["threshold_height_m"]) == 2

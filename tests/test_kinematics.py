@@ -327,3 +327,19 @@ def test_fold_state_validation(geom5):
         lf.FoldState.from_angles(geom5, bad)
     with pytest.raises(ValueError):
         lf.FoldState.from_angles(geom5, np.zeros(8))
+
+
+def test_check_states_names_first_failing_row(geom5):
+    path = lf.uniform_path(geom5, (np.radians(-60), np.radians(40)), 9)
+    rho = path.angles()
+    kinematics.check_states(geom5, rho)
+    rho[6, 0] += 1e-3
+    rho[7, 0] += 1e-3
+    with pytest.raises(lf.NotClosedError, match="state 6: closure residual"):
+        kinematics.check_states(geom5, rho)
+    rho[4, 1] = 0.5              # boundary crease must stay mountain
+    with pytest.raises(ValueError, match="state 4: angles violate"):
+        kinematics.check_states(geom5, rho)
+    rho[2, 3] = np.nan
+    with pytest.raises(ValueError, match="state 2"):
+        kinematics.check_states(geom5, rho)

@@ -158,3 +158,29 @@ def test_boundary_angle_identity_with_euler_angle():
         psi = np.radians(psi_deg)
         rb = lf.boundary_angle_from_psi(ALPHA, psi)
         assert np.isclose(rb, -2 * abs(psi), atol=1e-10)
+
+
+def test_uniform_path_sampling_validated(geom5):
+    rng = (np.radians(-40), np.radians(40))
+    for n_samples in (0, 1, -5, 7.9, np.nan, True):
+        with pytest.raises(ValueError, match="n_samples"):
+            lf.uniform_path(geom5, rng, n_samples)
+    # fewer than two samples inside the motion range
+    for rng in ((np.nan, 0.3), (np.radians(100), np.radians(120)),
+                (np.radians(-40), np.radians(80))):
+        with pytest.raises(ValueError, match="inside the uniform motion range"):
+            lf.uniform_path(geom5, rng, 2)
+    assert len(lf.uniform_path(geom5, (np.radians(-40), np.radians(80)), 3)) == 2
+
+
+def test_uniform_path_is_columnar_and_matches_states(geom5):
+    path = lf.uniform_path(geom5, (np.radians(-70), np.radians(45)), 31)
+    assert path.rho_o.shape == (31, 10) and path.rho_s.shape == (31, 5)
+    for k, psi in enumerate(path.params):
+        st = lf.uniform_state(geom5, psi)
+        assert np.array_equal(path.states[k].rho_o, st.rho_o)
+        assert np.array_equal(path.states[k].rho_s, st.rho_s)
+    # the derived views are copies
+    path.angles()[0, 0] = 9.0
+    path.states[0].rho_o[0] = 9.0
+    assert path.rho_o[0, 0] != 9.0
