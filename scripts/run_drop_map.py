@@ -28,8 +28,7 @@ def main():
     os.makedirs(args.out, exist_ok=True)
 
     geom = lf.build_geometry(5, 70.0, 30.0)
-    scenario = lf.DropScenario(m_ball=22.3e-3, R_ball=35e-3, h=0.360,
-                               effective_width_mm=args.effective_width_mm)
+    scenario = lf.DropScenario(effective_width_mm=args.effective_width_mm)
     obs = lio.read_observations_csv(args.observations) if args.observations else None
     tmap = lf.trigger_map(geom, scenario,
                           [h * 1e-3 for h in args.h_mm],

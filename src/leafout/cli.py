@@ -16,12 +16,14 @@ import numpy as np
 
 from . import __version__
 from .droptest import DropScenario, trigger_map
-from .energy import (SpringModel, characterize_bistability,
-                     landscape_over_psi, path_energies, ratio_surface)
+from .energy import (DEFAULT_PSI_STEP, SpringModel, characterize_bistability,
+                     landscape_over_psi, path_energies, ratio_surface,
+                     uniform_path_arrays)
 from .explore import GraspProgram, run_programs
 from .geometry import build_geometry, geometry_to_json, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, LockedConfiguration, StepFailure
-from .uniform import OutOfRangeError, psi_samples, uniform_path, uniform_state
+from .uniform import (OutOfRangeError, clip_psi_range, psi_samples,
+                      uniform_path, uniform_state)
 from . import io as lio
 
 TASKS = ("uniform-path", "energy-landscape", "ratio-surface", "drop-test",
@@ -48,6 +50,25 @@ _COUNTS = {
 
 def _deg(x):
     return np.radians(float(x))
+
+
+def _milli(x):
+    return float(x) * 1e-3
+
+
+# [lo, hi] task keys: (default, conversion of each end to SI units)
+_RANGES = {"psi_range_deg": ((-60.0, 60.0), _deg),
+           "h_range_mm": ((50.0, 800.0), _milli),
+           "rest_range_deg": ((40.0, 100.0), _deg)}
+
+# drop block keys: (DropScenario field, conversion to SI units); a key
+# left out takes the scenario's prototype default
+_DROP_KEYS = {"m_ball_g": ("m_ball", _milli), "R_ball_mm": ("R_ball", _milli),
+              "h_mm": ("h", _milli), "g": ("g", float),
+              "kappa_pet": ("kappa_pet", float),
+              "kappa_pet_unit": ("kappa_pet_unit", str),
+              "effective_width_mm": ("effective_width_mm", float),
+              "rest_angle_deg": ("rest_angle", _deg)}
 
 
 def _require(cfg, key, kind=None):
@@ -153,13 +174,27 @@ def validate_config(cfg):
         _count(task, key)
     if name == "uniform-path":
         try:
-            psi_samples(geom.alpha, _psi_range(task), _count(task, "n_samples"))
+            psi_samples(geom.alpha, _range(task, "psi_range_deg"),
+                        _count(task, "n_samples"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if name == "energy-landscape":
-        _psi_range(task)
+        # the classifier is checked at the default 0.5 deg spacing
+        n, rng = _count(task, "n_samples"), _range(task, "psi_range_deg")
+        lo, hi, _ = clip_psi_range(geom.alpha, rng)   # a NaN end never spans
+        spacing = 0.0 if n is None or not lo < 0.0 < hi else np.max(
+            np.diff(uniform_path_arrays(geom, rng, n)[0]))
+        if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
+            raise ConfigError("psi_range_deg must span both phases, with "
+                              "n_samples giving at least one sample per 0.5 deg")
     if name == "drop-test":
-        _drop_scenario(task)
+        scenario = _drop_scenario(task)
+        h_rng, r_rng = _range(task, "h_range_mm"), _range(task, "rest_range_deg")
+        try:   # classifies the landscape of every rest angle
+            trigger_map(geom, scenario, h_rng, r_rng, n_h=1,
+                        n_rest=_count(task, "n_rest"))
+        except ValueError as exc:
+            raise ConfigError(f"bad drop-test ranges: {exc}") from exc
     return geom
 
 
@@ -176,16 +211,9 @@ def _count(task, key):
 def _drop_scenario(task):
     d = task.get("drop", {})
     try:
-        return DropScenario(
-            m_ball=float(d.get("m_ball_g", 22.3)) * 1e-3,
-            R_ball=float(d.get("R_ball_mm", 35.0)) * 1e-3,
-            h=float(d.get("h_mm", 360.0)) * 1e-3,
-            g=float(d.get("g", 9.81)),
-            kappa_pet=float(d.get("kappa_pet", 0.76)),
-            kappa_pet_unit=d.get("kappa_pet_unit", "N*mm/rad/mm"),
-            effective_width_mm=(float(d["effective_width_mm"])
-                                if "effective_width_mm" in d else None),
-            rest_angle=_deg(d.get("rest_angle_deg", 71.8)))
+        return DropScenario(**{name: conv(d[key])
+                               for key, (name, conv) in _DROP_KEYS.items()
+                               if key in d})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad drop settings: {exc}") from exc
 
@@ -197,12 +225,14 @@ def _outdir(cfg, args):
     return out
 
 
-def _psi_range(task, default=(-60.0, 60.0)):
-    rng = task.get("psi_range_deg", list(default))
+def _range(task, key):
+    """[lo, hi] task setting in SI units."""
+    default, conv = _RANGES[key]
+    rng = task.get(key, list(default))
     try:
-        lo, hi = (_deg(x) for x in rng)
+        lo, hi = (conv(x) for x in rng)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"psi_range_deg must be [lo, hi], got {rng!r}") from exc
+        raise ConfigError(f"{key} must be [lo, hi], got {rng!r}") from exc
     return lo, hi
 
 
@@ -232,7 +262,8 @@ def run_task(cfg, args):
 
 def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
     if name == "uniform-path":
-        path = uniform_path(geom, _psi_range(task), _count(task, "n_samples"))
+        path = uniform_path(geom, _range(task, "psi_range_deg"),
+                            _count(task, "n_samples"))
         energies = None
         if "springs" in cfg:
             energies = path_energies(geom, build_springs_from_config(geom, cfg), path)
@@ -246,7 +277,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
 
     elif name == "energy-landscape":
         springs = build_springs_from_config(geom, cfg)
-        curve = landscape_over_psi(geom, springs, _psi_range(task),
+        curve = landscape_over_psi(geom, springs, _range(task, "psi_range_deg"),
                                    _count(task, "n_samples"))
         report = characterize_bistability(curve)
         f = os.path.join(outdir, "landscape.csv")
@@ -274,12 +305,11 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
 
     elif name == "drop-test":
         scenario = _drop_scenario(task)
-        h_rng = [x * 1e-3 for x in task.get("h_range_mm", [50.0, 800.0])]
-        r_rng = [_deg(x) for x in task.get("rest_range_deg", [40.0, 100.0])]
         obs = None
         if task.get("observations_csv"):
             obs = lio.read_observations_csv(task["observations_csv"])
-        tmap = trigger_map(geom, scenario, h_rng, r_rng,
+        tmap = trigger_map(geom, scenario, _range(task, "h_range_mm"),
+                           _range(task, "rest_range_deg"),
                            n_h=_count(task, "n_h"), n_rest=_count(task, "n_rest"),
                            observations=obs)
         f = os.path.join(outdir, "trigger_map.csv")

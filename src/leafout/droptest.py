@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import SpringModel, characterize_bistability, landscape_over_psi
+from .energy import (SpringModel, characterize_bistability, landscape_extrema,
+                     landscape_over_psi)
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -63,10 +64,11 @@ def default_effective_width(crease_length_mm, cut_mm=COMB_CUT_MM,
 
 @dataclass
 class DropScenario:
-    """Ball drop onto the prototype; heights measured plate-to-ball-bottom."""
-    m_ball: float                      # kg
-    R_ball: float                      # m (geometry bookkeeping only)
-    h: float                           # m
+    """Ball drop onto the prototype; heights measured plate-to-ball-bottom.
+    The defaults are the prototype experiment."""
+    m_ball: float = 22.3e-3            # kg
+    R_ball: float = 35e-3              # m (geometry bookkeeping only)
+    h: float = 0.360                   # m
     g: float = G_DEFAULT
     kappa_pet: float = KAPPA_PET_DEFAULT
     kappa_pet_unit: str = KAPPA_PET_UNIT_DEFAULT
@@ -107,14 +109,13 @@ def prototype_spring_model(geom, scenario):
                                 rest_boundary=-abs(scenario.rest_angle))
 
 
-def prototype_barrier(geom, springs, psi_range=None, n_samples=None):
-    """Snap-through barrier dE_g of the prototype landscape (J).
+def prototype_barrier(geom, springs):
+    """Snap-through barrier dE_g of the prototype landscape (J) over the
+    whole motion range.
 
     Raises if the landscape is not bistable (no barrier to cross).
     """
-    if psi_range is None:
-        psi_range = (-np.pi, np.pi)          # clipped to the motion range
-    curve = landscape_over_psi(geom, springs, psi_range, n_samples)
+    curve = landscape_over_psi(geom, springs, (-np.pi, np.pi))
     report = characterize_bistability(curve)
     if report.stability_class != "bistable":
         raise ValueError(f"prototype landscape is {report.stability_class}; "
@@ -130,11 +131,6 @@ class TriggerPrediction:
     delta_E_g: float
     E_gap: float
     outcome: str          # "no-trigger" | "grasp"
-
-    def to_dict(self):
-        return {"h_m": self.h, "rest_angle_rad": self.rest_angle,
-                "E_ball_J": self.E_ball, "delta_E_g_J": self.delta_E_g,
-                "E_gap": self.E_gap, "outcome": self.outcome}
 
 
 @dataclass
@@ -158,33 +154,38 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
     experimental observations (h, outcome in {cross, circle, triangle})
     are carried through for overlay plotting.
     """
-    if min(h_range) < 0 or min(rest_angle_range) <= 0:
-        raise ValueError("ranges must be positive")
+    hs = np.asarray(h_range, dtype=float)
+    rs = np.asarray(rest_angle_range, dtype=float)
+    # written so that NaN fails too
+    if not (np.all((hs >= 0) & (hs < np.inf))
+            and np.all((rs > 0) & (rs <= np.pi))):
+        raise ValueError("drop heights must be finite and >= 0, rest angles "
+                         "in (0, pi]")
     if min(n_h, n_rest) < 1:
         raise ValueError("n_h and n_rest must be at least 1")
     heights = np.linspace(h_range[0], h_range[1], n_h)
     rests = np.linspace(rest_angle_range[0], rest_angle_range[1], n_rest)
     kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
-    rows = []
-    thresholds = np.empty_like(rests)
-    for i, rest in enumerate(rests):
-        scen_i = DropScenario(
-            m_ball=scenario.m_ball, R_ball=scenario.R_ball, h=scenario.h,
-            g=scenario.g, kappa_pet=scenario.kappa_pet,
-            kappa_pet_unit=scenario.kappa_pet_unit,
-            effective_width_mm=scenario.effective_width_mm, rest_angle=rest)
-        springs = prototype_spring_model(geom, scen_i)
-        d_g, _ = prototype_barrier(geom, springs)
-        thresholds[i] = d_g / (scenario.m_ball * scenario.g)
-        row = []
-        for h in heights:
-            e_ball = scenario.m_ball * scenario.g * h
-            e_gap = (e_ball - d_g) / kap_si
-            row.append(TriggerPrediction(
-                h=float(h), rest_angle=float(rest), E_ball=float(e_ball),
-                delta_E_g=float(d_g), E_gap=float(e_gap),
-                outcome="no-trigger" if e_gap < 0 else "grasp"))
-        rows.append(row)
+    # one landscape per rest angle, the boundary rest the only change
+    springs = prototype_spring_model(geom, scenario)
+    stack = SpringModel(np.tile(springs.kappa, (n_rest, 1)),
+                        np.tile(springs.rest_angle, (n_rest, 1)))
+    stack.rest_angle[:, 3::4] = -rests[:, None]
+    curve = landscape_over_psi(geom, stack, (-np.pi, np.pi))
+    ext = landscape_extrema(curve.psi, curve.energy)
+    bad = np.flatnonzero(ext.stability_class != "bistable")
+    if bad.size:
+        raise ValueError(f"prototype landscape at rest angle "
+                         f"{np.degrees(rests[bad[0]]):.6g} deg is "
+                         f"{ext.stability_class[bad[0]]}; no snap-through barrier")
+    e_ball = scenario.m_ball * scenario.g * heights
+    rows = [[TriggerPrediction(h=float(h), rest_angle=float(rest),
+                               E_ball=float(e), delta_E_g=float(d_g),
+                               E_gap=float(gap),
+                               outcome="no-trigger" if gap < 0 else "grasp")
+             for h, e, gap in zip(heights, e_ball, (e_ball - d_g) / kap_si)]
+            for rest, d_g in zip(rests, ext.delta_E_g)]
     return TriggerMap(heights=heights, rest_angles=rests, predictions=rows,
-                      threshold_heights=thresholds,
+                      threshold_heights=ext.delta_E_g / (scenario.m_ball
+                                                         * scenario.g),
                       observations=list(observations or []))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .unitcell import sub_angle_from_main
 from .uniform import (boundary_angles, clip_psi_range, main_angles,
-                      psi_motion_range, sample_count)
+                      sample_count)
 
 DEFAULT_PSI_STEP = np.radians(0.5)
 
@@ -23,7 +23,8 @@ class ConfigurationError(ValueError):
 @dataclass
 class SpringModel:
     """Per-crease stiffness and rest angle, in canonical crease order
-    (main, sub left, sub right, boundary, per unit counterclockwise)."""
+    (main, sub left, sub right, boundary, per unit counterclockwise); a
+    stack of models is a leading axis of both."""
     kappa: np.ndarray
     rest_angle: np.ndarray
 
@@ -111,21 +112,21 @@ class LandscapeCurve:
     truncated: bool = False
 
 
-def uniform_path_arrays(geom, psi_range, n_samples=None, step=DEFAULT_PSI_STEP):
+def uniform_path_arrays(geom, psi_range, n_samples=None):
     """(psi, rho_m, rho_s, rho_b, truncated) arrays of the uniform path,
     clipped to the admissible motion range.
 
     When the interval spans the flat state the grid is snapped to contain
     psi = 0 exactly: the energy kinks there (the two fold phases meet at
-    a corner), and extremum refinement benefits from an exact node.
+    a corner), and an extremum on that node is exact.
     """
     if n_samples is not None:
         n_samples = sample_count(n_samples)
     lo, hi, clipped = clip_psi_range(geom.alpha, psi_range)
     if lo < 0.0 < hi:
         if n_samples is None:
-            n_lo = max(1, int(round(-lo / step)))
-            n_hi = max(1, int(round(hi / step)))
+            n_lo = max(1, int(round(-lo / DEFAULT_PSI_STEP)))
+            n_hi = max(1, int(round(hi / DEFAULT_PSI_STEP)))
         else:
             n_lo = max(1, int(round((n_samples - 1) * (-lo) / (hi - lo))))
             n_hi = max(1, n_samples - 1 - n_lo)
@@ -133,7 +134,7 @@ def uniform_path_arrays(geom, psi_range, n_samples=None, step=DEFAULT_PSI_STEP):
                                np.linspace(0.0, hi, n_hi + 1)[1:]])
     else:
         if n_samples is None:
-            n_samples = int(round((hi - lo) / step)) + 1
+            n_samples = int(round((hi - lo) / DEFAULT_PSI_STEP)) + 1
         psis = np.linspace(lo, hi, n_samples)
     rho_m = main_angles(geom.alpha, psis)
     rho_b = boundary_angles(geom.alpha, psis)
@@ -146,60 +147,104 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
 
     The requested range is clipped to the admissible motion range and
     flagged when truncation occurs.  Default sampling is 0.5 degrees.
+    Springs holding a stack of models (B, n_cell * 4) give one energy row
+    per model, each bit for bit the landscape of that model alone.
     """
+    if springs.kappa.shape[-1] != geom.n_total_creases:
+        raise ConfigurationError("spring model size does not match geometry")
     psis, rho_m, rho_s, rho_b, clipped = uniform_path_arrays(
         geom, psi_range, n_samples)
-    n = geom.n_cell
-    kap = springs.kappa.reshape(n, 4)
-    rest = springs.rest_angle.reshape(n, 4)
-    E = np.zeros_like(psis)
+    kap, rest = springs.kappa[..., None], springs.rest_angle[..., None]
+    E = 0.0
     # uniform path: every unit sees the same angles, units may differ in springs
-    for u in range(n):
-        E += 0.5 * (kap[u, 0] * (rho_m - rest[u, 0]) ** 2
-                    + kap[u, 1] * (rho_s - rest[u, 1]) ** 2
-                    + kap[u, 2] * (rho_s - rest[u, 2]) ** 2
-                    + kap[u, 3] * (rho_b - rest[u, 3]) ** 2)
+    for u in range(0, kap.shape[-2], 4):
+        E = E + 0.5 * sum(kap[..., u + k, :] * (a - rest[..., u + k, :]) ** 2
+                          for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
     return LandscapeCurve(psi=psis, energy=E, rho_m=rho_m, rho_s=rho_s,
                           rho_b=rho_b, truncated=clipped)
 
 
-def refine_extremum(x, y, i):
-    """Refine a grid extremum at index i to sub-grid accuracy.
-
-    Smooth extrema get a three-point parabola (grid spacing may be
-    uneven).  A corner extremum, detected by the slope change being
-    concentrated in the central cell, is returned as the sample itself;
-    on the 0-snapped landscape grid this makes the flat-state peak exact
-    rather than overshot by the parabola vertex.
-    """
-    if 2 <= i <= len(x) - 3:
-        m = np.diff(y[i - 2:i + 3]) / np.diff(x[i - 2:i + 3])
-        c_center = abs(m[2] - m[1])
-        c_sides = abs(m[1] - m[0]) + abs(m[3] - m[2])
-        if c_center > 10.0 * (c_sides + 1e-300):
-            return float(x[i]), float(y[i])
-    d0 = x[i - 1] - x[i]
-    d2 = x[i + 1] - x[i]
+def _refine(x, E, rows, cols):
+    """Refined (x, E) of the extrema at samples (rows, cols) of E (B, M) on
+    the grid x (M,): the vertex of the parabola through each sample and its
+    neighbours, clipped to them.  An extremum on the exact x = 0 node is
+    the sample itself, since the landscape kinks at the flat state."""
+    xi, yi = x[cols], E[rows, cols]
+    d0 = x[cols - 1] - xi
+    d2 = x[cols + 1] - xi
     det = d0 * d0 * d2 - d2 * d2 * d0
-    if det == 0.0:
-        return float(x[i]), float(y[i])
-    dy0 = y[i - 1] - y[i]
-    dy2 = y[i + 1] - y[i]
-    a = (dy0 * d2 - dy2 * d0) / det
-    b = (dy2 * d0 * d0 - dy0 * d2 * d2) / det
-    if a == 0.0:
-        return float(x[i]), float(y[i])
-    t = float(np.clip(-b / (2.0 * a), d0, d2))
-    return float(x[i] + t), float(y[i] + b * t + a * t * t)
+    dy0 = E[rows, cols - 1] - yi
+    dy2 = E[rows, cols + 1] - yi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (dy0 * d2 - dy2 * d0) / det
+        b = (dy2 * d0 * d0 - dy0 * d2 * d2) / det
+        t = np.clip(-b / (2.0 * a), d0, d2)
+    keep = (det == 0.0) | (a == 0.0) | (xi == 0.0)
+    return (np.where(keep, xi, xi + t),
+            np.where(keep, yi, yi + b * t + a * t * t))
+
+
+@dataclass
+class LandscapeExtrema:
+    """Extrema of B landscapes sampled at M points: the interior minima and
+    maxima flags and their refined psi and energy (B, M; NaN elsewhere),
+    and per row the class and the gaps and xi (NaN unless bistable)."""
+    stability_class: np.ndarray
+    is_min: np.ndarray
+    is_max: np.ndarray
+    psi: np.ndarray
+    energy: np.ndarray
+    delta_E_g: np.ndarray
+    delta_E_r: np.ndarray
+    ratio_xi: np.ndarray
+
+
+def landscape_extrema(psi, E):
+    """Find, refine and classify the interior extrema of landscapes E
+    (B, M) sampled on one grid psi (M,).
+
+    Minima and maxima are sign flips of diff(E), refined by ``_refine``.
+    A row is bistable iff it has exactly two minima, one maximum between
+    them and positive gaps dE_g = E_bar - E_open, dE_r = E_bar - E_closed;
+    then xi = (dE_g - dE_r) / (dE_g + dE_r).  A row with no minimum, or
+    one minimum and no maximum, is monostable; any other is multistable.
+    """
+    E = np.asarray(E, dtype=float)
+    s = np.sign(np.diff(E, axis=1))
+    is_min = np.pad((s[:, :-1] < 0) & (s[:, 1:] >= 0), ((0, 0), (1, 1)))
+    is_max = np.pad((s[:, :-1] > 0) & (s[:, 1:] <= 0), ((0, 0), (1, 1)))
+    rows, cols = np.nonzero(is_min | is_max)
+    ref = np.full((2, *E.shape), np.nan)
+    ref[:, rows, cols] = _refine(np.asarray(psi, dtype=float), E, rows, cols)
+    # open minimum, barrier and closed minimum, if the row has them
+    i_open, i_bar = np.argmax(is_min, axis=1), np.argmax(is_max, axis=1)
+    i_closed = E.shape[1] - 1 - np.argmax(is_min[:, ::-1], axis=1)
+    b = np.arange(len(E))
+    d_g = ref[1, b, i_bar] - ref[1, b, i_open]
+    d_r = ref[1, b, i_bar] - ref[1, b, i_closed]
+    n_min, n_max = is_min.sum(axis=1), is_max.sum(axis=1)
+    bistable = ((n_min == 2) & (n_max == 1) & (i_open < i_bar)
+                & (i_bar < i_closed) & (d_g > 0) & (d_r > 0))
+    d_g, d_r = np.where(bistable, d_g, np.nan), np.where(bistable, d_r, np.nan)
+    mono = (n_min == 0) | ((n_min == 1) & (n_max == 0))
+    stability = np.where(bistable, "bistable",
+                         np.where(mono, "monostable", "multistable"))
+    return LandscapeExtrema(stability, is_min, is_max, ref[0], ref[1],
+                            d_g, d_r, (d_g - d_r) / (d_g + d_r))
+
+
+def refine_extremum(x, y, i):
+    """Refined (x, y) of the extremum at sample i; see ``_refine``."""
+    x_ref, y_ref = _refine(np.asarray(x, dtype=float),
+                           np.asarray(y, dtype=float)[None], 0, np.array([i]))
+    return float(x_ref[0]), float(y_ref[0])
 
 
 def interior_extrema(x, y):
     """Indices of interior minima and maxima of a sampled curve."""
-    dy = np.diff(y)
-    s = np.sign(dy)
-    mins = [i for i in range(1, len(y) - 1) if s[i - 1] < 0 <= s[i]]
-    maxs = [i for i in range(1, len(y) - 1) if s[i - 1] > 0 >= s[i]]
-    return mins, maxs
+    ext = landscape_extrema(x, np.asarray(y, dtype=float)[None])
+    return (np.flatnonzero(ext.is_min[0]).tolist(),
+            np.flatnonzero(ext.is_max[0]).tolist())
 
 
 @dataclass
@@ -224,40 +269,25 @@ class BistabilityReport:
 
 
 def characterize_bistability(curve):
-    """Classify a landscape curve and measure its energy gaps.
-
-    Bistable needs exactly two interior minima separated by one interior
-    maximum.  More than two minima is reported as multistable with all
-    minima listed; gaps are then undefined.
+    """Classify a landscape curve and measure its energy gaps: row 0 of
+    ``landscape_extrema``.  Every report lists the refined minima; only a
+    bistable one has gaps.
     """
-    psi, E = curve.psi, curve.energy
-    if psi[0] >= 0.0 or psi[-1] <= 0.0:
+    if curve.psi[0] >= 0.0 or curve.psi[-1] <= 0.0:
         raise ValueError("curve must span both the open and closed phase")
-    mins, maxs = interior_extrema(psi, E)
-    refined_minima = [refine_extremum(psi, E, i) for i in mins]
-    if len(mins) == 1 and len(maxs) == 0:
-        return BistabilityReport(stability_class="monostable",
-                                 minima=refined_minima)
-    if len(mins) > 2:
-        return BistabilityReport(stability_class="multistable",
-                                 minima=refined_minima)
-    if len(mins) == 2:
-        between = [i for i in maxs if mins[0] < i < mins[1]]
-        if len(between) == 1:
-            p_open, e_open = refined_minima[0]
-            p_closed, e_closed = refined_minima[1]
-            p_bar, e_bar = refine_extremum(psi, E, between[0])
-            d_g = e_bar - e_open
-            d_r = e_bar - e_closed
-            if d_g > 0 and d_r > 0:
-                return BistabilityReport(
-                    stability_class="bistable", psi_open=p_open,
-                    psi_closed=p_closed, psi_barrier=p_bar, E_open=e_open,
-                    E_closed=e_closed, E_barrier=e_bar, delta_E_g=d_g,
-                    delta_E_r=d_r, ratio_xi=(d_g - d_r) / (d_g + d_r),
-                    minima=refined_minima)
-    return BistabilityReport(stability_class="monostable" if not mins
-                             else "multistable", minima=refined_minima)
+    ext = landscape_extrema(curve.psi, np.asarray(curve.energy)[None])
+    minima = list(zip(ext.psi[0, ext.is_min[0]].tolist(),
+                      ext.energy[0, ext.is_min[0]].tolist()))
+    if ext.stability_class[0] != "bistable":
+        return BistabilityReport(str(ext.stability_class[0]), minima=minima)
+    (p_open, e_open), (p_closed, e_closed) = minima
+    (p_bar,), (e_bar,) = ext.psi[0, ext.is_max[0]], ext.energy[0, ext.is_max[0]]
+    return BistabilityReport(
+        "bistable", psi_open=p_open, psi_closed=p_closed,
+        psi_barrier=float(p_bar), E_open=e_open, E_closed=e_closed,
+        E_barrier=float(e_bar), delta_E_g=float(ext.delta_E_g[0]),
+        delta_E_r=float(ext.delta_E_r[0]), ratio_xi=float(ext.ratio_xi[0]),
+        minima=minima)
 
 
 @dataclass
@@ -268,44 +298,26 @@ class RatioSurface:
     contours: list               # list of polylines, each an (m, 2) array
 
 
-def ratio_surface(geom, rest_main_grid, rest_boundary_grid, kappa=1.0,
-                  psi_step=DEFAULT_PSI_STEP):
+def ratio_surface(geom, rest_main_grid, rest_boundary_grid, kappa=1.0):
     """Energy-ratio surface xi over a grid of rest angles.
 
-    The uniform path is precomputed once; each grid point only reweights
-    the same path arrays, so the sweep is a dense vectorized pass.
+    The uniform path over the whole motion range is precomputed once;
+    each grid point only reweights the same path arrays, and one
+    ``landscape_extrema`` call classifies a row of rest-main values.
     Monostable or multistable points are NaN and excluded from the
     xi = 0 contour.
     """
-    lo, hi = psi_motion_range(geom.alpha)
-    psis, rho_m, rho_s, rho_b, _ = uniform_path_arrays(
-        geom, (lo + 1e-6, hi - 1e-6), step=psi_step)
+    psis, rho_m, rho_s, rho_b, _ = uniform_path_arrays(geom, (-np.pi, np.pi))
     gm = np.asarray(rest_main_grid, dtype=float)
     gb = np.asarray(rest_boundary_grid, dtype=float)
     rbs = sub_angle_from_main(geom.alpha, gm)
     n = geom.n_cell
-    xi = np.full((len(gm), len(gb)), np.nan)
+    xi = np.empty((len(gm), len(gb)))
     for i, (rbm, rs_rest) in enumerate(zip(gm, rbs)):
         # energy curves for all rest_boundary values at once
         base = 0.5 * n * kappa * ((rho_m - rbm) ** 2 + 2 * (rho_s - rs_rest) ** 2)
         E = base[None, :] + 0.5 * n * kappa * (rho_b[None, :] - gb[:, None]) ** 2
-        dE = np.diff(E, axis=1)
-        s = np.sign(dE)
-        flips_min = (s[:, :-1] < 0) & (s[:, 1:] >= 0)
-        flips_max = (s[:, :-1] > 0) & (s[:, 1:] <= 0)
-        n_min = flips_min.sum(axis=1)
-        n_max = flips_max.sum(axis=1)
-        for j in np.where((n_min == 2) & (n_max == 1))[0]:
-            i_mins = np.where(flips_min[j])[0] + 1
-            i_max = np.where(flips_max[j])[0][0] + 1
-            if not i_mins[0] < i_max < i_mins[1]:
-                continue
-            _, e_open = refine_extremum(psis, E[j], i_mins[0])
-            _, e_closed = refine_extremum(psis, E[j], i_mins[1])
-            _, e_bar = refine_extremum(psis, E[j], i_max)
-            d_g, d_r = e_bar - e_open, e_bar - e_closed
-            if d_g > 0 and d_r > 0:
-                xi[i, j] = (d_g - d_r) / (d_g + d_r)
+        xi[i] = landscape_extrema(psis, E).ratio_xi
     contours = zero_contours(gm, gb, xi)
     return RatioSurface(rest_main=gm, rest_boundary=gb, xi=xi,
                         contours=contours)

@@ -103,6 +103,17 @@ def test_energy_landscape_reports_bistability(tmp_path):
     assert rows[0] == "psi,energy,rho_M,rho_S,rho_B"
 
 
+def test_energy_landscape_accepts_default_spacing(tmp_path):
+    # 281 samples over [-88, 52] deg are the 0.5 deg default grid itself
+    reports = []
+    for name, task in (("a", LANDSCAPE), ("b", {**LANDSCAPE, "n_samples": 281})):
+        cfg = write_cfg(tmp_path, task, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["energy-landscape", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append((out / "bistability.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_ratio_surface_task(tmp_path):
     cfg = write_cfg(tmp_path, {"name": "ratio-surface",
                                "grid_step_deg": 10.0,
@@ -183,6 +194,7 @@ def test_multi_grasp_rejects_bad_step_settings(tmp_path, capsys, task):
 NAN_SPRINGS = {"kappa": float("nan"), "rest_deg": {"rho_m": 120.0, "rho_b": -30.0}}
 DROP = {"name": "drop-test", "h_range_mm": [100.0, 600.0],
         "rest_range_deg": [60.0, 80.0], "n_h": 4, "n_rest": 3}
+LANDSCAPE = {"name": "energy-landscape", "psi_range_deg": [-88.0, 52.0]}
 
 
 @pytest.mark.parametrize("task,extra", [
@@ -202,11 +214,24 @@ DROP = {"name": "drop-test", "h_range_mm": [100.0, 600.0],
     ({**DROP, "n_h": 0}, {}),
     ({**DROP, "n_rest": 0}, {}),
     ({**DROP, "drop": {"kappa_pet": float("nan")}}, {}),
+    ({**LANDSCAPE, "n_samples": 2}, {}),
+    ({**LANDSCAPE, "n_samples": 5}, {}),
+    ({**LANDSCAPE, "n_samples": 280}, {}),
+    ({**LANDSCAPE, "psi_range_deg": [float("nan"), 52.0]}, {}),
+    ({**LANDSCAPE, "psi_range_deg": [10.0, 20.0]}, {}),
+    ({**DROP, "h_range_mm": [-10.0, 100.0]}, {}),
+    ({**DROP, "h_range_mm": [100.0]}, {}),
+    ({**DROP, "rest_range_deg": [float("nan"), 80.0]}, {}),
+    ({**DROP, "rest_range_deg": [0.0, 80.0]}, {}),
+    ({**DROP, "rest_range_deg": [40.0, 120.0]}, {}),
 ], ids=["n_samples-0", "n_samples-1", "n_samples-neg", "n_samples-nan",
         "n_samples-float", "psi_range-nan", "psi_range-outside",
         "path-kappa-nan", "landscape-n_samples-0", "landscape-n_samples-1",
         "landscape-kappa-nan", "grasp-kappa-nan", "n_h-0", "n_rest-0",
-        "kappa_pet-nan"])
+        "kappa_pet-nan", "landscape-n_samples-2", "landscape-n_samples-5",
+        "landscape-n_samples-280", "landscape-psi_range-nan",
+        "landscape-one-phase", "h_range-negative", "h_range-one-number",
+        "rest_range-nan", "rest_range-zero", "rest_range-not-bistable"])
 def test_bad_sampling_and_stiffness_rejected(tmp_path, capsys, task, extra):
     cfg = write_cfg(tmp_path, task, **extra)
     out = tmp_path / "o"

@@ -154,3 +154,25 @@ def test_trigger_map_needs_a_cell(geom5):
         with pytest.raises(ValueError, match="n_h and n_rest"):
             lf.trigger_map(geom5, scen, (0.1, 0.5), (np.radians(60), np.radians(80)),
                            n_h=n_h, n_rest=n_rest)
+
+
+def test_batched_thresholds_equal_solo_barriers(geom5):
+    scen = lf.DropScenario()
+    assert (scen.m_ball, scen.R_ball, scen.h) == (22.3e-3, 35e-3, 0.360)
+    tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
+                          (np.radians(40), np.radians(100)), n_h=3, n_rest=7)
+    for rest, h_star in zip(tmap.rest_angles, tmap.threshold_heights):
+        springs = lf.prototype_spring_model(geom5, lf.DropScenario(rest_angle=rest))
+        d_g, _ = lf.prototype_barrier(geom5, springs)
+        assert h_star == d_g / (scen.m_ball * scen.g)
+
+
+def test_trigger_map_names_first_non_bistable_rest(geom5):
+    # the closed minimum psi = rest / 2 leaves the motion range past 108 deg
+    with pytest.raises(ValueError, match="rest angle 110 deg is"):
+        lf.trigger_map(geom5, prototype_scenario(), (0.1, 0.5),
+                       (np.radians(40), np.radians(120)), n_h=2, n_rest=25)
+    for rests in ((np.nan, np.radians(80)), (0.0, np.radians(80)),
+                  (np.radians(40), np.inf), (np.radians(40), 4.0)):
+        with pytest.raises(ValueError, match="rest angles"):
+            lf.trigger_map(geom5, prototype_scenario(), (0.1, 0.5), rests)

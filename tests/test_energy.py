@@ -117,6 +117,17 @@ def test_multistable_curve_reported():
     assert report.ratio_xi is None
 
 
+def test_extra_maximum_is_not_bistable():
+    # two minima with a barrier between them, but a second maximum
+    # outside them: the shared rule wants exactly one interior maximum
+    psi = np.array([-1.0, -0.6, -0.2, 0.2, 0.6, 1.0])
+    E = np.array([0.9, 0.2, 0.8, 0.5, 1.0, 0.0])
+    curve = LandscapeCurve(psi=psi, energy=E, rho_m=psi, rho_s=psi, rho_b=psi)
+    report = lf.characterize_bistability(curve)
+    assert report.stability_class == "multistable"
+    assert len(report.minima) == 2 and report.ratio_xi is None
+
+
 def test_characterize_needs_both_phases(geom5, springs_bistable):
     curve = lf.landscape_over_psi(geom5, springs_bistable,
                                   (np.radians(5), np.radians(50)))
@@ -157,6 +168,18 @@ def test_ratio_surface_diagonal_matches_landscape(geom5):
         rep = lf.characterize_bistability(lf.landscape_over_psi(
             geom5, springs, (np.radians(-89), np.radians(53))))
         assert np.isclose(surf.xi[k, k], rep.ratio_xi, atol=2e-3)
+
+
+def test_flat_state_barrier_is_exact(geom5):
+    # the barrier sits on the exact psi = 0 node; a parabola through it
+    # would put the peak off the flat state and overshoot its energy
+    springs = lf.SpringModel.uniform(geom5, 1.0, np.radians(2.0),
+                                     np.radians(-86.0))
+    curve = lf.landscape_over_psi(geom5, springs, (-np.pi, np.pi))
+    report = lf.characterize_bistability(curve)
+    assert report.stability_class == "bistable"
+    assert report.psi_barrier == 0.0
+    assert report.E_barrier == curve.energy[curve.psi == 0.0][0]
 
 
 def test_contour_points_have_balanced_gaps(geom5):
