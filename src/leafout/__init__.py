@@ -26,5 +26,4 @@ from .droptest import (DropScenario, TriggerMap, TriggerPrediction,
                        prototype_barrier, prototype_spring_model, trigger_map)
 from .explore import (ConfigSpaceTrace, GraspProgram, GraspResult,
                       compare_programs, default_program_set,
-                      energy_along_program, near_flat_start, run_program,
-                      run_programs)
+                      near_flat_start, run_program, run_programs)

@@ -59,7 +59,14 @@ def _milli(x):
 # [lo, hi] task keys: (default, conversion of each end to SI units)
 _RANGES = {"psi_range_deg": ((-60.0, 60.0), _deg),
            "h_range_mm": ((50.0, 800.0), _milli),
-           "rest_range_deg": ((40.0, 100.0), _deg)}
+           "rest_range_deg": ((40.0, 100.0), _deg),
+           "rest_main_range_deg": ((2.0, 178.0), _deg),
+           "rest_boundary_range_deg": ((-178.0, -2.0), _deg)}
+
+# finite task keys > 0: default
+_POSITIVE = {"delta_rho_c_deg": 0.5, "grid_step_deg": 2.0}
+
+MAX_SURFACE_POINTS = 10 ** 6    # ratio-surface grid points
 
 # drop block keys: (DropScenario field, conversion to SI units); a key
 # left out takes the scenario's prototype default
@@ -165,11 +172,7 @@ def validate_config(cfg):
                 raise ConfigError(f"program {p} drives the same units as an "
                                   "earlier program")
             seen.add(units)
-        delta = task.get("delta_rho_c_deg", 0.5)
-        if (isinstance(delta, bool) or not isinstance(delta, (int, float))
-                or not 0 < delta < np.inf):
-            raise ConfigError(f"delta_rho_c_deg must be a finite number > 0, "
-                              f"got {delta!r}")
+        _positive(task, "delta_rho_c_deg")
     for key in _COUNTS.get(name, {}):
         _count(task, key)
     if name == "uniform-path":
@@ -187,14 +190,10 @@ def validate_config(cfg):
         if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
             raise ConfigError("psi_range_deg must span both phases, with "
                               "n_samples giving at least one sample per 0.5 deg")
+    if name == "ratio-surface":
+        _surface_axes(task)
     if name == "drop-test":
-        scenario = _drop_scenario(task)
-        h_rng, r_rng = _range(task, "h_range_mm"), _range(task, "rest_range_deg")
-        try:   # classifies the landscape of every rest angle
-            trigger_map(geom, scenario, h_rng, r_rng, n_h=1,
-                        n_rest=_count(task, "n_rest"))
-        except ValueError as exc:
-            raise ConfigError(f"bad drop-test ranges: {exc}") from exc
+        _trigger_map(geom, task, n_h=1)
     return geom
 
 
@@ -216,6 +215,49 @@ def _drop_scenario(task):
                                if key in d})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad drop settings: {exc}") from exc
+
+
+def _positive(task, key):
+    """Finite task setting > 0."""
+    v = task.get(key, _POSITIVE[key])
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
+    return v
+
+
+def _trigger_map(geom, task, n_h):
+    """Drop-test decision map with its observation overlay, every rest
+    angle checked against the bistable band."""
+    scenario, fname = _drop_scenario(task), task.get("observations_csv")
+    if fname and not isinstance(fname, str):
+        raise ConfigError(f"observations_csv must be a file name, got {fname!r}")
+    try:
+        obs = lio.read_observations_csv(fname) if fname else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read observations {fname}: {exc}") from exc
+    h_rng, r_rng = _range(task, "h_range_mm"), _range(task, "rest_range_deg")
+    try:
+        return trigger_map(geom, scenario, h_rng, r_rng, n_h=n_h,
+                           n_rest=_count(task, "n_rest"), observations=obs)
+    except ValueError as exc:
+        raise ConfigError(f"bad drop-test ranges: {exc}") from exc
+
+
+def _surface_axes(task):
+    """Rest-main and rest-boundary grids of a ratio-surface task, each end
+    included only when it sits on the grid; their size (np.arange's own
+    length) is checked before anything is allocated."""
+    step = _deg(_positive(task, "grid_step_deg"))
+    ends = [_range(task, "rest_main_range_deg"),
+            _range(task, "rest_boundary_range_deg")]
+    if not (step > 0 and all(-np.inf < lo <= hi < np.inf for lo, hi in ends)):
+        raise ConfigError("rest ranges must be finite [lo, hi] with lo <= hi, "
+                          "the grid step > 0 in radians")
+    size = np.prod([np.ceil((hi + 1e-9 - lo) / step) for lo, hi in ends])
+    if not 1 <= size <= MAX_SURFACE_POINTS:
+        raise ConfigError(f"ratio-surface grid of {size:.6g} points; at most "
+                          f"{MAX_SURFACE_POINTS} accepted")
+    return [np.arange(lo, hi + 1e-9, step) for lo, hi in ends]
 
 
 def _outdir(cfg, args):
@@ -289,13 +331,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
         terminations["landscape"] = "truncated" if curve.truncated else "completed"
 
     elif name == "ratio-surface":
-        step = _deg(task.get("grid_step_deg", 2.0))
-        m_rng = task.get("rest_main_range_deg", [2.0, 178.0])
-        b_rng = task.get("rest_boundary_range_deg", [-178.0, -2.0])
-        # endpoint included only when it sits on the grid
-        gm = np.arange(_deg(m_rng[0]), _deg(m_rng[1]) + 1e-9, step)
-        gb = np.arange(_deg(b_rng[0]), _deg(b_rng[1]) + 1e-9, step)
-        surface = ratio_surface(geom, gm, gb)
+        surface = ratio_surface(geom, *_surface_axes(task))
         f = os.path.join(outdir, "ratio_surface.csv")
         lio.write_surface_csv(surface, f)
         outputs.append(f)
@@ -304,14 +340,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
         outputs.append(fj)
 
     elif name == "drop-test":
-        scenario = _drop_scenario(task)
-        obs = None
-        if task.get("observations_csv"):
-            obs = lio.read_observations_csv(task["observations_csv"])
-        tmap = trigger_map(geom, scenario, _range(task, "h_range_mm"),
-                           _range(task, "rest_range_deg"),
-                           n_h=_count(task, "n_h"), n_rest=_count(task, "n_rest"),
-                           observations=obs)
+        tmap = _trigger_map(geom, task, _count(task, "n_h"))
         f = os.path.join(outdir, "trigger_map.csv")
         lio.write_trigger_map_csv(tmap, f)
         outputs.append(f)
@@ -322,7 +351,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
     elif name == "multi-grasp":
         springs = build_springs_from_config(geom, cfg)
         programs = [GraspProgram(tuple(units),
-                                 delta_rho_c=_deg(task.get("delta_rho_c_deg", 0.5)),
+                                 delta_rho_c=_deg(_positive(task, "delta_rho_c_deg")),
                                  max_steps=_count(task, "max_steps"))
                     for units in task["programs"]]
         try:

@@ -5,6 +5,12 @@ main and sub creases are left to a pliable nylon film and carry no
 spring.  A falling ball triggers the snap-through when its potential
 energy exceeds the barrier of the bistable landscape; the decision map
 compares E_ball = m g h with the barrier over drop height and rest angle.
+Since rho_B = -2|psi| on the uniform path, the landscape is exactly
+E = (n/2) kappa_b (rest - 2|psi|)^2: bistable iff its closed minimum
+psi = rest/2 lies inside the motion range, 0 < rest < pi - 2 alpha, with
+the barrier at the flat state, dE_g = (n/2) kappa_b rest^2.  The map is
+held as arrays, E_ball per height, dE_g per rest angle and E_gap per
+cell; ``prototype_barrier`` keeps the sampled-landscape route.
 
 Internally everything is SI (J, m, kg, rad).  The torsion constant per
 unit crease width is accepted in either of two unit readings; a value
@@ -24,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (SpringModel, characterize_bistability, landscape_extrema,
-                     landscape_over_psi)
+from .energy import SpringModel, characterize_bistability, landscape_over_psi
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -135,11 +140,31 @@ class TriggerPrediction:
 
 @dataclass
 class TriggerMap:
+    """Arrays over drop height (n_h,) and rest angle (n_rest,): ``E_ball``
+    (n_h,), ``delta_E_g`` and the E_gap = 0 contour ``threshold_heights``
+    (n_rest,), and ``E_gap`` (n_rest, n_h)."""
     heights: np.ndarray            # m
     rest_angles: np.ndarray        # rad
-    predictions: list              # rows per rest angle, cols per height
-    threshold_heights: np.ndarray  # m, E_gap = 0 contour h*(rest_angle)
+    E_ball: np.ndarray             # J
+    delta_E_g: np.ndarray          # J
+    E_gap: np.ndarray              # J / (J/rad^2 per mm)
+    threshold_heights: np.ndarray  # m
     observations: list = field(default_factory=list)
+
+    @property
+    def outcomes(self):
+        """(n_rest, n_h) strings, "no-trigger" where E_gap < 0."""
+        return np.where(self.E_gap < 0, "no-trigger", "grasp")
+
+    @property
+    def predictions(self):
+        """TriggerPrediction rows, one per rest angle, built on demand."""
+        return [[TriggerPrediction(h, rest, e, d_g, gap, out)
+                 for h, e, gap, out in zip(self.heights.tolist(),
+                                           self.E_ball.tolist(), gaps, outs)]
+                for rest, d_g, gaps, outs in zip(
+                    self.rest_angles.tolist(), self.delta_E_g.tolist(),
+                    self.E_gap.tolist(), self.outcomes.tolist())]
 
 
 def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
@@ -165,27 +190,18 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
         raise ValueError("n_h and n_rest must be at least 1")
     heights = np.linspace(h_range[0], h_range[1], n_h)
     rests = np.linspace(rest_angle_range[0], rest_angle_range[1], n_rest)
-    kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
-    # one landscape per rest angle, the boundary rest the only change
-    springs = prototype_spring_model(geom, scenario)
-    stack = SpringModel(np.tile(springs.kappa, (n_rest, 1)),
-                        np.tile(springs.rest_angle, (n_rest, 1)))
-    stack.rest_angle[:, 3::4] = -rests[:, None]
-    curve = landscape_over_psi(geom, stack, (-np.pi, np.pi))
-    ext = landscape_extrema(curve.psi, curve.energy)
-    bad = np.flatnonzero(ext.stability_class != "bistable")
+    limit = np.pi - 2 * geom.alpha
+    bad = np.flatnonzero(~(rests < limit))
     if bad.size:
         raise ValueError(f"prototype landscape at rest angle "
-                         f"{np.degrees(rests[bad[0]]):.6g} deg is "
-                         f"{ext.stability_class[bad[0]]}; no snap-through barrier")
+                         f"{np.degrees(rests[bad[0]]):.6g} deg is not bistable "
+                         f"(needs rest < {np.degrees(limit):.6g} deg); no "
+                         "snap-through barrier")
+    kappa_b = prototype_spring_model(geom, scenario).kappa[3]
+    d_g = 0.5 * geom.n_cell * kappa_b * rests ** 2
     e_ball = scenario.m_ball * scenario.g * heights
-    rows = [[TriggerPrediction(h=float(h), rest_angle=float(rest),
-                               E_ball=float(e), delta_E_g=float(d_g),
-                               E_gap=float(gap),
-                               outcome="no-trigger" if gap < 0 else "grasp")
-             for h, e, gap in zip(heights, e_ball, (e_ball - d_g) / kap_si)]
-            for rest, d_g in zip(rests, ext.delta_E_g)]
-    return TriggerMap(heights=heights, rest_angles=rests, predictions=rows,
-                      threshold_heights=ext.delta_E_g / (scenario.m_ball
-                                                         * scenario.g),
+    kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
+    return TriggerMap(heights=heights, rest_angles=rests, E_ball=e_ball,
+                      delta_E_g=d_g, E_gap=(e_ball[None, :] - d_g[:, None]) / kap_si,
+                      threshold_heights=d_g / (scenario.m_ball * scenario.g),
                       observations=list(observations or []))

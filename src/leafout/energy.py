@@ -23,8 +23,7 @@ class ConfigurationError(ValueError):
 @dataclass
 class SpringModel:
     """Per-crease stiffness and rest angle, in canonical crease order
-    (main, sub left, sub right, boundary, per unit counterclockwise); a
-    stack of models is a leading axis of both."""
+    (main, sub left, sub right, boundary, per unit counterclockwise)."""
     kappa: np.ndarray
     rest_angle: np.ndarray
 
@@ -147,18 +146,16 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
 
     The requested range is clipped to the admissible motion range and
     flagged when truncation occurs.  Default sampling is 0.5 degrees.
-    Springs holding a stack of models (B, n_cell * 4) give one energy row
-    per model, each bit for bit the landscape of that model alone.
     """
-    if springs.kappa.shape[-1] != geom.n_total_creases:
+    if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
     psis, rho_m, rho_s, rho_b, clipped = uniform_path_arrays(
         geom, psi_range, n_samples)
-    kap, rest = springs.kappa[..., None], springs.rest_angle[..., None]
+    kap, rest = springs.kappa, springs.rest_angle
     E = 0.0
     # uniform path: every unit sees the same angles, units may differ in springs
-    for u in range(0, kap.shape[-2], 4):
-        E = E + 0.5 * sum(kap[..., u + k, :] * (a - rest[..., u + k, :]) ** 2
+    for u in range(0, len(kap), 4):
+        E = E + 0.5 * sum(kap[u + k] * (a - rest[u + k]) ** 2
                           for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
     return LandscapeCurve(psi=psis, energy=E, rho_m=rho_m, rho_s=rho_s,
                           rho_b=rho_b, truncated=clipped)

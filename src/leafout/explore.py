@@ -149,12 +149,6 @@ def run_program(geom, program, springs=None, tol=1e-10):
     return run_programs(geom, [program], springs=springs, tol=tol)[0]
 
 
-def energy_along_program(result, springs, geom):
-    """(delta_rho_c, E) curve along a traced program."""
-    E = path_energies(geom, springs, result.path)
-    return result.path.params.copy(), E
-
-
 def default_program_set(n_cell=5):
     """Ships the exploration set: single, pairs, triples, a quadruple and
     the uniform all-unit drive, chosen so that every trace is distinct in

@@ -3,8 +3,9 @@
 All CSV files carry a header row, '.' decimal separator and floats
 printed with 17 significant digits, so re-running a configuration yields
 byte-identical outputs.  The table writers format each whole row with
-one printf-style string and stream the lines to the file.  Manifests
-record the configuration hash and tool version but never timestamps.
+one printf-style string, or each distinct value once (trigger maps), and
+stream the lines to the file.  Manifests record the configuration hash
+and tool version but never timestamps.
 """
 import csv
 import hashlib
@@ -31,19 +32,14 @@ def _angle_columns(n_cell):
     return cols
 
 
-def _write_lines(fname, header, line, rows):
-    """Header row, then ``line % row`` for each row, streamed to the file."""
-    with open(fname, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
-
-
 def _write_table(fname, header, columns, end="\n"):
     """CSV of equal-length float columns, one FLOAT per cell, each line
-    closed by ``end``."""
+    closed by ``end``, streamed to the file."""
     table = np.column_stack(columns).astype(float)
     line = ",".join([FLOAT] * table.shape[1]) + end
-    _write_lines(fname, header, line, map(tuple, table.tolist()))
+    with open(fname, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in map(tuple, table.tolist()))
 
 
 def read_csv(fname):
@@ -126,11 +122,20 @@ def contours_to_json_dict(surface):
 
 
 def write_trigger_map_csv(tmap, fname):
-    """Trigger-map table, one row per prediction, rest angle by rest angle."""
-    _write_lines(fname, ["rest_angle", "h", "E_ball", "delta_E_g", "E_gap",
-                         "outcome"], ",".join([FLOAT] * 5) + ",%s\n",
-                 ((p.rest_angle, p.h, p.E_ball, p.delta_E_g, p.E_gap, p.outcome)
-                  for row in tmap.predictions for p in row))
+    """Trigger-map table, one row per cell, rest angle by rest angle.  Each
+    distinct value is formatted once: h and E_ball per height, the rest
+    angle and delta_E_g per row, E_gap per cell."""
+    h_e = [(FLOAT + "," + FLOAT + ",") % he
+           for he in zip(tmap.heights.tolist(), tmap.E_ball.tolist())]
+    line = "%s%s%s" + FLOAT + ",%s\n"
+    with open(fname, "w", newline="") as fh:
+        fh.write("rest_angle,h,E_ball,delta_E_g,E_gap,outcome\n")
+        for rest, d_g, gaps, outcomes in zip(
+                tmap.rest_angles.tolist(), tmap.delta_E_g.tolist(),
+                tmap.E_gap.tolist(), tmap.outcomes.tolist()):
+            r, g = FLOAT % rest + ",", FLOAT % d_g + ","
+            fh.writelines(line % (r, he, g, gap, out)
+                          for he, gap, out in zip(h_e, gaps, outcomes))
 
 
 def trigger_contour_json_dict(tmap):
@@ -151,7 +156,7 @@ def read_observations_csv(fname):
         raise ValueError("observation file must have header 'h_mm,outcome'")
     out = []
     for r in rows[1:]:
-        if len(r) != 2:
+        if len(r) != 2 or not 0 <= float(r[0]) < np.inf:
             raise ValueError(f"malformed observation row: {r}")
         outcome = r[1].strip()
         if outcome not in ("cross", "circle", "triangle"):
@@ -182,5 +187,4 @@ def manifest_dict(config, outputs, status="ok", terminations=None):
         "status": status,
         "terminations": terminations or {},
         "svd_cutoff": SVD_CUTOFF,
-        "null_basis": "numpy.linalg.svd, descending singular values",
     }

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from leafout import io as lio
 from leafout.cli import main
 
 BASE = {
@@ -238,6 +239,62 @@ def test_bad_sampling_and_stiffness_rejected(tmp_path, capsys, task, extra):
     assert main([task["name"], "--config", str(cfg), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
     assert not out.exists()
+
+
+SURFACE = {"name": "ratio-surface", "grid_step_deg": 10.0,
+           "rest_main_range_deg": [30.0, 90.0],
+           "rest_boundary_range_deg": [-120.0, -40.0]}
+OBSERVED = {**DROP, "observations_csv": "obs.csv"}
+
+
+@pytest.mark.parametrize("task,obs", [
+    ({**SURFACE, "grid_step_deg": 0}, None),
+    ({**SURFACE, "grid_step_deg": -2.0}, None),
+    ({**SURFACE, "grid_step_deg": float("nan")}, None),
+    ({**SURFACE, "grid_step_deg": True}, None),
+    ({**SURFACE, "rest_main_range_deg": [float("nan"), 90.0]}, None),
+    ({**SURFACE, "rest_main_range_deg": [100.0, 90.0]}, None),
+    ({**SURFACE, "rest_boundary_range_deg": [-90.0, float("inf")]}, None),
+    ({**SURFACE, "rest_boundary_range_deg": [-90.0]}, None),
+    ({**SURFACE, "grid_step_deg": 2.0, "rest_main_range_deg": [2.0, 2002.0],
+      "rest_boundary_range_deg": [-2000.0, -2.0]}, None),
+    (OBSERVED, None),
+    (OBSERVED, "height,outcome\n100,cross\n"),
+    (OBSERVED, "h_mm,outcome\n100,banana\n"),
+    (OBSERVED, "h_mm,outcome\nabc,cross\n"),
+    (OBSERVED, "h_mm,outcome\nnan,cross\n"),
+    ({**DROP, "observations_csv": ["obs.csv"]}, None),
+], ids=["step-0", "step-negative", "step-nan", "step-bool", "main-nan",
+        "main-reversed", "boundary-inf", "boundary-one-number",
+        "grid-over-cap", "obs-missing", "obs-header", "obs-outcome",
+        "obs-height-text", "obs-height-nan", "obs-not-a-name"])
+def test_bad_surface_grid_and_observations_rejected(tmp_path, monkeypatch,
+                                                    capsys, task, obs):
+    monkeypatch.chdir(tmp_path)
+    if obs is not None:
+        (tmp_path / "obs.csv").write_text(obs)
+    cfg = write_cfg(tmp_path, task)
+    out = tmp_path / "o"
+    assert main([task["name"], "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
+def test_surface_grid_cap_is_inclusive(tmp_path):
+    # 1000 x 1000 points, the largest grid accepted
+    cfg = write_cfg(tmp_path, {**SURFACE, "grid_step_deg": 2.0,
+                               "rest_main_range_deg": [2.0, 2000.0],
+                               "rest_boundary_range_deg": [-2000.0, -2.0]})
+    assert main(["validate", "--config", str(cfg)]) == 0
+
+
+def test_drop_test_accepts_whole_bistable_band(tmp_path):
+    # bistable up to 180 (1 - 2 / n_cell) = 108 deg, exclusive
+    cfg = write_cfg(tmp_path, {**DROP, "rest_range_deg": [40.0, 107.8]})
+    out = tmp_path / "o"
+    assert main(["drop-test", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = lio.read_csv(out / "trigger_map.csv")
+    assert float(rows[-1][0]) == np.radians(107.8)
 
 
 def test_export_mesh_task(tmp_path):

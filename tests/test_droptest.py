@@ -161,10 +161,16 @@ def test_batched_thresholds_equal_solo_barriers(geom5):
     assert (scen.m_ball, scen.R_ball, scen.h) == (22.3e-3, 35e-3, 0.360)
     tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
                           (np.radians(40), np.radians(100)), n_h=3, n_rest=7)
-    for rest, h_star in zip(tmap.rest_angles, tmap.threshold_heights):
-        springs = lf.prototype_spring_model(geom5, lf.DropScenario(rest_angle=rest))
-        d_g, _ = lf.prototype_barrier(geom5, springs)
+    kb = kappa_pet_si(scen.kappa_pet) * default_effective_width(geom5.L2)
+    for rest, d_g, h_star in zip(tmap.rest_angles, tmap.delta_E_g,
+                                 tmap.threshold_heights):
+        # the exact barrier (n/2) kappa_b rest^2 ...
+        assert d_g == 0.5 * 5 * kb * rest ** 2
         assert h_star == d_g / (scen.m_ball * scen.g)
+        # ... agrees with the sampled landscape of that rest angle alone
+        springs = lf.prototype_spring_model(geom5, lf.DropScenario(rest_angle=rest))
+        solo, _ = lf.prototype_barrier(geom5, springs)
+        assert abs(solo - d_g) <= 1e-12 * d_g
 
 
 def test_trigger_map_names_first_non_bistable_rest(geom5):
@@ -176,3 +182,31 @@ def test_trigger_map_names_first_non_bistable_rest(geom5):
                   (np.radians(40), np.inf), (np.radians(40), 4.0)):
         with pytest.raises(ValueError, match="rest angles"):
             lf.trigger_map(geom5, prototype_scenario(), (0.1, 0.5), rests)
+
+
+def test_bistable_band_is_exact(geom5):
+    # 0 < rest < pi - 2 alpha = 108 deg at n_cell 5; the 0.5 deg grid
+    # classifier used to reject (107.72, 108) deg
+    scen = prototype_scenario()
+    for deg in (107.8, 107.99):
+        tmap = lf.trigger_map(geom5, scen, (0.1, 0.5),
+                              (np.radians(40), np.radians(deg)), n_rest=5)
+        assert tmap.rest_angles[-1] == np.radians(deg)
+    for deg in (108.0, 110.0):
+        # the last of five rests is the first outside the band
+        with pytest.raises(ValueError, match=f"rest angle {deg:g} deg is"):
+            lf.trigger_map(geom5, scen, (0.1, 0.5),
+                           (np.radians(100), np.radians(deg)), n_rest=5)
+
+
+def test_trigger_map_arrays_match_predictions(geom5):
+    scen = prototype_scenario()
+    tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
+                          (np.radians(50), np.radians(95)), n_h=4, n_rest=3)
+    assert tmap.E_gap.shape == (3, 4)
+    assert np.array_equal(tmap.E_ball, scen.m_ball * scen.g * tmap.heights)
+    rows = tmap.predictions
+    assert [[p.E_gap for p in row] for row in rows] == tmap.E_gap.tolist()
+    assert [[p.outcome for p in row] for row in rows] == tmap.outcomes.tolist()
+    assert [row[0].delta_E_g for row in rows] == tmap.delta_E_g.tolist()
+    assert [p.h for p in rows[1]] == tmap.heights.tolist()

@@ -225,6 +225,7 @@ def test_manifest_contents():
     assert lio.config_hash(cfg2) == m["config_sha256"]
     # no fields for options that change nothing; the cutoff is the solver's
     assert "threads" not in m and "seed" not in m
+    assert "null_basis" not in m      # no task uses a null-space basis
     assert m["svd_cutoff"] == SVD_CUTOFF
 
 
