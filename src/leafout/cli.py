@@ -79,7 +79,7 @@ _DROP_KEYS = {"m_ball_g": ("m_ball", _milli), "R_ball_mm": ("R_ball", _milli),
 
 
 def _require(cfg, key, kind=None):
-    if key not in cfg:
+    if not isinstance(cfg, dict) or key not in cfg:
         raise ConfigError(f"missing config key: {key}")
     v = cfg[key]
     if kind is not None:
@@ -93,7 +93,7 @@ def _require(cfg, key, kind=None):
 def build_geometry_from_config(cfg):
     g = _require(cfg, "geometry")
     try:
-        return build_geometry(_require(g, "n_cell", int),
+        return build_geometry(_require(g, "n_cell"),
                               _require(g, "L1", float),
                               _require(g, "L2", float))
     except ValueError as exc:
@@ -101,13 +101,10 @@ def build_geometry_from_config(cfg):
 
 
 def build_springs_from_config(geom, cfg):
-    s = cfg.get("springs")
-    if s is None:
-        raise ConfigError("missing config key: springs")
-    rest = s.get("rest_deg", {})
-    rho_m = _deg(_require(rest, "rho_m"))
-    rho_b = _deg(_require(rest, "rho_b"))
-    rho_s = _deg(rest["rho_s"]) if "rho_s" in rest else None
+    s = _require(cfg, "springs")
+    rest = _require(s, "rest_deg")
+    rho_m, rho_b = _require(rest, "rho_m", _deg), _require(rest, "rho_b", _deg)
+    rho_s = _require(rest, "rho_s", _deg) if "rho_s" in rest else None
     try:
         if "kappa" in s:
             return SpringModel.uniform(geom, float(s["kappa"]), rho_m, rho_b, rho_s)
@@ -122,9 +119,12 @@ def build_springs_from_config(geom, cfg):
 def load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
 
 
 def apply_overrides(cfg, pairs):
@@ -194,6 +194,8 @@ def validate_config(cfg):
         _surface_axes(task)
     if name == "drop-test":
         _trigger_map(geom, task, n_h=1)
+    if name == "export-mesh":
+        _mesh_state(geom, task)
     return geom
 
 
@@ -250,14 +252,43 @@ def _surface_axes(task):
     step = _deg(_positive(task, "grid_step_deg"))
     ends = [_range(task, "rest_main_range_deg"),
             _range(task, "rest_boundary_range_deg")]
-    if not (step > 0 and all(-np.inf < lo <= hi < np.inf for lo, hi in ends)):
-        raise ConfigError("rest ranges must be finite [lo, hi] with lo <= hi, "
+    (m_lo, m_hi), (b_lo, b_hi) = ends
+    if not (step > 0 and 0 <= m_lo <= m_hi <= np.pi
+            and -np.pi <= b_lo <= b_hi <= 0):
+        raise ConfigError("rest ranges must be [lo, hi] with lo <= hi, inside "
+                          "[0, 180] deg (main) and [-180, 0] deg (boundary); "
                           "the grid step > 0 in radians")
     size = np.prod([np.ceil((hi + 1e-9 - lo) / step) for lo, hi in ends])
     if not 1 <= size <= MAX_SURFACE_POINTS:
         raise ConfigError(f"ratio-surface grid of {size:.6g} points; at most "
                           f"{MAX_SURFACE_POINTS} accepted")
     return [np.arange(lo, hi + 1e-9, step) for lo, hi in ends]
+
+
+def _mesh_state(geom, task):
+    """Fold state and tilt of an export-mesh task."""
+    spec = task.get("state", {"type": "flat"})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"state must be an object, got {spec!r}")
+    kind, tilt = spec.get("type"), 0.0
+    try:
+        if kind == "flat":
+            state = FoldState.flat(geom)
+        elif kind == "uniform":
+            tilt = _require(spec, "psi_deg", _deg)
+            state = uniform_state(geom, tilt)
+        elif kind == "angles":
+            state = FoldState.from_angles(geom, np.radians(np.asarray(
+                _require(spec, "rho_o_deg"), dtype=float)))
+        else:
+            raise ConfigError("state.type must be flat | uniform | angles")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if "tilt_deg" in spec:
+        tilt = _require(spec, "tilt_deg", _deg)
+        if not np.isfinite(tilt):
+            raise ConfigError(f"tilt_deg must be finite, got {spec['tilt_deg']!r}")
+    return state, tilt
 
 
 def _outdir(cfg, args):
@@ -282,6 +313,9 @@ def run_task(cfg, args):
     geom = validate_config(cfg)
     task = cfg["task"]
     name = task["name"]
+    if name != args.command:
+        raise ConfigError(f"config task {name!r} does not match subcommand "
+                          f"{args.command!r}")
     outdir = _outdir(cfg, args)
     outputs = []
     terminations = {}
@@ -380,28 +414,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
         outputs.append(fj)
 
     elif name == "export-mesh":
-        state_spec = task.get("state", {"type": "flat"})
-        tilt = 0.0
-        if state_spec.get("type") == "flat":
-            state = FoldState.flat(geom)
-        elif state_spec.get("type") == "uniform":
-            psi = _deg(_require(state_spec, "psi_deg"))
-            try:
-                state = uniform_state(geom, psi)
-            except OutOfRangeError as exc:
-                raise ConfigError(str(exc)) from exc
-            tilt = psi
-        elif state_spec.get("type") == "angles":
-            try:
-                rho = np.radians(np.asarray(_require(state_spec, "rho_o_deg"),
-                                            dtype=float))
-                state = FoldState.from_angles(geom, rho)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
-            raise ConfigError("state.type must be flat | uniform | angles")
-        if "tilt_deg" in state_spec:
-            tilt = _deg(state_spec["tilt_deg"])
+        state, tilt = _mesh_state(geom, task)
         mesh = reconstruct_mesh(geom, state, tilt=tilt)
         f = os.path.join(outdir, "mesh.obj")
         with open(f, "w") as fh:
@@ -440,10 +453,6 @@ def main(argv=None):
             print(json.dumps({"valid": True, "config_sha256":
                               lio.config_hash(cfg)}, sort_keys=True))
             return EXIT_OK
-        if cfg.get("task", {}).get("name") != args.command:
-            raise ConfigError(
-                f"config task {cfg.get('task', {}).get('name')!r} does not "
-                f"match subcommand {args.command!r}")
         return run_task(cfg, args)
     except ConfigError as exc:
         print(_error_report("config", str(exc)), file=sys.stderr)

@@ -82,9 +82,11 @@ class DropScenario:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        for name in ("m_ball", "R_ball", "g", "kappa_pet", "rest_angle"):
+        for name in ("m_ball", "R_ball", "g", "kappa_pet"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.rest_angle <= np.pi:
+            raise ValueError("rest_angle must be in (0, pi] rad")
         if not 0 <= self.h < np.inf:
             raise ValueError("drop height must be finite and non-negative")
         if self.effective_width_mm is not None \

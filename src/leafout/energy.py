@@ -82,19 +82,13 @@ def crease_angle_matrix(rho_m, rho_s, rho_b):
         *rho_m.shape[:-1], -1)
 
 
-def energy_of_state(geom, springs, state):
-    """Total torsion-spring energy of one fold state."""
+def path_energies(geom, springs, path):
+    """Total torsion-spring energy of a FoldState, or of every state of a
+    FoldingPath (vectorized)."""
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    angles = crease_angle_matrix(state.rho_m, state.rho_s, state.rho_b)
-    return float(0.5 * np.sum(springs.kappa * (angles - springs.rest_angle) ** 2))
-
-
-def path_energies(geom, springs, path):
-    """Energies along a FoldingPath (vectorized)."""
-    rho = path.angles()
-    rho_s = path.sub_angles()
-    angles = crease_angle_matrix(rho[:, 0::2], rho_s, rho[:, 1::2])
+    rho = path.rho_o
+    angles = crease_angle_matrix(rho[..., 0::2], path.rho_s, rho[..., 1::2])
     return 0.5 * np.sum(springs.kappa * (angles - springs.rest_angle) ** 2,
                         axis=-1)
 

@@ -9,21 +9,22 @@ the cumulative controlled angle.  A set of programs is stepped together
 
 Paths start from a slightly folded uniform state rather than the exact
 flat state, which is a branch point where the mountain/valley assignment
-is ambiguous.  When an uncontrolled angle reaches its mountain/valley
-limit it is pinned there and the drive continues, which keeps the crease
-assignments and matches how the energy minima along grasping paths are
-reached well past the first boundary contact.
+is ambiguous.  The start is the closed-phase uniform state with
+rho_M = 7.1 deg, exact through ``psi_from_main``.  When an uncontrolled
+angle reaches its mountain/valley limit it is pinned there and the drive
+continues, which keeps the crease assignments and matches how the energy
+minima along grasping paths are reached well past the first boundary
+contact.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import path_energies
-from .kinematics import (FoldState, FoldingPath, StepFailure, StepRequest,
-                         constraint_matrix, pseudo_inverse, residual, trace_paths)
+from .kinematics import FoldingPath, StepFailure, StepRequest, trace_paths
+from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
-NEAR_FLAT_BOUNDARY = np.radians(-3.6)
 DEFAULT_DELTA_RHO_C = np.radians(0.5)
 DEFAULT_MAX_STEPS = 400
 
@@ -33,8 +34,6 @@ class GraspProgram:
     """One driving program: which units are controlled and by how much."""
     controlled_units: tuple
     delta_rho_c: float = DEFAULT_DELTA_RHO_C
-    start_main: float = NEAR_FLAT_MAIN
-    start_boundary: float = NEAR_FLAT_BOUNDARY
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
@@ -49,27 +48,11 @@ class GraspProgram:
         return "units-" + "-".join(str(u) for u in self.controlled_units)
 
 
-def near_flat_start(geom, rho_m=NEAR_FLAT_MAIN, rho_b_seed=NEAR_FLAT_BOUNDARY,
-                    tol=1e-12):
-    """Closed uniform start state with the given main angle.
-
-    The seed boundary angle is Newton-projected onto the closure manifold:
-    the nominal pair is only quoted to 0.1 deg and is not closed to solver
-    tolerance as given.
-    """
-    rho = np.empty(geom.n_vertex_creases)
-    rho[0::2] = rho_m
-    rho[1::2] = rho_b_seed
-    bnd = np.arange(1, geom.n_vertex_creases, 2)
-    for _ in range(60):
-        r = residual(geom, rho).as_array()
-        if np.max(np.abs(r)) < tol:
-            break
-        Cb = constraint_matrix(geom, rho)[:, bnd]
-        rho[bnd] -= pseudo_inverse(Cb) @ r
-    else:
-        raise RuntimeError("start-state projection did not converge")
-    return FoldState.from_angles(geom, rho, tol=max(tol, 1e-10))
+def near_flat_start(geom):
+    """The closed-phase uniform state with main angles NEAR_FLAT_MAIN; its
+    boundary angles, rho_B = -2 psi (about -3.6 deg at n_cell 5), follow
+    exactly."""
+    return uniform_state(geom, psi_from_main(geom.alpha, NEAR_FLAT_MAIN))
 
 
 @dataclass
@@ -98,7 +81,7 @@ def config_space_trace(path, energies=None):
 
 
 def run_programs(geom, programs, springs=None, tol=1e-10):
-    """Trace grasping programs together from their near-flat starts.
+    """Trace grasping programs together from the near-flat start.
 
     Controlled units must exist in the pattern; each trace drives toward
     the closed phase (increasing main angles).  Returns one result per
@@ -114,8 +97,7 @@ def run_programs(geom, programs, springs=None, tol=1e-10):
         if (max(program.controlled_units) > geom.n_cell
                 or min(program.controlled_units) < 1):
             raise ValueError("controlled unit index outside 1..n_cell")
-    starts = [near_flat_start(geom, p.start_main, p.start_boundary)
-              for p in programs]
+    starts = [near_flat_start(geom)] * len(programs)
     drivers = [_constant_driver(geom, p) for p in programs]
     try:
         paths = trace_paths(geom, starts, drivers, [p.max_steps for p in programs],
@@ -147,28 +129,3 @@ def _grasp_result(geom, program, path, springs):
 def run_program(geom, program, springs=None, tol=1e-10):
     """Trace one grasping program; the one-program case of run_programs."""
     return run_programs(geom, [program], springs=springs, tol=tol)[0]
-
-
-def default_program_set(n_cell=5):
-    """Ships the exploration set: single, pairs, triples, a quadruple and
-    the uniform all-unit drive, chosen so that every trace is distinct in
-    the (x, y) projection (subsets like {1, 2, 4} are mirror-symmetric and
-    collapse onto the uniform axis).
-    """
-    if n_cell < 5:
-        raise ValueError("default program set assumes n_cell >= 5")
-    return [
-        GraspProgram((1,)),
-        GraspProgram((1, 2)),
-        GraspProgram((1, 3)),
-        GraspProgram((1, 2, 3)),
-        GraspProgram((1, 2, 3, 4)),
-        GraspProgram(tuple(range(1, n_cell + 1))),
-    ]
-
-
-def compare_programs(geom, programs, springs=None):
-    """Run several programs on shared axes; needs at least two."""
-    if len(programs) < 2:
-        raise ValueError("need at least two programs to compare")
-    return run_programs(geom, programs, springs=springs)

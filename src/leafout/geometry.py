@@ -16,6 +16,7 @@ Euler-angle pose of uniform states when set to psi.
 import json
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -95,12 +96,12 @@ def build_geometry(n_cell, L1, L2):
 
     The pattern only closes around the central vertex for n_cell >= 3.
     """
-    n_cell = int(n_cell)
-    if n_cell < 3:
-        raise ValueError(f"n_cell must be >= 3 to tile the plane, got {n_cell}")
-    if not (L1 > 0 and L2 > 0):
-        raise ValueError("panel lengths L1, L2 must be positive")
-    return LeafOutGeometry(n_cell=n_cell, alpha=np.pi / n_cell, L1=float(L1),
+    if isinstance(n_cell, bool) or not isinstance(n_cell, Integral) or n_cell < 3:
+        raise ValueError(f"n_cell must be an integer >= 3 to tile the plane, "
+                         f"got {n_cell!r}")
+    if not (0 < L1 < np.inf and 0 < L2 < np.inf):
+        raise ValueError("panel lengths L1, L2 must be finite and positive")
+    return LeafOutGeometry(n_cell=int(n_cell), alpha=np.pi / n_cell, L1=float(L1),
                            L2=float(L2))
 
 

@@ -113,19 +113,6 @@ class StepRequest:
             raise ValueError("step_scale must be positive")
 
 
-@dataclass
-class ClosureResidual:
-    r_a: float
-    r_b: float
-    r_c: float
-
-    def as_array(self):
-        return np.array([self.r_a, self.r_b, self.r_c])
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.as_array())))
-
-
 def _chain_matrices(geom, rho_o):
     """chi_j = rot_x(rho_j) rot_z(alpha) for angles of any shape (..., N)."""
     c, s = np.cos(rho_o), np.sin(rho_o)
@@ -144,30 +131,9 @@ def _chain_matrices(geom, rho_o):
     return X
 
 
-def chain_product(geom, rho_o):
-    """F = chi_1 chi_2 ... chi_N with chi_j = rot_x(rho_j) rot_z(alpha)."""
-    rho_o = np.asarray(rho_o, dtype=float)
-    F = np.eye(3)
-    for Xj in _chain_matrices(geom, rho_o):
-        F = F @ Xj
-    return F
-
-
-def _extract_residual(F):
-    return ClosureResidual(
-        r_a=0.5 * (F[1, 0] - F[0, 1]),
-        r_b=0.5 * (F[2, 1] - F[1, 2]),
-        r_c=0.5 * (F[0, 2] - F[2, 0]),
-    )
-
-
-def residual(geom, rho_o):
-    """Skew components of the closure deviation, antisymmetrized."""
-    return _extract_residual(chain_product(geom, rho_o))
-
-
 def _closure(geom, rho):
-    """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows.
+    """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows;
+    the residual is the skew part (r_a, r_b, r_c) of the chain product F.
 
     One prefix pass gives both.  With a_j the first column of the prefix
     product chi_1 ... chi_{j-1} (crease j's axis in the base frame),
@@ -197,25 +163,12 @@ def constraint_matrix(geom, rho_o):
     return _closure(geom, np.asarray(rho_o, dtype=float)[None])[1][0]
 
 
-def pseudo_inverse(C, rcond=SVD_CUTOFF):
-    """Moore-Penrose inverse with a relative singular-value cutoff."""
-    U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    keep = s > rcond * s[0]
-    return (Vt[keep].T / s[keep]) @ U[:, keep].T
-
-
-def null_space(C, rcond=SVD_CUTOFF):
-    """Orthonormal basis of the constraint null space (columns)."""
-    U, s, Vt = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > rcond * s[0]))
-    return Vt[rank:].T
-
-
 def _masked_solve(C, free, v, rcond=SVD_CUTOFF):
     """pinv(C_free) v per row, with C_free = C with non-free columns zeroed.
 
     The result is the minimum-norm x with x = 0 off the free entries that
-    best solves C x = v, using pseudo_inverse's relative cutoff.
+    best solves C x = v; singular values below ``rcond`` times the largest
+    are dropped.
     """
     U, s, Vt = np.linalg.svd(np.where(free[:, None, :], C, 0.0),
                              full_matrices=False)

@@ -82,6 +82,15 @@ def main_angle_from_psi(alpha, psi):
     return 2 * (np.arctan2(sa * s, ca) + np.arctan2(np.abs(s), ca * np.cos(psi)))
 
 
+def psi_from_main(alpha, rho_m):
+    """Closed-phase Euler angle psi >= 0 of main-crease angle(s) rho_M in
+    [0, pi], the inverse of ``main_angle_from_psi`` there:
+    psi = rho_S / 2 - atan2(sin(a) sin(rho_M/2), cos(a))."""
+    return (sub_angle_from_main(alpha, rho_m) / 2
+            - np.arctan2(np.sin(alpha) * np.sin(np.asarray(rho_m) / 2),
+                         np.cos(alpha)))
+
+
 def boundary_angle_from_psi(alpha, psi):
     """Boundary-crease angle rho_B = -2|psi| in [-pi, 0] for Euler
     angle(s) psi.  Accepts a scalar or an array."""

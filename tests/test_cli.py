@@ -256,8 +256,14 @@ OBSERVED = {**DROP, "observations_csv": "obs.csv"}
     ({**SURFACE, "rest_main_range_deg": [100.0, 90.0]}, None),
     ({**SURFACE, "rest_boundary_range_deg": [-90.0, float("inf")]}, None),
     ({**SURFACE, "rest_boundary_range_deg": [-90.0]}, None),
-    ({**SURFACE, "grid_step_deg": 2.0, "rest_main_range_deg": [2.0, 2002.0],
+    ({**SURFACE, "grid_step_deg": 0.18, "rest_main_range_deg": [0.0, 180.0],
+      "rest_boundary_range_deg": [-180.0, 0.0]}, None),
+    ({**SURFACE, "grid_step_deg": 2.0, "rest_main_range_deg": [2.0, 2000.0],
       "rest_boundary_range_deg": [-2000.0, -2.0]}, None),
+    ({**SURFACE, "rest_main_range_deg": [2.0, 180.5]}, None),
+    ({**SURFACE, "rest_main_range_deg": [-1.0, 90.0]}, None),
+    ({**SURFACE, "rest_boundary_range_deg": [-180.5, -2.0]}, None),
+    ({**SURFACE, "rest_boundary_range_deg": [-90.0, 1.0]}, None),
     (OBSERVED, None),
     (OBSERVED, "height,outcome\n100,cross\n"),
     (OBSERVED, "h_mm,outcome\n100,banana\n"),
@@ -266,7 +272,8 @@ OBSERVED = {**DROP, "observations_csv": "obs.csv"}
     ({**DROP, "observations_csv": ["obs.csv"]}, None),
 ], ids=["step-0", "step-negative", "step-nan", "step-bool", "main-nan",
         "main-reversed", "boundary-inf", "boundary-one-number",
-        "grid-over-cap", "obs-missing", "obs-header", "obs-outcome",
+        "grid-over-cap", "rests-beyond-half-turn", "main-above-180",
+        "main-negative", "boundary-below-180", "boundary-positive", "obs-missing", "obs-header", "obs-outcome",
         "obs-height-text", "obs-height-nan", "obs-not-a-name"])
 def test_bad_surface_grid_and_observations_rejected(tmp_path, monkeypatch,
                                                     capsys, task, obs):
@@ -282,10 +289,18 @@ def test_bad_surface_grid_and_observations_rejected(tmp_path, monkeypatch,
 
 def test_surface_grid_cap_is_inclusive(tmp_path):
     # 1000 x 1000 points, the largest grid accepted
-    cfg = write_cfg(tmp_path, {**SURFACE, "grid_step_deg": 2.0,
-                               "rest_main_range_deg": [2.0, 2000.0],
-                               "rest_boundary_range_deg": [-2000.0, -2.0]})
+    cfg = write_cfg(tmp_path, {**SURFACE, "grid_step_deg": 0.18,
+                               "rest_main_range_deg": [0.0, 179.82],
+                               "rest_boundary_range_deg": [-179.82, 0.0]})
     assert main(["validate", "--config", str(cfg)]) == 0
+
+
+def test_drop_rest_angle_outside_half_turn_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**DROP, "drop": {"rest_angle_deg": 200.0}})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    msg = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert msg.startswith("bad drop settings") and "rest_angle" in msg
+    assert "boundary rest angle" not in msg
 
 
 def test_drop_test_accepts_whole_bistable_band(tmp_path):
@@ -341,6 +356,39 @@ def test_export_mesh_nan_angles(tmp_path, capsys):
 def test_export_mesh_non_closing_angles(tmp_path, capsys):
     _export_mesh_rejected(tmp_path, capsys,
                           {"type": "angles", "rho_o_deg": [30.0] + [0.0] * 9})
+
+
+MESH = {"name": "export-mesh", "state": {"type": "uniform", "psi_deg": -30.0}}
+
+
+def _list_config(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text(json.dumps([{**BASE, "task": MESH}]))
+    return p
+
+
+@pytest.mark.parametrize("command,make_cfg", [
+    ("export-mesh", _list_config),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, {**MESH, "state": [1]})),
+    ("energy-landscape", lambda tmp_path: write_cfg(tmp_path, LANDSCAPE, springs={
+        "kappa": 1.0, "rest_deg": {"rho_m": "abc", "rho_b": -30.0}})),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
+        "n_cell": 5, "L1": float("inf"), "L2": 30.0})),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, {**MESH, "state": {
+        "type": "uniform", "psi_deg": -30.0, "tilt_deg": float("nan")}})),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
+        "n_cell": 5.5, "L1": 70.0, "L2": 30.0})),
+], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
+        "n_cell-fraction"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
+    # each was an exit-1 traceback or an exit-0 run writing NaN or a
+    # truncated cell count
+    cfg = make_cfg(tmp_path)
+    out = tmp_path / "o"
+    for cmd in ("validate", command):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    assert not out.exists()
 
 
 def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):

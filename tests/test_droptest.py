@@ -132,6 +132,11 @@ def test_scenario_validation():
         prototype_scenario(m_ball=0.0)
     with pytest.raises(ValueError):
         prototype_scenario(kappa_pet_unit="bogus")
+    # the rest fold magnitude is an angle in (0, pi]; NaN fails too
+    assert prototype_scenario(rest_angle=np.pi).rest_angle == np.pi
+    for rest in (0.0, np.radians(200.0), np.nan):
+        with pytest.raises(ValueError, match="rest_angle"):
+            prototype_scenario(rest_angle=rest)
 
 
 def test_monostable_prototype_rejected(geom5):

@@ -22,12 +22,12 @@ def test_rest_state_has_zero_energy(geom5):
     psi = np.radians(-35)
     st_ = lf.uniform_state(geom5, psi)
     springs = lf.SpringModel.uniform(geom5, 2.5, st_.rho_o[0], st_.rho_o[1])
-    assert lf.energy_of_state(geom5, springs, st_) < 1e-24
+    assert lf.path_energies(geom5, springs, st_) < 1e-24
 
 
 def test_flat_state_energy_matches_direct_summation(geom5, springs_bistable):
     flat = lf.FoldState.flat(geom5)
-    got = lf.energy_of_state(geom5, springs_bistable, flat)
+    got = lf.path_energies(geom5, springs_bistable, flat)
     want = direct_energy(springs_bistable.kappa, springs_bistable.rest_angle,
                          [0.0] * 20)
     assert np.isclose(got, want, rtol=1e-14)
@@ -39,18 +39,27 @@ def test_flat_state_energy_matches_direct_summation(geom5, springs_bistable):
 
 
 def test_energy_linear_in_kappa(geom5, springs_bistable, uniform_minus30):
-    e1 = lf.energy_of_state(geom5, springs_bistable, uniform_minus30)
-    e2 = lf.energy_of_state(geom5, springs_bistable.scaled(2.0), uniform_minus30)
+    e1 = lf.path_energies(geom5, springs_bistable, uniform_minus30)
+    e2 = lf.path_energies(geom5, springs_bistable.scaled(2.0), uniform_minus30)
     assert np.isclose(e2, 2.0 * e1, rtol=1e-14)
 
 
 def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
     res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=40))
     state = res.path.states[-1]
-    got = lf.energy_of_state(geom5, springs_grasp, state)
+    got = lf.path_energies(geom5, springs_grasp, state)
     want = direct_energy(springs_grasp.kappa, springs_grasp.rest_angle,
                          crease_angles_of_state(state))
     assert np.isclose(got, want, rtol=1e-12)
+    # a state and the path row it came from give the same energy
+    assert lf.path_energies(geom5, springs_grasp, res.path)[-1] == got
+
+
+def test_path_energies_checks_spring_size(geom4, springs_grasp):
+    path = lf.uniform_path(geom4, (-0.5, 0.5), 5)
+    for fold in (path, path.states[0]):
+        with pytest.raises(ConfigurationError, match="does not match"):
+            lf.path_energies(geom4, springs_grasp, fold)
 
 
 def test_landscape_bistable_structure(geom5, springs_bistable):
@@ -62,7 +71,7 @@ def test_landscape_bistable_structure(geom5, springs_bistable):
     assert report.psi_open < report.psi_barrier < report.psi_closed
     assert report.delta_E_g > 0 and report.delta_E_r > 0
     # the flat-state peak value is the all-rest-angle energy
-    flat_E = lf.energy_of_state(geom5, springs_bistable, lf.FoldState.flat(geom5))
+    flat_E = lf.path_energies(geom5, springs_bistable, lf.FoldState.flat(geom5))
     assert np.isclose(report.E_barrier, flat_E, rtol=1e-3)
 
 
@@ -222,7 +231,7 @@ def test_energy_gradient_chain_rule(geom5, springs_bistable):
 
     def E_at(p):
         st_ = lf.uniform_state(geom5, p)
-        return lf.energy_of_state(geom5, springs_bistable, st_)
+        return lf.path_energies(geom5, springs_bistable, st_)
 
     dE_fd = (E_at(psi + h) - E_at(psi - h)) / (2 * h)
     st_ = lf.uniform_state(geom5, psi)
@@ -272,7 +281,7 @@ def test_spring_model_validation(geom5):
 def test_energy_nonnegative(geom5, rest_m, rest_b, psi_deg):
     springs = lf.SpringModel.uniform(geom5, 1.3, rest_m, rest_b)
     st_ = lf.uniform_state(geom5, np.radians(psi_deg))
-    assert lf.energy_of_state(geom5, springs, st_) >= 0.0
+    assert lf.path_energies(geom5, springs, st_) >= 0.0
 
 
 def test_uniform_path_arrays_consistency(geom5):

@@ -1,8 +1,21 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import leafout as lf
+from leafout.explore import NEAR_FLAT_MAIN
+from leafout.kinematics import _closure
 from oracles import chain_closure_norm
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def stored_programs():
+    """The exploration set of the stored multi-grasp config."""
+    task = json.loads((CONFIGS / "multigrasp.json").read_text())["task"]
+    return [lf.GraspProgram(tuple(units)) for units in task["programs"]]
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +35,16 @@ def test_start_state_matches_rounded_nominal_pair(geom5):
     assert np.isclose(np.degrees(start.rho_o[0]), 7.1, atol=1e-12)
     assert np.isclose(np.degrees(start.rho_o[1]), -3.6, atol=0.05)
     assert chain_closure_norm(geom5.alpha, start.rho_o) < 1e-10
+
+
+@pytest.mark.parametrize("n_cell", [3, 5, 8, 12])
+def test_near_flat_start_is_exact_uniform_state(n_cell):
+    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    start = lf.near_flat_start(geom)
+    # 7.1 deg up to the rounding of the psi round trip (at most 3 ulp)
+    assert np.all(np.abs(start.rho_m - NEAR_FLAT_MAIN) <= 3 * np.spacing(NEAR_FLAT_MAIN))
+    assert np.ptp(start.rho_m) == 0.0 and np.ptp(start.rho_b) == 0.0
+    assert np.abs(_closure(geom, start.rho_o[None])[0]).max() < 1e-15
 
 
 def test_uniform_program_stays_on_axis(traced):
@@ -121,9 +144,9 @@ def test_reflection_symmetry_between_mirror_programs(geom5):
 
 
 def test_default_program_set_distinct(geom5):
-    programs = lf.default_program_set(geom5.n_cell)
+    programs = stored_programs()
     assert len(programs) == 6
-    results = lf.compare_programs(geom5, programs)
+    results = lf.run_programs(geom5, programs)
     traces = [res.trace for res in results]
     for i in range(len(traces)):
         for j in range(i + 1, len(traces)):
@@ -135,7 +158,7 @@ def test_default_program_set_distinct(geom5):
 
 def test_batch_matches_single_programs(geom5, springs_grasp):
     # lockstep stepping leaves every program's trace bit for bit as alone
-    programs = lf.default_program_set(geom5.n_cell)
+    programs = stored_programs()
     batch = lf.run_programs(geom5, programs, springs=springs_grasp)
     for program, together in zip(programs, batch):
         alone = lf.run_program(geom5, program, springs=springs_grasp)
@@ -154,8 +177,6 @@ def test_program_validation(geom5):
         lf.GraspProgram((1,), delta_rho_c=0.0)
     with pytest.raises(ValueError):
         lf.run_program(geom5, lf.GraspProgram((6,)))
-    with pytest.raises(ValueError):
-        lf.compare_programs(geom5, [lf.GraspProgram((1,))])
 
 
 def test_termination_reasons_recorded(traced):

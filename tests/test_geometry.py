@@ -26,6 +26,13 @@ def test_build_geometry_rejects_degenerate():
         lf.build_geometry(5, 0.0, 1.0)
     with pytest.raises(ValueError):
         lf.build_geometry(5, 1.0, -3.0)
+    for n_cell in (5.5, 5.0, True, "5"):
+        with pytest.raises(ValueError, match="n_cell"):
+            lf.build_geometry(n_cell, 1.0, 1.0)
+    for L1, L2 in ((np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            lf.build_geometry(5, L1, L2)
+    assert lf.build_geometry(np.int64(5), 1.0, 1.0).n_cell == 5
 
 
 def test_crease_enumeration(geom5):
@@ -143,9 +150,9 @@ def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
     res = lf.run_program(geom5, prog)
     rho = res.path.states[-1].rho_o
     rolled = lf.FoldState.from_angles(geom5, np.roll(rho, 2))
-    e1 = lf.energy_of_state(geom5, springs_bistable,
+    e1 = lf.path_energies(geom5, springs_bistable,
                             lf.FoldState.from_angles(geom5, rho))
-    e2 = lf.energy_of_state(geom5, springs_bistable, rolled)
+    e2 = lf.path_energies(geom5, springs_bistable, rolled)
     assert np.isclose(e1, e2, rtol=0, atol=1e-10)
 
 

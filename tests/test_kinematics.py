@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,34 +9,49 @@ from hypothesis.extra.numpy import arrays
 import leafout as lf
 from leafout import kinematics
 from leafout.kinematics import (LockedConfiguration, StepFailure, StepRequest,
-                                angle_bounds, null_space, pseudo_inverse,
+                                _closure, _masked_solve, _tangent, angle_bounds,
                                 project_step, trace_path, trace_paths)
 from leafout.rotations import rot_x, rot_z
 from oracles import chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation
 
 
+def max_residual(geom, rho):
+    return np.max(np.abs(_closure(geom, np.asarray(rho, dtype=float)[None])[0]))
+
+
 def test_flat_chain_is_identity(geom5):
-    F = lf.chain_product(geom5, np.zeros(10))
-    assert np.max(np.abs(F - np.eye(3))) < 1e-14
+    assert chain_closure_norm(geom5.alpha, np.zeros(10)) < 1e-14
+    assert max_residual(geom5, np.zeros(10)) < 1e-14
 
 
 def test_uniform_closed_form_closes(geom5):
     # cross-validation between the closed-form motion and the chain
     for psi_deg in (-50, -30, -5, 10, 40):
         st_ = lf.uniform_state(geom5, np.radians(psi_deg))
-        F = lf.chain_product(geom5, st_.rho_o)
-        assert np.max(np.abs(F - np.eye(3))) < 1e-10
+        assert chain_closure_norm(geom5.alpha, st_.rho_o) < 1e-10
 
 
 def test_perturbed_state_does_not_close(geom5, uniform_minus30):
     rho = uniform_minus30.rho_o.copy()
     rho[3] += 1e-3
-    assert lf.residual(geom5, rho).max_abs() > 1e-5
+    assert max_residual(geom5, rho) > 1e-5
+    assert chain_closure_norm(geom5.alpha, rho) > 1e-5
 
 
 def test_residual_of_identity_is_zero(geom5):
-    r = lf.residual(geom5, np.zeros(10))
-    assert r.max_abs() < 1e-14
+    r, C = _closure(geom5, np.zeros((1, 10)))
+    assert r.shape == (1, 3) and C.shape == (1, 3, 10)
+    assert np.max(np.abs(r)) < 1e-14
+
+
+# four-crease chains whose product is a rotation by THETA about one axis:
+# quarter-turn sectors close the flat chain; folding crease 1 turns it
+# about x, folding crease 2 about y (crease 1's axis after a quarter
+# turn), and widening every sector by THETA / 4 about z
+THETA = 1e-4
+TWISTED_CHAINS = {"r_a": ((2 * np.pi + THETA) / 4, (0.0, 0.0, 0.0, 0.0)),
+                  "r_b": (np.pi / 2, (THETA, 0.0, 0.0, 0.0)),
+                  "r_c": (np.pi / 2, (0.0, THETA, 0.0, 0.0))}
 
 
 @pytest.mark.parametrize("axis,component", [
@@ -44,14 +61,17 @@ def test_residual_of_identity_is_zero(geom5):
 ])
 def test_residual_extraction_linearization(axis, component):
     # small rotations map onto single residual components
-    theta = 1e-4
-    F = matrix_exp_rotation(np.array(axis), theta)
-    from leafout.kinematics import _extract_residual
-    r = _extract_residual(F)
-    assert np.isclose(getattr(r, component), theta, rtol=1e-7)
+    sector, rho = TWISTED_CHAINS[component]
+    F = np.eye(3)
+    for r in rho:
+        F = F @ rot_x(r) @ rot_z(sector)
+    assert np.max(np.abs(F - matrix_exp_rotation(np.array(axis), THETA))) < 1e-15
+    res = _closure(SimpleNamespace(alpha=sector), np.array([rho]))[0][0]
+    r = dict(zip(("r_a", "r_b", "r_c"), res))
+    assert np.isclose(r[component], THETA, rtol=1e-7)
     others = {"r_a", "r_b", "r_c"} - {component}
     for o in others:
-        assert abs(getattr(r, o)) < 1e-11
+        assert abs(r[o]) < 1e-11
 
 
 def test_constraint_matrix_matches_finite_differences(geom5, uniform_minus30):
@@ -104,28 +124,50 @@ def test_column_conjugation_between_adjacent_units(geom5, uniform_minus30):
         rot_z(2 * geom5.alpha))
 
 
+def tangent_projector(C):
+    """Matrix of the unconstrained tangent step: ``_tangent`` applied to
+    every unit increment (nothing fixed)."""
+    n = C.shape[1]
+    t, unmet = _tangent(np.broadcast_to(C, (n, *C.shape)), np.eye(n),
+                        np.zeros((n, n), dtype=bool))
+    assert np.max(unmet) < 1e-14
+    return t.T
+
+
+def masked_pinv(C, free):
+    """Matrix of ``_masked_solve`` with the ``free`` columns of C."""
+    m, n = C.shape
+    return _masked_solve(np.broadcast_to(C, (m, m, n)),
+                         np.broadcast_to(free, (m, n)), np.eye(m)).T
+
+
 def test_projector_idempotent(geom5, uniform_minus30):
     C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
-    Z = null_space(C)
-    P = Z @ Z.T
+    P = tangent_projector(C)
     assert np.max(np.abs(P @ P - P)) < 1e-12
+    assert np.max(np.abs(P - P.T)) < 1e-12
+    assert np.max(np.abs(C @ P)) < 1e-12
 
 
 def test_null_basis_projection_equals_pseudo_inverse_form(geom5, uniform_minus30):
-    # the null-basis projector and I - C+ C agree on arbitrary increments
+    # the tangent step and I - C+ C (numpy's pinv) agree on arbitrary increments
     rho = uniform_minus30.rho_o
     C = lf.constraint_matrix(geom5, rho)
-    Z = null_space(C)
-    P_direct = np.eye(10) - pseudo_inverse(C) @ C
+    P = tangent_projector(C)
+    P_direct = np.eye(10) - np.linalg.pinv(C) @ C
     rng = np.random.default_rng(7)
     for _ in range(5):
         d = rng.uniform(-0.05, 0.05, 10)
-        assert np.max(np.abs(Z @ (Z.T @ d) - P_direct @ d)) < 1e-12
+        assert np.max(np.abs(P @ d - P_direct @ d)) < 1e-12
 
 
 def test_pseudo_inverse_moore_penrose(geom5, uniform_minus30):
     C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
-    Cp = pseudo_inverse(C)
+    Cp = masked_pinv(C, np.ones(10, dtype=bool))
+    assert np.max(np.abs(Cp - np.linalg.pinv(C))) < 1e-12
+    free = np.arange(10) % 3 != 0         # creases 1, 4, 7 and 10 fixed
+    assert np.max(np.abs(masked_pinv(C, free)
+                         - np.linalg.pinv(np.where(free, C, 0.0)))) < 1e-12
     assert np.max(np.abs(C @ Cp @ C - C)) < 1e-10
     assert np.max(np.abs(Cp @ C @ Cp - Cp)) < 1e-10
     assert np.max(np.abs((C @ Cp).T - C @ Cp)) < 1e-10
@@ -315,7 +357,7 @@ def test_step_scale_substepping_equivalence(geom5):
 def test_projection_keeps_states_closed(geom5, d0):
     state = lf.uniform_state(geom5, np.radians(-35.0))
     out = project_step(geom5, state, StepRequest(d0))
-    assert lf.residual(geom5, out.state.rho_o).max_abs() < 1e-10
+    assert max_residual(geom5, out.state.rho_o) < 1e-10
 
 
 def test_fold_state_validation(geom5):

@@ -23,6 +23,15 @@ def test_main_angle_matches_independent_oracle():
         assert abs(got - want) < 1e-10
 
 
+def test_psi_from_main_inverts_main_angle():
+    # closed phase, flat state to fully folded main crease
+    for n_cell in range(3, 13):
+        alpha = np.pi / n_cell
+        psi = np.linspace(0.0, np.pi / 2 - alpha, 2001)
+        back = lf.psi_from_main(alpha, lf.main_angle_from_psi(alpha, psi))
+        assert np.max(np.abs(back - psi)) <= 1e-15
+
+
 def test_open_closed_asymmetry():
     rm_open = lf.main_angle_from_psi(ALPHA, np.radians(-30))
     rm_closed = lf.main_angle_from_psi(ALPHA, np.radians(30))
