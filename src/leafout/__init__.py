@@ -8,8 +8,8 @@ non-uniform multi-grasp folding modes, with a batch command line.
 __version__ = "0.1.0"
 
 from .geometry import (CreaseId, CreaseKind, FoldedMesh, Frame,
-                       LeafOutGeometry, build_geometry, geometry_to_json,
-                       mesh_to_obj, reconstruct_mesh)
+                       LeafOutGeometry, build_geometry, mesh_to_obj,
+                       reconstruct_mesh)
 from .kinematics import (FoldState, FoldingPath, LockedConfiguration,
                          NotClosedError, StepFailure, StepRequest,
                          constraint_matrix, project_step, trace_path,

@@ -20,7 +20,7 @@ from .energy import (DEFAULT_PSI_STEP, SpringModel, characterize_bistability,
                      landscape_over_psi, path_energies, ratio_surface,
                      uniform_path_arrays)
 from .explore import GraspProgram, run_programs
-from .geometry import build_geometry, geometry_to_json, mesh_to_obj, reconstruct_mesh
+from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, LockedConfiguration, StepFailure
 from .uniform import (OutOfRangeError, clip_psi_range, psi_samples,
                       uniform_path, uniform_state)
@@ -151,6 +151,9 @@ def validate_config(cfg):
         raise ConfigError("config needs a task object with a name")
     if task["name"] not in TASKS:
         raise ConfigError(f"unknown task {task['name']!r}; expected one of {TASKS}")
+    output = cfg.get("output", {})
+    if not isinstance(output, dict) or not isinstance(output.get("dir", ""), str):
+        raise ConfigError(f"output must be an object whose dir is a string, got {output!r}")
     geom = build_geometry_from_config(cfg)
     name = task["name"]
     if name in ("energy-landscape", "multi-grasp"):
@@ -211,6 +214,8 @@ def _count(task, key):
 
 def _drop_scenario(task):
     d = task.get("drop", {})
+    if not isinstance(d, dict):
+        raise ConfigError(f"drop must be an object, got {d!r}")
     try:
         return DropScenario(**{name: conv(d[key])
                                for key, (name, conv) in _DROP_KEYS.items()
@@ -403,10 +408,8 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
                 geom, res.path, res.trace.energy,
                 extra={"label": prog.label(),
                        "controlled_units": list(prog.controlled_units),
-                       "config_space": {
-                           "x": [float(v) for v in res.trace.x],
-                           "y": [float(v) for v in res.trace.y],
-                           "z": [float(v) for v in res.trace.z]}}))
+                       "config_space": {k: getattr(res.trace, k).tolist()
+                                        for k in "xyz"}}))
         if failure is not None:
             raise failure
         fj = os.path.join(outdir, "multigrasp_bundle.json")
@@ -421,8 +424,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
             fh.write(mesh_to_obj(mesh))
         outputs.append(f)
         fj = os.path.join(outdir, "geometry.json")
-        with open(fj, "w") as fh:
-            fh.write(geometry_to_json(geom) + "\n")
+        lio.write_json(geom.to_dict(), fj)
         outputs.append(fj)
 
 

@@ -1,11 +1,12 @@
 """Non-uniform multi-grasp exploration by selective crease driving.
 
 Selected unit cells receive an identical controlled increment on their
-main-crease angles each step; the remaining angles follow the projected
-kinematics.  Folding modes are compared in a configuration space spanned
-by the main-angle differences (rho_M2 - rho_M4, rho_M3 - rho_M5) against
-the cumulative controlled angle.  A set of programs is stepped together
-(``run_programs``); each program's trace is the one it has alone.
+main-crease angles each step, one constant StepRequest per program; the
+remaining angles follow the projected kinematics.  Folding modes are
+compared in a configuration space spanned by the main-angle differences
+(rho_M2 - rho_M4, rho_M3 - rho_M5) against the cumulative controlled
+angle.  A set of programs is stepped together (``run_programs``); each
+program's trace is the one it has alone.
 
 Paths start from a slightly folded uniform state rather than the exact
 flat state, which is a branch point where the mountain/valley assignment
@@ -98,9 +99,9 @@ def run_programs(geom, programs, springs=None, tol=1e-10):
                 or min(program.controlled_units) < 1):
             raise ValueError("controlled unit index outside 1..n_cell")
     starts = [near_flat_start(geom)] * len(programs)
-    drivers = [_constant_driver(geom, p) for p in programs]
     try:
-        paths = trace_paths(geom, starts, drivers, [p.max_steps for p in programs],
+        paths = trace_paths(geom, starts, [_request(geom, p) for p in programs],
+                            [p.max_steps for p in programs],
                             on_boundary="freeze", param_name="delta_rho_c", tol=tol)
     except StepFailure as exc:
         done = [_grasp_result(geom, p, path, springs)
@@ -111,13 +112,12 @@ def run_programs(geom, programs, springs=None, tol=1e-10):
             for p, path in zip(programs, paths)]
 
 
-def _constant_driver(geom, program):
-    """The same controlled increment on every selected main crease, each step."""
+def _request(geom, program):
+    """A program's step: the same controlled increment on its main creases."""
     ctrl = tuple(2 * (u - 1) for u in program.controlled_units)
     d0 = np.zeros(geom.n_vertex_creases)
     d0[list(ctrl)] = program.delta_rho_c
-    req = StepRequest(d0, controlled_indices=ctrl, step_scale=program.delta_rho_c)
-    return lambda k, rho_o: req
+    return StepRequest(d0, controlled_indices=ctrl, step_scale=program.delta_rho_c)
 
 
 def _grasp_result(geom, program, path, springs):

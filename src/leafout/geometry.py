@@ -13,7 +13,6 @@ along +i2, the flat pattern in the i1-i2 plane.  ``reconstruct_mesh``
 accepts a ``tilt`` angle rotating unit 1 about i1, which reproduces the
 Euler-angle pose of uniform states when set to psi.
 """
-import json
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -320,7 +319,3 @@ def mesh_to_obj(mesh):
         for tri in _split_quad(mesh.vertices, quad):
             lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
     return "\n".join(lines) + "\n"
-
-
-def geometry_to_json(geom, indent=2):
-    return json.dumps(geom.to_dict(), indent=indent, sort_keys=True)

@@ -4,8 +4,10 @@ All CSV files carry a header row, '.' decimal separator and floats
 printed with 17 significant digits, so re-running a configuration yields
 byte-identical outputs.  The table writers format each whole row with
 one printf-style string, or each distinct value once (trigger maps), and
-stream the lines to the file.  Manifests record the configuration hash
-and tool version but never timestamps.
+stream the lines to the file.  JSON files hold the text of
+``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline, streamed
+with each list of scalars encoded by one C-encoder call.  Manifests record
+the configuration hash and tool version but never timestamps.
 """
 import csv
 import hashlib
@@ -166,9 +168,37 @@ def read_observations_csv(fname):
 
 
 def write_json(obj, fname):
+    """The text of ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a
+    newline, streamed to the file.  Each list of scalars is one call of the
+    C encoder, whose item separator carries the newline and indent."""
     with open(fname, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _write_json(fh.write, obj, "\n", {})
         fh.write("\n")
+
+
+def _write_json(write, o, outer, encoders):
+    """Write ``o`` as json.dump does with ``outer`` as its line start."""
+    inner = outer + "  "
+    if inner not in encoders:
+        encoders[inner] = json.JSONEncoder(separators=("," + inner, ": "))
+    enc = encoders[inner]
+    if (isinstance(o, (list, tuple)) and o
+            and set(map(type, o)) <= {str, int, float, bool, type(None)}):
+        write("[" + inner + enc.encode(o)[1:-1] + outer + "]")
+    elif not (isinstance(o, (dict, list, tuple)) and o):
+        write(enc.encode(o))
+    else:
+        if isinstance(o, dict):
+            # sorted as json.dump sorts them; the C encoder turns each key
+            # into its string as json.dump does, or raises as it does
+            ends, items = "{}", ((enc.encode({k: 0})[1:-4] + ": ", v)
+                                 for k, v in sorted(o.items()))
+        else:
+            ends, items = "[]", (("", v) for v in o)
+        for i, (key, value) in enumerate(items):
+            write(("," if i else ends[0]) + inner + key)
+            _write_json(write, value, inner, encoders)
+        write(outer + ends[1])
 
 
 def config_hash(config):

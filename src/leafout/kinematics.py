@@ -5,16 +5,19 @@ boundary creases with a uniform flat sector angle alpha between
 neighbours.  A fold state is valid when the chained crease rotations
 compose to the identity.
 
-Stepping traces a stack of paths in lockstep.  One prefix pass over the
-chain gives every path's closure residual and its 3 x N Jacobian C.  The
-tangent increment prescribes the fixed (controlled or frozen) entries
-exactly and moves the free ones by the minimum-norm amount that keeps
-C t = 0: t_fixed = d, t_free = -pinv(C_free) C_fixed d.  C_free is C with
-the fixed columns zeroed, so one batched SVD serves every path whatever
-its fixed set; Newton corrects the free angles through the same masked
-pseudo-inverse.  Each path keeps its own masks, substeps, retries and
-termination, and every array operation acts on each path's rows alone,
-so a path's trace is the same whichever paths are stepped beside it.
+Stepping traces a stack of paths in lockstep, each repeating one constant
+StepRequest: the increments, masks and box bounds are arrays built once
+per trace, and the accepted rows are logged per step and grouped by path
+at the end.  One prefix pass over the chain gives every path's closure
+residual and its 3 x N Jacobian C.  The tangent increment prescribes the
+fixed (controlled or frozen) entries exactly and moves the free ones by
+the minimum-norm amount that keeps C t = 0: t_fixed = d,
+t_free = -pinv(C_free) C_fixed d.  C_free is C with the fixed columns
+zeroed, so one batched SVD serves every path whatever its fixed set;
+Newton corrects the free angles through the same masked pseudo-inverse.
+Each path keeps its own masks, substeps, retries and termination, and
+every array operation acts on each path's rows alone, so a path's trace
+is the same whichever paths are stepped beside it.
 """
 from dataclasses import dataclass, field
 
@@ -131,6 +134,12 @@ def _chain_matrices(geom, rho_o):
     return X
 
 
+# flat indices of F10, F21, F02 and F01, F12, F20; the (x, y, z) rows in
+# the residual's (z, x, y) order
+_SKEW_LOWER, _SKEW_UPPER = np.array([3, 7, 2]), np.array([1, 5, 6])
+_XYZ, _ZXY = np.arange(3), np.array([2, 0, 1])
+
+
 def _closure(geom, rho):
     """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows;
     the residual is the skew part (r_a, r_b, r_c) of the chain product F.
@@ -138,8 +147,8 @@ def _closure(geom, rho):
     One prefix pass gives both.  With a_j the first column of the prefix
     product chi_1 ... chi_{j-1} (crease j's axis in the base frame),
     dF/drho_j = skew(a_j) F, whose skew components are (tr F I - F) a_j / 2
-    in (x, y, z) order; the rows are reordered to the residual's
-    (r_a, r_b, r_c) = (z, x, y).  This is the single-vertex result of
+    in (x, y, z) order; the rows of tr F I - F are taken in the residual's
+    (r_a, r_b, r_c) = (z, x, y) order.  This is the single-vertex result of
     Belcastro & Hull (2002) and Tachi (2009).
     """
     X = _chain_matrices(geom, rho)
@@ -150,12 +159,11 @@ def _closure(geom, rho):
     for j in range(1, n):
         A[:, :, j] = F[:, :, 0]
         F = F @ X[:, j]
-    r = 0.5 * np.stack([F[:, 1, 0] - F[:, 0, 1], F[:, 2, 1] - F[:, 1, 2],
-                        F[:, 0, 2] - F[:, 2, 0]], axis=-1)
-    T = -F
-    T[:, (0, 1, 2), (0, 1, 2)] += np.trace(F, axis1=1, axis2=2)[:, None]
-    C = 0.5 * (T @ A)
-    return r, C[:, [2, 0, 1]]
+    f = F.reshape(n_path, 9)
+    r = 0.5 * (f[:, _SKEW_LOWER] - f[:, _SKEW_UPPER])
+    T = -F[:, _ZXY]
+    T[:, _XYZ, _ZXY] += f[:, ::4].sum(axis=-1)[:, None]
+    return r, 0.5 * (T @ A)
 
 
 def constraint_matrix(geom, rho_o):
@@ -174,7 +182,7 @@ def _masked_solve(C, free, v, rcond=SVD_CUTOFF):
                              full_matrices=False)
     keep = s > rcond * s[:, :1]
     w = np.divide((U * v[:, :, None]).sum(axis=1), s,
-                  out=np.zeros_like(s), where=keep)
+                  out=np.zeros(s.shape), where=keep)
     return np.where(free, (Vt * w[:, :, None]).sum(axis=1), 0.0)
 
 
@@ -196,16 +204,14 @@ def _newton(geom, rho, free, tol):
     final iterates and which rows closed to below ``tol``.
     """
     r, C = _closure(geom, rho)
-    closed = np.abs(r).max(axis=-1) < tol
-    movable = free.any(axis=-1)
+    rows = free.any(axis=-1).nonzero()[0]
     for _ in range(NEWTON_MAX_ITER):
-        rows = np.flatnonzero(~closed & movable)
+        rows = rows[~(np.abs(r[rows]).max(axis=-1) < tol)]
         if rows.size == 0:
             break
         rho[rows] -= _masked_solve(C[rows], free[rows], r[rows])
         r[rows], C[rows] = _closure(geom, rho[rows])
-        closed[rows] = np.abs(r[rows]).max(axis=-1) < tol
-    return r, C, closed
+    return r, C, np.abs(r).max(axis=-1) < tol
 
 
 _OK, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX, _NOT_CLOSED = range(5)
@@ -216,16 +222,17 @@ _FAILURES = {
 }
 
 
-def _project(geom, rho, r, C, d0, fixed, step_scale, tol):
+def _project(geom, rho, r, C, d0, fixed, step_scale, tol, bounds):
     """One constrained step of each row of a stack of closed states.
 
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
     Jacobians, ``d0`` the requested increments (zero at frozen entries),
-    ``fixed`` the controlled-or-frozen mask and ``step_scale`` (B,) the
-    substep caps.  ``rho``, ``r`` and ``C`` are updated in place.  Returns
-    the (B, N) mask of clamped angles and a status code per row.
+    ``fixed`` the controlled-or-frozen mask, ``step_scale`` (B,) the
+    substep caps and ``bounds`` the ``angle_bounds`` boxes.  ``rho``, ``r``
+    and ``C`` are updated in place.  Returns the (B, N) mask of clamped
+    angles and a status code per row.
     """
-    lo, hi = angle_bounds(geom)
+    lo, hi = bounds
     free = ~fixed
     # without fixed entries the whole request seeds the tangent
     seed = np.where(fixed | ~fixed.any(axis=-1, keepdims=True), d0, 0.0)
@@ -235,7 +242,7 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol):
     n_sub = np.maximum(1, np.ceil(np.abs(t).max(axis=-1) / step_scale)).astype(int)
     t /= n_sub[:, None]
     for k in range(n_sub.max()):
-        rows = np.flatnonzero((status == _OK) & (n_sub > k))
+        rows = ((status == _OK) & (n_sub > k)).nonzero()[0]
         if k > 0:
             t[rows], unmet = _tangent(C[rows], seed[rows] / n_sub[rows, None],
                                       fixed[rows])
@@ -250,7 +257,7 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol):
         status[rows[~closed]] = _NOT_CONVERGED
 
     clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
-    rows = np.flatnonzero(clamped.any(axis=-1))
+    rows = clamped.any(axis=-1).nonzero()[0]
     if rows.size:
         moved = np.clip(rho[rows], lo, hi)
         r[rows], C[rows], closed = _newton(geom, moved, free[rows] & ~clamped[rows],
@@ -292,43 +299,33 @@ def check_states(geom, rho_o, tol=NEWTON_TOL, box_tol=1e-9):
 class StepResult:
     state: "FoldState"
     clamped: tuple = ()
-    frozen: tuple = ()
 
 
-def project_step(geom, state, req, frozen=(), tol=NEWTON_TOL):
+def project_step(geom, state, req, tol=NEWTON_TOL):
     """One constrained step from a closed state.
 
     The increment is the minimum-norm tangent vector matching the
     controlled components of ``delta_rho_0`` exactly (without controlled
-    or frozen entries, the whole ``delta_rho_0`` is projected onto the
-    tangent space), then a Newton correction over the uncontrolled angles
-    restores closure.  Requests larger than ``step_scale`` are split into
-    equal substeps.
-
-    ``frozen`` indices are held at their current value (used by path
-    tracers to pin angles at a mountain/valley box face).  Angles that
-    leave their box after correction are clamped and reported; the caller
-    decides whether that terminates or freezes.
+    entries, the whole ``delta_rho_0`` is projected onto the tangent
+    space), then a Newton correction over the uncontrolled angles restores
+    closure.  Requests larger than ``step_scale`` are split into equal
+    substeps.  Angles that leave their box after correction are clamped
+    and reported.
     """
     rho = np.array([state.rho_o], dtype=float)
     r, C = _closure(geom, rho)
     _require_closed(r, tol, "start state")
-    frozen = tuple(int(i) for i in frozen)
     fixed = np.zeros(rho.shape, dtype=bool)
     fixed[0, list(req.controlled_indices)] = True
-    fixed[0, list(frozen)] = True
-    d0 = req.delta_rho_0.copy()
-    d0[list(frozen)] = 0.0
-    clamped, status = _project(geom, rho, r, C, d0[None], fixed,
-                               np.array([req.step_scale]), tol)
+    clamped, status = _project(geom, rho, r, C, req.delta_rho_0[None], fixed,
+                               np.array([req.step_scale]), tol, angle_bounds(geom))
     if status[0] == _LOCKED:
         raise LockedConfiguration(
             "prescribed increments lie outside the feasible tangent space")
     if status[0] != _OK:
         raise StepFailure(_FAILURES[status[0]])
     return StepResult(state=FoldState.from_angles(geom, rho[0], check=False),
-                      clamped=tuple(np.flatnonzero(clamped[0]).tolist()),
-                      frozen=frozen)
+                      clamped=tuple(np.flatnonzero(clamped[0]).tolist()))
 
 
 @dataclass
@@ -359,15 +356,15 @@ class FoldingPath:
         return len(self.rho_o)
 
 
-def trace_paths(geom, starts, drivers, n_steps, on_boundary="stop",
+def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
                 param_name="step", tol=NEWTON_TOL):
     """Trace one folding path per closed start state, all in lockstep.
 
-    ``drivers[b](k, rho_o)`` returns the StepRequest for step k of path b
-    given its current fold angles, or None to stop.  ``n_steps`` caps the
-    steps, one number for all paths or one per path.  Failed steps are
-    retried with halved step_scale down to MIN_STEP.  When an uncontrolled
-    angle reaches its box face the path either terminates
+    Path b repeats the constant StepRequest ``requests[b]`` every step,
+    its controlled angles cut to reach at most their box face; ``n_steps``
+    caps the steps, one number for all paths or one per path.  Failed
+    steps are retried with halved step_scale down to MIN_STEP.  When an
+    uncontrolled angle reaches its box face the path either terminates
     (``on_boundary='stop'``) or pins that angle to the face for the
     remainder of the path and continues (``'freeze'``, which preserves the
     mountain/valley assignment of every crease); controlled angles
@@ -380,112 +377,100 @@ def trace_paths(geom, starts, drivers, n_steps, on_boundary="stop",
     """
     if on_boundary not in ("stop", "freeze"):
         raise ValueError("on_boundary must be 'stop' or 'freeze'")
-    if len(starts) != len(drivers):
-        raise ValueError("need one driver per start state")
+    if len(starts) != len(requests):
+        raise ValueError("need one request per start state")
     n_path = len(starts)
     n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (n_path,))
     rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)
     r, C = _closure(geom, rho)
     _require_closed(r, tol, "start state")
-    lo, hi = angle_bounds(geom)
+    bounds = lo, hi = angle_bounds(geom)
+    req_d0 = np.array([req.delta_rho_0 for req in requests]).reshape(rho.shape)
+    ctrl = np.zeros(rho.shape, dtype=bool)
+    for b, req in enumerate(requests):
+        ctrl[b, list(req.controlled_indices)] = True
+    req_scale = np.array([req.step_scale for req in requests], dtype=float)
+    scale = req_scale.copy()        # halved on each failed try of a step
+    n_done = np.zeros(n_path, dtype=int)
     frozen = np.zeros(rho.shape, dtype=bool)
-    frozen_now = [()] * n_path
-    angles = [[] for _ in range(n_path)]
-    params = [[0.0] for _ in range(n_path)]
-    frozen_hist = [[()] for _ in range(n_path)]
+    frozen_sets = [[()] for _ in range(n_path)]     # each path's, in order
+    frozen_now = np.zeros(n_path, dtype=int)        # index into frozen_sets[b]
     termination = ["max-steps"] * n_path
     failures = {}
     done = np.zeros(n_path, dtype=bool)
+    # path, angles, parameter increment and frozen set of every row, the
+    # start rows first
+    accepted = [(np.arange(n_path), rho.copy(), np.zeros(n_path), frozen_now.copy())]
 
     def finish(paths, reason):
         for b in paths:
             termination[b] = reason
         done[paths] = True
 
-    for k in range(int(n_steps.max(initial=0))):
-        done |= k >= n_steps
-        rows = np.flatnonzero(~done)
-        reqs = [drivers[b](k, rho[b].copy()) for b in rows]
-        stopped = np.array([req is None for req in reqs], dtype=bool)
-        finish(rows[stopped], "completed")
-        rows, reqs = rows[~stopped], [req for req in reqs if req is not None]
-        if not reqs:
-            continue
-        d0 = np.array([req.delta_rho_0 for req in reqs])
-        ctrl = np.zeros(d0.shape, dtype=bool)
-        for i, req in enumerate(reqs):
-            ctrl[i, list(req.controlled_indices)] = True
+    # each pass tries the next step of every running path
+    while (rows := (~done & (n_done < n_steps)).nonzero()[0]).size:
+        d0, c, new_rho = req_d0[rows], ctrl[rows], rho[rows]
         # controlled angles may at most reach their box face
-        d0 = np.where(ctrl, np.clip(d0, lo - rho[rows], hi - rho[rows]), d0)
-        at_face = ctrl.any(axis=-1) & np.all(~ctrl | (np.abs(d0) <= 1e-14), axis=-1)
+        d0 = np.where(c, np.clip(d0, lo - new_rho, hi - new_rho), d0)
+        at_face = c.any(axis=-1) & (~c | (np.abs(d0) <= 1e-14)).all(axis=-1)
         finish(rows[at_face], "controlled-at-boundary")
-        scale = np.array([req.step_scale for req in reqs], dtype=float)[~at_face]
-        rows, d0, ctrl = rows[~at_face], d0[~at_face], ctrl[~at_face]
-        dparam = np.where(ctrl.any(axis=-1), np.abs(np.where(ctrl, d0, 0.0)).max(axis=-1),
-                          np.abs(d0).max(axis=-1))
-        fixed = ctrl | frozen[rows]
-        d0[frozen[rows]] = 0.0
-        pending = np.arange(rows.size)
-        while pending.size:
-            b = rows[pending]
-            new_rho, new_r, new_C = rho[b], r[b], C[b]
-            clamped, status = _project(geom, new_rho, new_r, new_C, d0[pending],
-                                       fixed[pending], scale[pending], tol)
-            ok = status == _OK
-            finish(b[status == _LOCKED], "locked")
-            failed = ~ok & (status != _LOCKED)
-            scale[pending[failed]] /= 2
-            given_up = failed & (scale[pending] < MIN_STEP)
-            for i in np.flatnonzero(given_up):
-                failures[b[i]] = _FAILURES[status[i]]
-            finish(b[given_up], "failed")
-            hit = ok & clamped.any(axis=-1)
-            if on_boundary == "freeze":
-                frozen[b[hit]] |= clamped[hit]
-                for i in np.flatnonzero(hit):
-                    frozen_now[b[i]] = tuple(np.flatnonzero(frozen[b[i]]).tolist())
-            for i in np.flatnonzero(ok):
-                angles[b[i]].append(new_rho[i])
-                params[b[i]].append(params[b[i]][-1] + float(dparam[pending[i]]))
-                frozen_hist[b[i]].append(frozen_now[b[i]])
-            if on_boundary == "stop":
-                finish(b[hit], "boundary")
-                ok &= ~hit
-            moved = b[ok]
-            rho[moved], r[moved], C[moved] = new_rho[ok], new_r[ok], new_C[ok]
-            # controlled angles pinned at their face end the sweep
-            c = ctrl[pending[ok]]
-            pinned = c.any(axis=-1) & np.all(
-                ~c | (rho[moved] >= hi - 1e-12) | (rho[moved] <= lo + 1e-12), axis=-1)
-            finish(moved[pinned], "controlled-at-boundary")
-            pending = pending[failed & ~given_up]
+        keep = ~at_face
+        rows, d0, c, new_rho = rows[keep], d0[keep], c[keep], new_rho[keep]
+        # the largest controlled increment, or the largest of all without any
+        dparam = np.abs(np.where(c | ~c.any(axis=-1, keepdims=True), d0, 0.0)).max(axis=-1)
+        f = frozen[rows]
+        d0[f] = 0.0
+        new_r, new_C = r[rows], C[rows]
+        clamped, status = _project(geom, new_rho, new_r, new_C, d0, c | f, scale[rows],
+                                   tol, bounds)
+        ok = status == _OK
+        finish(rows[status == _LOCKED], "locked")
+        failed = ~ok & (status != _LOCKED)
+        scale[rows[failed]] /= 2
+        given_up = failed & (scale[rows] < MIN_STEP)
+        for i in np.flatnonzero(given_up):
+            failures[rows[i]] = _FAILURES[status[i]]
+        finish(rows[given_up], "failed")
+        hit = ok & clamped.any(axis=-1)
+        if on_boundary == "freeze":
+            frozen[rows[hit]] |= clamped[hit]
+            frozen_now[rows[hit]] += 1
+            for b in rows[hit]:
+                frozen_sets[b].append(tuple(np.flatnonzero(frozen[b]).tolist()))
+        accepted.append((rows[ok], new_rho[ok], dparam[ok], frozen_now[rows[ok]]))
+        if on_boundary == "stop":
+            finish(rows[hit], "boundary")
+            ok &= ~hit
+        moved, c = rows[ok], c[ok]
+        rho[moved], r[moved], C[moved] = new_rho[ok], new_r[ok], new_C[ok]
+        n_done[moved] += 1
+        scale[moved] = req_scale[moved]
+        # controlled angles pinned at their face end the sweep
+        pinned = c.any(axis=-1) & (
+            ~c | (rho[moved] >= hi - 1e-12) | (rho[moved] <= lo + 1e-12)).all(axis=-1)
+        finish(moved[pinned], "controlled-at-boundary")
 
+    # each path's rows, in step order; its first row is the start state
+    path_of, angles, increments, sets = (np.concatenate(a) for a in zip(*accepted))
+    subs = sub_angle_from_main(geom.alpha, np.clip(angles[:, 0::2], 0.0, np.pi))
     paths = []
-    for b in range(n_path):
+    for b, start in enumerate(starts):
         if b in failures:
             raise StepFailure(failures[b], completed=paths)
-        paths.append(_build_path(geom, starts[b], angles[b], params[b],
-                                 param_name, termination[b], frozen_hist[b]))
+        mine = path_of == b
+        rho_s = subs[mine]
+        rho_s[0] = start.rho_s
+        paths.append(FoldingPath(
+            rho_o=angles[mine], rho_s=rho_s,
+            params=np.cumsum(increments[mine]), param_name=param_name,
+            termination=termination[b],
+            frozen_history=[frozen_sets[b][v] for v in sets[mine].tolist()]))
     return paths
 
 
-def _build_path(geom, start, angles, params, param_name, termination, frozen_hist):
-    """FoldingPath of a start state plus the traced angle rows; the sub
-    angles of all traced rows come from one array call."""
-    rho = np.array([start.rho_o, *angles])
-    rho_s = np.empty((len(rho), geom.n_cell))
-    rho_s[0] = start.rho_s
-    if angles:
-        rho_s[1:] = sub_angle_from_main(geom.alpha, np.clip(rho[1:, 0::2], 0.0, np.pi))
-    return FoldingPath(rho_o=rho, rho_s=rho_s, params=np.array(params),
-                       param_name=param_name, termination=termination,
-                       frozen_history=frozen_hist)
-
-
-def trace_path(geom, start, driver, n_steps, on_boundary="stop",
+def trace_path(geom, start, request, n_steps, on_boundary="stop",
                param_name="step", tol=NEWTON_TOL):
-    """Trace a folding path from a closed start state; the one-path case
-    of ``trace_paths``, whose ``driver(k, rho_o)`` gets the current fold
-    angles."""
-    return trace_paths(geom, [start], [driver], n_steps, on_boundary=on_boundary,
+    """Trace a folding path from a closed start state, repeating the
+    constant StepRequest ``request``; the one-path case of ``trace_paths``."""
+    return trace_paths(geom, [start], [request], n_steps, on_boundary=on_boundary,
                        param_name=param_name, tol=tol)[0]

@@ -46,11 +46,8 @@ def traced_uniform():
             target = lf.main_angle_from_psi(GEOM.alpha, psis[k])
             d0 = np.zeros(10)
             d0[list(CTRL_ALL)] = target - states[-1].rho_o[0]
-
-            def driver(i, s, d0=d0):
-                return StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))
-
-            path = trace_path(GEOM, states[-1], driver, 1)
+            req = StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))
+            path = trace_path(GEOM, states[-1], req, 1)
             states.append(path.states[-1])
         halves[sgn] = (psis, states)
     return halves

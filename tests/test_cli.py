@@ -378,11 +378,14 @@ def _list_config(tmp_path):
         "type": "uniform", "psi_deg": -30.0, "tilt_deg": float("nan")}})),
     ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
         "n_cell": 5.5, "L1": 70.0, "L2": 30.0})),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, output=[1])),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, output={"dir": 5})),
+    ("drop-test", lambda tmp_path: write_cfg(tmp_path, {**DROP, "drop": [1]})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
-        "n_cell-fraction"])
+        "n_cell-fraction", "output-list", "output-dir-number", "drop-list"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
-    # each was an exit-1 traceback or an exit-0 run writing NaN or a
-    # truncated cell count
+    # each was an exit-1 traceback or an exit-0 run writing NaN, a
+    # truncated cell count or the prototype drop defaults
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):

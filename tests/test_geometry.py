@@ -5,7 +5,7 @@ import pytest
 
 import leafout as lf
 from leafout.geometry import (CreaseId, CreaseKind, _split_quad,
-                              flat_mesh_vertices, geometry_to_json, mesh_to_obj)
+                              flat_mesh_vertices, mesh_to_obj)
 
 
 def test_build_geometry_prototype(geom5):
@@ -204,7 +204,7 @@ def test_quad_split_uses_shorter_diagonal():
 
 
 def test_geometry_json_round_trip(geom5):
-    d = json.loads(geometry_to_json(geom5))
+    d = json.loads(json.dumps(geom5.to_dict()))
     assert d["n_cell"] == 5
     assert np.isclose(d["alpha_deg"], 36.0)
     assert d["n_total_creases"] == 20

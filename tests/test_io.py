@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import leafout as lf
 from leafout import io as lio
+from leafout.cli import main
 from leafout.energy import RatioSurface
 from leafout.kinematics import SVD_CUTOFF
 
@@ -184,6 +186,48 @@ def test_path_json_round_trip(geom5, tmp_path):
     assert back["param_name"] == "psi"
     assert len(back["rho_o"]) == len(path)
     assert np.allclose(back["rho_o"][2], path.states[2].rho_o)
+
+
+def _json_dump_text(obj):
+    """The reference text: ``json.dump`` with the writer's settings."""
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, sort_keys=True)
+    return buf.getvalue() + "\n"
+
+
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+_numbers = st.integers() | _floats | _floats.map(np.float64)
+_number_lists = st.lists(_numbers, max_size=5)
+_strings = st.text(max_size=6) | st.sampled_from(['", "', '"], ["', "a], [b", "{}"])
+_leaves = (st.none() | st.booleans() | _numbers | _strings | _number_lists
+           | st.lists(_number_lists, max_size=4)
+           | st.lists(st.lists(_number_lists, max_size=3), max_size=3))
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_strings, inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.booleans(), inner, max_size=3)
+                   | st.dictionaries(_floats, inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_write_json_matches_json_dump(tmp_path_factory, obj):
+    f = tmp_path_factory.getbasetemp() / "write_json.json"
+    lio.write_json(obj, f)
+    assert f.read_bytes() == _json_dump_text(obj).encode()
+
+
+def test_write_json_matches_json_dump_on_outputs(geom5, springs_bistable, tmp_path):
+    path = lf.uniform_path(geom5, (np.radians(-60), np.radians(40)), 241)
+    d = lio.path_to_json_dict(geom5, path, lf.path_energies(geom5, springs_bistable, path))
+    lio.write_json(d, tmp_path / "uniform_path.json")
+    assert (tmp_path / "uniform_path.json").read_text() == _json_dump_text(d)
+    cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "multigrasp.json"
+    assert main(["multi-grasp", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "multigrasp_bundle.json").read_text()
+    assert text == _json_dump_text(json.loads(text))
 
 
 def test_surface_rows_mark_undefined(geom5, tmp_path):

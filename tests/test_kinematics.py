@@ -224,9 +224,7 @@ def test_controlled_increments_exact(geom5):
 
 
 def test_trace_zero_driver(geom5, uniform_minus30):
-    def driver(k, s):
-        return StepRequest(np.zeros(10))
-    path = trace_path(geom5, uniform_minus30, driver, 5)
+    path = trace_path(geom5, uniform_minus30, StepRequest(np.zeros(10)), 5)
     assert len(path) == 6
     for s in path.states:
         assert np.max(np.abs(s.rho_o - uniform_minus30.rho_o)) < 1e-10
@@ -236,7 +234,7 @@ def test_trace_requires_closed_start(geom5):
     bad = lf.FoldState.from_angles(geom5, np.zeros(10), check=False)
     bad.rho_o[0] = 0.3
     with pytest.raises(lf.NotClosedError):
-        trace_path(geom5, bad, lambda k, s: StepRequest(np.zeros(10)), 2)
+        trace_path(geom5, bad, StepRequest(np.zeros(10)), 2)
 
 
 def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
@@ -244,16 +242,15 @@ def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
     rho[3] = np.nan
     bad = lf.FoldState(rho_o=rho, rho_s=uniform_minus30.rho_s.copy())
     with pytest.raises(lf.NotClosedError):
-        trace_path(geom5, bad, lambda k, s: StepRequest(np.zeros(10)), 2)
+        trace_path(geom5, bad, StepRequest(np.zeros(10)), 2)
     with pytest.raises(lf.NotClosedError):
         project_step(geom5, bad, StepRequest(np.zeros(10)))
 
 
-def _constant_driver(ctrl, amount, step_scale):
+def _request(ctrl, amount, step_scale=np.radians(0.5)):
     d0 = np.zeros(10)
     d0[list(ctrl)] = amount
-    req = StepRequest(d0, ctrl, step_scale=step_scale)
-    return lambda k, rho_o: req
+    return StepRequest(d0, ctrl, step_scale=step_scale)
 
 
 def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
@@ -262,8 +259,8 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     # small steps on units 1 and 2 trace normally beside it
     monkeypatch.setattr(kinematics, "MIN_STEP", 3.0)
     start = lf.near_flat_start(geom5)
-    good = _constant_driver((0, 2), np.radians(0.5), 4.0)
-    bad = _constant_driver((0, 4), 2.0, 4.0)
+    good = _request((0, 2), np.radians(0.5), 4.0)
+    bad = _request((0, 4), 2.0, 4.0)
     alone = trace_path(geom5, start, good, 5)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
         trace_paths(geom5, [start, start, start], [good, bad, good], 5)
@@ -272,32 +269,46 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     assert first.termination == alone.termination == "max-steps"
 
 
+def test_halved_steps_trace_alike_alone_and_in_lockstep(geom5, monkeypatch):
+    # 2 rad unsplit steps on units 1 and 3 close only after halved retries,
+    # which run beside the other paths' next steps
+    failed_tries = []
+
+    def counting_project(*args):
+        clamped, status = project(*args)
+        failed_tries.extend(status[status != kinematics._OK])
+        return clamped, status
+
+    project = kinematics._project
+    monkeypatch.setattr(kinematics, "_project", counting_project)
+    start = lf.near_flat_start(geom5)
+    reqs = [_request((0, 2), np.radians(0.5), 4.0), _request((0, 4), 2.0, 4.0),
+            _request((0, 2, 4, 6, 8), np.radians(5.0))]
+    together = trace_paths(geom5, [start] * 3, reqs, 5, on_boundary="freeze")
+    assert failed_tries
+    for req, path in zip(reqs, together):
+        alone = trace_path(geom5, start, req, 5, on_boundary="freeze")
+        assert np.array_equal(alone.angles(), path.angles())
+        assert np.array_equal(alone.sub_angles(), path.sub_angles())
+        assert np.array_equal(alone.params, path.params)
+        assert alone.termination == path.termination
+        assert alone.frozen_history == path.frozen_history
+
+
 def test_trace_terminates_at_controlled_box(geom5):
     start = lf.near_flat_start(geom5)
-    ctrl = (0, 2, 4, 6, 8)
-
-    def driver(k, s):
-        d0 = np.zeros(10)
-        d0[list(ctrl)] = np.radians(5.0)
-        return StepRequest(d0, ctrl, step_scale=np.radians(5.0))
-
-    path = trace_path(geom5, start, driver, 100)
+    req = _request((0, 2, 4, 6, 8), np.radians(5.0), np.radians(5.0))
+    path = trace_path(geom5, start, req, 100)
     assert path.termination == "controlled-at-boundary"
     assert np.isclose(path.states[-1].rho_o[0], np.pi, atol=1e-9)
 
 
 def test_trace_boundary_stop_vs_freeze(geom5):
     start = lf.near_flat_start(geom5)
-    ctrl = (0, 2)
-
-    def driver(k, s):
-        d0 = np.zeros(10)
-        d0[list(ctrl)] = np.radians(0.5)
-        return StepRequest(d0, ctrl)
-
-    stopped = trace_path(geom5, start, driver, 400, on_boundary="stop")
+    req = _request((0, 2), np.radians(0.5))
+    stopped = trace_path(geom5, start, req, 400, on_boundary="stop")
     assert stopped.termination == "boundary"
-    frozen = trace_path(geom5, start, driver, 400, on_boundary="freeze")
+    frozen = trace_path(geom5, start, req, 400, on_boundary="freeze")
     assert len(frozen) > len(stopped)
     assert frozen.termination == "controlled-at-boundary"
     # the pinned angles sit exactly on their box face afterwards
@@ -311,14 +322,8 @@ def test_trace_boundary_stop_vs_freeze(geom5):
 
 def test_emitted_states_closed_and_boxed(geom5):
     start = lf.near_flat_start(geom5)
-    ctrl = (0, 2)
-
-    def driver(k, s):
-        d0 = np.zeros(10)
-        d0[list(ctrl)] = np.radians(0.5)
-        return StepRequest(d0, ctrl)
-
-    path = trace_path(geom5, start, driver, 80, on_boundary="freeze")
+    path = trace_path(geom5, start, _request((0, 2), np.radians(0.5)), 80,
+                      on_boundary="freeze")
     lo, hi = angle_bounds(geom5)
     for s in path.states:
         assert chain_closure_norm(geom5.alpha, s.rho_o) < 1e-10
@@ -327,16 +332,8 @@ def test_emitted_states_closed_and_boxed(geom5):
 
 def test_reversibility(geom5, uniform_minus30):
     ctrl = (0, 2, 4, 6, 8)
-
-    def make_driver(sign):
-        def driver(k, s):
-            d0 = np.zeros(10)
-            d0[list(ctrl)] = sign * np.radians(0.5)
-            return StepRequest(d0, ctrl)
-        return driver
-
-    fwd = trace_path(geom5, uniform_minus30, make_driver(+1), 20)
-    back = trace_path(geom5, fwd.states[-1], make_driver(-1), 20)
+    fwd = trace_path(geom5, uniform_minus30, _request(ctrl, np.radians(0.5)), 20)
+    back = trace_path(geom5, fwd.states[-1], _request(ctrl, -np.radians(0.5)), 20)
     assert np.max(np.abs(back.states[-1].rho_o - uniform_minus30.rho_o)) < 1e-6
 
 
