@@ -1,6 +1,6 @@
 """Batch command line: one task per invocation, driven by a JSON config.
 
-Subcommands mirror the task names; `--config` supplies a nested JSON
+The command names the task, or `validate`; `--config` supplies a nested JSON
 file, individual keys can be overridden with `--set a.b.c=value`, and
 `--out` overrides the output directory.  Angles in configs are degrees;
 everything internal is radians.  Exit codes: 0 success, 2 invalid
@@ -105,13 +105,11 @@ def build_springs_from_config(geom, cfg):
     rest = _require(s, "rest_deg")
     rho_m, rho_b = _require(rest, "rho_m", _deg), _require(rest, "rho_b", _deg)
     rho_s = _require(rest, "rho_s", _deg) if "rho_s" in rest else None
+    model, keys = ((SpringModel.uniform, ("kappa",)) if "kappa" in s else
+                   (SpringModel.per_kind, ("kappa_m", "kappa_s", "kappa_b")))
+    kappas = [_require(s, k, float) if k in s else 0.0 for k in keys]
     try:
-        if "kappa" in s:
-            return SpringModel.uniform(geom, float(s["kappa"]), rho_m, rho_b, rho_s)
-        return SpringModel.per_kind(geom, float(s.get("kappa_m", 0.0)),
-                                    float(s.get("kappa_s", 0.0)),
-                                    float(s.get("kappa_b", 0.0)),
-                                    rho_m, rho_b, rho_s)
+        return model(geom, *kappas, rho_m, rho_b, rho_s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -206,8 +204,9 @@ def _count(task, key):
     """Integer task setting, checked against its least accepted value."""
     default, least = _COUNTS[task["name"]][key]
     v = task.get(key, default)
-    if v is not None and (isinstance(v, bool) or not isinstance(v, int)
-                          or v < least):
+    if v is None and default is None:     # an optional count left unset
+        return v
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
     return v
 
@@ -438,13 +437,12 @@ def main(argv=None):
         prog="leafout",
         description="Leaf-out origami grasping simulations (batch).")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in TASKS + ("validate",):
-        p = sub.add_parser(name, help=f"{name} task")
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--set", action="append", dest="overrides", default=[],
-                       metavar="KEY.PATH=VALUE", help="override a config key")
+    parser.add_argument("command", choices=TASKS + ("validate",),
+                        help="task to run, or validate to check the config")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--set", action="append", dest="overrides", default=[],
+                        metavar="KEY.PATH=VALUE", help="override a config key")
     args = parser.parse_args(argv)
 
     try:

@@ -6,12 +6,22 @@ byte-identical outputs.  The table writers format each whole row with
 one printf-style string, or each distinct value once (trigger maps), and
 stream the lines to the file.  JSON files hold the text of
 ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline, streamed
-with each list of scalars encoded by one C-encoder call.  Manifests record
-the configuration hash and tool version but never timestamps.
+with each list of scalars encoded by one C-encoder call and each table
+(a list of number rows) by one call per block of rows.  Manifests record
+the configuration hash and tool version but never timestamps; the hash
+is CPython's built-in SHA-256, which needs no OpenSSL.
 """
 import csv
-import hashlib
+import functools
 import json
+
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython up to 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -19,6 +29,9 @@ from . import __version__
 from .kinematics import SVD_CUTOFF
 
 FLOAT = "%.17g"     # deterministic float format, 17 significant digits
+TABLE_BLOCK = 64    # table rows per C-encoder call
+_NUMBERS = {int, float, bool, type(None)}
+_SCALARS = _NUMBERS | {str}
 
 
 def fmt(x):
@@ -170,21 +183,37 @@ def read_observations_csv(fname):
 def write_json(obj, fname):
     """The text of ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a
     newline, streamed to the file.  Each list of scalars is one call of the
-    C encoder, whose item separator carries the newline and indent."""
+    C encoder, whose item separator carries the newline and indent; each
+    table is one call per TABLE_BLOCK rows."""
     with open(fname, "w") as fh:
-        _write_json(fh.write, obj, "\n", {})
+        _write_json(fh.write, obj, "\n")
         fh.write("\n")
 
 
-def _write_json(write, o, outer, encoders):
+@functools.lru_cache(maxsize=None)     # one per indent depth
+def _encoder(inner):
+    return json.JSONEncoder(separators=("," + inner, ": "))
+
+
+def _write_json(write, o, outer):
     """Write ``o`` as json.dump does with ``outer`` as its line start."""
     inner = outer + "  "
-    if inner not in encoders:
-        encoders[inner] = json.JSONEncoder(separators=("," + inner, ": "))
-    enc = encoders[inner]
-    if (isinstance(o, (list, tuple)) and o
-            and set(map(type, o)) <= {str, int, float, bool, type(None)}):
+    enc = _encoder(inner)
+    if isinstance(o, (list, tuple)) and o and set(map(type, o)) <= _SCALARS:
         write("[" + inner + enc.encode(o)[1:-1] + outer + "]")
+    elif isinstance(o, list) and o and all(
+            type(r) is list and r and set(map(type, r)) <= _NUMBERS for r in o):
+        # a table: the encoder puts the cells' line start between cells and
+        # rows; the row boundary "],<cell line start>[", which no number
+        # contains, takes the rows' own line start
+        cell = inner + "  "
+        enc, bound = _encoder(cell), "]," + cell + "["
+        for i in range(0, len(o), TABLE_BLOCK):
+            rows = enc.encode(o[i:i + TABLE_BLOCK])[2:-2]
+            write(("," if i else "[") + inner + "[" + cell
+                  + rows.replace(bound, inner + "]," + inner + "[" + cell)
+                  + inner + "]")
+        write(outer + "]")
     elif not (isinstance(o, (dict, list, tuple)) and o):
         write(enc.encode(o))
     else:
@@ -197,12 +226,12 @@ def _write_json(write, o, outer, encoders):
             ends, items = "[]", (("", v) for v in o)
         for i, (key, value) in enumerate(items):
             write(("," if i else ends[0]) + inner + key)
-            _write_json(write, value, inner, encoders)
+            _write_json(write, value, inner)
         write(outer + ends[1])
 
 
 def config_hash(config):
-    return hashlib.sha256(
+    return sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 

@@ -379,6 +379,8 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
         raise ValueError("on_boundary must be 'stop' or 'freeze'")
     if len(starts) != len(requests):
         raise ValueError("need one request per start state")
+    if not starts:
+        return []
     n_path = len(starts)
     n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (n_path,))
     rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)

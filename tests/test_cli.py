@@ -45,6 +45,28 @@ def test_validate_rejects_degenerate_pattern(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_version_and_usage_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == lio.__version__
+    cfg = write_cfg(tmp_path, {"name": "uniform-path"})
+    for argv in (["bogus", "--config", str(cfg)], ["validate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_options_before_command(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"name": "uniform-path", "n_samples": 11,
+                               "psi_range_deg": [-20.0, 20.0]})
+    assert main(["--config", str(cfg), "validate"]) == 0
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--set", "task.n_samples=5",
+                 "--config", str(cfg), "uniform-path"]) == 0
+    assert len((out / "uniform_path.csv").read_text().splitlines()) == 1 + 5
+
+
 def test_task_subcommand_mismatch(tmp_path):
     cfg = write_cfg(tmp_path, {"name": "uniform-path"})
     assert main(["energy-landscape", "--config", str(cfg)]) == 2
@@ -361,6 +383,15 @@ def test_export_mesh_non_closing_angles(tmp_path, capsys):
 MESH = {"name": "export-mesh", "state": {"type": "uniform", "psi_deg": -30.0}}
 
 
+PATH = {"name": "uniform-path"}
+GRASP = {"name": "multi-grasp", "programs": [[1, 2]], "max_steps": 5}
+
+
+def _springs_config(task, kappas):
+    springs = {**kappas, "rest_deg": {"rho_m": 120.0, "rho_b": -30.0}}
+    return lambda tmp_path: write_cfg(tmp_path, task, springs=springs)
+
+
 def _list_config(tmp_path):
     p = tmp_path / "list.json"
     p.write_text(json.dumps([{**BASE, "task": MESH}]))
@@ -381,11 +412,24 @@ def _list_config(tmp_path):
     ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, output=[1])),
     ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, output={"dir": 5})),
     ("drop-test", lambda tmp_path: write_cfg(tmp_path, {**DROP, "drop": [1]})),
+    ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "max_steps": None})),
+    ("drop-test", lambda tmp_path: write_cfg(tmp_path, {**DROP, "n_h": None})),
+    ("drop-test", lambda tmp_path: write_cfg(tmp_path, {**DROP, "n_rest": None})),
+    ("uniform-path", _springs_config(PATH, {"kappa": None})),
+    ("energy-landscape", _springs_config(LANDSCAPE, {"kappa": [1]})),
+    ("multi-grasp", _springs_config(GRASP, {"kappa": {}})),
+    ("energy-landscape", _springs_config(LANDSCAPE, {"kappa_m": None})),
+    ("uniform-path", _springs_config(PATH, {"kappa_s": [1]})),
+    ("multi-grasp", _springs_config(GRASP, {"kappa_b": {}})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
-        "n_cell-fraction", "output-list", "output-dir-number", "drop-list"])
+        "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
+        "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
+        "landscape-kappa-list", "grasp-kappa-object", "kappa_m-null",
+        "kappa_s-list", "kappa_b-object"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
-    # each was an exit-1 traceback or an exit-0 run writing NaN, a
-    # truncated cell count or the prototype drop defaults
+    # each was an exit-1 traceback (a null count, a spring constant that is
+    # not a number) or an exit-0 run writing NaN, a truncated cell count or
+    # the prototype drop defaults
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):

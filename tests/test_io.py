@@ -1,7 +1,11 @@
 import csv
+import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,8 +203,11 @@ _floats = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf
 _numbers = st.integers() | _floats | _floats.map(np.float64)
 _number_lists = st.lists(_numbers, max_size=5)
 _strings = st.text(max_size=6) | st.sampled_from(['", "', '"], ["', "a], [b", "{}"])
+# tables: rows of ints, bools, None, NaN and +-inf, past one 64-row block
+_tables = st.lists(st.lists(st.none() | st.booleans() | st.integers() | _floats,
+                            min_size=1, max_size=4), min_size=1, max_size=70)
 _leaves = (st.none() | st.booleans() | _numbers | _strings | _number_lists
-           | st.lists(_number_lists, max_size=4)
+           | st.lists(_number_lists, max_size=4) | _tables
            | st.lists(st.lists(_number_lists, max_size=3), max_size=3))
 _json_values = st.recursive(
     _leaves,
@@ -217,6 +224,35 @@ def test_write_json_matches_json_dump(tmp_path_factory, obj):
     f = tmp_path_factory.getbasetemp() / "write_json.json"
     lio.write_json(obj, f)
     assert f.read_bytes() == _json_dump_text(obj).encode()
+
+
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+def test_write_json_tables_match_json_dump(tmp_path, n_rows):
+    # rows around the edges of the 64-row blocks, alone and nested
+    cells = [0.5, -2, True, None, float("nan"), float("inf"), -float("inf"), 1e300]
+    table = [[cells[(r + c) % len(cells)] for c in range(r % 3 + 1)]
+             for r in range(n_rows)]
+    for obj in (table, {"t": table, "u": [table, [[1.0]]]}):
+        lio.write_json(obj, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
+
+
+def test_write_json_string_rows_hold_row_boundary(tmp_path):
+    # string rows are not tables; the row boundary in a string stays as is
+    obj = {"rows": [["],\n      [", "x"], ["],\n      [", 1.0], [2.0, 3.0]]}
+    lio.write_json(obj, tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_text() == _json_dump_text(obj)
+
+
+def test_config_hash_needs_no_openssl():
+    # importing the CLI loads no OpenSSL binding; the digest is hashlib's
+    code = ("import sys, leafout.cli; from leafout import io; "
+            "print('_hashlib' in sys.modules, io.config_hash({'b': [1.5], 'a': 'x'}))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    canonical = json.dumps({"a": "x", "b": [1.5]}, separators=(",", ":"))
+    assert out == ["False", hashlib.sha256(canonical.encode()).hexdigest()]
 
 
 def test_write_json_matches_json_dump_on_outputs(geom5, springs_bistable, tmp_path):

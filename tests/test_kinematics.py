@@ -230,6 +230,11 @@ def test_trace_zero_driver(geom5, uniform_minus30):
         assert np.max(np.abs(s.rho_o - uniform_minus30.rho_o)) < 1e-10
 
 
+def test_no_paths_trace_to_no_paths(geom5):
+    assert trace_paths(geom5, [], [], 5) == []
+    assert lf.run_programs(geom5, []) == []
+
+
 def test_trace_requires_closed_start(geom5):
     bad = lf.FoldState.from_angles(geom5, np.zeros(10), check=False)
     bad.rho_o[0] = 0.3
