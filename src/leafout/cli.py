@@ -173,7 +173,7 @@ def validate_config(cfg):
                 raise ConfigError(f"program {p} drives the same units as an "
                                   "earlier program")
             seen.add(units)
-        _positive(task, "delta_rho_c_deg")
+        _programs(task)
     for key in _COUNTS.get(name, {}):
         _count(task, key)
     if name == "uniform-path":
@@ -229,6 +229,16 @@ def _positive(task, key):
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
         raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
     return v
+
+
+def _programs(task):
+    """The multi-grasp programs; a step GraspProgram refuses is a config error."""
+    delta, max_steps = _deg(_positive(task, "delta_rho_c_deg")), _count(task, "max_steps")
+    try:
+        return [GraspProgram(tuple(units), delta_rho_c=delta, max_steps=max_steps)
+                for units in task["programs"]]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _trigger_map(geom, task, n_h):
@@ -388,10 +398,7 @@ def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
 
     elif name == "multi-grasp":
         springs = build_springs_from_config(geom, cfg)
-        programs = [GraspProgram(tuple(units),
-                                 delta_rho_c=_deg(_positive(task, "delta_rho_c_deg")),
-                                 max_steps=_count(task, "max_steps"))
-                    for units in task["programs"]]
+        programs = _programs(task)
         try:
             results, failure = run_programs(geom, programs, springs=springs), None
         except StepFailure as exc:

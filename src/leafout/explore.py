@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import path_energies
-from .kinematics import FoldingPath, StepFailure, StepRequest, trace_paths
+from .kinematics import MIN_STEP, FoldingPath, StepFailure, StepRequest, trace_paths
 from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
@@ -42,8 +42,9 @@ class GraspProgram:
                                                  self.controlled_units)))
         if not self.controlled_units:
             raise ValueError("controlled_units must be non-empty")
-        if self.delta_rho_c <= 0:
-            raise ValueError("delta_rho_c must be positive")
+        if not MIN_STEP <= self.delta_rho_c <= np.pi:   # halving floor to half turn
+            raise ValueError(f"delta_rho_c must be in [MIN_STEP, pi] = [{MIN_STEP:g}, "
+                             f"{np.pi:g}] rad, got {float(self.delta_rho_c)!r}")
 
     def label(self):
         return "units-" + "-".join(str(u) for u in self.controlled_units)

@@ -15,9 +15,15 @@ the minimum-norm amount that keeps C t = 0: t_fixed = d,
 t_free = -pinv(C_free) C_fixed d.  C_free is C with the fixed columns
 zeroed, so one batched SVD serves every path whatever its fixed set;
 Newton corrects the free angles through the same masked pseudo-inverse.
-Each path keeps its own masks, substeps, retries and termination, and
-every array operation acts on each path's rows alone, so a path's trace
-is the same whichever paths are stepped beside it.
+
+Each pass steps the whole stack under masks: an ended path rides along
+with every angle fixed and no increment, and a row that needs no further
+substep or Newton iteration has no free angle, so its update is exactly
+zero.  A failed step is retried in the next pass with step_scale halved,
+at most MAX_HALVINGS times and not below MIN_STEP, which bounds its work
+to 2**(MAX_HALVINGS + 1) - 1 times the substeps of its first try.  Every
+array operation acts on each path's row alone, so a path's trace is the
+same whichever paths are stepped beside it.
 """
 from dataclasses import dataclass, field
 
@@ -29,11 +35,12 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SVD_CUTOFF = 1e-10      # relative singular-value cutoff of the pseudo-inverse
 MIN_STEP = 1e-8         # radians; step halving gives up below this
+MAX_HALVINGS = 10       # halved retries of one failed step
 LOCK_TOL = 1e-8         # unmet tangent constraint that counts as locked
 
 
 class StepFailure(RuntimeError):
-    """A step could not be closed, even after halving it down to MIN_STEP.
+    """A step could not be closed, even on its halved retries.
 
     When a batch of paths is traced, ``completed`` holds the results of
     the paths listed before the failing one.
@@ -112,7 +119,7 @@ class StepRequest:
         self.controlled_indices = tuple(int(i) for i in self.controlled_indices)
         if not np.all(np.isfinite(self.delta_rho_0)):
             raise ValueError("non-finite increment")
-        if self.step_scale <= 0:
+        if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
 
 
@@ -134,10 +141,11 @@ def _chain_matrices(geom, rho_o):
     return X
 
 
-# flat indices of F10, F21, F02 and F01, F12, F20; the (x, y, z) rows in
-# the residual's (z, x, y) order
+# flat indices of F10, F21, F02 and F01, F12, F20; of F's rows in the
+# residual's (z, x, y) order; and of the diagonal of F within those rows
 _SKEW_LOWER, _SKEW_UPPER = np.array([3, 7, 2]), np.array([1, 5, 6])
-_XYZ, _ZXY = np.arange(3), np.array([2, 0, 1])
+_ZXY = np.array([6, 7, 8, 0, 1, 2, 3, 4, 5])
+_ZXY_DIAG = np.array([0, 0, 1, 1, 0, 0, 0, 1, 0], dtype=bool)
 
 
 def _closure(geom, rho):
@@ -159,11 +167,11 @@ def _closure(geom, rho):
     for j in range(1, n):
         A[:, :, j] = F[:, :, 0]
         F = F @ X[:, j]
-    f = F.reshape(n_path, 9)
-    r = 0.5 * (f[:, _SKEW_LOWER] - f[:, _SKEW_UPPER])
-    T = -F[:, _ZXY]
-    T[:, _XYZ, _ZXY] += f[:, ::4].sum(axis=-1)[:, None]
-    return r, 0.5 * (T @ A)
+    # halving is exact, so r and C come from F / 2 with the bits of halving them
+    h = 0.5 * F.reshape(n_path, 9)
+    hz = h[:, _ZXY]
+    T = np.where(_ZXY_DIAG, h[:, ::4].sum(axis=-1)[:, None] - hz, -hz)
+    return h[:, _SKEW_LOWER] - h[:, _SKEW_UPPER], T.reshape(n_path, 3, 3) @ A
 
 
 def constraint_matrix(geom, rho_o):
@@ -201,24 +209,27 @@ def _newton(geom, rho, free, tol):
     """Min-norm Newton updates of the free angles until each row closes.
 
     Updates ``rho`` in place; returns the residuals and Jacobians at the
-    final iterates and which rows closed to below ``tol``.
+    final iterates and which rows closed to below ``tol``.  Each iteration
+    solves the whole stack: a closed row has no free column left, so its
+    update is exactly zero and its residual is recomputed unchanged.
     """
     r, C = _closure(geom, rho)
-    rows = free.any(axis=-1).nonzero()[0]
+    closed = np.abs(r).max(axis=-1) < tol
     for _ in range(NEWTON_MAX_ITER):
-        rows = rows[~(np.abs(r[rows]).max(axis=-1) < tol)]
-        if rows.size == 0:
+        step = free & ~closed[:, None]
+        if not step.any():
             break
-        rho[rows] -= _masked_solve(C[rows], free[rows], r[rows])
-        r[rows], C[rows] = _closure(geom, rho[rows])
-    return r, C, np.abs(r).max(axis=-1) < tol
+        rho -= _masked_solve(C, step, r)
+        r, C = _closure(geom, rho)
+        closed = np.abs(r).max(axis=-1) < tol
+    return r, C, closed
 
 
-_OK, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX, _NOT_CLOSED = range(5)
+# step outcomes; every code above _LOCKED is a failed try
+_OK, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX = range(4)
 _FAILURES = {
     _NOT_CONVERGED: "Newton correction did not converge",
     _OUTSIDE_BOX: "clamped state cannot be closed inside the boxes",
-    _NOT_CLOSED: "residual above tolerance after step",
 }
 
 
@@ -228,9 +239,11 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol, bounds):
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
     Jacobians, ``d0`` the requested increments (zero at frozen entries),
     ``fixed`` the controlled-or-frozen mask, ``step_scale`` (B,) the
-    substep caps and ``bounds`` the ``angle_bounds`` boxes.  ``rho``, ``r``
-    and ``C`` are updated in place.  Returns the (B, N) mask of clamped
-    angles and a status code per row.
+    substep caps and ``bounds`` the ``angle_bounds`` boxes.  Returns the
+    stepped states with their residuals and Jacobians, the (B, N) mask of
+    clamped angles and a status code per row; the inputs are not changed.
+    Substeps and corrections act on the whole stack; a row taking no part
+    keeps its angles, as does one with every angle fixed and no increment.
     """
     lo, hi = bounds
     free = ~fixed
@@ -242,33 +255,25 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol, bounds):
     n_sub = np.maximum(1, np.ceil(np.abs(t).max(axis=-1) / step_scale)).astype(int)
     t /= n_sub[:, None]
     for k in range(n_sub.max()):
-        rows = ((status == _OK) & (n_sub > k)).nonzero()[0]
+        go = (status == _OK) & (n_sub > k)
         if k > 0:
-            t[rows], unmet = _tangent(C[rows], seed[rows] / n_sub[rows, None],
-                                      fixed[rows])
-            locked = unmet > lock_tol[rows]
-            status[rows[locked]] = _LOCKED
-            rows = rows[~locked]
-        if rows.size == 0:
-            break
-        moved = rho[rows] + t[rows]
-        r[rows], C[rows], closed = _newton(geom, moved, free[rows], tol)
-        rho[rows] = moved
-        status[rows[~closed]] = _NOT_CONVERGED
+            t, unmet = _tangent(C, seed / n_sub[:, None], fixed | ~go[:, None])
+            locked = go & (unmet > lock_tol)
+            status[locked] = _LOCKED
+            go &= ~locked
+        rho = np.where(go[:, None], rho + t, rho)
+        r, C, closed = _newton(geom, rho, free & go[:, None], tol)
+        status[go & ~closed] = _NOT_CONVERGED
 
     clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
-    rows = clamped.any(axis=-1).nonzero()[0]
-    if rows.size:
-        moved = np.clip(rho[rows], lo, hi)
-        r[rows], C[rows], closed = _newton(geom, moved, free[rows] & ~clamped[rows],
-                                           tol)
-        rho[rows] = moved
-        status[rows[~closed]] = _NOT_CONVERGED
-        outside = np.any((moved < lo - 1e-9) | (moved > hi + 1e-9), axis=-1)
-        status[rows[outside & closed]] = _OUTSIDE_BOX
-    # written so that a NaN residual fails the check
-    status[(status == _OK) & ~(np.abs(r).max(axis=-1) <= tol)] = _NOT_CLOSED
-    return clamped, status
+    hit = clamped.any(axis=-1)
+    if hit.any():
+        rho = np.where(hit[:, None], np.clip(rho, lo, hi), rho)
+        r, C, closed = _newton(geom, rho, free & ~clamped & hit[:, None], tol)
+        status[hit & ~closed] = _NOT_CONVERGED
+        outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
+        status[hit & closed & outside] = _OUTSIDE_BOX
+    return rho, r, C, clamped, status
 
 
 def _require_closed(r, tol, what):
@@ -317,8 +322,9 @@ def project_step(geom, state, req, tol=NEWTON_TOL):
     _require_closed(r, tol, "start state")
     fixed = np.zeros(rho.shape, dtype=bool)
     fixed[0, list(req.controlled_indices)] = True
-    clamped, status = _project(geom, rho, r, C, req.delta_rho_0[None], fixed,
-                               np.array([req.step_scale]), tol, angle_bounds(geom))
+    rho, r, C, clamped, status = _project(
+        geom, rho, r, C, req.delta_rho_0[None], fixed, np.array([req.step_scale]), tol,
+        angle_bounds(geom))
     if status[0] == _LOCKED:
         raise LockedConfiguration(
             "prescribed increments lie outside the feasible tangent space")
@@ -356,22 +362,28 @@ class FoldingPath:
         return len(self.rho_o)
 
 
+# how a traced path ended, by code; 0 (still running) ends with max-steps
+_ENDINGS = ("max-steps", "controlled-at-boundary", "locked", "failed", "boundary")
+_AT_FACE, _LOCKED_END, _FAILED, _BOUNDARY = range(1, 5)
+
+
 def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
                 param_name="step", tol=NEWTON_TOL):
     """Trace one folding path per closed start state, all in lockstep.
 
     Path b repeats the constant StepRequest ``requests[b]`` every step,
     its controlled angles cut to reach at most their box face; ``n_steps``
-    caps the steps, one number for all paths or one per path.  Failed
-    steps are retried with halved step_scale down to MIN_STEP.  When an
-    uncontrolled angle reaches its box face the path either terminates
-    (``on_boundary='stop'``) or pins that angle to the face for the
-    remainder of the path and continues (``'freeze'``, which preserves the
-    mountain/valley assignment of every crease); controlled angles
-    reaching their box always terminate the path.
+    caps the steps, one number for all paths or one per path.  A failed
+    step is retried with its step_scale halved, at most MAX_HALVINGS times
+    and not below MIN_STEP.  When an uncontrolled angle reaches its box
+    face the path either terminates (``on_boundary='stop'``) or pins that
+    angle to the face for the remainder of the path and continues
+    (``'freeze'``, which preserves the mountain/valley assignment of every
+    crease); controlled angles reaching their box always terminate the
+    path.
 
     Every path is traced exactly as it would be alone.  If a path fails
-    even at MIN_STEP, the other paths still run to their end, then the
+    on its last retry, the other paths still run to their end, then the
     first failing path's StepFailure is raised with ``completed`` holding
     the paths listed before it.
     """
@@ -391,81 +403,76 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
     ctrl = np.zeros(rho.shape, dtype=bool)
     for b, req in enumerate(requests):
         ctrl[b, list(req.controlled_indices)] = True
+    loose, steered = ~ctrl, ctrl.any(axis=-1)
+    # the parameter increment: the largest controlled one, or of all without any
+    measured = ctrl | ~steered[:, None]
     req_scale = np.array([req.step_scale for req in requests], dtype=float)
-    scale = req_scale.copy()        # halved on each failed try of a step
+    scale = req_scale               # halved on each failed try of a step
+    min_scale = np.maximum(MIN_STEP, req_scale / 2.0 ** MAX_HALVINGS)
     n_done = np.zeros(n_path, dtype=int)
+    ending = np.zeros(n_path, dtype=int)            # index into _ENDINGS
+    failure = np.zeros(n_path, dtype=int)           # status of a failed last try
     frozen = np.zeros(rho.shape, dtype=bool)
     frozen_sets = [[()] for _ in range(n_path)]     # each path's, in order
     frozen_now = np.zeros(n_path, dtype=int)        # index into frozen_sets[b]
-    termination = ["max-steps"] * n_path
-    failures = {}
-    done = np.zeros(n_path, dtype=bool)
-    # path, angles, parameter increment and frozen set of every row, the
-    # start rows first
-    accepted = [(np.arange(n_path), rho.copy(), np.zeros(n_path), frozen_now.copy())]
+    # per pass: which paths took a step, all angles, increments and frozen sets
+    log = [(np.ones(n_path, dtype=bool), rho, np.zeros(n_path), frozen_now)]
 
-    def finish(paths, reason):
-        for b in paths:
-            termination[b] = reason
-        done[paths] = True
-
-    # each pass tries the next step of every running path
-    while (rows := (~done & (n_done < n_steps)).nonzero()[0]).size:
-        d0, c, new_rho = req_d0[rows], ctrl[rows], rho[rows]
+    # each pass tries the next step of every running path; the other
+    # paths ride along with every angle fixed and no increment
+    while True:
         # controlled angles may at most reach their box face
-        d0 = np.where(c, np.clip(d0, lo - new_rho, hi - new_rho), d0)
-        at_face = c.any(axis=-1) & (~c | (np.abs(d0) <= 1e-14)).all(axis=-1)
-        finish(rows[at_face], "controlled-at-boundary")
-        keep = ~at_face
-        rows, d0, c, new_rho = rows[keep], d0[keep], c[keep], new_rho[keep]
-        # the largest controlled increment, or the largest of all without any
-        dparam = np.abs(np.where(c | ~c.any(axis=-1, keepdims=True), d0, 0.0)).max(axis=-1)
-        f = frozen[rows]
-        d0[f] = 0.0
-        new_r, new_C = r[rows], C[rows]
-        clamped, status = _project(geom, new_rho, new_r, new_C, d0, c | f, scale[rows],
-                                   tol, bounds)
-        ok = status == _OK
-        finish(rows[status == _LOCKED], "locked")
-        failed = ~ok & (status != _LOCKED)
-        scale[rows[failed]] /= 2
-        given_up = failed & (scale[rows] < MIN_STEP)
-        for i in np.flatnonzero(given_up):
-            failures[rows[i]] = _FAILURES[status[i]]
-        finish(rows[given_up], "failed")
+        d0 = np.where(ctrl, np.clip(req_d0, lo - rho, hi - rho), req_d0)
+        run = (ending == 0) & (n_done < n_steps)
+        at_face = run & steered & (loose | (np.abs(d0) <= 1e-14)).all(axis=-1)
+        ending[at_face] = _AT_FACE
+        run &= ~at_face
+        if not run.any():
+            break
+        dparam = np.abs(np.where(measured, d0, 0.0)).max(axis=-1)
+        hold = frozen | ~run[:, None]
+        new_rho, new_r, new_C, clamped, status = _project(
+            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, tol, bounds)
+        ok = run & (status == _OK)
+        ending[run & (status == _LOCKED)] = _LOCKED_END
+        failed = run & (status > _LOCKED)
+        scale = np.where(failed, scale / 2, req_scale)
+        given_up = failed & (scale < min_scale)
+        ending[given_up], failure[given_up] = _FAILED, status[given_up]
         hit = ok & clamped.any(axis=-1)
-        if on_boundary == "freeze":
-            frozen[rows[hit]] |= clamped[hit]
-            frozen_now[rows[hit]] += 1
-            for b in rows[hit]:
+        if on_boundary == "freeze" and hit.any():
+            frozen = frozen | (clamped & hit[:, None])
+            frozen_now = frozen_now + hit
+            for b in np.flatnonzero(hit):
                 frozen_sets[b].append(tuple(np.flatnonzero(frozen[b]).tolist()))
-        accepted.append((rows[ok], new_rho[ok], dparam[ok], frozen_now[rows[ok]]))
+        log.append((ok, new_rho, dparam, frozen_now))
         if on_boundary == "stop":
-            finish(rows[hit], "boundary")
-            ok &= ~hit
-        moved, c = rows[ok], c[ok]
-        rho[moved], r[moved], C[moved] = new_rho[ok], new_r[ok], new_C[ok]
-        n_done[moved] += 1
-        scale[moved] = req_scale[moved]
+            ending[hit] = _BOUNDARY
+            ok = ok & ~hit
+        rho = np.where(ok[:, None], new_rho, rho)
+        r = np.where(ok[:, None], new_r, r)
+        C = np.where(ok[:, None, None], new_C, C)
+        n_done += ok
         # controlled angles pinned at their face end the sweep
-        pinned = c.any(axis=-1) & (
-            ~c | (rho[moved] >= hi - 1e-12) | (rho[moved] <= lo + 1e-12)).all(axis=-1)
-        finish(moved[pinned], "controlled-at-boundary")
+        ending[ok & steered & (loose | (rho >= hi - 1e-12)
+                               | (rho <= lo + 1e-12)).all(axis=-1)] = _AT_FACE
 
     # each path's rows, in step order; its first row is the start state
-    path_of, angles, increments, sets = (np.concatenate(a) for a in zip(*accepted))
+    took, angles, increments, sets = (np.array(a) for a in zip(*log))
+    path_of = took.nonzero()[1]
+    angles, increments, sets = angles[took], increments[took], sets[took]
     subs = sub_angle_from_main(geom.alpha, np.clip(angles[:, 0::2], 0.0, np.pi))
     paths = []
     for b, start in enumerate(starts):
-        if b in failures:
-            raise StepFailure(failures[b], completed=paths)
+        if ending[b] == _FAILED:
+            raise StepFailure(_FAILURES[failure[b]], completed=paths)
         mine = path_of == b
         rho_s = subs[mine]
         rho_s[0] = start.rho_s
         paths.append(FoldingPath(
             rho_o=angles[mine], rho_s=rho_s,
             params=np.cumsum(increments[mine]), param_name=param_name,
-            termination=termination[b],
+            termination=_ENDINGS[ending[b]],
             frozen_history=[frozen_sets[b][v] for v in sets[mine].tolist()]))
     return paths
 

@@ -421,15 +421,19 @@ def _list_config(tmp_path):
     ("energy-landscape", _springs_config(LANDSCAPE, {"kappa_m": None})),
     ("uniform-path", _springs_config(PATH, {"kappa_s": [1]})),
     ("multi-grasp", _springs_config(GRASP, {"kappa_b": {}})),
+    ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "delta_rho_c_deg": 1e-13})),
+    ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "delta_rho_c_deg": 181})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
         "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
         "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
         "landscape-kappa-list", "grasp-kappa-object", "kappa_m-null",
-        "kappa_s-list", "kappa_b-object"])
+        "kappa_s-list", "kappa_b-object", "delta-under-min-step",
+        "delta-above-half-turn"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # each was an exit-1 traceback (a null count, a spring constant that is
-    # not a number) or an exit-0 run writing NaN, a truncated cell count or
-    # the prototype drop defaults
+    # not a number, a grasp step under the at-face tolerance), an exit-0
+    # run writing NaN, a truncated cell count or the prototype drop
+    # defaults, or a grasp step above a half turn, always cut at the face
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):

@@ -175,6 +175,12 @@ def test_program_validation(geom5):
         lf.GraspProgram(())
     with pytest.raises(ValueError):
         lf.GraspProgram((1,), delta_rho_c=0.0)
+    # the step lies in [MIN_STEP, pi]
+    for bad in (1e-15, 0.5e-8, np.nextafter(np.pi, 4.0), float("nan")):
+        with pytest.raises(ValueError, match="MIN_STEP, pi"):
+            lf.GraspProgram((1,), delta_rho_c=bad)
+    for good in (1e-8, np.pi):
+        assert lf.GraspProgram((1,), delta_rho_c=good).delta_rho_c == good
     with pytest.raises(ValueError):
         lf.run_program(geom5, lf.GraspProgram((6,)))
 

@@ -252,8 +252,8 @@ def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
         project_step(geom5, bad, StepRequest(np.zeros(10)))
 
 
-def _request(ctrl, amount, step_scale=np.radians(0.5)):
-    d0 = np.zeros(10)
+def _request(ctrl, amount, step_scale=np.radians(0.5), n=10):
+    d0 = np.zeros(n)
     d0[list(ctrl)] = amount
     return StepRequest(d0, ctrl, step_scale=step_scale)
 
@@ -274,30 +274,76 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     assert first.termination == alone.termination == "max-steps"
 
 
-def test_halved_steps_trace_alike_alone_and_in_lockstep(geom5, monkeypatch):
-    # 2 rad unsplit steps on units 1 and 3 close only after halved retries,
-    # which run beside the other paths' next steps
+# per cell count, unsplit steps whose first tries cannot be closed inside
+# the boxes: they close only after halved retries
+UNSPLIT_RETRIED = {4: ((0, 2, 4), 1.0), 5: ((0, 4), 2.0), 6: ((0, 6), 2.0)}
+
+
+@pytest.mark.parametrize("n_cell", [4, 5, 6])
+def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
+    # in one batch: halved retries run beside the other paths' next steps,
+    # the paths split their steps into 3, 1 and 10 substeps of different
+    # sizes and so different Newton iteration counts, the first freezes an
+    # angle mid-trace and the last locks at once
     failed_tries = []
 
     def counting_project(*args):
-        clamped, status = project(*args)
-        failed_tries.extend(status[status != kinematics._OK])
-        return clamped, status
+        out = project(*args)
+        status = out[-1]
+        failed_tries.extend(status[status > kinematics._LOCKED])
+        return out
 
     project = kinematics._project
     monkeypatch.setattr(kinematics, "_project", counting_project)
-    start = lf.near_flat_start(geom5)
-    reqs = [_request((0, 2), np.radians(0.5), 4.0), _request((0, 4), 2.0, 4.0),
-            _request((0, 2, 4, 6, 8), np.radians(5.0))]
-    together = trace_paths(geom5, [start] * 3, reqs, 5, on_boundary="freeze")
+    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    n = geom.n_vertex_creases
+    start = lf.near_flat_start(geom)
+    reqs = [_request((0,), np.radians(3.0), np.radians(1.0), n),
+            _request(*UNSPLIT_RETRIED[n_cell], 4.0, n),
+            _request(tuple(range(0, n, 2)), np.radians(5.0), n=n),
+            _request(tuple(range(n)), 0.01, n=n)]
+    together = trace_paths(geom, [start] * len(reqs), reqs, 30, on_boundary="freeze")
     assert failed_tries
+    assert together[0].frozen_history[0] == () != together[0].frozen_history[-1]
+    assert together[3].termination == "locked"
     for req, path in zip(reqs, together):
-        alone = trace_path(geom5, start, req, 5, on_boundary="freeze")
+        alone = trace_path(geom, start, req, 30, on_boundary="freeze")
         assert np.array_equal(alone.angles(), path.angles())
         assert np.array_equal(alone.sub_angles(), path.sub_angles())
         assert np.array_equal(alone.params, path.params)
         assert alone.termination == path.termination
         assert alone.frozen_history == path.frozen_history
+
+
+def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
+    # a half-turn step of units 1 and 2 cannot be closed inside the boxes
+    # at any scale; it is tried once and retried MAX_HALVINGS times, not
+    # halved down to MIN_STEP (about 2**28 substeps)
+    tries = []
+
+    def counting_project(*args):
+        out = project(*args)
+        tries.append(out[-1][0])
+        return out
+
+    project = kinematics._project
+    monkeypatch.setattr(kinematics, "_project", counting_project)
+    req = _request((0, 2), np.pi, np.pi)
+    with pytest.raises(StepFailure, match="inside the boxes") as info:
+        trace_path(geom5, lf.near_flat_start(geom5), req, 5, on_boundary="freeze")
+    assert info.value.completed == []
+    assert tries == [kinematics._OUTSIDE_BOX] * (kinematics.MAX_HALVINGS + 1)
+
+
+def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
+    # every clipped increment is under the 1e-14 at-face tolerance, so the
+    # first pass ends every path and no step is tried
+    monkeypatch.setattr(kinematics, "_project", None)
+    start = lf.near_flat_start(geom5)
+    reqs = [_request((0,), 1e-15), _request((0, 2), 1e-15)]
+    for path in trace_paths(geom5, [start, start], reqs, 5):
+        assert path.termination == "controlled-at-boundary"
+        assert np.array_equal(path.angles(), start.rho_o[None])
 
 
 def test_trace_terminates_at_controlled_box(geom5):
@@ -371,6 +417,13 @@ def test_fold_state_validation(geom5):
         lf.FoldState.from_angles(geom5, bad)
     with pytest.raises(ValueError):
         lf.FoldState.from_angles(geom5, np.zeros(8))
+
+
+@pytest.mark.parametrize("kwargs", [{"delta_rho_0": [np.nan] + [0.0] * 9},
+                                    {"step_scale": 0.0}, {"step_scale": np.nan}])
+def test_step_request_validation(kwargs):
+    with pytest.raises(ValueError):
+        StepRequest(**{"delta_rho_0": np.zeros(10), **kwargs})
 
 
 def test_check_states_names_first_failing_row(geom5):
