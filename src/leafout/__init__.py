@@ -10,19 +10,16 @@ __version__ = "0.1.0"
 from .geometry import (CreaseId, CreaseKind, FoldedMesh, Frame,
                        LeafOutGeometry, build_geometry, mesh_to_obj,
                        reconstruct_mesh)
-from .kinematics import (FoldState, FoldingPath, LockedConfiguration,
-                         NotClosedError, StepFailure, StepRequest,
-                         constraint_matrix, project_step, trace_path,
-                         trace_paths)
+from .kinematics import (FoldState, FoldingPath, NotClosedError, StepFailure,
+                         StepRequest, constraint_matrix, trace_paths)
 from .unitcell import d_sub_d_main, sub_angle_from_main
-from .uniform import (OutOfRangeError, UniformState, boundary_angle_from_psi,
-                      boundary_vector, main_angle_from_psi, psi_from_main,
-                      psi_motion_range, uniform_path, uniform_state)
+from .uniform import (OutOfRangeError, boundary_angle_from_psi,
+                      main_angle_from_psi, psi_from_main, psi_motion_range,
+                      uniform_path, uniform_state)
 from .energy import (BistabilityReport, LandscapeCurve, RatioSurface,
                      SpringModel, characterize_bistability,
                      landscape_over_psi, path_energies, ratio_surface)
-from .droptest import (DropScenario, TriggerMap, TriggerPrediction,
-                       ball_energy, default_effective_width,
-                       prototype_barrier, prototype_spring_model, trigger_map)
+from .droptest import (DropScenario, TriggerMap, default_effective_width,
+                       prototype_spring_model, trigger_map)
 from .explore import (ConfigSpaceTrace, GraspProgram, GraspResult,
-                      near_flat_start, run_program, run_programs)
+                      near_flat_start, run_programs)

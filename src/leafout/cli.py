@@ -6,11 +6,17 @@ file, individual keys can be overridden with `--set a.b.c=value`, and
 everything internal is radians.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure (partial outputs are flagged in the
 manifest).
+
+Each task is one entry of ``TASKS``: the task keys it accepts, a build
+step that checks the config and returns the task's inputs (all that
+`validate` runs), and a run step that computes and writes the outputs
+from those inputs and reports how each path ended.
 """
 import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,13 +27,10 @@ from .energy import (DEFAULT_PSI_STEP, SpringModel, characterize_bistability,
                      uniform_path_arrays)
 from .explore import GraspProgram, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
-from .kinematics import FoldState, LockedConfiguration, StepFailure
+from .kinematics import FoldState, StepFailure
 from .uniform import (OutOfRangeError, clip_psi_range, psi_samples,
                       uniform_path, uniform_state)
 from . import io as lio
-
-TASKS = ("uniform-path", "energy-landscape", "ratio-surface", "drop-test",
-         "multi-grasp", "export-mesh")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,16 +39,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
-
-
-# integer task keys per task: (default, least accepted value); a None
-# default leaves the key optional
-_COUNTS = {
-    "uniform-path": {"n_samples": (241, 2)},
-    "energy-landscape": {"n_samples": (None, 2)},
-    "drop-test": {"n_h": (25, 1), "n_rest": (25, 1)},
-    "multi-grasp": {"max_steps": (400, 1)},
-}
 
 
 def _deg(x):
@@ -62,9 +55,6 @@ _RANGES = {"psi_range_deg": ((-60.0, 60.0), _deg),
            "rest_range_deg": ((40.0, 100.0), _deg),
            "rest_main_range_deg": ((2.0, 178.0), _deg),
            "rest_boundary_range_deg": ((-178.0, -2.0), _deg)}
-
-# finite task keys > 0: default
-_POSITIVE = {"delta_rho_c_deg": 0.5, "grid_step_deg": 2.0}
 
 MAX_SURFACE_POINTS = 10 ** 6    # ratio-surface grid points
 
@@ -144,65 +134,28 @@ def apply_overrides(cfg, pairs):
 
 
 def validate_config(cfg):
+    """The task's table entry and its inputs, built once from ``cfg``;
+    any fault in the config raises ConfigError."""
     task = cfg.get("task")
     if not isinstance(task, dict) or "name" not in task:
         raise ConfigError("config needs a task object with a name")
-    if task["name"] not in TASKS:
-        raise ConfigError(f"unknown task {task['name']!r}; expected one of {TASKS}")
+    spec = TASKS.get(task["name"])
+    if spec is None:
+        raise ConfigError(f"unknown task {task['name']!r}; expected one of "
+                          f"{tuple(TASKS)}")
+    unknown = sorted(set(task) - {"name", *spec.keys})
+    if unknown:
+        raise ConfigError(f"unknown {task['name']} task keys {unknown}; "
+                          f"expected some of {list(spec.keys)}")
     output = cfg.get("output", {})
     if not isinstance(output, dict) or not isinstance(output.get("dir", ""), str):
         raise ConfigError(f"output must be an object whose dir is a string, got {output!r}")
-    geom = build_geometry_from_config(cfg)
-    name = task["name"]
-    if name in ("energy-landscape", "multi-grasp"):
-        build_springs_from_config(geom, cfg)
-    if name == "uniform-path" and "springs" in cfg:
-        build_springs_from_config(geom, cfg)
-    if name == "multi-grasp":
-        progs = task.get("programs")
-        if not isinstance(progs, list) or not progs:
-            raise ConfigError("multi-grasp task needs a non-empty programs list")
-        seen = set()
-        for p in progs:
-            if not isinstance(p, list) or not p:
-                raise ConfigError("each program is a non-empty list of unit indices")
-            if any(not isinstance(u, int) or u < 1 or u > geom.n_cell for u in p):
-                raise ConfigError(f"program {p} has unit indices outside 1..n_cell")
-            units = frozenset(p)
-            if units in seen:
-                raise ConfigError(f"program {p} drives the same units as an "
-                                  "earlier program")
-            seen.add(units)
-        _programs(task)
-    for key in _COUNTS.get(name, {}):
-        _count(task, key)
-    if name == "uniform-path":
-        try:
-            psi_samples(geom.alpha, _range(task, "psi_range_deg"),
-                        _count(task, "n_samples"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if name == "energy-landscape":
-        # the classifier is checked at the default 0.5 deg spacing
-        n, rng = _count(task, "n_samples"), _range(task, "psi_range_deg")
-        lo, hi, _ = clip_psi_range(geom.alpha, rng)   # a NaN end never spans
-        spacing = 0.0 if n is None or not lo < 0.0 < hi else np.max(
-            np.diff(uniform_path_arrays(geom, rng, n)[0]))
-        if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
-            raise ConfigError("psi_range_deg must span both phases, with "
-                              "n_samples giving at least one sample per 0.5 deg")
-    if name == "ratio-surface":
-        _surface_axes(task)
-    if name == "drop-test":
-        _trigger_map(geom, task, n_h=1)
-    if name == "export-mesh":
-        _mesh_state(geom, task)
-    return geom
+    return spec, spec.build(cfg, build_geometry_from_config(cfg), task)
 
 
-def _count(task, key):
-    """Integer task setting, checked against its least accepted value."""
-    default, least = _COUNTS[task["name"]][key]
+def _count(task, key, default, least):
+    """Integer task setting, checked against its least accepted value; a
+    None default leaves the key optional."""
     v = task.get(key, default)
     if v is None and default is None:     # an optional count left unset
         return v
@@ -211,10 +164,33 @@ def _count(task, key):
     return v
 
 
+def _positive(task, key, default):
+    """Finite task setting > 0."""
+    v = task.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
+    return v
+
+
+def _range(task, key):
+    """[lo, hi] task setting in SI units."""
+    default, conv = _RANGES[key]
+    rng = task.get(key, list(default))
+    try:
+        lo, hi = (conv(x) for x in rng)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be [lo, hi], got {rng!r}") from exc
+    return lo, hi
+
+
 def _drop_scenario(task):
     d = task.get("drop", {})
     if not isinstance(d, dict):
         raise ConfigError(f"drop must be an object, got {d!r}")
+    unknown = sorted(set(d) - set(_DROP_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown drop keys {unknown}; expected some of "
+                          f"{list(_DROP_KEYS)}")
     try:
         return DropScenario(**{name: conv(d[key])
                                for key, (name, conv) in _DROP_KEYS.items()
@@ -223,25 +199,80 @@ def _drop_scenario(task):
         raise ConfigError(f"bad drop settings: {exc}") from exc
 
 
-def _positive(task, key):
-    """Finite task setting > 0."""
-    v = task.get(key, _POSITIVE[key])
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
-        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
-    return v
-
-
-def _programs(task):
-    """The multi-grasp programs; a step GraspProgram refuses is a config error."""
-    delta, max_steps = _deg(_positive(task, "delta_rho_c_deg")), _count(task, "max_steps")
+def _uniform_path_inputs(cfg, geom, task):
+    """Springs (when given), psi range and sample count of a uniform-path
+    task."""
+    springs = build_springs_from_config(geom, cfg) if "springs" in cfg else None
+    psi_range, n = _range(task, "psi_range_deg"), _count(task, "n_samples", 241, 2)
     try:
-        return [GraspProgram(tuple(units), delta_rho_c=delta, max_steps=max_steps)
-                for units in task["programs"]]
+        psi_samples(geom.alpha, psi_range, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return geom, springs, psi_range, n
 
 
-def _trigger_map(geom, task, n_h):
+def _uniform_path_outputs(inputs, out, terminations):
+    geom, springs, psi_range, n = inputs
+    path = uniform_path(geom, psi_range, n)
+    energies = None if springs is None else path_energies(geom, springs, path)
+    lio.write_path_csv(geom, path, out("uniform_path.csv"), energies)
+    terminations["uniform-path"] = path.termination
+    lio.write_json(lio.path_to_json_dict(geom, path, energies),
+                   out("uniform_path.json"))
+
+
+def _landscape_inputs(cfg, geom, task):
+    """Springs, psi range and sample count of an energy-landscape task; the
+    classifier is checked at the default 0.5 deg spacing."""
+    springs = build_springs_from_config(geom, cfg)
+    n, rng = _count(task, "n_samples", None, 2), _range(task, "psi_range_deg")
+    lo, hi, _ = clip_psi_range(geom.alpha, rng)   # a NaN end never spans
+    spacing = 0.0 if n is None or not lo < 0.0 < hi else np.max(
+        np.diff(uniform_path_arrays(geom, rng, n)[0]))
+    if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
+        raise ConfigError("psi_range_deg must span both phases, with "
+                          "n_samples giving at least one sample per 0.5 deg")
+    return geom, springs, rng, n
+
+
+def _landscape_outputs(inputs, out, terminations):
+    curve = landscape_over_psi(*inputs)
+    report = characterize_bistability(curve)
+    lio.write_landscape_csv(curve, out("landscape.csv"))
+    lio.write_json(report.to_dict(), out("bistability.json"))
+    terminations["landscape"] = "truncated" if curve.truncated else "completed"
+
+
+def _surface_inputs(cfg, geom, task):
+    """Rest-main and rest-boundary grids of a ratio-surface task, each end
+    included only when it sits on the grid; their size (np.arange's own
+    length) is checked before anything is allocated."""
+    step = _deg(_positive(task, "grid_step_deg", 2.0))
+    ends = [_range(task, "rest_main_range_deg"),
+            _range(task, "rest_boundary_range_deg")]
+    (m_lo, m_hi), (b_lo, b_hi) = ends
+    if not (step > 0 and 0 <= m_lo <= m_hi <= np.pi
+            and -np.pi <= b_lo <= b_hi <= 0):
+        raise ConfigError("rest ranges must be [lo, hi] with lo <= hi, inside "
+                          "[0, 180] deg (main) and [-180, 0] deg (boundary); "
+                          "the grid step > 0 in radians")
+    # in Python floats, so that a huge grid is an inf, not a numpy overflow
+    size = 1.0
+    for lo, hi in ends:
+        size *= float(np.ceil((hi + 1e-9 - lo) / step))
+    if not 1 <= size <= MAX_SURFACE_POINTS:
+        raise ConfigError(f"ratio-surface grid of {size:.6g} points; at most "
+                          f"{MAX_SURFACE_POINTS} accepted")
+    return geom, *(np.arange(lo, hi + 1e-9, step) for lo, hi in ends)
+
+
+def _surface_outputs(inputs, out, terminations):
+    surface = ratio_surface(*inputs)
+    lio.write_surface_csv(surface, out("ratio_surface.csv"))
+    lio.write_json(lio.contours_to_json_dict(surface), out("xi_zero_contour.json"))
+
+
+def _drop_inputs(cfg, geom, task):
     """Drop-test decision map with its observation overlay, every rest
     angle checked against the bistable band."""
     scenario, fname = _drop_scenario(task), task.get("observations_csv")
@@ -252,34 +283,76 @@ def _trigger_map(geom, task, n_h):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read observations {fname}: {exc}") from exc
     h_rng, r_rng = _range(task, "h_range_mm"), _range(task, "rest_range_deg")
+    n_h, n_rest = _count(task, "n_h", 25, 1), _count(task, "n_rest", 25, 1)
     try:
-        return trigger_map(geom, scenario, h_rng, r_rng, n_h=n_h,
-                           n_rest=_count(task, "n_rest"), observations=obs)
+        return trigger_map(geom, scenario, h_rng, r_rng, n_h, n_rest,
+                           observations=obs)
     except ValueError as exc:
         raise ConfigError(f"bad drop-test ranges: {exc}") from exc
 
 
-def _surface_axes(task):
-    """Rest-main and rest-boundary grids of a ratio-surface task, each end
-    included only when it sits on the grid; their size (np.arange's own
-    length) is checked before anything is allocated."""
-    step = _deg(_positive(task, "grid_step_deg"))
-    ends = [_range(task, "rest_main_range_deg"),
-            _range(task, "rest_boundary_range_deg")]
-    (m_lo, m_hi), (b_lo, b_hi) = ends
-    if not (step > 0 and 0 <= m_lo <= m_hi <= np.pi
-            and -np.pi <= b_lo <= b_hi <= 0):
-        raise ConfigError("rest ranges must be [lo, hi] with lo <= hi, inside "
-                          "[0, 180] deg (main) and [-180, 0] deg (boundary); "
-                          "the grid step > 0 in radians")
-    size = np.prod([np.ceil((hi + 1e-9 - lo) / step) for lo, hi in ends])
-    if not 1 <= size <= MAX_SURFACE_POINTS:
-        raise ConfigError(f"ratio-surface grid of {size:.6g} points; at most "
-                          f"{MAX_SURFACE_POINTS} accepted")
-    return [np.arange(lo, hi + 1e-9, step) for lo, hi in ends]
+def _drop_outputs(tmap, out, terminations):
+    lio.write_trigger_map_csv(tmap, out("trigger_map.csv"))
+    lio.write_json(lio.trigger_contour_json_dict(tmap), out("egap_zero_contour.json"))
 
 
-def _mesh_state(geom, task):
+def _grasp_inputs(cfg, geom, task):
+    """Springs and programs of a multi-grasp task; a step GraspProgram
+    refuses is a config error."""
+    springs = build_springs_from_config(geom, cfg)
+    if geom.n_cell < 5:
+        raise ConfigError("multi-grasp needs n_cell >= 5 for its configuration-"
+                          f"space coordinates, got {geom.n_cell}")
+    progs = task.get("programs")
+    if not isinstance(progs, list) or not progs:
+        raise ConfigError("multi-grasp task needs a non-empty programs list")
+    seen = set()
+    for p in progs:
+        if not isinstance(p, list) or not p:
+            raise ConfigError("each program is a non-empty list of unit indices")
+        if any(not isinstance(u, int) or u < 1 or u > geom.n_cell for u in p):
+            raise ConfigError(f"program {p} has unit indices outside 1..n_cell")
+        units = frozenset(p)
+        if units in seen:
+            raise ConfigError(f"program {p} drives the same units as an "
+                              "earlier program")
+        seen.add(units)
+    delta = _deg(_positive(task, "delta_rho_c_deg", 0.5))
+    max_steps = _count(task, "max_steps", 400, 1)
+    try:
+        programs = [GraspProgram(tuple(units), delta_rho_c=delta, max_steps=max_steps)
+                    for units in progs]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return geom, springs, programs
+
+
+def _grasp_outputs(inputs, out, terminations):
+    """One trace per program, then the bundle; when a program fails, the
+    traces of the programs before it are written and its failure raised."""
+    geom, springs, programs = inputs
+    try:
+        results, failure = run_programs(geom, programs, springs=springs), None
+    except StepFailure as exc:
+        results, failure = exc.completed, exc
+    bundle = {"geometry": geom.to_dict(), "programs": []}
+    for res in results:
+        prog = res.program
+        lio.write_path_csv(geom, res.path, out(f"trace_{prog.label()}.csv"),
+                           res.trace.energy)
+        terminations[prog.label()] = res.path.termination
+        bundle["programs"].append(lio.path_to_json_dict(
+            geom, res.path, res.trace.energy,
+            extra={"label": prog.label(),
+                   "controlled_units": list(prog.controlled_units),
+                   "config_space": {k: getattr(res.trace, k).tolist()
+                                    for k in "xyz"}}))
+    if failure is not None:
+        raise failure
+    lio.write_json(bundle, out("multigrasp_bundle.json"))
+
+
+def _mesh_inputs(cfg, geom, task):
     """Fold state and tilt of an export-mesh task."""
     spec = task.get("state", {"type": "flat"})
     if not isinstance(spec, dict):
@@ -302,45 +375,75 @@ def _mesh_state(geom, task):
         tilt = _require(spec, "tilt_deg", _deg)
         if not np.isfinite(tilt):
             raise ConfigError(f"tilt_deg must be finite, got {spec['tilt_deg']!r}")
-    return state, tilt
+    return geom, state, tilt
+
+
+def _mesh_outputs(inputs, out, terminations):
+    geom, state, tilt = inputs
+    mesh = reconstruct_mesh(geom, state, tilt=tilt)
+    with open(out("mesh.obj"), "w") as fh:
+        fh.write(mesh_to_obj(mesh))
+    lio.write_json(geom.to_dict(), out("geometry.json"))
+
+
+class Task(NamedTuple):
+    """One CLI task: the task keys it accepts besides ``name``;
+    ``build(cfg, geom, task)``, which checks the config and returns the
+    task's inputs or raises ConfigError; and ``run(inputs, out,
+    terminations)``, which computes and writes the outputs, each to the
+    path ``out(file_name)``, and records how each path ended."""
+    keys: tuple
+    build: Callable
+    run: Callable
+
+
+TASKS = {
+    "uniform-path": Task(("psi_range_deg", "n_samples"),
+                         _uniform_path_inputs, _uniform_path_outputs),
+    "energy-landscape": Task(("psi_range_deg", "n_samples"),
+                             _landscape_inputs, _landscape_outputs),
+    "ratio-surface": Task(("grid_step_deg", "rest_main_range_deg",
+                           "rest_boundary_range_deg"),
+                          _surface_inputs, _surface_outputs),
+    "drop-test": Task(("drop", "h_range_mm", "rest_range_deg", "n_h", "n_rest",
+                       "observations_csv"), _drop_inputs, _drop_outputs),
+    "multi-grasp": Task(("programs", "delta_rho_c_deg", "max_steps"),
+                        _grasp_inputs, _grasp_outputs),
+    "export-mesh": Task(("state",), _mesh_inputs, _mesh_outputs),
+}
 
 
 def _outdir(cfg, args):
     out = args.out or cfg.get("output", {}).get("dir") \
         or os.environ.get("LEAFOUT_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out} is not writable")
     return out
 
 
-def _range(task, key):
-    """[lo, hi] task setting in SI units."""
-    default, conv = _RANGES[key]
-    rng = task.get(key, list(default))
-    try:
-        lo, hi = (conv(x) for x in rng)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be [lo, hi], got {rng!r}") from exc
-    return lo, hi
-
-
 def run_task(cfg, args):
-    geom = validate_config(cfg)
-    task = cfg["task"]
-    name = task["name"]
-    if name != args.command:
-        raise ConfigError(f"config task {name!r} does not match subcommand "
-                          f"{args.command!r}")
+    spec, inputs = validate_config(cfg)
+    if cfg["task"]["name"] != args.command:
+        raise ConfigError(f"config task {cfg['task']['name']!r} does not match "
+                          f"subcommand {args.command!r}")
     outdir = _outdir(cfg, args)
-    outputs = []
-    terminations = {}
+    outputs, terminations = [], {}
+
+    def out(name):
+        outputs.append(name)
+        return os.path.join(outdir, name)
+
     try:
-        _run_task_body(cfg, args, geom, task, name, outdir, outputs,
-                       terminations)
+        spec.run(inputs, out, terminations)
         status, error = "ok", None
-    except (StepFailure, LockedConfiguration, OutOfRangeError) as exc:
+    except (StepFailure, OutOfRangeError) as exc:
         status, error = "partial", f"{type(exc).__name__}: {exc}"
-    manifest = lio.manifest_dict(cfg, [os.path.basename(o) for o in outputs],
-                                 status=status, terminations=terminations)
+    manifest = lio.manifest_dict(cfg, outputs, status=status,
+                                 terminations=terminations)
     if error is not None:
         manifest["error"] = error
     lio.write_json(manifest, os.path.join(outdir, "manifest.json"))
@@ -348,90 +451,6 @@ def run_task(cfg, args):
         print(_error_report("numerical", error), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
-
-
-def _run_task_body(cfg, args, geom, task, name, outdir, outputs, terminations):
-    if name == "uniform-path":
-        path = uniform_path(geom, _range(task, "psi_range_deg"),
-                            _count(task, "n_samples"))
-        energies = None
-        if "springs" in cfg:
-            energies = path_energies(geom, build_springs_from_config(geom, cfg), path)
-        f = os.path.join(outdir, "uniform_path.csv")
-        lio.write_path_csv(geom, path, f, energies)
-        outputs.append(f)
-        terminations["uniform-path"] = path.termination
-        fj = os.path.join(outdir, "uniform_path.json")
-        lio.write_json(lio.path_to_json_dict(geom, path, energies), fj)
-        outputs.append(fj)
-
-    elif name == "energy-landscape":
-        springs = build_springs_from_config(geom, cfg)
-        curve = landscape_over_psi(geom, springs, _range(task, "psi_range_deg"),
-                                   _count(task, "n_samples"))
-        report = characterize_bistability(curve)
-        f = os.path.join(outdir, "landscape.csv")
-        lio.write_landscape_csv(curve, f)
-        outputs.append(f)
-        fj = os.path.join(outdir, "bistability.json")
-        lio.write_json(report.to_dict(), fj)
-        outputs.append(fj)
-        terminations["landscape"] = "truncated" if curve.truncated else "completed"
-
-    elif name == "ratio-surface":
-        surface = ratio_surface(geom, *_surface_axes(task))
-        f = os.path.join(outdir, "ratio_surface.csv")
-        lio.write_surface_csv(surface, f)
-        outputs.append(f)
-        fj = os.path.join(outdir, "xi_zero_contour.json")
-        lio.write_json(lio.contours_to_json_dict(surface), fj)
-        outputs.append(fj)
-
-    elif name == "drop-test":
-        tmap = _trigger_map(geom, task, _count(task, "n_h"))
-        f = os.path.join(outdir, "trigger_map.csv")
-        lio.write_trigger_map_csv(tmap, f)
-        outputs.append(f)
-        fj = os.path.join(outdir, "egap_zero_contour.json")
-        lio.write_json(lio.trigger_contour_json_dict(tmap), fj)
-        outputs.append(fj)
-
-    elif name == "multi-grasp":
-        springs = build_springs_from_config(geom, cfg)
-        programs = _programs(task)
-        try:
-            results, failure = run_programs(geom, programs, springs=springs), None
-        except StepFailure as exc:
-            results, failure = exc.completed, exc
-        bundle = {"geometry": geom.to_dict(), "programs": []}
-        for res in results:
-            prog = res.program
-            f = os.path.join(outdir, f"trace_{prog.label()}.csv")
-            lio.write_path_csv(geom, res.path, f, res.trace.energy)
-            outputs.append(f)
-            terminations[prog.label()] = res.path.termination
-            bundle["programs"].append(lio.path_to_json_dict(
-                geom, res.path, res.trace.energy,
-                extra={"label": prog.label(),
-                       "controlled_units": list(prog.controlled_units),
-                       "config_space": {k: getattr(res.trace, k).tolist()
-                                        for k in "xyz"}}))
-        if failure is not None:
-            raise failure
-        fj = os.path.join(outdir, "multigrasp_bundle.json")
-        lio.write_json(bundle, fj)
-        outputs.append(fj)
-
-    elif name == "export-mesh":
-        state, tilt = _mesh_state(geom, task)
-        mesh = reconstruct_mesh(geom, state, tilt=tilt)
-        f = os.path.join(outdir, "mesh.obj")
-        with open(f, "w") as fh:
-            fh.write(mesh_to_obj(mesh))
-        outputs.append(f)
-        fj = os.path.join(outdir, "geometry.json")
-        lio.write_json(geom.to_dict(), fj)
-        outputs.append(fj)
 
 
 def _error_report(kind, message):
@@ -444,7 +463,7 @@ def main(argv=None):
         prog="leafout",
         description="Leaf-out origami grasping simulations (batch).")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=TASKS + ("validate",),
+    parser.add_argument("command", choices=(*TASKS, "validate"),
                         help="task to run, or validate to check the config")
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
@@ -464,9 +483,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(_error_report("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG
-    except (StepFailure, LockedConfiguration, OutOfRangeError) as exc:
-        print(_error_report("numerical", str(exc)), file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ E = (n/2) kappa_b (rest - 2|psi|)^2: bistable iff its closed minimum
 psi = rest/2 lies inside the motion range, 0 < rest < pi - 2 alpha, with
 the barrier at the flat state, dE_g = (n/2) kappa_b rest^2.  The map is
 held as arrays, E_ball per height, dE_g per rest angle and E_gap per
-cell; ``prototype_barrier`` keeps the sampled-landscape route.
+cell.
 
 Internally everything is SI (J, m, kg, rad).  The torsion constant per
 unit crease width is accepted in either of two unit readings; a value
@@ -23,14 +23,13 @@ that spelling is treated as a misprint of N*mm/rad/mm:
 The conversion of the per-width constant to a per-crease stiffness uses
 an effective PET width.  The comb has 1 mm cuts between 11.5 mm teeth;
 by default only complete teeth along the crease count as spring
-material.  Both the tooth model and a plain fractional-coverage model
-are provided, and the width can be overridden directly.
+material, and the width can be overridden directly.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import SpringModel, characterize_bistability, landscape_over_psi
+from .energy import SpringModel
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -44,7 +43,7 @@ _UNIT_TO_SI = {
 }
 
 
-def kappa_pet_si(kappa_pet, unit=KAPPA_PET_UNIT_DEFAULT):
+def kappa_pet_si(kappa_pet, unit):
     """Per-width constant in J/rad^2 per mm of crease width."""
     if unit not in _UNIT_TO_SI:
         raise ValueError(f"unknown kappa unit {unit!r}; expected one of "
@@ -52,19 +51,11 @@ def kappa_pet_si(kappa_pet, unit=KAPPA_PET_UNIT_DEFAULT):
     return float(kappa_pet) * _UNIT_TO_SI[unit]
 
 
-def default_effective_width(crease_length_mm, cut_mm=COMB_CUT_MM,
-                            gap_mm=COMB_GAP_MM, mode="teeth"):
-    """Effective PET width of one boundary crease, in mm.
-
-    "teeth": complete comb teeth only (cut-bounded teeth of gap_mm each).
-    "fraction": crease length scaled by the gap/(gap+cut) coverage.
-    """
-    period = gap_mm + cut_mm
-    if mode == "teeth":
-        return float(np.floor(crease_length_mm / period)) * gap_mm
-    if mode == "fraction":
-        return crease_length_mm * gap_mm / period
-    raise ValueError(f"unknown effective-width mode {mode!r}")
+def default_effective_width(crease_length_mm):
+    """Effective PET width of one boundary crease, in mm: its complete comb
+    teeth only, each COMB_GAP_MM wide between COMB_CUT_MM cuts."""
+    teeth = np.floor(crease_length_mm / (COMB_GAP_MM + COMB_CUT_MM))
+    return float(teeth) * COMB_GAP_MM
 
 
 @dataclass
@@ -95,11 +86,6 @@ class DropScenario:
         kappa_pet_si(self.kappa_pet, self.kappa_pet_unit)   # validate unit
 
 
-def ball_energy(scenario):
-    """Potential energy of the ball at release, E = m g h (J)."""
-    return scenario.m_ball * scenario.g * scenario.h
-
-
 def prototype_spring_model(geom, scenario):
     """Boundary-only spring model of the prototype.
 
@@ -114,30 +100,6 @@ def prototype_spring_model(geom, scenario):
     return SpringModel.per_kind(geom, 0.0, 0.0, kappa_b,
                                 rest_main=0.0, rest_sub=0.0,
                                 rest_boundary=-abs(scenario.rest_angle))
-
-
-def prototype_barrier(geom, springs):
-    """Snap-through barrier dE_g of the prototype landscape (J) over the
-    whole motion range.
-
-    Raises if the landscape is not bistable (no barrier to cross).
-    """
-    curve = landscape_over_psi(geom, springs, (-np.pi, np.pi))
-    report = characterize_bistability(curve)
-    if report.stability_class != "bistable":
-        raise ValueError(f"prototype landscape is {report.stability_class}; "
-                         "no snap-through barrier")
-    return report.delta_E_g, report
-
-
-@dataclass
-class TriggerPrediction:
-    h: float
-    rest_angle: float
-    E_ball: float
-    delta_E_g: float
-    E_gap: float
-    outcome: str          # "no-trigger" | "grasp"
 
 
 @dataclass
@@ -158,18 +120,8 @@ class TriggerMap:
         """(n_rest, n_h) strings, "no-trigger" where E_gap < 0."""
         return np.where(self.E_gap < 0, "no-trigger", "grasp")
 
-    @property
-    def predictions(self):
-        """TriggerPrediction rows, one per rest angle, built on demand."""
-        return [[TriggerPrediction(h, rest, e, d_g, gap, out)
-                 for h, e, gap, out in zip(self.heights.tolist(),
-                                           self.E_ball.tolist(), gaps, outs)]
-                for rest, d_g, gaps, outs in zip(
-                    self.rest_angles.tolist(), self.delta_E_g.tolist(),
-                    self.E_gap.tolist(), self.outcomes.tolist())]
 
-
-def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
+def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
                 observations=None):
     """Decision map of E_gap = (E_ball - dE_g) / kappa_pet over (h, rest).
 
@@ -179,7 +131,8 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
     no criterion in the energy model, so predictions above threshold are
     reported as "grasp" with retention not asserted.  Optional
     experimental observations (h, outcome in {cross, circle, triangle})
-    are carried through for overlay plotting.
+    are carried through for overlay plotting.  Raises ValueError when a
+    map value overflows.
     """
     hs = np.asarray(h_range, dtype=float)
     rs = np.asarray(rest_angle_range, dtype=float)
@@ -200,10 +153,15 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h=25, n_rest=25,
                          f"(needs rest < {np.degrees(limit):.6g} deg); no "
                          "snap-through barrier")
     kappa_b = prototype_spring_model(geom, scenario).kappa[3]
-    d_g = 0.5 * geom.n_cell * kappa_b * rests ** 2
-    e_ball = scenario.m_ball * scenario.g * heights
     kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
+    with np.errstate(all="ignore"):         # checked below
+        d_g = 0.5 * geom.n_cell * kappa_b * rests ** 2
+        e_ball = scenario.m_ball * scenario.g * heights
+        e_gap = (e_ball[None, :] - d_g[:, None]) / kap_si
+        h_star = d_g / (scenario.m_ball * scenario.g)
+    if not all(np.isfinite(a).all() for a in (d_g, e_ball, e_gap, h_star)):
+        raise ValueError("drop-test energies overflow: the ball, hinge and "
+                         "height values are too far apart")
     return TriggerMap(heights=heights, rest_angles=rests, E_ball=e_ball,
-                      delta_E_g=d_g, E_gap=(e_ball[None, :] - d_g[:, None]) / kap_si,
-                      threshold_heights=d_g / (scenario.m_ball * scenario.g),
+                      delta_E_g=d_g, E_gap=e_gap, threshold_heights=h_star,
                       observations=list(observations or []))

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .unitcell import sub_angle_from_main
-from .uniform import (boundary_angles, clip_psi_range, main_angles,
-                      sample_count)
+from .uniform import (boundary_angle_from_psi, clip_psi_range,
+                      main_angle_from_psi, sample_count)
 
 DEFAULT_PSI_STEP = np.radians(0.5)
 
@@ -35,6 +35,13 @@ class SpringModel:
         # written so that NaN stiffness fails too
         if not np.all((self.kappa >= 0) & (self.kappa < np.inf)):
             raise ConfigurationError("stiffness must be finite and non-negative")
+        # sum kappa (pi + |rest|)^2 bounds twice the energy of any angles
+        # in [-pi, pi], so while it is finite no energy overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.sum(self.kappa * (np.pi + np.abs(self.rest_angle)) ** 2)
+        if not bound < np.inf:
+            raise ConfigurationError("spring energies would overflow: stiffness "
+                                     f"or rest angles too large (bound {bound:g})")
 
     @classmethod
     def uniform(cls, geom, kappa, rest_main, rest_boundary, rest_sub=None):
@@ -58,21 +65,6 @@ class SpringModel:
         kap = np.tile([kappa_main, kappa_sub, kappa_sub, kappa_boundary], n)
         rest = np.tile([rest_main, rest_sub, rest_sub, rest_boundary], n)
         return cls(kappa=kap, rest_angle=rest)
-
-    @classmethod
-    def from_maps(cls, geom, kappa_map, rest_map):
-        """Build from CreaseId-keyed dicts; every crease must be covered."""
-        kap, rest = [], []
-        for cid in geom.creases():
-            if cid not in kappa_map or cid not in rest_map:
-                raise ConfigurationError(f"missing spring assignment for {cid}")
-            kap.append(kappa_map[cid])
-            rest.append(rest_map[cid])
-        return cls(kappa=np.array(kap), rest_angle=np.array(rest))
-
-    def scaled(self, factor):
-        return SpringModel(kappa=self.kappa * factor,
-                           rest_angle=self.rest_angle.copy())
 
 
 def crease_angle_matrix(rho_m, rho_s, rho_b):
@@ -129,8 +121,8 @@ def uniform_path_arrays(geom, psi_range, n_samples=None):
         if n_samples is None:
             n_samples = int(round((hi - lo) / DEFAULT_PSI_STEP)) + 1
         psis = np.linspace(lo, hi, n_samples)
-    rho_m = main_angles(geom.alpha, psis)
-    rho_b = boundary_angles(geom.alpha, psis)
+    rho_m = main_angle_from_psi(geom.alpha, psis)
+    rho_b = boundary_angle_from_psi(geom.alpha, psis)
     rho_s = sub_angle_from_main(geom.alpha, rho_m)
     return psis, rho_m, rho_s, rho_b, clipped
 
@@ -224,20 +216,6 @@ def landscape_extrema(psi, E):
                             d_g, d_r, (d_g - d_r) / (d_g + d_r))
 
 
-def refine_extremum(x, y, i):
-    """Refined (x, y) of the extremum at sample i; see ``_refine``."""
-    x_ref, y_ref = _refine(np.asarray(x, dtype=float),
-                           np.asarray(y, dtype=float)[None], 0, np.array([i]))
-    return float(x_ref[0]), float(y_ref[0])
-
-
-def interior_extrema(x, y):
-    """Indices of interior minima and maxima of a sampled curve."""
-    ext = landscape_extrema(x, np.asarray(y, dtype=float)[None])
-    return (np.flatnonzero(ext.is_min[0]).tolist(),
-            np.flatnonzero(ext.is_max[0]).tolist())
-
-
 @dataclass
 class BistabilityReport:
     stability_class: str
@@ -289,12 +267,14 @@ class RatioSurface:
     contours: list               # list of polylines, each an (m, 2) array
 
 
-def ratio_surface(geom, rest_main_grid, rest_boundary_grid, kappa=1.0):
+def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     """Energy-ratio surface xi over a grid of rest angles.
 
-    The uniform path over the whole motion range is precomputed once;
-    each grid point only reweights the same path arrays, and one
-    ``landscape_extrema`` call classifies a row of rest-main values.
+    xi does not depend on the stiffness scale, so the landscapes take
+    kappa = 1.  The uniform path over the whole motion range is
+    precomputed once; each grid point only reweights the same path
+    arrays, and one ``landscape_extrema`` call classifies a row of
+    rest-main values.
     Monostable or multistable points are NaN and excluded from the
     xi = 0 contour.
     """
@@ -306,8 +286,8 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid, kappa=1.0):
     xi = np.empty((len(gm), len(gb)))
     for i, (rbm, rs_rest) in enumerate(zip(gm, rbs)):
         # energy curves for all rest_boundary values at once
-        base = 0.5 * n * kappa * ((rho_m - rbm) ** 2 + 2 * (rho_s - rs_rest) ** 2)
-        E = base[None, :] + 0.5 * n * kappa * (rho_b[None, :] - gb[:, None]) ** 2
+        base = 0.5 * n * ((rho_m - rbm) ** 2 + 2 * (rho_s - rs_rest) ** 2)
+        E = base[None, :] + 0.5 * n * (rho_b[None, :] - gb[:, None]) ** 2
         xi[i] = landscape_extrema(psis, E).ratio_xi
     contours = zero_contours(gm, gb, xi)
     return RatioSurface(rest_main=gm, rest_boundary=gb, xi=xi,

@@ -63,7 +63,7 @@ class ConfigSpaceTrace:
     x: np.ndarray            # rho_M2 - rho_M4
     y: np.ndarray            # rho_M3 - rho_M5
     z: np.ndarray            # cumulative controlled angle
-    energy: np.ndarray | None = None
+    energy: np.ndarray | None
 
 
 @dataclass
@@ -73,8 +73,8 @@ class GraspResult:
     trace: ConfigSpaceTrace
 
 
-def config_space_trace(path, energies=None):
-    rho = path.angles()
+def config_space_trace(path, energies):
+    rho = path.rho_o
     if rho.shape[1] < 10:
         raise ValueError("configuration-space coordinates need n_cell >= 5")
     x = rho[:, 2] - rho[:, 6]
@@ -82,7 +82,7 @@ def config_space_trace(path, energies=None):
     return ConfigSpaceTrace(x=x, y=y, z=path.params.copy(), energy=energies)
 
 
-def run_programs(geom, programs, springs=None, tol=1e-10):
+def run_programs(geom, programs, springs=None):
     """Trace grasping programs together from the near-flat start.
 
     Controlled units must exist in the pattern; each trace drives toward
@@ -102,8 +102,7 @@ def run_programs(geom, programs, springs=None, tol=1e-10):
     starts = [near_flat_start(geom)] * len(programs)
     try:
         paths = trace_paths(geom, starts, [_request(geom, p) for p in programs],
-                            [p.max_steps for p in programs],
-                            on_boundary="freeze", param_name="delta_rho_c", tol=tol)
+                            [p.max_steps for p in programs])
     except StepFailure as exc:
         done = [_grasp_result(geom, p, path, springs)
                 for p, path in zip(programs, exc.completed)]
@@ -126,7 +125,3 @@ def _grasp_result(geom, program, path, springs):
     return GraspResult(program=program, path=path,
                        trace=config_space_trace(path, energies))
 
-
-def run_program(geom, program, springs=None, tol=1e-10):
-    """Trace one grasping program; the one-program case of run_programs."""
-    return run_programs(geom, [program], springs=springs, tol=tol)[0]

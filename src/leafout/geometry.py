@@ -67,17 +67,6 @@ class LeafOutGeometry:
         """Spring-bearing creases: main + 2 sub + boundary per unit."""
         return 4 * self.n_cell
 
-    def creases(self):
-        """Canonical crease enumeration, unit by unit counterclockwise:
-        main, sub left, sub right, boundary."""
-        out = []
-        for n in range(1, self.n_cell + 1):
-            out.append(CreaseId(CreaseKind.MAIN, n))
-            out.append(CreaseId(CreaseKind.SUB, n, "left"))
-            out.append(CreaseId(CreaseKind.SUB, n, "right"))
-            out.append(CreaseId(CreaseKind.BOUNDARY, n))
-        return out
-
     def to_dict(self):
         return {
             "n_cell": self.n_cell,
@@ -140,31 +129,10 @@ class FoldedMesh:
     unit_frames: list
     closure_error: float
 
-    def face_planarity(self):
-        """Max distance of any face vertex from the face best plane."""
-        worst = 0.0
-        for f in self.faces:
-            pts = self.vertices[list(f)]
-            c = pts.mean(axis=0)
-            q = pts - c
-            # smallest singular direction spans the normal
-            _, s, _ = np.linalg.svd(q, full_matrices=False)
-            worst = max(worst, s[-1] / np.sqrt(len(f)))
-        return worst
 
-    def edge_length_error(self, flat_vertices):
-        """Max deviation of face edge lengths from the flat pattern."""
-        worst = 0.0
-        for f in self.faces:
-            for a, b in zip(f, f[1:] + f[:1]):
-                l1 = np.linalg.norm(self.vertices[a] - self.vertices[b])
-                l0 = np.linalg.norm(flat_vertices[a] - flat_vertices[b])
-                worst = max(worst, abs(l1 - l0))
-        return worst
-
-
-def _unit_local_points(geom, rho_m, tip_length):
-    """Folded panel corners of one cell in its local frame."""
+def _unit_local_points(geom, rho_m):
+    """Folded panel corners of one cell in its local frame; the outer
+    panels reach L1 along the midline."""
     rho_s = sub_angle_from_main(geom.alpha, rho_m)
     e2 = np.array([0.0, 1.0, 0.0])
     bl = boundary_direction(geom.alpha, rho_m)
@@ -183,9 +151,9 @@ def _unit_local_points(geom, rho_m, tip_length):
         "Br": geom.L2 * br,
         "Dl": A + geom.L2 * bl,
         "Dr": A + geom.L2 * br,
-        "T": A + tip_length * t,
-        "Fl": A + geom.L2 * bl + tip_length * t,
-        "Fr": A + geom.L2 * br + tip_length * t,
+        "T": A + geom.L1 * t,
+        "Fl": A + geom.L2 * bl + geom.L1 * t,
+        "Fr": A + geom.L2 * br + geom.L1 * t,
     }
     return pts
 
@@ -198,7 +166,7 @@ def _perp_unit(v, axis):
     return w / n
 
 
-def unit_placements(geom, rho_o, tilt=0.0):
+def unit_placements(geom, rho_o, tilt):
     """Rotation of each unit-local frame into the global frame.
 
     Unit 1 is posed by ``tilt`` about i1; each following unit is attached
@@ -236,22 +204,20 @@ def unit_placements(geom, rho_o, tilt=0.0):
     return Gs, err
 
 
-def reconstruct_mesh(geom, state, tilt=0.0, tip_length=None, closure_tol=1e-8):
+def reconstruct_mesh(geom, state, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
     ``state`` is a FoldState (or anything with .rho_o).  States that do
     not satisfy the loop closure are rejected via the wrap-around check.
-    ``tip_length`` sets the outer panel extent along the midline; it does
-    not affect kinematics or energy and defaults to L1.
+    The outer panels reach L1 along the midline; their extent affects
+    neither kinematics nor energy.
     """
     rho_o = np.asarray(getattr(state, "rho_o", state), dtype=float)
     if rho_o.shape != (2 * geom.n_cell,):
         raise ValueError("state angle vector has wrong length")
-    if tip_length is None:
-        tip_length = geom.L1
-    Gs, err = unit_placements(geom, rho_o, tilt=tilt)
+    Gs, err = unit_placements(geom, rho_o, tilt)
     # err compares unit direction vectors, so the tolerance is relative
-    if err > closure_tol:
+    if err > 1e-8:
         raise ValueError(f"state is not closed: boundary mismatch {err:.3e}")
 
     verts = [np.zeros(3)]       # 0: central vertex, tilt-invariant
@@ -263,7 +229,7 @@ def reconstruct_mesh(geom, state, tilt=0.0, tip_length=None, closure_tol=1e-8):
     b_ids = []
     per_unit = []
     for k in range(geom.n_cell):
-        pts = _unit_local_points(geom, rho_o[2 * k], tip_length)
+        pts = _unit_local_points(geom, rho_o[2 * k])
         G = Gs[k]
         ids = {}
         for name in ("A", "Dl", "Dr", "T", "Fl", "Fr", "Bl"):
@@ -291,13 +257,6 @@ def reconstruct_mesh(geom, state, tilt=0.0, tip_length=None, closure_tol=1e-8):
 
     return FoldedMesh(np.array(verts), faces, crease_edges, tip_edges,
                       frames, float(err))
-
-
-def flat_mesh_vertices(geom, tip_length=None):
-    """Vertices of the flat pattern in the canonical pose (for isometry
-    checks against a folded mesh with identical indexing)."""
-    zeros = np.zeros(2 * geom.n_cell)
-    return reconstruct_mesh(geom, zeros, tilt=0.0, tip_length=tip_length).vertices
 
 
 def _split_quad(vertices, quad):

@@ -34,11 +34,6 @@ _NUMBERS = {int, float, bool, type(None)}
 _SCALARS = _NUMBERS | {str}
 
 
-def fmt(x):
-    """One float in the CSV format."""
-    return FLOAT % float(x)
-
-
 def _angle_columns(n_cell):
     cols = []
     for n in range(1, n_cell + 1):
@@ -60,26 +55,6 @@ def _write_table(fname, header, columns, end="\n"):
 def read_csv(fname):
     with open(fname, newline="") as fh:
         return list(csv.reader(fh))
-
-
-def read_path_csv(fname):
-    """Inverse of write_path_csv: (param_name, params, rho_o, rho_s, energy).
-
-    The energy array is None when the column is empty.
-    """
-    rows = read_csv(fname)
-    header = rows[0]
-    if header[0] != "step" or header[-1] != "energy":
-        raise ValueError("not a folding-path table")
-    n_cell = sum(1 for c in header if c.startswith("rho_M_"))
-    params = np.array([float(r[1]) for r in rows[1:]])
-    rho_o = np.array([[float(v) for v in r[2:2 + 2 * n_cell]] for r in rows[1:]])
-    rho_s = np.array([[float(v) for v in r[2 + 2 * n_cell:2 + 3 * n_cell]]
-                      for r in rows[1:]])
-    has_energy = rows[1][-1] != "" if len(rows) > 1 else False
-    energy = (np.array([float(r[-1]) for r in rows[1:]])
-              if has_energy else None)
-    return header[1], params, rho_o, rho_s, energy
 
 
 def write_path_csv(geom, path, fname, energies=None):

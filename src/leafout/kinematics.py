@@ -51,10 +51,6 @@ class StepFailure(RuntimeError):
         self.completed = list(completed)
 
 
-class LockedConfiguration(RuntimeError):
-    """The prescribed controlled increments are infeasible at this state."""
-
-
 class NotClosedError(ValueError):
     """A state violated the loop-closure tolerance."""
 
@@ -78,12 +74,11 @@ class FoldState:
     rho_s: np.ndarray
 
     @classmethod
-    def from_angles(cls, geom, rho_o, check=True, tol=NEWTON_TOL, box_tol=1e-9):
+    def from_angles(cls, geom, rho_o):
         rho_o = np.asarray(rho_o, dtype=float).copy()
         if rho_o.shape != (geom.n_vertex_creases,):
             raise ValueError("angle vector has wrong length")
-        if check:
-            check_states(geom, rho_o[None], tol=tol, box_tol=box_tol)
+        check_states(geom, rho_o[None])
         rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_o[0::2], 0.0, np.pi))
         return cls(rho_o=rho_o, rho_s=np.asarray(rho_s, dtype=float))
 
@@ -108,7 +103,8 @@ class StepRequest:
     ``delta_rho_0`` is the arbitrary seed increment; entries listed in
     ``controlled_indices`` (0-based positions into rho_o) are prescribed
     exactly.  ``step_scale`` caps the infinity norm of each projected
-    substep; larger requests are split internally.
+    substep; larger requests are split internally.  It is at least
+    MIN_STEP, which bounds the substeps of one try.
     """
     delta_rho_0: np.ndarray
     controlled_indices: tuple = ()
@@ -119,8 +115,9 @@ class StepRequest:
         self.controlled_indices = tuple(int(i) for i in self.controlled_indices)
         if not np.all(np.isfinite(self.delta_rho_0)):
             raise ValueError("non-finite increment")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+        if not self.step_scale >= MIN_STEP:      # written so that NaN fails
+            raise ValueError(f"step_scale must be at least MIN_STEP = {MIN_STEP:g} "
+                             f"rad, got {self.step_scale!r}")
 
 
 def _chain_matrices(geom, rho_o):
@@ -205,23 +202,23 @@ def _tangent(C, seed, fixed):
     return t, np.abs((C * t[:, None, :]).sum(axis=-1)).max(axis=-1)
 
 
-def _newton(geom, rho, free, tol):
+def _newton(geom, rho, free):
     """Min-norm Newton updates of the free angles until each row closes.
 
     Updates ``rho`` in place; returns the residuals and Jacobians at the
-    final iterates and which rows closed to below ``tol``.  Each iteration
+    final iterates and which rows closed to below NEWTON_TOL.  Each iteration
     solves the whole stack: a closed row has no free column left, so its
     update is exactly zero and its residual is recomputed unchanged.
     """
     r, C = _closure(geom, rho)
-    closed = np.abs(r).max(axis=-1) < tol
+    closed = np.abs(r).max(axis=-1) < NEWTON_TOL
     for _ in range(NEWTON_MAX_ITER):
         step = free & ~closed[:, None]
         if not step.any():
             break
         rho -= _masked_solve(C, step, r)
         r, C = _closure(geom, rho)
-        closed = np.abs(r).max(axis=-1) < tol
+        closed = np.abs(r).max(axis=-1) < NEWTON_TOL
     return r, C, closed
 
 
@@ -233,7 +230,7 @@ _FAILURES = {
 }
 
 
-def _project(geom, rho, r, C, d0, fixed, step_scale, tol, bounds):
+def _project(geom, rho, r, C, d0, fixed, step_scale, bounds):
     """One constrained step of each row of a stack of closed states.
 
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
@@ -262,76 +259,43 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, tol, bounds):
             status[locked] = _LOCKED
             go &= ~locked
         rho = np.where(go[:, None], rho + t, rho)
-        r, C, closed = _newton(geom, rho, free & go[:, None], tol)
+        r, C, closed = _newton(geom, rho, free & go[:, None])
         status[go & ~closed] = _NOT_CONVERGED
 
     clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
     hit = clamped.any(axis=-1)
     if hit.any():
         rho = np.where(hit[:, None], np.clip(rho, lo, hi), rho)
-        r, C, closed = _newton(geom, rho, free & ~clamped & hit[:, None], tol)
+        r, C, closed = _newton(geom, rho, free & ~clamped & hit[:, None])
         status[hit & ~closed] = _NOT_CONVERGED
         outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
         status[hit & closed & outside] = _OUTSIDE_BOX
     return rho, r, C, clamped, status
 
 
-def _require_closed(r, tol, what):
+def _require_closed(r, what):
     """Raise NotClosedError naming the first row of residuals ``r`` above
-    ``tol``; written so that a NaN residual fails."""
+    NEWTON_TOL; written so that a NaN residual fails."""
     res = np.abs(r).max(axis=-1)
-    bad = np.flatnonzero(~(res <= tol))
+    bad = np.flatnonzero(~(res <= NEWTON_TOL))
     if bad.size:
         raise NotClosedError(f"{what} {bad[0]}: closure residual "
-                             f"{res[bad[0]]:.3e} > {tol:.1e}")
+                             f"{res[bad[0]]:.3e} > {NEWTON_TOL:.1e}")
 
 
-def check_states(geom, rho_o, tol=NEWTON_TOL, box_tol=1e-9):
+def check_states(geom, rho_o):
     """Check a stack of fold states (M, N) against the mountain/valley
-    boxes and the closure tolerance, all rows in one closure pass.
+    boxes (to 1e-9) and the closure tolerance NEWTON_TOL, all rows in one
+    closure pass.
 
     The error names the first failing row; NaN angles fail both checks.
     """
     lo, hi = angle_bounds(geom)
-    inside = np.all((rho_o >= lo - box_tol) & (rho_o <= hi + box_tol), axis=-1)
+    inside = np.all((rho_o >= lo - 1e-9) & (rho_o <= hi + 1e-9), axis=-1)
     if not inside.all():
         raise ValueError(f"state {np.flatnonzero(~inside)[0]}: angles violate "
                          "mountain/valley boxes")
-    _require_closed(_closure(geom, rho_o)[0], tol, "state")
-
-
-@dataclass
-class StepResult:
-    state: "FoldState"
-    clamped: tuple = ()
-
-
-def project_step(geom, state, req, tol=NEWTON_TOL):
-    """One constrained step from a closed state.
-
-    The increment is the minimum-norm tangent vector matching the
-    controlled components of ``delta_rho_0`` exactly (without controlled
-    entries, the whole ``delta_rho_0`` is projected onto the tangent
-    space), then a Newton correction over the uncontrolled angles restores
-    closure.  Requests larger than ``step_scale`` are split into equal
-    substeps.  Angles that leave their box after correction are clamped
-    and reported.
-    """
-    rho = np.array([state.rho_o], dtype=float)
-    r, C = _closure(geom, rho)
-    _require_closed(r, tol, "start state")
-    fixed = np.zeros(rho.shape, dtype=bool)
-    fixed[0, list(req.controlled_indices)] = True
-    rho, r, C, clamped, status = _project(
-        geom, rho, r, C, req.delta_rho_0[None], fixed, np.array([req.step_scale]), tol,
-        angle_bounds(geom))
-    if status[0] == _LOCKED:
-        raise LockedConfiguration(
-            "prescribed increments lie outside the feasible tangent space")
-    if status[0] != _OK:
-        raise StepFailure(_FAILURES[status[0]])
-    return StepResult(state=FoldState.from_angles(geom, rho[0], check=False),
-                      clamped=tuple(np.flatnonzero(clamped[0]).tolist()))
+    _require_closed(_closure(geom, rho_o)[0], "state")
 
 
 @dataclass
@@ -342,33 +306,20 @@ class FoldingPath:
     rho_o: np.ndarray
     rho_s: np.ndarray
     params: np.ndarray
-    param_name: str = "step"
-    termination: str = "completed"
+    param_name: str
+    termination: str
     frozen_history: list = field(default_factory=list)
-
-    @property
-    def states(self):
-        """The rows as FoldState objects, for callers that want them."""
-        return [FoldState(rho_o=a, rho_s=s)
-                for a, s in zip(self.angles(), self.sub_angles())]
-
-    def angles(self):
-        return self.rho_o.copy()
-
-    def sub_angles(self):
-        return self.rho_s.copy()
 
     def __len__(self):
         return len(self.rho_o)
 
 
 # how a traced path ended, by code; 0 (still running) ends with max-steps
-_ENDINGS = ("max-steps", "controlled-at-boundary", "locked", "failed", "boundary")
-_AT_FACE, _LOCKED_END, _FAILED, _BOUNDARY = range(1, 5)
+_ENDINGS = ("max-steps", "controlled-at-boundary", "locked", "failed")
+_AT_FACE, _LOCKED_END, _FAILED = range(1, 4)
 
 
-def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
-                param_name="step", tol=NEWTON_TOL):
+def trace_paths(geom, starts, requests, n_steps):
     """Trace one folding path per closed start state, all in lockstep.
 
     Path b repeats the constant StepRequest ``requests[b]`` every step,
@@ -376,19 +327,17 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
     caps the steps, one number for all paths or one per path.  A failed
     step is retried with its step_scale halved, at most MAX_HALVINGS times
     and not below MIN_STEP.  When an uncontrolled angle reaches its box
-    face the path either terminates (``on_boundary='stop'``) or pins that
-    angle to the face for the remainder of the path and continues
-    (``'freeze'``, which preserves the mountain/valley assignment of every
-    crease); controlled angles reaching their box always terminate the
-    path.
+    face it is pinned there for the remainder of the path, which keeps the
+    mountain/valley assignment of every crease, and the path continues;
+    controlled angles reaching their box end the path.  The path parameter
+    ``delta_rho_c`` sums the largest controlled increment of each step (of
+    all angles when none is controlled).
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
     first failing path's StepFailure is raised with ``completed`` holding
     the paths listed before it.
     """
-    if on_boundary not in ("stop", "freeze"):
-        raise ValueError("on_boundary must be 'stop' or 'freeze'")
     if len(starts) != len(requests):
         raise ValueError("need one request per start state")
     if not starts:
@@ -397,7 +346,7 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
     n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (n_path,))
     rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)
     r, C = _closure(geom, rho)
-    _require_closed(r, tol, "start state")
+    _require_closed(r, "start state")
     bounds = lo, hi = angle_bounds(geom)
     req_d0 = np.array([req.delta_rho_0 for req in requests]).reshape(rho.shape)
     ctrl = np.zeros(rho.shape, dtype=bool)
@@ -432,7 +381,7 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
         dparam = np.abs(np.where(measured, d0, 0.0)).max(axis=-1)
         hold = frozen | ~run[:, None]
         new_rho, new_r, new_C, clamped, status = _project(
-            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, tol, bounds)
+            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, bounds)
         ok = run & (status == _OK)
         ending[run & (status == _LOCKED)] = _LOCKED_END
         failed = run & (status > _LOCKED)
@@ -440,15 +389,12 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
         given_up = failed & (scale < min_scale)
         ending[given_up], failure[given_up] = _FAILED, status[given_up]
         hit = ok & clamped.any(axis=-1)
-        if on_boundary == "freeze" and hit.any():
+        if hit.any():
             frozen = frozen | (clamped & hit[:, None])
             frozen_now = frozen_now + hit
             for b in np.flatnonzero(hit):
                 frozen_sets[b].append(tuple(np.flatnonzero(frozen[b]).tolist()))
         log.append((ok, new_rho, dparam, frozen_now))
-        if on_boundary == "stop":
-            ending[hit] = _BOUNDARY
-            ok = ok & ~hit
         rho = np.where(ok[:, None], new_rho, rho)
         r = np.where(ok[:, None], new_r, r)
         C = np.where(ok[:, None, None], new_C, C)
@@ -471,15 +417,8 @@ def trace_paths(geom, starts, requests, n_steps, on_boundary="stop",
         rho_s[0] = start.rho_s
         paths.append(FoldingPath(
             rho_o=angles[mine], rho_s=rho_s,
-            params=np.cumsum(increments[mine]), param_name=param_name,
+            params=np.cumsum(increments[mine]), param_name="delta_rho_c",
             termination=_ENDINGS[ending[b]],
             frozen_history=[frozen_sets[b][v] for v in sets[mine].tolist()]))
     return paths
 
-
-def trace_path(geom, start, request, n_steps, on_boundary="stop",
-               param_name="step", tol=NEWTON_TOL):
-    """Trace a folding path from a closed start state, repeating the
-    constant StepRequest ``request``; the one-path case of ``trace_paths``."""
-    return trace_paths(geom, [start], [request], n_steps, on_boundary=on_boundary,
-                       param_name=param_name, tol=tol)[0]

@@ -35,10 +35,3 @@ def axis_angle(axis, angle):
         raise ValueError("rotation axis has near-zero norm")
     K = skew(axis / n)
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
-def is_rotation(R, tol=1e-12):
-    """Proper-rotation check: orthonormal within tol and det == +1."""
-    R = np.asarray(R)
-    return (np.max(np.abs(R @ R.T - np.eye(3))) < tol
-            and abs(np.linalg.det(R) - 1.0) < tol)

@@ -17,7 +17,6 @@ The motion range is therefore [-pi/2, pi/2 - alpha]: the open side ends
 when the boundary crease reaches its mountain limit -pi, the closed side
 when the main crease folds flat.
 """
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -28,23 +27,6 @@ from .unitcell import sub_angle_from_main
 
 class OutOfRangeError(ValueError):
     """psi outside the admissible uniform motion range."""
-
-
-@dataclass
-class UniformState:
-    """One point of the uniform motion: Euler angle, the two crease
-    angles and the boundary-crease direction."""
-    psi: float
-    rho_m: float
-    rho_b: float
-    b: np.ndarray
-
-    @classmethod
-    def at(cls, alpha, psi):
-        rho_m = main_angle_from_psi(alpha, psi)
-        return cls(psi=float(psi), rho_m=rho_m,
-                   rho_b=boundary_angle_from_psi(alpha, psi),
-                   b=boundary_vector(alpha, psi, rho_m))
 
 
 def psi_motion_range(alpha):
@@ -98,23 +80,6 @@ def boundary_angle_from_psi(alpha, psi):
     return 0.0 - 2 * np.abs(psi)        # 0.0 - keeps the flat state at +0.0
 
 
-# array spellings of the same maps
-main_angles = main_angle_from_psi
-boundary_angles = boundary_angle_from_psi
-
-
-def boundary_vector(alpha, psi, rho_m):
-    """Unit vector along the boundary crease between units 1 and 2,
-    global frame, componentwise closed form."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    s, cm = np.sin(rho_m / 2), np.cos(rho_m / 2)
-    return np.array([
-        -sa * cm,
-        ca * np.cos(psi) - sa * np.sin(psi) * s,
-        ca * np.sin(psi) + sa * np.cos(psi) * s,
-    ])
-
-
 def uniform_state(geom, psi):
     """Closed FoldState of the uniform motion at Euler angle psi."""
     rho = np.empty(geom.n_vertex_creases)
@@ -123,16 +88,17 @@ def uniform_state(geom, psi):
     return FoldState.from_angles(geom, rho)
 
 
-def clip_psi_range(alpha, psi_range, margin=1e-6):
+def clip_psi_range(alpha, psi_range):
     """Clip a requested psi interval to the motion range.
 
-    Returns (lo, hi, clipped); a small margin keeps paths off the exact
-    fold limits.
+    Returns (lo, hi, clipped); a margin of 1e-6 rad keeps paths off the
+    exact fold limits.
     """
     lo, hi = psi_motion_range(alpha)
+    lo, hi = lo + 1e-6, hi - 1e-6
     want_lo, want_hi = min(psi_range), max(psi_range)
-    clipped = want_lo < lo + margin or want_hi > hi - margin
-    return max(want_lo, lo + margin), min(want_hi, hi - margin), clipped
+    clipped = want_lo < lo or want_hi > hi
+    return max(want_lo, lo), min(want_hi, hi), clipped
 
 
 def sample_count(n_samples):
@@ -169,8 +135,8 @@ def uniform_path(geom, psi_range, n_samples):
     """
     psis, truncated = psi_samples(geom.alpha, psi_range, n_samples)
     rho = np.empty((psis.size, geom.n_vertex_creases))
-    rho[:, 0::2] = main_angles(geom.alpha, psis)[:, None]
-    rho[:, 1::2] = boundary_angles(geom.alpha, psis)[:, None]
+    rho[:, 0::2] = main_angle_from_psi(geom.alpha, psis)[:, None]
+    rho[:, 1::2] = boundary_angle_from_psi(geom.alpha, psis)[:, None]
     check_states(geom, rho)
     rho_s = sub_angle_from_main(geom.alpha, np.clip(rho[:, 0::2], 0.0, np.pi))
     return FoldingPath(rho_o=rho, rho_s=rho_s, params=psis, param_name="psi",

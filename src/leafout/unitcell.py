@@ -19,8 +19,6 @@ which ``sub_angle_from_main`` evaluates in atan2 form and
 """
 import numpy as np
 
-from .rotations import rot_x, rot_z
-
 
 def boundary_direction(alpha, rho_m):
     """Unit vector along the left boundary/sub crease of a folded cell.
@@ -67,25 +65,3 @@ def d_sub_d_main(alpha, rho_m):
     rho_s = sub_angle_from_main(alpha, rho_m)
     return float(np.cos(rho_s / 2) ** 2
                  / (np.cos(alpha) * np.cos(rho_m / 2) ** 2))
-
-
-def vertex_sector_angles(alpha):
-    """Flat sector angles around the interior vertex, counterclockwise
-    starting from the main crease: (pi - alpha, alpha, alpha, pi - alpha)."""
-    return (np.pi - alpha, alpha, alpha, np.pi - alpha)
-
-
-def vertex_closure_residual(alpha, rho_m, rho_s):
-    """Max-norm deviation of the four-crease rotation product from identity.
-
-    The midline fold angle is eliminated by choosing the rotation that best
-    closes the remaining chain, so the residual measures whether
-    (rho_M, rho_S) is compatible with the vertex at all.
-    """
-    X = lambda r, t: rot_x(r) @ rot_z(t)
-    A = X(rho_m, np.pi - alpha) @ X(rho_s, alpha)
-    B = X(rho_s, np.pi - alpha)
-    Q = A.T @ B.T @ rot_z(-alpha)   # required value of rot_x(rho_T) @ I
-    rho_t = np.arctan2(Q[2, 1] - Q[1, 2], Q[1, 1] + Q[2, 2])
-    F = A @ rot_x(rho_t) @ rot_z(alpha) @ B
-    return float(np.max(np.abs(F - np.eye(3))))

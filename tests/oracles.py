@@ -5,6 +5,8 @@ deliberately not sharing code paths with the package: rotation chains are
 rebuilt locally, roots come from grid scans plus bisection, derivatives
 from central differences, energies from direct per-crease summation.
 """
+import csv
+
 import numpy as np
 
 
@@ -201,3 +203,19 @@ def direct_energy(kappas, rests, angles):
     for k, r, a in zip(kappas, rests, angles):
         total += 0.5 * k * (a - r) ** 2
     return total
+
+
+# ---------------------------------------------------------------- files
+def read_path_csv(fname):
+    """Parse a folding-path table: (param_name, params, rho_o, rho_s,
+    energy); the energy is None when its column is empty."""
+    with open(fname, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    if header[0] != "step" or header[-1] != "energy":
+        raise ValueError("not a folding-path table")
+    n_cell = sum(1 for c in header if c.startswith("rho_M_"))
+    values = np.array([[float(v) for v in r[1:-1]] for r in rows])
+    energy = (np.array([float(r[-1]) for r in rows])
+              if rows and rows[0][-1] != "" else None)
+    return (header[1], values[:, 0], values[:, 1:1 + 2 * n_cell],
+            values[:, 1 + 2 * n_cell:], energy)

@@ -11,7 +11,8 @@ import pytest
 
 import leafout as lf
 from leafout.cli import main as cli_main
-from leafout.kinematics import StepRequest, trace_path
+from leafout.energy import landscape_extrema
+from leafout.kinematics import StepFailure, StepRequest, trace_paths
 from oracles import chain_closure_norm, fd_constraint_matrix, sub_angle_oracle
 
 GEOM = lf.build_geometry(5, 70.0, 30.0)
@@ -26,11 +27,10 @@ def _report(num, text):
 def grasp_results():
     springs = lf.SpringModel.uniform(GEOM, 1.0, np.radians(60.0),
                                      np.radians(-120.0))
-    out = {}
-    for units in ((1, 2), (1, 3), (1, 2, 3), (1, 2, 3, 4, 5)):
-        out[units] = lf.run_program(GEOM, lf.GraspProgram(units),
-                                    springs=springs)
-    return out
+    programs = [lf.GraspProgram(units) for units in
+                ((1, 2), (1, 3), (1, 2, 3), (1, 2, 3, 4, 5))]
+    return {res.program.controlled_units: res
+            for res in lf.run_programs(GEOM, programs, springs=springs)}
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,8 @@ def traced_uniform():
             d0 = np.zeros(10)
             d0[list(CTRL_ALL)] = target - states[-1].rho_o[0]
             req = StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))
-            path = trace_path(GEOM, states[-1], req, 1)
-            states.append(path.states[-1])
+            path = trace_paths(GEOM, [states[-1]], [req], 1)[0]
+            states.append(lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1]))
         halves[sgn] = (psis, states)
     return halves
 
@@ -57,9 +57,9 @@ def test_criterion_01_closure_validity(grasp_results):
     t0 = time.time()
     states = []
     path = lf.uniform_path(GEOM, (np.radians(-88), np.radians(52)), 500)
-    states += [s.rho_o for s in path.states]
+    states += list(path.rho_o)
     for res in grasp_results.values():
-        states += [s.rho_o for s in res.path.states]
+        states += list(res.path.rho_o)
     assert len(states) >= 1000
     worst = max(chain_closure_norm(GEOM.alpha, rho) for rho in states[:2000])
     elapsed = time.time() - t0
@@ -84,10 +84,9 @@ def test_criterion_03_bistable_landscape_structure():
                                      np.radians(-30.0))
     curve = lf.landscape_over_psi(GEOM, springs,
                                   (np.radians(-89.9), np.radians(53.9)))
-    from leafout.energy import interior_extrema
-    mins, maxs = interior_extrema(curve.psi, curve.energy)
+    ext = landscape_extrema(curve.psi, curve.energy[None])
     report = lf.characterize_bistability(curve)
-    assert len(mins) == 2 and len(maxs) == 1
+    assert ext.is_min.sum() == 2 and ext.is_max.sum() == 1
     assert report.stability_class == "bistable"
     assert abs(np.degrees(report.psi_barrier)) < 0.25
     _report(3, f"two minima at {np.degrees(report.psi_open):.1f} and "
@@ -99,11 +98,10 @@ def test_criterion_04_monostable_flat_rest():
     springs = lf.SpringModel.uniform(GEOM, 1.0, 0.0, 0.0)
     curve = lf.landscape_over_psi(GEOM, springs,
                                   (np.radians(-89.9), np.radians(53.9)))
-    from leafout.energy import interior_extrema
-    mins, maxs = interior_extrema(curve.psi, curve.energy)
+    ext = landscape_extrema(curve.psi, curve.energy[None])
     report = lf.characterize_bistability(curve)
     assert report.stability_class == "monostable"
-    assert len(mins) == 1
+    assert ext.is_min.sum() == 1
     psi_min, _ = report.minima[0]
     assert abs(np.degrees(psi_min)) < 0.25
     _report(4, f"single minimum at {np.degrees(psi_min):.3f} deg")
@@ -164,10 +162,12 @@ def test_criterion_06_jacobian_against_finite_differences():
         state = lf.uniform_state(GEOM, psi)
         d0 = rng.uniform(-0.02, 0.02, size=10)
         try:
-            out = lf.project_step(GEOM, state, StepRequest(d0))
-        except Exception:
+            path = trace_paths(GEOM, [state], [StepRequest(d0)], 1)[0]
+        except StepFailure:
             continue
-        rho = out.state.rho_o
+        if path.termination != "max-steps":     # locked
+            continue
+        rho = path.rho_o[-1]
         C = lf.constraint_matrix(GEOM, rho)
         Cfd = fd_constraint_matrix(GEOM.alpha, rho, h=1e-7)
         worst = max(worst, float(np.max(np.abs(C - Cfd))))
@@ -192,9 +192,7 @@ def test_criterion_08_drop_test_map():
     tmap = lf.trigger_map(GEOM, scen, (0.05, 0.80),
                           (np.radians(55.0), np.radians(95.0)),
                           n_h=31, n_rest=9)
-    for row in tmap.predictions:
-        gaps = np.array([p.E_gap for p in row])
-        assert np.all(np.diff(gaps) > 0)
+    assert np.all(np.diff(tmap.E_gap, axis=1) > 0)
     # threshold exists inside the swept height range at the prototype rest
     i = int(np.argmin(np.abs(tmap.rest_angles - np.radians(71.8))))
     assert tmap.heights[0] < tmap.threshold_heights[i] < tmap.heights[-1]
@@ -202,7 +200,7 @@ def test_criterion_08_drop_test_map():
                          (np.radians(71.8), np.radians(71.8)), n_h=1, n_rest=1)
     h_star = one.threshold_heights[0]
     assert 0.360 > h_star
-    assert one.predictions[0][0].outcome == "grasp"
+    assert one.outcomes[0, 0] == "grasp"
     _report(8, f"E_gap monotone, threshold at {1000 * h_star:.0f} mm, "
                "360 mm on the trigger side")
 
@@ -236,7 +234,8 @@ def test_criterion_11_stiffness_scaling_invariance():
     rng = (np.radians(-89.9), np.radians(53.9))
     r1 = lf.characterize_bistability(lf.landscape_over_psi(GEOM, springs, rng))
     r10 = lf.characterize_bistability(
-        lf.landscape_over_psi(GEOM, springs.scaled(10.0), rng))
+        lf.landscape_over_psi(GEOM, lf.SpringModel(10.0 * springs.kappa,
+                                                   springs.rest_angle), rng))
     assert abs(r1.psi_open - r10.psi_open) < 1e-10
     assert abs(r1.psi_closed - r10.psi_closed) < 1e-10
     assert abs(r1.psi_barrier - r10.psi_barrier) < 1e-10

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,12 +100,13 @@ def test_uniform_path_csv_extrema_match_energy_report(tmp_path):
                                "n_samples": 285})
     out = tmp_path / "o"
     assert main(["uniform-path", "--config", str(cfg), "--out", str(out)]) == 0
-    from leafout import io as lio
-    from leafout.energy import interior_extrema
     import leafout as lf
-    _, params, _, _, energy = lio.read_path_csv(out / "uniform_path.csv")
+    from leafout.energy import landscape_extrema
+    from oracles import read_path_csv
+    _, params, _, _, energy = read_path_csv(out / "uniform_path.csv")
     assert energy is not None
-    mins, maxs = interior_extrema(params, energy)
+    ext = landscape_extrema(params, energy[None])
+    mins, maxs = np.flatnonzero(ext.is_min[0]), np.flatnonzero(ext.is_max[0])
     assert len(mins) == 2 and len(maxs) == 1
     geom = lf.build_geometry(5, 70.0, 30.0)
     springs = lf.SpringModel.uniform(geom, 1.0, np.radians(120.0),
@@ -423,17 +428,20 @@ def _list_config(tmp_path):
     ("multi-grasp", _springs_config(GRASP, {"kappa_b": {}})),
     ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "delta_rho_c_deg": 1e-13})),
     ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "delta_rho_c_deg": 181})),
+    ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, GRASP, geometry={
+        "n_cell": 4, "L1": 70.0, "L2": 30.0})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
         "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
         "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
         "landscape-kappa-list", "grasp-kappa-object", "kappa_m-null",
         "kappa_s-list", "kappa_b-object", "delta-under-min-step",
-        "delta-above-half-turn"])
+        "delta-above-half-turn", "grasp-n_cell-4"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # each was an exit-1 traceback (a null count, a spring constant that is
     # not a number, a grasp step under the at-face tolerance), an exit-0
     # run writing NaN, a truncated cell count or the prototype drop
-    # defaults, or a grasp step above a half turn, always cut at the face
+    # defaults, or a grasp step above a half turn, always cut at the face;
+    # a grasp on fewer than five cells passed validate and then raised
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):
@@ -462,9 +470,9 @@ def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
 
 def test_failing_program_keeps_earlier_outputs(tmp_path, monkeypatch):
     # 2 rad steps: units 1-3 cannot close its first step inside the boxes,
-    # and with the halving floor above the step it gives up at once
+    # and with no halved retries it gives up at once
     from leafout import kinematics
-    monkeypatch.setattr(kinematics, "MIN_STEP", 3.0)
+    monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
     cfg = write_cfg(tmp_path, {"name": "multi-grasp",
                                "programs": [[1, 2], [1, 3], [1, 2, 3]],
                                "delta_rho_c_deg": float(np.degrees(2.0)),
@@ -497,3 +505,70 @@ def test_set_override_and_env_outdir(tmp_path, monkeypatch):
                  "--set", "task.n_samples=11"]) == 0
     rows = (tmp_path / "envdir" / "uniform_path.csv").read_text().splitlines()
     assert len(rows) == 1 + 11
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("case", ["existing-file", "under-a-file", "unwritable"])
+def test_output_path_that_cannot_be_written_is_config_error(tmp_path, capsys,
+                                                            monkeypatch, case):
+    # an existing file was a FileExistsError traceback (exit 1)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = {"existing-file": blocker, "under-a-file": blocker / "o",
+           "unwritable": tmp_path / "o"}[case]
+    if case == "unwritable":
+        # permission bits do not bind every user, so the check is faked
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    cfg = write_cfg(tmp_path, {"name": "uniform-path", "n_samples": 11})
+    assert main(["uniform-path", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and str(out) in err["message"]
+    assert blocker.read_text() == "keep"
+    assert not (out / "uniform_path.csv").exists()
+
+
+def test_unknown_task_key_is_config_error(tmp_path, capsys):
+    # a misspelt key used to be ignored: n_sample=3 wrote the default 721 rows
+    cfg = CONFIGS / "uniform_path.json"
+    out = tmp_path / "o"
+    for cmd in ("validate", "uniform-path"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out),
+                     "--set", "task.n_sample=3"]) == 2
+        msg = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "n_sample" in msg
+    assert not out.exists()
+
+
+def test_unknown_drop_key_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**DROP, "drop": {"h_mm": 360.0, "mass_g": 22.3}})
+    out = tmp_path / "o"
+    for cmd in ("validate", "drop-test"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        msg = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "mass_g" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,override", [
+    ("landscape", "springs.kappa=1e308"),
+    ("ratio_surface", "task.grid_step_deg=1e-300"),
+])
+def test_overflow_is_one_config_error_line(tmp_path, config, override):
+    # the stiffness overflowed the energies to inf and exited 0 with
+    # "multistable" after numpy warnings; the tiny grid step warned first
+    cfg = CONFIGS / f"{config}.json"
+    command = json.loads(cfg.read_text())["task"]["name"]
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    for cmd in ("validate", command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "leafout.cli", cmd, "--config", str(cfg),
+             "--out", str(out), "--set", override],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["kind"] == "config"
+        assert proc.stdout == ""
+    assert not out.exists()

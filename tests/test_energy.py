@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 import leafout as lf
 from leafout.energy import (ConfigurationError, LandscapeCurve,
-                            interior_extrema, refine_extremum,
-                            uniform_path_arrays)
+                            landscape_extrema, uniform_path_arrays)
 from leafout.unitcell import d_sub_d_main, sub_angle_from_main
 from oracles import direct_energy
+
+
+def scaled(springs, factor):
+    """The spring model with every stiffness times ``factor``."""
+    return lf.SpringModel(factor * springs.kappa, springs.rest_angle)
 
 
 def crease_angles_of_state(state):
@@ -40,13 +44,13 @@ def test_flat_state_energy_matches_direct_summation(geom5, springs_bistable):
 
 def test_energy_linear_in_kappa(geom5, springs_bistable, uniform_minus30):
     e1 = lf.path_energies(geom5, springs_bistable, uniform_minus30)
-    e2 = lf.path_energies(geom5, springs_bistable.scaled(2.0), uniform_minus30)
+    e2 = lf.path_energies(geom5, scaled(springs_bistable, 2.0), uniform_minus30)
     assert np.isclose(e2, 2.0 * e1, rtol=1e-14)
 
 
 def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
-    res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=40))
-    state = res.path.states[-1]
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=40)])
+    state = lf.FoldState(rho_o=res.path.rho_o[-1], rho_s=res.path.rho_s[-1])
     got = lf.path_energies(geom5, springs_grasp, state)
     want = direct_energy(springs_grasp.kappa, springs_grasp.rest_angle,
                          crease_angles_of_state(state))
@@ -57,7 +61,7 @@ def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
 
 def test_path_energies_checks_spring_size(geom4, springs_grasp):
     path = lf.uniform_path(geom4, (-0.5, 0.5), 5)
-    for fold in (path, path.states[0]):
+    for fold in (path, lf.uniform_state(geom4, path.params[0])):
         with pytest.raises(ConfigurationError, match="does not match"):
             lf.path_energies(geom4, springs_grasp, fold)
 
@@ -93,7 +97,9 @@ def test_rest_on_path_gives_global_minimum_there(geom5):
     curve = lf.landscape_over_psi(geom5, springs,
                                   (np.radians(-89), np.radians(53)))
     i = int(np.argmin(curve.energy))
-    psi_min, e_min = refine_extremum(curve.psi, curve.energy, i)
+    ext = landscape_extrema(curve.psi, curve.energy[None])
+    assert ext.is_min[0, i]
+    psi_min, e_min = ext.psi[0, i], ext.energy[0, i]
     assert abs(psi_min - psi_star) < np.radians(0.25)
     assert e_min < 1e-6 * np.max(curve.energy)
 
@@ -149,7 +155,7 @@ def test_scaling_invariance(geom5, springs_grasp):
     r1 = lf.characterize_bistability(
         lf.landscape_over_psi(geom5, springs_grasp, rng))
     r10 = lf.characterize_bistability(
-        lf.landscape_over_psi(geom5, springs_grasp.scaled(10.0), rng))
+        lf.landscape_over_psi(geom5, scaled(springs_grasp, 10.0), rng))
     assert abs(r1.psi_open - r10.psi_open) < 1e-10
     assert abs(r1.psi_closed - r10.psi_closed) < 1e-10
     assert abs(r1.psi_barrier - r10.psi_barrier) < 1e-10
@@ -249,20 +255,16 @@ def test_energy_gradient_chain_rule(geom5, springs_bistable):
     assert abs(dE - dE_fd) / abs(dE_fd) < 1e-5
 
 
-def test_missing_crease_assignment_rejected(geom5):
-    kappa_map = {c: 1.0 for c in geom5.creases()[:-1]}
-    rest_map = {c: 0.0 for c in geom5.creases()}
+def test_missing_crease_assignment_rejected(geom5, springs_bistable):
+    # a model one crease short does not cover the pattern
+    short = lf.SpringModel(springs_bistable.kappa[:-1],
+                           springs_bistable.rest_angle[:-1])
     with pytest.raises(ConfigurationError):
-        lf.SpringModel.from_maps(geom5, kappa_map, rest_map)
-
-
-def test_from_maps_round_trip(geom5, springs_bistable):
-    creases = geom5.creases()
-    kmap = dict(zip(creases, springs_bistable.kappa))
-    rmap = dict(zip(creases, springs_bistable.rest_angle))
-    rebuilt = lf.SpringModel.from_maps(geom5, kmap, rmap)
-    assert np.allclose(rebuilt.kappa, springs_bistable.kappa)
-    assert np.allclose(rebuilt.rest_angle, springs_bistable.rest_angle)
+        lf.path_energies(geom5, short, lf.FoldState.flat(geom5))
+    with pytest.raises(ConfigurationError):
+        lf.landscape_over_psi(geom5, short, (-0.5, 0.5))
+    with pytest.raises(ConfigurationError):
+        lf.SpringModel(springs_bistable.kappa[:-1], springs_bistable.rest_angle)
 
 
 def test_spring_model_validation(geom5):
@@ -294,8 +296,9 @@ def test_uniform_path_arrays_consistency(geom5):
 
 def test_interior_extrema_ignores_endpoints():
     y = np.array([0.0, 1.0, 0.5, 1.5, 0.2])
-    mins, maxs = interior_extrema(np.arange(5.0), y)
-    assert mins == [2] and maxs == [1, 3]
+    ext = landscape_extrema(np.arange(5.0), y[None])
+    assert np.flatnonzero(ext.is_min[0]).tolist() == [2]
+    assert np.flatnonzero(ext.is_max[0]).tolist() == [1, 3]
 
 
 def test_non_finite_stiffness_rejected(geom5):
@@ -304,6 +307,16 @@ def test_non_finite_stiffness_rejected(geom5):
             lf.SpringModel.uniform(geom5, kappa, 0.5, -0.5)
         with pytest.raises(ConfigurationError):
             lf.SpringModel.per_kind(geom5, 0.0, 0.0, kappa, 0.0, -0.5)
+
+
+def test_overflowing_stiffness_rejected(geom5):
+    # finite stiffness whose energies overflow: 1e308 on 20 creases
+    for kappa in (1e308, 1e307):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            lf.SpringModel.uniform(geom5, kappa, 0.5, -0.5)
+    springs = lf.SpringModel.uniform(geom5, 1e305, 0.5, -0.5)
+    curve = lf.landscape_over_psi(geom5, springs, (-np.pi, np.pi))
+    assert np.all(np.isfinite(curve.energy))
 
 
 @pytest.mark.parametrize("n_samples", [0, 1, -5, 7.9, np.nan, True])

@@ -26,8 +26,8 @@ def traced(geom5, springs_grasp):
         "p13": lf.GraspProgram((1, 3)),
         "p123": lf.GraspProgram((1, 2, 3)),
     }
-    return {k: lf.run_program(geom5, p, springs=springs_grasp)
-            for k, p in programs.items()}
+    return dict(zip(programs, lf.run_programs(geom5, list(programs.values()),
+                                              springs=springs_grasp)))
 
 
 def test_start_state_matches_rounded_nominal_pair(geom5):
@@ -57,7 +57,7 @@ def test_pinch_program_shape(traced):
     # two controlled neighbours close together like a pinch: equal
     # controlled angles, mirror symmetry about their bisector
     path = traced["p12"].path
-    rho = path.angles()
+    rho = path.rho_o
     assert np.max(np.abs(rho[:, 0] - rho[:, 2])) < 1e-12  # rhoM1 == rhoM2, controlled
     assert np.max(np.abs(rho[:, 4] - rho[:, 8])) < 1e-6   # rhoM3 == rhoM5, mirror pair
     mid = len(path) // 2
@@ -68,7 +68,7 @@ def test_pinch_program_shape(traced):
 
 def test_alligator_program_shape(traced):
     path = traced["p123"].path
-    rho = path.angles()
+    rho = path.rho_o
     # symmetric about unit 2: units 1 and 3 move together, 4 and 5 together
     assert np.max(np.abs(rho[:, 0] - rho[:, 4])) < 1e-12
     assert np.max(np.abs(rho[:, 6] - rho[:, 8])) < 1e-6
@@ -92,14 +92,14 @@ def test_interior_energy_minima(traced):
 def test_rest_at_start_minimizes_at_start(geom5):
     start = lf.near_flat_start(geom5)
     springs = lf.SpringModel.uniform(geom5, 1.0, start.rho_o[0], start.rho_o[1])
-    res = lf.run_program(geom5, lf.GraspProgram((1, 2), max_steps=40),
-                         springs=springs)
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=40)],
+                             springs=springs)
     assert int(np.argmin(res.trace.energy)) == 0
 
 
 def test_controlled_increments_exact(traced, geom5):
     prog = traced["p12"].program
-    rho = traced["p12"].path.angles()
+    rho = traced["p12"].path.rho_o
     steps = np.diff(rho[:, 0])
     # every successful step advances the controlled angle by delta_rho_c
     # (the final step may be clipped onto the box face)
@@ -120,17 +120,17 @@ def test_all_states_closed_and_boxed(traced, geom5):
     from leafout.kinematics import angle_bounds
     lo, hi = angle_bounds(geom5)
     for name, res in traced.items():
-        for s in res.path.states[:: max(1, len(res.path) // 25)]:
-            assert chain_closure_norm(geom5.alpha, s.rho_o) < 1e-10
-            assert np.all(s.rho_o >= lo - 1e-9)
-            assert np.all(s.rho_o <= hi + 1e-9)
+        for rho in res.path.rho_o[:: max(1, len(res.path) // 25)]:
+            assert chain_closure_norm(geom5.alpha, rho) < 1e-10
+            assert np.all(rho >= lo - 1e-9)
+            assert np.all(rho <= hi + 1e-9)
 
 
 def test_reflection_symmetry_between_mirror_programs(geom5):
     # the reflection fixing unit 1 maps the {1,2} drive onto {1,5}
-    r12 = lf.run_program(geom5, lf.GraspProgram((1, 2), max_steps=60))
-    r15 = lf.run_program(geom5, lf.GraspProgram((1, 5), max_steps=60))
-    a12, a15 = r12.path.angles(), r15.path.angles()
+    r12, r15 = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=60),
+                                       lf.GraspProgram((1, 5), max_steps=60)])
+    a12, a15 = r12.path.rho_o, r15.path.rho_o
     assert a12.shape == a15.shape
     # units permute 1->1, 2->5, 3->4, 4->3, 5->2
     perm_m = [0, 8, 6, 4, 2]
@@ -161,9 +161,9 @@ def test_batch_matches_single_programs(geom5, springs_grasp):
     programs = stored_programs()
     batch = lf.run_programs(geom5, programs, springs=springs_grasp)
     for program, together in zip(programs, batch):
-        alone = lf.run_program(geom5, program, springs=springs_grasp)
-        assert np.array_equal(alone.path.angles(), together.path.angles())
-        assert np.array_equal(alone.path.sub_angles(), together.path.sub_angles())
+        (alone,) = lf.run_programs(geom5, [program], springs=springs_grasp)
+        assert np.array_equal(alone.path.rho_o, together.path.rho_o)
+        assert np.array_equal(alone.path.rho_s, together.path.rho_s)
         assert np.array_equal(alone.path.params, together.path.params)
         assert np.array_equal(alone.trace.energy, together.trace.energy)
         assert alone.path.termination == together.path.termination
@@ -182,11 +182,11 @@ def test_program_validation(geom5):
     for good in (1e-8, np.pi):
         assert lf.GraspProgram((1,), delta_rho_c=good).delta_rho_c == good
     with pytest.raises(ValueError):
-        lf.run_program(geom5, lf.GraspProgram((6,)))
+        lf.run_programs(geom5, [lf.GraspProgram((6,))])
 
 
 def test_termination_reasons_recorded(traced):
     for res in traced.values():
-        assert res.path.termination in ("controlled-at-boundary", "boundary",
-                                        "max-steps", "locked")
+        assert res.path.termination in ("controlled-at-boundary", "max-steps",
+                                        "locked")
         assert len(res.path.frozen_history) == len(res.path)

@@ -4,8 +4,36 @@ import numpy as np
 import pytest
 
 import leafout as lf
-from leafout.geometry import (CreaseId, CreaseKind, _split_quad,
-                              flat_mesh_vertices, mesh_to_obj)
+from leafout.geometry import CreaseId, CreaseKind, _split_quad, mesh_to_obj
+
+
+def face_planarity(mesh):
+    """Max distance of any face vertex from the face best plane."""
+    worst = 0.0
+    for f in mesh.faces:
+        q = mesh.vertices[list(f)]
+        q = q - q.mean(axis=0)
+        # smallest singular direction spans the normal
+        s = np.linalg.svd(q, compute_uv=False)
+        worst = max(worst, s[-1] / np.sqrt(len(f)))
+    return worst
+
+
+def edge_length_error(mesh, flat_vertices):
+    """Max deviation of face edge lengths from the flat pattern."""
+    worst = 0.0
+    for f in mesh.faces:
+        for a, b in zip(f, f[1:] + f[:1]):
+            l1 = np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])
+            l0 = np.linalg.norm(flat_vertices[a] - flat_vertices[b])
+            worst = max(worst, abs(l1 - l0))
+    return worst
+
+
+def flat_mesh_vertices(geom):
+    """Vertices of the flat pattern in the canonical pose, indexed as every
+    folded mesh of the geometry."""
+    return lf.reconstruct_mesh(geom, np.zeros(2 * geom.n_cell)).vertices
 
 
 def test_build_geometry_prototype(geom5):
@@ -36,7 +64,7 @@ def test_build_geometry_rejects_degenerate():
 
 
 def test_crease_enumeration(geom5):
-    creases = geom5.creases()
+    creases = list(lf.reconstruct_mesh(geom5, lf.FoldState.flat(geom5)).crease_edges)
     assert len(creases) == 20
     kinds = [c.kind for c in creases]
     assert kinds.count(CreaseKind.MAIN) == 5
@@ -83,20 +111,20 @@ def test_panel_planarity_and_isometry(geom5, psi_deg):
     st = lf.uniform_state(geom5, psi)
     mesh = lf.reconstruct_mesh(geom5, st, tilt=psi)
     tol = 1e-8 * geom5.L1
-    assert mesh.face_planarity() < tol
-    assert mesh.edge_length_error(flat_mesh_vertices(geom5)) < tol
+    assert face_planarity(mesh) < tol
+    assert edge_length_error(mesh, flat_mesh_vertices(geom5)) < tol
 
 
 def test_nonuniform_state_mesh_invariants(geom5):
     # rigid-panel invariants hold on asymmetric multi-grasp states too
-    res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=120))
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=120)])
     flat = flat_mesh_vertices(geom5)
     tol = 1e-8 * geom5.L1
-    for state in res.path.states[:: len(res.path) // 4]:
-        mesh = lf.reconstruct_mesh(geom5, state)
+    for rho in res.path.rho_o[:: len(res.path) // 4]:
+        mesh = lf.reconstruct_mesh(geom5, rho)
         assert mesh.closure_error < 1e-8
-        assert mesh.face_planarity() < tol
-        assert mesh.edge_length_error(flat) < tol
+        assert face_planarity(mesh) < tol
+        assert edge_length_error(mesh, flat) < tol
 
 
 def _face_normal(mesh, face):
@@ -116,8 +144,8 @@ def _fold_angle(mesh, edge, f1, f2):
 
 def test_mesh_dihedrals_round_trip_fold_angles(geom5):
     # fold angles measured back from panel normals reproduce the state
-    res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=100))
-    state = res.path.states[-1]
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=100)])
+    state = lf.FoldState(rho_o=res.path.rho_o[-1], rho_s=res.path.rho_s[-1])
     mesh = lf.reconstruct_mesh(geom5, state)
     for k in range(geom5.n_cell):
         NR, NL, OR, OL = mesh.faces[4 * k: 4 * k + 4]
@@ -147,8 +175,8 @@ def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
     st = lf.uniform_state(geom5, np.radians(-25))
     # perturb into a non-uniform closed state first
     prog = lf.GraspProgram((1, 2), max_steps=10)
-    res = lf.run_program(geom5, prog)
-    rho = res.path.states[-1].rho_o
+    (res,) = lf.run_programs(geom5, [prog])
+    rho = res.path.rho_o[-1]
     rolled = lf.FoldState.from_angles(geom5, np.roll(rho, 2))
     e1 = lf.path_energies(geom5, springs_bistable,
                             lf.FoldState.from_angles(geom5, rho))

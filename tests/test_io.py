@@ -17,6 +17,7 @@ from leafout import io as lio
 from leafout.cli import main
 from leafout.energy import RatioSurface
 from leafout.kinematics import SVD_CUTOFF
+from oracles import read_path_csv
 
 
 def _g(x):
@@ -31,14 +32,14 @@ def _csv_reference(rows):
 
 
 def test_fmt_is_17_significant_digits():
-    assert lio.fmt(np.pi) == f"{np.pi:.17g}"
-    assert lio.fmt(1.0) == "1"
+    assert lio.FLOAT % np.pi == f"{np.pi:.17g}"
+    assert lio.FLOAT % 1.0 == "1"
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_fmt_round_trips_doubles(x):
-    assert float(lio.fmt(x)) == x
+    assert float(lio.FLOAT % x) == x
 
 
 def test_path_csv_schema(geom5, tmp_path):
@@ -58,7 +59,7 @@ def test_path_csv_schema(geom5, tmp_path):
     # values round-trip exactly through the 17g format
     k = 3
     assert float(rows[k + 1][1]) == path.params[k]
-    assert float(rows[k + 1][2]) == path.states[k].rho_o[0]
+    assert float(rows[k + 1][2]) == path.rho_o[k, 0]
     assert float(rows[k + 1][17]) == energies[k]
 
 
@@ -68,15 +69,15 @@ def test_path_csv_round_trips_exactly(geom5, tmp_path):
     energies = lf.path_energies(geom5, springs, path)
     fname = tmp_path / "rt.csv"
     lio.write_path_csv(geom5, path, fname, energies)
-    name, params, rho_o, rho_s, energy = lio.read_path_csv(fname)
+    name, params, rho_o, rho_s, energy = read_path_csv(fname)
     assert name == "psi"
     assert np.array_equal(params, path.params)
-    assert np.array_equal(rho_o, path.angles())
-    assert np.array_equal(rho_s, path.sub_angles())
+    assert np.array_equal(rho_o, path.rho_o)
+    assert np.array_equal(rho_s, path.rho_s)
     assert np.array_equal(energy, energies)
     # without energies the column reads back as absent
     lio.write_path_csv(geom5, path, fname)
-    assert lio.read_path_csv(fname)[4] is None
+    assert read_path_csv(fname)[4] is None
 
 
 def test_csv_writer_deterministic(geom5, springs_bistable, tmp_path):
@@ -92,7 +93,6 @@ def test_csv_writer_deterministic(geom5, springs_bistable, tmp_path):
 @given(st.floats(width=64))
 def test_float_format_matches_reference(x):
     assert lio.FLOAT % x == _g(x)
-    assert lio.fmt(x) == _g(x)
 
 
 def _path_reference(geom, path, energies):
@@ -101,9 +101,9 @@ def _path_reference(geom, path, energies):
               + [f"rho_{k}_{u}" for u in range(1, n + 1) for k in ("M", "B")]
               + [f"rho_S_{u}" for u in range(1, n + 1)] + ["energy"])
     rows = [header]
-    for k, state in enumerate(path.states):
-        rows.append([str(k), _g(path.params[k])] + [_g(a) for a in state.rho_o]
-                    + [_g(a) for a in state.rho_s]
+    for k, (rho_o, rho_s) in enumerate(zip(path.rho_o, path.rho_s)):
+        rows.append([str(k), _g(path.params[k])] + [_g(a) for a in rho_o]
+                    + [_g(a) for a in rho_s]
                     + [_g(energies[k]) if energies is not None else ""])
     return _csv_reference(rows)
 
@@ -120,8 +120,8 @@ def test_path_csv_matches_reference(geom5, springs_bistable, tmp_path,
 
 
 def test_traced_path_csv_matches_reference(geom5, springs_grasp, tmp_path):
-    res = lf.run_program(geom5, lf.GraspProgram((1, 3), max_steps=12),
-                         springs=springs_grasp)
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=12)],
+                             springs=springs_grasp)
     f = tmp_path / "t.csv"
     lio.write_path_csv(geom5, res.path, f, res.trace.energy)
     assert f.read_bytes() == _path_reference(geom5, res.path,
@@ -171,10 +171,10 @@ def test_trigger_map_csv_matches_reference(geom5, tmp_path):
     tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
                           (np.radians(60), np.radians(80)), n_h=5, n_rest=3)
     rows = [["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"]]
-    for row in tmap.predictions:
-        for p in row:
-            rows.append([_g(p.rest_angle), _g(p.h), _g(p.E_ball),
-                         _g(p.delta_E_g), _g(p.E_gap), p.outcome])
+    for i, (rest, d_g) in enumerate(zip(tmap.rest_angles, tmap.delta_E_g)):
+        for j, (h, e_ball) in enumerate(zip(tmap.heights, tmap.E_ball)):
+            rows.append([_g(rest), _g(h), _g(e_ball), _g(d_g),
+                         _g(tmap.E_gap[i, j]), tmap.outcomes[i, j]])
     assert {r[-1] for r in rows[1:]} == {"grasp", "no-trigger"}
     f = tmp_path / "m.csv"
     lio.write_trigger_map_csv(tmap, f)
@@ -189,7 +189,7 @@ def test_path_json_round_trip(geom5, tmp_path):
     back = json.loads(f.read_text())
     assert back["param_name"] == "psi"
     assert len(back["rho_o"]) == len(path)
-    assert np.allclose(back["rho_o"][2], path.states[2].rho_o)
+    assert np.allclose(back["rho_o"][2], path.rho_o[2])
 
 
 def _json_dump_text(obj):

@@ -8,15 +8,24 @@ from hypothesis.extra.numpy import arrays
 
 import leafout as lf
 from leafout import kinematics
-from leafout.kinematics import (LockedConfiguration, StepFailure, StepRequest,
-                                _closure, _masked_solve, _tangent, angle_bounds,
-                                project_step, trace_path, trace_paths)
+from leafout.kinematics import (StepFailure, StepRequest, _closure,
+                                _masked_solve, _tangent, angle_bounds, trace_paths)
 from leafout.rotations import rot_x, rot_z
 from oracles import chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation
 
 
 def max_residual(geom, rho):
     return np.max(np.abs(_closure(geom, np.asarray(rho, dtype=float)[None])[0]))
+
+
+def trace(geom, start, request, n_steps):
+    """The path of one start state and request."""
+    return trace_paths(geom, [start], [request], n_steps)[0]
+
+
+def step(geom, start, request):
+    """The state one step of ``request`` reaches from ``start``."""
+    return trace(geom, start, request, 1).rho_o[-1]
 
 
 def test_flat_chain_is_identity(geom5):
@@ -176,8 +185,8 @@ def test_pseudo_inverse_moore_penrose(geom5, uniform_minus30):
 
 def test_zero_request_is_fixed_point(geom5, uniform_minus30):
     req = StepRequest(np.zeros(10))
-    out = project_step(geom5, uniform_minus30, req)
-    assert np.max(np.abs(out.state.rho_o - uniform_minus30.rho_o)) < 1e-12
+    rho = step(geom5, uniform_minus30, req)
+    assert np.max(np.abs(rho - uniform_minus30.rho_o)) < 1e-12
 
 
 def test_uniform_drive_stays_uniform(geom5):
@@ -187,8 +196,7 @@ def test_uniform_drive_stays_uniform(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2, 4, 6, 8)
     d0[list(ctrl)] = np.radians(0.5)
-    out = project_step(geom5, start, StepRequest(d0, ctrl))
-    rho = out.state.rho_o
+    rho = step(geom5, start, StepRequest(d0, ctrl))
     assert np.ptp(rho[0::2]) < 1e-12
     assert np.ptp(rho[1::2]) < 1e-12
     assert np.isclose(np.degrees(rho[0]), 7.6)
@@ -199,11 +207,9 @@ def test_pinch_drive_breaks_symmetry(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2)
     d0[list(ctrl)] = np.radians(0.5)
-    state = start
-    for _ in range(10):
-        state = project_step(geom5, state, StepRequest(d0, ctrl)).state
-    assert np.isclose(state.rho_o[0], state.rho_o[2], atol=1e-12)
-    assert state.rho_o[0] - state.rho_o[6] > np.radians(1.0)
+    rho = trace(geom5, start, StepRequest(d0, ctrl), 10).rho_o[-1]
+    assert np.isclose(rho[0], rho[2], atol=1e-12)
+    assert rho[0] - rho[6] > np.radians(1.0)
 
 
 def test_locked_configuration_detected(geom5, uniform_minus30):
@@ -211,23 +217,23 @@ def test_locked_configuration_detected(geom5, uniform_minus30):
     C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
     d0 = C.T @ np.array([1.0, 2.0, 3.0]) * 1e-3
     req = StepRequest(d0, tuple(range(10)))
-    with pytest.raises(LockedConfiguration):
-        project_step(geom5, uniform_minus30, req)
+    path = trace(geom5, uniform_minus30, req, 5)
+    assert path.termination == "locked"
+    assert np.array_equal(path.rho_o, uniform_minus30.rho_o[None])
 
 
 def test_controlled_increments_exact(geom5):
     start = lf.near_flat_start(geom5)
     d0 = np.zeros(10)
     d0[0] = np.radians(1.25)
-    out = project_step(geom5, start, StepRequest(d0, (0,)))
-    assert abs(out.state.rho_o[0] - start.rho_o[0] - np.radians(1.25)) < 1e-14
+    rho = step(geom5, start, StepRequest(d0, (0,)))
+    assert abs(rho[0] - start.rho_o[0] - np.radians(1.25)) < 1e-14
 
 
 def test_trace_zero_driver(geom5, uniform_minus30):
-    path = trace_path(geom5, uniform_minus30, StepRequest(np.zeros(10)), 5)
+    path = trace(geom5, uniform_minus30, StepRequest(np.zeros(10)), 5)
     assert len(path) == 6
-    for s in path.states:
-        assert np.max(np.abs(s.rho_o - uniform_minus30.rho_o)) < 1e-10
+    assert np.max(np.abs(path.rho_o - uniform_minus30.rho_o)) < 1e-10
 
 
 def test_no_paths_trace_to_no_paths(geom5):
@@ -236,10 +242,11 @@ def test_no_paths_trace_to_no_paths(geom5):
 
 
 def test_trace_requires_closed_start(geom5):
-    bad = lf.FoldState.from_angles(geom5, np.zeros(10), check=False)
-    bad.rho_o[0] = 0.3
+    rho = np.zeros(10)
+    rho[0] = 0.3
+    bad = lf.FoldState(rho_o=rho, rho_s=np.zeros(5))
     with pytest.raises(lf.NotClosedError):
-        trace_path(geom5, bad, StepRequest(np.zeros(10)), 2)
+        trace(geom5, bad, StepRequest(np.zeros(10)), 2)
 
 
 def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
@@ -247,9 +254,7 @@ def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
     rho[3] = np.nan
     bad = lf.FoldState(rho_o=rho, rho_s=uniform_minus30.rho_s.copy())
     with pytest.raises(lf.NotClosedError):
-        trace_path(geom5, bad, StepRequest(np.zeros(10)), 2)
-    with pytest.raises(lf.NotClosedError):
-        project_step(geom5, bad, StepRequest(np.zeros(10)))
+        trace(geom5, bad, StepRequest(np.zeros(10)), 2)
 
 
 def _request(ctrl, amount, step_scale=np.radians(0.5), n=10):
@@ -260,17 +265,17 @@ def _request(ctrl, amount, step_scale=np.radians(0.5), n=10):
 
 def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     # a 2 rad unsplit step on units 1 and 3 cannot be closed inside the
-    # boxes; with the halving floor above its scale it fails at once, while
-    # small steps on units 1 and 2 trace normally beside it
-    monkeypatch.setattr(kinematics, "MIN_STEP", 3.0)
+    # boxes; with no halved retries it fails at once, while small steps on
+    # units 1 and 2 trace normally beside it
+    monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
     start = lf.near_flat_start(geom5)
     good = _request((0, 2), np.radians(0.5), 4.0)
     bad = _request((0, 4), 2.0, 4.0)
-    alone = trace_path(geom5, start, good, 5)
+    alone = trace(geom5, start, good, 5)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
         trace_paths(geom5, [start, start, start], [good, bad, good], 5)
     (first,) = info.value.completed
-    assert np.array_equal(first.angles(), alone.angles())
+    assert np.array_equal(first.rho_o, alone.rho_o)
     assert first.termination == alone.termination == "max-steps"
 
 
@@ -302,14 +307,14 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
             _request(*UNSPLIT_RETRIED[n_cell], 4.0, n),
             _request(tuple(range(0, n, 2)), np.radians(5.0), n=n),
             _request(tuple(range(n)), 0.01, n=n)]
-    together = trace_paths(geom, [start] * len(reqs), reqs, 30, on_boundary="freeze")
+    together = trace_paths(geom, [start] * len(reqs), reqs, 30)
     assert failed_tries
     assert together[0].frozen_history[0] == () != together[0].frozen_history[-1]
     assert together[3].termination == "locked"
     for req, path in zip(reqs, together):
-        alone = trace_path(geom, start, req, 30, on_boundary="freeze")
-        assert np.array_equal(alone.angles(), path.angles())
-        assert np.array_equal(alone.sub_angles(), path.sub_angles())
+        alone = trace(geom, start, req, 30)
+        assert np.array_equal(alone.rho_o, path.rho_o)
+        assert np.array_equal(alone.rho_s, path.rho_s)
         assert np.array_equal(alone.params, path.params)
         assert alone.termination == path.termination
         assert alone.frozen_history == path.frozen_history
@@ -330,7 +335,7 @@ def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
     monkeypatch.setattr(kinematics, "_project", counting_project)
     req = _request((0, 2), np.pi, np.pi)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
-        trace_path(geom5, lf.near_flat_start(geom5), req, 5, on_boundary="freeze")
+        trace(geom5, lf.near_flat_start(geom5), req, 5)
     assert info.value.completed == []
     assert tries == [kinematics._OUTSIDE_BOX] * (kinematics.MAX_HALVINGS + 1)
 
@@ -343,49 +348,50 @@ def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
     reqs = [_request((0,), 1e-15), _request((0, 2), 1e-15)]
     for path in trace_paths(geom5, [start, start], reqs, 5):
         assert path.termination == "controlled-at-boundary"
-        assert np.array_equal(path.angles(), start.rho_o[None])
+        assert np.array_equal(path.rho_o, start.rho_o[None])
 
 
 def test_trace_terminates_at_controlled_box(geom5):
     start = lf.near_flat_start(geom5)
     req = _request((0, 2, 4, 6, 8), np.radians(5.0), np.radians(5.0))
-    path = trace_path(geom5, start, req, 100)
+    path = trace(geom5, start, req, 100)
     assert path.termination == "controlled-at-boundary"
-    assert np.isclose(path.states[-1].rho_o[0], np.pi, atol=1e-9)
+    assert np.isclose(path.rho_o[-1, 0], np.pi, atol=1e-9)
 
 
 def test_trace_boundary_stop_vs_freeze(geom5):
+    # an uncontrolled angle reaching its box face does not stop the path:
+    # it is pinned there and the drive continues to the controlled face
     start = lf.near_flat_start(geom5)
     req = _request((0, 2), np.radians(0.5))
-    stopped = trace_path(geom5, start, req, 400, on_boundary="stop")
-    assert stopped.termination == "boundary"
-    frozen = trace_path(geom5, start, req, 400, on_boundary="freeze")
-    assert len(frozen) > len(stopped)
+    frozen = trace(geom5, start, req, 400)
+    first_pin = next(k for k, f in enumerate(frozen.frozen_history) if f)
+    assert 0 < first_pin < len(frozen) - 1
     assert frozen.termination == "controlled-at-boundary"
     # the pinned angles sit exactly on their box face afterwards
     last_frozen = frozen.frozen_history[-1]
     assert last_frozen
     lo, hi = angle_bounds(geom5)
     for idx in last_frozen:
-        v = frozen.states[-1].rho_o[idx]
+        v = frozen.rho_o[-1, idx]
         assert np.isclose(v, lo[idx]) or np.isclose(v, hi[idx])
 
 
 def test_emitted_states_closed_and_boxed(geom5):
     start = lf.near_flat_start(geom5)
-    path = trace_path(geom5, start, _request((0, 2), np.radians(0.5)), 80,
-                      on_boundary="freeze")
+    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 80)
     lo, hi = angle_bounds(geom5)
-    for s in path.states:
-        assert chain_closure_norm(geom5.alpha, s.rho_o) < 1e-10
-        assert np.all(s.rho_o >= lo - 1e-9) and np.all(s.rho_o <= hi + 1e-9)
+    for rho in path.rho_o:
+        assert chain_closure_norm(geom5.alpha, rho) < 1e-10
+        assert np.all(rho >= lo - 1e-9) and np.all(rho <= hi + 1e-9)
 
 
 def test_reversibility(geom5, uniform_minus30):
     ctrl = (0, 2, 4, 6, 8)
-    fwd = trace_path(geom5, uniform_minus30, _request(ctrl, np.radians(0.5)), 20)
-    back = trace_path(geom5, fwd.states[-1], _request(ctrl, -np.radians(0.5)), 20)
-    assert np.max(np.abs(back.states[-1].rho_o - uniform_minus30.rho_o)) < 1e-6
+    fwd = trace(geom5, uniform_minus30, _request(ctrl, np.radians(0.5)), 20)
+    end = lf.FoldState(rho_o=fwd.rho_o[-1], rho_s=fwd.rho_s[-1])
+    back = trace(geom5, end, _request(ctrl, -np.radians(0.5)), 20)
+    assert np.max(np.abs(back.rho_o[-1] - uniform_minus30.rho_o)) < 1e-6
 
 
 def test_step_scale_substepping_equivalence(geom5):
@@ -394,18 +400,17 @@ def test_step_scale_substepping_equivalence(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2, 4, 6, 8)
     d0[list(ctrl)] = np.radians(4.0)
-    coarse = project_step(geom5, start, StepRequest(d0, ctrl, np.radians(8.0)))
-    fine = project_step(geom5, start, StepRequest(d0, ctrl, np.radians(0.5)))
-    assert np.isclose(coarse.state.rho_o[0], fine.state.rho_o[0], atol=1e-14)
-    assert np.max(np.abs(coarse.state.rho_o - fine.state.rho_o)) < 1e-4
+    coarse = step(geom5, start, StepRequest(d0, ctrl, np.radians(8.0)))
+    fine = step(geom5, start, StepRequest(d0, ctrl, np.radians(0.5)))
+    assert np.isclose(coarse[0], fine[0], atol=1e-14)
+    assert np.max(np.abs(coarse - fine)) < 1e-4
 
 
 @settings(max_examples=20, deadline=None)
 @given(arrays(float, 10, elements=st.floats(min_value=-0.01, max_value=0.01)))
 def test_projection_keeps_states_closed(geom5, d0):
     state = lf.uniform_state(geom5, np.radians(-35.0))
-    out = project_step(geom5, state, StepRequest(d0))
-    assert max_residual(geom5, out.state.rho_o) < 1e-10
+    assert max_residual(geom5, step(geom5, state, StepRequest(d0))) < 1e-10
 
 
 def test_fold_state_validation(geom5):
@@ -426,9 +431,23 @@ def test_step_request_validation(kwargs):
         StepRequest(**{"delta_rho_0": np.zeros(10), **kwargs})
 
 
+def test_step_request_rejects_scale_under_min_step(geom5):
+    # one try splits into ceil(max|t| / step_scale) substeps, so a 0.1 rad
+    # request at a 1e-9 scale would ask for about 1e8 of them
+    d0 = np.zeros(10)
+    d0[0] = 0.1
+    with pytest.raises(ValueError, match="MIN_STEP"):
+        StepRequest(d0, (0,), step_scale=1e-9)
+    for scale in (np.nextafter(kinematics.MIN_STEP, 0.0), -1.0):
+        with pytest.raises(ValueError, match="MIN_STEP"):
+            StepRequest(d0, (0,), step_scale=scale)
+    assert StepRequest(d0, (0,), step_scale=kinematics.MIN_STEP).step_scale \
+        == kinematics.MIN_STEP
+
+
 def test_check_states_names_first_failing_row(geom5):
     path = lf.uniform_path(geom5, (np.radians(-60), np.radians(40)), 9)
-    rho = path.angles()
+    rho = path.rho_o.copy()
     kinematics.check_states(geom5, rho)
     rho[6, 0] += 1e-3
     rho[7, 0] += 1e-3

@@ -2,10 +2,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafout.rotations import axis_angle, is_rotation, rot_x, rot_z, skew
+from leafout.rotations import axis_angle, rot_x, rot_z, skew
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def is_rotation(R, tol=1e-12):
+    """Proper-rotation check: orthonormal within tol and det == +1."""
+    R = np.asarray(R)
+    return (np.max(np.abs(R @ R.T - np.eye(3))) < tol
+            and abs(np.linalg.det(R) - 1.0) < tol)
 
 
 def test_rot_x_quarter_turn():

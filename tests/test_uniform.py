@@ -2,16 +2,27 @@ import numpy as np
 import pytest
 
 import leafout as lf
-from leafout.uniform import boundary_angles, main_angles
 from oracles import chain_closure_norm, main_angle_oracle
 
 ALPHA = np.pi / 5
 
 
+def boundary_vector(alpha, psi, rho_m):
+    """Unit vector along the boundary crease between units 1 and 2,
+    global frame, componentwise closed form."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    s, cm = np.sin(rho_m / 2), np.cos(rho_m / 2)
+    return np.array([
+        -sa * cm,
+        ca * np.cos(psi) - sa * np.sin(psi) * s,
+        ca * np.sin(psi) + sa * np.cos(psi) * s,
+    ])
+
+
 def test_flat_state_trivia(geom5):
     assert lf.main_angle_from_psi(ALPHA, 0.0) == 0.0
     assert lf.boundary_angle_from_psi(ALPHA, 0.0) == 0.0
-    b = lf.boundary_vector(ALPHA, 0.0, 0.0)
+    b = boundary_vector(ALPHA, 0.0, 0.0)
     assert np.allclose(b, [-np.sin(ALPHA), np.cos(ALPHA), 0.0])
 
 
@@ -43,22 +54,25 @@ def test_boundary_vector_unit_norm():
     for psi_deg in (-50, -20, 5, 35):
         psi = np.radians(psi_deg)
         rm = lf.main_angle_from_psi(ALPHA, psi)
-        assert abs(np.linalg.norm(lf.boundary_vector(ALPHA, psi, rm)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(boundary_vector(ALPHA, psi, rm)) - 1.0) < 1e-12
 
 
-def test_uniform_state_record():
-    st = lf.UniformState.at(ALPHA, np.radians(-30))
-    assert abs(np.linalg.norm(st.b) - 1.0) < 1e-12
-    assert 0 < st.rho_m < np.pi and -np.pi < st.rho_b < 0
-    flat = lf.UniformState.at(ALPHA, 0.0)
-    assert flat.rho_m == 0.0 and flat.rho_b == 0.0
-    assert np.allclose(flat.b, [-np.sin(ALPHA), np.cos(ALPHA), 0.0])
+def test_uniform_state_record(geom5):
+    psi = np.radians(-30)
+    st = lf.uniform_state(geom5, psi)
+    assert abs(np.linalg.norm(boundary_vector(ALPHA, psi, st.rho_m[0])) - 1.0) < 1e-12
+    assert np.all((0 < st.rho_m) & (st.rho_m < np.pi))
+    assert np.all((-np.pi < st.rho_b) & (st.rho_b < 0))
+    flat = lf.uniform_state(geom5, 0.0)
+    assert np.all(flat.rho_m == 0.0) and np.all(flat.rho_b == 0.0)
+    assert np.allclose(boundary_vector(ALPHA, 0.0, flat.rho_m[0]),
+                       [-np.sin(ALPHA), np.cos(ALPHA), 0.0])
 
 
 def test_boundary_vector_third_component():
     psi = np.radians(-25)
     rm = lf.main_angle_from_psi(ALPHA, psi)
-    b = lf.boundary_vector(ALPHA, psi, rm)
+    b = boundary_vector(ALPHA, psi, rm)
     want = (np.cos(ALPHA) * np.sin(psi)
             + np.sin(ALPHA) * np.cos(psi) * np.sin(rm / 2))
     assert np.isclose(b[2], want, atol=0, rtol=0)
@@ -75,8 +89,8 @@ def test_pairs_satisfy_loop_closure(geom5):
 
 def test_path_single_curve_through_origin(geom5):
     path = lf.uniform_path(geom5, (np.radians(-60), np.radians(50)), 221)
-    rm = path.angles()[:, 0]
-    rb = path.angles()[:, 1]
+    rm = path.rho_o[:, 0]
+    rb = path.rho_o[:, 1]
     # continuous single branch, passing through the flat point
     assert np.max(np.abs(np.diff(rm))) < np.radians(3.0)
     assert np.max(np.abs(np.diff(rb))) < np.radians(3.0)
@@ -123,18 +137,18 @@ def test_out_of_range_reported():
     with pytest.raises(lf.OutOfRangeError):
         lf.main_angle_from_psi(ALPHA, np.pi / 2)
     with pytest.raises(lf.OutOfRangeError):
-        main_angles(ALPHA, np.array([0.1, np.pi / 2]))
+        lf.main_angle_from_psi(ALPHA, np.array([0.1, np.pi / 2]))
     for psi in (np.nan, np.array([0.1, np.nan])):
         with pytest.raises(lf.OutOfRangeError):
-            main_angles(ALPHA, psi)
+            lf.main_angle_from_psi(ALPHA, psi)
         with pytest.raises(lf.OutOfRangeError):
-            boundary_angles(ALPHA, psi)
+            lf.boundary_angle_from_psi(ALPHA, psi)
 
 
 def test_vectorized_solvers_match_scalar():
     psis = np.radians(np.array([-80.0, -33.3, -5.0, 12.5, 47.0]))
-    rms = main_angles(ALPHA, psis)
-    rbs = boundary_angles(ALPHA, psis)
+    rms = lf.main_angle_from_psi(ALPHA, psis)
+    rbs = lf.boundary_angle_from_psi(ALPHA, psis)
     for p, rm, rb in zip(psis, rms, rbs):
         assert abs(rm - lf.main_angle_from_psi(ALPHA, p)) < 1e-10
         assert abs(rb - lf.boundary_angle_from_psi(ALPHA, p)) < 1e-10
@@ -148,7 +162,7 @@ def test_boundary_vector_matches_mesh_edge(geom5):
     a, b = mesh.crease_edges[CreaseId(CreaseKind.BOUNDARY, 1)]
     edge = mesh.vertices[b] - mesh.vertices[a]
     edge = edge / np.linalg.norm(edge)
-    want = lf.boundary_vector(geom5.alpha, psi, st.rho_o[0])
+    want = boundary_vector(geom5.alpha, psi, st.rho_o[0])
     assert np.max(np.abs(edge - want)) < 1e-8
 
 
@@ -187,9 +201,5 @@ def test_uniform_path_is_columnar_and_matches_states(geom5):
     assert path.rho_o.shape == (31, 10) and path.rho_s.shape == (31, 5)
     for k, psi in enumerate(path.params):
         st = lf.uniform_state(geom5, psi)
-        assert np.array_equal(path.states[k].rho_o, st.rho_o)
-        assert np.array_equal(path.states[k].rho_s, st.rho_s)
-    # the derived views are copies
-    path.angles()[0, 0] = 9.0
-    path.states[0].rho_o[0] = 9.0
-    assert path.rho_o[0, 0] != 9.0
+        assert np.array_equal(path.rho_o[k], st.rho_o)
+        assert np.array_equal(path.rho_s[k], st.rho_s)

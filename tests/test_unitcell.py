@@ -3,11 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafout.unitcell import (d_sub_d_main, sub_angle_from_main,
-                              vertex_closure_residual, vertex_sector_angles)
-from oracles import sub_angle_oracle, vertex_a_chain_residual
+from leafout.unitcell import d_sub_d_main, sub_angle_from_main
+from oracles import rx, rz, sub_angle_oracle, vertex_a_chain_residual
 
 ALPHA = np.pi / 5
+
+
+def vertex_sector_angles(alpha):
+    """Flat sector angles around the interior vertex, counterclockwise
+    starting from the main crease: (pi - alpha, alpha, alpha, pi - alpha)."""
+    return (np.pi - alpha, alpha, alpha, np.pi - alpha)
+
+
+def vertex_closure_residual(alpha, rho_m, rho_s):
+    """Max-norm deviation of the four-crease rotation product from identity.
+
+    The midline fold angle is eliminated by choosing the rotation that best
+    closes the remaining chain, so the residual measures whether
+    (rho_M, rho_S) is compatible with the vertex at all.
+    """
+    A = rx(rho_m) @ rz(np.pi - alpha) @ rx(rho_s) @ rz(alpha)
+    B = rx(rho_s) @ rz(np.pi - alpha)
+    Q = A.T @ B.T @ rz(-alpha)   # required value of rx(rho_t)
+    rho_t = np.arctan2(Q[2, 1] - Q[1, 2], Q[1, 1] + Q[2, 2])
+    F = A @ rx(rho_t) @ rz(alpha) @ B
+    return float(np.max(np.abs(F - np.eye(3))))
 
 
 def test_flat_maps_to_flat():
