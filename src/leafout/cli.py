@@ -7,10 +7,12 @@ everything internal is radians.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure (partial outputs are flagged in the
 manifest).
 
-Each task is one entry of ``TASKS``: the task keys it accepts, a build
-step that checks the config and returns the task's inputs (all that
-`validate` runs), and a run step that computes and writes the outputs
-from those inputs and reports how each path ended.
+``SCHEMA`` gives every config key its type, default, SI conversion and
+the bounds the CLI owns; ``_read`` checks one block against it.  Each
+task is one entry of ``TASKS``: a build step that checks the rest of the
+config and returns the task's inputs (all that `validate` runs), and a
+run step that computes and writes the outputs from those inputs and
+reports how each path ended.
 """
 import argparse
 import json
@@ -25,7 +27,7 @@ from .droptest import DropScenario, trigger_map
 from .energy import (DEFAULT_PSI_STEP, SpringModel, characterize_bistability,
                      landscape_over_psi, path_energies, ratio_surface,
                      uniform_path_arrays)
-from .explore import GraspProgram, run_programs
+from .explore import DEFAULT_MAX_STEPS, GraspProgram, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, StepFailure
 from .uniform import (OutOfRangeError, clip_psi_range, psi_samples,
@@ -41,67 +43,151 @@ class ConfigError(ValueError):
     pass
 
 
-def _deg(x):
-    return np.radians(float(x))
-
-
 def _milli(x):
     return float(x) * 1e-3
 
 
-# [lo, hi] task keys: (default, conversion of each end to SI units)
-_RANGES = {"psi_range_deg": ((-60.0, 60.0), _deg),
-           "h_range_mm": ((50.0, 800.0), _milli),
-           "rest_range_deg": ((40.0, 100.0), _deg),
-           "rest_main_range_deg": ((2.0, 178.0), _deg),
-           "rest_boundary_range_deg": ((-178.0, -2.0), _deg)}
-
-MAX_SURFACE_POINTS = 10 ** 6    # ratio-surface grid points
-
-# drop block keys: (DropScenario field, conversion to SI units); a key
-# left out takes the scenario's prototype default
-_DROP_KEYS = {"m_ball_g": ("m_ball", _milli), "R_ball_mm": ("R_ball", _milli),
-              "h_mm": ("h", _milli), "g": ("g", float),
-              "kappa_pet": ("kappa_pet", float),
-              "kappa_pet_unit": ("kappa_pet_unit", str),
-              "effective_width_mm": ("effective_width_mm", float),
-              "rest_angle_deg": ("rest_angle", _deg)}
+REQUIRED = "required"       # a Key default: the key must be given
+MAX_POINTS = 10 ** 6        # n_samples x 2 n_cell, n_h x n_rest, surface points
+MAX_CELLS = 360             # geometry.n_cell
+MAX_GRASP_WORK = 2 * 10 ** 6    # len(programs) x max_steps x 2 n_cell
 
 
-def _require(cfg, key, kind=None):
-    if not isinstance(cfg, dict) or key not in cfg:
-        raise ConfigError(f"missing config key: {key}")
-    v = cfg[key]
-    if kind is not None:
-        try:
-            v = kind(v)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {v!r}") from exc
-    return v
+class Key(NamedTuple):
+    """One config key: its JSON type (a ``_TYPES`` name), its default
+    (REQUIRED, or None: left out, so that the library default applies),
+    the conversion of its numbers to SI units, the name it is passed on as,
+    and the bounds in config units that no library call checks."""
+    type: str
+    default: object = None
+    conv: Callable = float
+    name: str = None
+    lo: float = -np.inf
+    hi: float = np.inf
 
 
-def build_geometry_from_config(cfg):
-    g = _require(cfg, "geometry")
-    try:
-        return build_geometry(_require(g, "n_cell"),
-                              _require(g, "L1", float),
-                              _require(g, "L2", float))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _number(v):
+    """A finite number: not NaN, +-inf, a bool or an int past float range."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def build_springs_from_config(geom, cfg):
-    s = _require(cfg, "springs")
-    rest = _require(s, "rest_deg")
-    rho_m, rho_b = _require(rest, "rho_m", _deg), _require(rest, "rho_b", _deg)
-    rho_s = _require(rest, "rho_s", _deg) if "rho_s" in rest else None
-    model, keys = ((SpringModel.uniform, ("kappa",)) if "kappa" in s else
-                   (SpringModel.per_kind, ("kappa_m", "kappa_s", "kappa_b")))
-    kappas = [_require(s, k, float) if k in s else 0.0 for k in keys]
-    try:
-        return model(geom, *kappas, rho_m, rho_b, rho_s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+# JSON type: (its name in messages, its check)
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "number": ("a finite number", _number),
+    "range": ("[lo, hi] of finite numbers",
+              lambda v: type(v) is list and len(v) == 2 and all(map(_number, v))),
+    "numbers": ("a list of finite numbers",
+                lambda v: type(v) is list and all(map(_number, v))),
+    "string": ("a string", lambda v: type(v) is str),
+    "object": ("an object", lambda v: type(v) is dict),
+    "programs": ("a non-empty list of non-empty lists of unit indices",
+                 lambda v: type(v) is list and len(v) > 0 and all(
+                     type(p) is list and len(p) > 0
+                     and all(type(u) is int for u in p) for p in v)),
+}
+
+_NAME = {"name": Key("string", REQUIRED)}
+_PSI_RANGE = Key("range", [-60.0, 60.0], np.radians)
+_REST = {"rest_deg": Key("object", REQUIRED)}
+_POSE = {"type": Key("string", REQUIRED), "tilt_deg": Key("number", None, np.radians)}
+
+#: Every config key, by block ("" is the top level).  The task block takes
+#: the table of its name, springs the "uniform" table when it holds kappa
+#: and the "per kind" one otherwise, and task.state the table of its type.
+SCHEMA = {
+    "": {"task": Key("object", REQUIRED), "geometry": Key("object", REQUIRED),
+         "springs": Key("object"), "output": Key("object", {})},
+    "geometry": {"n_cell": Key("int", REQUIRED, hi=MAX_CELLS),
+                 "L1": Key("number", REQUIRED), "L2": Key("number", REQUIRED)},
+    "springs": {"uniform": {"kappa": Key("number", REQUIRED), **_REST},
+                "per kind": {"kappa_m": Key("number", 0.0), "kappa_s": Key("number", 0.0),
+                             "kappa_b": Key("number", 0.0), **_REST}},
+    "springs.rest_deg": {"rho_m": Key("number", REQUIRED, np.radians),
+                         "rho_b": Key("number", REQUIRED, np.radians),
+                         "rho_s": Key("number", None, np.radians)},
+    "output": {"dir": Key("string")},
+    "task": {
+        "uniform-path": {**_NAME, "psi_range_deg": _PSI_RANGE,
+                         "n_samples": Key("int", 241)},
+        "energy-landscape": {**_NAME, "psi_range_deg": _PSI_RANGE,
+                             "n_samples": Key("int")},
+        "ratio-surface": {
+            **_NAME, "grid_step_deg": Key("number", 2.0, np.radians),
+            "rest_main_range_deg": Key("range", [2.0, 178.0], np.radians, lo=0, hi=180),
+            "rest_boundary_range_deg": Key("range", [-178.0, -2.0], np.radians,
+                                           lo=-180, hi=0)},
+        "drop-test": {**_NAME, "drop": Key("object", {}),
+                      "h_range_mm": Key("range", [50.0, 800.0], _milli),
+                      "rest_range_deg": Key("range", [40.0, 100.0], np.radians),
+                      "n_h": Key("int", 25), "n_rest": Key("int", 25),
+                      "observations_csv": Key("string")},
+        "multi-grasp": {**_NAME, "programs": Key("programs", REQUIRED),
+                        "delta_rho_c_deg": Key("number", None, np.radians, "delta_rho_c"),
+                        "max_steps": Key("int", lo=1)},
+        "export-mesh": {**_NAME, "state": Key("object", {"type": "flat"})}},
+    # DropScenario fields; a key left out takes the prototype value
+    "task.drop": {"m_ball_g": Key("number", None, _milli, "m_ball"),
+                  "R_ball_mm": Key("number", None, _milli, "R_ball"),
+                  "h_mm": Key("number", None, _milli, "h"), "g": Key("number"),
+                  "kappa_pet": Key("number"), "kappa_pet_unit": Key("string"),
+                  "effective_width_mm": Key("number"),
+                  "rest_angle_deg": Key("number", None, np.radians, "rest_angle")},
+    "task.state": {"flat": _POSE,
+                   "uniform": {**_POSE, "psi_deg": Key("number", REQUIRED, np.radians)},
+                   "angles": {**_POSE, "rho_o_deg": Key("numbers", REQUIRED, np.radians)}},
+}
+
+
+def _read(block, table, where, tag=None):
+    """The values of config block ``where`` read against its schema table:
+    numbers in SI units, a key left out at its default unless that is None.
+    Unknown keys, wrong types and numbers out of bounds are config errors.
+    With a ``tag`` key, ``table`` maps each of its values to a table."""
+    path = where + "." if where else ""
+    if type(block) is not dict:
+        raise ConfigError(f"{where or 'config'} must be an object, got {block!r}")
+    if tag is not None:
+        choice = block.get(tag)
+        if type(choice) is not str or choice not in table:
+            raise ConfigError(f"{path}{tag} must be one of {list(table)}, got {choice!r}")
+        table = table[choice]
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys {[path + k for k in unknown]}; "
+                          f"{where or 'config'} takes some of {list(table)}")
+    values = {}
+    for key, (kind, default, conv, name, lo, hi) in table.items():
+        v = block.get(key, default)
+        if v is REQUIRED:
+            raise ConfigError(f"missing config key: {path}{key}")
+        if v is None and key not in block:
+            continue
+        what, ok = _TYPES[kind]
+        if not (ok(v) and (kind not in ("int", "number", "range") or all(
+                lo <= x <= hi for x in (v if kind == "range" else [v])))):
+            bounds = "".join(f" {op} {b:g}" for op, b in ((">=", lo), ("<=", hi))
+                             if abs(b) < np.inf)
+            raise ConfigError(f"{path}{key} must be {what}{bounds}, got {v!r}")
+        values[name or key] = (tuple(map(conv, v)) if kind == "range" else
+                               conv(v) if kind in ("number", "numbers") else v)
+    return values
+
+
+def _cap(what, size, cap):
+    if size > cap:
+        raise ConfigError(f"{what} is {size:.6g}; at most {cap} accepted")
+
+
+def _springs(geom, block):
+    """Spring model of a springs block: kappa on every crease, or kappa_m,
+    kappa_s and kappa_b by crease kind."""
+    s = _read(block, SCHEMA["springs"]["uniform" if "kappa" in block else "per kind"],
+              "springs")
+    rest = _read(s["rest_deg"], SCHEMA["springs.rest_deg"], "springs.rest_deg")
+    kappas = [s.get("kappa", s.get(k)) for k in ("kappa_m", "kappa_s", "kappa_b")]
+    return SpringModel.per_kind(geom, *kappas, rest["rho_m"], rest["rho_b"],
+                                rest.get("rho_s"))
 
 
 def load_config(path):
@@ -134,80 +220,32 @@ def apply_overrides(cfg, pairs):
 
 
 def validate_config(cfg):
-    """The task's table entry and its inputs, built once from ``cfg``;
-    any fault in the config raises ConfigError."""
-    task = cfg.get("task")
-    if not isinstance(task, dict) or "name" not in task:
-        raise ConfigError("config needs a task object with a name")
-    spec = TASKS.get(task["name"])
-    if spec is None:
-        raise ConfigError(f"unknown task {task['name']!r}; expected one of "
-                          f"{tuple(TASKS)}")
-    unknown = sorted(set(task) - {"name", *spec.keys})
-    if unknown:
-        raise ConfigError(f"unknown {task['name']} task keys {unknown}; "
-                          f"expected some of {list(spec.keys)}")
-    output = cfg.get("output", {})
-    if not isinstance(output, dict) or not isinstance(output.get("dir", ""), str):
-        raise ConfigError(f"output must be an object whose dir is a string, got {output!r}")
-    return spec, spec.build(cfg, build_geometry_from_config(cfg), task)
-
-
-def _count(task, key, default, least):
-    """Integer task setting, checked against its least accepted value; a
-    None default leaves the key optional."""
-    v = task.get(key, default)
-    if v is None and default is None:     # an optional count left unset
-        return v
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
-    return v
-
-
-def _positive(task, key, default):
-    """Finite task setting > 0."""
-    v = task.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
-        raise ConfigError(f"{key} must be a finite number > 0, got {v!r}")
-    return v
-
-
-def _range(task, key):
-    """[lo, hi] task setting in SI units."""
-    default, conv = _RANGES[key]
-    rng = task.get(key, list(default))
+    """The task's table entry and its inputs, built once from ``cfg``,
+    which is read but never changed; any fault in it raises ConfigError.
+    So does an OSError or ValueError of the library calls that build the
+    inputs, and any overflow or invalid value in them (numpy raises rather
+    than warns).  A springs block is checked whenever it is present."""
+    c = _read(cfg, SCHEMA[""], "")
+    task = _read(c["task"], SCHEMA["task"], "task", "name")
+    g = _read(c["geometry"], SCHEMA["geometry"], "geometry")
+    _read(c["output"], SCHEMA["output"], "output")
+    spec = TASKS[task["name"]]
     try:
-        lo, hi = (conv(x) for x in rng)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be [lo, hi], got {rng!r}") from exc
-    return lo, hi
-
-
-def _drop_scenario(task):
-    d = task.get("drop", {})
-    if not isinstance(d, dict):
-        raise ConfigError(f"drop must be an object, got {d!r}")
-    unknown = sorted(set(d) - set(_DROP_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown drop keys {unknown}; expected some of "
-                          f"{list(_DROP_KEYS)}")
-    try:
-        return DropScenario(**{name: conv(d[key])
-                               for key, (name, conv) in _DROP_KEYS.items()
-                               if key in d})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad drop settings: {exc}") from exc
-
-
-def _uniform_path_inputs(cfg, geom, task):
-    """Springs (when given), psi range and sample count of a uniform-path
-    task."""
-    springs = build_springs_from_config(geom, cfg) if "springs" in cfg else None
-    psi_range, n = _range(task, "psi_range_deg"), _count(task, "n_samples", 241, 2)
-    try:
-        psi_samples(geom.alpha, psi_range, n)
-    except ValueError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            geom = build_geometry(g["n_cell"], g["L1"], g["L2"])
+            springs = _springs(geom, c["springs"]) if "springs" in c else None
+            return spec, spec.build(task, geom, springs)
+    except ArithmeticError as exc:      # numpy's FloatingPointError among them
+        raise ConfigError(f"cannot build the {task['name']} inputs: {exc}") from exc
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _uniform_path_inputs(task, geom, springs):
+    """Springs (when given), psi range and sample count of a uniform path."""
+    psi_range, n = task["psi_range_deg"], task["n_samples"]
+    _cap("n_samples x 2 n_cell", n * 2 * geom.n_cell, MAX_POINTS)
+    psi_samples(geom.alpha, psi_range, n)
     return geom, springs, psi_range, n
 
 
@@ -221,12 +259,15 @@ def _uniform_path_outputs(inputs, out, terminations):
                    out("uniform_path.json"))
 
 
-def _landscape_inputs(cfg, geom, task):
+def _landscape_inputs(task, geom, springs):
     """Springs, psi range and sample count of an energy-landscape task; the
     classifier is checked at the default 0.5 deg spacing."""
-    springs = build_springs_from_config(geom, cfg)
-    n, rng = _count(task, "n_samples", None, 2), _range(task, "psi_range_deg")
-    lo, hi, _ = clip_psi_range(geom.alpha, rng)   # a NaN end never spans
+    if springs is None:
+        raise ConfigError("missing config key: springs")
+    rng, n = task["psi_range_deg"], task.get("n_samples")
+    lo, hi, _ = clip_psi_range(geom.alpha, rng)
+    if n is not None:
+        _cap("n_samples x 2 n_cell", n * 2 * geom.n_cell, MAX_POINTS)
     spacing = 0.0 if n is None or not lo < 0.0 < hi else np.max(
         np.diff(uniform_path_arrays(geom, rng, n)[0]))
     if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
@@ -243,26 +284,18 @@ def _landscape_outputs(inputs, out, terminations):
     terminations["landscape"] = "truncated" if curve.truncated else "completed"
 
 
-def _surface_inputs(cfg, geom, task):
+def _surface_inputs(task, geom, springs):
     """Rest-main and rest-boundary grids of a ratio-surface task, each end
     included only when it sits on the grid; their size (np.arange's own
     length) is checked before anything is allocated."""
-    step = _deg(_positive(task, "grid_step_deg", 2.0))
-    ends = [_range(task, "rest_main_range_deg"),
-            _range(task, "rest_boundary_range_deg")]
-    (m_lo, m_hi), (b_lo, b_hi) = ends
-    if not (step > 0 and 0 <= m_lo <= m_hi <= np.pi
-            and -np.pi <= b_lo <= b_hi <= 0):
-        raise ConfigError("rest ranges must be [lo, hi] with lo <= hi, inside "
-                          "[0, 180] deg (main) and [-180, 0] deg (boundary); "
-                          "the grid step > 0 in radians")
+    step = task["grid_step_deg"]
+    ends = [task["rest_main_range_deg"], task["rest_boundary_range_deg"]]
+    if not (step > 0 and all(lo <= hi for lo, hi in ends)):
+        raise ConfigError("rest ranges must be [lo, hi] with lo <= hi; the grid "
+                          "step > 0 in radians")
     # in Python floats, so that a huge grid is an inf, not a numpy overflow
-    size = 1.0
-    for lo, hi in ends:
-        size *= float(np.ceil((hi + 1e-9 - lo) / step))
-    if not 1 <= size <= MAX_SURFACE_POINTS:
-        raise ConfigError(f"ratio-surface grid of {size:.6g} points; at most "
-                          f"{MAX_SURFACE_POINTS} accepted")
+    n_m, n_b = (float(np.ceil(float(hi + 1e-9 - lo) / float(step))) for lo, hi in ends)
+    _cap("ratio-surface grid size", n_m * n_b, MAX_POINTS)
     return geom, *(np.arange(lo, hi + 1e-9, step) for lo, hi in ends)
 
 
@@ -272,23 +305,19 @@ def _surface_outputs(inputs, out, terminations):
     lio.write_json(lio.contours_to_json_dict(surface), out("xi_zero_contour.json"))
 
 
-def _drop_inputs(cfg, geom, task):
+def _drop_inputs(task, geom, springs):
     """Drop-test decision map with its observation overlay, every rest
     angle checked against the bistable band."""
-    scenario, fname = _drop_scenario(task), task.get("observations_csv")
-    if fname and not isinstance(fname, str):
-        raise ConfigError(f"observations_csv must be a file name, got {fname!r}")
+    drop = _read(task["drop"], SCHEMA["task.drop"], "task.drop")
     try:
-        obs = lio.read_observations_csv(fname) if fname else None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read observations {fname}: {exc}") from exc
-    h_rng, r_rng = _range(task, "h_range_mm"), _range(task, "rest_range_deg")
-    n_h, n_rest = _count(task, "n_h", 25, 1), _count(task, "n_rest", 25, 1)
-    try:
-        return trigger_map(geom, scenario, h_rng, r_rng, n_h, n_rest,
-                           observations=obs)
+        scenario = DropScenario(**drop)
     except ValueError as exc:
-        raise ConfigError(f"bad drop-test ranges: {exc}") from exc
+        raise ConfigError(f"bad drop settings: {exc}") from exc
+    fname = task.get("observations_csv")
+    obs = lio.read_observations_csv(fname) if fname else None
+    _cap("n_h x n_rest", task["n_h"] * task["n_rest"], MAX_POINTS)
+    return trigger_map(geom, scenario, task["h_range_mm"], task["rest_range_deg"],
+                       task["n_h"], task["n_rest"], observations=obs)
 
 
 def _drop_outputs(tmap, out, terminations):
@@ -296,35 +325,27 @@ def _drop_outputs(tmap, out, terminations):
     lio.write_json(lio.trigger_contour_json_dict(tmap), out("egap_zero_contour.json"))
 
 
-def _grasp_inputs(cfg, geom, task):
-    """Springs and programs of a multi-grasp task; a step GraspProgram
-    refuses is a config error."""
-    springs = build_springs_from_config(geom, cfg)
+def _grasp_inputs(task, geom, springs):
+    """Springs and programs of a multi-grasp task; stepping work above
+    MAX_GRASP_WORK, counted at GraspProgram's own step limit when the
+    config leaves max_steps out, is a config error."""
+    if springs is None:
+        raise ConfigError("missing config key: springs")
     if geom.n_cell < 5:
-        raise ConfigError("multi-grasp needs n_cell >= 5 for its configuration-"
-                          f"space coordinates, got {geom.n_cell}")
-    progs = task.get("programs")
-    if not isinstance(progs, list) or not progs:
-        raise ConfigError("multi-grasp task needs a non-empty programs list")
+        raise ConfigError(f"multi-grasp needs n_cell >= 5, got {geom.n_cell}")
+    progs = task["programs"]
+    _cap("len(programs) x max_steps x 2 n_cell", len(progs) * task.get(
+        "max_steps", DEFAULT_MAX_STEPS) * 2 * geom.n_cell, MAX_GRASP_WORK)
     seen = set()
     for p in progs:
-        if not isinstance(p, list) or not p:
-            raise ConfigError("each program is a non-empty list of unit indices")
-        if any(not isinstance(u, int) or u < 1 or u > geom.n_cell for u in p):
+        if min(p) < 1 or max(p) > geom.n_cell:
             raise ConfigError(f"program {p} has unit indices outside 1..n_cell")
-        units = frozenset(p)
-        if units in seen:
+        if frozenset(p) in seen:
             raise ConfigError(f"program {p} drives the same units as an "
                               "earlier program")
-        seen.add(units)
-    delta = _deg(_positive(task, "delta_rho_c_deg", 0.5))
-    max_steps = _count(task, "max_steps", 400, 1)
-    try:
-        programs = [GraspProgram(tuple(units), delta_rho_c=delta, max_steps=max_steps)
-                    for units in progs]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return geom, springs, programs
+        seen.add(frozenset(p))
+    step = {k: task[k] for k in ("delta_rho_c", "max_steps") if k in task}
+    return geom, springs, [GraspProgram(tuple(units), **step) for units in progs]
 
 
 def _grasp_outputs(inputs, out, terminations):
@@ -352,64 +373,43 @@ def _grasp_outputs(inputs, out, terminations):
     lio.write_json(bundle, out("multigrasp_bundle.json"))
 
 
-def _mesh_inputs(cfg, geom, task):
-    """Fold state and tilt of an export-mesh task."""
-    spec = task.get("state", {"type": "flat"})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"state must be an object, got {spec!r}")
-    kind, tilt = spec.get("type"), 0.0
-    try:
-        if kind == "flat":
-            state = FoldState.flat(geom)
-        elif kind == "uniform":
-            tilt = _require(spec, "psi_deg", _deg)
-            state = uniform_state(geom, tilt)
-        elif kind == "angles":
-            state = FoldState.from_angles(geom, np.radians(np.asarray(
-                _require(spec, "rho_o_deg"), dtype=float)))
-        else:
-            raise ConfigError("state.type must be flat | uniform | angles")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if "tilt_deg" in spec:
-        tilt = _require(spec, "tilt_deg", _deg)
-        if not np.isfinite(tilt):
-            raise ConfigError(f"tilt_deg must be finite, got {spec['tilt_deg']!r}")
-    return geom, state, tilt
+def _mesh_inputs(task, geom, springs):
+    """OBJ text of the mesh of an export-mesh task's fold state, posed by
+    its tilt (the uniform state's own psi unless tilt_deg is given)."""
+    s = _read(task["state"], SCHEMA["task.state"], "task.state", "type")
+    state = (uniform_state(geom, s["psi_deg"]) if "psi_deg" in s else
+             FoldState.from_angles(geom, s["rho_o_deg"]) if "rho_o_deg" in s
+             else FoldState.flat(geom))
+    mesh = reconstruct_mesh(geom, state, tilt=s.get("tilt_deg", s.get("psi_deg", 0.0)))
+    if not np.isfinite(mesh.vertices).all():
+        raise ConfigError("mesh vertices are not finite")
+    return geom, mesh_to_obj(mesh)
 
 
 def _mesh_outputs(inputs, out, terminations):
-    geom, state, tilt = inputs
-    mesh = reconstruct_mesh(geom, state, tilt=tilt)
+    geom, obj = inputs
     with open(out("mesh.obj"), "w") as fh:
-        fh.write(mesh_to_obj(mesh))
+        fh.write(obj)
     lio.write_json(geom.to_dict(), out("geometry.json"))
 
 
 class Task(NamedTuple):
-    """One CLI task: the task keys it accepts besides ``name``;
-    ``build(cfg, geom, task)``, which checks the config and returns the
-    task's inputs or raises ConfigError; and ``run(inputs, out,
-    terminations)``, which computes and writes the outputs, each to the
-    path ``out(file_name)``, and records how each path ended."""
-    keys: tuple
+    """One CLI task: ``build(task, geom, springs)`` gets the task block's
+    values, the geometry and the spring model (None without springs) and
+    returns the task's inputs or raises ConfigError; ``run(inputs, out,
+    terminations)`` writes each output to the path ``out(file_name)`` and
+    records how each path ended."""
     build: Callable
     run: Callable
 
 
 TASKS = {
-    "uniform-path": Task(("psi_range_deg", "n_samples"),
-                         _uniform_path_inputs, _uniform_path_outputs),
-    "energy-landscape": Task(("psi_range_deg", "n_samples"),
-                             _landscape_inputs, _landscape_outputs),
-    "ratio-surface": Task(("grid_step_deg", "rest_main_range_deg",
-                           "rest_boundary_range_deg"),
-                          _surface_inputs, _surface_outputs),
-    "drop-test": Task(("drop", "h_range_mm", "rest_range_deg", "n_h", "n_rest",
-                       "observations_csv"), _drop_inputs, _drop_outputs),
-    "multi-grasp": Task(("programs", "delta_rho_c_deg", "max_steps"),
-                        _grasp_inputs, _grasp_outputs),
-    "export-mesh": Task(("state",), _mesh_inputs, _mesh_outputs),
+    "uniform-path": Task(_uniform_path_inputs, _uniform_path_outputs),
+    "energy-landscape": Task(_landscape_inputs, _landscape_outputs),
+    "ratio-surface": Task(_surface_inputs, _surface_outputs),
+    "drop-test": Task(_drop_inputs, _drop_outputs),
+    "multi-grasp": Task(_grasp_inputs, _grasp_outputs),
+    "export-mesh": Task(_mesh_inputs, _mesh_outputs),
 }
 
 

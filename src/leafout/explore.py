@@ -75,8 +75,6 @@ class GraspResult:
 
 def config_space_trace(path, energies):
     rho = path.rho_o
-    if rho.shape[1] < 10:
-        raise ValueError("configuration-space coordinates need n_cell >= 5")
     x = rho[:, 2] - rho[:, 6]
     y = rho[:, 4] - rho[:, 8]
     return ConfigSpaceTrace(x=x, y=y, z=path.params.copy(), energy=energies)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from leafout import io as lio
-from leafout.cli import main
+from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, SCHEMA,
+                         apply_overrides, main)
 
 BASE = {
     "geometry": {"n_cell": 5, "L1": 70.0, "L2": 30.0},
@@ -403,6 +404,25 @@ def _list_config(tmp_path):
     return p
 
 
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _stored(name, *overrides):
+    """A stored config with ``--set``-style overrides applied."""
+    def make(tmp_path):
+        cfg = apply_overrides(json.loads((CONFIGS / f"{name}.json").read_text()),
+                              list(overrides))
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(cfg))
+        return p
+    return make
+
+
+def _huge_mesh(length):
+    return lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
+        "n_cell": 5, "L1": length, "L2": length})
+
+
 @pytest.mark.parametrize("command,make_cfg", [
     ("export-mesh", _list_config),
     ("export-mesh", lambda tmp_path: write_cfg(tmp_path, {**MESH, "state": [1]})),
@@ -430,23 +450,84 @@ def _list_config(tmp_path):
     ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, {**GRASP, "delta_rho_c_deg": 181})),
     ("multi-grasp", lambda tmp_path: write_cfg(tmp_path, GRASP, geometry={
         "n_cell": 4, "L1": 70.0, "L2": 30.0})),
+    ("energy-landscape", _stored("landscape", "springs.kapa=1.0",
+                                 "springs.kappa_m=2.0")),
+    ("energy-landscape", _stored("landscape", "springs.kappa_m=50")),
+    ("energy-landscape", lambda tmp_path: write_cfg(tmp_path, LANDSCAPE, springs={
+        "kapa": 1.0, "rest_deg": {"rho_m": 120.0, "rho_b": -30.0}})),
+    ("uniform-path", _stored("uniform_path", 'task.psi_range_deg="12"')),
+    ("uniform-path", _stored("uniform_path", "geometry.L1=true")),
+    ("energy-landscape", _stored("landscape", "springs.kappa=true")),
+    ("energy-landscape", _stored("landscape", 'springs.rest_deg.rho_m="60"')),
+    ("drop-test", _stored("drop_map", "task.drop.g=true")),
+    ("multi-grasp", _stored("multigrasp", "task.programs=[[true, 2]]")),
+    ("uniform-path", _stored("uniform_path", "geometry.n_cells=5")),
+    ("energy-landscape", _stored("landscape", "springs.rest_deg.rho_z=60")),
+    ("uniform-path", _stored("uniform_path", "output.directory=o")),
+    ("uniform-path", _stored("uniform_path", "outputs.dir=o")),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, {**MESH, "state": {
+        "type": "uniform", "psi_deg": -30.0, "tilt": 10.0}})),
+    ("uniform-path", _stored("uniform_path", "task.n_samples=100000000000")),
+    ("drop-test", _stored("drop_map", "task.n_h=100000000000")),
+    ("multi-grasp", _stored("multigrasp", "geometry.n_cell=4000")),
+    ("export-mesh", _huge_mesh(1e200)),
+    ("export-mesh", _huge_mesh(1e308)),
+    ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
+        "n_cell": 5, "L1": 70.0, "L2": 1e308})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
         "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
         "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
         "landscape-kappa-list", "grasp-kappa-object", "kappa_m-null",
         "kappa_s-list", "kappa_b-object", "delta-under-min-step",
-        "delta-above-half-turn", "grasp-n_cell-4"])
+        "delta-above-half-turn", "grasp-n_cell-4", "springs-typo-and-kind",
+        "kappa_m-beside-kappa", "springs-typo-alone", "psi_range-text",
+        "L1-bool", "kappa-bool", "rho_m-text", "drop-g-bool",
+        "program-bool", "geometry-unknown", "rest_deg-unknown",
+        "output-unknown", "top-level-unknown", "state-unknown",
+        "n_samples-1e11", "n_h-1e11", "n_cell-4000", "mesh-L-1e200",
+        "mesh-L-1e308", "mesh-L2-1e308"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # each was an exit-1 traceback (a null count, a spring constant that is
-    # not a number, a grasp step under the at-face tolerance), an exit-0
-    # run writing NaN, a truncated cell count or the prototype drop
-    # defaults, or a grasp step above a half turn, always cut at the face;
-    # a grasp on fewer than five cells passed validate and then raised
+    # not a number, a grasp step under the at-face tolerance, an array too
+    # large to allocate, a mesh whose lengths overflow), an exit-0 run
+    # writing NaN, a truncated cell count, the prototype drop defaults or a
+    # value of the wrong type read as another, a grasp step above a half
+    # turn, always cut at the face, a key that was silently ignored, or a
+    # grasp that did not end; a grasp on fewer than five cells passed
+    # validate and then raised
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):
         assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"]["kind"] == "config"
+        assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,over,at_cap", [
+    ("multigrasp", "geometry.n_cell", MAX_CELLS),
+    ("uniform_path", "task.n_samples", MAX_POINTS // 10),
+    ("landscape", "task.n_samples", MAX_POINTS // 10),
+    ("drop_map", "task.n_h", MAX_POINTS),
+    ("multigrasp", "task.max_steps", MAX_GRASP_WORK // 10),
+], ids=["n_cell", "path-n_samples", "landscape-n_samples", "n_h", "grasp-work"])
+def test_size_caps_are_inclusive(tmp_path, capsys, config, over, at_cap):
+    # at n_cell 5: n_samples x 10 points, one rest angle beside n_h, one
+    # grasp program beside max_steps
+    fixed = {"drop_map": ["task.n_rest=1"], "multigrasp": ["task.programs=[[1]]"]
+             }.get(config, []) if over != "geometry.n_cell" else []
+    command = json.loads((CONFIGS / f"{config}.json").read_text())["task"]["name"]
+    ok = _stored(config, *fixed, f"{over}={at_cap}")(tmp_path)
+    assert main(["validate", "--config", str(ok)]) == 0
+    capsys.readouterr()
+    bad = _stored(config, *fixed, f"{over}={at_cap + 1}")(tmp_path)
+    out = tmp_path / "o"
+    for cmd in ("validate", command):
+        assert main([cmd, "--config", str(bad), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]["kind"] == "config"
     assert not out.exists()
 
 
@@ -505,9 +586,6 @@ def test_set_override_and_env_outdir(tmp_path, monkeypatch):
                  "--set", "task.n_samples=11"]) == 0
     rows = (tmp_path / "envdir" / "uniform_path.csv").read_text().splitlines()
     assert len(rows) == 1 + 11
-
-
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("case", ["existing-file", "under-a-file", "unwritable"])
@@ -572,3 +650,20 @@ def test_overflow_is_one_config_error_line(tmp_path, config, override):
         assert json.loads(line)["error"]["kind"] == "config"
         assert proc.stdout == ""
     assert not out.exists()
+
+
+def _schema_keys(tables):
+    """Every key of every table in SCHEMA, unions of tables included."""
+    for key, value in tables.items():
+        if isinstance(value, dict):
+            yield from _schema_keys(value)
+        else:
+            yield key
+
+
+def test_readme_names_every_config_key():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    keys = set(_schema_keys(SCHEMA))
+    assert len(keys) > 40
+    assert sorted(k for k in keys if f"`{k}`" not in section) == []

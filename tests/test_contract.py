@@ -1,0 +1,147 @@
+"""The CLI's exit-code contract, fuzzed: each stored config at a reduced
+size, and two configs for the blocks no stored config has, with one key
+changed to a hostile value, ends in exit 0 with finite outputs, exit 2
+with one JSON config error and no output directory, or exit 3 with a
+partial manifest, and never raises or warns."""
+import contextlib
+import io
+import json
+import math
+import pathlib
+import tempfile
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, apply_overrides,
+                         main)
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+# the sizes test_scripts.py runs the stored configs at
+REDUCED = {"uniform_path": ["task.n_samples=41"], "landscape": [],
+           "ratio_surface": ["task.grid_step_deg=12"],
+           "drop_map": ["task.n_h=8", "task.n_rest=4"],
+           "multigrasp": ["task.delta_rho_c_deg=2.0"]}
+GEOMETRY = {"n_cell": 5, "L1": 70.0, "L2": 30.0}
+UNSTORED = {
+    "drop_block": {"task": {"name": "drop-test", "n_h": 6, "n_rest": 3, "drop": {
+        "m_ball_g": 22.3, "R_ball_mm": 35.0, "h_mm": 360.0, "g": 9.81,
+        "kappa_pet": 0.76, "kappa_pet_unit": "N*mm/rad/mm",
+        "effective_width_mm": 23.0, "rest_angle_deg": 71.8}}, "geometry": GEOMETRY},
+    "mesh": {"task": {"name": "export-mesh", "state": {
+        "type": "uniform", "psi_deg": -30.0, "tilt_deg": 5.0}}, "geometry": GEOMETRY},
+}
+
+HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0, True, "12", [1.0, 2.0]]
+
+
+def _reduced(name):
+    if name in UNSTORED:
+        return json.loads(json.dumps(UNSTORED[name]))
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    return apply_overrides(cfg, REDUCED[name])
+
+
+def _paths(node, path=()):
+    """The path of every key, block and list element below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _paths(v, path + (k,))
+
+
+def _get(cfg, path):
+    for k in path:
+        cfg = cfg[k]
+    return cfg
+
+
+def _largest_count(cfg, path):
+    """The largest value the CLI accepts for a count key, or None."""
+    task, creases = cfg["task"], 2 * cfg["geometry"]["n_cell"]
+    return {("geometry", "n_cell"): MAX_CELLS,
+            ("task", "n_samples"): MAX_POINTS // creases,
+            ("task", "n_h"): MAX_POINTS // task.get("n_rest", 1),
+            ("task", "n_rest"): MAX_POINTS // task.get("n_h", 1),
+            ("task", "max_steps"): MAX_GRASP_WORK // (
+                len(task.get("programs", [])) * creases or 1)}.get(path)
+
+
+@st.composite
+def mutated_configs(draw):
+    """(stored config name, config with one key changed, validate only)."""
+    name = draw(st.sampled_from(sorted([*REDUCED, *UNSTORED])))
+    cfg = _reduced(name)
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    old, cap = _get(cfg, path), _largest_count(cfg, path)
+    choices = [*HOSTILE, "unknown key"]
+    if isinstance(old, (int, float)) and not isinstance(old, bool):
+        choices.append(-abs(old) - 1)
+    if isinstance(old, list) and len(old) == 2:
+        choices.append(old[::-1])
+    if cap is not None:
+        choices += ["at cap", cap + 1]
+    new = draw(st.sampled_from(choices))
+    parent = _get(cfg, path[:-1])
+    if new == "unknown key":
+        target = old if isinstance(old, dict) else parent
+        if isinstance(target, dict):
+            target["zz_unknown"] = 1
+        return name, cfg, False
+    parent[path[-1]] = cap if new == "at cap" else new
+    # a run at the cap is slow by design, so it is only validated
+    return name, cfg, new == "at cap"
+
+
+def _assert_finite_outputs(out):
+    """No NaN or inf in any CSV, JSON or OBJ output, except the documented
+    nan xi of ratio_surface.csv (empty energy cells and text cells are not
+    numbers)."""
+    for f in out.iterdir():
+        if f.suffix == ".obj":
+            assert "nan" not in f.read_text() and "inf" not in f.read_text()
+            continue
+        if f.suffix == ".json":
+            json.loads(f.read_text(), parse_constant=_no_constant)
+            continue
+        header, *rows = f.read_text().splitlines()
+        for row in rows:
+            for col, cell in zip(header.split(","), row.split(",")):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(x) or (f.name, col, cell) == (
+                    "ratio_surface.csv", "xi", "nan"), (f.name, col, row)
+
+
+def _no_constant(constant):
+    raise AssertionError(f"a JSON output holds {constant}")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_configs())
+def test_every_config_exits_0_2_or_3(case):
+    name, cfg, validate_only = case
+    command = "validate" if validate_only else _reduced(name)["task"]["name"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = pathlib.Path(tmp) / "cfg.json", pathlib.Path(tmp) / "o"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            (line,) = err.getvalue().splitlines()
+            assert json.loads(line)["error"]["kind"] == "config"
+            assert not out.exists()
+        elif rc == 0 and not validate_only:
+            _assert_finite_outputs(out)
+        elif rc == 3:
+            assert json.loads((out / "manifest.json").read_text())["status"] == "partial"
