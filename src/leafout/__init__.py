@@ -7,9 +7,8 @@ non-uniform multi-grasp folding modes, with a batch command line.
 
 __version__ = "0.1.0"
 
-from .geometry import (CreaseId, CreaseKind, FoldedMesh, Frame,
-                       LeafOutGeometry, build_geometry, mesh_to_obj,
-                       reconstruct_mesh)
+from .geometry import (CreaseId, CreaseKind, FoldedMesh, LeafOutGeometry,
+                       build_geometry, mesh_to_obj, reconstruct_mesh)
 from .kinematics import (FoldState, FoldingPath, NotClosedError, StepFailure,
                          StepRequest, constraint_matrix, trace_paths)
 from .unitcell import d_sub_d_main, sub_angle_from_main

@@ -19,7 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .rotations import axis_angle, rot_x
+from .kinematics import _chain_matrices, check_states
 from .unitcell import boundary_direction, sub_angle_from_main
 
 
@@ -94,169 +94,101 @@ def build_geometry(n_cell, L1, L2):
 
 
 @dataclass
-class Frame:
-    """Orthonormal local triad of one unit cell in the global frame.
-
-    ``psi`` is the elevation angle of the main-crease axis e2 out of the
-    base plane; for uniform states it coincides with the Euler angle of
-    the unit-cell rotation.
-    """
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    psi: float
-
-    def __post_init__(self):
-        R = np.column_stack([self.e1, self.e2, self.e3])
-        if np.max(np.abs(R @ R.T - np.eye(3))) > 1e-12:
-            raise ValueError("frame axes are not orthonormal")
-        if np.linalg.det(R) < 0:
-            raise ValueError("frame is left-handed")
-
-
-@dataclass
 class FoldedMesh:
     """Rigid-panel mesh of a folded state.
 
     ``faces`` are quads indexing into ``vertices``; ``crease_edges`` maps
     every spring-bearing crease to its vertex pair; ``tip_edges`` are the
-    per-unit outward midline fold lines (no spring).
+    per-unit outward midline fold lines (no spring).  ``unit_frames``
+    (n_cell, 3, 3) holds the rotation of each unit-local frame into the
+    global frame; its columns are the unit's axes e1, e2, e3.
     """
     vertices: np.ndarray
     faces: list
     crease_edges: dict
     tip_edges: list
-    unit_frames: list
-    closure_error: float
+    unit_frames: np.ndarray
 
 
-def _unit_local_points(geom, rho_m):
-    """Folded panel corners of one cell in its local frame; the outer
-    panels reach L1 along the midline."""
-    rho_s = sub_angle_from_main(geom.alpha, rho_m)
-    e2 = np.array([0.0, 1.0, 0.0])
-    bl = boundary_direction(geom.alpha, rho_m)
-    br = bl * np.array([-1.0, 1.0, 1.0])
-    # outer panel hinges about the sub crease; the fold branch carries the
-    # midline back into the mirror plane
-    if rho_m <= 1e-15:
-        t = e2.copy()
-    else:
-        t = axis_angle(bl, -rho_s) @ e2
-    A = geom.L1 * e2
-    pts = {
-        "O": np.zeros(3),
-        "A": A,
-        "Bl": geom.L2 * bl,
-        "Br": geom.L2 * br,
-        "Dl": A + geom.L2 * bl,
-        "Dr": A + geom.L2 * br,
-        "T": A + geom.L1 * t,
-        "Fl": A + geom.L2 * bl + geom.L1 * t,
-        "Fr": A + geom.L2 * br + geom.L1 * t,
-    }
-    return pts
+def _rot_x(angle):
+    """Rotations about the first axis, for angles of any shape."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.zeros(np.shape(angle) + (3, 3))
+    R[..., 0, 0] = 1.0
+    R[..., 1, 1] = R[..., 2, 2] = c
+    R[..., 2, 1], R[..., 1, 2] = s, -s
+    return R
 
 
-def _perp_unit(v, axis):
-    w = v - np.dot(v, axis) * axis
-    n = np.linalg.norm(w)
-    if n < 1e-14:
-        raise ValueError("degenerate in-panel direction")
-    return w / n
+# unit axes e1, e2, e3 as columns in the chain frame: -y, x, z (the main
+# crease e2 is the chain's crease axis x)
+_UNIT_AXES = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def unit_placements(geom, rho_o, tilt):
+def _unit_frames(geom, rho_o, tilt):
     """Rotation of each unit-local frame into the global frame.
 
-    Unit 1 is posed by ``tilt`` about i1; each following unit is attached
-    across the shared boundary crease with its fold angle.  Returns the
-    list of rotations plus the wrap-around closure error of the last
-    boundary crease back to unit 1.
+    Unit k's main crease is crease 2k - 1 of the closure chain, so its
+    frame is the chain's prefix product P up to that crease turned by half
+    the main fold angle, which puts the unit's mirror plane on the chain's
+    x-z plane: G_k = rot_x(tilt) U^T rot_x(-rho_M1 / 2) P_{2k-2}
+    rot_x(rho_Mk / 2) U with U = _UNIT_AXES, so that G_1 = rot_x(tilt).
     """
-    n = geom.n_cell
-    e2 = np.array([0.0, 1.0, 0.0])
-    A_loc = geom.L1 * e2
-    Gs = [rot_x(tilt)]
-    for k in range(n - 1):
-        rm_k = rho_o[2 * k]
-        rb_k = rho_o[2 * k + 1]
-        rm_next = rho_o[2 * (k + 1)]
-        g = Gs[k] @ boundary_direction(geom.alpha, rm_k)
-        p_hat = _perp_unit(Gs[k] @ A_loc, g)
-        br_next = boundary_direction(geom.alpha, rm_next) * np.array([-1.0, 1.0, 1.0])
-        q_hat = _perp_unit(A_loc, br_next)
-        # mountain boundary fold: dihedral pi + rho_b, opened about +g
-        p_target = axis_angle(g, np.pi + rb_k) @ p_hat
-        M_t = np.column_stack([g, p_target, np.cross(g, p_target)])
-        M_l = np.column_stack([br_next, q_hat, np.cross(br_next, q_hat)])
-        Gs.append(M_t @ M_l.T)
-
-    # wrap-around: unit n's left boundary must coincide with unit 1's right
-    g_last = Gs[-1] @ boundary_direction(geom.alpha, rho_o[-2])
-    g_first = Gs[0] @ (boundary_direction(geom.alpha, rho_o[0])
-                       * np.array([-1.0, 1.0, 1.0]))
-    p_last = _perp_unit(Gs[-1] @ A_loc, g_last)
-    p_first = _perp_unit(Gs[0] @ A_loc, g_first)
-    p_expect = axis_angle(g_last, np.pi + rho_o[-1]) @ p_last
-    err = max(float(np.linalg.norm(g_last - g_first)),
-              float(np.linalg.norm(p_expect - p_first)))
-    return Gs, err
+    X = _chain_matrices(geom, rho_o)
+    P = np.empty((geom.n_cell, 3, 3))
+    P[0] = np.eye(3)
+    for k in range(1, geom.n_cell):
+        P[k] = P[k - 1] @ X[2 * k - 2] @ X[2 * k - 1]
+    rho_m = rho_o[0::2]
+    pose = _rot_x(tilt) @ _UNIT_AXES.T @ _rot_x(-rho_m[0] / 2)
+    return pose @ P @ _rot_x(rho_m / 2) @ _UNIT_AXES
 
 
 def reconstruct_mesh(geom, state, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
-    ``state`` is a FoldState (or anything with .rho_o).  States that do
-    not satisfy the loop closure are rejected via the wrap-around check.
-    The outer panels reach L1 along the midline; their extent affects
-    neither kinematics nor energy.
+    ``state`` is a FoldState (or anything with .rho_o).  It is accepted
+    exactly when ``check_states`` accepts it.  The outer panels reach L1
+    along the midline; their extent affects neither kinematics nor
+    energy.
     """
     rho_o = np.asarray(getattr(state, "rho_o", state), dtype=float)
     if rho_o.shape != (2 * geom.n_cell,):
         raise ValueError("state angle vector has wrong length")
-    Gs, err = unit_placements(geom, rho_o, tilt)
-    # err compares unit direction vectors, so the tolerance is relative
-    if err > 1e-8:
-        raise ValueError(f"state is not closed: boundary mismatch {err:.3e}")
+    check_states(geom, rho_o[None])
+    n = geom.n_cell
+    G = _unit_frames(geom, rho_o, tilt)
 
-    verts = [np.zeros(3)]       # 0: central vertex, tilt-invariant
-    vid = {"O": 0}
-    faces = []
-    crease_edges = {}
-    tip_edges = []
-    frames = []
-    b_ids = []
-    per_unit = []
-    for k in range(geom.n_cell):
-        pts = _unit_local_points(geom, rho_o[2 * k])
-        G = Gs[k]
-        ids = {}
-        for name in ("A", "Dl", "Dr", "T", "Fl", "Fr", "Bl"):
-            verts.append(G @ pts[name])
-            ids[name] = len(verts) - 1
-        per_unit.append(ids)
-        b_ids.append(ids["Bl"])
-        e1, e2v, e3 = G[:, 0], G[:, 1], G[:, 2]
-        frames.append(Frame(e1, e2v, e3, float(np.arcsin(np.clip(e2v[2], -1, 1)))))
+    # panel corners in each unit's frame: the outer panels hinge about the
+    # sub crease bl by -rho_s, which carries the midline e2 to t (Rodrigues)
+    rho_m = rho_o[0::2]
+    rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_m, 0.0, np.pi))[:, None]
+    bl = boundary_direction(geom.alpha, rho_m)
+    br = bl * np.array([-1.0, 1.0, 1.0])
+    e2 = np.array([0.0, 1.0, 0.0])
+    e2_cross_bl = np.stack([bl[:, 2], np.zeros(n), -bl[:, 0]], axis=-1)
+    t = (np.cos(rho_s) * e2 + np.sin(rho_s) * e2_cross_bl
+         + (1.0 - np.cos(rho_s)) * bl[:, 1:2] * bl)
+    A = geom.L1 * e2
+    Dl, Dr = A + geom.L2 * bl, A + geom.L2 * br
+    # per unit, in vertex order: A, Dl, Dr, T, Fl, Fr, Bl
+    local = np.stack([np.broadcast_to(A, (n, 3)), Dl, Dr, A + geom.L1 * t,
+                      Dl + geom.L1 * t, Dr + geom.L1 * t, geom.L2 * bl], axis=1)
+    verts = np.concatenate([np.zeros((1, 3)),       # 0: central vertex
+                            (local @ G.transpose(0, 2, 1)).reshape(-1, 3)])
 
-    for k in range(geom.n_cell):
-        ids = per_unit[k]
-        n_unit = k + 1
-        # unit k's right boundary vertex is the previous unit's left one
-        br_id = b_ids[k - 1]
-        faces.append((vid["O"], br_id, ids["Dr"], ids["A"]))
-        faces.append((vid["O"], ids["A"], ids["Dl"], ids["Bl"]))
-        faces.append((ids["A"], ids["Dr"], ids["Fr"], ids["T"]))
-        faces.append((ids["A"], ids["T"], ids["Fl"], ids["Dl"]))
-        crease_edges[CreaseId(CreaseKind.MAIN, n_unit)] = (vid["O"], ids["A"])
-        crease_edges[CreaseId(CreaseKind.SUB, n_unit, "left")] = (ids["A"], ids["Dl"])
-        crease_edges[CreaseId(CreaseKind.SUB, n_unit, "right")] = (ids["A"], ids["Dr"])
-        crease_edges[CreaseId(CreaseKind.BOUNDARY, n_unit)] = (vid["O"], ids["Bl"])
-        tip_edges.append((ids["A"], ids["T"]))
-
-    return FoldedMesh(np.array(verts), faces, crease_edges, tip_edges,
-                      frames, float(err))
+    faces, crease_edges, tip_edges = [], {}, []
+    for k in range(n):
+        a, dl, dr, tip, fl, fr, bl_id = range(1 + 7 * k, 8 + 7 * k)
+        br_id = 7 + 7 * ((k - 1) % n)       # the previous unit's Bl
+        faces += [(0, br_id, dr, a), (0, a, dl, bl_id),
+                  (a, dr, fr, tip), (a, tip, fl, dl)]
+        crease_edges[CreaseId(CreaseKind.MAIN, k + 1)] = (0, a)
+        crease_edges[CreaseId(CreaseKind.SUB, k + 1, "left")] = (a, dl)
+        crease_edges[CreaseId(CreaseKind.SUB, k + 1, "right")] = (a, dr)
+        crease_edges[CreaseId(CreaseKind.BOUNDARY, k + 1)] = (0, bl_id)
+        tip_edges.append((a, tip))
+    return FoldedMesh(verts, faces, crease_edges, tip_edges, G)
 
 
 def _split_quad(vertices, quad):

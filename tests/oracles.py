@@ -10,12 +10,12 @@ import csv
 import numpy as np
 
 
-def rx(a):
+def rot_x(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
 
 
-def rz(a):
+def rot_z(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
 
@@ -50,10 +50,10 @@ def vertex_a_chain_residual(alpha, rho_m, rho_s):
     outward midline fold angle is eliminated by scanning its own residual.
     """
     def full_chain(rho_t):
-        F = rx(rho_m) @ rz(np.pi - alpha)
-        F = F @ rx(rho_s) @ rz(alpha)
-        F = F @ rx(rho_t) @ rz(alpha)
-        F = F @ rx(rho_s) @ rz(np.pi - alpha)
+        F = rot_x(rho_m) @ rot_z(np.pi - alpha)
+        F = F @ rot_x(rho_s) @ rot_z(alpha)
+        F = F @ rot_x(rho_t) @ rot_z(alpha)
+        F = F @ rot_x(rho_s) @ rot_z(np.pi - alpha)
         return np.max(np.abs(F - np.eye(3)))
 
     ts = np.linspace(-np.pi, np.pi, 721)
@@ -92,9 +92,9 @@ def sub_angle_oracle(alpha, rho_m, coarse=3142, tol=1e-11):
 
     # required midline rotation: Rx(rho_t) = A^-1 B^-1 Rz(-a) with
     # A = Rx(rm) Rz(pi-a) Rx(rs) Rz(a) and B = Rx(rs) Rz(pi-a)
-    C2T_ = rz(alpha).T
-    mid_ = (rx(rho_m) @ rz(np.pi - alpha)).T @ rz(alpha - np.pi)
-    tail_ = rz(-alpha)
+    C2T_ = rot_z(alpha).T
+    mid_ = (rot_x(rho_m) @ rot_z(np.pi - alpha)).T @ rot_z(alpha - np.pi)
+    tail_ = rot_z(-alpha)
 
     def q_batch(rho_s):
         X = _rx_batch(-np.asarray(rho_s, float))
@@ -172,7 +172,7 @@ def chain_closure_norm(alpha, rho_o):
     """||F - I|| of the central-vertex chain, rebuilt locally."""
     F = np.eye(3)
     for r in rho_o:
-        F = F @ rx(r) @ rz(alpha)
+        F = F @ rot_x(r) @ rot_z(alpha)
     return np.max(np.abs(F - np.eye(3)))
 
 
@@ -183,7 +183,7 @@ def fd_constraint_matrix(alpha, rho_o, h=1e-7):
     def res(rho):
         F = np.eye(3)
         for r in rho:
-            F = F @ rx(r) @ rz(alpha)
+            F = F @ rot_x(r) @ rot_z(alpha)
         return np.array([0.5 * (F[1, 0] - F[0, 1]),
                          0.5 * (F[2, 1] - F[1, 2]),
                          0.5 * (F[0, 2] - F[2, 0])])

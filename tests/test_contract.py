@@ -1,5 +1,6 @@
 """The CLI's exit-code contract, fuzzed: each stored config at a reduced
-size, and two configs for the blocks no stored config has, with one key
+size, and four configs for the blocks and states no stored config has
+(a drop block, uniform and angles mesh states, per-kind springs), with one key
 changed to a hostile value, ends in exit 0 with finite outputs, exit 2
 with one JSON config error and no output directory, or exit 3 with a
 partial manifest, and never raises or warns."""
@@ -11,9 +12,12 @@ import pathlib
 import tempfile
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leafout as lf
 from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, apply_overrides,
                          main)
 
@@ -25,6 +29,16 @@ REDUCED = {"uniform_path": ["task.n_samples=41"], "landscape": [],
            "drop_map": ["task.n_h=8", "task.n_rest=4"],
            "multigrasp": ["task.delta_rho_c_deg=2.0"]}
 GEOMETRY = {"n_cell": 5, "L1": 70.0, "L2": 30.0}
+
+
+def grasped_angles_deg(n_cell, steps=20):
+    """The fold angles, in degrees, of a closed non-uniform state: the end
+    of a short grasp on units 1 and 3."""
+    geom = lf.build_geometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
+    (res,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=steps)])
+    return np.degrees(res.path.rho_o[-1]).tolist()
+
+
 UNSTORED = {
     "drop_block": {"task": {"name": "drop-test", "n_h": 6, "n_rest": 3, "drop": {
         "m_ball_g": 22.3, "R_ball_mm": 35.0, "h_mm": 360.0, "g": 9.81,
@@ -32,6 +46,13 @@ UNSTORED = {
         "effective_width_mm": 23.0, "rest_angle_deg": 71.8}}, "geometry": GEOMETRY},
     "mesh": {"task": {"name": "export-mesh", "state": {
         "type": "uniform", "psi_deg": -30.0, "tilt_deg": 5.0}}, "geometry": GEOMETRY},
+    "mesh_angles": {"task": {"name": "export-mesh", "state": {
+        "type": "angles", "rho_o_deg": grasped_angles_deg(5), "tilt_deg": 5.0}},
+        "geometry": GEOMETRY},
+    "per_kind_springs": {"task": {"name": "energy-landscape"}, "geometry": GEOMETRY,
+                         "springs": {
+        "kappa_m": 1.0, "kappa_s": 0.5, "kappa_b": 2.0,
+        "rest_deg": {"rho_m": 120.0, "rho_b": -30.0, "rho_s": 100.0}}},
 }
 
 HOSTILE = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0, True, "12", [1.0, 2.0]]
@@ -122,26 +143,64 @@ def _no_constant(constant):
     raise AssertionError(f"a JSON output holds {constant}")
 
 
+def _run(command, cfg, tmp):
+    """Exit code and stderr of ``leafout command`` on ``cfg``; the output
+    directory is ``tmp / "o"``."""
+    path = pathlib.Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path), "--out", str(pathlib.Path(tmp) / "o")])
+    return rc, err.getvalue()
+
+
 @settings(max_examples=1500, deadline=None)
 @given(mutated_configs())
 def test_every_config_exits_0_2_or_3(case):
     name, cfg, validate_only = case
     command = "validate" if validate_only else _reduced(name)["task"]["name"]
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = pathlib.Path(tmp) / "cfg.json", pathlib.Path(tmp) / "o"
-        path.write_text(json.dumps(cfg))
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err):
+        out = pathlib.Path(tmp) / "o"
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main([command, "--config", str(path), "--out", str(out)])
+            rc, err = _run(command, cfg, tmp)
         assert [str(w.message) for w in caught] == []
         assert rc in (0, 2, 3)
         if rc == 2:
-            (line,) = err.getvalue().splitlines()
+            (line,) = err.splitlines()
             assert json.loads(line)["error"]["kind"] == "config"
             assert not out.exists()
         elif rc == 0 and not validate_only:
             _assert_finite_outputs(out)
         elif rc == 3:
             assert json.loads((out / "manifest.json").read_text())["status"] == "partial"
+
+
+def test_every_count_at_its_cap_validates():
+    # an angles state lists the angles of its own cell count, so its
+    # n_cell cannot move alone
+    for name in sorted([*REDUCED, *UNSTORED]):
+        for path in _paths(_reduced(name)):
+            cfg = _reduced(name)
+            cap = _largest_count(cfg, path)
+            if cap is None or (name, path) == ("mesh_angles", ("geometry", "n_cell")):
+                continue
+            _get(cfg, path[:-1])[path[-1]] = cap
+            with tempfile.TemporaryDirectory() as tmp:
+                rc, err = _run("validate", cfg, tmp)
+            assert rc == 0, (name, path, cap, err)
+
+
+@pytest.mark.parametrize("n_cell", [10, 12, 60, MAX_CELLS])
+def test_mesh_of_every_state_type_exports(n_cell):
+    states = [{"type": "flat"}, {"type": "uniform", "psi_deg": -30.0},
+              {"type": "angles", "rho_o_deg": grasped_angles_deg(n_cell, 5)}]
+    for state in states:
+        cfg = {"task": {"name": "export-mesh", "state": state},
+               "geometry": {**GEOMETRY, "n_cell": n_cell}}
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in ("validate", "export-mesh"):
+                rc, err = _run(command, cfg, tmp)
+                assert rc == 0, (state["type"], command, err)
+            manifest = json.loads((pathlib.Path(tmp) / "o" / "manifest.json").read_text())
+            assert manifest["status"] == "ok"

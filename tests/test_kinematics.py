@@ -10,8 +10,8 @@ import leafout as lf
 from leafout import kinematics
 from leafout.kinematics import (StepFailure, StepRequest, _closure,
                                 _masked_solve, _tangent, angle_bounds, trace_paths)
-from leafout.rotations import rot_x, rot_z
-from oracles import chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation
+from oracles import (chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation,
+                     rot_x, rot_z)
 
 
 def max_residual(geom, rho):

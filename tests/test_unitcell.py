@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafout.unitcell import d_sub_d_main, sub_angle_from_main
-from oracles import rx, rz, sub_angle_oracle, vertex_a_chain_residual
+from oracles import rot_x, rot_z, sub_angle_oracle, vertex_a_chain_residual
 
 ALPHA = np.pi / 5
 
@@ -22,11 +22,11 @@ def vertex_closure_residual(alpha, rho_m, rho_s):
     closes the remaining chain, so the residual measures whether
     (rho_M, rho_S) is compatible with the vertex at all.
     """
-    A = rx(rho_m) @ rz(np.pi - alpha) @ rx(rho_s) @ rz(alpha)
-    B = rx(rho_s) @ rz(np.pi - alpha)
-    Q = A.T @ B.T @ rz(-alpha)   # required value of rx(rho_t)
+    A = rot_x(rho_m) @ rot_z(np.pi - alpha) @ rot_x(rho_s) @ rot_z(alpha)
+    B = rot_x(rho_s) @ rot_z(np.pi - alpha)
+    Q = A.T @ B.T @ rot_z(-alpha)   # required value of rot_x(rho_t)
     rho_t = np.arctan2(Q[2, 1] - Q[1, 2], Q[1, 1] + Q[2, 2])
-    F = A @ rx(rho_t) @ rz(alpha) @ B
+    F = A @ rot_x(rho_t) @ rot_z(alpha) @ B
     return float(np.max(np.abs(F - np.eye(3))))
 
 
