@@ -5,15 +5,17 @@ Energies are evaluated along kinematic paths only; the uniform landscape
 E(psi) is the workhorse for bistability characterization and for the
 rest-angle design surface of the energy ratio xi.
 """
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .unitcell import sub_angle_from_main
+from .unitcell import d_sub_d_main, sub_angle_from_main
 from .uniform import (boundary_angle_from_psi, clip_psi_range,
                       main_angle_from_psi, sample_count)
 
 DEFAULT_PSI_STEP = np.radians(0.5)
+REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
+SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
 
 
 class ConfigurationError(ValueError):
@@ -67,20 +69,15 @@ class SpringModel:
         return cls(kappa=kap, rest_angle=rest)
 
 
-def crease_angle_matrix(rho_m, rho_s, rho_b):
-    """Per-crease current angles in canonical order, vectorized over
-    leading sample axes.  Inputs are (..., n_cell) arrays."""
-    return np.stack([rho_m, rho_s, rho_s, rho_b], axis=-1).reshape(
-        *rho_m.shape[:-1], -1)
-
-
 def path_energies(geom, springs, path):
     """Total torsion-spring energy of a FoldState, or of every state of a
     FoldingPath (vectorized)."""
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    rho = path.rho_o
-    angles = crease_angle_matrix(rho[..., 0::2], path.rho_s, rho[..., 1::2])
+    rho_m, rho_s, rho_b = path.rho_o[..., 0::2], path.rho_s, path.rho_o[..., 1::2]
+    # per-crease angles in canonical order
+    angles = np.stack([rho_m, rho_s, rho_s, rho_b], axis=-1).reshape(
+        *rho_m.shape[:-1], -1)
     return 0.5 * np.sum(springs.kappa * (angles - springs.rest_angle) ** 2,
                         axis=-1)
 
@@ -88,12 +85,14 @@ def path_energies(geom, springs, path):
 @dataclass
 class LandscapeCurve:
     """E(psi) along the uniform path, with the path arrays kept for
-    downstream sweeps."""
+    downstream sweeps and the springs and alpha that give its slope."""
     psi: np.ndarray
     energy: np.ndarray
     rho_m: np.ndarray
     rho_s: np.ndarray
     rho_b: np.ndarray
+    alpha: float
+    springs: SpringModel
     truncated: bool = False
 
 
@@ -121,10 +120,45 @@ def uniform_path_arrays(geom, psi_range, n_samples=None):
         if n_samples is None:
             n_samples = int(round((hi - lo) / DEFAULT_PSI_STEP)) + 1
         psis = np.linspace(lo, hi, n_samples)
-    rho_m = main_angle_from_psi(geom.alpha, psis)
-    rho_b = boundary_angle_from_psi(geom.alpha, psis)
-    rho_s = sub_angle_from_main(geom.alpha, rho_m)
-    return psis, rho_m, rho_s, rho_b, clipped
+    return (psis, *_path_angles(geom.alpha, psis), clipped)
+
+
+def _path_angles(alpha, psi):
+    """(rho_M, rho_S, rho_B) of the uniform path at psi."""
+    rho_m = main_angle_from_psi(alpha, psi)
+    return rho_m, sub_angle_from_main(alpha, rho_m), boundary_angle_from_psi(alpha, psi)
+
+
+def _uniform_landscapes(alpha, kappa, rest):
+    """(slope, energy) of the uniform-path landscapes of B designs with
+    stiffness kappa (J,) and rest angles rest (B, J), as f(rows, psi).
+    E = sum_j kappa_j (rho_j - rest_j)^2 / 2, unit by unit, and dE/dpsi =
+    sum over the kinds (K rho - C) rho', K and C the kind's summed kappa
+    and kappa rest, rho_S' = d_sub_d_main rho_M', rho_B' = -2 sgn psi and
+    rho_M' = 2 cos a [sin a cos psi / (cos^2 a + sin^2 a sin^2 psi)
+                      + sgn psi / (cos^2 a cos^2 psi + sin^2 psi)]."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    kind = np.tile([0, 1, 1, 2], len(kappa) // 4) == np.arange(3)[:, None]
+    # slope = (1, -C) . (sum K rho rho', rho_M', rho_S', rho_B')
+    K, coef = kind @ kappa, np.vstack([np.ones(len(rest)), -(kind @ (kappa * rest).T)])
+
+    def slope(rows, psi):
+        s2, c, sgn = np.sin(psi) ** 2, np.cos(psi), np.copysign(1.0, psi)
+        d_m = 2 * ca * (sa * c / (ca * ca + sa * sa * s2)
+                        + sgn / (ca * ca * c * c + s2))
+        rho_m, rho_s, rho_b = _path_angles(alpha, psi)
+        d_s, d_b = d_sub_d_main(alpha, rho_m) * d_m, -2.0 * sgn
+        g = K[0] * rho_m * d_m + K[1] * rho_s * d_s + K[2] * rho_b * d_b
+        return np.einsum("k...,k...->...", coef[:, rows], np.stack([g, d_m, d_s, d_b]))
+
+    def energy(rows, psi):
+        (rho_m, rho_s, rho_b), r, E = _path_angles(alpha, psi), rest[rows], 0.0
+        for u in range(0, len(kappa), 4):
+            E = E + 0.5 * sum(kappa[u + k] * (a - r[..., u + k]) ** 2
+                              for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
+        return E
+
+    return slope, energy
 
 
 def landscape_over_psi(geom, springs, psi_range, n_samples=None):
@@ -137,83 +171,69 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
         raise ConfigurationError("spring model size does not match geometry")
     psis, rho_m, rho_s, rho_b, clipped = uniform_path_arrays(
         geom, psi_range, n_samples)
-    kap, rest = springs.kappa, springs.rest_angle
-    E = 0.0
-    # uniform path: every unit sees the same angles, units may differ in springs
-    for u in range(0, len(kap), 4):
-        E = E + 0.5 * sum(kap[u + k] * (a - rest[u + k]) ** 2
-                          for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
-    return LandscapeCurve(psi=psis, energy=E, rho_m=rho_m, rho_s=rho_s,
-                          rho_b=rho_b, truncated=clipped)
-
-
-def _refine(x, E, rows, cols):
-    """Refined (x, E) of the extrema at samples (rows, cols) of E (B, M) on
-    the grid x (M,): the vertex of the parabola through each sample and its
-    neighbours, clipped to them.  An extremum on the exact x = 0 node is
-    the sample itself, since the landscape kinks at the flat state."""
-    xi, yi = x[cols], E[rows, cols]
-    d0 = x[cols - 1] - xi
-    d2 = x[cols + 1] - xi
-    det = d0 * d0 * d2 - d2 * d2 * d0
-    dy0 = E[rows, cols - 1] - yi
-    dy2 = E[rows, cols + 1] - yi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (dy0 * d2 - dy2 * d0) / det
-        b = (dy2 * d0 * d0 - dy0 * d2 * d2) / det
-        t = np.clip(-b / (2.0 * a), d0, d2)
-    keep = (det == 0.0) | (a == 0.0) | (xi == 0.0)
-    return (np.where(keep, xi, xi + t),
-            np.where(keep, yi, yi + b * t + a * t * t))
+    _, energy = _uniform_landscapes(geom.alpha, springs.kappa, springs.rest_angle[None])
+    return LandscapeCurve(psi=psis, energy=energy(0, psis), rho_m=rho_m, rho_s=rho_s,
+                          rho_b=rho_b, alpha=geom.alpha, springs=springs,
+                          truncated=clipped)
 
 
 @dataclass
 class LandscapeExtrema:
-    """Extrema of B landscapes sampled at M points: the interior minima and
-    maxima flags and their refined psi and energy (B, M; NaN elsewhere),
-    and per row the class and the gaps and xi (NaN unless bistable)."""
-    stability_class: np.ndarray
-    is_min: np.ndarray
-    is_max: np.ndarray
+    """Interior extrema of B landscapes, in row then psi order, and per row
+    the class and xi (NaN unless bistable)."""
+    row: np.ndarray
     psi: np.ndarray
     energy: np.ndarray
-    delta_E_g: np.ndarray
-    delta_E_r: np.ndarray
+    is_min: np.ndarray
+    stability_class: np.ndarray
     ratio_xi: np.ndarray
 
 
-def landscape_extrema(psi, E):
-    """Find, refine and classify the interior extrema of landscapes E
-    (B, M) sampled on one grid psi (M,).
-
-    Minima and maxima are sign flips of diff(E), refined by ``_refine``.
-    A row is bistable iff it has exactly two minima, one maximum between
-    them and positive gaps dE_g = E_bar - E_open, dE_r = E_bar - E_closed;
-    then xi = (dE_g - dE_r) / (dE_g + dE_r).  A row with no minimum, or
-    one minimum and no maximum, is monostable; any other is multistable.
+def landscape_extrema(psi, n, slope, energy):
+    """Interior extrema of n landscapes on one increasing grid psi, from
+    ``slope(rows, x)`` and ``energy(rows, x)``, dE/dpsi and E of the
+    landscapes ``rows`` at ``x``.  An extremum lies between adjacent nodes
+    where the slope changes sign (zero counts as positive, except at the
+    ends, which so are never extrema); psi = 0 is a node once per side
+    (-0.0, 0.0), so an extremum at the flat-state kink is exactly 0.0.  All
+    brackets are refined at once by REFINE_PASSES passes of false
+    position with the Anderson-Bjorck step, and the energies evaluated at
+    the roots.  A row is bistable iff its extrema are a minimum, a maximum
+    and a minimum with gaps dE_g = E_bar - E_open > 0 and dE_r = E_bar -
+    E_closed > 0; then xi = (dE_g - dE_r) / (dE_g + dE_r).  A row with no
+    minimum, or one extremum, is monostable; any other is multistable.
     """
-    E = np.asarray(E, dtype=float)
-    s = np.sign(np.diff(E, axis=1))
-    is_min = np.pad((s[:, :-1] < 0) & (s[:, 1:] >= 0), ((0, 0), (1, 1)))
-    is_max = np.pad((s[:, :-1] > 0) & (s[:, 1:] <= 0), ((0, 0), (1, 1)))
-    rows, cols = np.nonzero(is_min | is_max)
-    ref = np.full((2, *E.shape), np.nan)
-    ref[:, rows, cols] = _refine(np.asarray(psi, dtype=float), E, rows, cols)
-    # open minimum, barrier and closed minimum, if the row has them
-    i_open, i_bar = np.argmax(is_min, axis=1), np.argmax(is_max, axis=1)
-    i_closed = E.shape[1] - 1 - np.argmax(is_min[:, ::-1], axis=1)
-    b = np.arange(len(E))
-    d_g = ref[1, b, i_bar] - ref[1, b, i_open]
-    d_r = ref[1, b, i_bar] - ref[1, b, i_closed]
-    n_min, n_max = is_min.sum(axis=1), is_max.sum(axis=1)
-    bistable = ((n_min == 2) & (n_max == 1) & (i_open < i_bar)
-                & (i_bar < i_closed) & (d_g > 0) & (d_r > 0))
+    x = np.asarray(psi, dtype=float)
+    if x[0] < 0.0 < x[-1]:
+        x = np.concatenate([x[x < 0.0], [-0.0, 0.0], x[x > 0.0]])
+    s = slope(np.arange(n)[:, None], x)
+    neg = s < 0.0
+    for end, inner in ((0, 1), (-1, -2)):
+        neg[:, end] = np.where(s[:, end] == 0.0, neg[:, inner], neg[:, end])
+    rows, cols = np.divmod(np.flatnonzero(neg[:, 1:] != neg[:, :-1]), len(x) - 1)
+    is_min = neg[rows, cols]
+    a, b, fa, fb = x[cols], x[cols + 1], s[rows, cols], s[rows, cols + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(REFINE_PASSES):
+            c = np.where(fb == 0.0, b, b - fb * (b - a) / (fb - fa))
+            fc = slope(rows, c)
+            # keep b's side: scale fa by 1 - fc/fb (Illinois: by 1/2)
+            m, turn = 1.0 - fc / fb, fc * fb < 0.0
+            fa = np.where(turn, fb, np.where((0.0 < m) & (m < 1.0), m, 0.5) * fa)
+            a, b, fb = np.where(turn, b, a), c, fc
+    e = energy(rows, b)
+    count = np.bincount(rows, minlength=n)
+    k = np.cumsum(count) - count            # each row's first extremum
+    e3, m3 = np.append(e, [np.nan] * 3), np.append(is_min, [False] * 3)
+    d_g, d_r = e3[k + 1] - e3[k], e3[k + 1] - e3[k + 2]
+    bistable = ((count == 3) & m3[k] & ~m3[k + 1] & m3[k + 2]
+                & (d_g > 0) & (d_r > 0))
     d_g, d_r = np.where(bistable, d_g, np.nan), np.where(bistable, d_r, np.nan)
-    mono = (n_min == 0) | ((n_min == 1) & (n_max == 0))
-    stability = np.where(bistable, "bistable",
-                         np.where(mono, "monostable", "multistable"))
-    return LandscapeExtrema(stability, is_min, is_max, ref[0], ref[1],
-                            d_g, d_r, (d_g - d_r) / (d_g + d_r))
+    mono = (np.bincount(rows, is_min, minlength=n) == 0) | (count == 1)
+    stability = np.select([bistable, mono], ["bistable", "monostable"],
+                          "multistable")
+    return LandscapeExtrema(rows, b + 0.0, e, is_min, stability,
+                            (d_g - d_r) / (d_g + d_r))
 
 
 @dataclass
@@ -231,32 +251,24 @@ class BistabilityReport:
     minima: list = field(default_factory=list)
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "stability_class", "psi_open", "psi_closed", "psi_barrier",
-            "E_open", "E_closed", "E_barrier", "delta_E_g", "delta_E_r",
-            "ratio_xi")}
+        return {k: v for k, v in asdict(self).items() if k != "minima"}
 
 
 def characterize_bistability(curve):
     """Classify a landscape curve and measure its energy gaps: row 0 of
-    ``landscape_extrema``.  Every report lists the refined minima; only a
-    bistable one has gaps.
-    """
+    ``landscape_extrema``.  Every report lists the minima."""
     if curve.psi[0] >= 0.0 or curve.psi[-1] <= 0.0:
         raise ValueError("curve must span both the open and closed phase")
-    ext = landscape_extrema(curve.psi, np.asarray(curve.energy)[None])
-    minima = list(zip(ext.psi[0, ext.is_min[0]].tolist(),
-                      ext.energy[0, ext.is_min[0]].tolist()))
+    ext = landscape_extrema(curve.psi, 1, *_uniform_landscapes(
+        curve.alpha, curve.springs.kappa, curve.springs.rest_angle[None]))
+    psi, E = ext.psi.tolist(), ext.energy.tolist()
+    minima = [(p, e) for p, e, m in zip(psi, E, ext.is_min) if m]
     if ext.stability_class[0] != "bistable":
         return BistabilityReport(str(ext.stability_class[0]), minima=minima)
-    (p_open, e_open), (p_closed, e_closed) = minima
-    (p_bar,), (e_bar,) = ext.psi[0, ext.is_max[0]], ext.energy[0, ext.is_max[0]]
     return BistabilityReport(
-        "bistable", psi_open=p_open, psi_closed=p_closed,
-        psi_barrier=float(p_bar), E_open=e_open, E_closed=e_closed,
-        E_barrier=float(e_bar), delta_E_g=float(ext.delta_E_g[0]),
-        delta_E_r=float(ext.delta_E_r[0]), ratio_xi=float(ext.ratio_xi[0]),
-        minima=minima)
+        "bistable", psi_open=psi[0], psi_closed=psi[2], psi_barrier=psi[1],
+        E_open=E[0], E_closed=E[2], E_barrier=E[1], delta_E_g=E[1] - E[0],
+        delta_E_r=E[1] - E[2], ratio_xi=float(ext.ratio_xi[0]), minima=minima)
 
 
 @dataclass
@@ -268,89 +280,76 @@ class RatioSurface:
 
 
 def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
-    """Energy-ratio surface xi over a grid of rest angles.
-
-    xi does not depend on the stiffness scale, so the landscapes take
-    kappa = 1.  The uniform path over the whole motion range is
-    precomputed once; each grid point only reweights the same path
-    arrays, and one ``landscape_extrema`` call classifies a row of
-    rest-main values.
-    Monostable or multistable points are NaN and excluded from the
-    xi = 0 contour.
-    """
-    psis, rho_m, rho_s, rho_b, _ = uniform_path_arrays(geom, (-np.pi, np.pi))
-    gm = np.asarray(rest_main_grid, dtype=float)
-    gb = np.asarray(rest_boundary_grid, dtype=float)
-    rbs = sub_angle_from_main(geom.alpha, gm)
-    n = geom.n_cell
+    """Energy-ratio surface xi over a grid of rest angles, each point the
+    landscape of one unit with kappa = 1 (every unit sees the same angles
+    and xi is scale-free), classified by ``landscape_extrema`` in blocks of
+    about SURFACE_BLOCK slope samples; xi is NaN unless bistable."""
+    psis = uniform_path_arrays(geom, (-np.pi, np.pi))[0]
+    gm, gb = (np.asarray(g, dtype=float)
+              for g in (rest_main_grid, rest_boundary_grid))
+    rs = sub_angle_from_main(geom.alpha, gm)[:, None]
     xi = np.empty((len(gm), len(gb)))
-    for i, (rbm, rs_rest) in enumerate(zip(gm, rbs)):
-        # energy curves for all rest_boundary values at once
-        base = 0.5 * n * ((rho_m - rbm) ** 2 + 2 * (rho_s - rs_rest) ** 2)
-        E = base[None, :] + 0.5 * n * (rho_b[None, :] - gb[:, None]) ** 2
-        xi[i] = landscape_extrema(psis, E).ratio_xi
-    contours = zero_contours(gm, gb, xi)
+    step = max(1, SURFACE_BLOCK // (len(psis) * len(gb)))
+    for i in range(0, len(gm), step):
+        m, s = gm[i:i + step, None], rs[i:i + step]
+        rest = np.stack(np.broadcast_arrays(m, s, s, gb), axis=-1).reshape(-1, 4)
+        xi[i:i + step] = landscape_extrema(psis, len(rest), *_uniform_landscapes(
+            geom.alpha, np.ones(4), rest)).ratio_xi.reshape(-1, len(gb))
     return RatioSurface(rest_main=gm, rest_boundary=gb, xi=xi,
-                        contours=contours)
+                        contours=zero_contours(gm, gb, xi))
 
 
 def zero_contours(gx, gy, field):
-    """Zero-level polylines of a gridded field with NaN holes.
-
-    Marching-squares segments on cells whose corners are all defined,
-    chained into polylines by shared endpoints.
-    """
-    segs = []
-    for i in range(len(gx) - 1):
-        for j in range(len(gy) - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            vals = [field[a, b] for a, b in corners]
-            if any(np.isnan(v) for v in vals):
-                continue
-            pts = []
-            edges = [((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
-                     ((i + 1, j + 1), (i, j + 1)), ((i, j + 1), (i, j))]
-            for (a1, b1), (a2, b2) in edges:
-                v1, v2 = field[a1, b1], field[a2, b2]
-                if v1 == 0.0 and v2 == 0.0:
-                    continue
-                if v1 * v2 < 0.0 or (v1 == 0.0) != (v2 == 0.0):
-                    t = v1 / (v1 - v2)
-                    x = gx[a1] + t * (gx[a2] - gx[a1])
-                    y = gy[b1] + t * (gy[b2] - gy[b1])
-                    pts.append((x, y))
-            if len(pts) == 2:
-                segs.append(tuple(pts))
-    # chain segments into polylines
-    def key(p):
-        return (round(p[0], 12), round(p[1], 12))
-
-    adj = {}
-    for a, b in segs:
-        adj.setdefault(key(a), []).append((a, b))
-        adj.setdefault(key(b), []).append((b, a))
-    used = set()
-    polylines = []
-    for a, b in segs:
-        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+    """Zero-level polylines of a gridded field with NaN holes: marching
+    squares on the cells whose corners are defined, zero counting as
+    positive, each grid edge's crossing interpolated once.  A saddle cell
+    keeps its (i, j) and (i+1, j+1) corners joined when the cell-centre
+    average has their sign.  Segments chain through shared edges into
+    polylines, each started at its first segment in row-major cell order;
+    a closed loop repeats its first point at the end."""
+    f = np.asarray(field, dtype=float)
+    nx, ny = f.shape
+    # per cell the corners (i, j), (i+1, j), (i+1, j+1), (i, j+1); edge k
+    # runs from corner k to corner k + 1, counterclockwise
+    corner = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]
+    neg, ok = f < 0.0, np.isfinite(f)
+    ok = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    crossed = np.empty((nx - 1, ny - 1, 4), dtype=bool)
+    for k in range(4):
+        crossed[..., k] = (neg[corner[k]] != neg[corner[(k + 1) % 4]]) & ok
+    cell, k = np.nonzero(crossed.reshape(-1, 4))
+    i, j = np.divmod(cell, ny - 1)
+    # consecutive crossings pair up; a saddle cell whose centre average
+    # parts its (i, j) corner from (i+1, j+1) pairs them from its last edge
+    parted = crossed.reshape(-1, 4)[cell].all(axis=-1) & (
+        (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1] < 0.0) != neg[i, j])
+    # edges along x, (nx - 1, ny), are numbered before those along y
+    n_x = (nx - 1) * ny
+    eid = np.choose(k, [i * ny + j, n_x + (i + 1) * (ny - 1) + j, i * ny + j + 1,
+                        n_x + i * (ny - 1) + j])
+    edges, ends = np.unique(eid[np.argsort(4 * cell + (k + parted) % 4)],
+                            return_inverse=True)
+    # each crossed edge's point, once, from its lower to its upper node
+    along_y = edges >= n_x
+    i, j = np.where(along_y, np.divmod(edges - n_x, ny - 1), np.divmod(edges, ny))
+    i2, j2 = i + ~along_y, j + along_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f[i, j] / (f[i, j] - f[i2, j2])
+    pts = np.stack([gx[i] + t * (gx[i2] - gx[i]), gy[j] + t * (gy[j2] - gy[j])], -1)
+    ends = ends.tolist()
+    segs, touching = list(zip(ends[::2], ends[1::2])), {}
+    for n, e in enumerate(ends):
+        touching.setdefault(e, []).append(n // 2)
+    used, polylines = [False] * len(segs), []
+    for k, seg in enumerate(segs):
+        if used[k]:
             continue
-        line = [a, b]
-        used.add((key(a), key(b)))
-        for grow_end in (True, False):
-            while True:
-                tip = line[-1] if grow_end else line[0]
-                nxt = None
-                for p, q in adj.get(key(tip), []):
-                    if (key(p), key(q)) in used or (key(q), key(p)) in used:
-                        continue
-                    nxt = q
-                    used.add((key(p), key(q)))
-                    break
-                if nxt is None:
-                    break
-                if grow_end:
-                    line.append(nxt)
-                else:
-                    line.insert(0, nxt)
-        polylines.append(np.array(line))
+        used[k], line = True, list(seg)
+        for _ in range(2):      # grow the end, then the start
+            while nxt := [m for m in touching[line[-1]] if not used[m]]:
+                used[nxt[0]] = True
+                a, b = segs[nxt[0]]
+                line.append(b if a == line[-1] else a)
+            line.reverse()
+        polylines.append(pts[line])
     return polylines

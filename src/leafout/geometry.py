@@ -191,22 +191,23 @@ def reconstruct_mesh(geom, state, tilt=0.0):
     return FoldedMesh(verts, faces, crease_edges, tip_edges, G)
 
 
-def _split_quad(vertices, quad):
-    """Two triangles per quad, split along the shorter diagonal (ties go
-    to the (0, 2) diagonal) so exports are deterministic."""
-    a, b, c, d = quad
-    if (np.linalg.norm(vertices[a] - vertices[c])
-            <= np.linalg.norm(vertices[b] - vertices[d]) + 1e-15):
-        return [(a, b, c), (a, c, d)]
-    return [(a, b, d), (b, c, d)]
+def _split_quads(vertices, quads):
+    """Two triangles per quad, (F, 4) -> (2F, 3), each quad split along its
+    shorter diagonal (ties go to the (0, 2) diagonal) so exports are
+    deterministic."""
+    q = np.asarray(quads).reshape(-1, 4)
+    # squared lengths by (1, 3) @ (3, 1) products: the dot product that
+    # np.linalg.norm takes of one vector, so near-ties split as before
+    d = vertices[q[:, [0, 1]]] - vertices[q[:, [2, 3]]]
+    sq = (d[..., None, :] @ d[..., None])[..., 0, 0]
+    first = np.sqrt(sq[:, 0]) <= np.sqrt(sq[:, 1]) + 1e-15
+    return np.where(first[:, None, None], q[:, [[0, 1, 2], [0, 2, 3]]],
+                    q[:, [[0, 1, 3], [1, 2, 3]]]).reshape(-1, 3)
 
 
 def mesh_to_obj(mesh):
     """ASCII OBJ text: vertices then triangulated faces, 1-based indices."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for quad in mesh.faces:
-        for tri in _split_quad(mesh.vertices, quad):
-            lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in
+              (_split_quads(mesh.vertices, mesh.faces) + 1).tolist()]
     return "\n".join(lines) + "\n"

@@ -30,6 +30,7 @@ from .kinematics import SVD_CUTOFF
 
 FLOAT = "%.17g"     # deterministic float format, 17 significant digits
 TABLE_BLOCK = 64    # table rows per C-encoder call
+TABLE_ROWS = 2 ** 16  # CSV rows held as Python floats at a time
 _NUMBERS = {int, float, bool, type(None)}
 _SCALARS = _NUMBERS | {str}
 
@@ -49,7 +50,8 @@ def _write_table(fname, header, columns, end="\n"):
     line = ",".join([FLOAT] * table.shape[1]) + end
     with open(fname, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in map(tuple, table.tolist()))
+        for block in np.split(table, range(TABLE_ROWS, len(table), TABLE_ROWS)):
+            fh.writelines(line % row for row in map(tuple, block.tolist()))
 
 
 def read_csv(fname):

@@ -54,14 +54,10 @@ def sub_angle_from_main(alpha, rho_m):
 
 
 def d_sub_d_main(alpha, rho_m):
-    """Derivative d rho_S / d rho_M = cos^2(rho_S/2) / (cos(alpha) cos^2(rho_M/2)).
-
-    Only rho_M strictly inside (0, pi) is accepted; the slope diverges at
-    pi.
-    """
-    rho_m = float(rho_m)
-    if not 0.0 < rho_m < np.pi:
-        raise ValueError("rho_M must be strictly inside (0, pi)")
-    rho_s = sub_angle_from_main(alpha, rho_m)
-    return float(np.cos(rho_s / 2) ** 2
-                 / (np.cos(alpha) * np.cos(rho_m / 2) ** 2))
+    """d rho_S / d rho_M = cos(a) / (cos^2(a) cos^2(rho_M/2) + sin^2(rho_M/2))
+    for rho_M (scalar or array) in [0, pi]: 1/cos(a) flat, cos(a) at pi."""
+    rho_m = np.asarray(rho_m, dtype=float)
+    if np.any(rho_m < -1e-12) or np.any(rho_m > np.pi + 1e-12):
+        raise ValueError("rho_M outside [0, pi]")
+    ca = np.cos(alpha)
+    return ca / ((ca * np.cos(rho_m / 2)) ** 2 + np.sin(rho_m / 2) ** 2)

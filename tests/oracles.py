@@ -205,6 +205,114 @@ def direct_energy(kappas, rests, angles):
     return total
 
 
+
+def sampled_extrema(E):
+    """Indices of the interior minima and maxima of a sampled curve: the
+    sign changes of its differences."""
+    d = np.sign(np.diff(E))
+    return (np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0)) + 1,
+            np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0)) + 1)
+
+
+def dense_uniform_path(n_cell, psi_lo, psi_hi, samples=90000):
+    """(psi, rho_M, rho_S, rho_B) of the uniform motion on a dense grid with
+    ``samples`` intervals per phase and an exact psi = 0 node.  rho_M/2 is
+    bisected on the mirror-plane condition cos(a) cos(t) + sin(a) sin(psi)
+    sin(t) = cos(a) cos(psi), which is >= 0 at t = 0 and < 0 at t = pi/2,
+    with cos(t) - cos(psi) written as a product of sines so that it stays
+    accurate near the flat state; rho_S follows from tan(rho_S/2) =
+    tan(rho_M/2) / cos(a)."""
+    alpha = np.pi / n_cell
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    psi = np.concatenate([np.linspace(psi_lo, 0.0, samples + 1),
+                          np.linspace(0.0, psi_hi, samples + 1)[1:]])
+    lo, hi = np.zeros_like(psi), np.full_like(psi, np.pi / 2)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        ahead = (sa * np.sin(psi) * np.sin(mid) - 2 * ca * np.sin((mid + psi) / 2)
+                 * np.sin((mid - psi) / 2)) >= 0.0
+        lo, hi = np.where(ahead, mid, lo), np.where(ahead, hi, mid)
+    half = 0.5 * (lo + hi)
+    return psi, 2 * half, 2 * np.arctan(np.tan(half) / ca), -2 * np.abs(psi)
+
+
+def dense_landscape_xi(path, n_cell, rest_m, rest_b):
+    """(bistable, xi) of the landscape of identical unit springs (kappa 1,
+    the sub rest angle compatible with rest_m) sampled on ``path``, with
+    the extrema of ``sampled_extrema``: bistable iff it has two minima,
+    one maximum between them and both gaps positive."""
+    psi, rho_m, rho_s, rho_b = path
+    rest_s = 2 * np.arctan(np.tan(rest_m / 2) / np.cos(np.pi / n_cell))
+    E = 0.5 * n_cell * ((rho_m - rest_m) ** 2 + 2 * (rho_s - rest_s) ** 2
+                        + (rho_b - rest_b) ** 2)
+    mins, maxs = sampled_extrema(E)
+    if len(mins) == 2 and len(maxs) == 1 and mins[0] < maxs[0] < mins[1]:
+        d_g, d_r = E[maxs[0]] - E[mins[0]], E[maxs[0]] - E[mins[1]]
+        if d_g > 0 and d_r > 0:
+            return True, (d_g - d_r) / (d_g + d_r)
+    return False, None
+
+
+def zero_contours_loop(gx, gy, field):
+    """Zero-level polylines of a gridded field with NaN holes, cell by
+    cell: marching-squares segments on cells whose corners are all
+    defined and that have exactly two crossings, chained into polylines
+    by endpoints rounded to 12 decimals."""
+    segs = []
+    for i in range(len(gx) - 1):
+        for j in range(len(gy) - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            vals = [field[a, b] for a, b in corners]
+            if any(np.isnan(v) for v in vals):
+                continue
+            pts = []
+            edges = [((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1)),
+                     ((i + 1, j + 1), (i, j + 1)), ((i, j + 1), (i, j))]
+            for (a1, b1), (a2, b2) in edges:
+                v1, v2 = field[a1, b1], field[a2, b2]
+                if v1 == 0.0 and v2 == 0.0:
+                    continue
+                if v1 * v2 < 0.0 or (v1 == 0.0) != (v2 == 0.0):
+                    t = v1 / (v1 - v2)
+                    x = gx[a1] + t * (gx[a2] - gx[a1])
+                    y = gy[b1] + t * (gy[b2] - gy[b1])
+                    pts.append((x, y))
+            if len(pts) == 2:
+                segs.append(tuple(pts))
+    # chain segments into polylines
+    def key(p):
+        return (round(p[0], 12), round(p[1], 12))
+
+    adj = {}
+    for a, b in segs:
+        adj.setdefault(key(a), []).append((a, b))
+        adj.setdefault(key(b), []).append((b, a))
+    used = set()
+    polylines = []
+    for a, b in segs:
+        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+            continue
+        line = [a, b]
+        used.add((key(a), key(b)))
+        for grow_end in (True, False):
+            while True:
+                tip = line[-1] if grow_end else line[0]
+                nxt = None
+                for p, q in adj.get(key(tip), []):
+                    if (key(p), key(q)) in used or (key(q), key(p)) in used:
+                        continue
+                    nxt = q
+                    used.add((key(p), key(q)))
+                    break
+                if nxt is None:
+                    break
+                if grow_end:
+                    line.append(nxt)
+                else:
+                    line.insert(0, nxt)
+        polylines.append(np.array(line))
+    return polylines
+
 # ---------------------------------------------------------------- files
 def read_path_csv(fname):
     """Parse a folding-path table: (param_name, params, rho_o, rho_s,

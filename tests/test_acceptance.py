@@ -11,9 +11,9 @@ import pytest
 
 import leafout as lf
 from leafout.cli import main as cli_main
-from leafout.energy import landscape_extrema
 from leafout.kinematics import StepFailure, StepRequest, trace_paths
-from oracles import chain_closure_norm, fd_constraint_matrix, sub_angle_oracle
+from oracles import (chain_closure_norm, fd_constraint_matrix, sampled_extrema,
+                     sub_angle_oracle)
 
 GEOM = lf.build_geometry(5, 70.0, 30.0)
 CTRL_ALL = (0, 2, 4, 6, 8)
@@ -84,9 +84,9 @@ def test_criterion_03_bistable_landscape_structure():
                                      np.radians(-30.0))
     curve = lf.landscape_over_psi(GEOM, springs,
                                   (np.radians(-89.9), np.radians(53.9)))
-    ext = landscape_extrema(curve.psi, curve.energy[None])
+    mins, maxs = sampled_extrema(curve.energy)
     report = lf.characterize_bistability(curve)
-    assert ext.is_min.sum() == 2 and ext.is_max.sum() == 1
+    assert len(mins) == 2 and len(maxs) == 1
     assert report.stability_class == "bistable"
     assert abs(np.degrees(report.psi_barrier)) < 0.25
     _report(3, f"two minima at {np.degrees(report.psi_open):.1f} and "
@@ -98,10 +98,10 @@ def test_criterion_04_monostable_flat_rest():
     springs = lf.SpringModel.uniform(GEOM, 1.0, 0.0, 0.0)
     curve = lf.landscape_over_psi(GEOM, springs,
                                   (np.radians(-89.9), np.radians(53.9)))
-    ext = landscape_extrema(curve.psi, curve.energy[None])
+    mins, _ = sampled_extrema(curve.energy)
     report = lf.characterize_bistability(curve)
     assert report.stability_class == "monostable"
-    assert ext.is_min.sum() == 1
+    assert len(mins) == 1
     psi_min, _ = report.minima[0]
     assert abs(np.degrees(psi_min)) < 0.25
     _report(4, f"single minimum at {np.degrees(psi_min):.3f} deg")

@@ -102,12 +102,10 @@ def test_uniform_path_csv_extrema_match_energy_report(tmp_path):
     out = tmp_path / "o"
     assert main(["uniform-path", "--config", str(cfg), "--out", str(out)]) == 0
     import leafout as lf
-    from leafout.energy import landscape_extrema
-    from oracles import read_path_csv
+    from oracles import read_path_csv, sampled_extrema
     _, params, _, _, energy = read_path_csv(out / "uniform_path.csv")
     assert energy is not None
-    ext = landscape_extrema(params, energy[None])
-    mins, maxs = np.flatnonzero(ext.is_min[0]), np.flatnonzero(ext.is_max[0])
+    mins, maxs = sampled_extrema(energy)
     assert len(mins) == 2 and len(maxs) == 1
     geom = lf.build_geometry(5, 70.0, 30.0)
     springs = lf.SpringModel.uniform(geom, 1.0, np.radians(120.0),
@@ -130,6 +128,26 @@ def test_energy_landscape_reports_bistability(tmp_path):
     assert abs(np.degrees(rep["psi_barrier"])) < 0.25
     rows = (out / "landscape.csv").read_text().splitlines()
     assert rows[0] == "psi,energy,rho_M,rho_S,rho_B"
+
+
+def test_energy_landscape_open_minimum_in_first_cell(tmp_path):
+    # the open minimum sits within 0.25 deg of the -90 deg end, inside the
+    # first grid cell: the slope's sign change there still finds it
+    from oracles import dense_landscape_xi, dense_uniform_path
+    cfg = write_cfg(tmp_path, {"name": "energy-landscape",
+                               "psi_range_deg": [-90.0, 54.0]},
+                    springs={"kappa": 1.0,
+                             "rest_deg": {"rho_m": 112.0, "rho_b": -170.0}})
+    out = tmp_path / "o"
+    assert main(["energy-landscape", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "bistability.json").read_text())
+    assert rep["stability_class"] == "bistable"
+    assert np.radians(-90.0) < rep["psi_open"] < np.radians(-89.75)
+    # the run clips both ends 1e-6 rad inside the motion range
+    path = dense_uniform_path(5, -np.pi / 2 + 1e-6, np.radians(54.0) - 1e-6)
+    bistable, xi = dense_landscape_xi(path, 5, np.radians(112.0),
+                                      np.radians(-170.0))
+    assert bistable and abs(rep["ratio_xi"] - xi) <= 1e-6
 
 
 def test_energy_landscape_accepts_default_spacing(tmp_path):

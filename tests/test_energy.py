@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leafout as lf
-from leafout.energy import (ConfigurationError, LandscapeCurve,
-                            landscape_extrema, uniform_path_arrays)
+from leafout.energy import (ConfigurationError, landscape_extrema,
+                            uniform_path_arrays, zero_contours)
 from leafout.unitcell import d_sub_d_main, sub_angle_from_main
-from oracles import direct_energy
+from oracles import (dense_landscape_xi, dense_uniform_path, direct_energy,
+                     sampled_extrema, zero_contours_loop)
 
 
 def scaled(springs, factor):
@@ -96,12 +97,15 @@ def test_rest_on_path_gives_global_minimum_there(geom5):
     springs = lf.SpringModel.uniform(geom5, 1.0, st_.rho_o[0], st_.rho_o[1])
     curve = lf.landscape_over_psi(geom5, springs,
                                   (np.radians(-89), np.radians(53)))
+    psi_min, e_min = min(lf.characterize_bistability(curve).minima,
+                         key=lambda m: m[1])
+    # the lowest root of the exact slope is the rest state itself
+    assert abs(psi_min - psi_star) < 1e-12
+    assert e_min < 1e-24
+    # and the sampled curve has a minimum at its lowest node, next to it
     i = int(np.argmin(curve.energy))
-    ext = landscape_extrema(curve.psi, curve.energy[None])
-    assert ext.is_min[0, i]
-    psi_min, e_min = ext.psi[0, i], ext.energy[0, i]
-    assert abs(psi_min - psi_star) < np.radians(0.25)
-    assert e_min < 1e-6 * np.max(curve.energy)
+    assert i in sampled_extrema(curve.energy)[0]
+    assert abs(curve.psi[i] - psi_star) < np.radians(0.25)
 
 
 def test_grasp_rest_angles_give_positive_xi(geom5, springs_grasp):
@@ -113,34 +117,56 @@ def test_grasp_rest_angles_give_positive_xi(geom5, springs_grasp):
     assert report.ratio_xi > 0
 
 
+def synthetic(slope, energy, psi, n=1):
+    """``landscape_extrema`` of synthetic landscapes given as functions of
+    (row, psi)."""
+    return landscape_extrema(psi, n,
+                             lambda r, x: slope(*np.broadcast_arrays(r, x)),
+                             lambda r, x: energy(*np.broadcast_arrays(r, x)))
+
+
 def test_xi_zero_for_synthetic_symmetric_curve():
-    psi = np.linspace(-1.0, 1.0, 201)
-    E = (psi ** 2 - 0.25) ** 2          # symmetric double well
-    curve = LandscapeCurve(psi=psi, energy=E, rho_m=psi, rho_s=psi, rho_b=psi)
-    report = lf.characterize_bistability(curve)
-    assert report.stability_class == "bistable"
-    assert abs(report.ratio_xi) < 1e-12
+    ext = synthetic(lambda r, x: 4 * x * (x ** 2 - 0.25),
+                    lambda r, x: (x ** 2 - 0.25) ** 2,
+                    np.linspace(-1.0, 1.0, 201))     # symmetric double well
+    assert ext.stability_class[0] == "bistable"
+    assert np.allclose(ext.psi, [-0.5, 0.0, 0.5], rtol=0, atol=1e-15)
+    assert ext.is_min.tolist() == [True, False, True]
+    assert abs(ext.ratio_xi[0]) < 1e-12
 
 
 def test_multistable_curve_reported():
-    psi = np.linspace(-1.0, 1.0, 401)
-    E = np.cos(4 * np.pi * psi) + 0.05 * psi
-    curve = LandscapeCurve(psi=psi, energy=E, rho_m=psi, rho_s=psi, rho_b=psi)
-    report = lf.characterize_bistability(curve)
-    assert report.stability_class == "multistable"
-    assert len(report.minima) == 4
-    assert report.ratio_xi is None
+    ext = synthetic(lambda r, x: -4 * np.pi * np.sin(4 * np.pi * x) + 0.05,
+                    lambda r, x: np.cos(4 * np.pi * x) + 0.05 * x,
+                    np.linspace(-1.0, 1.0, 401))
+    assert ext.stability_class[0] == "multistable"
+    assert ext.is_min.sum() == 4
+    assert np.isnan(ext.ratio_xi[0])
 
 
 def test_extra_maximum_is_not_bistable():
-    # two minima with a barrier between them, but a second maximum
-    # outside them: the shared rule wants exactly one interior maximum
-    psi = np.array([-1.0, -0.6, -0.2, 0.2, 0.6, 1.0])
-    E = np.array([0.9, 0.2, 0.8, 0.5, 1.0, 0.0])
-    curve = LandscapeCurve(psi=psi, energy=E, rho_m=psi, rho_s=psi, rho_b=psi)
-    report = lf.characterize_bistability(curve)
-    assert report.stability_class == "multistable"
-    assert len(report.minima) == 2 and report.ratio_xi is None
+    # minima at -0.6 and 0.2 with a barrier at -0.2 between them, but a
+    # second maximum at 0.6 outside them: the shared rule wants exactly
+    # one interior maximum
+    ext = synthetic(lambda r, x: -(x ** 2 - 0.36) * (x ** 2 - 0.04),
+                    lambda r, x: -(x ** 5 / 5 - 0.4 * x ** 3 / 3 + 0.0144 * x),
+                    np.linspace(-1.0, 1.0, 30))
+    assert ext.stability_class[0] == "multistable"
+    assert ext.is_min.tolist() == [True, False, True, False]
+    assert np.allclose(ext.psi, [-0.6, -0.2, 0.2, 0.6], rtol=0, atol=1e-15)
+    assert np.isnan(ext.ratio_xi[0])
+
+
+def test_flat_state_kink_is_exact_on_any_grid():
+    # E = psi^2 - |psi| kinks at psi = 0; the grid has no node there, and
+    # the slope at -0.0 and 0.0 (sgn from the sign bit) still brackets it
+    ext = synthetic(lambda r, x: 2 * x - np.copysign(1.0, x),
+                    lambda r, x: x ** 2 - np.abs(x),
+                    np.linspace(-1.0, 1.0, 20))
+    assert ext.stability_class[0] == "bistable"
+    assert ext.psi[1] == 0.0 and ext.energy[1] == 0.0
+    assert np.allclose(ext.psi[[0, 2]], [-0.5, 0.5], rtol=0, atol=1e-15)
+    assert abs(ext.ratio_xi[0]) < 1e-12
 
 
 def test_characterize_needs_both_phases(geom5, springs_bistable):
@@ -195,6 +221,80 @@ def test_flat_state_barrier_is_exact(geom5):
     assert report.stability_class == "bistable"
     assert report.psi_barrier == 0.0
     assert report.E_barrier == curve.energy[curve.psi == 0.0][0]
+
+
+@pytest.fixture(scope="module")
+def dense_path():
+    # the motion range clipped 1e-6 rad inside both ends, as the surface is
+    return dense_uniform_path(5, -np.pi / 2 + 1e-6, 0.3 * np.pi - 1e-6)
+
+
+def test_ratio_surface_band_points_match_dense_oracle(geom5, dense_path):
+    # two bands of the default 2 deg surface where the open minimum sits
+    # within 0.25 deg of psi = -90 deg, inside the first 0.5 deg cell
+    gm = np.radians([112.0, 116.0, 120.0, 130.0, 138.0, 146.0])
+    gb = np.radians([-170.0, -162.0, -154.0, -132.0, -116.0, -100.0])
+    xi = lf.ratio_surface(geom5, gm, gb).xi
+    for i, rm in enumerate(gm):
+        for j, rb in enumerate(gb):
+            bistable, want = dense_landscape_xi(dense_path, 5, rm, rb)
+            assert np.isfinite(xi[i, j]) == bistable
+            if bistable:
+                assert abs(xi[i, j] - want) <= 1e-6
+    assert np.all(np.isfinite(np.diag(xi)))
+
+
+def same_polylines(got, want):
+    """Equal polyline lists, point for point to 1e-12 up to direction."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert min(np.max(np.abs(g - w)), np.max(np.abs(g[::-1] - w))) <= 1e-12
+
+
+def test_zero_contours_match_cell_loop(geom5):
+    gm = np.radians(np.arange(2.0, 178.0 + 1e-9, 2.0))
+    gb = np.radians(np.arange(-178.0, -2.0 + 1e-9, 2.0))
+    xi = lf.ratio_surface(geom5, gm, gb).xi
+    same_polylines(zero_contours(gm, gb, xi), zero_contours_loop(gm, gb, xi))
+    # a closed ellipse, and a parabola cut by a hole into two open pieces
+    gx, gy = np.linspace(-2.0, 2.0, 41), np.linspace(-1.5, 1.5, 31)
+    x, y = np.meshgrid(gx, gy, indexing="ij")
+    parabola = np.where((np.abs(x) < 0.3) & (y > -0.5), np.nan, y - 0.3 * x ** 2)
+    ellipse = x ** 2 + 2 * y ** 2 - 1.05
+    for field, pieces in ((ellipse, 1), (parabola + 0.01, 2)):
+        got = zero_contours(gx, gy, field)
+        same_polylines(got, zero_contours_loop(gx, gy, field))
+        assert len(got) == pieces
+    assert np.array_equal(zero_contours(gx, gy, ellipse)[0][0],
+                          zero_contours(gx, gy, ellipse)[0][-1])
+
+
+def test_zero_contours_count_zero_as_positive():
+    # an ellipse through the grid nodes (+-1, 0) stays one closed loop; the
+    # cell loop crossed both edges at a zero corner and broke it in four
+    gx, gy = np.linspace(-2.0, 2.0, 41), np.linspace(-1.5, 1.5, 31)
+    x, y = np.meshgrid(gx, gy, indexing="ij")
+    field = x ** 2 + 2 * y ** 2 - 1.0
+    assert np.sum(field == 0.0) == 2
+    (loop,) = zero_contours(gx, gy, field)
+    assert np.array_equal(loop[0], loop[-1])
+    assert np.max(np.abs(loop[:, 0] ** 2 + 2 * loop[:, 1] ** 2 - 1.0)) < 0.05
+    assert len(zero_contours_loop(gx, gy, field)) == 4
+
+
+def test_zero_contours_split_saddles_by_centre():
+    # f = x y + c: corners (i, j) and (i+1, j+1) are 1 + c, the others
+    # -1 + c; the centre average c decides which pair stays joined
+    g = np.array([-1.0, 1.0])
+    for c, want in ((0.25, [[(0.25, -1.0), (1.0, -0.25)],
+                            [(-0.25, 1.0), (-1.0, 0.25)]]),
+                    (-0.25, [[(-0.25, -1.0), (-1.0, -0.25)],
+                             [(1.0, 0.25), (0.25, 1.0)]])):
+        field = np.outer(g, g) + c
+        same_polylines(zero_contours(g, g, field), [np.array(w) for w in want])
+        # the cell loop dropped every saddle cell
+        assert zero_contours_loop(g, g, field) == []
 
 
 def test_contour_points_have_balanced_gaps(geom5):
@@ -295,10 +395,22 @@ def test_uniform_path_arrays_consistency(geom5):
 
 
 def test_interior_extrema_ignores_endpoints():
-    y = np.array([0.0, 1.0, 0.5, 1.5, 0.2])
-    ext = landscape_extrema(np.arange(5.0), y[None])
-    assert np.flatnonzero(ext.is_min[0]).tolist() == [2]
-    assert np.flatnonzero(ext.is_max[0]).tolist() == [1, 3]
+    # row 0 is lowest at both ends, which are not extrema; row 1 has a zero
+    # slope at both ends and at its one maximum, psi = 2, all three nodes
+    def slope(r, x):
+        return np.where(r == 0, np.pi * np.sin(np.pi * x) - 0.2 * (x - 2),
+                        4 * x * (x - 4) * (x - 2))
+
+    def energy(r, x):
+        return np.where(r == 0, -np.cos(np.pi * x) - 0.1 * (x - 2) ** 2,
+                        (x * (x - 4)) ** 2)
+
+    ext = synthetic(slope, energy, np.linspace(0.0, 4.0, 41), n=2)
+    assert ext.row.tolist() == [0, 0, 0, 1]
+    assert ext.is_min.tolist() == [False, True, False, False]
+    assert np.all((ext.psi > 0.5) & (ext.psi < 3.5))
+    assert abs(ext.psi[1] - 2.0) < 1e-12 and abs(ext.psi[3] - 2.0) < 1e-12
+    assert ext.stability_class.tolist() == ["multistable", "monostable"]
 
 
 def test_non_finite_stiffness_rejected(geom5):

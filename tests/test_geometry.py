@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import leafout as lf
-from leafout.geometry import CreaseId, CreaseKind, _split_quad, mesh_to_obj
+from leafout.geometry import CreaseId, CreaseKind, _split_quads, mesh_to_obj
 
 # cell counts the mesh invariants are checked at: the prototype, and two
 # counts whose glued unit frames once drifted off orthonormal
@@ -234,12 +234,15 @@ def test_obj_export_structure(geom5, uniform_minus30):
 
 def test_quad_split_uses_shorter_diagonal():
     verts = np.array([[0, 0, 0], [4, 0, 0], [4.5, 1, 0], [0, 1, 0.0]])
-    tris = _split_quad(verts, (0, 1, 2, 3))
+    tris = _split_quads(verts, [(0, 1, 2, 3)])
     # diagonal 1-3 is shorter than 0-2 for this skewed slab
-    assert tris == [(0, 1, 3), (1, 2, 3)]
+    assert tris.tolist() == [[0, 1, 3], [1, 2, 3]]
     # ties go to the first diagonal, deterministically
     square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]])
-    assert _split_quad(square, (0, 1, 2, 3)) == [(0, 1, 2), (0, 2, 3)]
+    assert _split_quads(square, [(0, 1, 2, 3)]).tolist() == [[0, 1, 2], [0, 2, 3]]
+    # one array pass splits every quad on its own
+    both = _split_quads(np.concatenate([verts, square]), [(0, 1, 2, 3), (4, 5, 6, 7)])
+    assert both.tolist() == [[0, 1, 3], [1, 2, 3], [4, 5, 6], [4, 6, 7]]
 
 
 def test_geometry_json_round_trip(geom5):

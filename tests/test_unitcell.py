@@ -87,11 +87,25 @@ def test_derivative_positive():
         assert d_sub_d_main(ALPHA, rm) > 0
 
 
-def test_derivative_endpoint_rejected():
+def test_derivative_endpoint_values():
+    # the slope is finite on the closed interval: 1/cos(alpha) flat,
+    # cos(alpha) folded flat; central differences of the atan2 form, which
+    # extends smoothly past both ends
+    def rho_s(rm):
+        return 2 * np.arctan2(np.sin(rm / 2), np.cos(ALPHA) * np.cos(rm / 2))
+
+    h = 1e-6
+    for rm, want in ((0.0, 1.0 / np.cos(ALPHA)), (np.pi, np.cos(ALPHA))):
+        fd = (rho_s(rm + h) - rho_s(rm - h)) / (2 * h)
+        assert abs(d_sub_d_main(ALPHA, rm) - want) < 1e-15
+        assert abs(fd - want) < 1e-8
+    # on arrays, and still exact just inside pi where cos^2/cos^2 is 0/0
+    rm = np.array([0.0, 1.0, np.pi - 1e-8, np.pi])
+    got = d_sub_d_main(ALPHA, rm)
+    assert got.shape == (4,)
+    assert abs(got[2] - np.cos(ALPHA)) < 1e-15
     with pytest.raises(ValueError):
-        d_sub_d_main(ALPHA, 0.0)
-    with pytest.raises(ValueError):
-        d_sub_d_main(ALPHA, np.pi)
+        d_sub_d_main(ALPHA, np.pi + 1e-6)
 
 
 def test_slope_near_flat_has_finite_limit():
