@@ -11,10 +11,9 @@ from .geometry import (CreaseId, CreaseKind, FoldedMesh, LeafOutGeometry,
                        build_geometry, mesh_to_obj, reconstruct_mesh)
 from .kinematics import (FoldState, FoldingPath, NotClosedError, StepFailure,
                          StepRequest, constraint_matrix, trace_paths)
-from .unitcell import d_sub_d_main, sub_angle_from_main
-from .uniform import (OutOfRangeError, boundary_angle_from_psi,
-                      main_angle_from_psi, psi_from_main, psi_motion_range,
-                      uniform_path, uniform_state)
+from .unitcell import sub_angle_from_main
+from .uniform import (OutOfRangeError, psi_from_main, psi_motion_range,
+                      uniform_motion, uniform_path, uniform_state)
 from .energy import (BistabilityReport, LandscapeCurve, RatioSurface,
                      SpringModel, characterize_bistability,
                      landscape_over_psi, path_energies, ratio_surface)

@@ -24,14 +24,13 @@ import numpy as np
 
 from . import __version__
 from .droptest import DropScenario, trigger_map
-from .energy import (DEFAULT_PSI_STEP, SpringModel, characterize_bistability,
-                     landscape_over_psi, path_energies, ratio_surface,
-                     uniform_path_arrays)
+from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
+                     path_energies, ratio_surface)
 from .explore import DEFAULT_MAX_STEPS, GraspProgram, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, StepFailure
-from .uniform import (OutOfRangeError, clip_psi_range, psi_samples,
-                      uniform_path, uniform_state)
+from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
+                      landscape_psis, psi_samples, uniform_path, uniform_state)
 from . import io as lio
 
 EXIT_OK = 0
@@ -269,7 +268,7 @@ def _landscape_inputs(task, geom, springs):
     if n is not None:
         _cap("n_samples x 2 n_cell", n * 2 * geom.n_cell, MAX_POINTS)
     spacing = 0.0 if n is None or not lo < 0.0 < hi else np.max(
-        np.diff(uniform_path_arrays(geom, rng, n)[0]))
+        np.diff(landscape_psis(geom.alpha, rng, n)[0]))
     if not (lo < 0.0 < hi and spacing <= DEFAULT_PSI_STEP * (1 + 1e-9)):
         raise ConfigError("psi_range_deg must span both phases, with "
                           "n_samples giving at least one sample per 0.5 deg")

@@ -3,17 +3,17 @@
 Every spring-bearing crease j contributes (kappa_j / 2)(rho_j - rest_j)^2.
 Energies are evaluated along kinematic paths only; the uniform landscape
 E(psi) is the workhorse for bistability characterization and for the
-rest-angle design surface of the energy ratio xi.
+rest-angle design surface of the energy ratio xi.  Its energy and its
+exact slope dE/dpsi take the angles and their psi-slopes from
+``uniform.uniform_motion`` and its grid from ``uniform.landscape_psis``.
 """
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .unitcell import d_sub_d_main, sub_angle_from_main
-from .uniform import (boundary_angle_from_psi, clip_psi_range,
-                      main_angle_from_psi, sample_count)
+from .unitcell import sub_angle_from_main
+from .uniform import landscape_psis, uniform_motion
 
-DEFAULT_PSI_STEP = np.radians(0.5)
 REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
 SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
 
@@ -96,63 +96,24 @@ class LandscapeCurve:
     truncated: bool = False
 
 
-def uniform_path_arrays(geom, psi_range, n_samples=None):
-    """(psi, rho_m, rho_s, rho_b, truncated) arrays of the uniform path,
-    clipped to the admissible motion range.
-
-    When the interval spans the flat state the grid is snapped to contain
-    psi = 0 exactly: the energy kinks there (the two fold phases meet at
-    a corner), and an extremum on that node is exact.
-    """
-    if n_samples is not None:
-        n_samples = sample_count(n_samples)
-    lo, hi, clipped = clip_psi_range(geom.alpha, psi_range)
-    if lo < 0.0 < hi:
-        if n_samples is None:
-            n_lo = max(1, int(round(-lo / DEFAULT_PSI_STEP)))
-            n_hi = max(1, int(round(hi / DEFAULT_PSI_STEP)))
-        else:
-            n_lo = max(1, int(round((n_samples - 1) * (-lo) / (hi - lo))))
-            n_hi = max(1, n_samples - 1 - n_lo)
-        psis = np.concatenate([np.linspace(lo, 0.0, n_lo + 1),
-                               np.linspace(0.0, hi, n_hi + 1)[1:]])
-    else:
-        if n_samples is None:
-            n_samples = int(round((hi - lo) / DEFAULT_PSI_STEP)) + 1
-        psis = np.linspace(lo, hi, n_samples)
-    return (psis, *_path_angles(geom.alpha, psis), clipped)
-
-
-def _path_angles(alpha, psi):
-    """(rho_M, rho_S, rho_B) of the uniform path at psi."""
-    rho_m = main_angle_from_psi(alpha, psi)
-    return rho_m, sub_angle_from_main(alpha, rho_m), boundary_angle_from_psi(alpha, psi)
-
-
 def _uniform_landscapes(alpha, kappa, rest):
     """(slope, energy) of the uniform-path landscapes of B designs with
     stiffness kappa (J,) and rest angles rest (B, J), as f(rows, psi).
     E = sum_j kappa_j (rho_j - rest_j)^2 / 2, unit by unit, and dE/dpsi =
     sum over the kinds (K rho - C) rho', K and C the kind's summed kappa
-    and kappa rest, rho_S' = d_sub_d_main rho_M', rho_B' = -2 sgn psi and
-    rho_M' = 2 cos a [sin a cos psi / (cos^2 a + sin^2 a sin^2 psi)
-                      + sgn psi / (cos^2 a cos^2 psi + sin^2 psi)]."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    and kappa rest, with the angles and slopes of ``uniform_motion``."""
     kind = np.tile([0, 1, 1, 2], len(kappa) // 4) == np.arange(3)[:, None]
     # slope = (1, -C) . (sum K rho rho', rho_M', rho_S', rho_B')
     K, coef = kind @ kappa, np.vstack([np.ones(len(rest)), -(kind @ (kappa * rest).T)])
 
     def slope(rows, psi):
-        s2, c, sgn = np.sin(psi) ** 2, np.cos(psi), np.copysign(1.0, psi)
-        d_m = 2 * ca * (sa * c / (ca * ca + sa * sa * s2)
-                        + sgn / (ca * ca * c * c + s2))
-        rho_m, rho_s, rho_b = _path_angles(alpha, psi)
-        d_s, d_b = d_sub_d_main(alpha, rho_m) * d_m, -2.0 * sgn
+        (rho_m, rho_s, rho_b), (d_m, d_s, d_b) = uniform_motion(alpha, psi)
         g = K[0] * rho_m * d_m + K[1] * rho_s * d_s + K[2] * rho_b * d_b
         return np.einsum("k...,k...->...", coef[:, rows], np.stack([g, d_m, d_s, d_b]))
 
     def energy(rows, psi):
-        (rho_m, rho_s, rho_b), r, E = _path_angles(alpha, psi), rest[rows], 0.0
+        (rho_m, rho_s, rho_b), _ = uniform_motion(alpha, psi)
+        r, E = rest[rows], 0.0
         for u in range(0, len(kappa), 4):
             E = E + 0.5 * sum(kappa[u + k] * (a - r[..., u + k]) ** 2
                               for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
@@ -169,12 +130,12 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
     """
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    psis, rho_m, rho_s, rho_b, clipped = uniform_path_arrays(
-        geom, psi_range, n_samples)
+    psis, truncated = landscape_psis(geom.alpha, psi_range, n_samples)
+    (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     _, energy = _uniform_landscapes(geom.alpha, springs.kappa, springs.rest_angle[None])
     return LandscapeCurve(psi=psis, energy=energy(0, psis), rho_m=rho_m, rho_s=rho_s,
                           rho_b=rho_b, alpha=geom.alpha, springs=springs,
-                          truncated=clipped)
+                          truncated=truncated)
 
 
 @dataclass
@@ -284,7 +245,7 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     landscape of one unit with kappa = 1 (every unit sees the same angles
     and xi is scale-free), classified by ``landscape_extrema`` in blocks of
     about SURFACE_BLOCK slope samples; xi is NaN unless bistable."""
-    psis = uniform_path_arrays(geom, (-np.pi, np.pi))[0]
+    psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
     gm, gb = (np.asarray(g, dtype=float)
               for g in (rest_main_grid, rest_boundary_grid))
     rs = sub_angle_from_main(geom.alpha, gm)[:, None]

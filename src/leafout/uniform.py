@@ -16,6 +16,13 @@ exactly:
 The motion range is therefore [-pi/2, pi/2 - alpha]: the open side ends
 when the boundary crease reaches its mountain limit -pi, the closed side
 when the main crease folds flat.
+
+``uniform_motion`` is the one evaluation of this map: it returns rho_M,
+the sub angle rho_S of the vertex relation and rho_B, with their exact
+psi-slopes, for a scalar or an array of psi.  Every uniform state, path
+and energy landscape, and the slope that locates landscape extrema, reads
+its angles from it.  ``psi_samples`` and ``landscape_psis`` lay out the
+psi grids of a uniform path and of an energy landscape.
 """
 from numbers import Integral
 
@@ -23,6 +30,8 @@ import numpy as np
 
 from .kinematics import FoldState, FoldingPath, check_states
 from .unitcell import sub_angle_from_main
+
+DEFAULT_PSI_STEP = np.radians(0.5)  # landscape grid spacing without n_samples
 
 
 class OutOfRangeError(ValueError):
@@ -52,39 +61,46 @@ def _checked_psi(alpha, psi):
     return psi
 
 
-def main_angle_from_psi(alpha, psi):
-    """Main-crease angle rho_M in [0, pi] for Euler angle(s) psi.
+def uniform_motion(alpha, psi):
+    """Angles (rho_M, rho_S, rho_B) of the uniform motion at Euler
+    angle(s) psi, and their psi-slopes (rho_M', rho_S', rho_B'):
 
-    Exact root of the mirror-plane condition; the atan2 form stays
-    accurate near the flat state.  Accepts a scalar or an array.
+    rho_M' = 2 cos(a) [sin(a) cos(psi) / (cos^2(a) + sin^2(a) sin^2(psi))
+                       + sgn(psi) / (cos^2(a) cos^2(psi) + sin^2(psi))],
+    rho_S' = rho_M' cos(a) / (cos^2(a) cos^2(rho_M/2) + sin^2(rho_M/2)),
+    rho_B' = -2 sgn(psi),
+
+    one-sided at psi = +-0.0 by the sign of the zero.  rho_M is the exact
+    root of the mirror-plane condition, whose atan2 form stays accurate
+    near the flat state; rho_S comes from ``sub_angle_from_main``.
+    Accepts a scalar or an array.
     """
     psi = _checked_psi(alpha, psi)
     ca, sa = np.cos(alpha), np.sin(alpha)
-    s = np.sin(psi)
-    return 2 * (np.arctan2(sa * s, ca) + np.arctan2(np.abs(s), ca * np.cos(psi)))
+    s, c, sgn = np.sin(psi), np.cos(psi), np.copysign(1.0, psi)
+    rho_m = 2 * (np.arctan2(sa * s, ca) + np.arctan2(np.abs(s), ca * c))
+    s2 = s ** 2
+    d_m = 2 * ca * (sa * c / (ca * ca + sa * sa * s2) + sgn / (ca * ca * c * c + s2))
+    d_s = ca / ((ca * np.cos(rho_m / 2)) ** 2 + np.sin(rho_m / 2) ** 2) * d_m
+    # 0.0 - keeps the flat state's rho_B at +0.0
+    return ((rho_m, sub_angle_from_main(alpha, rho_m), 0.0 - 2 * np.abs(psi)),
+            (d_m, d_s, -2.0 * sgn))
 
 
 def psi_from_main(alpha, rho_m):
     """Closed-phase Euler angle psi >= 0 of main-crease angle(s) rho_M in
-    [0, pi], the inverse of ``main_angle_from_psi`` there:
+    [0, pi], the inverse of ``uniform_motion``'s rho_M there:
     psi = rho_S / 2 - atan2(sin(a) sin(rho_M/2), cos(a))."""
     return (sub_angle_from_main(alpha, rho_m) / 2
             - np.arctan2(np.sin(alpha) * np.sin(np.asarray(rho_m) / 2),
                          np.cos(alpha)))
 
 
-def boundary_angle_from_psi(alpha, psi):
-    """Boundary-crease angle rho_B = -2|psi| in [-pi, 0] for Euler
-    angle(s) psi.  Accepts a scalar or an array."""
-    psi = _checked_psi(alpha, psi)
-    return 0.0 - 2 * np.abs(psi)        # 0.0 - keeps the flat state at +0.0
-
-
 def uniform_state(geom, psi):
     """Closed FoldState of the uniform motion at Euler angle psi."""
+    (rho_m, _, rho_b), _ = uniform_motion(geom.alpha, psi)
     rho = np.empty(geom.n_vertex_creases)
-    rho[0::2] = main_angle_from_psi(geom.alpha, psi)
-    rho[1::2] = boundary_angle_from_psi(geom.alpha, psi)
+    rho[0::2], rho[1::2] = rho_m, rho_b
     return FoldState.from_angles(geom, rho)
 
 
@@ -125,19 +141,52 @@ def psi_samples(alpha, psi_range, n_samples):
     return psis, truncated
 
 
+def landscape_psis(alpha, psi_range, n_samples=None):
+    """Psi grid of an energy landscape over a requested interval, clipped
+    to the motion range, as (psis, truncated); without ``n_samples`` the
+    spacing is about DEFAULT_PSI_STEP.
+
+    When the interval spans the flat state the grid is snapped to contain
+    psi = 0 exactly: the energy kinks there (the two fold phases meet at
+    a corner), and an extremum on that node is exact.  A non-finite
+    endpoint is rejected.
+    """
+    for end in psi_range:
+        if not -np.inf < end < np.inf:      # False for NaN
+            raise ValueError(f"psi_range endpoint {end} is not finite")
+    if n_samples is not None:
+        n_samples = sample_count(n_samples)
+    lo, hi, clipped = clip_psi_range(alpha, psi_range)
+    if lo < 0.0 < hi:
+        if n_samples is None:
+            n_lo = max(1, int(round(-lo / DEFAULT_PSI_STEP)))
+            n_hi = max(1, int(round(hi / DEFAULT_PSI_STEP)))
+        else:
+            n_lo = max(1, int(round((n_samples - 1) * (-lo) / (hi - lo))))
+            n_hi = max(1, n_samples - 1 - n_lo)
+        psis = np.concatenate([np.linspace(lo, 0.0, n_lo + 1),
+                               np.linspace(0.0, hi, n_hi + 1)[1:]])
+    else:
+        if n_samples is None:
+            n_samples = int(round((hi - lo) / DEFAULT_PSI_STEP)) + 1
+        psis = np.linspace(lo, hi, n_samples)
+    return psis, clipped
+
+
 def uniform_path(geom, psi_range, n_samples):
     """Densely sampled uniform folding path over a psi interval.
 
     Sampling is uniform over the requested interval; samples beyond the
-    motion range are clipped away and the truncation flagged.  Every
+    motion range are clipped away and the truncation flagged.  Each
+    sample's sub angle is computed once and shared by every unit.  Every
     sample is checked against the angle boxes and the closure tolerance
     in one batched pass; the error names the first failing sample.
     """
     psis, truncated = psi_samples(geom.alpha, psi_range, n_samples)
+    (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     rho = np.empty((psis.size, geom.n_vertex_creases))
-    rho[:, 0::2] = main_angle_from_psi(geom.alpha, psis)[:, None]
-    rho[:, 1::2] = boundary_angle_from_psi(geom.alpha, psis)[:, None]
+    rho[:, 0::2], rho[:, 1::2] = rho_m[:, None], rho_b[:, None]
     check_states(geom, rho)
-    rho_s = sub_angle_from_main(geom.alpha, np.clip(rho[:, 0::2], 0.0, np.pi))
+    rho_s = np.repeat(rho_s[:, None], geom.n_cell, axis=1)
     return FoldingPath(rho_o=rho, rho_s=rho_s, params=psis, param_name="psi",
                        termination="truncated" if truncated else "completed")

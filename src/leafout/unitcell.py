@@ -14,8 +14,8 @@ given exactly by the degree-4 vertex relation
 
     tan(rho_S / 2) = tan(rho_M / 2) / cos(alpha),
 
-which ``sub_angle_from_main`` evaluates in atan2 form and
-``d_sub_d_main`` differentiates.
+which ``sub_angle_from_main`` evaluates in atan2 form;
+``uniform.uniform_motion`` carries its derivative along the uniform motion.
 """
 import numpy as np
 
@@ -52,12 +52,3 @@ def sub_angle_from_main(alpha, rho_m):
     half = np.clip(rho_m, 0.0, np.pi) / 2
     return 2 * np.arctan2(np.sin(half), np.cos(alpha) * np.cos(half))
 
-
-def d_sub_d_main(alpha, rho_m):
-    """d rho_S / d rho_M = cos(a) / (cos^2(a) cos^2(rho_M/2) + sin^2(rho_M/2))
-    for rho_M (scalar or array) in [0, pi]: 1/cos(a) flat, cos(a) at pi."""
-    rho_m = np.asarray(rho_m, dtype=float)
-    if np.any(rho_m < -1e-12) or np.any(rho_m > np.pi + 1e-12):
-        raise ValueError("rho_M outside [0, pi]")
-    ca = np.cos(alpha)
-    return ca / ((ca * np.cos(rho_m / 2)) ** 2 + np.sin(rho_m / 2) ** 2)

@@ -43,7 +43,7 @@ def traced_uniform():
         psis[-1] = 0.0
         states = [lf.uniform_state(GEOM, psis[0])]
         for k in range(1, len(psis)):
-            target = lf.main_angle_from_psi(GEOM.alpha, psis[k])
+            target = lf.uniform_motion(GEOM.alpha, psis[k])[0][0]
             d0 = np.zeros(10)
             d0[list(CTRL_ALL)] = target - states[-1].rho_o[0]
             req = StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))

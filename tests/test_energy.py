@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leafout as lf
-from leafout.energy import (ConfigurationError, landscape_extrema,
-                            uniform_path_arrays, zero_contours)
-from leafout.unitcell import d_sub_d_main, sub_angle_from_main
+import leafout.energy as energy_mod
+from leafout.energy import ConfigurationError, landscape_extrema, zero_contours
+from leafout.unitcell import sub_angle_from_main
 from oracles import (dense_landscape_xi, dense_uniform_path, direct_energy,
                      sampled_extrema, zero_contours_loop)
 
@@ -342,11 +342,8 @@ def test_energy_gradient_chain_rule(geom5, springs_bistable):
     dE_fd = (E_at(psi + h) - E_at(psi - h)) / (2 * h)
     st_ = lf.uniform_state(geom5, psi)
     rm, rb, rs = st_.rho_o[0], st_.rho_o[1], st_.rho_s[0]
-    drm = (lf.main_angle_from_psi(geom5.alpha, psi + h)
-           - lf.main_angle_from_psi(geom5.alpha, psi - h)) / (2 * h)
-    drb = (lf.boundary_angle_from_psi(geom5.alpha, psi + h)
-           - lf.boundary_angle_from_psi(geom5.alpha, psi - h)) / (2 * h)
-    drs = d_sub_d_main(geom5.alpha, rm) * drm
+    drm, drs, drb = (np.array(lf.uniform_motion(geom5.alpha, psi + h)[0])
+                     - lf.uniform_motion(geom5.alpha, psi - h)[0]) / (2 * h)
     kap = springs_bistable.kappa.reshape(n, 4)[0]
     rest = springs_bistable.rest_angle.reshape(n, 4)[0]
     dE = n * (kap[0] * (rm - rest[0]) * drm
@@ -386,12 +383,58 @@ def test_energy_nonnegative(geom5, rest_m, rest_b, psi_deg):
     assert lf.path_energies(geom5, springs, st_) >= 0.0
 
 
-def test_uniform_path_arrays_consistency(geom5):
-    psis, rm, rs, rb, _ = uniform_path_arrays(
-        geom5, (np.radians(-50), np.radians(40)), n_samples=19)
-    for k in range(len(psis)):
-        assert abs(rm[k] - lf.main_angle_from_psi(geom5.alpha, psis[k])) < 1e-10
-        assert abs(rs[k] - sub_angle_from_main(geom5.alpha, rm[k])) < 1e-10
+def test_one_uniform_map_gives_same_bits(geom5):
+    # every uniform consumer reads its angles off one evaluation, so at the
+    # same psi they agree bit for bit
+    curve = lf.landscape_over_psi(geom5, lf.SpringModel.uniform(
+        geom5, 1.0, 1.0, -1.0), (np.radians(-80), np.radians(50)), 131)
+    path = lf.uniform_path(geom5, (np.radians(-80), np.radians(50)), 131)
+    for psi, got in ((curve.psi, (curve.rho_m, curve.rho_s, curve.rho_b)),
+                     (path.params, (path.rho_o[:, 0::2].T, path.rho_s.T,
+                                    path.rho_o[:, 1::2].T))):
+        for a, b in zip(got, lf.uniform_motion(geom5.alpha, psi)[0]):
+            assert np.all(a == b)
+    common = np.intersect1d(curve.psi, path.params)
+    assert common.size >= 3 and 0.0 in common
+    for psi in common:
+        k, m = np.flatnonzero(curve.psi == psi)[0], np.flatnonzero(path.params == psi)[0]
+        st_ = lf.uniform_state(geom5, psi)
+        rho = lf.uniform_motion(geom5.alpha, psi)[0]
+        for want, *got in zip(rho, (st_.rho_m, st_.rho_s, st_.rho_b),
+                              (curve.rho_m[k], curve.rho_s[k], curve.rho_b[k]),
+                              (path.rho_o[m, 0::2], path.rho_s[m], path.rho_o[m, 1::2])):
+            assert all(np.all(g == want) for g in got)
+
+
+def test_extremum_slope_is_the_landscape_derivative(geom5, monkeypatch):
+    # per-kind springs, each kind its own stiffness and rest angle: the
+    # slope the extremum search receives is dE/dpsi on both phases
+    springs = lf.SpringModel.per_kind(geom5, 1.3, 0.7, 2.1, np.radians(100),
+                                      np.radians(-50), np.radians(80))
+    seen = []
+
+    def spy(psi, n, slope, energy):
+        seen.append(slope)
+        return landscape_extrema(psi, n, slope, energy)
+
+    monkeypatch.setattr(energy_mod, "landscape_extrema", spy)
+    lf.characterize_bistability(lf.landscape_over_psi(
+        geom5, springs, (np.radians(-89), np.radians(53))))
+    (slope,) = seen
+    h = 1e-6
+    for psi in np.radians([-85.0, -40.0, -3.0, 3.0, 25.0, 50.0]):
+        E = lf.landscape_over_psi(geom5, springs, (psi - h, psi + h), 3).energy
+        fd = (E[2] - E[0]) / (2 * h)
+        assert abs(slope(0, psi) - fd) < 1e-6 * (1.0 + abs(fd))
+
+
+@pytest.mark.parametrize("psi_range", [(0.5, np.nan), (np.nan, 0.5),
+                                       (-np.inf, 0.5)])
+@pytest.mark.parametrize("n_samples", [None, 721])
+def test_non_finite_psi_endpoint_rejected(geom5, springs_bistable, psi_range,
+                                          n_samples):
+    with pytest.raises(ValueError, match="endpoint -?(nan|inf) is not finite"):
+        lf.landscape_over_psi(geom5, springs_bistable, psi_range, n_samples)
 
 
 def test_interior_extrema_ignores_endpoints():

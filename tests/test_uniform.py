@@ -7,6 +7,19 @@ from oracles import chain_closure_norm, main_angle_oracle
 ALPHA = np.pi / 5
 
 
+def angles(alpha, psi):
+    """(rho_M, rho_S, rho_B) of the uniform motion at psi."""
+    return lf.uniform_motion(alpha, psi)[0]
+
+
+def main_angle(alpha, psi):
+    return angles(alpha, psi)[0]
+
+
+def boundary_angle(alpha, psi):
+    return angles(alpha, psi)[2]
+
+
 def boundary_vector(alpha, psi, rho_m):
     """Unit vector along the boundary crease between units 1 and 2,
     global frame, componentwise closed form."""
@@ -20,8 +33,8 @@ def boundary_vector(alpha, psi, rho_m):
 
 
 def test_flat_state_trivia(geom5):
-    assert lf.main_angle_from_psi(ALPHA, 0.0) == 0.0
-    assert lf.boundary_angle_from_psi(ALPHA, 0.0) == 0.0
+    assert main_angle(ALPHA, 0.0) == 0.0
+    assert boundary_angle(ALPHA, 0.0) == 0.0
     b = boundary_vector(ALPHA, 0.0, 0.0)
     assert np.allclose(b, [-np.sin(ALPHA), np.cos(ALPHA), 0.0])
 
@@ -29,7 +42,7 @@ def test_flat_state_trivia(geom5):
 def test_main_angle_matches_independent_oracle():
     for psi_deg in (-45, -30, -10, 10, 30, 50):
         psi = np.radians(psi_deg)
-        got = lf.main_angle_from_psi(ALPHA, psi)
+        got = main_angle(ALPHA, psi)
         want = main_angle_oracle(ALPHA, psi)
         assert abs(got - want) < 1e-10
 
@@ -39,13 +52,13 @@ def test_psi_from_main_inverts_main_angle():
     for n_cell in range(3, 13):
         alpha = np.pi / n_cell
         psi = np.linspace(0.0, np.pi / 2 - alpha, 2001)
-        back = lf.psi_from_main(alpha, lf.main_angle_from_psi(alpha, psi))
+        back = lf.psi_from_main(alpha, main_angle(alpha, psi))
         assert np.max(np.abs(back - psi)) <= 1e-15
 
 
 def test_open_closed_asymmetry():
-    rm_open = lf.main_angle_from_psi(ALPHA, np.radians(-30))
-    rm_closed = lf.main_angle_from_psi(ALPHA, np.radians(30))
+    rm_open = main_angle(ALPHA, np.radians(-30))
+    rm_closed = main_angle(ALPHA, np.radians(30))
     assert rm_open > 0 and rm_closed > 0
     assert abs(rm_open - rm_closed) > np.radians(10)
 
@@ -53,7 +66,7 @@ def test_open_closed_asymmetry():
 def test_boundary_vector_unit_norm():
     for psi_deg in (-50, -20, 5, 35):
         psi = np.radians(psi_deg)
-        rm = lf.main_angle_from_psi(ALPHA, psi)
+        rm = main_angle(ALPHA, psi)
         assert abs(np.linalg.norm(boundary_vector(ALPHA, psi, rm)) - 1.0) < 1e-12
 
 
@@ -71,7 +84,7 @@ def test_uniform_state_record(geom5):
 
 def test_boundary_vector_third_component():
     psi = np.radians(-25)
-    rm = lf.main_angle_from_psi(ALPHA, psi)
+    rm = main_angle(ALPHA, psi)
     b = boundary_vector(ALPHA, psi, rm)
     want = (np.cos(ALPHA) * np.sin(psi)
             + np.sin(ALPHA) * np.cos(psi) * np.sin(rm / 2))
@@ -122,36 +135,77 @@ def test_motion_range_matches_fold_limits():
         # with the boundary crease at its mountain limit
         assert abs(hi - (np.pi / 2 - alpha)) <= 1e-15
         assert abs(lo + np.pi / 2) <= 1e-15
-        assert abs(lf.main_angle_from_psi(alpha, hi) - np.pi) < 1e-12
+        assert abs(main_angle(alpha, hi) - np.pi) < 1e-12
         assert abs(main_angle_oracle(alpha, hi - 1e-6) - np.pi) < 1e-5
-        assert lf.boundary_angle_from_psi(alpha, lo) == -np.pi
-        # a psi one ulp past either bound is rejected by both maps
+        assert boundary_angle(alpha, lo) == -np.pi
+        # a psi one ulp past either bound is rejected, alone or in an array
         for psi in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
             with pytest.raises(lf.OutOfRangeError):
-                lf.main_angle_from_psi(alpha, psi)
+                lf.uniform_motion(alpha, psi)
             with pytest.raises(lf.OutOfRangeError):
-                lf.boundary_angle_from_psi(alpha, psi)
+                lf.uniform_motion(alpha, np.array([0.0, psi]))
 
 
 def test_out_of_range_reported():
-    with pytest.raises(lf.OutOfRangeError):
-        lf.main_angle_from_psi(ALPHA, np.pi / 2)
-    with pytest.raises(lf.OutOfRangeError):
-        lf.main_angle_from_psi(ALPHA, np.array([0.1, np.pi / 2]))
-    for psi in (np.nan, np.array([0.1, np.nan])):
+    for psi in (np.pi / 2, np.array([0.1, np.pi / 2]), np.nan,
+                np.array([0.1, np.nan])):
         with pytest.raises(lf.OutOfRangeError):
-            lf.main_angle_from_psi(ALPHA, psi)
-        with pytest.raises(lf.OutOfRangeError):
-            lf.boundary_angle_from_psi(ALPHA, psi)
+            lf.uniform_motion(ALPHA, psi)
 
 
 def test_vectorized_solvers_match_scalar():
     psis = np.radians(np.array([-80.0, -33.3, -5.0, 12.5, 47.0]))
-    rms = lf.main_angle_from_psi(ALPHA, psis)
-    rbs = lf.boundary_angle_from_psi(ALPHA, psis)
-    for p, rm, rb in zip(psis, rms, rbs):
-        assert abs(rm - lf.main_angle_from_psi(ALPHA, p)) < 1e-10
-        assert abs(rb - lf.boundary_angle_from_psi(ALPHA, p)) < 1e-10
+    rho, slope = lf.uniform_motion(ALPHA, psis)
+    for k, p in enumerate(psis):
+        rho_k, slope_k = lf.uniform_motion(ALPHA, p)
+        for vec, sca in zip(rho + slope, rho_k + slope_k):
+            assert abs(vec[k] - sca) < 1e-10
+
+
+def test_motion_slopes_match_central_differences():
+    # both phases, as arrays; rho_S rises with rho_M, so rho_S' / rho_M' > 0
+    for n_cell in (3, 5, 9):
+        alpha = np.pi / n_cell
+        lo, hi = lf.psi_motion_range(alpha)
+        psi = np.concatenate([np.linspace(lo + 0.01, -0.01, 25),
+                              np.linspace(0.01, hi - 0.01, 25)])
+        slope = np.array(lf.uniform_motion(alpha, psi)[1])
+        assert slope.shape == (3, 50)
+        h = 1e-6
+        fd = (np.array(angles(alpha, psi + h)) - angles(alpha, psi - h)) / (2 * h)
+        assert np.max(np.abs(slope - fd) / (1.0 + np.abs(fd))) < 1e-7
+        assert np.all(slope[1] / slope[0] > 0.0)
+        assert np.array_equal(slope[2], -2.0 * np.sign(psi))
+
+
+def test_motion_slope_endpoints():
+    # psi = +-0.0: one-sided differences, and rho_S' = rho_M' / cos(alpha)
+    # (the in-plane vertex gain); psi = pi/2 - alpha, main crease folded
+    # flat: rho_S' = cos(alpha) rho_M'
+    h, ca = 1e-7, np.cos(ALPHA)
+    for zero, side in ((0.0, 1.0), (-0.0, -1.0)):
+        rho, slope = lf.uniform_motion(ALPHA, zero)
+        fd = side * (np.array(angles(ALPHA, side * h)) - rho) / h
+        assert np.max(np.abs(np.array(slope) - fd)) < 1e-6
+        assert abs(slope[1] - slope[0] / ca) <= 1e-15 * abs(slope[0])
+        assert slope[2] == -2.0 * side
+    hi = lf.psi_motion_range(ALPHA)[1]
+    rho, slope = lf.uniform_motion(ALPHA, hi)
+    assert abs(rho[0] - np.pi) < 1e-12 and abs(rho[1] - np.pi) < 1e-12
+    assert abs(slope[1] - ca * slope[0]) <= 1e-15 * abs(slope[0])
+    fd = (np.array(rho) - angles(ALPHA, hi - h)) / h
+    assert np.max(np.abs(np.array(slope) - fd)) < 1e-5
+
+
+def test_motion_sub_slope_near_flat_has_finite_limit():
+    # rho_S' / rho_M' approaches 1/cos(alpha) from inside, on both phases
+    limit = 1.0 / np.cos(ALPHA)
+    for side in (1.0, -1.0):
+        psi = side * np.array([1e-3, 1e-4, 1e-5])
+        _, (d_m, d_s, _) = lf.uniform_motion(ALPHA, psi)
+        gaps = np.abs(d_s / d_m - limit)
+        assert np.all(np.isfinite(gaps)) and np.all(np.diff(gaps) < 0)
+        assert gaps[0] < 1e-5 and gaps[2] < 1e-9
 
 
 def test_boundary_vector_matches_mesh_edge(geom5):
@@ -179,7 +233,7 @@ def test_boundary_angle_identity_with_euler_angle():
     # mirror-plane symmetry of the uniform motion pins rho_B = -2|psi|
     for psi_deg in (-40, -15, 20, 45):
         psi = np.radians(psi_deg)
-        rb = lf.boundary_angle_from_psi(ALPHA, psi)
+        rb = boundary_angle(ALPHA, psi)
         assert np.isclose(rb, -2 * abs(psi), atol=1e-10)
 
 

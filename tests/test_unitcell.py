@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafout.unitcell import d_sub_d_main, sub_angle_from_main
+from leafout.unitcell import sub_angle_from_main
 from oracles import rot_x, rot_z, sub_angle_oracle, vertex_a_chain_residual
 
 ALPHA = np.pi / 5
@@ -71,51 +71,6 @@ def test_vectorized_matches_scalar():
     vec = sub_angle_from_main(ALPHA, grid)
     sca = np.array([sub_angle_from_main(ALPHA, r) for r in grid])
     assert np.max(np.abs(vec - sca)) < 1e-12
-
-
-def test_derivative_matches_finite_differences():
-    h = 1e-6
-    for rm in np.radians([20, 90, 150]):
-        fd = (sub_angle_from_main(ALPHA, rm + h)
-              - sub_angle_from_main(ALPHA, rm - h)) / (2 * h)
-        an = d_sub_d_main(ALPHA, rm)
-        assert abs(an - fd) / abs(fd) < 1e-5
-
-
-def test_derivative_positive():
-    for rm in np.radians([10, 45, 90, 135, 170]):
-        assert d_sub_d_main(ALPHA, rm) > 0
-
-
-def test_derivative_endpoint_values():
-    # the slope is finite on the closed interval: 1/cos(alpha) flat,
-    # cos(alpha) folded flat; central differences of the atan2 form, which
-    # extends smoothly past both ends
-    def rho_s(rm):
-        return 2 * np.arctan2(np.sin(rm / 2), np.cos(ALPHA) * np.cos(rm / 2))
-
-    h = 1e-6
-    for rm, want in ((0.0, 1.0 / np.cos(ALPHA)), (np.pi, np.cos(ALPHA))):
-        fd = (rho_s(rm + h) - rho_s(rm - h)) / (2 * h)
-        assert abs(d_sub_d_main(ALPHA, rm) - want) < 1e-15
-        assert abs(fd - want) < 1e-8
-    # on arrays, and still exact just inside pi where cos^2/cos^2 is 0/0
-    rm = np.array([0.0, 1.0, np.pi - 1e-8, np.pi])
-    got = d_sub_d_main(ALPHA, rm)
-    assert got.shape == (4,)
-    assert abs(got[2] - np.cos(ALPHA)) < 1e-15
-    with pytest.raises(ValueError):
-        d_sub_d_main(ALPHA, np.pi + 1e-6)
-
-
-def test_slope_near_flat_has_finite_limit():
-    # the slope approaches a finite value from inside (no singularity):
-    # the in-plane vertex gain 1/cos(alpha)
-    slopes = [d_sub_d_main(ALPHA, rm) for rm in (1e-3, 1e-4, 1e-5)]
-    assert all(np.isfinite(s) for s in slopes)
-    limit = 1.0 / np.cos(ALPHA)
-    gaps = [abs(s - limit) for s in slopes]
-    assert gaps[0] < 1e-3 and gaps[1] < 1e-4 and gaps[2] < 1e-4
 
 
 def test_sector_angles_sum_to_full_turn():
