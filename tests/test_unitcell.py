@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafout.uniform import psi_from_main, uniform_motion
 from leafout.unitcell import sub_angle_from_main
 from oracles import rot_x, rot_z, sub_angle_oracle, vertex_a_chain_residual
 
@@ -71,6 +72,27 @@ def test_vectorized_matches_scalar():
     vec = sub_angle_from_main(ALPHA, grid)
     sca = np.array([sub_angle_from_main(ALPHA, r) for r in grid])
     assert np.max(np.abs(vec - sca)) < 1e-12
+
+
+def sub_slope_in_main(alpha, rho_m):
+    """d rho_S / d rho_M at main angle(s) rho_M, as rho_S' / rho_M' of the
+    uniform motion at the closed-phase psi of rho_M."""
+    _, (d_m, d_s, _) = uniform_motion(alpha, psi_from_main(alpha, rho_m))
+    return d_s / d_m
+
+
+def test_derivative_matches_finite_differences():
+    h = 1e-6
+    for rm in np.radians([20, 90, 150]):
+        fd = (sub_angle_from_main(ALPHA, rm + h)
+              - sub_angle_from_main(ALPHA, rm - h)) / (2 * h)
+        an = sub_slope_in_main(ALPHA, rm)
+        assert abs(an - fd) / abs(fd) < 1e-5
+
+
+def test_derivative_positive():
+    for rm in np.radians([10, 45, 90, 135, 170]):
+        assert sub_slope_in_main(ALPHA, rm) > 0
 
 
 def test_sector_angles_sum_to_full_turn():
