@@ -112,14 +112,19 @@ def _uniform_landscapes(alpha, kappa, rest):
         return np.einsum("k...,k...->...", coef[:, rows], np.stack([g, d_m, d_s, d_b]))
 
     def energy(rows, psi):
-        (rho_m, rho_s, rho_b), _ = uniform_motion(alpha, psi)
-        r, E = rest[rows], 0.0
-        for u in range(0, len(kappa), 4):
-            E = E + 0.5 * sum(kappa[u + k] * (a - r[..., u + k]) ** 2
-                              for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
-        return E
+        return _spring_energy(kappa, rest[rows], *uniform_motion(alpha, psi)[0])
 
     return slope, energy
+
+
+def _spring_energy(kappa, rest, rho_m, rho_s, rho_b):
+    """E = sum_j kappa_j (rho_j - rest_j)^2 / 2 of uniform states with the
+    angles (rho_M, rho_S, rho_B), summed unit by unit."""
+    E = 0.0
+    for u in range(0, len(kappa), 4):
+        E = E + 0.5 * sum(kappa[u + k] * (a - rest[..., u + k]) ** 2
+                          for k, a in enumerate((rho_m, rho_s, rho_s, rho_b)))
+    return E
 
 
 def landscape_over_psi(geom, springs, psi_range, n_samples=None):
@@ -132,8 +137,8 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
         raise ConfigurationError("spring model size does not match geometry")
     psis, truncated = landscape_psis(geom.alpha, psi_range, n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
-    _, energy = _uniform_landscapes(geom.alpha, springs.kappa, springs.rest_angle[None])
-    return LandscapeCurve(psi=psis, energy=energy(0, psis), rho_m=rho_m, rho_s=rho_s,
+    energy = _spring_energy(springs.kappa, springs.rest_angle, rho_m, rho_s, rho_b)
+    return LandscapeCurve(psi=psis, energy=energy, rho_m=rho_m, rho_s=rho_s,
                           rho_b=rho_b, alpha=geom.alpha, springs=springs,
                           truncated=truncated)
 

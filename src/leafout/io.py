@@ -2,17 +2,25 @@
 
 All CSV files carry a header row, '.' decimal separator and floats
 printed with 17 significant digits, so re-running a configuration yields
-byte-identical outputs.  The table writers format each whole row with
-one printf-style string, or each distinct value once (trigger maps), and
-stream the lines to the file.  JSON files hold the text of
-``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline, streamed
-with each list of scalars encoded by one C-encoder call and each table
-(a list of number rows) by one call per block of rows.  Manifests record
-the configuration hash and tool version but never timestamps; the hash
-is CPython's built-in SHA-256, which needs no OpenSSL.
+byte-identical outputs.  JSON files hold the text of
+``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline.
+
+Every float table follows one rule: a CSV table, and a JSON list of
+equal-length lists of exact floats.  Block by block of TABLE_BLOCK rows,
+each distinct column (columns compared by their bytes, so 0.0 and -0.0
+stay apart) is encoded once, by FLOAT for CSV and by the JSON encoder for
+JSON; the cells are joined into rows and each block is streamed to the
+file.  A uniform path repeats each angle in every unit's column, so most
+of its cells are never formatted.  The trigger map, whose repeats run
+along rows, formats each distinct value once; any other JSON list of
+scalars is one C-encoder call, and other lists are written item by item.
+Manifests record the configuration hash and tool version but never
+timestamps; the hash is CPython's built-in SHA-256, which needs no
+OpenSSL.
 """
 import csv
 import functools
+import itertools
 import json
 
 try:
@@ -29,10 +37,8 @@ from . import __version__
 from .kinematics import SVD_CUTOFF
 
 FLOAT = "%.17g"     # deterministic float format, 17 significant digits
-TABLE_BLOCK = 64    # table rows per C-encoder call
-TABLE_ROWS = 2 ** 16  # CSV rows held as Python floats at a time
-_NUMBERS = {int, float, bool, type(None)}
-_SCALARS = _NUMBERS | {str}
+TABLE_BLOCK = 64    # table rows encoded at a time
+_SCALARS = {int, float, bool, type(None), str}
 
 
 def _angle_columns(n_cell):
@@ -43,15 +49,34 @@ def _angle_columns(n_cell):
     return cols
 
 
+def _table_rows(block, encode, sep):
+    """The rows of one block of float columns (columns, rows), their cells
+    joined by ``sep``.  ``encode`` turns a column's list of floats into its
+    cells; it runs once per distinct column, twins being found by their
+    bytes, never by ``==``, which would merge 0.0 with -0.0."""
+    cells, columns = {}, []
+    for col in block:
+        key = col.tobytes()
+        if key not in cells:
+            cells[key] = encode(col.tolist())
+        columns.append(cells[key])
+    return map(sep.join, zip(*columns))
+
+
+def _csv_cells(values):
+    # one printf per column; no FLOAT cell contains a comma
+    return (",".join([FLOAT] * len(values)) % tuple(values)).split(",")
+
+
 def _write_table(fname, header, columns, end="\n"):
-    """CSV of equal-length float columns, one FLOAT per cell, each line
-    closed by ``end``, streamed to the file."""
-    table = np.column_stack(columns).astype(float)
-    line = ",".join([FLOAT] * table.shape[1]) + end
+    """CSV of equal-length float columns, one FLOAT per cell and each line
+    closed by ``end``, written block by block under the table rule."""
+    table = np.column_stack(columns).astype(float, copy=False).T
     with open(fname, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for block in np.split(table, range(TABLE_ROWS, len(table), TABLE_ROWS)):
-            fh.writelines(line % row for row in map(tuple, block.tolist()))
+        for i in range(0, table.shape[1], TABLE_BLOCK):
+            fh.write(end.join(_table_rows(table[:, i:i + TABLE_BLOCK], _csv_cells, ","))
+                     + end)
 
 
 def read_csv(fname):
@@ -108,8 +133,7 @@ def write_surface_csv(surface, fname):
 def contours_to_json_dict(surface):
     return {
         "level": 0.0,
-        "polylines": [[[float(x), float(y)] for x, y in line]
-                      for line in surface.contours],
+        "polylines": [line.tolist() for line in surface.contours],
     }
 
 
@@ -133,8 +157,8 @@ def write_trigger_map_csv(tmap, fname):
 def trigger_contour_json_dict(tmap):
     return {
         "contour": "E_gap=0",
-        "rest_angle_rad": [float(r) for r in tmap.rest_angles],
-        "threshold_height_m": [float(h) for h in tmap.threshold_heights],
+        "rest_angle_rad": tmap.rest_angles.tolist(),
+        "threshold_height_m": tmap.threshold_heights.tolist(),
         "observations": [{"h_m": float(h), "outcome": str(o)}
                          for h, o in tmap.observations],
     }
@@ -159,9 +183,7 @@ def read_observations_csv(fname):
 
 def write_json(obj, fname):
     """The text of ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a
-    newline, streamed to the file.  Each list of scalars is one call of the
-    C encoder, whose item separator carries the newline and indent; each
-    table is one call per TABLE_BLOCK rows."""
+    newline, streamed to the file."""
     with open(fname, "w") as fh:
         _write_json(fh.write, obj, "\n")
         fh.write("\n")
@@ -172,23 +194,34 @@ def _encoder(inner):
     return json.JSONEncoder(separators=("," + inner, ": "))
 
 
+def _json_cells(values):
+    # no JSON number contains a comma
+    return _encoder("").encode(values)[1:-1].split(",")
+
+
+def _is_float_table(o):
+    """Whether ``o`` is a list of equal-length lists of exact floats; the
+    cell types are read in one pass over the whole table."""
+    return (isinstance(o, list) and o and set(map(type, o)) == {list}
+            and len(set(map(len, o))) == 1
+            and set(map(type, itertools.chain.from_iterable(o))) == {float})
+
+
 def _write_json(write, o, outer):
-    """Write ``o`` as json.dump does with ``outer`` as its line start."""
+    """Write ``o`` as json.dump does with ``outer`` as its line start.  A
+    list of scalars is one call of the C encoder, whose item separator
+    carries the newline and indent; a float table follows the table rule;
+    anything else is written item by item."""
     inner = outer + "  "
     enc = _encoder(inner)
     if isinstance(o, (list, tuple)) and o and set(map(type, o)) <= _SCALARS:
         write("[" + inner + enc.encode(o)[1:-1] + outer + "]")
-    elif isinstance(o, list) and o and all(
-            type(r) is list and r and set(map(type, r)) <= _NUMBERS for r in o):
-        # a table: the encoder puts the cells' line start between cells and
-        # rows; the row boundary "],<cell line start>[", which no number
-        # contains, takes the rows' own line start
+    elif _is_float_table(o):
         cell = inner + "  "
-        enc, bound = _encoder(cell), "]," + cell + "["
+        row_sep = inner + "]," + inner + "[" + cell
         for i in range(0, len(o), TABLE_BLOCK):
-            rows = enc.encode(o[i:i + TABLE_BLOCK])[2:-2]
-            write(("," if i else "[") + inner + "[" + cell
-                  + rows.replace(bound, inner + "]," + inner + "[" + cell)
+            rows = _table_rows(np.array(o[i:i + TABLE_BLOCK]).T, _json_cells, "," + cell)
+            write(("," if i else "[") + inner + "[" + cell + row_sep.join(rows)
                   + inner + "]")
         write(outer + "]")
     elif not (isinstance(o, (dict, list, tuple)) and o):

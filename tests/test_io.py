@@ -228,13 +228,79 @@ def test_write_json_matches_json_dump(tmp_path_factory, obj):
 
 @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
 def test_write_json_tables_match_json_dump(tmp_path, n_rows):
-    # rows around the edges of the 64-row blocks, alone and nested
+    # mixed-number tables (the generic path) of 1 to 129 rows, alone and nested
     cells = [0.5, -2, True, None, float("nan"), float("inf"), -float("inf"), 1e300]
     table = [[cells[(r + c) % len(cells)] for c in range(r % 3 + 1)]
              for r in range(n_rows)]
     for obj in (table, {"t": table, "u": [table, [[1.0]]]}):
         lio.write_json(obj, tmp_path / "t.json")
         assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
+
+
+def _twin_table(n_rows):
+    """Float columns (n_rows, 12): twins, 0.0 beside -0.0, NaN and +-inf
+    columns, and a column that is a twin in every block but the first."""
+    rng = np.random.default_rng(n_rows)
+    a, b = rng.normal(size=n_rows), rng.normal(size=n_rows) * 1e-300
+    near = a.copy()
+    near[0] = np.nextafter(near[0], np.inf)
+    zero, full = np.zeros(n_rows), np.ones(n_rows)
+    odd = np.choose(np.arange(n_rows) % 3, [np.nan, np.inf, -np.inf])
+    return np.column_stack([np.arange(n_rows), a, b, a, zero, -zero, near, b,
+                            np.nan * full, np.inf * full, -np.inf * full, odd])
+
+
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("end", ["\n", ",\n"])
+def test_table_rule_csv_matches_per_cell_reference(tmp_path, n_rows, end):
+    table = _twin_table(n_rows)
+    header = [f"c{k}" for k in range(table.shape[1])]
+    f = tmp_path / "t.csv"
+    lio._write_table(f, header, [table[:, :4], table[:, 4], table[:, 5:]], end)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + end for row in table.tolist())
+    assert f.read_text() == want
+    cells = [r.split(",") for r in f.read_text().splitlines()[1:]]
+    assert {(r[4], r[5]) for r in cells} == {("0", "-0")}
+
+
+@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+def test_table_rule_json_matches_json_dump(tmp_path, n_rows):
+    table = _twin_table(n_rows).tolist()
+    assert lio._is_float_table(table)
+    for obj in (table, {"t": table, "u": [table, [[1.0]]]}):
+        lio.write_json(obj, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
+    text = (tmp_path / "t.json").read_text()
+    assert "0.0,\n" in text and "-0.0,\n" in text
+    assert "NaN" in text and "-Infinity" in text
+
+
+@pytest.mark.parametrize("cell", [1, True, None, np.float64(0.5)])
+def test_table_rule_leaves_other_numbers_to_generic_path(tmp_path, cell):
+    # one int, bool, None or np.float64 among floats: json.dump's own text
+    table = _twin_table(65).tolist()
+    table[64][3] = cell
+    ragged = [[0.5, 1.0], [0.5]]
+    for obj in (table, ragged, {"t": table}):
+        assert not lio._is_float_table(obj)
+        lio.write_json(obj, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
+
+
+def test_table_rule_on_traced_path(geom5, springs_grasp, tmp_path):
+    # pinned creases repeat some angle columns, not all, and change by block
+    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=140)],
+                             springs=springs_grasp)
+    path = res.path
+    distinct = {c.tobytes() for c in np.hstack([path.rho_o, path.rho_s]).T}
+    assert 1 < len(distinct) < 3 * geom5.n_cell and len(path) > 2 * lio.TABLE_BLOCK
+    f = tmp_path / "t.csv"
+    lio.write_path_csv(geom5, path, f, res.trace.energy)
+    assert f.read_bytes() == _path_reference(geom5, path, res.trace.energy).encode()
+    d = lio.path_to_json_dict(geom5, path, res.trace.energy)
+    lio.write_json(d, tmp_path / "t.json")
+    assert (tmp_path / "t.json").read_text() == _json_dump_text(d)
 
 
 def test_write_json_string_rows_hold_row_boundary(tmp_path):
