@@ -286,7 +286,8 @@ def _landscape_outputs(inputs, out, terminations):
 def _surface_inputs(task, geom, springs):
     """Rest-main and rest-boundary grids of a ratio-surface task, each end
     included only when it sits on the grid; their size (np.arange's own
-    length) is checked before anything is allocated."""
+    length) is checked before anything is allocated, and a point that
+    rounding puts past the schema's bound is moved onto it."""
     step = task["grid_step_deg"]
     ends = [task["rest_main_range_deg"], task["rest_boundary_range_deg"]]
     if not (step > 0 and all(lo <= hi for lo, hi in ends)):
@@ -295,7 +296,10 @@ def _surface_inputs(task, geom, springs):
     # in Python floats, so that a huge grid is an inf, not a numpy overflow
     n_m, n_b = (float(np.ceil(float(hi + 1e-9 - lo) / float(step))) for lo, hi in ends)
     _cap("ratio-surface grid size", n_m * n_b, MAX_POINTS)
-    return geom, *(np.arange(lo, hi + 1e-9, step) for lo, hi in ends)
+    keys = SCHEMA["task"]["ratio-surface"]
+    return geom, *(np.clip(np.arange(lo, hi + 1e-9, step), *np.radians([k.lo, k.hi]))
+                   for (lo, hi), k in zip(ends, (keys["rest_main_range_deg"],
+                                                 keys["rest_boundary_range_deg"])))
 
 
 def _surface_outputs(inputs, out, terminations):

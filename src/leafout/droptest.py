@@ -118,7 +118,13 @@ class TriggerMap:
     @property
     def outcomes(self):
         """(n_rest, n_h) strings, "no-trigger" where E_gap < 0."""
-        return np.where(self.E_gap < 0, "no-trigger", "grasp")
+        return _outcome_strings(self.E_gap)
+
+
+def _outcome_strings(e_gap):
+    """Outcome strings of E_gap values: "no-trigger" where E_gap < 0, else
+    "grasp"."""
+    return np.where(e_gap < 0, "no-trigger", "grasp")
 
 
 def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,

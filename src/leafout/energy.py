@@ -19,7 +19,8 @@ SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
 
 
 class ConfigurationError(ValueError):
-    """Spring model does not cover the geometry's crease set."""
+    """Spring model outside its domain or not covering the geometry's
+    crease set."""
 
 
 @dataclass
@@ -249,10 +250,18 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     """Energy-ratio surface xi over a grid of rest angles, each point the
     landscape of one unit with kappa = 1 (every unit sees the same angles
     and xi is scale-free), classified by ``landscape_extrema`` in blocks of
-    about SURFACE_BLOCK slope samples; xi is NaN unless bistable."""
-    psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
+    about SURFACE_BLOCK slope samples; xi is NaN unless bistable.  Each
+    grid must be a non-empty 1-D array of rest angles in the domain that
+    ``SpringModel.per_kind`` accepts, or ConfigurationError names it."""
     gm, gb = (np.asarray(g, dtype=float)
               for g in (rest_main_grid, rest_boundary_grid))
+    for name, g, lo, hi, span in (("rest_main_grid", gm, 0.0, np.pi, "[0, pi]"),
+                                  ("rest_boundary_grid", gb, -np.pi, 0.0, "[-pi, 0]")):
+        # written so that NaN fails too
+        if not (g.ndim == 1 and g.size and np.all((g >= lo) & (g <= hi))):
+            raise ConfigurationError(f"{name} must be a non-empty 1-D grid of "
+                                     f"rest angles in {span} rad")
+    psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
     rs = sub_angle_from_main(geom.alpha, gm)[:, None]
     xi = np.empty((len(gm), len(gb)))
     step = max(1, SURFACE_BLOCK // (len(psis) * len(gb)))

@@ -5,19 +5,27 @@ printed with 17 significant digits, so re-running a configuration yields
 byte-identical outputs.  JSON files hold the text of
 ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline.
 
-Every float table follows one rule: a CSV table, and a JSON list of
-equal-length lists of exact floats.  Block by block of TABLE_BLOCK rows,
-each distinct column (columns compared by their bytes, so 0.0 and -0.0
-stay apart) is encoded once, by FLOAT for CSV and by the JSON encoder for
-JSON; the cells are joined into rows and each block is streamed to the
-file.  A uniform path repeats each angle in every unit's column, so most
-of its cells are never formatted.  The trigger map, whose repeats run
-along rows, formats each distinct value once; any other JSON list of
-scalars is one C-encoder call, and other lists are written item by item.
+Every table follows one rule, the grid rule of ``_table_blocks``: its
+columns broadcast to one (outer, inner) grid written in row-major order,
+an outer column of shape (n, 1), an inner column (1, m) and a cell column
+(n, m).  A path or landscape table is the case m = 1, and so is a JSON
+float table (a 2-D float array, or a list of equal-length lists of exact
+floats).  The ratio surface and the trigger map are grids: a rest value
+is written once per block and repeated along its row, a height once per
+table and tiled.  Block by block of about TABLE_CELLS cells, each
+distinct cell column (compared by its bytes, so 0.0 and -0.0 stay apart)
+is encoded once, adjacent columns without a twin in one FLOAT printf; a
+uniform path repeats each angle in every unit's column, so most of its
+cells are never formatted.  Each block is joined in C and streamed to
+the file, so no table exists as text or strings at full size.  Any other
+JSON list of scalars is one C-encoder call, and other lists are written
+item by item.
+
 Manifests record the configuration hash and tool version but never
 timestamps; the hash is CPython's built-in SHA-256, which needs no
 OpenSSL.
 """
+import collections
 import csv
 import functools
 import itertools
@@ -34,10 +42,11 @@ except ImportError:
 import numpy as np
 
 from . import __version__
+from .droptest import _outcome_strings
 from .kinematics import SVD_CUTOFF
 
 FLOAT = "%.17g"     # deterministic float format, 17 significant digits
-TABLE_BLOCK = 64    # table rows encoded at a time
+TABLE_CELLS = 256   # grid cells (table lines) encoded at a time
 _SCALARS = {int, float, bool, type(None), str}
 
 
@@ -49,18 +58,72 @@ def _angle_columns(n_cell):
     return cols
 
 
-def _table_rows(block, encode, sep):
-    """The rows of one block of float columns (columns, rows), their cells
-    joined by ``sep``.  ``encode`` turns a column's list of floats into its
-    cells; it runs once per distinct column, twins being found by their
-    bytes, never by ``==``, which would merge 0.0 with -0.0."""
-    cells, columns = {}, []
-    for col in block:
-        key = col.tobytes()
-        if key not in cells:
-            cells[key] = encode(col.tolist())
-        columns.append(cells[key])
-    return map(sep.join, zip(*columns))
+def _path_columns(*arrays):
+    """The (n, 1) float columns of 1-D and 2-D arrays of n rows each."""
+    return [col for a in arrays
+            for col in np.asarray(a, dtype=float).reshape(len(a), -1).T[:, :, None]]
+
+
+def _table_blocks(columns, encode, fmt, sep, row_sep):
+    """The text of a grid table, block by block of whole outer rows (about
+    TABLE_CELLS cells), cells joined by ``sep`` and rows by ``row_sep``.
+
+    The columns broadcast to one (n, m) grid, its cells in row-major
+    order: an outer column has shape (n, 1), an inner column (1, m) and a
+    cell column (n, m); a path table is the case m = 1.  ``encode`` turns
+    a list of floats into their cells; strings are taken as they are, and
+    a column given as a pair (array, cells) by ``cells`` of its 1-D
+    blocks, so that it need not exist as strings at full size.  An outer
+    value is written once per block and repeated, an inner value once per
+    table and tiled.  Adjacent float cell columns without a twin (a float
+    cell column with the same bytes, never ``==``, which would merge 0.0
+    with -0.0) form a run, printed by ``fmt`` in one printf: that is the
+    whole block when the run fills the row, else it is split into rows at
+    ``row_sep``, which no printed float contains.  Without ``fmt``, and for
+    twins, each distinct column is encoded once.  The cells are then
+    joined in C, row by row and then the rows."""
+    def floats(v):
+        return encode(v.tolist())
+
+    columns, writers = zip(*(
+        (c, floats if c.dtype.kind == "f" else np.ndarray.tolist)
+        if isinstance(c, np.ndarray) else c for c in columns))
+    n, m = np.broadcast_shapes(*(c.shape for c in columns))
+    step = max(1, TABLE_CELLS // m)
+    tiles = [cells(c[0]) if len(c) < n else None for c, cells in zip(columns, writers)]
+    for i in range(0, n, step):
+        b = min(step, n - i)
+        block = [c if t is not None else c[i:i + b] for c, t in zip(columns, tiles)]
+        keys = [v.tobytes() if v.shape == (b, m) and cells is floats else None
+                for v, cells in zip(block, writers)]
+        twins = collections.Counter(keys)
+        parts, encoded = [], {}     # cell strings per column, a run as a tuple
+        for v, cells, tile, key in zip(block, writers, tiles, keys):
+            if tile is not None:
+                parts.append(itertools.chain.from_iterable(itertools.repeat(tile, b)))
+            elif v.shape[1] < m:
+                parts.append(itertools.chain.from_iterable(
+                    map(itertools.repeat, cells(v.ravel()), itertools.repeat(m))))
+            elif key is None:
+                parts.append(cells(v.ravel()))
+            elif fmt and twins[key] == 1:
+                if not (parts and isinstance(parts[-1], tuple)):
+                    parts.append(())
+                parts[-1] += (v.ravel().tolist(),)
+            else:
+                if key not in encoded:
+                    encoded[key] = cells(v.ravel())
+                parts.append(encoded[key])
+        for j, run in enumerate(parts):
+            if isinstance(run, tuple):
+                text = row_sep.join([sep.join([fmt] * len(run))] * (b * m)) % tuple(
+                    itertools.chain.from_iterable(zip(*run)))
+                if len(parts) == 1:
+                    yield text
+                    break
+                parts[j] = text.split(row_sep)
+        else:
+            yield row_sep.join(map(sep.join, zip(*parts)))
 
 
 def _csv_cells(values):
@@ -69,14 +132,13 @@ def _csv_cells(values):
 
 
 def _write_table(fname, header, columns, end="\n"):
-    """CSV of equal-length float columns, one FLOAT per cell and each line
-    closed by ``end``, written block by block under the table rule."""
-    table = np.column_stack(columns).astype(float, copy=False).T
+    """CSV of a grid table (``_table_blocks``), one FLOAT per float cell
+    and each line closed by ``end``, streamed block by block."""
     with open(fname, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, table.shape[1], TABLE_BLOCK):
-            fh.write(end.join(_table_rows(table[:, i:i + TABLE_BLOCK], _csv_cells, ","))
-                     + end)
+        for text in _table_blocks(columns, _csv_cells, FLOAT, ",", end):
+            fh.write(text)
+            fh.write(end)
 
 
 def read_csv(fname):
@@ -93,9 +155,9 @@ def write_path_csv(geom, path, fname, energies=None):
     # the step index prints as an integer under FLOAT
     columns = [np.arange(len(path)), path.params, path.rho_o, path.rho_s]
     if energies is None:
-        _write_table(fname, header, columns, end=",\n")
+        _write_table(fname, header, _path_columns(*columns), end=",\n")
     else:
-        _write_table(fname, header, columns + [energies])
+        _write_table(fname, header, _path_columns(*columns, energies))
 
 
 def path_to_json_dict(geom, path, energies=None, extra=None):
@@ -104,8 +166,8 @@ def path_to_json_dict(geom, path, energies=None, extra=None):
         "param_name": path.param_name,
         "termination": path.termination,
         "params": path.params.tolist(),
-        "rho_o": path.rho_o.tolist(),
-        "rho_s": path.rho_s.tolist(),
+        "rho_o": path.rho_o,
+        "rho_s": path.rho_s,
     }
     if energies is not None:
         d["energy"] = np.asarray(energies, dtype=float).tolist()
@@ -117,41 +179,31 @@ def path_to_json_dict(geom, path, energies=None, extra=None):
 def write_landscape_csv(curve, fname):
     """Uniform landscape table: psi, energy and the three crease angles."""
     _write_table(fname, ["psi", "energy", "rho_M", "rho_S", "rho_B"],
-                 [curve.psi, curve.energy, curve.rho_m, curve.rho_s, curve.rho_b])
+                 _path_columns(curve.psi, curve.energy, curve.rho_m, curve.rho_s,
+                               curve.rho_b))
 
 
 def write_surface_csv(surface, fname):
     """Ratio-surface table, one row per grid point in row-major order; a
     non-finite xi is written nan."""
-    n_main, n_boundary = surface.xi.shape
-    xi = np.where(np.isfinite(surface.xi), surface.xi, np.nan)
     _write_table(fname, ["rest_main", "rest_boundary", "xi"],
-                 [np.repeat(surface.rest_main, n_boundary),
-                  np.tile(surface.rest_boundary, n_main), xi.ravel()])
+                 [surface.rest_main[:, None], surface.rest_boundary[None],
+                  np.where(np.isfinite(surface.xi), surface.xi, np.nan)])
 
 
 def contours_to_json_dict(surface):
     return {
         "level": 0.0,
-        "polylines": [line.tolist() for line in surface.contours],
+        "polylines": list(surface.contours),
     }
 
 
 def write_trigger_map_csv(tmap, fname):
-    """Trigger-map table, one row per cell, rest angle by rest angle.  Each
-    distinct value is formatted once: h and E_ball per height, the rest
-    angle and delta_E_g per row, E_gap per cell."""
-    h_e = [(FLOAT + "," + FLOAT + ",") % he
-           for he in zip(tmap.heights.tolist(), tmap.E_ball.tolist())]
-    line = "%s%s%s" + FLOAT + ",%s\n"
-    with open(fname, "w", newline="") as fh:
-        fh.write("rest_angle,h,E_ball,delta_E_g,E_gap,outcome\n")
-        for rest, d_g, gaps, outcomes in zip(
-                tmap.rest_angles.tolist(), tmap.delta_E_g.tolist(),
-                tmap.E_gap.tolist(), tmap.outcomes.tolist()):
-            r, g = FLOAT % rest + ",", FLOAT % d_g + ","
-            fh.writelines(line % (r, he, g, gap, out)
-                          for he, gap, out in zip(h_e, gaps, outcomes))
+    """Trigger-map table, one row per cell, rest angle by rest angle."""
+    _write_table(fname, ["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"],
+                 [tmap.rest_angles[:, None], tmap.heights[None], tmap.E_ball[None],
+                  tmap.delta_E_g[:, None], tmap.E_gap,
+                  (tmap.E_gap, lambda gap: _outcome_strings(gap).tolist())])
 
 
 def trigger_contour_json_dict(tmap):
@@ -183,7 +235,8 @@ def read_observations_csv(fname):
 
 def write_json(obj, fname):
     """The text of ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a
-    newline, streamed to the file."""
+    newline, streamed to the file; a 2-D float array in ``obj`` is written
+    as its list."""
     with open(fname, "w") as fh:
         _write_json(fh.write, obj, "\n")
         fh.write("\n")
@@ -200,17 +253,21 @@ def _json_cells(values):
 
 
 def _is_float_table(o):
-    """Whether ``o`` is a list of equal-length lists of exact floats; the
-    cell types are read in one pass over the whole table."""
+    """Whether ``o`` is a non-empty 2-D float64 array, or a list of
+    equal-length lists of exact floats, whose cell types are read in one
+    pass over the whole table."""
+    if isinstance(o, np.ndarray):
+        return o.ndim == 2 and o.size > 0 and o.dtype == np.float64
     return (isinstance(o, list) and o and set(map(type, o)) == {list}
             and len(set(map(len, o))) == 1
             and set(map(type, itertools.chain.from_iterable(o))) == {float})
 
 
 def _write_json(write, o, outer):
-    """Write ``o`` as json.dump does with ``outer`` as its line start.  A
-    list of scalars is one call of the C encoder, whose item separator
-    carries the newline and indent; a float table follows the table rule;
+    """Write ``o`` as json.dump does with ``outer`` as its line start, a
+    float array as json.dump writes its list.  A list of scalars is one
+    call of the C encoder, whose item separator carries the newline and
+    indent; a float table is a grid table of its rows (``_table_blocks``);
     anything else is written item by item."""
     inner = outer + "  "
     enc = _encoder(inner)
@@ -219,11 +276,13 @@ def _write_json(write, o, outer):
     elif _is_float_table(o):
         cell = inner + "  "
         row_sep = inner + "]," + inner + "[" + cell
-        for i in range(0, len(o), TABLE_BLOCK):
-            rows = _table_rows(np.array(o[i:i + TABLE_BLOCK]).T, _json_cells, "," + cell)
-            write(("," if i else "[") + inner + "[" + cell + row_sep.join(rows)
-                  + inner + "]")
-        write(outer + "]")
+        write("[" + inner + "[" + cell)
+        for i, text in enumerate(_table_blocks(_path_columns(np.asarray(o)), _json_cells,
+                                               None, "," + cell, row_sep)):
+            if i:
+                write(row_sep)
+            write(text)
+        write(inner + "]" + outer + "]")
     elif not (isinstance(o, (dict, list, tuple)) and o):
         write(enc.encode(o))
     else:

@@ -175,6 +175,20 @@ def test_ratio_surface_task(tmp_path):
     assert len(rows) == 1 + 7 * 9
 
 
+def test_ratio_surface_grid_stays_in_rest_domain(tmp_path):
+    # a 6 deg step overshoots 180 and 0 by rounding; those points are the
+    # ends themselves, which the library accepts
+    cfg = write_cfg(tmp_path, {"name": "ratio-surface", "grid_step_deg": 6.0,
+                               "rest_main_range_deg": [0.0, 180.0],
+                               "rest_boundary_range_deg": [-180.0, 0.0]})
+    out = tmp_path / "o"
+    assert main(["ratio-surface", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.array(lio.read_csv(out / "ratio_surface.csv")[1:], dtype=float)
+    assert len(rows) == 31 * 31
+    assert rows[:, 0].min() == 0.0 and rows[:, 0].max() == np.pi
+    assert rows[:, 1].min() == -np.pi and rows[:, 1].max() == 0.0
+
+
 def test_drop_test_task_with_observations(tmp_path):
     obs = tmp_path / "obs.csv"
     obs.write_text("h_mm,outcome\n100,cross\n360,circle\n")

@@ -201,6 +201,32 @@ def test_ratio_surface_small_grid(geom5):
     assert surf.xi[i, j] > 0
 
 
+@pytest.mark.parametrize("grids, name", [
+    (([1.0], [0.5]), "rest_boundary_grid"),     # outside [-pi, 0]
+    (([1.0], [-0.5, np.nan]), "rest_boundary_grid"),
+    (([np.nan, 1.0], [-0.5]), "rest_main_grid"),
+], ids=["boundary-rest-positive", "boundary-rest-nan", "main-rest-nan"])
+def test_ratio_surface_rejects_rest_outside_domain(geom5, grids, name):
+    # a rest angle SpringModel.per_kind refuses gives no xi, not even NaN
+    with pytest.raises(ConfigurationError, match=name):
+        lf.ratio_surface(geom5, *grids)
+
+
+@pytest.mark.parametrize("grids, name", [
+    (([], [-0.5]), "rest_main_grid"),
+    (([1.0], []), "rest_boundary_grid"),
+    (([[1.0]], [-0.5]), "rest_main_grid"),
+], ids=["main-empty", "boundary-empty", "main-2d"])
+def test_ratio_surface_rejects_empty_grid(geom5, grids, name):
+    with pytest.raises(ConfigurationError, match=name):
+        lf.ratio_surface(geom5, *grids)
+
+
+def test_ratio_surface_accepts_domain_ends(geom5):
+    surf = lf.ratio_surface(geom5, [0.0, np.pi], [-np.pi, 0.0])
+    assert surf.xi.shape == (2, 2)
+
+
 def test_ratio_surface_diagonal_matches_landscape(geom5):
     vals = np.radians(np.array([40.0, 60.0, 80.0]))
     surf = lf.ratio_surface(geom5, vals, -vals)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import leafout as lf
 from leafout import io as lio
-from leafout.cli import main
+from leafout.cli import TASKS, main
 from leafout.energy import RatioSurface
 from leafout.kinematics import SVD_CUTOFF
 from oracles import read_path_csv
@@ -149,6 +150,22 @@ def _surface_reference(surface):
     return _csv_reference(rows)
 
 
+_B = lio.TABLE_CELLS
+# (outer, inner) grid sizes: 1 x m, n x 1, one block of 8-cell rows and a
+# row either side, an inner size that does not divide the block, and one
+# outer row longer than a block
+_GRIDS = [(1, 7), (9, 1), (_B // 8 - 1, 8), (_B // 8, 8), (_B // 8 + 1, 8),
+          (2 * (_B // 7) + 5, 7), (3, _B + 1)]
+
+
+def _grid_cells(shape):
+    """Float cells of a grid: random values with -0.0, 0.0, NaN and +-inf."""
+    rng = np.random.default_rng(shape)
+    cells = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    odd = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -np.nan])
+    return np.where(rng.random(shape) < 0.3, odd[rng.integers(0, 6, size=shape)], cells)
+
+
 def test_surface_csv_matches_reference(geom5, tmp_path):
     surf = lf.ratio_surface(geom5, np.radians([5.0, 60.0, 120.0]),
                             np.radians([-170.0, -120.0, -60.0, -10.0]))
@@ -164,21 +181,61 @@ def test_surface_csv_matches_reference(geom5, tmp_path):
     lio.write_surface_csv(odd, f)
     assert f.read_bytes() == _surface_reference(odd).encode()
     assert f.read_text().count(",nan\n") == 3
+    for n, m in _GRIDS:
+        rest = _grid_cells((2, max(n, m)))
+        grid = RatioSurface(rest_main=rest[0, :n], rest_boundary=rest[1, :m],
+                            xi=_grid_cells((n, m)), contours=[])
+        lio.write_surface_csv(grid, f)
+        assert f.read_bytes() == _surface_reference(grid).encode(), (n, m)
+
+
+def _trigger_reference(tmap):
+    rows = [["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"]]
+    for i, (rest, d_g) in enumerate(zip(tmap.rest_angles, tmap.delta_E_g)):
+        for j, (h, e_ball) in enumerate(zip(tmap.heights, tmap.E_ball)):
+            gap = tmap.E_gap[i, j]
+            rows.append([_g(rest), _g(h), _g(e_ball), _g(d_g), _g(gap),
+                         "no-trigger" if gap < 0 else "grasp"])
+    return _csv_reference(rows)
 
 
 def test_trigger_map_csv_matches_reference(geom5, tmp_path):
     scen = lf.DropScenario(m_ball=22.3e-3, R_ball=35e-3, h=0.36)
     tmap = lf.trigger_map(geom5, scen, (0.05, 0.8),
                           (np.radians(60), np.radians(80)), n_h=5, n_rest=3)
-    rows = [["rest_angle", "h", "E_ball", "delta_E_g", "E_gap", "outcome"]]
-    for i, (rest, d_g) in enumerate(zip(tmap.rest_angles, tmap.delta_E_g)):
-        for j, (h, e_ball) in enumerate(zip(tmap.heights, tmap.E_ball)):
-            rows.append([_g(rest), _g(h), _g(e_ball), _g(d_g),
-                         _g(tmap.E_gap[i, j]), tmap.outcomes[i, j]])
-    assert {r[-1] for r in rows[1:]} == {"grasp", "no-trigger"}
+    assert set(tmap.outcomes.ravel()) == {"grasp", "no-trigger"}
     f = tmp_path / "m.csv"
     lio.write_trigger_map_csv(tmap, f)
-    assert f.read_bytes() == _csv_reference(rows).encode()
+    assert f.read_bytes() == _trigger_reference(tmap).encode()
+    for n, m in _GRIDS:
+        outer, inner = _grid_cells((2, n)), _grid_cells((2, m))
+        grid = lf.TriggerMap(heights=inner[0], rest_angles=outer[0], E_ball=inner[1],
+                             delta_E_g=outer[1], E_gap=_grid_cells((n, m)),
+                             threshold_heights=outer[1])
+        lio.write_trigger_map_csv(grid, f)
+        assert f.read_bytes() == _trigger_reference(grid).encode(), (n, m)
+
+
+def _square_map(n):
+    rest, h = np.linspace(0.5, 1.0, n), np.linspace(0.05, 0.8, n)
+    return lf.TriggerMap(heights=h, rest_angles=rest, E_ball=h, delta_E_g=rest,
+                         E_gap=h[None] - rest[:, None], threshold_heights=rest)
+
+
+def test_trigger_map_writer_memory_does_not_grow_with_map(tmp_path):
+    # the writer holds one block of text, never the map's cells as strings;
+    # the untraced first write loads whatever the writer imports
+    lio.write_trigger_map_csv(_square_map(50), tmp_path / "m.csv")
+    peaks = []
+    for n in (50, 200):     # 16 times the cells, both rows shorter than a block
+        tmap = _square_map(n)
+        tracemalloc.start()
+        try:
+            lio.write_trigger_map_csv(tmap, tmp_path / "m.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_path_json_round_trip(geom5, tmp_path):
@@ -193,9 +250,10 @@ def test_path_json_round_trip(geom5, tmp_path):
 
 
 def _json_dump_text(obj):
-    """The reference text: ``json.dump`` with the writer's settings."""
+    """The reference text: ``json.dump`` with the writer's settings, of
+    the listed values of any numpy array."""
     buf = io.StringIO()
-    json.dump(obj, buf, indent=2, sort_keys=True)
+    json.dump(obj, buf, indent=2, sort_keys=True, default=np.ndarray.tolist)
     return buf.getvalue() + "\n"
 
 
@@ -250,13 +308,18 @@ def _twin_table(n_rows):
                             np.nan * full, np.inf * full, -np.inf * full, odd])
 
 
-@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+# row counts of one table block and more, and of the earlier 64-row blocks
+_ROWS = [1, 63, 64, 65, 129, _B - 1, _B, _B + 1, 2 * _B + 1]
+
+
+@pytest.mark.parametrize("n_rows", _ROWS)
 @pytest.mark.parametrize("end", ["\n", ",\n"])
 def test_table_rule_csv_matches_per_cell_reference(tmp_path, n_rows, end):
     table = _twin_table(n_rows)
     header = [f"c{k}" for k in range(table.shape[1])]
     f = tmp_path / "t.csv"
-    lio._write_table(f, header, [table[:, :4], table[:, 4], table[:, 5:]], end)
+    lio._write_table(f, header, lio._path_columns(table[:, :4], table[:, 4], table[:, 5:]),
+                     end)
     want = ",".join(header) + "\n" + "".join(
         ",".join("%.17g" % x for x in row) + end for row in table.tolist())
     assert f.read_text() == want
@@ -264,11 +327,13 @@ def test_table_rule_csv_matches_per_cell_reference(tmp_path, n_rows, end):
     assert {(r[4], r[5]) for r in cells} == {("0", "-0")}
 
 
-@pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("n_rows", _ROWS)
 def test_table_rule_json_matches_json_dump(tmp_path, n_rows):
-    table = _twin_table(n_rows).tolist()
-    assert lio._is_float_table(table)
-    for obj in (table, {"t": table, "u": [table, [[1.0]]]}):
+    array = _twin_table(n_rows)
+    table = array.tolist()
+    assert lio._is_float_table(table) and lio._is_float_table(array)
+    # lists, and a float array as json.dump writes its list
+    for obj in (table, {"t": table, "u": [table, [[1.0]]]}, array, {"a": [array]}):
         lio.write_json(obj, tmp_path / "t.json")
         assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
     text = (tmp_path / "t.json").read_text()
@@ -288,13 +353,15 @@ def test_table_rule_leaves_other_numbers_to_generic_path(tmp_path, cell):
         assert (tmp_path / "t.json").read_text() == _json_dump_text(obj)
 
 
-def test_table_rule_on_traced_path(geom5, springs_grasp, tmp_path):
-    # pinned creases repeat some angle columns, not all, and change by block
+def test_table_rule_on_traced_path(geom5, springs_grasp, tmp_path, monkeypatch):
+    # pinned creases repeat some angle columns, not all, and change by block;
+    # blocks of 64 rows split this path in three
+    monkeypatch.setattr(lio, "TABLE_CELLS", 64)
     (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=140)],
                              springs=springs_grasp)
     path = res.path
     distinct = {c.tobytes() for c in np.hstack([path.rho_o, path.rho_s]).T}
-    assert 1 < len(distinct) < 3 * geom5.n_cell and len(path) > 2 * lio.TABLE_BLOCK
+    assert 1 < len(distinct) < 3 * geom5.n_cell and len(path) > 2 * lio.TABLE_CELLS
     f = tmp_path / "t.csv"
     lio.write_path_csv(geom5, path, f, res.trace.energy)
     assert f.read_bytes() == _path_reference(geom5, path, res.trace.energy).encode()
@@ -319,6 +386,25 @@ def test_config_hash_needs_no_openssl():
                          capture_output=True, text=True).stdout.split()
     canonical = json.dumps({"a": "x", "b": [1.5]}, separators=(",", ":"))
     assert out == ["False", hashlib.sha256(canonical.encode()).hexdigest()]
+
+
+def test_no_task_imports_numpy_ma(tmp_path):
+    # np.unique on strings, for one, imports numpy.ma: 1.6 MB of peak RSS
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps({"task": {"name": "export-mesh", "state": {"type": "flat"}},
+                                "geometry": {"n_cell": 5, "L1": 70.0, "L2": 30.0}}))
+    runs = [(json.loads(f.read_text())["task"]["name"], str(f), str(tmp_path / f.stem))
+            for f in sorted(configs.glob("*.json"))]
+    runs.append(("export-mesh", str(mesh), str(tmp_path / "mesh")))
+    assert {task for task, _, _ in runs} == set(TASKS)
+    code = ("import json, sys; from leafout.cli import main; "
+            "print([main([t, '--config', c, '--out', o]) for t, c, o in json.loads(sys.argv[1])], "
+            "'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    assert out == f"{[0] * len(runs)} False"
 
 
 def test_write_json_matches_json_dump_on_outputs(geom5, springs_bistable, tmp_path):
