@@ -17,6 +17,7 @@ continues, which keeps the crease assignments and matches how the energy
 minima along grasping paths are reached well past the first boundary
 contact.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class GraspProgram:
         if not MIN_STEP <= self.delta_rho_c <= np.pi:   # halving floor to half turn
             raise ValueError(f"delta_rho_c must be in [MIN_STEP, pi] = [{MIN_STEP:g}, "
                              f"{np.pi:g}] rad, got {float(self.delta_rho_c)!r}")
+        if (isinstance(self.max_steps, bool)
+                or not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
     def label(self):
         return "units-" + "-".join(str(u) for u in self.controlled_units)

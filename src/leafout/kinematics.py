@@ -13,8 +13,10 @@ residual and its 3 x N Jacobian C.  The tangent increment prescribes the
 fixed (controlled or frozen) entries exactly and moves the free ones by
 the minimum-norm amount that keeps C t = 0: t_fixed = d,
 t_free = -pinv(C_free) C_fixed d.  C_free is C with the fixed columns
-zeroed, so one batched SVD serves every path whatever its fixed set;
-Newton corrects the free angles through the same masked pseudo-inverse.
+zeroed, so one batched solve serves every path whatever its fixed set:
+a row whose 3 x 3 Gram matrix is well conditioned is solved in closed
+form through its adjugate, and only the rest take an SVD.  Newton
+corrects the free angles through the same masked pseudo-inverse.
 
 Each pass steps the whole stack under masks: an ended path rides along
 with every angle fixed and no increment, and a row that needs no further
@@ -34,6 +36,7 @@ from .unitcell import sub_angle_from_main
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SVD_CUTOFF = 1e-10      # relative singular-value cutoff of the pseudo-inverse
+GRAM_GUARD = 1e-6       # det G > GRAM_GUARD (tr G)**3: s_min / s_max > 1e-3
 MIN_STEP = 1e-8         # radians; step halving gives up below this
 MAX_HALVINGS = 10       # halved retries of one failed step
 LOCK_TOL = 1e-8         # unmet tangent constraint that counts as locked
@@ -138,11 +141,36 @@ def _chain_matrices(geom, rho_o):
     return X
 
 
-# flat indices of F10, F21, F02 and F01, F12, F20; of F's rows in the
-# residual's (z, x, y) order; and of the diagonal of F within those rows
-_SKEW_LOWER, _SKEW_UPPER = np.array([3, 7, 2]), np.array([1, 5, 6])
-_ZXY = np.array([6, 7, 8, 0, 1, 2, 3, 4, 5])
-_ZXY_DIAG = np.array([0, 0, 1, 1, 0, 0, 0, 1, 0], dtype=bool)
+def _closure_tail():
+    """The 9 x 12 matrix M of ``_closure``'s (r | T) = (F / 2 flattened) @ M.
+
+    r = (F10 - F01, F21 - F12, F02 - F20) / 2, and T = (tr F I - F) / 2
+    with its rows in the residual's (z, x, y) order.  Each output sums at
+    most two entries of F with signs +-1, so it is rounded once whatever
+    order the product adds in.
+    """
+    M = [[0.0] * 12 for _ in range(9)]          # row 3 i + j holds F_ij
+    for k, (i, j) in enumerate(((1, 0), (2, 1), (0, 2))):
+        M[3 * i + j][k], M[3 * j + i][k] = 1.0, -1.0
+    for row, i in enumerate((2, 0, 1)):
+        for j in range(3):
+            col = 3 + 3 * row + j
+            if i == j:                          # tr F - F_jj
+                for k in {0, 1, 2} - {j}:
+                    M[4 * k][col] = 1.0
+            else:
+                M[3 * i + j][col] = -1.0
+    return np.array(M)
+
+
+# both tables are built from lists: building them with array operations at
+# import raised every task's peak RSS by about 0.2 MB
+_TAIL = _closure_tail()
+# flat indices [[a, b], [c, d]] of adj(G) = G[a] G[b] - G[c] G[d] for a 3 x 3
+# G: adj_ij = G_j1i1 G_j2i2 - G_j1i2 G_j2i1 with k1, k2 = k + 1, k + 2 mod 3,
+# entry ij at flat index f = 3 i + j
+_ADJ = np.array([[[3 * ((f + b) % 3) + (f // 3 + c) % 3 for f in range(9)]
+                  for b, c in pair] for pair in (((1, 1), (2, 2)), ((1, 2), (2, 1)))])
 
 
 def _closure(geom, rho):
@@ -164,31 +192,48 @@ def _closure(geom, rho):
     for j in range(1, n):
         A[:, :, j] = F[:, :, 0]
         F = F @ X[:, j]
-    # halving is exact, so r and C come from F / 2 with the bits of halving them
-    h = 0.5 * F.reshape(n_path, 9)
-    hz = h[:, _ZXY]
-    T = np.where(_ZXY_DIAG, h[:, ::4].sum(axis=-1)[:, None] - hz, -hz)
-    return h[:, _SKEW_LOWER] - h[:, _SKEW_UPPER], T.reshape(n_path, 3, 3) @ A
+    # halving is exact, so r and T come from F / 2 in one product
+    rT = (0.5 * F).reshape(n_path, 9) @ _TAIL
+    return rT[:, :3], rT[:, 3:].reshape(n_path, 3, 3) @ A
 
 
-def constraint_matrix(geom, rho_o):
-    """Analytic 3 x N Jacobian of the residual w.r.t. the fold angles."""
-    return _closure(geom, np.asarray(rho_o, dtype=float)[None])[1][0]
+def _svd_solve(C, v):
+    """pinv(C) v per row of a stack, singular values below SVD_CUTOFF times
+    the largest dropped."""
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    keep = s > SVD_CUTOFF * s[:, :1]
+    w = np.divide((U * v[:, :, None]).sum(axis=1), s,
+                  out=np.zeros(s.shape), where=keep)
+    return (Vt * w[:, :, None]).sum(axis=1)
 
 
-def _masked_solve(C, free, v, rcond=SVD_CUTOFF):
+def _masked_solve(C, free, v):
     """pinv(C_free) v per row, with C_free = C with non-free columns zeroed.
 
     The result is the minimum-norm x with x = 0 off the free entries that
-    best solves C x = v; singular values below ``rcond`` times the largest
-    are dropped.
+    best solves C x = v; singular values below SVD_CUTOFF times the largest
+    are dropped.  A row whose Gram matrix G = C_free C_free^T passes
+    det G > GRAM_GUARD (tr G)**3 has s_min / s_max > 1e-3, so all three
+    singular values are kept: it is solved as x = C_free^T G^-1 v, G^-1
+    the adjugate over det G, plus one step of iterative refinement on
+    v - C_free x.  Only the other rows with a free column (rank-deficient,
+    near-flat or locked Jacobians, fewer than three free columns) take an
+    SVD; a row without a free column is exactly zero.
     """
-    U, s, Vt = np.linalg.svd(np.where(free[:, None, :], C, 0.0),
-                             full_matrices=False)
-    keep = s > rcond * s[:, :1]
-    w = np.divide((U * v[:, :, None]).sum(axis=1), s,
-                  out=np.zeros(s.shape), where=keep)
-    return np.where(free, (Vt * w[:, :, None]).sum(axis=1), 0.0)
+    Cf = np.where(free[:, None, :], C, 0.0)
+    g = (Cf @ Cf.transpose(0, 2, 1)).reshape(-1, 9)
+    p = g[:, _ADJ]
+    adj = p[:, 0, 0] * p[:, 0, 1] - p[:, 1, 0] * p[:, 1, 1]
+    det = (g[:, :3] * adj[:, ::3]).sum(axis=-1)
+    ok = det > GRAM_GUARD * g[:, ::4].sum(axis=-1) ** 3
+    W = Cf.transpose(0, 2, 1) @ np.divide(
+        adj, det[:, None], out=np.zeros(adj.shape), where=ok[:, None]).reshape(-1, 3, 3)
+    x = (W @ v[:, :, None])[..., 0]
+    x += (W @ (v - (Cf @ x[:, :, None])[..., 0])[:, :, None])[..., 0]
+    rest = ~ok & free.any(axis=-1)
+    if rest.any():
+        x[rest] = _svd_solve(Cf[rest], v[rest])
+    return np.where(free, x, 0.0)
 
 
 def _tangent(C, seed, fixed):
@@ -331,7 +376,9 @@ def trace_paths(geom, starts, requests, n_steps):
     mountain/valley assignment of every crease, and the path continues;
     controlled angles reaching their box end the path.  The path parameter
     ``delta_rho_c`` sums the largest controlled increment of each step (of
-    all angles when none is controlled).
+    all angles when none is controlled).  A request whose increment is not
+    one per crease or whose controlled index is not a crease, or a negative
+    or non-integer ``n_steps``, raises ValueError before any step.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
@@ -340,10 +387,21 @@ def trace_paths(geom, starts, requests, n_steps):
     """
     if len(starts) != len(requests):
         raise ValueError("need one request per start state")
+    n = geom.n_vertex_creases
+    for req in requests:
+        if req.delta_rho_0.shape != (n,):
+            raise ValueError(f"delta_rho_0 has shape {req.delta_rho_0.shape}, "
+                             f"need ({n},): one increment per crease")
+        if not all(0 <= i < n for i in req.controlled_indices):
+            raise ValueError(f"controlled_indices {req.controlled_indices} must "
+                             f"lie in 0..{n - 1}")
     if not starts:
         return []
+    n_steps = np.asarray(n_steps)
+    if n_steps.dtype.kind not in "iu" or np.any(n_steps < 0):
+        raise ValueError(f"n_steps must be non-negative integers, got {n_steps.tolist()!r}")
     n_path = len(starts)
-    n_steps = np.broadcast_to(np.asarray(n_steps, dtype=int), (n_path,))
+    n_steps = np.broadcast_to(n_steps, (n_path,))
     rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)
     r, C = _closure(geom, rho)
     _require_closed(r, "start state")

@@ -3,9 +3,11 @@
 Everything here is written from scratch against the defining equations,
 deliberately not sharing code paths with the package: rotation chains are
 rebuilt locally, roots come from grid scans plus bisection, derivatives
-from central differences, energies from direct per-crease summation.
+from central differences, energies from direct per-crease summation,
+linear solves in exact rational arithmetic.
 """
 import csv
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,6 +196,25 @@ def fd_constraint_matrix(alpha, rho_o, h=1e-7):
         e[j] = h
         C[:, j] = (res(rho_o + e) - res(rho_o - e)) / (2 * h)
     return C
+
+
+def min_norm_solve_exact(C, v):
+    """x = C^T (C C^T)^-1 v for a 3 x N C of full row rank, in exact
+    rational arithmetic on the floats' values, rounded once at the end."""
+    C = [[Fraction(float(c)) for c in row] for row in C]
+    m = len(C)
+    # Gauss-Jordan on (G | v), G = C C^T
+    A = [[sum(a * b for a, b in zip(C[i], C[j])) for j in range(m)]
+         + [Fraction(float(v[i]))] for i in range(m)]
+    for k in range(m):
+        p = next(i for i in range(k, m) if A[i][k] != 0)
+        A[k], A[p] = A[p], A[k]
+        A[k] = [a / A[k][k] for a in A[k]]
+        for i in range(m):
+            if i != k:
+                A[i] = [a - A[i][k] * b for a, b in zip(A[i], A[k])]
+    return np.array([float(sum(C[i][j] * A[i][m] for i in range(m)))
+                     for j in range(len(C[0]))])
 
 
 # ---------------------------------------------------------------- energy

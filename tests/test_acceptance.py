@@ -11,7 +11,7 @@ import pytest
 
 import leafout as lf
 from leafout.cli import main as cli_main
-from leafout.kinematics import StepFailure, StepRequest, trace_paths
+from leafout.kinematics import StepFailure, StepRequest, _closure, trace_paths
 from oracles import (chain_closure_norm, fd_constraint_matrix, sampled_extrema,
                      sub_angle_oracle)
 
@@ -168,7 +168,7 @@ def test_criterion_06_jacobian_against_finite_differences():
         if path.termination != "max-steps":     # locked
             continue
         rho = path.rho_o[-1]
-        C = lf.constraint_matrix(GEOM, rho)
+        C = _closure(GEOM, rho[None])[1][0]
         Cfd = fd_constraint_matrix(GEOM.alpha, rho, h=1e-7)
         worst = max(worst, float(np.max(np.abs(C - Cfd))))
         count += 1

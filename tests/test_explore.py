@@ -185,6 +185,14 @@ def test_program_validation(geom5):
         lf.run_programs(geom5, [lf.GraspProgram((6,))])
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "400"])
+def test_program_rejects_bad_max_steps(bad):
+    # max_steps 0 or -3 used to give a one-row path ending with max-steps
+    with pytest.raises(ValueError, match="max_steps"):
+        lf.GraspProgram((1,), max_steps=bad)
+    assert lf.GraspProgram((1,), max_steps=np.int64(1)).max_steps == 1
+
+
 def test_termination_reasons_recorded(traced):
     for res in traced.values():
         assert res.path.termination in ("controlled-at-boundary", "max-steps",

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from leafout import kinematics
 from leafout.kinematics import (StepFailure, StepRequest, _closure,
                                 _masked_solve, _tangent, angle_bounds, trace_paths)
 from oracles import (chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation,
-                     rot_x, rot_z)
+                     min_norm_solve_exact, rot_x, rot_z)
+
+
+def jacobian(geom, rho):
+    """The 3 x N closure Jacobian C of one angle vector."""
+    return _closure(geom, np.asarray(rho, dtype=float)[None])[1][0]
 
 
 def max_residual(geom, rho):
@@ -84,13 +90,13 @@ def test_residual_extraction_linearization(axis, component):
 
 
 def test_constraint_matrix_matches_finite_differences(geom5, uniform_minus30):
-    C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30.rho_o)
     Cfd = fd_constraint_matrix(geom5.alpha, uniform_minus30.rho_o)
     assert np.max(np.abs(C - Cfd)) < 1e-5
 
 
 def test_constraint_rank_three_when_folded(geom5, uniform_minus30):
-    C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30.rho_o)
     s = np.linalg.svd(C, compute_uv=False)
     assert np.sum(s > 1e-10) == 3
     # the twist residual row couples the chain away from flat; only the
@@ -103,7 +109,7 @@ def test_constraint_rank_three_when_folded(geom5, uniform_minus30):
 def test_constraint_degenerates_at_exact_flat(geom5):
     # the flat state is a branch point: in-plane crease axes produce no
     # twist residual, so the constraint drops to rank two there
-    C = lf.constraint_matrix(geom5, np.zeros(10))
+    C = jacobian(geom5, np.zeros(10))
     s = np.linalg.svd(C, compute_uv=False)
     assert np.sum(s > 1e-10) == 2
     assert np.max(np.abs(C[0])) < 1e-14
@@ -115,7 +121,7 @@ def test_uniform_tangent_in_null_space(geom5):
     psi = np.radians(-30)
     tang = (lf.uniform_state(geom5, psi + h).rho_o
             - lf.uniform_state(geom5, psi - h).rho_o) / (2 * h)
-    C = lf.constraint_matrix(geom5, lf.uniform_state(geom5, psi).rho_o)
+    C = jacobian(geom5, lf.uniform_state(geom5, psi).rho_o)
     assert np.max(np.abs(C @ tang)) < 1e-8
 
 
@@ -123,7 +129,7 @@ def test_column_conjugation_between_adjacent_units(geom5, uniform_minus30):
     # shifting one unit conjugates the residual derivative by the
     # two-crease chain block (the folded analogue of the 2 alpha turn)
     rho = uniform_minus30.rho_o
-    C = lf.constraint_matrix(geom5, rho)
+    C = jacobian(geom5, rho)
     V = np.vstack([C[1], C[2], C[0]])      # residual components as x, y, z
     A = rot_x(rho[0]) @ rot_z(geom5.alpha) @ rot_x(rho[1]) @ rot_z(geom5.alpha)
     assert np.max(np.abs(V[:, 2:] - A @ V[:, :-2])) < 1e-12
@@ -151,7 +157,7 @@ def masked_pinv(C, free):
 
 
 def test_projector_idempotent(geom5, uniform_minus30):
-    C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30.rho_o)
     P = tangent_projector(C)
     assert np.max(np.abs(P @ P - P)) < 1e-12
     assert np.max(np.abs(P - P.T)) < 1e-12
@@ -161,7 +167,7 @@ def test_projector_idempotent(geom5, uniform_minus30):
 def test_null_basis_projection_equals_pseudo_inverse_form(geom5, uniform_minus30):
     # the tangent step and I - C+ C (numpy's pinv) agree on arbitrary increments
     rho = uniform_minus30.rho_o
-    C = lf.constraint_matrix(geom5, rho)
+    C = jacobian(geom5, rho)
     P = tangent_projector(C)
     P_direct = np.eye(10) - np.linalg.pinv(C) @ C
     rng = np.random.default_rng(7)
@@ -171,7 +177,7 @@ def test_null_basis_projection_equals_pseudo_inverse_form(geom5, uniform_minus30
 
 
 def test_pseudo_inverse_moore_penrose(geom5, uniform_minus30):
-    C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30.rho_o)
     Cp = masked_pinv(C, np.ones(10, dtype=bool))
     assert np.max(np.abs(Cp - np.linalg.pinv(C))) < 1e-12
     free = np.arange(10) % 3 != 0         # creases 1, 4, 7 and 10 fixed
@@ -181,6 +187,66 @@ def test_pseudo_inverse_moore_penrose(geom5, uniform_minus30):
     assert np.max(np.abs(Cp @ C @ Cp - Cp)) < 1e-10
     assert np.max(np.abs((C @ Cp).T - C @ Cp)) < 1e-10
     assert np.max(np.abs((Cp @ C).T - Cp @ C)) < 1e-10
+
+
+# column patterns of a random 3 x N Jacobian: generic, a twin column, every
+# column along one of two directions, a dependent row, or the flat limit's
+# vanishing twist row
+SOLVE_KINDS = ("random", "duplicate", "parallel", "rank-2", "near-flat")
+
+
+@st.composite
+def solve_stacks(draw):
+    """A stack of (C, free, v) rows sharing N, each of a drawn kind."""
+    n = draw(st.integers(3, 12))
+
+    def grid(shape):            # multiples of 2**-20 in [-1, 1]
+        k = draw(arrays(np.int64, shape, elements=st.integers(-2**20, 2**20)))
+        return k / 2.0**20
+
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        C, kind = grid((3, n)), draw(st.sampled_from(SOLVE_KINDS))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "duplicate":
+            C[:, j] = C[:, i]
+        elif kind == "parallel":
+            C = np.where(np.arange(n) % 2, C[:, [i]], C[:, [j]]) * grid(n)
+        elif kind == "rank-2":
+            C[2] = 0.5 * C[0] - 0.75 * C[1]
+        elif kind == "near-flat":
+            C[0] *= 10.0 ** -draw(st.integers(1, 14))
+        rows.append((C, draw(arrays(bool, n)), grid(3)))
+    return [np.array(a) for a in zip(*rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(solve_stacks())
+def test_masked_solve_matches_exact_and_svd_oracles(stack):
+    # rows passing the Gram guard agree with the exact rational solve to
+    # 1e-15 kappa relative; on the others the free entries are numpy's pinv
+    # at SVD_CUTOFF to 1e-12 of the operator's scale (the pinv's own SVD
+    # leaks rounding into the zeroed columns, which the solve keeps exactly
+    # zero); every row is the one it gets alone
+    C, free, v = stack
+    with mock.patch.object(kinematics, "_svd_solve",
+                           wraps=kinematics._svd_solve) as svd:
+        x = _masked_solve(C, free, v)
+    svd_rows = [c for call in svd.call_args_list for c in call.args[0]]
+    for b in range(len(C)):
+        Cf = np.where(free[b], C[b], 0.0)
+        assert np.array_equal(x[b], _masked_solve(C[b:b + 1], free[b:b + 1],
+                                                  v[b:b + 1])[0])
+        assert np.all(x[b][~free[b]] == 0.0)
+        if any(np.array_equal(Cf, c) for c in svd_rows) or not free[b].any():
+            P = np.linalg.pinv(Cf, rcond=kinematics.SVD_CUTOFF)
+            tol = 1e-12 * np.linalg.norm(P, 2) * np.linalg.norm(v[b])
+            assert np.linalg.norm((x[b] - P @ v[b])[free[b]]) <= tol
+        else:
+            s = np.linalg.svd(Cf, compute_uv=False)
+            exact = min_norm_solve_exact(Cf, v[b])
+            assert (np.linalg.norm(x[b] - exact)
+                    <= 1e-15 * s[0] / s[-1] * np.linalg.norm(exact))
 
 
 def test_zero_request_is_fixed_point(geom5, uniform_minus30):
@@ -214,7 +280,7 @@ def test_pinch_drive_breaks_symmetry(geom5):
 
 def test_locked_configuration_detected(geom5, uniform_minus30):
     # a pure row-space request with every angle prescribed is infeasible
-    C = lf.constraint_matrix(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30.rho_o)
     d0 = C.T @ np.array([1.0, 2.0, 3.0]) * 1e-3
     req = StepRequest(d0, tuple(range(10)))
     path = trace(geom5, uniform_minus30, req, 5)
@@ -289,8 +355,10 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     # in one batch: halved retries run beside the other paths' next steps,
     # the paths split their steps into 3, 1 and 10 substeps of different
     # sizes and so different Newton iteration counts, the first freezes an
-    # angle mid-trace and the last locks at once
-    failed_tries = []
+    # angle mid-trace, the fourth locks at once, and the last, driven from
+    # the exact flat state where the Jacobian is rank-deficient, is solved
+    # by the SVD in solves whose other rows take the closed form
+    failed_tries, svd_rows, svd_alone = [], [], []
 
     def counting_project(*args):
         out = project(*args)
@@ -298,21 +366,41 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
         failed_tries.extend(status[status > kinematics._LOCKED])
         return out
 
-    project = kinematics._project
+    def recording_svd(C, v):
+        svd_rows.extend(C)
+        return svd_solve(C, v)
+
+    def spying_solve(C, free, v):
+        svd_rows.clear()
+        x = masked_solve(C, free, v)
+        if len(C) == len(reqs) and free[:-1].any():
+            Cf = np.where(free[:, None, :], C, 0.0)
+            took = [any(np.array_equal(c, row) for row in svd_rows) for c in Cf]
+            svd_alone.append(took == [False] * (len(reqs) - 1) + [True])
+        return x
+
+    project, svd_solve, masked_solve = (kinematics._project, kinematics._svd_solve,
+                                        kinematics._masked_solve)
     monkeypatch.setattr(kinematics, "_project", counting_project)
+    monkeypatch.setattr(kinematics, "_svd_solve", recording_svd)
+    monkeypatch.setattr(kinematics, "_masked_solve", spying_solve)
     geom = lf.build_geometry(n_cell, 70.0, 30.0)
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
+    starts = [start] * 4 + [lf.FoldState.flat(geom)]
     reqs = [_request((0,), np.radians(3.0), np.radians(1.0), n),
             _request(*UNSPLIT_RETRIED[n_cell], 4.0, n),
             _request(tuple(range(0, n, 2)), np.radians(5.0), n=n),
-            _request(tuple(range(n)), 0.01, n=n)]
-    together = trace_paths(geom, [start] * len(reqs), reqs, 30)
+            _request(tuple(range(n)), 0.01, n=n),
+            _request((0,), np.radians(0.5), n=n)]
+    together = trace_paths(geom, starts, reqs, 30)
     assert failed_tries
+    assert any(svd_alone)
     assert together[0].frozen_history[0] == () != together[0].frozen_history[-1]
     assert together[3].termination == "locked"
-    for req, path in zip(reqs, together):
-        alone = trace(geom, start, req, 30)
+    assert len(together[4]) == 31
+    for begin, req, path in zip(starts, reqs, together):
+        alone = trace(geom, begin, req, 30)
         assert np.array_equal(alone.rho_o, path.rho_o)
         assert np.array_equal(alone.rho_s, path.rho_s)
         assert np.array_equal(alone.params, path.params)
@@ -429,6 +517,23 @@ def test_fold_state_validation(geom5):
 def test_step_request_validation(kwargs):
     with pytest.raises(ValueError):
         StepRequest(**{"delta_rho_0": np.zeros(10), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, n_steps, name", [
+    ({"controlled_indices": (-1,)}, 5, "controlled_indices"),
+    ({"controlled_indices": (0, 20)}, 5, "controlled_indices"),
+    ({"delta_rho_0": np.full(4, 0.01)}, 5, "delta_rho_0"),
+    ({}, -1, "n_steps"),
+    ({}, [5, -1], "n_steps"),
+    ({}, 2.5, "n_steps"),
+])
+def test_trace_refuses_bad_requests(geom5, uniform_minus30, kwargs, n_steps, name):
+    # negative indices would control the last creases, large ones and short
+    # increments would fail inside numpy, and a negative step count would
+    # give a one-row max-steps path
+    req = StepRequest(**{"delta_rho_0": np.full(10, 0.01), **kwargs})
+    with pytest.raises(ValueError, match=name):
+        trace_paths(geom5, [uniform_minus30] * 2, [req, req], n_steps)
 
 
 def test_step_request_rejects_scale_under_min_step(geom5):
