@@ -19,5 +19,4 @@ from .energy import (BistabilityReport, LandscapeCurve, RatioSurface,
                      landscape_over_psi, path_energies, ratio_surface)
 from .droptest import (DropScenario, TriggerMap, default_effective_width,
                        prototype_spring_model, trigger_map)
-from .explore import (ConfigSpaceTrace, GraspProgram, GraspResult,
-                      near_flat_start, run_programs)
+from .explore import GraspProgram, config_space, near_flat_start, run_programs

@@ -26,7 +26,7 @@ from . import __version__
 from .droptest import DropScenario, trigger_map
 from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
-from .explore import DEFAULT_MAX_STEPS, GraspProgram, run_programs
+from .explore import DEFAULT_MAX_STEPS, GraspProgram, config_space, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
 from .kinematics import FoldState, StepFailure
 from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
@@ -356,21 +356,20 @@ def _grasp_outputs(inputs, out, terminations):
     traces of the programs before it are written and its failure raised."""
     geom, springs, programs = inputs
     try:
-        results, failure = run_programs(geom, programs, springs=springs), None
+        paths, failure = run_programs(geom, programs), None
     except StepFailure as exc:
-        results, failure = exc.completed, exc
+        paths, failure = exc.completed, exc
     bundle = {"geometry": geom.to_dict(), "programs": []}
-    for res in results:
-        prog = res.program
-        lio.write_path_csv(geom, res.path, out(f"trace_{prog.label()}.csv"),
-                           res.trace.energy)
-        terminations[prog.label()] = res.path.termination
+    for prog, path in zip(programs, paths):
+        energies = path_energies(geom, springs, path)
+        lio.write_path_csv(geom, path, out(f"trace_{prog.label()}.csv"), energies)
+        terminations[prog.label()] = path.termination
         bundle["programs"].append(lio.path_to_json_dict(
-            geom, res.path, res.trace.energy,
+            geom, path, energies,
             extra={"label": prog.label(),
                    "controlled_units": list(prog.controlled_units),
-                   "config_space": {k: getattr(res.trace, k).tolist()
-                                    for k in "xyz"}}))
+                   "config_space": {k: c.tolist() for k, c in
+                                    zip("xyz", config_space(path))}}))
     if failure is not None:
         raise failure
     lio.write_json(bundle, out("multigrasp_bundle.json"))

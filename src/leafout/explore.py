@@ -5,8 +5,8 @@ main-crease angles each step, one constant StepRequest per program; the
 remaining angles follow the projected kinematics.  Folding modes are
 compared in a configuration space spanned by the main-angle differences
 (rho_M2 - rho_M4, rho_M3 - rho_M5) against the cumulative controlled
-angle.  A set of programs is stepped together (``run_programs``); each
-program's trace is the one it has alone.
+angle (``config_space``).  A set of programs is stepped together
+(``run_programs``); each program's path is the one it has alone.
 
 Paths start from a slightly folded uniform state rather than the exact
 flat state, which is a branch point where the mountain/valley assignment
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import path_energies
-from .kinematics import MIN_STEP, FoldingPath, StepFailure, StepRequest, trace_paths
+from .kinematics import MIN_STEP, StepFailure, StepRequest, trace_paths
 from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
@@ -61,39 +60,22 @@ def near_flat_start(geom):
     return uniform_state(geom, psi_from_main(geom.alpha, NEAR_FLAT_MAIN))
 
 
-@dataclass
-class ConfigSpaceTrace:
-    """Configuration-space coordinates along one program."""
-    x: np.ndarray            # rho_M2 - rho_M4
-    y: np.ndarray            # rho_M3 - rho_M5
-    z: np.ndarray            # cumulative controlled angle
-    energy: np.ndarray | None
-
-
-@dataclass
-class GraspResult:
-    program: GraspProgram
-    path: FoldingPath
-    trace: ConfigSpaceTrace
-
-
-def config_space_trace(path, energies):
+def config_space(path):
+    """Configuration-space coordinates (x, y, z) of a grasp path's states:
+    rho_M2 - rho_M4, rho_M3 - rho_M5 and the cumulative controlled angle."""
     rho = path.rho_o
-    x = rho[:, 2] - rho[:, 6]
-    y = rho[:, 4] - rho[:, 8]
-    return ConfigSpaceTrace(x=x, y=y, z=path.params.copy(), energy=energies)
+    return rho[:, 2] - rho[:, 6], rho[:, 4] - rho[:, 8], path.params
 
 
-def run_programs(geom, programs, springs=None):
+def run_programs(geom, programs):
     """Trace grasping programs together from the near-flat start.
 
-    Controlled units must exist in the pattern; each trace drives toward
-    the closed phase (increasing main angles).  Returns one result per
-    program: the folding path plus the configuration-space trace, with
-    energies when a spring model is supplied.  The programs are stepped
-    in lockstep, and each result equals that of the program traced alone.
-    If a program fails, the raised StepFailure's ``completed`` holds the
-    results of the programs listed before it.
+    Controlled units must exist in the pattern; each path drives toward
+    the closed phase (increasing main angles).  Returns one FoldingPath
+    per program.  The programs are stepped in lockstep, and each path
+    equals that of the program traced alone.  If a program fails, the
+    raised StepFailure's ``completed`` holds the paths of the programs
+    listed before it.
     """
     if geom.n_cell < 5:
         raise ValueError("configuration-space coordinates need n_cell >= 5")
@@ -103,15 +85,11 @@ def run_programs(geom, programs, springs=None):
             raise ValueError("controlled unit index outside 1..n_cell")
     starts = [near_flat_start(geom)] * len(programs)
     try:
-        paths = trace_paths(geom, starts, [_request(geom, p) for p in programs],
-                            [p.max_steps for p in programs])
+        return trace_paths(geom, starts, [_request(geom, p) for p in programs],
+                           [p.max_steps for p in programs])
     except StepFailure as exc:
-        done = [_grasp_result(geom, p, path, springs)
-                for p, path in zip(programs, exc.completed)]
-        raise StepFailure(f"{programs[len(done)].label()}: {exc}",
-                          completed=done) from exc
-    return [_grasp_result(geom, p, path, springs)
-            for p, path in zip(programs, paths)]
+        failed = programs[len(exc.completed)].label()
+        raise StepFailure(f"{failed}: {exc}", completed=exc.completed) from exc
 
 
 def _request(geom, program):
@@ -120,10 +98,3 @@ def _request(geom, program):
     d0 = np.zeros(geom.n_vertex_creases)
     d0[list(ctrl)] = program.delta_rho_c
     return StepRequest(d0, controlled_indices=ctrl, step_scale=program.delta_rho_c)
-
-
-def _grasp_result(geom, program, path, springs):
-    energies = path_energies(geom, springs, path) if springs is not None else None
-    return GraspResult(program=program, path=path,
-                       trace=config_space_trace(path, energies))
-

@@ -148,14 +148,16 @@ def reconstruct_mesh(geom, state, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
     ``state`` is a FoldState (or anything with .rho_o).  It is accepted
-    exactly when ``check_states`` accepts it.  The outer panels reach L1
-    along the midline; their extent affects neither kinematics nor
-    energy.
+    exactly when ``check_states`` accepts it, and ``tilt`` when it is
+    finite.  The outer panels reach L1 along the midline; their extent
+    affects neither kinematics nor energy.
     """
     rho_o = np.asarray(getattr(state, "rho_o", state), dtype=float)
     if rho_o.shape != (2 * geom.n_cell,):
         raise ValueError("state angle vector has wrong length")
     check_states(geom, rho_o[None])
+    if not np.isfinite(tilt):
+        raise ValueError(f"tilt must be finite, got {tilt!r}")
     n = geom.n_cell
     G = _unit_frames(geom, rho_o, tilt)
 

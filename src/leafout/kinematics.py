@@ -7,11 +7,12 @@ compose to the identity.
 
 Stepping traces a stack of paths in lockstep, each repeating one constant
 StepRequest: the increments, masks and box bounds are arrays built once
-per trace, and the accepted rows are logged per step and grouped by path
-at the end.  One prefix pass over the chain gives every path's closure
-residual and its 3 x N Jacobian C.  The tangent increment prescribes the
-fixed (controlled or frozen) entries exactly and moves the free ones by
-the minimum-norm amount that keeps C t = 0: t_fixed = d,
+per trace, and the accepted rows are logged per step, beside the mask of
+angles pinned at their box face, and grouped by path at the end.  One
+prefix pass over the chain gives every path's closure residual and its
+3 x N Jacobian C.  The tangent increment prescribes the fixed
+(controlled or frozen) entries exactly and moves the free ones by the
+minimum-norm amount that keeps C t = 0: t_fixed = d,
 t_free = -pinv(C_free) C_fixed d.  C_free is C with the fixed columns
 zeroed, so one batched solve serves every path whatever its fixed set:
 a row whose 3 x 3 Gram matrix is well conditioned is solved in closed
@@ -27,7 +28,7 @@ to 2**(MAX_HALVINGS + 1) - 1 times the substeps of its first try.  Every
 array operation acts on each path's row alone, so a path's trace is the
 same whichever paths are stepped beside it.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -347,13 +348,15 @@ def check_states(geom, rho_o):
 class FoldingPath:
     """Ordered closed states as arrays: fold angles ``rho_o`` (M, N) and
     sub angles ``rho_s`` (M, n_cell), with the driving parameter of each
-    state and the termination."""
+    state and the termination.  A traced path's ``frozen`` (M, N) marks
+    the angles pinned at their box face in each state, none in the first;
+    it is None for a uniform path."""
     rho_o: np.ndarray
     rho_s: np.ndarray
     params: np.ndarray
     param_name: str
     termination: str
-    frozen_history: list = field(default_factory=list)
+    frozen: np.ndarray | None = None
 
     def __len__(self):
         return len(self.rho_o)
@@ -374,7 +377,8 @@ def trace_paths(geom, starts, requests, n_steps):
     and not below MIN_STEP.  When an uncontrolled angle reaches its box
     face it is pinned there for the remainder of the path, which keeps the
     mountain/valley assignment of every crease, and the path continues;
-    controlled angles reaching their box end the path.  The path parameter
+    the path's ``frozen`` mask marks it from that state on.  Controlled
+    angles reaching their box end the path.  The path parameter
     ``delta_rho_c`` sums the largest controlled increment of each step (of
     all angles when none is controlled).  A request whose increment is not
     one per crease or whose controlled index is not a crease, or a negative
@@ -420,10 +424,8 @@ def trace_paths(geom, starts, requests, n_steps):
     ending = np.zeros(n_path, dtype=int)            # index into _ENDINGS
     failure = np.zeros(n_path, dtype=int)           # status of a failed last try
     frozen = np.zeros(rho.shape, dtype=bool)
-    frozen_sets = [[()] for _ in range(n_path)]     # each path's, in order
-    frozen_now = np.zeros(n_path, dtype=int)        # index into frozen_sets[b]
-    # per pass: which paths took a step, all angles, increments and frozen sets
-    log = [(np.ones(n_path, dtype=bool), rho, np.zeros(n_path), frozen_now)]
+    # per pass: which paths took a step, all angles, increments and pinned angles
+    log = [(np.ones(n_path, dtype=bool), rho, np.zeros(n_path), frozen)]
 
     # each pass tries the next step of every running path; the other
     # paths ride along with every angle fixed and no increment
@@ -446,13 +448,10 @@ def trace_paths(geom, starts, requests, n_steps):
         scale = np.where(failed, scale / 2, req_scale)
         given_up = failed & (scale < min_scale)
         ending[given_up], failure[given_up] = _FAILED, status[given_up]
-        hit = ok & clamped.any(axis=-1)
-        if hit.any():
-            frozen = frozen | (clamped & hit[:, None])
-            frozen_now = frozen_now + hit
-            for b in np.flatnonzero(hit):
-                frozen_sets[b].append(tuple(np.flatnonzero(frozen[b]).tolist()))
-        log.append((ok, new_rho, dparam, frozen_now))
+        pins = clamped & ok[:, None]
+        if pins.any():          # a new mask: the log holds the earlier one
+            frozen = frozen | pins
+        log.append((ok, new_rho, dparam, frozen))
         rho = np.where(ok[:, None], new_rho, rho)
         r = np.where(ok[:, None], new_r, r)
         C = np.where(ok[:, None, None], new_C, C)
@@ -462,21 +461,18 @@ def trace_paths(geom, starts, requests, n_steps):
                                | (rho <= lo + 1e-12)).all(axis=-1)] = _AT_FACE
 
     # each path's rows, in step order; its first row is the start state
-    took, angles, increments, sets = (np.array(a) for a in zip(*log))
+    took, angles, increments, pinned = (np.array(a) for a in zip(*log))
     path_of = took.nonzero()[1]
-    angles, increments, sets = angles[took], increments[took], sets[took]
+    angles, increments, pinned = angles[took], increments[took], pinned[took]
     subs = sub_angle_from_main(geom.alpha, np.clip(angles[:, 0::2], 0.0, np.pi))
     paths = []
-    for b, start in enumerate(starts):
+    for b in range(n_path):
         if ending[b] == _FAILED:
             raise StepFailure(_FAILURES[failure[b]], completed=paths)
         mine = path_of == b
-        rho_s = subs[mine]
-        rho_s[0] = start.rho_s
         paths.append(FoldingPath(
-            rho_o=angles[mine], rho_s=rho_s,
+            rho_o=angles[mine], rho_s=subs[mine],
             params=np.cumsum(increments[mine]), param_name="delta_rho_c",
-            termination=_ENDINGS[ending[b]],
-            frozen_history=[frozen_sets[b][v] for v in sets[mine].tolist()]))
+            termination=_ENDINGS[ending[b]], frozen=pinned[mine]))
     return paths
 

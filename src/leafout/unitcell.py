@@ -47,7 +47,7 @@ def sub_angle_from_main(alpha, rho_m):
     if not 0.0 < alpha < np.pi / 2:
         raise ValueError(f"alpha must be in (0, pi/2), got {alpha}")
     rho_m = np.asarray(rho_m, dtype=float)
-    if np.any(rho_m < -1e-12) or np.any(rho_m > np.pi + 1e-12):
+    if not np.all((rho_m >= -1e-12) & (rho_m <= np.pi + 1e-12)):   # NaN fails
         raise ValueError("rho_M outside [0, pi]")
     half = np.clip(rho_m, 0.0, np.pi) / 2
     return 2 * np.arctan2(np.sin(half), np.cos(alpha) * np.cos(half))

@@ -24,13 +24,11 @@ def _report(num, text):
 
 
 @pytest.fixture(scope="module")
-def grasp_results():
-    springs = lf.SpringModel.uniform(GEOM, 1.0, np.radians(60.0),
-                                     np.radians(-120.0))
+def grasp_paths():
     programs = [lf.GraspProgram(units) for units in
                 ((1, 2), (1, 3), (1, 2, 3), (1, 2, 3, 4, 5))]
-    return {res.program.controlled_units: res
-            for res in lf.run_programs(GEOM, programs, springs=springs)}
+    return {prog.controlled_units: path
+            for prog, path in zip(programs, lf.run_programs(GEOM, programs))}
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +51,13 @@ def traced_uniform():
     return halves
 
 
-def test_criterion_01_closure_validity(grasp_results):
+def test_criterion_01_closure_validity(grasp_paths):
     t0 = time.time()
     states = []
     path = lf.uniform_path(GEOM, (np.radians(-88), np.radians(52)), 500)
     states += list(path.rho_o)
-    for res in grasp_results.values():
-        states += list(res.path.rho_o)
+    for grasp in grasp_paths.values():
+        states += list(grasp.rho_o)
     assert len(states) >= 1000
     worst = max(chain_closure_norm(GEOM.alpha, rho) for rho in states[:2000])
     elapsed = time.time() - t0
@@ -205,25 +203,28 @@ def test_criterion_08_drop_test_map():
                "360 mm on the trigger side")
 
 
-def test_criterion_09_multigrasp_distinctness(grasp_results):
-    t12 = grasp_results[(1, 2)].trace
-    t13 = grasp_results[(1, 3)].trace
-    d = max(abs(t12.x[-1] - t13.x[-1]), abs(t12.y[-1] - t13.y[-1]))
+def test_criterion_09_multigrasp_distinctness(grasp_paths):
+    x12, y12, _ = lf.config_space(grasp_paths[(1, 2)])
+    x13, y13, _ = lf.config_space(grasp_paths[(1, 3)])
+    d = max(abs(x12[-1] - x13[-1]), abs(y12[-1] - y13[-1]))
     assert d > np.radians(5.0)
-    tall = grasp_results[(1, 2, 3, 4, 5)].trace
-    pinned = max(float(np.max(np.abs(tall.x))), float(np.max(np.abs(tall.y))))
+    x, y, _ = lf.config_space(grasp_paths[(1, 2, 3, 4, 5)])
+    pinned = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
     assert pinned < 1e-8
     _report(9, f"pair programs differ by {np.degrees(d):.1f} deg; uniform "
                f"drive pinned to {pinned:.1e} rad")
 
 
-def test_criterion_10_energy_minima_along_programs(grasp_results):
+def test_criterion_10_energy_minima_along_programs(grasp_paths):
+    springs = lf.SpringModel.uniform(GEOM, 1.0, np.radians(60.0),
+                                     np.radians(-120.0))
     argmins = {}
     for units in ((1, 2, 3, 4, 5), (1, 2), (1, 3), (1, 2, 3)):
-        E = grasp_results[units].trace.energy
+        E = lf.path_energies(GEOM, springs, grasp_paths[units])
+        z = lf.config_space(grasp_paths[units])[2]
         k = int(np.argmin(E))
         assert 0 < k < len(E) - 1
-        argmins[units] = np.degrees(grasp_results[units].trace.z[k])
+        argmins[units] = np.degrees(z[k])
     _report(10, "interior energy minima at controlled angles "
                 + ", ".join(f"{k}: {v:.1f} deg" for k, v in argmins.items()))
 

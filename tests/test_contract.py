@@ -35,8 +35,8 @@ def grasped_angles_deg(n_cell, steps=20):
     """The fold angles, in degrees, of a closed non-uniform state: the end
     of a short grasp on units 1 and 3."""
     geom = lf.build_geometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
-    (res,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=steps)])
-    return np.degrees(res.path.rho_o[-1]).tolist()
+    (path,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=steps)])
+    return np.degrees(path.rho_o[-1]).tolist()
 
 
 UNSTORED = {

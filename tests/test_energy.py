@@ -50,14 +50,14 @@ def test_energy_linear_in_kappa(geom5, springs_bistable, uniform_minus30):
 
 
 def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
-    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=40)])
-    state = lf.FoldState(rho_o=res.path.rho_o[-1], rho_s=res.path.rho_s[-1])
+    (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=40)])
+    state = lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1])
     got = lf.path_energies(geom5, springs_grasp, state)
     want = direct_energy(springs_grasp.kappa, springs_grasp.rest_angle,
                          crease_angles_of_state(state))
     assert np.isclose(got, want, rtol=1e-12)
     # a state and the path row it came from give the same energy
-    assert lf.path_energies(geom5, springs_grasp, res.path)[-1] == got
+    assert lf.path_energies(geom5, springs_grasp, path)[-1] == got
 
 
 def test_path_energies_checks_spring_size(geom4, springs_grasp):

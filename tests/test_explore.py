@@ -18,16 +18,17 @@ def stored_programs():
     return [lf.GraspProgram(tuple(units)) for units in task["programs"]]
 
 
+PROGRAMS = {
+    "uniform": lf.GraspProgram((1, 2, 3, 4, 5)),
+    "p12": lf.GraspProgram((1, 2)),
+    "p13": lf.GraspProgram((1, 3)),
+    "p123": lf.GraspProgram((1, 2, 3)),
+}
+
+
 @pytest.fixture(scope="module")
-def traced(geom5, springs_grasp):
-    programs = {
-        "uniform": lf.GraspProgram((1, 2, 3, 4, 5)),
-        "p12": lf.GraspProgram((1, 2)),
-        "p13": lf.GraspProgram((1, 3)),
-        "p123": lf.GraspProgram((1, 2, 3)),
-    }
-    return dict(zip(programs, lf.run_programs(geom5, list(programs.values()),
-                                              springs=springs_grasp)))
+def traced(geom5):
+    return dict(zip(PROGRAMS, lf.run_programs(geom5, list(PROGRAMS.values()))))
 
 
 def test_start_state_matches_rounded_nominal_pair(geom5):
@@ -48,26 +49,26 @@ def test_near_flat_start_is_exact_uniform_state(n_cell):
 
 
 def test_uniform_program_stays_on_axis(traced):
-    tr = traced["uniform"].trace
-    assert np.max(np.abs(tr.x)) < 1e-8
-    assert np.max(np.abs(tr.y)) < 1e-8
+    x, y, _ = lf.config_space(traced["uniform"])
+    assert np.max(np.abs(x)) < 1e-8
+    assert np.max(np.abs(y)) < 1e-8
 
 
 def test_pinch_program_shape(traced):
     # two controlled neighbours close together like a pinch: equal
     # controlled angles, mirror symmetry about their bisector
-    path = traced["p12"].path
+    path = traced["p12"]
     rho = path.rho_o
     assert np.max(np.abs(rho[:, 0] - rho[:, 2])) < 1e-12  # rhoM1 == rhoM2, controlled
     assert np.max(np.abs(rho[:, 4] - rho[:, 8])) < 1e-6   # rhoM3 == rhoM5, mirror pair
     mid = len(path) // 2
     assert rho[mid, 0] - rho[mid, 6] > np.radians(2.0)    # others lag
     # mirror symmetry pins the second trace coordinate
-    assert np.max(np.abs(traced["p12"].trace.y)) < 1e-8
+    assert np.max(np.abs(lf.config_space(path)[1])) < 1e-8
 
 
 def test_alligator_program_shape(traced):
-    path = traced["p123"].path
+    path = traced["p123"]
     rho = path.rho_o
     # symmetric about unit 2: units 1 and 3 move together, 4 and 5 together
     assert np.max(np.abs(rho[:, 0] - rho[:, 4])) < 1e-12
@@ -77,14 +78,14 @@ def test_alligator_program_shape(traced):
 
 
 def test_distinct_pair_programs(traced):
-    t12, t13 = traced["p12"].trace, traced["p13"].trace
-    d = max(abs(t12.x[-1] - t13.x[-1]), abs(t12.y[-1] - t13.y[-1]))
+    (x12, y12, _), (x13, y13, _) = (lf.config_space(traced[p]) for p in ("p12", "p13"))
+    d = max(abs(x12[-1] - x13[-1]), abs(y12[-1] - y13[-1]))
     assert d > np.radians(5.0)
 
 
-def test_interior_energy_minima(traced):
+def test_interior_energy_minima(traced, geom5, springs_grasp):
     for name in ("uniform", "p12", "p13", "p123"):
-        E = traced[name].trace.energy
+        E = lf.path_energies(geom5, springs_grasp, traced[name])
         k = int(np.argmin(E))
         assert 0 < k < len(E) - 1, f"{name} minimum not interior"
 
@@ -92,14 +93,13 @@ def test_interior_energy_minima(traced):
 def test_rest_at_start_minimizes_at_start(geom5):
     start = lf.near_flat_start(geom5)
     springs = lf.SpringModel.uniform(geom5, 1.0, start.rho_o[0], start.rho_o[1])
-    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=40)],
-                             springs=springs)
-    assert int(np.argmin(res.trace.energy)) == 0
+    (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=40)])
+    assert int(np.argmin(lf.path_energies(geom5, springs, path))) == 0
 
 
 def test_controlled_increments_exact(traced, geom5):
-    prog = traced["p12"].program
-    rho = traced["p12"].path.rho_o
+    prog = PROGRAMS["p12"]
+    rho = traced["p12"].rho_o
     steps = np.diff(rho[:, 0])
     # every successful step advances the controlled angle by delta_rho_c
     # (the final step may be clipped onto the box face)
@@ -109,9 +109,8 @@ def test_controlled_increments_exact(traced, geom5):
 
 def test_cumulative_controlled_parameter(traced):
     # z is the running controlled angle: delta_rho_c per full step
-    res = traced["p13"]
-    z = res.trace.z
-    d = res.program.delta_rho_c
+    z = lf.config_space(traced["p13"])[2]
+    d = PROGRAMS["p13"].delta_rho_c
     assert np.allclose(np.diff(z)[:-1], d, atol=1e-12)
     assert 0 < np.diff(z)[-1] <= d + 1e-12
 
@@ -119,8 +118,8 @@ def test_cumulative_controlled_parameter(traced):
 def test_all_states_closed_and_boxed(traced, geom5):
     from leafout.kinematics import angle_bounds
     lo, hi = angle_bounds(geom5)
-    for name, res in traced.items():
-        for rho in res.path.rho_o[:: max(1, len(res.path) // 25)]:
+    for path in traced.values():
+        for rho in path.rho_o[:: max(1, len(path) // 25)]:
             assert chain_closure_norm(geom5.alpha, rho) < 1e-10
             assert np.all(rho >= lo - 1e-9)
             assert np.all(rho <= hi + 1e-9)
@@ -130,7 +129,7 @@ def test_reflection_symmetry_between_mirror_programs(geom5):
     # the reflection fixing unit 1 maps the {1,2} drive onto {1,5}
     r12, r15 = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=60),
                                        lf.GraspProgram((1, 5), max_steps=60)])
-    a12, a15 = r12.path.rho_o, r15.path.rho_o
+    a12, a15 = r12.rho_o, r15.rho_o
     assert a12.shape == a15.shape
     # units permute 1->1, 2->5, 3->4, 4->3, 5->2
     perm_m = [0, 8, 6, 4, 2]
@@ -139,35 +138,35 @@ def test_reflection_symmetry_between_mirror_programs(geom5):
     assert np.max(np.abs(a15[:, 0::2] - a12[:, perm_m])) < 1e-7
     assert np.max(np.abs(a15[:, 1::2] - a12[:, perm_b])) < 1e-7
     # configuration-space images swap and negate the two coordinates
-    assert np.max(np.abs(r15.trace.x + r12.trace.y)) < 1e-7
-    assert np.max(np.abs(r15.trace.y + r12.trace.x)) < 1e-7
+    (x12, y12, _), (x15, y15, _) = lf.config_space(r12), lf.config_space(r15)
+    assert np.max(np.abs(x15 + y12)) < 1e-7
+    assert np.max(np.abs(y15 + x12)) < 1e-7
 
 
 def test_default_program_set_distinct(geom5):
     programs = stored_programs()
     assert len(programs) == 6
-    results = lf.run_programs(geom5, programs)
-    traces = [res.trace for res in results]
-    for i in range(len(traces)):
-        for j in range(i + 1, len(traces)):
-            n = min(len(traces[i].x), len(traces[j].x))
-            d = max(np.max(np.abs(traces[i].x[:n] - traces[j].x[:n])),
-                    np.max(np.abs(traces[i].y[:n] - traces[j].y[:n])))
+    coords = [lf.config_space(path) for path in lf.run_programs(geom5, programs)]
+    for i, (xi, yi, _) in enumerate(coords):
+        for xj, yj, _ in coords[i + 1:]:
+            n = min(len(xi), len(xj))
+            d = max(np.max(np.abs(xi[:n] - xj[:n])), np.max(np.abs(yi[:n] - yj[:n])))
             assert d > np.radians(5.0)
 
 
 def test_batch_matches_single_programs(geom5, springs_grasp):
     # lockstep stepping leaves every program's trace bit for bit as alone
     programs = stored_programs()
-    batch = lf.run_programs(geom5, programs, springs=springs_grasp)
+    batch = lf.run_programs(geom5, programs)
     for program, together in zip(programs, batch):
-        (alone,) = lf.run_programs(geom5, [program], springs=springs_grasp)
-        assert np.array_equal(alone.path.rho_o, together.path.rho_o)
-        assert np.array_equal(alone.path.rho_s, together.path.rho_s)
-        assert np.array_equal(alone.path.params, together.path.params)
-        assert np.array_equal(alone.trace.energy, together.trace.energy)
-        assert alone.path.termination == together.path.termination
-        assert alone.path.frozen_history == together.path.frozen_history
+        (alone,) = lf.run_programs(geom5, [program])
+        assert np.array_equal(alone.rho_o, together.rho_o)
+        assert np.array_equal(alone.rho_s, together.rho_s)
+        assert np.array_equal(alone.params, together.params)
+        assert np.array_equal(lf.path_energies(geom5, springs_grasp, alone),
+                              lf.path_energies(geom5, springs_grasp, together))
+        assert alone.termination == together.termination
+        assert np.array_equal(alone.frozen, together.frozen)
 
 
 def test_program_validation(geom5):
@@ -194,7 +193,6 @@ def test_program_rejects_bad_max_steps(bad):
 
 
 def test_termination_reasons_recorded(traced):
-    for res in traced.values():
-        assert res.path.termination in ("controlled-at-boundary", "max-steps",
-                                        "locked")
-        assert len(res.path.frozen_history) == len(res.path)
+    for path in traced.values():
+        assert path.termination in ("controlled-at-boundary", "max-steps", "locked")
+        assert path.frozen.shape == path.rho_o.shape

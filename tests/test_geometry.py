@@ -123,10 +123,10 @@ def test_panel_planarity_and_isometry(psi_deg):
 
 def test_nonuniform_state_mesh_invariants(geom5):
     # rigid-panel invariants hold on asymmetric multi-grasp states too
-    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=120)])
+    (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=120)])
     flat = flat_mesh_vertices(geom5)
     tol = 1e-8 * geom5.L1
-    for rho in res.path.rho_o[:: len(res.path) // 4]:
+    for rho in path.rho_o[:: len(path) // 4]:
         mesh = lf.reconstruct_mesh(geom5, rho)
         assert face_planarity(mesh) < tol
         assert edge_length_error(mesh, flat) < tol
@@ -151,8 +151,8 @@ def test_mesh_dihedrals_round_trip_fold_angles():
     # fold angles measured back from panel normals reproduce the state
     for n_cell in CELL_COUNTS:
         geom = lf.build_geometry(n_cell, 70.0, 30.0)
-        (res,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=100)])
-        state = lf.FoldState(rho_o=res.path.rho_o[-1], rho_s=res.path.rho_s[-1])
+        (path,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=100)])
+        state = lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1])
         mesh = lf.reconstruct_mesh(geom, state)
         for k in range(n_cell):
             NR, NL, OR, OL = mesh.faces[4 * k: 4 * k + 4]
@@ -183,13 +183,20 @@ def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
     st = lf.uniform_state(geom5, np.radians(-25))
     # perturb into a non-uniform closed state first
     prog = lf.GraspProgram((1, 2), max_steps=10)
-    (res,) = lf.run_programs(geom5, [prog])
-    rho = res.path.rho_o[-1]
+    (path,) = lf.run_programs(geom5, [prog])
+    rho = path.rho_o[-1]
     rolled = lf.FoldState.from_angles(geom5, np.roll(rho, 2))
     e1 = lf.path_energies(geom5, springs_bistable,
                             lf.FoldState.from_angles(geom5, rho))
     e2 = lf.path_energies(geom5, springs_bistable, rolled)
     assert np.isclose(e1, e2, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("tilt", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_tilt(geom5, uniform_minus30, tilt):
+    # a NaN tilt would pose every panel at NaN coordinates
+    with pytest.raises(ValueError, match="tilt"):
+        lf.reconstruct_mesh(geom5, uniform_minus30, tilt=tilt)
 
 
 def test_mesh_rejects_open_state(geom5):

@@ -121,12 +121,11 @@ def test_path_csv_matches_reference(geom5, springs_bistable, tmp_path,
 
 
 def test_traced_path_csv_matches_reference(geom5, springs_grasp, tmp_path):
-    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=12)],
-                             springs=springs_grasp)
+    (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=12)])
+    energies = lf.path_energies(geom5, springs_grasp, path)
     f = tmp_path / "t.csv"
-    lio.write_path_csv(geom5, res.path, f, res.trace.energy)
-    assert f.read_bytes() == _path_reference(geom5, res.path,
-                                             res.trace.energy).encode()
+    lio.write_path_csv(geom5, path, f, energies)
+    assert f.read_bytes() == _path_reference(geom5, path, energies).encode()
 
 
 def test_landscape_csv_matches_reference(geom5, springs_bistable, tmp_path):
@@ -357,15 +356,14 @@ def test_table_rule_on_traced_path(geom5, springs_grasp, tmp_path, monkeypatch):
     # pinned creases repeat some angle columns, not all, and change by block;
     # blocks of 64 rows split this path in three
     monkeypatch.setattr(lio, "TABLE_CELLS", 64)
-    (res,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=140)],
-                             springs=springs_grasp)
-    path = res.path
+    (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=140)])
+    energies = lf.path_energies(geom5, springs_grasp, path)
     distinct = {c.tobytes() for c in np.hstack([path.rho_o, path.rho_s]).T}
     assert 1 < len(distinct) < 3 * geom5.n_cell and len(path) > 2 * lio.TABLE_CELLS
     f = tmp_path / "t.csv"
-    lio.write_path_csv(geom5, path, f, res.trace.energy)
-    assert f.read_bytes() == _path_reference(geom5, path, res.trace.energy).encode()
-    d = lio.path_to_json_dict(geom5, path, res.trace.energy)
+    lio.write_path_csv(geom5, path, f, energies)
+    assert f.read_bytes() == _path_reference(geom5, path, energies).encode()
+    d = lio.path_to_json_dict(geom5, path, energies)
     lio.write_json(d, tmp_path / "t.json")
     assert (tmp_path / "t.json").read_text() == _json_dump_text(d)
 

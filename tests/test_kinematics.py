@@ -396,7 +396,7 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     together = trace_paths(geom, starts, reqs, 30)
     assert failed_tries
     assert any(svd_alone)
-    assert together[0].frozen_history[0] == () != together[0].frozen_history[-1]
+    assert not together[0].frozen[0].any() and together[0].frozen[-1].any()
     assert together[3].termination == "locked"
     assert len(together[4]) == 31
     for begin, req, path in zip(starts, reqs, together):
@@ -405,7 +405,7 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
         assert np.array_equal(alone.rho_s, path.rho_s)
         assert np.array_equal(alone.params, path.params)
         assert alone.termination == path.termination
-        assert alone.frozen_history == path.frozen_history
+        assert np.array_equal(alone.frozen, path.frozen)
 
 
 def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
@@ -447,22 +447,67 @@ def test_trace_terminates_at_controlled_box(geom5):
     assert np.isclose(path.rho_o[-1, 0], np.pi, atol=1e-9)
 
 
-def test_trace_boundary_stop_vs_freeze(geom5):
+def test_trace_boundary_stop_vs_freeze(geom5, monkeypatch):
     # an uncontrolled angle reaching its box face does not stop the path:
     # it is pinned there and the drive continues to the controlled face
+    clamped_rows = []       # per accepted step: did it clamp an angle
+
+    def recording_project(*args):
+        out = project(*args)
+        clamped, status = out[-2:]
+        if status[0] == kinematics._OK:
+            clamped_rows.append(clamped[0].any())
+        return out
+
+    project = kinematics._project
+    monkeypatch.setattr(kinematics, "_project", recording_project)
     start = lf.near_flat_start(geom5)
-    req = _request((0, 2), np.radians(0.5))
-    frozen = trace(geom5, start, req, 400)
-    first_pin = next(k for k, f in enumerate(frozen.frozen_history) if f)
-    assert 0 < first_pin < len(frozen) - 1
-    assert frozen.termination == "controlled-at-boundary"
-    # the pinned angles sit exactly on their box face afterwards
-    last_frozen = frozen.frozen_history[-1]
-    assert last_frozen
+    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 400)
+    changed = np.flatnonzero((path.frozen[1:] != path.frozen[:-1]).any(axis=-1))
+    # row k + 1 is the state of accepted step k
+    first_pin = changed[0] + 1
+    assert first_pin == clamped_rows.index(True) + 1
+    assert 0 < first_pin < len(path) - 1
+    assert path.termination == "controlled-at-boundary"
+    assert path.frozen[-1].any()
+
+
+@pytest.fixture(scope="module")
+def pinning_paths(geom5):
+    """Grasp-like paths of three drives that pin angles on the way."""
+    start = lf.near_flat_start(geom5)
+    reqs = [_request(ctrl, np.radians(0.5)) for ctrl in ((0, 2), (0, 4), (0, 2, 4))]
+    paths = trace_paths(geom5, [start] * 3, reqs, 400)
+    assert all(p.frozen[-1].any() for p in paths)
+    return paths
+
+
+def test_frozen_mask_never_unpins(pinning_paths):
+    for path in pinning_paths:
+        assert path.frozen.shape == path.rho_o.shape
+        assert not path.frozen[0].any()
+        assert not (path.frozen[:-1] & ~path.frozen[1:]).any()
+
+
+def test_pinned_angles_sit_on_their_face_bitwise(pinning_paths, geom5):
     lo, hi = angle_bounds(geom5)
-    for idx in last_frozen:
-        v = frozen.rho_o[-1, idx]
-        assert np.isclose(v, lo[idx]) or np.isclose(v, hi[idx])
+    for path in pinning_paths:
+        on_face = (path.rho_o == lo) | (path.rho_o == hi)
+        assert on_face[path.frozen].all()
+
+
+def test_first_row_sub_angles_follow_its_main_angles(geom5, springs_grasp):
+    # row 0 takes its sub angles from its main angles like every other row,
+    # not from the start state's rho_s: a start whose rho_s is left at zero
+    # traces like the exact one
+    start = lf.near_flat_start(geom5)
+    bare = lf.FoldState(rho_o=start.rho_o, rho_s=np.zeros(geom5.n_cell))
+    req = _request((0, 2), np.radians(0.5))
+    path = trace(geom5, bare, req, 3)
+    assert np.array_equal(path.rho_s, trace(geom5, start, req, 3).rho_s)
+    assert np.array_equal(path.rho_s[0], start.rho_s)
+    assert np.isclose(lf.path_energies(geom5, springs_grasp, path)[0],
+                      lf.path_energies(geom5, springs_grasp, start), rtol=1e-12)
 
 
 def test_emitted_states_closed_and_boxed(geom5):

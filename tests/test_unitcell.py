@@ -108,6 +108,14 @@ def test_alpha_validation():
         sub_angle_from_main(ALPHA, -0.2)
 
 
+@pytest.mark.parametrize("fn", [sub_angle_from_main, psi_from_main])
+@pytest.mark.parametrize("rho_m", [np.nan, [0.5, np.nan], np.inf])
+def test_non_finite_main_angle_rejected(fn, rho_m):
+    # NaN is outside [0, pi] too; it must not come back as a NaN angle
+    with pytest.raises(ValueError, match="rho_M outside"):
+        fn(ALPHA, rho_m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=np.radians(10), max_value=np.radians(80)),
        st.floats(min_value=1e-3, max_value=np.pi - 1e-3))
