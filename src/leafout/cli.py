@@ -4,8 +4,8 @@ The command names the task, or `validate`; `--config` supplies a nested JSON
 file, individual keys can be overridden with `--set a.b.c=value`, and
 `--out` overrides the output directory.  Angles in configs are degrees;
 everything internal is radians.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure (partial outputs are flagged in the
-manifest).
+command line or configuration, 3 numerical failure (partial outputs are
+flagged in the manifest).
 
 ``SCHEMA`` gives every config key its type, default, SI conversion and
 the bounds the CLI owns; ``_read`` checks one block against it.  Each
@@ -14,7 +14,6 @@ config and returns the task's inputs (all that `validate` runs), and a
 run step that computes and writes the outputs from those inputs and
 reports how each path ended.
 """
-import argparse
 import json
 import os
 import sys
@@ -415,8 +414,8 @@ TASKS = {
 }
 
 
-def _outdir(cfg, args):
-    out = args.out or cfg.get("output", {}).get("dir") \
+def _outdir(cfg, out_dir):
+    out = out_dir or cfg.get("output", {}).get("dir") \
         or os.environ.get("LEAFOUT_OUTDIR") or "."
     try:
         os.makedirs(out, exist_ok=True)
@@ -427,12 +426,12 @@ def _outdir(cfg, args):
     return out
 
 
-def run_task(cfg, args):
+def run_task(cfg, command, out_dir):
     spec, inputs = validate_config(cfg)
-    if cfg["task"]["name"] != args.command:
+    if cfg["task"]["name"] != command:
         raise ConfigError(f"config task {cfg['task']['name']!r} does not match "
-                          f"subcommand {args.command!r}")
-    outdir = _outdir(cfg, args)
+                          f"subcommand {command!r}")
+    outdir = _outdir(cfg, out_dir)
     outputs, terminations = [], {}
 
     def out(name):
@@ -460,28 +459,80 @@ def _error_report(kind, message):
                       sort_keys=True)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="leafout",
-        description="Leaf-out origami grasping simulations (batch).")
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("command", choices=(*TASKS, "validate"),
-                        help="task to run, or validate to check the config")
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--set", action="append", dest="overrides", default=[],
-                        metavar="KEY.PATH=VALUE", help="override a config key")
-    args = parser.parse_args(argv)
+COMMANDS = (*TASKS, "validate")
+USAGE = ("usage: leafout [-h] [--version] COMMAND --config FILE [--out DIR] "
+         "[--set KEY.PATH=VALUE ...]")
+HELP = f"""{USAGE}
 
+Leaf-out origami grasping simulations (batch).
+
+COMMAND is a task ({', '.join(TASKS)}) or validate.
+  --config FILE          JSON config file (required)
+  --out DIR              output directory
+  --set KEY.PATH=VALUE   override a config key (repeatable)
+  --version              print the version and exit"""
+
+
+def _usage_error(message):
+    print(USAGE, file=sys.stderr)
+    print(f"leafout: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _parse_args(argv):
+    """The command line ``[opts] COMMAND [opts]``: COMMAND is a task or
+    validate; the options --config FILE, --out DIR and repeated --set
+    KEY.PATH=VALUE are given as ``--opt value`` or ``--opt=value``, and the
+    last --config and --out win.  A value that begins with "-" needs the
+    ``=`` form.  --version and -h/--help print and exit 0; anything else
+    is a usage error (exit 2).  Options are never abbreviated.  Returns
+    the command, the config file, the output directory (None unless
+    given) and the --set pairs in order."""
+    command, values, overrides = None, {"--config": None, "--out": None}, []
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(HELP)
+            raise SystemExit(EXIT_OK)
+        if arg == "--version":
+            print(__version__)
+            raise SystemExit(EXIT_OK)
+        name, eq, value = arg.partition("=")
+        if name in ("--config", "--out", "--set"):
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-"):
+                    _usage_error(f"{name} expects a value")
+            if name == "--set":
+                overrides.append(value)
+            else:
+                values[name] = value
+        elif arg.startswith("-"):
+            _usage_error(f"unknown option {arg!r}")
+        elif command is not None:
+            _usage_error(f"unexpected argument {arg!r} after the command {command!r}")
+        elif arg not in COMMANDS:
+            _usage_error(f"unknown command {arg!r}; choose from {', '.join(COMMANDS)}")
+        else:
+            command = arg
+    missing = [what for what, v in (("COMMAND", command),
+                                    ("--config", values["--config"])) if v is None]
+    if missing:
+        _usage_error(f"missing {' and '.join(missing)}")
+    return command, values["--config"], values["--out"], overrides
+
+
+def main(argv=None):
+    command, config, out_dir, overrides = _parse_args(
+        sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.overrides)
-        if args.command == "validate":
+        cfg = apply_overrides(load_config(config), overrides)
+        if command == "validate":
             validate_config(cfg)
             print(json.dumps({"valid": True, "config_sha256":
                               lio.config_hash(cfg)}, sort_keys=True))
             return EXIT_OK
-        return run_task(cfg, args)
+        return run_task(cfg, command, out_dir)
     except ConfigError as exc:
         print(_error_report("config", str(exc)), file=sys.stderr)
         return EXIT_CONFIG

@@ -62,8 +62,12 @@ def near_flat_start(geom):
 
 def config_space(path):
     """Configuration-space coordinates (x, y, z) of a grasp path's states:
-    rho_M2 - rho_M4, rho_M3 - rho_M5 and the cumulative controlled angle."""
+    rho_M2 - rho_M4, rho_M3 - rho_M5 and the cumulative controlled angle.
+    They need units 2 to 5, so a path of fewer than 5 cells is refused."""
     rho = path.rho_o
+    if rho.shape[1] < 10:
+        raise ValueError(f"config_space needs n_cell >= 5, got n_cell "
+                         f"{rho.shape[1] // 2}")
     return rho[:, 2] - rho[:, 6], rho[:, 4] - rho[:, 8], path.params
 
 
@@ -77,12 +81,11 @@ def run_programs(geom, programs):
     raised StepFailure's ``completed`` holds the paths of the programs
     listed before it.
     """
-    if geom.n_cell < 5:
-        raise ValueError("configuration-space coordinates need n_cell >= 5")
     for program in programs:
         if (max(program.controlled_units) > geom.n_cell
                 or min(program.controlled_units) < 1):
-            raise ValueError("controlled unit index outside 1..n_cell")
+            raise ValueError(f"controlled_units {program.controlled_units} has an "
+                             f"index outside 1..n_cell = 1..{geom.n_cell}")
     starts = [near_flat_start(geom)] * len(programs)
     try:
         return trace_paths(geom, starts, [_request(geom, p) for p in programs],

@@ -55,11 +55,33 @@ def test_version_and_usage_errors(tmp_path, capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == lio.__version__
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: leafout")
     cfg = write_cfg(tmp_path, {"name": "uniform-path"})
-    for argv in (["bogus", "--config", str(cfg)], ["validate"]):
+    never = tmp_path / "never"
+    out = ["--out", str(never)]
+    for argv in (["bogus", "--config", str(cfg)], ["validate"], [],
+                 ["--config", str(cfg), *out],                     # no command
+                 ["uniform-path", *out],                           # no --config
+                 ["uniform-path", "uniform-path", "--config", str(cfg), *out],
+                 ["uniform-path", "validate", "--config", str(cfg), *out],
+                 ["uniform-path", "--config", str(cfg), "--bogus", *out],
+                 ["uniform-path", "--conf", str(cfg), *out],       # no abbreviations
+                 ["uniform-path", "--config", str(cfg), "-x", *out],
+                 ["uniform-path", *out, "--config"],               # no value
+                 ["uniform-path", "--config", "--set", "task.n_samples=5", *out],
+                 ["uniform-path", "--config", str(cfg), *out, "--set"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: leafout"), argv
+        assert err[1].startswith("leafout: error: "), argv
+        assert "Traceback" not in "".join(err)
+        assert not never.exists(), argv
 
 
 def test_options_before_command(tmp_path, capsys):
@@ -70,6 +92,15 @@ def test_options_before_command(tmp_path, capsys):
     assert main(["--out", str(out), "--set", "task.n_samples=5",
                  "--config", str(cfg), "uniform-path"]) == 0
     assert len((out / "uniform_path.csv").read_text().splitlines()) == 1 + 5
+    # the --opt=value forms; the last --config and --out win, --sets apply
+    # in order, so the last of two on one key holds
+    other = write_cfg(tmp_path, {"name": "energy-landscape"}, name="other.json")
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main([f"--config={other}", f"--out={first}", "uniform-path",
+                 "--set=task.n_samples=7", f"--config={cfg}", "--out", str(last),
+                 "--set", "task.n_samples=6"]) == 0
+    assert not first.exists()
+    assert len((last / "uniform_path.csv").read_text().splitlines()) == 1 + 6
 
 
 def test_task_subcommand_mismatch(tmp_path):

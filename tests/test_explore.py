@@ -180,8 +180,31 @@ def test_program_validation(geom5):
             lf.GraspProgram((1,), delta_rho_c=bad)
     for good in (1e-8, np.pi):
         assert lf.GraspProgram((1,), delta_rho_c=good).delta_rho_c == good
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="controlled_units"):
         lf.run_programs(geom5, [lf.GraspProgram((6,))])
+
+
+@pytest.fixture(scope="module")
+def geom3():
+    return lf.build_geometry(3, 70.0, 30.0)
+
+
+@pytest.fixture(scope="module")
+def three_cell_path(geom3):
+    (path,) = lf.run_programs(geom3, [lf.GraspProgram((1, 2), max_steps=20)])
+    return path
+
+
+def test_three_cell_program_traces(geom3, three_cell_path):
+    # stepping needs no fifth unit; only the configuration-space coordinates do
+    assert three_cell_path.rho_o.shape == (21, 6)
+    assert chain_closure_norm(geom3.alpha, three_cell_path.rho_o[-1]) < 1e-10
+
+
+def test_config_space_refuses_fewer_than_five_cells(three_cell_path):
+    # it used to index past the last column (IndexError)
+    with pytest.raises(ValueError, match="n_cell >= 5, got n_cell 3"):
+        lf.config_space(three_cell_path)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "400"])
