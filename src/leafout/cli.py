@@ -27,7 +27,7 @@ from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
 from .explore import DEFAULT_MAX_STEPS, GraspProgram, config_space, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
-from .kinematics import FoldState, StepFailure
+from .kinematics import StepFailure
 from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
                       landscape_psis, psi_samples, uniform_path, uniform_state)
 from . import io as lio
@@ -250,7 +250,7 @@ def _uniform_path_inputs(task, geom, springs):
 def _uniform_path_outputs(inputs, out, terminations):
     geom, springs, psi_range, n = inputs
     path = uniform_path(geom, psi_range, n)
-    energies = None if springs is None else path_energies(geom, springs, path)
+    energies = None if springs is None else path_energies(geom, springs, path.rho_o)
     lio.write_path_csv(geom, path, out("uniform_path.csv"), energies)
     terminations["uniform-path"] = path.termination
     lio.write_json(lio.path_to_json_dict(geom, path, energies),
@@ -360,7 +360,7 @@ def _grasp_outputs(inputs, out, terminations):
         paths, failure = exc.completed, exc
     bundle = {"geometry": geom.to_dict(), "programs": []}
     for prog, path in zip(programs, paths):
-        energies = path_energies(geom, springs, path)
+        energies = path_energies(geom, springs, path.rho_o)
         lio.write_path_csv(geom, path, out(f"trace_{prog.label()}.csv"), energies)
         terminations[prog.label()] = path.termination
         bundle["programs"].append(lio.path_to_json_dict(
@@ -378,10 +378,9 @@ def _mesh_inputs(task, geom, springs):
     """OBJ text of the mesh of an export-mesh task's fold state, posed by
     its tilt (the uniform state's own psi unless tilt_deg is given)."""
     s = _read(task["state"], SCHEMA["task.state"], "task.state", "type")
-    state = (uniform_state(geom, s["psi_deg"]) if "psi_deg" in s else
-             FoldState.from_angles(geom, s["rho_o_deg"]) if "rho_o_deg" in s
-             else FoldState.flat(geom))
-    mesh = reconstruct_mesh(geom, state, tilt=s.get("tilt_deg", s.get("psi_deg", 0.0)))
+    rho_o = (uniform_state(geom, s["psi_deg"]) if "psi_deg" in s else
+             s["rho_o_deg"] if "rho_o_deg" in s else np.zeros(geom.n_vertex_creases))
+    mesh = reconstruct_mesh(geom, rho_o, tilt=s.get("tilt_deg", s.get("psi_deg", 0.0)))
     if not np.isfinite(mesh.vertices).all():
         raise ConfigError("mesh vertices are not finite")
     return geom, mesh_to_obj(mesh)

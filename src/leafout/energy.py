@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .kinematics import angle_bounds, sub_angles
 from .unitcell import sub_angle_from_main
 from .uniform import landscape_psis, uniform_motion
 
@@ -70,15 +71,23 @@ class SpringModel:
         return cls(kappa=kap, rest_angle=rest)
 
 
-def path_energies(geom, springs, path):
-    """Total torsion-spring energy of a FoldState, or of every state of a
-    FoldingPath (vectorized)."""
+def path_energies(geom, springs, rho_o):
+    """Total torsion-spring energy of each fold-angle row (..., N), one
+    state or a path's ``rho_o``, its sub angles from ``sub_angles``.  Every
+    angle must lie in its box (to 1e-9); closure is not checked."""
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    rho_m, rho_s, rho_b = path.rho_o[..., 0::2], path.rho_s, path.rho_o[..., 1::2]
+    rho_o = np.asarray(rho_o, dtype=float)
+    if rho_o.shape[-1:] != (geom.n_vertex_creases,):
+        raise ValueError(f"rho_o has shape {rho_o.shape}, need (..., "
+                         f"{geom.n_vertex_creases}): one angle per crease")
+    lo, hi = angle_bounds(geom)
+    if not np.all((rho_o >= lo - 1e-9) & (rho_o <= hi + 1e-9)):     # NaN fails
+        raise ValueError("rho_o has angles outside the mountain/valley boxes")
+    rho_m, rho_s, rho_b = rho_o[..., 0::2], sub_angles(geom, rho_o), rho_o[..., 1::2]
     # per-crease angles in canonical order
     angles = np.stack([rho_m, rho_s, rho_s, rho_b], axis=-1).reshape(
-        *rho_m.shape[:-1], -1)
+        *rho_o.shape[:-1], 4 * geom.n_cell)
     return 0.5 * np.sum(springs.kappa * (angles - springs.rest_angle) ** 2,
                         axis=-1)
 

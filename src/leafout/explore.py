@@ -11,7 +11,8 @@ angle (``config_space``).  A set of programs is stepped together
 Paths start from a slightly folded uniform state rather than the exact
 flat state, which is a branch point where the mountain/valley assignment
 is ambiguous.  The start is the closed-phase uniform state with
-rho_M = 7.1 deg, exact through ``psi_from_main``.  When an uncontrolled
+rho_M = 7.1 deg, exact through ``psi_from_main``: one row of fold angles,
+repeated as the start row of every program.  When an uncontrolled
 angle reaches its mountain/valley limit it is pinned there and the drive
 continues, which keeps the crease assignments and matches how the energy
 minima along grasping paths are reached well past the first boundary
@@ -54,9 +55,9 @@ class GraspProgram:
 
 
 def near_flat_start(geom):
-    """The closed-phase uniform state with main angles NEAR_FLAT_MAIN; its
-    boundary angles, rho_B = -2 psi (about -3.6 deg at n_cell 5), follow
-    exactly."""
+    """The row of the closed-phase uniform state with main angles
+    NEAR_FLAT_MAIN; its boundary angles, rho_B = -2 psi (about -3.6 deg
+    at n_cell 5), follow exactly."""
     return uniform_state(geom, psi_from_main(geom.alpha, NEAR_FLAT_MAIN))
 
 
@@ -86,7 +87,7 @@ def run_programs(geom, programs):
                 or min(program.controlled_units) < 1):
             raise ValueError(f"controlled_units {program.controlled_units} has an "
                              f"index outside 1..n_cell = 1..{geom.n_cell}")
-    starts = [near_flat_start(geom)] * len(programs)
+    starts = np.tile(near_flat_start(geom), (len(programs), 1))
     try:
         return trace_paths(geom, starts, [_request(geom, p) for p in programs],
                            [p.max_steps for p in programs])

@@ -19,8 +19,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .kinematics import _chain_matrices, check_states
-from .unitcell import boundary_direction, sub_angle_from_main
+from .kinematics import _chain_matrices, check_states, sub_angles
+from .unitcell import boundary_direction
 
 
 class CreaseKind(Enum):
@@ -144,18 +144,19 @@ def _unit_frames(geom, rho_o, tilt):
     return pose @ P @ _rot_x(rho_m / 2) @ _UNIT_AXES
 
 
-def reconstruct_mesh(geom, state, tilt=0.0):
+def reconstruct_mesh(geom, rho_o, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
-    ``state`` is a FoldState (or anything with .rho_o).  It is accepted
+    ``rho_o`` is the state's (N,) row of fold angles.  It is accepted
     exactly when ``check_states`` accepts it, and ``tilt`` when it is
     finite.  The outer panels reach L1 along the midline; their extent
     affects neither kinematics nor energy.
     """
-    rho_o = np.asarray(getattr(state, "rho_o", state), dtype=float)
-    if rho_o.shape != (2 * geom.n_cell,):
-        raise ValueError("state angle vector has wrong length")
-    check_states(geom, rho_o[None])
+    rho_o = np.asarray(rho_o, dtype=float)
+    if rho_o.shape != (geom.n_vertex_creases,):
+        raise ValueError(f"rho_o has shape {rho_o.shape}, need "
+                         f"({geom.n_vertex_creases},): one angle per crease")
+    check_states(geom, rho_o[None], "rho_o row")
     if not np.isfinite(tilt):
         raise ValueError(f"tilt must be finite, got {tilt!r}")
     n = geom.n_cell
@@ -164,7 +165,7 @@ def reconstruct_mesh(geom, state, tilt=0.0):
     # panel corners in each unit's frame: the outer panels hinge about the
     # sub crease bl by -rho_s, which carries the midline e2 to t (Rodrigues)
     rho_m = rho_o[0::2]
-    rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_m, 0.0, np.pi))[:, None]
+    rho_s = sub_angles(geom, rho_o)[:, None]
     bl = boundary_direction(geom.alpha, rho_m)
     br = bl * np.array([-1.0, 1.0, 1.0])
     e2 = np.array([0.0, 1.0, 0.0])

@@ -2,8 +2,11 @@
 
 The N = 2 n_cell creases at the central vertex alternate between main and
 boundary creases with a uniform flat sector angle alpha between
-neighbours.  A fold state is valid when the chained crease rotations
-compose to the identity.
+neighbours.  A fold state is one row of their angles, (N,) ordered
+[rho_M1, rho_B1, ..., rho_Mn, rho_Bn], and a stack of states an (..., N)
+array; the sub-crease angles follow from the main ones (``sub_angles``).
+A state is valid when the chained crease rotations compose to the
+identity and every angle lies in its mountain/valley box.
 
 Stepping traces a stack of paths in lockstep, each repeating one constant
 StepRequest: the increments, masks and box bounds are arrays built once
@@ -64,40 +67,6 @@ def angle_bounds(geom):
     lo = np.tile([0.0, -np.pi], geom.n_cell)
     hi = np.tile([np.pi, 0.0], geom.n_cell)
     return lo, hi
-
-
-@dataclass
-class FoldState:
-    """Fold angles at the central vertex plus derived sub-crease angles.
-
-    ``rho_o`` is ordered [rho_M1, rho_B1, ..., rho_Mn, rho_Bn].  States
-    are built by the solver or the exact parametrizations; the factory
-    checks closure and the mountain/valley angle boxes.
-    """
-    rho_o: np.ndarray
-    rho_s: np.ndarray
-
-    @classmethod
-    def from_angles(cls, geom, rho_o):
-        rho_o = np.asarray(rho_o, dtype=float).copy()
-        if rho_o.shape != (geom.n_vertex_creases,):
-            raise ValueError("angle vector has wrong length")
-        check_states(geom, rho_o[None])
-        rho_s = sub_angle_from_main(geom.alpha, np.clip(rho_o[0::2], 0.0, np.pi))
-        return cls(rho_o=rho_o, rho_s=np.asarray(rho_s, dtype=float))
-
-    @classmethod
-    def flat(cls, geom):
-        n = geom.n_cell
-        return cls(rho_o=np.zeros(2 * n), rho_s=np.zeros(n))
-
-    @property
-    def rho_m(self):
-        return self.rho_o[0::2]
-
-    @property
-    def rho_b(self):
-        return self.rho_o[1::2]
 
 
 @dataclass
@@ -329,19 +298,29 @@ def _require_closed(r, what):
                              f"{res[bad[0]]:.3e} > {NEWTON_TOL:.1e}")
 
 
-def check_states(geom, rho_o):
+def check_states(geom, rho_o, what="state"):
     """Check a stack of fold states (M, N) against the mountain/valley
     boxes (to 1e-9) and the closure tolerance NEWTON_TOL, all rows in one
-    closure pass.
+    closure pass, and return that pass's residuals and Jacobians.
 
-    The error names the first failing row; NaN angles fail both checks.
+    The error names the first failing row, as ``what`` and its index; NaN
+    angles fail both checks.
     """
     lo, hi = angle_bounds(geom)
     inside = np.all((rho_o >= lo - 1e-9) & (rho_o <= hi + 1e-9), axis=-1)
     if not inside.all():
-        raise ValueError(f"state {np.flatnonzero(~inside)[0]}: angles violate "
+        raise ValueError(f"{what} {np.flatnonzero(~inside)[0]}: angles violate "
                          "mountain/valley boxes")
-    _require_closed(_closure(geom, rho_o)[0], "state")
+    r, C = _closure(geom, rho_o)
+    _require_closed(r, what)
+    return r, C
+
+
+def sub_angles(geom, rho_o):
+    """Sub-crease angles (..., n_cell) of fold-angle rows (..., N) by the
+    vertex relation; the main angles are clipped onto [0, pi] first, since
+    a checked state may sit up to 1e-9 outside its box."""
+    return sub_angle_from_main(geom.alpha, np.clip(rho_o[..., 0::2], 0.0, np.pi))
 
 
 @dataclass
@@ -368,7 +347,8 @@ _AT_FACE, _LOCKED_END, _FAILED = range(1, 4)
 
 
 def trace_paths(geom, starts, requests, n_steps):
-    """Trace one folding path per closed start state, all in lockstep.
+    """Trace one folding path per start row (B, N), all in lockstep; each
+    start must pass ``check_states``.
 
     Path b repeats the constant StepRequest ``requests[b]`` every step,
     its controlled angles cut to reach at most their box face; ``n_steps``
@@ -380,18 +360,24 @@ def trace_paths(geom, starts, requests, n_steps):
     the path's ``frozen`` mask marks it from that state on.  Controlled
     angles reaching their box end the path.  The path parameter
     ``delta_rho_c`` sums the largest controlled increment of each step (of
-    all angles when none is controlled).  A request whose increment is not
-    one per crease or whose controlled index is not a crease, or a negative
-    or non-integer ``n_steps``, raises ValueError before any step.
+    all angles when none is controlled).  Starts that are not one row per
+    request, a request whose increment is not one per crease or whose
+    controlled index is not a crease, or a negative or non-integer
+    ``n_steps``, raise ValueError before any closure; no starts and no
+    requests give no paths.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
     first failing path's StepFailure is raised with ``completed`` holding
     the paths listed before it.
     """
-    if len(starts) != len(requests):
-        raise ValueError("need one request per start state")
+    rho = np.array(starts, dtype=float)
+    if rho.size == 0 and not requests:
+        return []
     n = geom.n_vertex_creases
+    if rho.shape != (len(requests), n):
+        raise ValueError(f"starts has shape {rho.shape}, need ({len(requests)}, "
+                         f"{n}): one row of fold angles per request")
     for req in requests:
         if req.delta_rho_0.shape != (n,):
             raise ValueError(f"delta_rho_0 has shape {req.delta_rho_0.shape}, "
@@ -399,16 +385,12 @@ def trace_paths(geom, starts, requests, n_steps):
         if not all(0 <= i < n for i in req.controlled_indices):
             raise ValueError(f"controlled_indices {req.controlled_indices} must "
                              f"lie in 0..{n - 1}")
-    if not starts:
-        return []
     n_steps = np.asarray(n_steps)
     if n_steps.dtype.kind not in "iu" or np.any(n_steps < 0):
         raise ValueError(f"n_steps must be non-negative integers, got {n_steps.tolist()!r}")
-    n_path = len(starts)
+    n_path = len(rho)
     n_steps = np.broadcast_to(n_steps, (n_path,))
-    rho = np.array([s.rho_o for s in starts], dtype=float).reshape(n_path, -1)
-    r, C = _closure(geom, rho)
-    _require_closed(r, "start state")
+    r, C = check_states(geom, rho, "starts row")
     bounds = lo, hi = angle_bounds(geom)
     req_d0 = np.array([req.delta_rho_0 for req in requests]).reshape(rho.shape)
     ctrl = np.zeros(rho.shape, dtype=bool)
@@ -464,7 +446,7 @@ def trace_paths(geom, starts, requests, n_steps):
     took, angles, increments, pinned = (np.array(a) for a in zip(*log))
     path_of = took.nonzero()[1]
     angles, increments, pinned = angles[took], increments[took], pinned[took]
-    subs = sub_angle_from_main(geom.alpha, np.clip(angles[:, 0::2], 0.0, np.pi))
+    subs = sub_angles(geom, angles)
     paths = []
     for b in range(n_path):
         if ending[b] == _FAILED:

@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .kinematics import FoldState, FoldingPath, check_states
+from .kinematics import FoldingPath, check_states
 from .unitcell import sub_angle_from_main
 
 DEFAULT_PSI_STEP = np.radians(0.5)  # landscape grid spacing without n_samples
@@ -97,11 +97,15 @@ def psi_from_main(alpha, rho_m):
 
 
 def uniform_state(geom, psi):
-    """Closed FoldState of the uniform motion at Euler angle psi."""
+    """The uniform state at the Euler angle psi, a scalar: its (N,) row of
+    fold angles, checked by ``check_states``."""
+    if np.ndim(psi) != 0:
+        raise ValueError(f"psi must be a scalar, got shape {np.shape(psi)}")
     (rho_m, _, rho_b), _ = uniform_motion(geom.alpha, psi)
     rho = np.empty(geom.n_vertex_creases)
     rho[0::2], rho[1::2] = rho_m, rho_b
-    return FoldState.from_angles(geom, rho)
+    check_states(geom, rho[None])
+    return rho
 
 
 def clip_psi_range(alpha, psi_range):

@@ -16,7 +16,9 @@ def geom4():
 
 @pytest.fixture(scope="session")
 def uniform_minus30(geom5):
-    return lf.uniform_state(geom5, np.radians(-30.0))
+    rho = lf.uniform_state(geom5, np.radians(-30.0))
+    rho.setflags(write=False)       # shared by every test of the session
+    return rho
 
 
 @pytest.fixture(scope="session")

@@ -43,10 +43,10 @@ def traced_uniform():
         for k in range(1, len(psis)):
             target = lf.uniform_motion(GEOM.alpha, psis[k])[0][0]
             d0 = np.zeros(10)
-            d0[list(CTRL_ALL)] = target - states[-1].rho_o[0]
+            d0[list(CTRL_ALL)] = target - states[-1][0]
             req = StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))
             path = trace_paths(GEOM, [states[-1]], [req], 1)[0]
-            states.append(lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1]))
+            states.append(path.rho_o[-1])
         halves[sgn] = (psis, states)
     return halves
 
@@ -70,9 +70,9 @@ def test_criterion_02_cross_form_consistency(traced_uniform):
     worst = 0.0
     for sgn, (psis, states) in traced_uniform.items():
         for psi, st_ in zip(psis, states):
-            ref = (lf.uniform_state(GEOM, psi).rho_o if abs(psi) > 1e-12
+            ref = (lf.uniform_state(GEOM, psi) if abs(psi) > 1e-12
                    else np.zeros(10))
-            worst = max(worst, float(np.max(np.abs(st_.rho_o - ref))))
+            worst = max(worst, float(np.max(np.abs(st_ - ref))))
     assert worst < 1e-6
     _report(2, f"closed form vs traced path agree to {worst:.2e} rad")
 
@@ -220,7 +220,7 @@ def test_criterion_10_energy_minima_along_programs(grasp_paths):
                                      np.radians(-120.0))
     argmins = {}
     for units in ((1, 2, 3, 4, 5), (1, 2), (1, 3), (1, 2, 3)):
-        E = lf.path_energies(GEOM, springs, grasp_paths[units])
+        E = lf.path_energies(GEOM, springs, grasp_paths[units].rho_o)
         z = lf.config_space(grasp_paths[units])[2]
         k = int(np.argmin(E))
         assert 0 < k < len(E) - 1

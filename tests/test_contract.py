@@ -1,10 +1,19 @@
-"""The CLI's exit-code contract, fuzzed: each stored config at a reduced
-size, and four configs for the blocks and states no stored config has
-(a drop block, uniform and angles mesh states, per-kind springs), with one key
-changed to a hostile value, ends in exit 0 with finite outputs, exit 2
-with one JSON config error and no output directory, or exit 3 with a
-partial manifest, and never raises or warns."""
+"""The contracts, fuzzed.
+
+The CLI's exit codes: each stored config at a reduced size, and four
+configs for the blocks and states no stored config has (a drop block,
+uniform and angles mesh states, per-kind springs), with one key changed to
+a hostile value, ends in exit 0 with finite outputs, exit 2 with one JSON
+config error and no output directory, or exit 3 with a partial manifest,
+and never raises or warns.
+
+The library's state entries: ``uniform_state``, ``reconstruct_mesh``,
+``trace_paths`` and ``path_energies``, given fold-angle rows of the wrong
+length or ndim, with NaN or infinite angles, outside the boxes or not
+closed, each return the oracle's answer or raise a ValueError that names
+the argument, and never warn."""
 import contextlib
+import functools
 import io
 import json
 import math
@@ -20,6 +29,7 @@ from hypothesis import strategies as st
 import leafout as lf
 from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, apply_overrides,
                          main)
+from oracles import chain_closure_norm, direct_energy
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -204,3 +214,131 @@ def test_mesh_of_every_state_type_exports(n_cell):
                 assert rc == 0, (state["type"], command, err)
             manifest = json.loads((pathlib.Path(tmp) / "o" / "manifest.json").read_text())
             assert manifest["status"] == "ok"
+
+
+@functools.lru_cache(maxsize=None)
+def _geometry(n_cell):
+    return lf.build_geometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
+
+
+@functools.lru_cache(maxsize=None)
+def _grasped(n_cell):
+    (path,) = lf.run_programs(_geometry(n_cell), [lf.GraspProgram((1, 3), max_steps=20)])
+    return path.rho_o[-1]
+
+
+ROW_DEFECTS = ("none", "short", "long", "scalar", "stack", "nan", "box", "open",
+               "mirrored")
+
+
+@st.composite
+def state_inputs(draw):
+    """(geometry, rows, as_stack, psi): a closed row of fold angles, uniform
+    or grasped, with one defect applied; whether trace_paths gets it as a
+    (1, N) stack or as it is; and a psi for uniform_state."""
+    geom = _geometry(draw(st.sampled_from([3, 5, 8])))
+    n = geom.n_vertex_creases
+    lo, hi = lf.psi_motion_range(geom.alpha)
+    rho = (lf.uniform_state(geom, draw(st.floats(lo, hi))) if draw(st.booleans())
+           else _grasped(geom.n_cell).copy())
+    i = draw(st.integers(0, n - 1))
+    box = (0.0, np.pi) if i % 2 == 0 else (-np.pi, 0.0)
+    defect = draw(st.sampled_from(ROW_DEFECTS))
+    if defect == "short":
+        rho = rho[:draw(st.integers(0, n - 1))]
+    elif defect == "long":
+        rho = np.concatenate([rho, np.zeros(draw(st.integers(1, 3)))])
+    elif defect == "scalar":
+        rho = rho[i]
+    elif defect == "stack":
+        rho = np.tile(rho, (1, draw(st.integers(1, 3)), 1))
+    elif defect == "nan":
+        rho[i] = np.nan
+    elif defect == "box":
+        rho[i] = draw(st.sampled_from([-np.inf, box[0] - 1.0, box[0] - 1e-3,
+                                       box[1] + 1e-3, box[1] + 1.0, np.inf]))
+    elif defect == "open":
+        rho[i] = draw(st.floats(*box).filter(lambda x: abs(x - rho[i]) > 1e-3))
+    elif defect == "mirrored":          # closed, with every crease flipped
+        rho = -rho
+    psi = draw(st.one_of(st.floats(lo - 0.5, hi + 0.5), st.sampled_from(
+        [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1)])))
+    return geom, rho, draw(st.booleans()), psi
+
+
+def _oracle_accepts(geom, rows, closed):
+    """Rows (..., N) with every angle inside its box to 1e-9 and, when
+    ``closed``, each row's chain closed to 1e-10."""
+    rows = np.asarray(rows, dtype=float)
+    n = geom.n_vertex_creases
+    if rows.ndim == 0 or rows.shape[-1] != n:
+        return False
+    lo, hi = np.tile([0.0, -np.pi], geom.n_cell), np.tile([np.pi, 0.0], geom.n_cell)
+    if not np.all((rows >= lo - 1e-9) & (rows <= hi + 1e-9)):
+        return False
+    return not closed or all(chain_closure_norm(geom.alpha, r) <= 1e-10
+                             for r in rows.reshape(-1, n))
+
+
+def _refuses_by_name(call, name):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert name in message, message
+    assert "broadcast" not in message and "reshape" not in message, message
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_inputs())
+def test_state_entries_answer_or_refuse_by_name(case):
+    geom, rho, as_stack, psi = case
+    n, cos_a = geom.n_vertex_creases, np.cos(geom.alpha)
+    springs = lf.SpringModel.uniform(geom, 1.0, 1.0, -0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if _oracle_accepts(geom, rho, closed=False):
+            rows = np.asarray(rho).reshape(-1, n)
+            # tan(rho_S / 2) = tan(rho_M / 2) / cos(alpha)
+            subs = 2 * np.arctan(np.tan(np.clip(rows[:, 0::2], 0.0, np.pi) / 2) / cos_a)
+            want = [direct_energy(springs.kappa, springs.rest_angle,
+                                  np.column_stack([m, s, s, b]).ravel())
+                    for m, s, b in zip(rows[:, 0::2], subs, rows[:, 1::2])]
+            got = lf.path_energies(geom, springs, rho)
+            assert np.shape(got) == np.shape(rho)[:-1]
+            assert np.allclose(np.ravel(got), want, rtol=1e-12, atol=1e-12)
+        else:
+            _refuses_by_name(lambda: lf.path_energies(geom, springs, rho), "rho_o")
+
+        if np.ndim(rho) == 1 and _oracle_accepts(geom, rho, closed=True):
+            mesh = lf.reconstruct_mesh(geom, rho)
+            for crease, (a, b) in mesh.crease_edges.items():
+                length = {"main": geom.L1, "boundary": geom.L2}.get(crease.kind.value)
+                if length is not None:
+                    assert abs(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
+                               - length) < 1e-9 * length
+        else:
+            _refuses_by_name(lambda: lf.reconstruct_mesh(geom, rho), "rho_o")
+
+        starts = np.asarray(rho)[None] if as_stack else rho
+        request = lf.StepRequest(np.zeros(n))
+        if np.shape(starts) == (1, n) and _oracle_accepts(geom, starts, closed=True):
+            # a zero drive leaves the start where it is
+            (path,) = lf.trace_paths(geom, starts, [request], 1)
+            assert np.array_equal(path.rho_o[0], starts[0]) and len(path) == 2
+            assert np.max(np.abs(path.rho_o[1] - starts[0])) < 1e-10
+        else:
+            _refuses_by_name(lambda: lf.trace_paths(geom, starts, [request], 1), "starts")
+
+        lo, hi = lf.psi_motion_range(geom.alpha)
+        if np.ndim(psi) == 0 and lo <= psi <= hi:
+            # the boundary crease stays in the mirror plane between units
+            row, psi, sin_a = lf.uniform_state(geom, psi), float(psi), np.sin(geom.alpha)
+            half = row[0::2] / 2
+            assert np.all((0.0 <= half) & (half <= np.pi / 2))
+            assert np.max(np.abs(cos_a * np.cos(half) + sin_a * np.sin(psi) * np.sin(half)
+                                 - cos_a * np.cos(psi))) < 1e-12
+            assert np.array_equal(row[1::2], np.full(geom.n_cell, -2 * abs(psi)))
+            assert chain_closure_norm(geom.alpha, row) <= 1e-10
+        else:
+            _refuses_by_name(lambda: lf.uniform_state(geom, psi), "psi")
+    assert [str(w.message) for w in caught] == []

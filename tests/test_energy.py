@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import leafout as lf
 import leafout.energy as energy_mod
 from leafout.energy import ConfigurationError, landscape_extrema, zero_contours
+from leafout.kinematics import sub_angles
 from leafout.unitcell import sub_angle_from_main
 from oracles import (dense_landscape_xi, dense_uniform_path, direct_energy,
                      sampled_extrema, zero_contours_loop)
@@ -16,9 +17,9 @@ def scaled(springs, factor):
     return lf.SpringModel(factor * springs.kappa, springs.rest_angle)
 
 
-def crease_angles_of_state(state):
+def crease_angles_of_state(rho_o, rho_s):
     out = []
-    for rm, rs, rb in zip(state.rho_m, state.rho_s, state.rho_b):
+    for rm, rs, rb in zip(rho_o[0::2], rho_s, rho_o[1::2]):
         out += [rm, rs, rs, rb]
     return out
 
@@ -26,13 +27,12 @@ def crease_angles_of_state(state):
 def test_rest_state_has_zero_energy(geom5):
     psi = np.radians(-35)
     st_ = lf.uniform_state(geom5, psi)
-    springs = lf.SpringModel.uniform(geom5, 2.5, st_.rho_o[0], st_.rho_o[1])
+    springs = lf.SpringModel.uniform(geom5, 2.5, st_[0], st_[1])
     assert lf.path_energies(geom5, springs, st_) < 1e-24
 
 
 def test_flat_state_energy_matches_direct_summation(geom5, springs_bistable):
-    flat = lf.FoldState.flat(geom5)
-    got = lf.path_energies(geom5, springs_bistable, flat)
+    got = lf.path_energies(geom5, springs_bistable, np.zeros(10))
     want = direct_energy(springs_bistable.kappa, springs_bistable.rest_angle,
                          [0.0] * 20)
     assert np.isclose(got, want, rtol=1e-14)
@@ -51,20 +51,40 @@ def test_energy_linear_in_kappa(geom5, springs_bistable, uniform_minus30):
 
 def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
     (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=40)])
-    state = lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1])
-    got = lf.path_energies(geom5, springs_grasp, state)
+    got = lf.path_energies(geom5, springs_grasp, path.rho_o[-1])
     want = direct_energy(springs_grasp.kappa, springs_grasp.rest_angle,
-                         crease_angles_of_state(state))
+                         crease_angles_of_state(path.rho_o[-1], path.rho_s[-1]))
     assert np.isclose(got, want, rtol=1e-12)
     # a state and the path row it came from give the same energy
-    assert lf.path_energies(geom5, springs_grasp, path)[-1] == got
+    assert lf.path_energies(geom5, springs_grasp, path.rho_o)[-1] == got
 
 
 def test_path_energies_checks_spring_size(geom4, springs_grasp):
     path = lf.uniform_path(geom4, (-0.5, 0.5), 5)
-    for fold in (path, lf.uniform_state(geom4, path.params[0])):
+    for rho_o in (path.rho_o, lf.uniform_state(geom4, path.params[0])):
         with pytest.raises(ConfigurationError, match="does not match"):
-            lf.path_energies(geom4, springs_grasp, fold)
+            lf.path_energies(geom4, springs_grasp, rho_o)
+
+
+def test_path_energies_refuses_rows_by_name(geom5, springs_grasp, uniform_minus30):
+    # rows of the wrong width would reach numpy's broadcasting, and angles
+    # off their boxes would give energies of impossible sub angles
+    for rows in (np.zeros(8), np.zeros((3, 16)), np.float64(0.1)):
+        with pytest.raises(ValueError, match=r"rho_o has shape .*, need \(\.\.\., 10\)"):
+            lf.path_energies(geom5, springs_grasp, rows)
+    for k, value in ((0, -1e-3), (3, 0.5), (4, np.nan)):
+        rows = np.tile(uniform_minus30, (2, 1))
+        rows[1, k] = value
+        with pytest.raises(ValueError, match="rho_o has angles outside"):
+            lf.path_energies(geom5, springs_grasp, rows)
+
+
+def test_path_energies_of_any_stack_of_rows(geom5, springs_grasp):
+    path = lf.uniform_path(geom5, (np.radians(-60), np.radians(40)), 6)
+    E = lf.path_energies(geom5, springs_grasp, path.rho_o)
+    assert lf.path_energies(geom5, springs_grasp, np.zeros((0, 10))).shape == (0,)
+    assert np.array_equal(lf.path_energies(geom5, springs_grasp,
+                                           path.rho_o.reshape(2, 3, 10)), E.reshape(2, 3))
 
 
 def test_landscape_bistable_structure(geom5, springs_bistable):
@@ -76,7 +96,7 @@ def test_landscape_bistable_structure(geom5, springs_bistable):
     assert report.psi_open < report.psi_barrier < report.psi_closed
     assert report.delta_E_g > 0 and report.delta_E_r > 0
     # the flat-state peak value is the all-rest-angle energy
-    flat_E = lf.path_energies(geom5, springs_bistable, lf.FoldState.flat(geom5))
+    flat_E = lf.path_energies(geom5, springs_bistable, np.zeros(10))
     assert np.isclose(report.E_barrier, flat_E, rtol=1e-3)
 
 
@@ -94,7 +114,7 @@ def test_landscape_monostable_flat_rest(geom5):
 def test_rest_on_path_gives_global_minimum_there(geom5):
     psi_star = np.radians(20.0)
     st_ = lf.uniform_state(geom5, psi_star)
-    springs = lf.SpringModel.uniform(geom5, 1.0, st_.rho_o[0], st_.rho_o[1])
+    springs = lf.SpringModel.uniform(geom5, 1.0, st_[0], st_[1])
     curve = lf.landscape_over_psi(geom5, springs,
                                   (np.radians(-89), np.radians(53)))
     psi_min, e_min = min(lf.characterize_bistability(curve).minima,
@@ -367,7 +387,7 @@ def test_energy_gradient_chain_rule(geom5, springs_bistable):
 
     dE_fd = (E_at(psi + h) - E_at(psi - h)) / (2 * h)
     st_ = lf.uniform_state(geom5, psi)
-    rm, rb, rs = st_.rho_o[0], st_.rho_o[1], st_.rho_s[0]
+    rm, rb, rs = st_[0], st_[1], sub_angles(geom5, st_)[0]
     drm, drs, drb = (np.array(lf.uniform_motion(geom5.alpha, psi + h)[0])
                      - lf.uniform_motion(geom5.alpha, psi - h)[0]) / (2 * h)
     kap = springs_bistable.kappa.reshape(n, 4)[0]
@@ -383,7 +403,7 @@ def test_missing_crease_assignment_rejected(geom5, springs_bistable):
     short = lf.SpringModel(springs_bistable.kappa[:-1],
                            springs_bistable.rest_angle[:-1])
     with pytest.raises(ConfigurationError):
-        lf.path_energies(geom5, short, lf.FoldState.flat(geom5))
+        lf.path_energies(geom5, short, np.zeros(10))
     with pytest.raises(ConfigurationError):
         lf.landscape_over_psi(geom5, short, (-0.5, 0.5))
     with pytest.raises(ConfigurationError):
@@ -426,7 +446,7 @@ def test_one_uniform_map_gives_same_bits(geom5):
         k, m = np.flatnonzero(curve.psi == psi)[0], np.flatnonzero(path.params == psi)[0]
         st_ = lf.uniform_state(geom5, psi)
         rho = lf.uniform_motion(geom5.alpha, psi)[0]
-        for want, *got in zip(rho, (st_.rho_m, st_.rho_s, st_.rho_b),
+        for want, *got in zip(rho, (st_[0::2], sub_angles(geom5, st_), st_[1::2]),
                               (curve.rho_m[k], curve.rho_s[k], curve.rho_b[k]),
                               (path.rho_o[m, 0::2], path.rho_s[m], path.rho_o[m, 1::2])):
             assert all(np.all(g == want) for g in got)

@@ -33,9 +33,9 @@ def traced(geom5):
 
 def test_start_state_matches_rounded_nominal_pair(geom5):
     start = lf.near_flat_start(geom5)
-    assert np.isclose(np.degrees(start.rho_o[0]), 7.1, atol=1e-12)
-    assert np.isclose(np.degrees(start.rho_o[1]), -3.6, atol=0.05)
-    assert chain_closure_norm(geom5.alpha, start.rho_o) < 1e-10
+    assert np.isclose(np.degrees(start[0]), 7.1, atol=1e-12)
+    assert np.isclose(np.degrees(start[1]), -3.6, atol=0.05)
+    assert chain_closure_norm(geom5.alpha, start) < 1e-10
 
 
 @pytest.mark.parametrize("n_cell", [3, 5, 8, 12])
@@ -43,9 +43,9 @@ def test_near_flat_start_is_exact_uniform_state(n_cell):
     geom = lf.build_geometry(n_cell, 70.0, 30.0)
     start = lf.near_flat_start(geom)
     # 7.1 deg up to the rounding of the psi round trip (at most 3 ulp)
-    assert np.all(np.abs(start.rho_m - NEAR_FLAT_MAIN) <= 3 * np.spacing(NEAR_FLAT_MAIN))
-    assert np.ptp(start.rho_m) == 0.0 and np.ptp(start.rho_b) == 0.0
-    assert np.abs(_closure(geom, start.rho_o[None])[0]).max() < 1e-15
+    assert np.all(np.abs(start[0::2] - NEAR_FLAT_MAIN) <= 3 * np.spacing(NEAR_FLAT_MAIN))
+    assert np.ptp(start[0::2]) == 0.0 and np.ptp(start[1::2]) == 0.0
+    assert np.abs(_closure(geom, start[None])[0]).max() < 1e-15
 
 
 def test_uniform_program_stays_on_axis(traced):
@@ -85,16 +85,16 @@ def test_distinct_pair_programs(traced):
 
 def test_interior_energy_minima(traced, geom5, springs_grasp):
     for name in ("uniform", "p12", "p13", "p123"):
-        E = lf.path_energies(geom5, springs_grasp, traced[name])
+        E = lf.path_energies(geom5, springs_grasp, traced[name].rho_o)
         k = int(np.argmin(E))
         assert 0 < k < len(E) - 1, f"{name} minimum not interior"
 
 
 def test_rest_at_start_minimizes_at_start(geom5):
     start = lf.near_flat_start(geom5)
-    springs = lf.SpringModel.uniform(geom5, 1.0, start.rho_o[0], start.rho_o[1])
+    springs = lf.SpringModel.uniform(geom5, 1.0, start[0], start[1])
     (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 2), max_steps=40)])
-    assert int(np.argmin(lf.path_energies(geom5, springs, path))) == 0
+    assert int(np.argmin(lf.path_energies(geom5, springs, path.rho_o))) == 0
 
 
 def test_controlled_increments_exact(traced, geom5):
@@ -163,8 +163,8 @@ def test_batch_matches_single_programs(geom5, springs_grasp):
         assert np.array_equal(alone.rho_o, together.rho_o)
         assert np.array_equal(alone.rho_s, together.rho_s)
         assert np.array_equal(alone.params, together.params)
-        assert np.array_equal(lf.path_energies(geom5, springs_grasp, alone),
-                              lf.path_energies(geom5, springs_grasp, together))
+        assert np.array_equal(lf.path_energies(geom5, springs_grasp, alone.rho_o),
+                              lf.path_energies(geom5, springs_grasp, together.rho_o))
         assert alone.termination == together.termination
         assert np.array_equal(alone.frozen, together.frozen)
 

@@ -5,6 +5,7 @@ import pytest
 
 import leafout as lf
 from leafout.geometry import CreaseId, CreaseKind, _split_quads, mesh_to_obj
+from leafout.kinematics import check_states
 
 # cell counts the mesh invariants are checked at: the prototype, and two
 # counts whose glued unit frames once drifted off orthonormal
@@ -68,7 +69,7 @@ def test_build_geometry_rejects_degenerate():
 
 
 def test_crease_enumeration(geom5):
-    creases = list(lf.reconstruct_mesh(geom5, lf.FoldState.flat(geom5)).crease_edges)
+    creases = list(lf.reconstruct_mesh(geom5, np.zeros(10)).crease_edges)
     assert len(creases) == 20
     kinds = [c.kind for c in creases]
     assert kinds.count(CreaseKind.MAIN) == 5
@@ -87,7 +88,7 @@ def test_crease_id_validation():
 def test_flat_mesh_is_planar():
     for n_cell in CELL_COUNTS:
         geom = lf.build_geometry(n_cell, 70.0, 30.0)
-        mesh = lf.reconstruct_mesh(geom, lf.FoldState.flat(geom))
+        mesh = lf.reconstruct_mesh(geom, np.zeros(2 * n_cell))
         assert np.max(np.abs(mesh.vertices[:, 2])) < 1e-12, n_cell
 
 
@@ -152,7 +153,7 @@ def test_mesh_dihedrals_round_trip_fold_angles():
     for n_cell in CELL_COUNTS:
         geom = lf.build_geometry(n_cell, 70.0, 30.0)
         (path,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=100)])
-        state = lf.FoldState(rho_o=path.rho_o[-1], rho_s=path.rho_s[-1])
+        state, rho_s = path.rho_o[-1], path.rho_s[-1]
         mesh = lf.reconstruct_mesh(geom, state)
         for k in range(n_cell):
             NR, NL, OR, OL = mesh.faces[4 * k: 4 * k + 4]
@@ -170,13 +171,13 @@ def test_mesh_dihedrals_round_trip_fold_angles():
                              mesh.crease_edges[CreaseId(CreaseKind.BOUNDARY, n)],
                              NL, NR_next)
             rt = _fold_angle(mesh, mesh.tip_edges[k], OR, OL)
-            assert abs(rm - state.rho_o[2 * k]) < 1e-9, (n_cell, k)
-            assert abs(rsr - state.rho_s[k]) < 1e-9, (n_cell, k)
+            assert abs(rm - state[2 * k]) < 1e-9, (n_cell, k)
+            assert abs(rsr - rho_s[k]) < 1e-9, (n_cell, k)
             # the left sub crease's edge runs the other way
-            assert abs(abs(rsl) - state.rho_s[k]) < 1e-9, (n_cell, k)
-            assert abs(rb - state.rho_o[2 * k + 1]) < 1e-9, (n_cell, k)
+            assert abs(abs(rsl) - rho_s[k]) < 1e-9, (n_cell, k)
+            assert abs(rb - state[2 * k + 1]) < 1e-9, (n_cell, k)
             # the tip fold mirrors the main crease (collinear midline pair)
-            assert abs(rt + state.rho_o[2 * k]) < 1e-9, (n_cell, k)
+            assert abs(rt + state[2 * k]) < 1e-9, (n_cell, k)
 
 
 def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
@@ -185,9 +186,9 @@ def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
     prog = lf.GraspProgram((1, 2), max_steps=10)
     (path,) = lf.run_programs(geom5, [prog])
     rho = path.rho_o[-1]
-    rolled = lf.FoldState.from_angles(geom5, np.roll(rho, 2))
-    e1 = lf.path_energies(geom5, springs_bistable,
-                            lf.FoldState.from_angles(geom5, rho))
+    rolled = np.roll(rho, 2)
+    check_states(geom5, np.stack([rho, rolled]))
+    e1 = lf.path_energies(geom5, springs_bistable, rho)
     e2 = lf.path_energies(geom5, springs_bistable, rolled)
     assert np.isclose(e1, e2, rtol=0, atol=1e-10)
 
@@ -200,7 +201,7 @@ def test_mesh_rejects_non_finite_tilt(geom5, uniform_minus30, tilt):
 
 
 def test_mesh_rejects_open_state(geom5):
-    rho = lf.uniform_state(geom5, np.radians(-30)).rho_o.copy()
+    rho = lf.uniform_state(geom5, np.radians(-30))
     rho[0] += 1e-3
     with pytest.raises(ValueError):
         lf.reconstruct_mesh(geom5, rho)

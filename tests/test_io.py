@@ -46,7 +46,7 @@ def test_fmt_round_trips_doubles(x):
 def test_path_csv_schema(geom5, tmp_path):
     path = lf.uniform_path(geom5, (np.radians(-20), np.radians(20)), 11)
     springs = lf.SpringModel.uniform(geom5, 1.0, 1.0, -1.0)
-    energies = lf.path_energies(geom5, springs, path)
+    energies = lf.path_energies(geom5, springs, path.rho_o)
     fname = tmp_path / "p.csv"
     lio.write_path_csv(geom5, path, fname, energies)
     rows = lio.read_csv(fname)
@@ -67,7 +67,7 @@ def test_path_csv_schema(geom5, tmp_path):
 def test_path_csv_round_trips_exactly(geom5, tmp_path):
     path = lf.uniform_path(geom5, (np.radians(-15), np.radians(25)), 9)
     springs = lf.SpringModel.uniform(geom5, 2.0, 0.7, -0.9)
-    energies = lf.path_energies(geom5, springs, path)
+    energies = lf.path_energies(geom5, springs, path.rho_o)
     fname = tmp_path / "rt.csv"
     lio.write_path_csv(geom5, path, fname, energies)
     name, params, rho_o, rho_s, energy = read_path_csv(fname)
@@ -113,7 +113,7 @@ def _path_reference(geom, path, energies):
 def test_path_csv_matches_reference(geom5, springs_bistable, tmp_path,
                                     with_energy):
     path = lf.uniform_path(geom5, (np.radians(-70), np.radians(45)), 47)
-    energies = (lf.path_energies(geom5, springs_bistable, path)
+    energies = (lf.path_energies(geom5, springs_bistable, path.rho_o)
                 if with_energy else None)
     f = tmp_path / "p.csv"
     lio.write_path_csv(geom5, path, f, energies)
@@ -122,7 +122,7 @@ def test_path_csv_matches_reference(geom5, springs_bistable, tmp_path,
 
 def test_traced_path_csv_matches_reference(geom5, springs_grasp, tmp_path):
     (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=12)])
-    energies = lf.path_energies(geom5, springs_grasp, path)
+    energies = lf.path_energies(geom5, springs_grasp, path.rho_o)
     f = tmp_path / "t.csv"
     lio.write_path_csv(geom5, path, f, energies)
     assert f.read_bytes() == _path_reference(geom5, path, energies).encode()
@@ -357,7 +357,7 @@ def test_table_rule_on_traced_path(geom5, springs_grasp, tmp_path, monkeypatch):
     # blocks of 64 rows split this path in three
     monkeypatch.setattr(lio, "TABLE_CELLS", 64)
     (path,) = lf.run_programs(geom5, [lf.GraspProgram((1, 3), max_steps=140)])
-    energies = lf.path_energies(geom5, springs_grasp, path)
+    energies = lf.path_energies(geom5, springs_grasp, path.rho_o)
     distinct = {c.tobytes() for c in np.hstack([path.rho_o, path.rho_s]).T}
     assert 1 < len(distinct) < 3 * geom5.n_cell and len(path) > 2 * lio.TABLE_CELLS
     f = tmp_path / "t.csv"
@@ -409,7 +409,8 @@ def test_no_task_imports_numpy_ma(tmp_path):
 
 def test_write_json_matches_json_dump_on_outputs(geom5, springs_bistable, tmp_path):
     path = lf.uniform_path(geom5, (np.radians(-60), np.radians(40)), 241)
-    d = lio.path_to_json_dict(geom5, path, lf.path_energies(geom5, springs_bistable, path))
+    d = lio.path_to_json_dict(geom5, path,
+                              lf.path_energies(geom5, springs_bistable, path.rho_o))
     lio.write_json(d, tmp_path / "uniform_path.json")
     assert (tmp_path / "uniform_path.json").read_text() == _json_dump_text(d)
     cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / "multigrasp.json"

@@ -43,11 +43,11 @@ def test_uniform_closed_form_closes(geom5):
     # cross-validation between the closed-form motion and the chain
     for psi_deg in (-50, -30, -5, 10, 40):
         st_ = lf.uniform_state(geom5, np.radians(psi_deg))
-        assert chain_closure_norm(geom5.alpha, st_.rho_o) < 1e-10
+        assert chain_closure_norm(geom5.alpha, st_) < 1e-10
 
 
 def test_perturbed_state_does_not_close(geom5, uniform_minus30):
-    rho = uniform_minus30.rho_o.copy()
+    rho = uniform_minus30.copy()
     rho[3] += 1e-3
     assert max_residual(geom5, rho) > 1e-5
     assert chain_closure_norm(geom5.alpha, rho) > 1e-5
@@ -90,13 +90,13 @@ def test_residual_extraction_linearization(axis, component):
 
 
 def test_constraint_matrix_matches_finite_differences(geom5, uniform_minus30):
-    C = jacobian(geom5, uniform_minus30.rho_o)
-    Cfd = fd_constraint_matrix(geom5.alpha, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30)
+    Cfd = fd_constraint_matrix(geom5.alpha, uniform_minus30)
     assert np.max(np.abs(C - Cfd)) < 1e-5
 
 
 def test_constraint_rank_three_when_folded(geom5, uniform_minus30):
-    C = jacobian(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30)
     s = np.linalg.svd(C, compute_uv=False)
     assert np.sum(s > 1e-10) == 3
     # the twist residual row couples the chain away from flat; only the
@@ -119,16 +119,16 @@ def test_uniform_tangent_in_null_space(geom5):
     # h large enough that root-solve tolerance does not dominate the FD
     h = 1e-4
     psi = np.radians(-30)
-    tang = (lf.uniform_state(geom5, psi + h).rho_o
-            - lf.uniform_state(geom5, psi - h).rho_o) / (2 * h)
-    C = jacobian(geom5, lf.uniform_state(geom5, psi).rho_o)
+    tang = (lf.uniform_state(geom5, psi + h)
+            - lf.uniform_state(geom5, psi - h)) / (2 * h)
+    C = jacobian(geom5, lf.uniform_state(geom5, psi))
     assert np.max(np.abs(C @ tang)) < 1e-8
 
 
 def test_column_conjugation_between_adjacent_units(geom5, uniform_minus30):
     # shifting one unit conjugates the residual derivative by the
     # two-crease chain block (the folded analogue of the 2 alpha turn)
-    rho = uniform_minus30.rho_o
+    rho = uniform_minus30
     C = jacobian(geom5, rho)
     V = np.vstack([C[1], C[2], C[0]])      # residual components as x, y, z
     A = rot_x(rho[0]) @ rot_z(geom5.alpha) @ rot_x(rho[1]) @ rot_z(geom5.alpha)
@@ -157,7 +157,7 @@ def masked_pinv(C, free):
 
 
 def test_projector_idempotent(geom5, uniform_minus30):
-    C = jacobian(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30)
     P = tangent_projector(C)
     assert np.max(np.abs(P @ P - P)) < 1e-12
     assert np.max(np.abs(P - P.T)) < 1e-12
@@ -166,7 +166,7 @@ def test_projector_idempotent(geom5, uniform_minus30):
 
 def test_null_basis_projection_equals_pseudo_inverse_form(geom5, uniform_minus30):
     # the tangent step and I - C+ C (numpy's pinv) agree on arbitrary increments
-    rho = uniform_minus30.rho_o
+    rho = uniform_minus30
     C = jacobian(geom5, rho)
     P = tangent_projector(C)
     P_direct = np.eye(10) - np.linalg.pinv(C) @ C
@@ -177,7 +177,7 @@ def test_null_basis_projection_equals_pseudo_inverse_form(geom5, uniform_minus30
 
 
 def test_pseudo_inverse_moore_penrose(geom5, uniform_minus30):
-    C = jacobian(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30)
     Cp = masked_pinv(C, np.ones(10, dtype=bool))
     assert np.max(np.abs(Cp - np.linalg.pinv(C))) < 1e-12
     free = np.arange(10) % 3 != 0         # creases 1, 4, 7 and 10 fixed
@@ -252,13 +252,13 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
 def test_zero_request_is_fixed_point(geom5, uniform_minus30):
     req = StepRequest(np.zeros(10))
     rho = step(geom5, uniform_minus30, req)
-    assert np.max(np.abs(rho - uniform_minus30.rho_o)) < 1e-12
+    assert np.max(np.abs(rho - uniform_minus30)) < 1e-12
 
 
 def test_uniform_drive_stays_uniform(geom5):
     # start from the slightly folded uniform state, drive every main equally
     start = lf.near_flat_start(geom5)
-    assert np.isclose(np.degrees(start.rho_o[0]), 7.1)
+    assert np.isclose(np.degrees(start[0]), 7.1)
     d0 = np.zeros(10)
     ctrl = (0, 2, 4, 6, 8)
     d0[list(ctrl)] = np.radians(0.5)
@@ -280,12 +280,12 @@ def test_pinch_drive_breaks_symmetry(geom5):
 
 def test_locked_configuration_detected(geom5, uniform_minus30):
     # a pure row-space request with every angle prescribed is infeasible
-    C = jacobian(geom5, uniform_minus30.rho_o)
+    C = jacobian(geom5, uniform_minus30)
     d0 = C.T @ np.array([1.0, 2.0, 3.0]) * 1e-3
     req = StepRequest(d0, tuple(range(10)))
     path = trace(geom5, uniform_minus30, req, 5)
     assert path.termination == "locked"
-    assert np.array_equal(path.rho_o, uniform_minus30.rho_o[None])
+    assert np.array_equal(path.rho_o, uniform_minus30[None])
 
 
 def test_controlled_increments_exact(geom5):
@@ -293,13 +293,13 @@ def test_controlled_increments_exact(geom5):
     d0 = np.zeros(10)
     d0[0] = np.radians(1.25)
     rho = step(geom5, start, StepRequest(d0, (0,)))
-    assert abs(rho[0] - start.rho_o[0] - np.radians(1.25)) < 1e-14
+    assert abs(rho[0] - start[0] - np.radians(1.25)) < 1e-14
 
 
 def test_trace_zero_driver(geom5, uniform_minus30):
     path = trace(geom5, uniform_minus30, StepRequest(np.zeros(10)), 5)
     assert len(path) == 6
-    assert np.max(np.abs(path.rho_o - uniform_minus30.rho_o)) < 1e-10
+    assert np.max(np.abs(path.rho_o - uniform_minus30)) < 1e-10
 
 
 def test_no_paths_trace_to_no_paths(geom5):
@@ -308,19 +308,27 @@ def test_no_paths_trace_to_no_paths(geom5):
 
 
 def test_trace_requires_closed_start(geom5):
-    rho = np.zeros(10)
-    rho[0] = 0.3
-    bad = lf.FoldState(rho_o=rho, rho_s=np.zeros(5))
-    with pytest.raises(lf.NotClosedError):
-        trace(geom5, bad, StepRequest(np.zeros(10)), 2)
+    # the shape is checked first: 8 or 12 angles would fail as not closed,
+    # a flat row or a 3-D stack inside numpy
+    for starts, error, match in (
+            ([[0.3] + [0.0] * 9], lf.NotClosedError, "starts row 0: closure residual"),
+            (np.zeros((1, 8)), ValueError, r"starts has shape \(1, 8\), need \(1, 10\)"),
+            (np.zeros((1, 12)), ValueError, r"starts has shape \(1, 12\)"),
+            (np.zeros(10), ValueError, r"starts has shape \(10,\)"),
+            (np.zeros((1, 1, 10)), ValueError, r"starts has shape \(1, 1, 10\)"),
+            (np.zeros((2, 10)), ValueError, r"starts has shape \(2, 10\)"),
+            ([], ValueError, r"starts has shape \(0,\)")):
+        with pytest.raises(error, match=match):
+            trace_paths(geom5, starts, [StepRequest(np.zeros(10))], 2)
 
 
-def test_nan_start_rejected_before_stepping(geom5, uniform_minus30):
-    rho = uniform_minus30.rho_o.copy()
+def test_nan_start_rejected_before_stepping(geom5, uniform_minus30, monkeypatch):
+    # starts are checked like every state: a NaN angle fails the box check
+    monkeypatch.setattr(kinematics, "_project", None)
+    rho = uniform_minus30.copy()
     rho[3] = np.nan
-    bad = lf.FoldState(rho_o=rho, rho_s=uniform_minus30.rho_s.copy())
-    with pytest.raises(lf.NotClosedError):
-        trace(geom5, bad, StepRequest(np.zeros(10)), 2)
+    with pytest.raises(ValueError, match="starts row 0: angles violate"):
+        trace(geom5, rho, StepRequest(np.zeros(10)), 2)
 
 
 def _request(ctrl, amount, step_scale=np.radians(0.5), n=10):
@@ -387,7 +395,7 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     geom = lf.build_geometry(n_cell, 70.0, 30.0)
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
-    starts = [start] * 4 + [lf.FoldState.flat(geom)]
+    starts = [start] * 4 + [np.zeros(n)]
     reqs = [_request((0,), np.radians(3.0), np.radians(1.0), n),
             _request(*UNSPLIT_RETRIED[n_cell], 4.0, n),
             _request(tuple(range(0, n, 2)), np.radians(5.0), n=n),
@@ -436,7 +444,7 @@ def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
     reqs = [_request((0,), 1e-15), _request((0, 2), 1e-15)]
     for path in trace_paths(geom5, [start, start], reqs, 5):
         assert path.termination == "controlled-at-boundary"
-        assert np.array_equal(path.rho_o, start.rho_o[None])
+        assert np.array_equal(path.rho_o, start[None])
 
 
 def test_trace_terminates_at_controlled_box(geom5):
@@ -498,16 +506,12 @@ def test_pinned_angles_sit_on_their_face_bitwise(pinning_paths, geom5):
 
 def test_first_row_sub_angles_follow_its_main_angles(geom5, springs_grasp):
     # row 0 takes its sub angles from its main angles like every other row,
-    # not from the start state's rho_s: a start whose rho_s is left at zero
-    # traces like the exact one
+    # so the start row and the path's first row have the same energy
     start = lf.near_flat_start(geom5)
-    bare = lf.FoldState(rho_o=start.rho_o, rho_s=np.zeros(geom5.n_cell))
-    req = _request((0, 2), np.radians(0.5))
-    path = trace(geom5, bare, req, 3)
-    assert np.array_equal(path.rho_s, trace(geom5, start, req, 3).rho_s)
-    assert np.array_equal(path.rho_s[0], start.rho_s)
-    assert np.isclose(lf.path_energies(geom5, springs_grasp, path)[0],
-                      lf.path_energies(geom5, springs_grasp, start), rtol=1e-12)
+    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 3)
+    assert np.array_equal(path.rho_s[0], kinematics.sub_angles(geom5, start))
+    assert lf.path_energies(geom5, springs_grasp, path.rho_o)[0] \
+        == lf.path_energies(geom5, springs_grasp, start)
 
 
 def test_emitted_states_closed_and_boxed(geom5):
@@ -522,9 +526,8 @@ def test_emitted_states_closed_and_boxed(geom5):
 def test_reversibility(geom5, uniform_minus30):
     ctrl = (0, 2, 4, 6, 8)
     fwd = trace(geom5, uniform_minus30, _request(ctrl, np.radians(0.5)), 20)
-    end = lf.FoldState(rho_o=fwd.rho_o[-1], rho_s=fwd.rho_s[-1])
-    back = trace(geom5, end, _request(ctrl, -np.radians(0.5)), 20)
-    assert np.max(np.abs(back.rho_o[-1] - uniform_minus30.rho_o)) < 1e-6
+    back = trace(geom5, fwd.rho_o[-1], _request(ctrl, -np.radians(0.5)), 20)
+    assert np.max(np.abs(back.rho_o[-1] - uniform_minus30)) < 1e-6
 
 
 def test_step_scale_substepping_equivalence(geom5):
@@ -546,15 +549,21 @@ def test_projection_keeps_states_closed(geom5, d0):
     assert max_residual(geom5, step(geom5, state, StepRequest(d0))) < 1e-10
 
 
-def test_fold_state_validation(geom5):
+def test_fold_state_validation(geom5, uniform_minus30):
+    req = StepRequest(np.zeros(10))
+    open_ = np.tile([0.3, -0.3], 5)
+    mountain = uniform_minus30.copy()
+    mountain[1] = 0.5      # boundary crease must stay mountain
+    for rows, name in ((open_, "rho_o row 0: closure residual"),
+                       (mountain, "rho_o row 0: angles violate"),
+                       (np.zeros(8), r"rho_o has shape \(8,\)")):
+        with pytest.raises(ValueError, match=name):
+            lf.reconstruct_mesh(geom5, rows)
+        with pytest.raises(ValueError, match=name.replace("rho_o", "starts")
+                           .replace(r"\(8,\)", r"\(1, 8\)")):
+            trace_paths(geom5, [rows], [req], 2)
     with pytest.raises(lf.NotClosedError):
-        lf.FoldState.from_angles(geom5, np.tile([0.3, -0.3], 5))
-    bad = np.zeros(10)
-    bad[1] = 0.5      # boundary crease must stay mountain
-    with pytest.raises(ValueError):
-        lf.FoldState.from_angles(geom5, bad)
-    with pytest.raises(ValueError):
-        lf.FoldState.from_angles(geom5, np.zeros(8))
+        lf.reconstruct_mesh(geom5, open_)
 
 
 @pytest.mark.parametrize("kwargs", [{"delta_rho_0": [np.nan] + [0.0] * 9},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import leafout as lf
+from leafout.kinematics import sub_angles
 from oracles import chain_closure_norm, main_angle_oracle
 
 ALPHA = np.pi / 5
@@ -73,13 +74,21 @@ def test_boundary_vector_unit_norm():
 def test_uniform_state_record(geom5):
     psi = np.radians(-30)
     st = lf.uniform_state(geom5, psi)
-    assert abs(np.linalg.norm(boundary_vector(ALPHA, psi, st.rho_m[0])) - 1.0) < 1e-12
-    assert np.all((0 < st.rho_m) & (st.rho_m < np.pi))
-    assert np.all((-np.pi < st.rho_b) & (st.rho_b < 0))
+    assert abs(np.linalg.norm(boundary_vector(ALPHA, psi, st[0])) - 1.0) < 1e-12
+    assert np.all((0 < st[0::2]) & (st[0::2] < np.pi))
+    assert np.all((-np.pi < st[1::2]) & (st[1::2] < 0))
     flat = lf.uniform_state(geom5, 0.0)
-    assert np.all(flat.rho_m == 0.0) and np.all(flat.rho_b == 0.0)
-    assert np.allclose(boundary_vector(ALPHA, 0.0, flat.rho_m[0]),
+    assert np.all(flat[0::2] == 0.0) and np.all(flat[1::2] == 0.0)
+    assert np.allclose(boundary_vector(ALPHA, 0.0, flat[0]),
                        [-np.sin(ALPHA), np.cos(ALPHA), 0.0])
+
+
+def test_uniform_state_refuses_array_psi(geom5):
+    for psi in (np.array([0.1, 0.2]), [0.1], np.zeros((1, 1))):
+        with pytest.raises(ValueError, match=r"psi must be a scalar, got shape \("):
+            lf.uniform_state(geom5, psi)
+    assert np.array_equal(lf.uniform_state(geom5, np.array(0.1)),
+                          lf.uniform_state(geom5, 0.1))
 
 
 def test_boundary_vector_third_component():
@@ -97,7 +106,7 @@ def test_pairs_satisfy_loop_closure(geom5):
             continue
         psi = np.radians(psi_deg)
         st = lf.uniform_state(geom5, psi)
-        assert chain_closure_norm(geom5.alpha, st.rho_o) < 1e-10
+        assert chain_closure_norm(geom5.alpha, st) < 1e-10
 
 
 def test_path_single_curve_through_origin(geom5):
@@ -216,7 +225,7 @@ def test_boundary_vector_matches_mesh_edge(geom5):
     a, b = mesh.crease_edges[CreaseId(CreaseKind.BOUNDARY, 1)]
     edge = mesh.vertices[b] - mesh.vertices[a]
     edge = edge / np.linalg.norm(edge)
-    want = boundary_vector(geom5.alpha, psi, st.rho_o[0])
+    want = boundary_vector(geom5.alpha, psi, st[0])
     assert np.max(np.abs(edge - want)) < 1e-8
 
 
@@ -255,5 +264,5 @@ def test_uniform_path_is_columnar_and_matches_states(geom5):
     assert path.rho_o.shape == (31, 10) and path.rho_s.shape == (31, 5)
     for k, psi in enumerate(path.params):
         st = lf.uniform_state(geom5, psi)
-        assert np.array_equal(path.rho_o[k], st.rho_o)
-        assert np.array_equal(path.rho_s[k], st.rho_s)
+        assert np.array_equal(path.rho_o[k], st)
+        assert np.array_equal(path.rho_s[k], sub_angles(geom5, st))
