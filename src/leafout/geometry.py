@@ -15,7 +15,7 @@ Euler-angle pose of uniform states when set to psi.
 """
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -148,8 +148,8 @@ def reconstruct_mesh(geom, rho_o, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
     ``rho_o`` is the state's (N,) row of fold angles.  It is accepted
-    exactly when ``check_states`` accepts it, and ``tilt`` when it is
-    finite.  The outer panels reach L1 along the midline; their extent
+    exactly when ``check_states`` accepts it, and ``tilt`` when it is a
+    finite number.  The outer panels reach L1 along the midline; their extent
     affects neither kinematics nor energy.
     """
     rho_o = np.asarray(rho_o, dtype=float)
@@ -157,8 +157,8 @@ def reconstruct_mesh(geom, rho_o, tilt=0.0):
         raise ValueError(f"rho_o has shape {rho_o.shape}, need "
                          f"({geom.n_vertex_creases},): one angle per crease")
     check_states(geom, rho_o[None], "rho_o row")
-    if not np.isfinite(tilt):
-        raise ValueError(f"tilt must be finite, got {tilt!r}")
+    if not (isinstance(tilt, Real) and np.isfinite(tilt)):
+        raise ValueError(f"tilt must be a finite number, got {tilt!r}")
     n = geom.n_cell
     G = _unit_frames(geom, rho_o, tilt)
 

@@ -22,6 +22,18 @@ a row whose 3 x 3 Gram matrix is well conditioned is solved in closed
 form through its adjugate, and only the rest take an SVD.  Newton
 corrects the free angles through the same masked pseudo-inverse.
 
+The predictor is the variable-step two-step Adams-Bashforth rule (see
+Allgower & Georg, Introduction to Numerical Continuation Methods, 2003):
+the free angles move by t_k + (w / 2)(t_k - w t_{k-1}), where t_{k-1} is
+the previous substep's tangent increment and w = h_k / h_{k-1} the ratio
+of the substeps' parameter increments, and the fixed ones by t_k exactly.
+It reuses the previous tangent, so it costs no closure or solve, and
+leaves Newton about one iteration per substep.  A path's first substep,
+the first after a clamp or a failed try, and a row that did not step
+take the plain tangent step t_k.  The traced states are second-order
+accurate in the step: halving it cuts their distance from the continuous
+motion about fourfold.
+
 Each pass steps the whole stack under masks: an ended path rides along
 with every angle fixed and no increment, and a row that needs no further
 substep or Newton iteration has no free angle, so its update is exactly
@@ -112,7 +124,7 @@ def _chain_matrices(geom, rho_o):
 
 
 def _closure_tail():
-    """The 9 x 12 matrix M of ``_closure``'s (r | T) = (F / 2 flattened) @ M.
+    """The 9 x 12 matrix M of ``_closure_of``'s (r | T) = (F / 2 flattened) @ M.
 
     r = (F10 - F01, F21 - F12, F02 - F20) / 2, and T = (tr F I - F) / 2
     with its rows in the residual's (z, x, y) order.  Each output sums at
@@ -143,17 +155,10 @@ _ADJ = np.array([[[3 * ((f + b) % 3) + (f // 3 + c) % 3 for f in range(9)]
                   for b, c in pair] for pair in (((1, 1), (2, 2)), ((1, 2), (2, 1)))])
 
 
-def _closure(geom, rho):
-    """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows;
-    the residual is the skew part (r_a, r_b, r_c) of the chain product F.
-
-    One prefix pass gives both.  With a_j the first column of the prefix
-    product chi_1 ... chi_{j-1} (crease j's axis in the base frame),
-    dF/drho_j = skew(a_j) F, whose skew components are (tr F I - F) a_j / 2
-    in (x, y, z) order; the rows of tr F I - F are taken in the residual's
-    (r_a, r_b, r_c) = (z, x, y) order.  This is the single-vertex result of
-    Belcastro & Hull (2002) and Tachi (2009).
-    """
+def _chain(geom, rho):
+    """Chain products F (B, 3, 3) of a stack of angle rows (B, N) and the
+    crease axes A (B, 3, N) in the base frame: A[..., j] is the first
+    column of the prefix product chi_1 ... chi_{j-1}."""
     X = _chain_matrices(geom, rho)
     n_path, n = rho.shape
     A = np.empty((n_path, 3, n))
@@ -162,9 +167,28 @@ def _closure(geom, rho):
     for j in range(1, n):
         A[:, :, j] = F[:, :, 0]
         F = F @ X[:, j]
+    return F, A
+
+
+def _closure_of(F, A):
+    """Residuals (B, 3) and Jacobians (B, 3, N) of chain products F and
+    crease axes A; the residual is the skew part (r_a, r_b, r_c) of F.
+
+    With a_j crease j's axis in the base frame, dF/drho_j = skew(a_j) F,
+    whose skew components are (tr F I - F) a_j / 2 in (x, y, z) order; the
+    rows of tr F I - F are taken in the residual's (r_a, r_b, r_c) =
+    (z, x, y) order.  This is the single-vertex result of Belcastro & Hull
+    (2002) and Tachi (2009).
+    """
     # halving is exact, so r and T come from F / 2 in one product
-    rT = (0.5 * F).reshape(n_path, 9) @ _TAIL
-    return rT[:, :3], rT[:, 3:].reshape(n_path, 3, 3) @ A
+    rT = (0.5 * F).reshape(-1, 9) @ _TAIL
+    return rT[:, :3], rT[:, 3:].reshape(-1, 3, 3) @ A
+
+
+def _closure(geom, rho):
+    """Residuals (B, 3) and Jacobians (B, 3, N) of a stack of angle rows,
+    both from one prefix pass over the chain."""
+    return _closure_of(*_chain(geom, rho))
 
 
 def _svd_solve(C, v):
@@ -245,17 +269,22 @@ _FAILURES = {
 }
 
 
-def _project(geom, rho, r, C, d0, fixed, step_scale, bounds):
+def _project(geom, rho, r, C, d0, fixed, step_scale, bounds, history):
     """One constrained step of each row of a stack of closed states.
 
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
     Jacobians, ``d0`` the requested increments (zero at frozen entries),
     ``fixed`` the controlled-or-frozen mask, ``step_scale`` (B,) the
-    substep caps and ``bounds`` the ``angle_bounds`` boxes.  Returns the
-    stepped states with their residuals and Jacobians, the (B, N) mask of
-    clamped angles and a status code per row; the inputs are not changed.
-    Substeps and corrections act on the whole stack; a row taking no part
-    keeps its angles, as does one with every angle fixed and no increment.
+    substep caps and ``bounds`` the ``angle_bounds`` boxes.  ``history``
+    is each row's previous substep for the two-step predictor: its tangent
+    increment (B, N) and its parameter increment h = max |seed| / n_sub
+    (B,), 0 where the row has none, which makes it take the plain tangent
+    step.  Returns the stepped states with their residuals and Jacobians,
+    the history for the next step (valid where the status is ok; none
+    after a clamp), the (B, N) mask of clamped angles and a status code
+    per row; the inputs are not changed.  Substeps and corrections act on
+    the whole stack; a row taking no part keeps its angles, as does one
+    with every angle fixed and no increment.
     """
     lo, hi = bounds
     free = ~fixed
@@ -266,6 +295,12 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, bounds):
     status = np.where(unmet > lock_tol, _LOCKED, _OK)
     n_sub = np.maximum(1, np.ceil(np.abs(t).max(axis=-1) / step_scale)).astype(int)
     t /= n_sub[:, None]
+    h = np.abs(seed).max(axis=-1) / n_sub
+    t_prev, h_prev = history
+    # the first substep continues the previous step's; the later substeps
+    # of a try are equal, so their ratio is w = 1
+    w = np.divide(h, h_prev, out=np.zeros(h.shape), where=h_prev > 0)[:, None]
+    two_step = free & (h_prev > 0)[:, None]
     for k in range(n_sub.max()):
         go = (status == _OK) & (n_sub > k)
         if k > 0:
@@ -273,9 +308,12 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, bounds):
             locked = go & (unmet > lock_tol)
             status[locked] = _LOCKED
             go &= ~locked
-        rho = np.where(go[:, None], rho + t, rho)
+            w, two_step = 1.0, free
+        rho = np.where(go[:, None], rho + np.where(
+            two_step, t + w / 2 * (t - w * t_prev), t), rho)
         r, C, closed = _newton(geom, rho, free & go[:, None])
         status[go & ~closed] = _NOT_CONVERGED
+        t_prev = np.where(go[:, None], t, t_prev)
 
     clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
     hit = clamped.any(axis=-1)
@@ -285,17 +323,7 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, bounds):
         status[hit & ~closed] = _NOT_CONVERGED
         outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
         status[hit & closed & outside] = _OUTSIDE_BOX
-    return rho, r, C, clamped, status
-
-
-def _require_closed(r, what):
-    """Raise NotClosedError naming the first row of residuals ``r`` above
-    NEWTON_TOL; written so that a NaN residual fails."""
-    res = np.abs(r).max(axis=-1)
-    bad = np.flatnonzero(~(res <= NEWTON_TOL))
-    if bad.size:
-        raise NotClosedError(f"{what} {bad[0]}: closure residual "
-                             f"{res[bad[0]]:.3e} > {NEWTON_TOL:.1e}")
+    return rho, r, C, (t_prev, np.where(hit, 0.0, h)), clamped, status
 
 
 def check_states(geom, rho_o, what="state"):
@@ -303,16 +331,26 @@ def check_states(geom, rho_o, what="state"):
     boxes (to 1e-9) and the closure tolerance NEWTON_TOL, all rows in one
     closure pass, and return that pass's residuals and Jacobians.
 
-    The error names the first failing row, as ``what`` and its index; NaN
-    angles fail both checks.
+    The residual is the skew part of the chain product F, which vanishes
+    for a half-turn too; such a row, told by tr F = 1 + 2 cos(theta) <= 1,
+    has the residual 1 - cos(theta) instead, 2 for a half-turn.  The error
+    names the first failing row, as ``what`` and its index; NaN angles
+    fail both checks.
     """
     lo, hi = angle_bounds(geom)
     inside = np.all((rho_o >= lo - 1e-9) & (rho_o <= hi + 1e-9), axis=-1)
     if not inside.all():
         raise ValueError(f"{what} {np.flatnonzero(~inside)[0]}: angles violate "
                          "mountain/valley boxes")
-    r, C = _closure(geom, rho_o)
-    _require_closed(r, what)
+    F, A = _chain(geom, rho_o)
+    r, C = _closure_of(F, A)
+    trace = F[:, 0, 0] + F[:, 1, 1] + F[:, 2, 2]
+    # 1 - cos(theta) >= 1 bounds every skew component of a turn past 90 deg
+    res = np.where(trace > 1.0, np.abs(r).max(axis=-1), (3.0 - trace) / 2)
+    bad = np.flatnonzero(~(res <= NEWTON_TOL))      # written so that NaN fails
+    if bad.size:
+        raise NotClosedError(f"{what} {bad[0]}: closure residual "
+                             f"{res[bad[0]]:.3e} > {NEWTON_TOL:.1e}")
     return r, C
 
 
@@ -362,9 +400,9 @@ def trace_paths(geom, starts, requests, n_steps):
     ``delta_rho_c`` sums the largest controlled increment of each step (of
     all angles when none is controlled).  Starts that are not one row per
     request, a request whose increment is not one per crease or whose
-    controlled index is not a crease, or a negative or non-integer
-    ``n_steps``, raise ValueError before any closure; no starts and no
-    requests give no paths.
+    controlled index is not a crease, or an ``n_steps`` that is negative,
+    not an integer or not one per path, raise ValueError before any
+    closure; no starts and no requests give no paths.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
@@ -389,6 +427,9 @@ def trace_paths(geom, starts, requests, n_steps):
     if n_steps.dtype.kind not in "iu" or np.any(n_steps < 0):
         raise ValueError(f"n_steps must be non-negative integers, got {n_steps.tolist()!r}")
     n_path = len(rho)
+    if n_steps.shape not in ((), (n_path,)):
+        raise ValueError(f"n_steps has shape {n_steps.shape}, need () or ({n_path},): "
+                         "one step count for all paths or one per path")
     n_steps = np.broadcast_to(n_steps, (n_path,))
     r, C = check_states(geom, rho, "starts row")
     bounds = lo, hi = angle_bounds(geom)
@@ -406,6 +447,7 @@ def trace_paths(geom, starts, requests, n_steps):
     ending = np.zeros(n_path, dtype=int)            # index into _ENDINGS
     failure = np.zeros(n_path, dtype=int)           # status of a failed last try
     frozen = np.zeros(rho.shape, dtype=bool)
+    history = np.zeros(rho.shape), np.zeros(n_path)     # no previous substep
     # per pass: which paths took a step, all angles, increments and pinned angles
     log = [(np.ones(n_path, dtype=bool), rho, np.zeros(n_path), frozen)]
 
@@ -422,9 +464,12 @@ def trace_paths(geom, starts, requests, n_steps):
             break
         dparam = np.abs(np.where(measured, d0, 0.0)).max(axis=-1)
         hold = frozen | ~run[:, None]
-        new_rho, new_r, new_C, clamped, status = _project(
-            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, bounds)
+        new_rho, new_r, new_C, (t_last, h_last), clamped, status = _project(
+            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, bounds,
+            history)
         ok = run & (status == _OK)
+        # a row that did not step, or failed, starts its next step afresh
+        history = t_last, np.where(ok, h_last, 0.0)
         ending[run & (status == _LOCKED)] = _LOCKED_END
         failed = run & (status > _LOCKED)
         scale = np.where(failed, scale / 2, req_scale)

@@ -4,7 +4,8 @@ Everything here is written from scratch against the defining equations,
 deliberately not sharing code paths with the package: rotation chains are
 rebuilt locally, roots come from grid scans plus bisection, derivatives
 from central differences, energies from direct per-crease summation,
-linear solves in exact rational arithmetic.
+linear solves in exact rational arithmetic, grasp motions from small
+Runge-Kutta steps with their own chain Jacobian and pinv Newton.
 """
 import csv
 from fractions import Fraction
@@ -215,6 +216,105 @@ def min_norm_solve_exact(C, v):
                 A[i] = [a - A[i][k] * b for a, b in zip(A[i], A[k])]
     return np.array([float(sum(C[i][j] * A[i][m] for i in range(m)))
                      for j in range(len(C[0]))])
+
+
+# ---------------------------------------------------------------- grasp paths
+_KX = np.array([[0.0, 0, 0], [0, 0, -1], [0, 1, 0]])     # rot_x'(a) = _KX rot_x(a)
+
+
+def _skew_part(M):
+    return 0.5 * np.array([M[1, 0] - M[0, 1], M[2, 1] - M[1, 2], M[0, 2] - M[2, 0]])
+
+
+def chain_residual_jacobian(alpha, rho_o):
+    """Skew part of the chain product F and its Jacobian (3, N), from the
+    chain's prefix and suffix products: dF/drho_j = P_j K_x S_j with P_j
+    the links before crease j and S_j the links from it on."""
+    c, s = np.cos(rho_o), np.sin(rho_o)
+    rx = np.zeros((len(c), 3, 3))
+    rx[:, 0, 0], rx[:, 1, 1], rx[:, 1, 2], rx[:, 2, 1], rx[:, 2, 2] = 1.0, c, -s, s, c
+    links = rx @ rot_z(alpha)
+    prefix, suffix = [np.eye(3)], [np.eye(3)]
+    for a, b in zip(links, reversed(links)):
+        prefix.append(prefix[-1] @ a)
+        suffix.append(b @ suffix[-1])
+    dF = np.array(prefix[:-1]) @ _KX @ np.array(suffix[:0:-1])
+    return _skew_part(prefix[-1]), _skew_part(dF.transpose(1, 2, 0))
+
+
+def _pinv_newton(alpha, rho, free, tol=1e-12, max_iter=30):
+    """Close the chain by min-norm Newton updates of the ``free`` angles."""
+    rho = rho.copy()
+    for _ in range(max_iter):
+        r, C = chain_residual_jacobian(alpha, rho)
+        if np.max(np.abs(r)) < tol:
+            return rho
+        rho[free] -= np.linalg.pinv(C[:, free], rcond=1e-10) @ r
+    raise RuntimeError("oracle Newton did not converge")
+
+
+def _rk4_step(alpha, rho, drive, free, h):
+    """One classical Runge-Kutta step of the min-norm motion: the fixed
+    angles move by h ``drive``, the free ones by the least amount that
+    keeps the chain closed; the result is Newton-closed."""
+    def velocity(x):
+        C = chain_residual_jacobian(alpha, x)[1]
+        v = drive.copy()
+        v[free] = -np.linalg.pinv(C[:, free], rcond=1e-10) @ (C @ drive)
+        return v
+
+    k1 = velocity(rho)
+    k2 = velocity(rho + h / 2 * k1)
+    k3 = velocity(rho + h / 2 * k2)
+    k4 = velocity(rho + h * k3)
+    return _pinv_newton(alpha, rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), free)
+
+
+def grasp_motion(alpha, start, controlled, params, substeps):
+    """States of the continuous grasp motion at the drive values ``params``.
+
+    The ``controlled`` angles rise by the drive value s, every other angle
+    follows by the min-norm rate that keeps the chain closed, and an
+    uncontrolled angle that reaches its mountain/valley face is pinned
+    there from the crossing on.  Each interval between successive params
+    is split into ``substeps`` Runge-Kutta steps; a step that carries an
+    angle past its face is cut at the crossing, found by the secant rule.
+    """
+    n = len(start)
+    lo, hi = np.tile([0.0, -np.pi], n // 2), np.tile([np.pi, 0.0], n // 2)
+    drive = np.zeros(n)
+    drive[list(controlled)] = 1.0
+    free = drive == 0.0
+    rho, s = np.array(start, dtype=float), params[0]
+    out = [rho]
+    for target in params[1:]:
+        for k in range(1, substeps + 1):
+            end = s + (target - s) / (substeps - k + 1)
+            while end > s:
+                trial = _rk4_step(alpha, rho, drive, free, end - s)
+                past = free & ((trial < lo) | (trial > hi))
+                if not past.any():
+                    rho, s = trial, end
+                    break
+                face = np.where(trial < lo, lo, hi)
+                # the first angle to cross, and where, by linear estimate
+                frac = np.divide(face - rho, trial - rho, out=np.full(n, np.inf),
+                                 where=past)
+                j = int(np.argmin(frac))
+                a, fa, b, fb = 0.0, rho[j] - face[j], 1.0, trial[j] - face[j]
+                for _ in range(60):
+                    c = b - fb * (b - a) / (fb - fa)
+                    fc = _rk4_step(alpha, rho, drive, free, c * (end - s))[j] - face[j]
+                    a, fa, b, fb = b, fb, c, fc
+                    if abs(fb) < 1e-15 or fb == fa:
+                        break
+                rho = _rk4_step(alpha, rho, drive, free, b * (end - s))
+                s = s + b * (end - s)
+                rho[j] = face[j]
+                free[j] = False
+                rho = _pinv_newton(alpha, rho, free)
+        out.append(rho)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------- energy

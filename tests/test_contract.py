@@ -9,9 +9,10 @@ and never raises or warns.
 
 The library's state entries: ``uniform_state``, ``reconstruct_mesh``,
 ``trace_paths`` and ``path_energies``, given fold-angle rows of the wrong
-length or ndim, with NaN or infinite angles, outside the boxes or not
-closed, each return the oracle's answer or raise a ValueError that names
-the argument, and never warn."""
+length or ndim, with NaN or infinite angles, outside the boxes, not
+closed or turning the chain by a half-turn, a step count not one per
+path or a tilt that is not a finite number, each return the oracle's
+answer or raise a ValueError that names the argument, and never warn."""
 import contextlib
 import functools
 import io
@@ -228,14 +229,16 @@ def _grasped(n_cell):
 
 
 ROW_DEFECTS = ("none", "short", "long", "scalar", "stack", "nan", "box", "open",
-               "mirrored")
+               "mirrored", "half-turn")
 
 
 @st.composite
 def state_inputs(draw):
-    """(geometry, rows, as_stack, psi): a closed row of fold angles, uniform
-    or grasped, with one defect applied; whether trace_paths gets it as a
-    (1, N) stack or as it is; and a psi for uniform_state."""
+    """(geometry, rows, as_stack, n_steps, tilt, psi): a closed row of fold
+    angles, uniform or grasped, with one defect applied; whether
+    trace_paths gets it as a (1, N) stack or as it is, and its step count,
+    one number or a list; a tilt for reconstruct_mesh; and a psi for
+    uniform_state."""
     geom = _geometry(draw(st.sampled_from([3, 5, 8])))
     n = geom.n_vertex_creases
     lo, hi = lf.psi_motion_range(geom.alpha)
@@ -261,9 +264,15 @@ def state_inputs(draw):
         rho[i] = draw(st.floats(*box).filter(lambda x: abs(x - rho[i]) > 1e-3))
     elif defect == "mirrored":          # closed, with every crease flipped
         rho = -rho
+    elif defect == "half-turn":         # the chain turns by pi about crease i
+        rho = np.zeros(n)
+        rho[i] = sum(box)
     psi = draw(st.one_of(st.floats(lo - 0.5, hi + 0.5), st.sampled_from(
         [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1)])))
-    return geom, rho, draw(st.booleans()), psi
+    n_steps = draw(st.one_of(st.just(1), st.lists(st.just(1), max_size=3)))
+    tilt = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
+        [np.nan, np.inf, "0.1", None, [0.1], 0.1j])))
+    return geom, rho, draw(st.booleans()), n_steps, tilt, psi
 
 
 def _oracle_accepts(geom, rows, closed):
@@ -291,7 +300,7 @@ def _refuses_by_name(call, name):
 @settings(max_examples=300, deadline=None)
 @given(state_inputs())
 def test_state_entries_answer_or_refuse_by_name(case):
-    geom, rho, as_stack, psi = case
+    geom, rho, as_stack, n_steps, tilt, psi = case
     n, cos_a = geom.n_vertex_creases, np.cos(geom.alpha)
     springs = lf.SpringModel.uniform(geom, 1.0, 1.0, -0.5)
     with warnings.catch_warnings(record=True) as caught:
@@ -309,25 +318,33 @@ def test_state_entries_answer_or_refuse_by_name(case):
         else:
             _refuses_by_name(lambda: lf.path_energies(geom, springs, rho), "rho_o")
 
-        if np.ndim(rho) == 1 and _oracle_accepts(geom, rho, closed=True):
-            mesh = lf.reconstruct_mesh(geom, rho)
+        mesh_of = functools.partial(lf.reconstruct_mesh, geom, rho, tilt)
+        if not (np.ndim(rho) == 1 and _oracle_accepts(geom, rho, closed=True)):
+            _refuses_by_name(mesh_of, "rho_o")
+        elif not (isinstance(tilt, float) and math.isfinite(tilt)):
+            _refuses_by_name(mesh_of, "tilt")
+        else:
+            mesh = mesh_of()
             for crease, (a, b) in mesh.crease_edges.items():
                 length = {"main": geom.L1, "boundary": geom.L2}.get(crease.kind.value)
                 if length is not None:
                     assert abs(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
                                - length) < 1e-9 * length
-        else:
-            _refuses_by_name(lambda: lf.reconstruct_mesh(geom, rho), "rho_o")
 
         starts = np.asarray(rho)[None] if as_stack else rho
-        request = lf.StepRequest(np.zeros(n))
-        if np.shape(starts) == (1, n) and _oracle_accepts(geom, starts, closed=True):
+        trace = functools.partial(lf.trace_paths, geom, starts,
+                                  [lf.StepRequest(np.zeros(n))], n_steps)
+        if np.shape(starts) != (1, n):
+            _refuses_by_name(trace, "starts")
+        elif np.shape(n_steps) not in ((), (1,)):
+            _refuses_by_name(trace, "n_steps")
+        elif _oracle_accepts(geom, starts, closed=True):
             # a zero drive leaves the start where it is
-            (path,) = lf.trace_paths(geom, starts, [request], 1)
+            (path,) = trace()
             assert np.array_equal(path.rho_o[0], starts[0]) and len(path) == 2
             assert np.max(np.abs(path.rho_o[1] - starts[0])) < 1e-10
         else:
-            _refuses_by_name(lambda: lf.trace_paths(geom, starts, [request], 1), "starts")
+            _refuses_by_name(trace, "starts")
 
         lo, hi = lf.psi_motion_range(geom.alpha)
         if np.ndim(psi) == 0 and lo <= psi <= hi:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import leafout as lf
+from leafout import kinematics
 from leafout.explore import NEAR_FLAT_MAIN
 from leafout.kinematics import _closure
-from oracles import chain_closure_norm
+from oracles import chain_closure_norm, grasp_motion
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,6 +168,42 @@ def test_batch_matches_single_programs(geom5, springs_grasp):
                               lf.path_energies(geom5, springs_grasp, together.rho_o))
         assert alone.termination == together.termination
         assert np.array_equal(alone.frozen, together.frozen)
+
+
+def test_default_programs_take_few_kernel_calls(geom5, monkeypatch):
+    # the two-step predictor leaves about one Newton iteration per substep:
+    # about 1400 closures and as many solves on the six stored programs,
+    # where the Euler predictor took about 1820 for the same 347 rows each
+    calls = dict.fromkeys(("_closure", "_masked_solve"), 0)
+    for name in calls:
+        def counting(*args, kernel=getattr(kinematics, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(kinematics, name, counting)
+    paths = lf.run_programs(geom5, stored_programs())
+    assert [len(path) for path in paths] == [347] * 6
+    assert max(calls.values()) <= 1500, calls
+
+
+@pytest.mark.parametrize("units", [(1, 2), (1, 3)])
+def test_grasp_paths_track_the_continuous_motion(geom5, units):
+    # the reference is the oracle's motion at one and two Runge-Kutta steps
+    # per traced step, Richardson-extrapolated, and their difference bounds
+    # its own error; the tracer is second order, so halving the step cuts
+    # its worst error about fourfold (the Euler predictor erred by 1.9e-3)
+    controlled = [2 * (u - 1) for u in units]
+    worst = []
+    for step_deg in (0.5, 0.25):
+        (path,) = lf.run_programs(geom5, [lf.GraspProgram(units, np.radians(step_deg),
+                                                          max_steps=1000)])
+        assert path.termination == "controlled-at-boundary"
+        coarse, fine = (grasp_motion(geom5.alpha, path.rho_o[0], controlled,
+                                     path.params, substeps) for substeps in (1, 2))
+        assert np.max(np.abs(fine - coarse)) < 1e-8
+        reference = fine + (fine - coarse) / 15
+        worst.append(np.max(np.abs(path.rho_o - reference)))
+    assert worst[0] < 2e-4
+    assert worst[0] > 3 * worst[1]
 
 
 def test_program_validation(geom5):
