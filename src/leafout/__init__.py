@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .geometry import (CreaseId, CreaseKind, FoldedMesh, LeafOutGeometry,
                        build_geometry, mesh_to_obj, reconstruct_mesh)
-from .kinematics import (FoldingPath, NotClosedError, StepFailure, StepRequest,
-                         trace_paths)
+from .kinematics import FoldingPath, NotClosedError, StepFailure, trace_paths
 from .unitcell import sub_angle_from_main
 from .uniform import (OutOfRangeError, psi_from_main, psi_motion_range,
                       uniform_motion, uniform_path, uniform_state)

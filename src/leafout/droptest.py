@@ -26,10 +26,12 @@ by default only complete teeth along the crease count as spring
 material, and the width can be overridden directly.
 """
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .energy import SpringModel
+from .uniform import _range_ends
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -137,11 +139,15 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
     no criterion in the energy model, so predictions above threshold are
     reported as "grasp" with retention not asserted.  Optional
     experimental observations (h, outcome in {cross, circle, triangle})
-    are carried through for overlay plotting.  Raises ValueError when a
-    map value overflows.
+    are carried through for overlay plotting.  Raises ValueError naming
+    the argument for a range that is not two numbers or a count that is
+    not an integer, and ValueError when a map value overflows.
     """
-    hs = np.asarray(h_range, dtype=float)
-    rs = np.asarray(rest_angle_range, dtype=float)
+    hs = _range_ends("h_range", h_range)
+    rs = _range_ends("rest_angle_range", rest_angle_range)
+    for name, count in (("n_h", n_h), ("n_rest", n_rest)):
+        if isinstance(count, bool) or not isinstance(count, Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     # written so that NaN fails too
     if not (np.all((hs >= 0) & (hs < np.inf))
             and np.all((rs > 0) & (rs <= np.pi))):
@@ -149,8 +155,8 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
                          "in (0, pi]")
     if min(n_h, n_rest) < 1:
         raise ValueError("n_h and n_rest must be at least 1")
-    heights = np.linspace(h_range[0], h_range[1], n_h)
-    rests = np.linspace(rest_angle_range[0], rest_angle_range[1], n_rest)
+    heights = np.linspace(hs[0], hs[1], n_h)
+    rests = np.linspace(rs[0], rs[1], n_rest)
     limit = np.pi - 2 * geom.alpha
     bad = np.flatnonzero(~(rests < limit))
     if bad.size:

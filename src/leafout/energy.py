@@ -13,7 +13,7 @@ import numpy as np
 
 from .kinematics import angle_bounds, sub_angles
 from .unitcell import sub_angle_from_main
-from .uniform import landscape_psis, uniform_motion
+from .uniform import _range_ends, landscape_psis, uniform_motion
 
 REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
 SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
@@ -141,11 +141,13 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
     """Energy along the uniform path over a psi interval.
 
     The requested range is clipped to the admissible motion range and
-    flagged when truncation occurs.  Default sampling is 0.5 degrees.
+    flagged when truncation occurs.  Default sampling is 0.5 degrees.  A
+    ``psi_range`` that is not two numbers is refused by name.
     """
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    psis, truncated = landscape_psis(geom.alpha, psi_range, n_samples)
+    psis, truncated = landscape_psis(geom.alpha, _range_ends("psi_range", psi_range),
+                                     n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     energy = _spring_energy(springs.kappa, springs.rest_angle, rho_m, rho_s, rho_b)
     return LandscapeCurve(psi=psis, energy=energy, rho_m=rho_m, rho_s=rho_s,

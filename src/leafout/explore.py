@@ -1,7 +1,7 @@
 """Non-uniform multi-grasp exploration by selective crease driving.
 
 Selected unit cells receive an identical controlled increment on their
-main-crease angles each step, one constant StepRequest per program; the
+main-crease angles each step, one constant drive per program; the
 remaining angles follow the projected kinematics.  Folding modes are
 compared in a configuration space spanned by the main-angle differences
 (rho_M2 - rho_M4, rho_M3 - rho_M5) against the cumulative controlled
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import MIN_STEP, StepFailure, StepRequest, trace_paths
+from .kinematics import MIN_STEP, StepFailure, trace_paths
 from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
@@ -82,23 +82,18 @@ def run_programs(geom, programs):
     raised StepFailure's ``completed`` holds the paths of the programs
     listed before it.
     """
-    for program in programs:
+    ctrl = np.zeros((len(programs), geom.n_vertex_creases), dtype=bool)
+    for b, program in enumerate(programs):
         if (max(program.controlled_units) > geom.n_cell
                 or min(program.controlled_units) < 1):
             raise ValueError(f"controlled_units {program.controlled_units} has an "
                              f"index outside 1..n_cell = 1..{geom.n_cell}")
+        ctrl[b, [2 * (u - 1) for u in program.controlled_units]] = True
+    rate = np.array([p.delta_rho_c for p in programs], dtype=float)
     starts = np.tile(near_flat_start(geom), (len(programs), 1))
     try:
-        return trace_paths(geom, starts, [_request(geom, p) for p in programs],
-                           [p.max_steps for p in programs])
+        return trace_paths(geom, starts, np.where(ctrl, rate[:, None], 0.0), ctrl, rate,
+                           np.array([p.max_steps for p in programs], dtype=int))
     except StepFailure as exc:
         failed = programs[len(exc.completed)].label()
         raise StepFailure(f"{failed}: {exc}", completed=exc.completed) from exc
-
-
-def _request(geom, program):
-    """A program's step: the same controlled increment on its main creases."""
-    ctrl = tuple(2 * (u - 1) for u in program.controlled_units)
-    d0 = np.zeros(geom.n_vertex_creases)
-    d0[list(ctrl)] = program.delta_rho_c
-    return StepRequest(d0, controlled_indices=ctrl, step_scale=program.delta_rho_c)

@@ -9,17 +9,16 @@ Every table follows one rule, the grid rule of ``_table_blocks``: its
 columns broadcast to one (outer, inner) grid written in row-major order,
 an outer column of shape (n, 1), an inner column (1, m) and a cell column
 (n, m).  A path or landscape table is the case m = 1, and so is a JSON
-float table (a 2-D float array, or a list of equal-length lists of exact
-floats).  The ratio surface and the trigger map are grids: a rest value
-is written once per block and repeated along its row, a height once per
-table and tiled.  Block by block of about TABLE_CELLS cells, each
-distinct cell column (compared by its bytes, so 0.0 and -0.0 stay apart)
-is encoded once, adjacent columns without a twin in one FLOAT printf; a
-uniform path repeats each angle in every unit's column, so most of its
-cells are never formatted.  Each block is joined in C and streamed to
-the file, so no table exists as text or strings at full size.  Any other
-JSON list of scalars is one C-encoder call, and other lists are written
-item by item.
+float table, a 2-D float array.  The ratio surface and the trigger map
+are grids: a rest value is written once per block and repeated along its
+row, a height once per table and tiled.  Block by block of about
+TABLE_CELLS cells, each distinct cell column (compared by its bytes, so
+0.0 and -0.0 stay apart) is encoded once, adjacent columns without a twin
+in one FLOAT printf; a uniform path repeats each angle in every unit's
+column, so most of its cells are never formatted.  Each block is joined
+in C and streamed to the file, so no table exists as text or strings at
+full size.  Any other JSON list of scalars is one C-encoder call, and
+other lists, lists of float lists among them, are written item by item.
 
 Manifests record the configuration hash and tool version but never
 timestamps; the hash is CPython's built-in SHA-256, which needs no
@@ -253,14 +252,9 @@ def _json_cells(values):
 
 
 def _is_float_table(o):
-    """Whether ``o`` is a non-empty 2-D float64 array, or a list of
-    equal-length lists of exact floats, whose cell types are read in one
-    pass over the whole table."""
-    if isinstance(o, np.ndarray):
-        return o.ndim == 2 and o.size > 0 and o.dtype == np.float64
-    return (isinstance(o, list) and o and set(map(type, o)) == {list}
-            and len(set(map(len, o))) == 1
-            and set(map(type, itertools.chain.from_iterable(o))) == {float})
+    """Whether ``o`` is a non-empty 2-D float64 array."""
+    return (isinstance(o, np.ndarray) and o.ndim == 2 and o.size > 0
+            and o.dtype == np.float64)
 
 
 def _write_json(write, o, outer):

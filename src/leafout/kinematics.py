@@ -9,11 +9,12 @@ A state is valid when the chained crease rotations compose to the
 identity and every angle lies in its mountain/valley box.
 
 Stepping traces a stack of paths in lockstep, each repeating one constant
-StepRequest: the increments, masks and box bounds are arrays built once
-per trace, and the accepted rows are logged per step, beside the mask of
-angles pinned at their box face, and grouped by path at the end.  One
-prefix pass over the chain gives every path's closure residual and its
-3 x N Jacobian C.  The tangent increment prescribes the fixed
+drive: a row of increments, a mask of the controlled ones and a substep
+cap, given as arrays with one row or value per path and checked once, at
+``trace_paths``' entry.  The accepted rows are logged per step, beside
+the mask of angles pinned at their box face, and grouped by path at the
+end.  One prefix pass over the chain gives every path's closure residual
+and its 3 x N Jacobian C.  The tangent increment prescribes the fixed
 (controlled or frozen) entries exactly and moves the free ones by the
 minimum-norm amount that keeps C t = 0: t_fixed = d,
 t_free = -pinv(C_free) C_fixed d.  C_free is C with the fixed columns
@@ -81,28 +82,19 @@ def angle_bounds(geom):
     return lo, hi
 
 
-@dataclass
-class StepRequest:
-    """One requested increment.
+_KINDS = {"iuf": "real numbers", "iu": "integers", "b": "booleans"}
 
-    ``delta_rho_0`` is the arbitrary seed increment; entries listed in
-    ``controlled_indices`` (0-based positions into rho_o) are prescribed
-    exactly.  ``step_scale`` caps the infinity norm of each projected
-    substep; larger requests are split internally.  It is at least
-    MIN_STEP, which bounds the substeps of one try.
-    """
-    delta_rho_0: np.ndarray
-    controlled_indices: tuple = ()
-    step_scale: float = np.radians(0.5)
 
-    def __post_init__(self):
-        self.delta_rho_0 = np.asarray(self.delta_rho_0, dtype=float)
-        self.controlled_indices = tuple(int(i) for i in self.controlled_indices)
-        if not np.all(np.isfinite(self.delta_rho_0)):
-            raise ValueError("non-finite increment")
-        if not self.step_scale >= MIN_STEP:      # written so that NaN fails
-            raise ValueError(f"step_scale must be at least MIN_STEP = {MIN_STEP:g} "
-                             f"rad, got {self.step_scale!r}")
+def _as_array(name, value, kinds):
+    """``value`` as an array whose dtype kind is one of ``kinds``, a key of
+    _KINDS; ragged or other input raises a ValueError naming ``name``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:          # numpy's own error does not name the argument
+        raise ValueError(f"{name} is ragged: its rows differ in length") from None
+    if array.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {_KINDS[kinds]}, got dtype {array.dtype}")
+    return array
 
 
 def _chain_matrices(geom, rho_o):
@@ -384,63 +376,62 @@ _ENDINGS = ("max-steps", "controlled-at-boundary", "locked", "failed")
 _AT_FACE, _LOCKED_END, _FAILED = range(1, 4)
 
 
-def trace_paths(geom, starts, requests, n_steps):
+def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     """Trace one folding path per start row (B, N), all in lockstep; each
     start must pass ``check_states``.
 
-    Path b repeats the constant StepRequest ``requests[b]`` every step,
-    its controlled angles cut to reach at most their box face; ``n_steps``
-    caps the steps, one number for all paths or one per path.  A failed
-    step is retried with its step_scale halved, at most MAX_HALVINGS times
-    and not below MIN_STEP.  When an uncontrolled angle reaches its box
-    face it is pinned there for the remainder of the path, which keeps the
-    mountain/valley assignment of every crease, and the path continues;
-    the path's ``frozen`` mask marks it from that state on.  Controlled
-    angles reaching their box end the path.  The path parameter
-    ``delta_rho_c`` sums the largest controlled increment of each step (of
-    all angles when none is controlled).  Starts that are not one row per
-    request, a request whose increment is not one per crease or whose
-    controlled index is not a crease, or an ``n_steps`` that is negative,
-    not an integer or not one per path, raise ValueError before any
-    closure; no starts and no requests give no paths.
+    Path b repeats one drive every step: the increments ``delta_rho_0[b]``,
+    exact at the entries the bool mask ``controlled[b]`` marks, each cut to
+    reach at most its box face.  ``step_scale`` caps each substep and
+    ``n_steps`` the steps, one value for all paths or one per path.  When
+    an uncontrolled angle reaches its box face it is pinned there for the
+    remainder of the path, which keeps the mountain/valley assignment of
+    every crease, and the path continues; the path's ``frozen`` mask marks
+    it from that state on.  Controlled angles reaching their box end the
+    path.  The path parameter ``delta_rho_c`` sums the largest controlled
+    increment of each step (of all angles when none is controlled).  A
+    ragged, misshapen or mistyped argument, a non-finite increment, a
+    step_scale that is not finite or under MIN_STEP, or a negative step
+    count raises a ValueError naming it before any closure.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
     first failing path's StepFailure is raised with ``completed`` holding
     the paths listed before it.
     """
-    rho = np.array(starts, dtype=float)
-    if rho.size == 0 and not requests:
-        return []
+    rho = _as_array("starts", starts, "iuf").astype(float)
     n = geom.n_vertex_creases
-    if rho.shape != (len(requests), n):
-        raise ValueError(f"starts has shape {rho.shape}, need ({len(requests)}, "
-                         f"{n}): one row of fold angles per request")
-    for req in requests:
-        if req.delta_rho_0.shape != (n,):
-            raise ValueError(f"delta_rho_0 has shape {req.delta_rho_0.shape}, "
-                             f"need ({n},): one increment per crease")
-        if not all(0 <= i < n for i in req.controlled_indices):
-            raise ValueError(f"controlled_indices {req.controlled_indices} must "
-                             f"lie in 0..{n - 1}")
-    n_steps = np.asarray(n_steps)
-    if n_steps.dtype.kind not in "iu" or np.any(n_steps < 0):
-        raise ValueError(f"n_steps must be non-negative integers, got {n_steps.tolist()!r}")
+    if rho.ndim != 2 or rho.shape[1] != n:
+        raise ValueError(f"starts has shape {rho.shape}, need (B, {n}): one row "
+                         "of fold angles per path")
     n_path = len(rho)
-    if n_steps.shape not in ((), (n_path,)):
-        raise ValueError(f"n_steps has shape {n_steps.shape}, need () or ({n_path},): "
-                         "one step count for all paths or one per path")
-    n_steps = np.broadcast_to(n_steps, (n_path,))
+    # each argument is checked whole, in order, so the first bad one is named
+    req_d0 = _as_array("delta_rho_0", delta_rho_0, "iuf").astype(float)
+    if req_d0.shape != rho.shape:
+        raise ValueError(f"delta_rho_0 has shape {req_d0.shape}, need {rho.shape}")
+    if not np.isfinite(req_d0).all():
+        raise ValueError("delta_rho_0 must be finite")
+    ctrl = _as_array("controlled", controlled, "b")
+    if ctrl.shape != rho.shape:
+        raise ValueError(f"controlled has shape {ctrl.shape}, need {rho.shape}")
+    per_path = ((), (n_path,))      # one value for all paths or one per path
+    req_scale = _as_array("step_scale", step_scale, "iuf").astype(float)
+    if req_scale.shape not in per_path:
+        raise ValueError(f"step_scale has shape {req_scale.shape}, need () or ({n_path},)")
+    # written so that NaN fails; an infinite scale would be retried forever
+    if not np.all((req_scale >= MIN_STEP) & (req_scale < np.inf)):
+        raise ValueError(f"step_scale must be finite and at least MIN_STEP = "
+                         f"{MIN_STEP:g} rad, got {req_scale.tolist()!r}")
+    n_steps = _as_array("n_steps", n_steps, "iu")
+    if n_steps.shape not in per_path:
+        raise ValueError(f"n_steps has shape {n_steps.shape}, need () or ({n_path},)")
+    if np.any(n_steps < 0):
+        raise ValueError(f"n_steps must be non-negative, got {n_steps.tolist()!r}")
     r, C = check_states(geom, rho, "starts row")
     bounds = lo, hi = angle_bounds(geom)
-    req_d0 = np.array([req.delta_rho_0 for req in requests]).reshape(rho.shape)
-    ctrl = np.zeros(rho.shape, dtype=bool)
-    for b, req in enumerate(requests):
-        ctrl[b, list(req.controlled_indices)] = True
     loose, steered = ~ctrl, ctrl.any(axis=-1)
     # the parameter increment: the largest controlled one, or of all without any
     measured = ctrl | ~steered[:, None]
-    req_scale = np.array([req.step_scale for req in requests], dtype=float)
     scale = req_scale               # halved on each failed try of a step
     min_scale = np.maximum(MIN_STEP, req_scale / 2.0 ** MAX_HALVINGS)
     n_done = np.zeros(n_path, dtype=int)

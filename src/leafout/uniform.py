@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .kinematics import FoldingPath, check_states
+from .kinematics import FoldingPath, _as_array, check_states
 from .unitcell import sub_angle_from_main
 
 DEFAULT_PSI_STEP = np.radians(0.5)  # landscape grid spacing without n_samples
@@ -108,6 +108,16 @@ def uniform_state(geom, psi):
     return rho
 
 
+def _range_ends(name, value):
+    """A range argument as a float array of its two ends [lo, hi], reversed
+    or not; anything but two real numbers raises a ValueError naming
+    ``name``."""
+    ends = _as_array(name, value, "iuf")
+    if ends.shape != (2,):
+        raise ValueError(f"{name} must be two numbers [lo, hi], got shape {ends.shape}")
+    return ends.astype(float)
+
+
 def clip_psi_range(alpha, psi_range):
     """Clip a requested psi interval to the motion range.
 
@@ -184,9 +194,11 @@ def uniform_path(geom, psi_range, n_samples):
     motion range are clipped away and the truncation flagged.  Each
     sample's sub angle is computed once and shared by every unit.  Every
     sample is checked against the angle boxes and the closure tolerance
-    in one batched pass; the error names the first failing sample.
+    in one batched pass; the error names the first failing sample.  A
+    ``psi_range`` that is not two numbers is refused by name.
     """
-    psis, truncated = psi_samples(geom.alpha, psi_range, n_samples)
+    psis, truncated = psi_samples(geom.alpha, _range_ends("psi_range", psi_range),
+                                  n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     rho = np.empty((psis.size, geom.n_vertex_creases))
     rho[:, 0::2], rho[:, 1::2] = rho_m[:, None], rho_b[:, None]

@@ -11,12 +11,12 @@ import pytest
 
 import leafout as lf
 from leafout.cli import main as cli_main
-from leafout.kinematics import StepFailure, StepRequest, _closure, trace_paths
+from leafout.kinematics import StepFailure, _closure, trace_paths
 from oracles import (chain_closure_norm, fd_constraint_matrix, sampled_extrema,
                      sub_angle_oracle)
 
 GEOM = lf.build_geometry(5, 70.0, 30.0)
-CTRL_ALL = (0, 2, 4, 6, 8)
+CTRL_ALL = np.tile([True, False], 5)      # every main crease
 
 
 def _report(num, text):
@@ -42,10 +42,9 @@ def traced_uniform():
         states = [lf.uniform_state(GEOM, psis[0])]
         for k in range(1, len(psis)):
             target = lf.uniform_motion(GEOM.alpha, psis[k])[0][0]
-            d0 = np.zeros(10)
-            d0[list(CTRL_ALL)] = target - states[-1][0]
-            req = StepRequest(d0, CTRL_ALL, step_scale=np.radians(0.25))
-            path = trace_paths(GEOM, [states[-1]], [req], 1)[0]
+            d0 = np.where(CTRL_ALL, target - states[-1][0], 0.0)
+            path = trace_paths(GEOM, [states[-1]], [d0], [CTRL_ALL],
+                               np.radians(0.25), 1)[0]
             states.append(path.rho_o[-1])
         halves[sgn] = (psis, states)
     return halves
@@ -160,7 +159,8 @@ def test_criterion_06_jacobian_against_finite_differences():
         state = lf.uniform_state(GEOM, psi)
         d0 = rng.uniform(-0.02, 0.02, size=10)
         try:
-            path = trace_paths(GEOM, [state], [StepRequest(d0)], 1)[0]
+            path = trace_paths(GEOM, [state], [d0], np.zeros((1, 10), dtype=bool),
+                               np.radians(0.5), 1)[0]
         except StepFailure:
             continue
         if path.termination != "max-steps":     # locked

@@ -7,12 +7,16 @@ a hostile value, ends in exit 0 with finite outputs, exit 2 with one JSON
 config error and no output directory, or exit 3 with a partial manifest,
 and never raises or warns.
 
-The library's state entries: ``uniform_state``, ``reconstruct_mesh``,
-``trace_paths`` and ``path_energies``, given fold-angle rows of the wrong
-length or ndim, with NaN or infinite angles, outside the boxes, not
-closed or turning the chain by a half-turn, a step count not one per
-path or a tilt that is not a finite number, each return the oracle's
-answer or raise a ValueError that names the argument, and never warn."""
+The library's state, drive and range entries: ``uniform_state``,
+``reconstruct_mesh``, ``trace_paths`` and ``path_energies``, given
+fold-angle rows of the wrong length or ndim, with NaN or infinite angles,
+outside the boxes, not closed or turning the chain by a half-turn, a tilt
+that is not a finite number, or a trace_paths argument (starts, drive or
+step count) that is ragged or of the wrong shape, type or value; and
+``landscape_over_psi``, ``uniform_path`` and ``trigger_map``, given a range
+that is not two numbers or a map count that is not a positive integer:
+each returns the oracle's answer or raises a ValueError that names the
+argument, and never warns."""
 import contextlib
 import functools
 import io
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 import leafout as lf
 from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, apply_overrides,
                          main)
+from leafout.kinematics import MIN_STEP
 from oracles import chain_closure_norm, direct_energy
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -230,15 +235,50 @@ def _grasped(n_cell):
 
 ROW_DEFECTS = ("none", "short", "long", "scalar", "stack", "nan", "box", "open",
                "mirrored", "half-turn")
+# trace_paths' arguments in the order it checks them; closure comes last
+TRACE_ARGS = ("starts", "delta_rho_0", "controlled", "step_scale", "n_steps")
+
+
+def _drive_defects(n):
+    """Bad values of trace_paths' drive and step count, by argument, for
+    one path of n creases."""
+    return {"delta_rho_0": [np.full((1, n), np.nan), np.full((1, n), np.inf),
+                            np.zeros((1, n - 1)), np.zeros(n), [[0.0] * n, [0.0]],
+                            [["0"] * n], None, np.zeros((1, n), dtype=complex)],
+            # an index list, an integer mask and masks of the wrong shape
+            "controlled": [[[0]], np.zeros((1, n), dtype=int),
+                           np.zeros((1, n + 1), dtype=bool), np.zeros(n, dtype=bool),
+                           [[False] * n, [False]]],
+            "step_scale": [np.nan, np.inf, 0.0, -1.0, np.nextafter(MIN_STEP, 0.0),
+                           [0.01, 0.01], [[0.01]], [[0.01], 0.01], "0.01", None, True],
+            "n_steps": [[[1], 2], 2.5, -1, [-1], "3", True, None, np.float64(1.0)]}
+
+
+# a range argument from two ends a and b, by whether it is one
+RANGES = {True: [lambda a, b: (a, b), lambda a, b: [a, b], lambda a, b: np.array([a, b])],
+          False: [lambda a, b: a, lambda a, b: (a,), lambda a, b: (a, (a + b) / 2, b),
+                  lambda a, b: (), lambda a, b: [[a], b], lambda a, b: [[a, b]],
+                  lambda a, b: (str(a), str(b)), lambda a, b: (False, True),
+                  lambda a, b: None]}
+
+
+@st.composite
+def ranges(draw, lo, hi, ok):
+    """(range argument, its ends (a, b)): ends drawn in [lo, hi] in either
+    order, made a range when ``ok`` and something else otherwise."""
+    a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    return draw(st.sampled_from(RANGES[ok]))(a, b), (a, b)
 
 
 @st.composite
 def state_inputs(draw):
-    """(geometry, rows, as_stack, n_steps, tilt, psi): a closed row of fold
-    angles, uniform or grasped, with one defect applied; whether
-    trace_paths gets it as a (1, N) stack or as it is, and its step count,
-    one number or a list; a tilt for reconstruct_mesh; and a psi for
-    uniform_state."""
+    """(geometry, rows, starts, drive, broken, tilt, psi): a closed row of
+    fold angles, uniform or grasped, with one defect applied; trace_paths'
+    starts made from it, as a (1, N) stack or as it is, perhaps ragged or
+    text, its zero drive (increments, mask, step scale and step count, one
+    number or a list), perhaps with one bad argument, and the set of
+    trace_paths arguments that are malformed; a tilt for reconstruct_mesh;
+    and a psi for uniform_state."""
     geom = _geometry(draw(st.sampled_from([3, 5, 8])))
     n = geom.n_vertex_creases
     lo, hi = lf.psi_motion_range(geom.alpha)
@@ -269,10 +309,45 @@ def state_inputs(draw):
         rho[i] = sum(box)
     psi = draw(st.one_of(st.floats(lo - 0.5, hi + 0.5), st.sampled_from(
         [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1)])))
-    n_steps = draw(st.one_of(st.just(1), st.lists(st.just(1), max_size=3)))
+    starts = np.asarray(rho)[None] if draw(st.booleans()) else rho
+    broken = set() if np.shape(starts) == (1, n) else {"starts"}
+    starts_defect = draw(st.one_of(st.just("none"), st.sampled_from(["ragged", "text"])))
+    if starts_defect != "none":
+        broken.add("starts")
+        starts = ([np.ravel(starts).tolist(), [0.0]] if starts_defect == "ragged"
+                  else np.asarray(starts).astype(str))
+    drive = {"delta_rho_0": np.zeros((1, n)), "controlled": np.zeros((1, n), dtype=bool),
+             "step_scale": draw(st.one_of(st.floats(MIN_STEP, 1.0), st.just([0.01]))),
+             "n_steps": draw(st.one_of(st.just(1), st.lists(st.just(1), max_size=3)))}
+    if np.shape(drive["n_steps"]) not in ((), (1,)):
+        broken.add("n_steps")
+    bad = draw(st.sampled_from([None, *TRACE_ARGS[1:]]))
+    if bad is not None:
+        drive[bad] = draw(st.sampled_from(_drive_defects(n)[bad]))
+        broken.add(bad)
     tilt = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
         [np.nan, np.inf, "0.1", None, [0.1], 0.1j])))
-    return geom, rho, draw(st.booleans()), n_steps, tilt, psi
+    return geom, rho, starts, drive, broken, tilt, psi
+
+
+@st.composite
+def range_inputs(draw):
+    """(geometry, landscape range, uniform-path range, whether each is one,
+    sample count, trigger-map arguments, the one of them that is bad or
+    None): psi ranges inside the motion range, heights up to 1 m and a
+    bistable rest-angle range, each range given as (argument, ends)."""
+    geom = _geometry(draw(st.sampled_from([3, 5, 8])))
+    lo, hi = lf.psi_motion_range(geom.alpha)
+    oks = draw(st.booleans()), draw(st.booleans())
+    psi_ranges = [draw(ranges(lo + 0.01, hi - 0.01, ok)) for ok in oks]
+    bad = draw(st.sampled_from([None, "h_range", "rest_angle_range", "n_h", "n_rest"]))
+    limit = np.pi - 2 * geom.alpha      # rest angles past it are not bistable
+    args = {"h_range": draw(ranges(0.0, 1.0, bad != "h_range")),
+            "rest_angle_range": draw(ranges(0.05, limit - 0.05, bad != "rest_angle_range"))}
+    for name in ("n_h", "n_rest"):
+        args[name] = draw(st.sampled_from(
+            [0, -1, 2.5, np.nan, "3", True, None] if bad == name else [1, 2, np.int64(3)]))
+    return geom, psi_ranges, oks, draw(st.integers(2, 9)), args, bad
 
 
 def _oracle_accepts(geom, rows, closed):
@@ -294,13 +369,14 @@ def _refuses_by_name(call, name):
         call()
     message = str(info.value)
     assert name in message, message
-    assert "broadcast" not in message and "reshape" not in message, message
+    assert not any(word in message for word in ("broadcast", "reshape", "inhomogeneous")), \
+        message
 
 
 @settings(max_examples=300, deadline=None)
-@given(state_inputs())
-def test_state_entries_answer_or_refuse_by_name(case):
-    geom, rho, as_stack, n_steps, tilt, psi = case
+@given(state_inputs(), range_inputs())
+def test_state_entries_answer_or_refuse_by_name(case, range_case):
+    geom, rho, starts, drive, broken, tilt, psi = case
     n, cos_a = geom.n_vertex_creases, np.cos(geom.alpha)
     springs = lf.SpringModel.uniform(geom, 1.0, 1.0, -0.5)
     with warnings.catch_warnings(record=True) as caught:
@@ -331,13 +407,9 @@ def test_state_entries_answer_or_refuse_by_name(case):
                     assert abs(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
                                - length) < 1e-9 * length
 
-        starts = np.asarray(rho)[None] if as_stack else rho
-        trace = functools.partial(lf.trace_paths, geom, starts,
-                                  [lf.StepRequest(np.zeros(n))], n_steps)
-        if np.shape(starts) != (1, n):
-            _refuses_by_name(trace, "starts")
-        elif np.shape(n_steps) not in ((), (1,)):
-            _refuses_by_name(trace, "n_steps")
+        trace = functools.partial(lf.trace_paths, geom, starts, **drive)
+        if broken:
+            _refuses_by_name(trace, min(broken, key=TRACE_ARGS.index))
         elif _oracle_accepts(geom, starts, closed=True):
             # a zero drive leaves the start where it is
             (path,) = trace()
@@ -358,4 +430,36 @@ def test_state_entries_answer_or_refuse_by_name(case):
             assert chain_closure_norm(geom.alpha, row) <= 1e-10
         else:
             _refuses_by_name(lambda: lf.uniform_state(geom, psi), "psi")
+        _check_range_entries(*range_case)
     assert [str(w.message) for w in caught] == []
+
+
+def _check_range_entries(geom, psi_ranges, oks, n_samples, args, bad):
+    """The range entries of the contract property: sampling follows the
+    requested ends, in their order where the entry keeps it."""
+    springs = lf.SpringModel.uniform(geom, 1.0, 1.0, -0.5)
+    (psi_range, (a, b)), ok = psi_ranges[0], oks[0]
+    landscape = functools.partial(lf.landscape_over_psi, geom, springs, psi_range,
+                                  n_samples)
+    if ok:
+        curve = landscape()
+        assert (curve.psi[0], curve.psi[-1]) == (min(a, b), max(a, b))
+        assert np.all(np.diff(curve.psi) >= 0) and not curve.truncated
+    else:
+        _refuses_by_name(landscape, "psi_range")
+    (psi_range, (a, b)), ok = psi_ranges[1], oks[1]
+    path_of = functools.partial(lf.uniform_path, geom, psi_range, n_samples)
+    if ok:
+        assert np.array_equal(path_of().params, np.linspace(a, b, n_samples))
+    else:
+        _refuses_by_name(path_of, "psi_range")
+    (h_range, h_ends), (rest_range, rest_ends) = args["h_range"], args["rest_angle_range"]
+    tmap = functools.partial(lf.trigger_map, geom, lf.DropScenario(), h_range, rest_range,
+                             args["n_h"], args["n_rest"])
+    if bad is None:
+        got = tmap()
+        assert np.array_equal(got.heights, np.linspace(*h_ends, args["n_h"]))
+        assert np.array_equal(got.rest_angles, np.linspace(*rest_ends, args["n_rest"]))
+        assert got.E_gap.shape == (args["n_rest"], args["n_h"])
+    else:
+        _refuses_by_name(tmap, bad)

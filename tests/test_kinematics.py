@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 import leafout as lf
 from leafout import kinematics
-from leafout.kinematics import (StepFailure, StepRequest, _closure,
-                                _masked_solve, _tangent, angle_bounds, trace_paths)
+from leafout.kinematics import (StepFailure, _closure, _masked_solve, _tangent,
+                                angle_bounds, trace_paths)
 from oracles import (chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation,
                      min_norm_solve_exact, rot_x, rot_z)
 
@@ -24,14 +24,29 @@ def max_residual(geom, rho):
     return np.max(np.abs(_closure(geom, np.asarray(rho, dtype=float)[None])[0]))
 
 
-def trace(geom, start, request, n_steps):
-    """The path of one start state and request."""
-    return trace_paths(geom, [start], [request], n_steps)[0]
+def drive(d0, ctrl=(), step_scale=np.radians(0.5)):
+    """One path's drive as trace_paths takes it: the increment row, the
+    mask of the controlled entries ``ctrl`` and the step scale."""
+    d0 = np.asarray(d0, dtype=float)
+    mask = np.zeros(d0.shape, dtype=bool)
+    mask[list(ctrl)] = True
+    return d0, mask, step_scale
 
 
-def step(geom, start, request):
-    """The state one step of ``request`` reaches from ``start``."""
-    return trace(geom, start, request, 1).rho_o[-1]
+def trace_all(geom, starts, drives, n_steps):
+    """The paths of start states and their drives, traced together."""
+    d0, ctrl, scale = (np.array(part) for part in zip(*drives))
+    return trace_paths(geom, starts, d0, ctrl, scale, n_steps)
+
+
+def trace(geom, start, drv, n_steps):
+    """The path of one start state and its drive."""
+    return trace_all(geom, [start], [drv], n_steps)[0]
+
+
+def step(geom, start, drv):
+    """The state one step of the drive ``drv`` reaches from ``start``."""
+    return trace(geom, start, drv, 1).rho_o[-1]
 
 
 def test_flat_chain_is_identity(geom5):
@@ -250,8 +265,7 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
 
 
 def test_zero_request_is_fixed_point(geom5, uniform_minus30):
-    req = StepRequest(np.zeros(10))
-    rho = step(geom5, uniform_minus30, req)
+    rho = step(geom5, uniform_minus30, drive(np.zeros(10)))
     assert np.max(np.abs(rho - uniform_minus30)) < 1e-12
 
 
@@ -262,7 +276,7 @@ def test_uniform_drive_stays_uniform(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2, 4, 6, 8)
     d0[list(ctrl)] = np.radians(0.5)
-    rho = step(geom5, start, StepRequest(d0, ctrl))
+    rho = step(geom5, start, drive(d0, ctrl))
     assert np.ptp(rho[0::2]) < 1e-12
     assert np.ptp(rho[1::2]) < 1e-12
     assert np.isclose(np.degrees(rho[0]), 7.6)
@@ -273,7 +287,7 @@ def test_pinch_drive_breaks_symmetry(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2)
     d0[list(ctrl)] = np.radians(0.5)
-    rho = trace(geom5, start, StepRequest(d0, ctrl), 10).rho_o[-1]
+    rho = trace(geom5, start, drive(d0, ctrl), 10).rho_o[-1]
     assert np.isclose(rho[0], rho[2], atol=1e-12)
     assert rho[0] - rho[6] > np.radians(1.0)
 
@@ -282,8 +296,7 @@ def test_locked_configuration_detected(geom5, uniform_minus30):
     # a pure row-space request with every angle prescribed is infeasible
     C = jacobian(geom5, uniform_minus30)
     d0 = C.T @ np.array([1.0, 2.0, 3.0]) * 1e-3
-    req = StepRequest(d0, tuple(range(10)))
-    path = trace(geom5, uniform_minus30, req, 5)
+    path = trace(geom5, uniform_minus30, drive(d0, range(10)), 5)
     assert path.termination == "locked"
     assert np.array_equal(path.rho_o, uniform_minus30[None])
 
@@ -292,34 +305,37 @@ def test_controlled_increments_exact(geom5):
     start = lf.near_flat_start(geom5)
     d0 = np.zeros(10)
     d0[0] = np.radians(1.25)
-    rho = step(geom5, start, StepRequest(d0, (0,)))
+    rho = step(geom5, start, drive(d0, (0,)))
     assert abs(rho[0] - start[0] - np.radians(1.25)) < 1e-14
 
 
 def test_trace_zero_driver(geom5, uniform_minus30):
-    path = trace(geom5, uniform_minus30, StepRequest(np.zeros(10)), 5)
+    path = trace(geom5, uniform_minus30, drive(np.zeros(10)), 5)
     assert len(path) == 6
     assert np.max(np.abs(path.rho_o - uniform_minus30)) < 1e-10
 
 
 def test_no_paths_trace_to_no_paths(geom5):
-    assert trace_paths(geom5, [], [], 5) == []
+    none = np.zeros((0, 10))
+    assert trace_paths(geom5, none, none, none.astype(bool), 0.01, 5) == []
     assert lf.run_programs(geom5, []) == []
 
 
 def test_trace_requires_closed_start(geom5):
     # the shape is checked first: 8 or 12 angles would fail as not closed,
-    # a flat row or a 3-D stack inside numpy
+    # a flat row or a 3-D stack inside numpy; two rows need two drives
+    d0, ctrl, scale = (np.array([part]) for part in drive(np.zeros(10)))
     for starts, error, match in (
             ([[0.3] + [0.0] * 9], lf.NotClosedError, "starts row 0: closure residual"),
-            (np.zeros((1, 8)), ValueError, r"starts has shape \(1, 8\), need \(1, 10\)"),
+            (np.zeros((1, 8)), ValueError, r"starts has shape \(1, 8\), need \(B, 10\)"),
             (np.zeros((1, 12)), ValueError, r"starts has shape \(1, 12\)"),
             (np.zeros(10), ValueError, r"starts has shape \(10,\)"),
             (np.zeros((1, 1, 10)), ValueError, r"starts has shape \(1, 1, 10\)"),
-            (np.zeros((2, 10)), ValueError, r"starts has shape \(2, 10\)"),
+            (np.zeros((2, 10)), ValueError,
+             r"delta_rho_0 has shape \(1, 10\), need \(2, 10\)"),
             ([], ValueError, r"starts has shape \(0,\)")):
         with pytest.raises(error, match=match):
-            trace_paths(geom5, starts, [StepRequest(np.zeros(10))], 2)
+            trace_paths(geom5, starts, d0, ctrl, scale, 2)
 
 
 def test_nan_start_rejected_before_stepping(geom5, uniform_minus30, monkeypatch):
@@ -328,13 +344,13 @@ def test_nan_start_rejected_before_stepping(geom5, uniform_minus30, monkeypatch)
     rho = uniform_minus30.copy()
     rho[3] = np.nan
     with pytest.raises(ValueError, match="starts row 0: angles violate"):
-        trace(geom5, rho, StepRequest(np.zeros(10)), 2)
+        trace(geom5, rho, drive(np.zeros(10)), 2)
 
 
-def _request(ctrl, amount, step_scale=np.radians(0.5), n=10):
+def _drive(ctrl, amount, step_scale=np.radians(0.5), n=10):
     d0 = np.zeros(n)
     d0[list(ctrl)] = amount
-    return StepRequest(d0, ctrl, step_scale=step_scale)
+    return drive(d0, ctrl, step_scale)
 
 
 def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
@@ -343,11 +359,11 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     # units 1 and 2 trace normally beside it
     monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
     start = lf.near_flat_start(geom5)
-    good = _request((0, 2), np.radians(0.5), 4.0)
-    bad = _request((0, 4), 2.0, 4.0)
+    good = _drive((0, 2), np.radians(0.5), 4.0)
+    bad = _drive((0, 4), 2.0, 4.0)
     alone = trace(geom5, start, good, 5)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
-        trace_paths(geom5, [start, start, start], [good, bad, good], 5)
+        trace_all(geom5, [start, start, start], [good, bad, good], 5)
     (first,) = info.value.completed
     assert np.array_equal(first.rho_o, alone.rho_o)
     assert first.termination == alone.termination == "max-steps"
@@ -381,10 +397,10 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     def spying_solve(C, free, v):
         svd_rows.clear()
         x = masked_solve(C, free, v)
-        if len(C) == len(reqs) and free[:-1].any():
+        if len(C) == len(drives) and free[:-1].any():
             Cf = np.where(free[:, None, :], C, 0.0)
             took = [any(np.array_equal(c, row) for row in svd_rows) for c in Cf]
-            svd_alone.append(took == [False] * (len(reqs) - 1) + [True])
+            svd_alone.append(took == [False] * (len(drives) - 1) + [True])
         return x
 
     project, svd_solve, masked_solve = (kinematics._project, kinematics._svd_solve,
@@ -396,19 +412,19 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
     starts = [start] * 4 + [np.zeros(n)]
-    reqs = [_request((0,), np.radians(3.0), np.radians(1.0), n),
-            _request(*UNSPLIT_RETRIED[n_cell], 4.0, n),
-            _request(tuple(range(0, n, 2)), np.radians(5.0), n=n),
-            _request(tuple(range(n)), 0.01, n=n),
-            _request((0,), np.radians(0.5), n=n)]
-    together = trace_paths(geom, starts, reqs, 30)
+    drives = [_drive((0,), np.radians(3.0), np.radians(1.0), n),
+              _drive(*UNSPLIT_RETRIED[n_cell], 4.0, n),
+              _drive(tuple(range(0, n, 2)), np.radians(5.0), n=n),
+              _drive(tuple(range(n)), 0.01, n=n),
+              _drive((0,), np.radians(0.5), n=n)]
+    together = trace_all(geom, starts, drives, 30)
     assert failed_tries
     assert any(svd_alone)
     assert not together[0].frozen[0].any() and together[0].frozen[-1].any()
     assert together[3].termination == "locked"
     assert len(together[4]) == 31
-    for begin, req, path in zip(starts, reqs, together):
-        alone = trace(geom, begin, req, 30)
+    for begin, drv, path in zip(starts, drives, together):
+        alone = trace(geom, begin, drv, 30)
         assert np.array_equal(alone.rho_o, path.rho_o)
         assert np.array_equal(alone.rho_s, path.rho_s)
         assert np.array_equal(alone.params, path.params)
@@ -429,9 +445,9 @@ def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
 
     project = kinematics._project
     monkeypatch.setattr(kinematics, "_project", counting_project)
-    req = _request((0, 2), np.pi, np.pi)
+    drv = _drive((0, 2), np.pi, np.pi)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
-        trace(geom5, lf.near_flat_start(geom5), req, 5)
+        trace(geom5, lf.near_flat_start(geom5), drv, 5)
     assert info.value.completed == []
     assert tries == [kinematics._OUTSIDE_BOX] * (kinematics.MAX_HALVINGS + 1)
 
@@ -441,16 +457,16 @@ def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
     # first pass ends every path and no step is tried
     monkeypatch.setattr(kinematics, "_project", None)
     start = lf.near_flat_start(geom5)
-    reqs = [_request((0,), 1e-15), _request((0, 2), 1e-15)]
-    for path in trace_paths(geom5, [start, start], reqs, 5):
+    drives = [_drive((0,), 1e-15), _drive((0, 2), 1e-15)]
+    for path in trace_all(geom5, [start, start], drives, 5):
         assert path.termination == "controlled-at-boundary"
         assert np.array_equal(path.rho_o, start[None])
 
 
 def test_trace_terminates_at_controlled_box(geom5):
     start = lf.near_flat_start(geom5)
-    req = _request((0, 2, 4, 6, 8), np.radians(5.0), np.radians(5.0))
-    path = trace(geom5, start, req, 100)
+    drv = _drive((0, 2, 4, 6, 8), np.radians(5.0), np.radians(5.0))
+    path = trace(geom5, start, drv, 100)
     assert path.termination == "controlled-at-boundary"
     assert np.isclose(path.rho_o[-1, 0], np.pi, atol=1e-9)
 
@@ -470,7 +486,7 @@ def test_trace_boundary_stop_vs_freeze(geom5, monkeypatch):
     project = kinematics._project
     monkeypatch.setattr(kinematics, "_project", recording_project)
     start = lf.near_flat_start(geom5)
-    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 400)
+    path = trace(geom5, start, _drive((0, 2), np.radians(0.5)), 400)
     changed = np.flatnonzero((path.frozen[1:] != path.frozen[:-1]).any(axis=-1))
     # row k + 1 is the state of accepted step k
     first_pin = changed[0] + 1
@@ -484,8 +500,8 @@ def test_trace_boundary_stop_vs_freeze(geom5, monkeypatch):
 def pinning_paths(geom5):
     """Grasp-like paths of three drives that pin angles on the way."""
     start = lf.near_flat_start(geom5)
-    reqs = [_request(ctrl, np.radians(0.5)) for ctrl in ((0, 2), (0, 4), (0, 2, 4))]
-    paths = trace_paths(geom5, [start] * 3, reqs, 400)
+    drives = [_drive(ctrl, np.radians(0.5)) for ctrl in ((0, 2), (0, 4), (0, 2, 4))]
+    paths = trace_all(geom5, [start] * 3, drives, 400)
     assert all(p.frozen[-1].any() for p in paths)
     return paths
 
@@ -508,7 +524,7 @@ def test_first_row_sub_angles_follow_its_main_angles(geom5, springs_grasp):
     # row 0 takes its sub angles from its main angles like every other row,
     # so the start row and the path's first row have the same energy
     start = lf.near_flat_start(geom5)
-    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 3)
+    path = trace(geom5, start, _drive((0, 2), np.radians(0.5)), 3)
     assert np.array_equal(path.rho_s[0], kinematics.sub_angles(geom5, start))
     assert lf.path_energies(geom5, springs_grasp, path.rho_o)[0] \
         == lf.path_energies(geom5, springs_grasp, start)
@@ -516,7 +532,7 @@ def test_first_row_sub_angles_follow_its_main_angles(geom5, springs_grasp):
 
 def test_emitted_states_closed_and_boxed(geom5):
     start = lf.near_flat_start(geom5)
-    path = trace(geom5, start, _request((0, 2), np.radians(0.5)), 80)
+    path = trace(geom5, start, _drive((0, 2), np.radians(0.5)), 80)
     lo, hi = angle_bounds(geom5)
     for rho in path.rho_o:
         assert chain_closure_norm(geom5.alpha, rho) < 1e-10
@@ -525,8 +541,8 @@ def test_emitted_states_closed_and_boxed(geom5):
 
 def test_reversibility(geom5, uniform_minus30):
     ctrl = (0, 2, 4, 6, 8)
-    fwd = trace(geom5, uniform_minus30, _request(ctrl, np.radians(0.5)), 20)
-    back = trace(geom5, fwd.rho_o[-1], _request(ctrl, -np.radians(0.5)), 20)
+    fwd = trace(geom5, uniform_minus30, _drive(ctrl, np.radians(0.5)), 20)
+    back = trace(geom5, fwd.rho_o[-1], _drive(ctrl, -np.radians(0.5)), 20)
     assert np.max(np.abs(back.rho_o[-1] - uniform_minus30)) < 1e-6
 
 
@@ -536,8 +552,8 @@ def test_step_scale_substepping_equivalence(geom5):
     d0 = np.zeros(10)
     ctrl = (0, 2, 4, 6, 8)
     d0[list(ctrl)] = np.radians(4.0)
-    coarse = step(geom5, start, StepRequest(d0, ctrl, np.radians(8.0)))
-    fine = step(geom5, start, StepRequest(d0, ctrl, np.radians(0.5)))
+    coarse = step(geom5, start, drive(d0, ctrl, np.radians(8.0)))
+    fine = step(geom5, start, drive(d0, ctrl, np.radians(0.5)))
     assert np.isclose(coarse[0], fine[0], atol=1e-14)
     assert np.max(np.abs(coarse - fine)) < 1e-4
 
@@ -546,11 +562,10 @@ def test_step_scale_substepping_equivalence(geom5):
 @given(arrays(float, 10, elements=st.floats(min_value=-0.01, max_value=0.01)))
 def test_projection_keeps_states_closed(geom5, d0):
     state = lf.uniform_state(geom5, np.radians(-35.0))
-    assert max_residual(geom5, step(geom5, state, StepRequest(d0))) < 1e-10
+    assert max_residual(geom5, step(geom5, state, drive(d0))) < 1e-10
 
 
 def test_fold_state_validation(geom5, uniform_minus30):
-    req = StepRequest(np.zeros(10))
     open_ = np.tile([0.3, -0.3], 5)
     mountain = uniform_minus30.copy()
     mountain[1] = 0.5      # boundary crease must stay mountain
@@ -561,47 +576,48 @@ def test_fold_state_validation(geom5, uniform_minus30):
             lf.reconstruct_mesh(geom5, rows)
         with pytest.raises(ValueError, match=name.replace("rho_o", "starts")
                            .replace(r"\(8,\)", r"\(1, 8\)")):
-            trace_paths(geom5, [rows], [req], 2)
+            trace(geom5, rows, drive(np.zeros(10)), 2)
     with pytest.raises(lf.NotClosedError):
         lf.reconstruct_mesh(geom5, open_)
 
 
-@pytest.mark.parametrize("kwargs", [{"delta_rho_0": [np.nan] + [0.0] * 9},
-                                    {"step_scale": 0.0}, {"step_scale": np.nan}])
-def test_step_request_validation(kwargs):
-    with pytest.raises(ValueError):
-        StepRequest(**{"delta_rho_0": np.zeros(10), **kwargs})
+MIN_STEP_ERROR = "step_scale must be finite and at least MIN_STEP"
 
 
-@pytest.mark.parametrize("kwargs, n_steps, name", [
-    ({"controlled_indices": (-1,)}, 5, "controlled_indices"),
-    ({"controlled_indices": (0, 20)}, 5, "controlled_indices"),
-    ({"delta_rho_0": np.full(4, 0.01)}, 5, "delta_rho_0"),
-    ({}, -1, "n_steps"),
-    ({}, [5, -1], "n_steps"),
-    ({}, 2.5, "n_steps"),
-])
-def test_trace_refuses_bad_requests(geom5, uniform_minus30, kwargs, n_steps, name):
-    # negative indices would control the last creases, large ones and short
-    # increments would fail inside numpy, and a negative step count would
-    # give a one-row max-steps path
-    req = StepRequest(**{"delta_rho_0": np.full(10, 0.01), **kwargs})
-    with pytest.raises(ValueError, match=name):
-        trace_paths(geom5, [uniform_minus30] * 2, [req, req], n_steps)
-
-
-def test_step_request_rejects_scale_under_min_step(geom5):
-    # one try splits into ceil(max|t| / step_scale) substeps, so a 0.1 rad
-    # request at a 1e-9 scale would ask for about 1e8 of them
-    d0 = np.zeros(10)
-    d0[0] = 0.1
-    with pytest.raises(ValueError, match="MIN_STEP"):
-        StepRequest(d0, (0,), step_scale=1e-9)
-    for scale in (np.nextafter(kinematics.MIN_STEP, 0.0), -1.0):
-        with pytest.raises(ValueError, match="MIN_STEP"):
-            StepRequest(d0, (0,), step_scale=scale)
-    assert StepRequest(d0, (0,), step_scale=kinematics.MIN_STEP).step_scale \
-        == kinematics.MIN_STEP
+@pytest.mark.parametrize("arg, value, match", [
+    ("delta_rho_0", [[np.nan] + [0.0] * 9] * 2, "delta_rho_0 must be finite"),
+    ("delta_rho_0", np.full((2, 4), 0.01), "delta_rho_0 has shape"),
+    ("controlled", [[0, 2], [0, 2]], "controlled must hold booleans"),
+    ("controlled", np.zeros((2, 4), dtype=bool), "controlled has shape"),
+    ("step_scale", 0.0, MIN_STEP_ERROR),
+    ("step_scale", np.nan, MIN_STEP_ERROR),
+    ("step_scale", 1e-9, MIN_STEP_ERROR),
+    ("step_scale", np.nextafter(kinematics.MIN_STEP, 0.0), MIN_STEP_ERROR),
+    ("step_scale", -1.0, MIN_STEP_ERROR),
+    ("step_scale", np.inf, MIN_STEP_ERROR),
+    ("step_scale", kinematics.MIN_STEP, None),
+    ("n_steps", -1, "n_steps"),
+    ("n_steps", [5, -1], "n_steps"),
+    ("n_steps", 2.5, "n_steps"),
+], ids=["increment-nan", "increment-short", "mask-index-list", "mask-short",
+        "scale-zero", "scale-nan", "scale-1e-9", "scale-under-min-step",
+        "scale-negative", "scale-inf", "scale-min-step", "steps-negative",
+        "steps-one-negative", "steps-fraction"])
+def test_trace_entry_checks_each_drive_argument(geom5, uniform_minus30, arg, value,
+                                                match):
+    # an index list read as a mask would control the wrong creases, short
+    # rows would fail inside numpy, a negative step count would give a
+    # one-row max-steps path, one 0.1 rad step at a 1e-9 scale would ask
+    # for about 1e8 substeps, and a failing step at an infinite scale would
+    # be halved forever; no step is taken, so MIN_STEP costs none
+    args = {"starts": [uniform_minus30] * 2, "delta_rho_0": np.full((2, 10), 0.1),
+            "controlled": np.eye(2, 10, dtype=bool), "step_scale": np.radians(0.5),
+            "n_steps": 0, arg: value}
+    if match is None:
+        assert [len(path) for path in trace_paths(geom5, **args)] == [1, 1]
+    else:
+        with pytest.raises(ValueError, match=match):
+            trace_paths(geom5, **args)
 
 
 def test_check_states_names_first_failing_row(geom5):
