@@ -24,14 +24,17 @@ The conversion of the per-width constant to a per-crease stiffness uses
 an effective PET width.  The comb has 1 mm cuts between 11.5 mm teeth;
 by default only complete teeth along the crease count as spring
 material, and the width can be overridden directly.
+
+``kinematics._read`` reads the arguments: masses, lengths, g and kappa
+finite and positive, heights finite and at least 0, rest angles in
+(0, pi] and map counts integers of at least 1.
 """
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .energy import SpringModel
-from .uniform import _range_ends
+from .kinematics import _HUGE, _TINY, _count, _read
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -74,17 +77,12 @@ class DropScenario:
     rest_angle: float = np.radians(71.8)      # magnitude of the PET rest fold
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        for name in ("m_ball", "R_ball", "g", "kappa_pet"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0 < self.rest_angle <= np.pi:
-            raise ValueError("rest_angle must be in (0, pi] rad")
-        if not 0 <= self.h < np.inf:
-            raise ValueError("drop height must be finite and non-negative")
-        if self.effective_width_mm is not None \
-                and not 0 < self.effective_width_mm < np.inf:
-            raise ValueError("effective_width_mm must be finite and positive")
+        for name, lo, hi in (("m_ball", _TINY, _HUGE), ("R_ball", _TINY, _HUGE),
+                             ("h", 0.0, _HUGE), ("g", _TINY, _HUGE),
+                             ("kappa_pet", _TINY, _HUGE), ("rest_angle", _TINY, np.pi)):
+            _read(name, getattr(self, name), lo, hi)
+        if self.effective_width_mm is not None:
+            _read("effective_width_mm", self.effective_width_mm, _TINY, _HUGE)
         kappa_pet_si(self.kappa_pet, self.kappa_pet_unit)   # validate unit
 
 
@@ -140,23 +138,14 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
     reported as "grasp" with retention not asserted.  Optional
     experimental observations (h, outcome in {cross, circle, triangle})
     are carried through for overlay plotting.  Raises ValueError naming
-    the argument for a range that is not two numbers or a count that is
-    not an integer, and ValueError when a map value overflows.
+    the argument for heights that are not two finite numbers >= 0, rest
+    angles that are not two in (0, pi] or a count that is not an integer
+    of at least 1, and ValueError when a map value overflows.
     """
-    hs = _range_ends("h_range", h_range)
-    rs = _range_ends("rest_angle_range", rest_angle_range)
-    for name, count in (("n_h", n_h), ("n_rest", n_rest)):
-        if isinstance(count, bool) or not isinstance(count, Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    # written so that NaN fails too
-    if not (np.all((hs >= 0) & (hs < np.inf))
-            and np.all((rs > 0) & (rs <= np.pi))):
-        raise ValueError("drop heights must be finite and >= 0, rest angles "
-                         "in (0, pi]")
-    if min(n_h, n_rest) < 1:
-        raise ValueError("n_h and n_rest must be at least 1")
-    heights = np.linspace(hs[0], hs[1], n_h)
-    rests = np.linspace(rs[0], rs[1], n_rest)
+    hs = _read("h_range", h_range, 0.0, _HUGE, shape=(2,))
+    rs = _read("rest_angle_range", rest_angle_range, _TINY, np.pi, shape=(2,))
+    heights = np.linspace(hs[0], hs[1], _count("n_h", n_h, 1))
+    rests = np.linspace(rs[0], rs[1], _count("n_rest", n_rest, 1))
     limit = np.pi - 2 * geom.alpha
     bad = np.flatnonzero(~(rests < limit))
     if bad.size:

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kinematics import angle_bounds, sub_angles
+from .kinematics import _HUGE, _count, _read, angle_bounds, sub_angles
 from .unitcell import sub_angle_from_main
-from .uniform import _range_ends, landscape_psis, uniform_motion
+from .uniform import landscape_psis, uniform_motion
 
 REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
 SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
@@ -32,13 +32,12 @@ class SpringModel:
     rest_angle: np.ndarray
 
     def __post_init__(self):
-        self.kappa = np.asarray(self.kappa, dtype=float)
-        self.rest_angle = np.asarray(self.rest_angle, dtype=float)
+        self.kappa = _read("kappa", self.kappa, 0.0, _HUGE, "iuf", (None,),
+                           ConfigurationError)
+        self.rest_angle = _read("rest_angle", self.rest_angle, -_HUGE, _HUGE, "iuf",
+                                (None,), ConfigurationError)
         if self.kappa.shape != self.rest_angle.shape:
             raise ConfigurationError("kappa and rest_angle length mismatch")
-        # written so that NaN stiffness fails too
-        if not np.all((self.kappa >= 0) & (self.kappa < np.inf)):
-            raise ConfigurationError("stiffness must be finite and non-negative")
         # sum kappa (pi + |rest|)^2 bounds twice the energy of any angles
         # in [-pi, pi], so while it is finite no energy overflows
         with np.errstate(over="ignore", invalid="ignore"):
@@ -57,14 +56,12 @@ class SpringModel:
     @classmethod
     def per_kind(cls, geom, kappa_main, kappa_sub, kappa_boundary,
                  rest_main, rest_boundary, rest_sub=None):
-        if not 0.0 <= rest_main <= np.pi:
-            raise ConfigurationError("main rest angle must be in [0, pi]")
-        if not -np.pi <= rest_boundary <= 0.0:
-            raise ConfigurationError("boundary rest angle must be in [-pi, 0]")
+        rest_main = _read("rest_main", rest_main, 0.0, np.pi, error=ConfigurationError)
+        rest_boundary = _read("rest_boundary", rest_boundary, -np.pi, 0.0,
+                              error=ConfigurationError)
         if rest_sub is None:
             rest_sub = sub_angle_from_main(geom.alpha, rest_main)
-        if not 0.0 <= rest_sub <= np.pi:
-            raise ConfigurationError("sub rest angle must be in [0, pi]")
+        rest_sub = _read("rest_sub", rest_sub, 0.0, np.pi, error=ConfigurationError)
         n = geom.n_cell
         kap = np.tile([kappa_main, kappa_sub, kappa_sub, kappa_boundary], n)
         rest = np.tile([rest_main, rest_sub, rest_sub, rest_boundary], n)
@@ -77,13 +74,9 @@ def path_energies(geom, springs, rho_o):
     angle must lie in its box (to 1e-9); closure is not checked."""
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    rho_o = np.asarray(rho_o, dtype=float)
-    if rho_o.shape[-1:] != (geom.n_vertex_creases,):
-        raise ValueError(f"rho_o has shape {rho_o.shape}, need (..., "
-                         f"{geom.n_vertex_creases}): one angle per crease")
     lo, hi = angle_bounds(geom)
-    if not np.all((rho_o >= lo - 1e-9) & (rho_o <= hi + 1e-9)):     # NaN fails
-        raise ValueError("rho_o has angles outside the mountain/valley boxes")
+    rho_o = _read("rho_o", rho_o, lo - 1e-9, hi + 1e-9,
+                  shape=(..., geom.n_vertex_creases))
     rho_m, rho_s, rho_b = rho_o[..., 0::2], sub_angles(geom, rho_o), rho_o[..., 1::2]
     # per-crease angles in canonical order
     angles = np.stack([rho_m, rho_s, rho_s, rho_b], axis=-1).reshape(
@@ -141,13 +134,12 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
     """Energy along the uniform path over a psi interval.
 
     The requested range is clipped to the admissible motion range and
-    flagged when truncation occurs.  Default sampling is 0.5 degrees.  A
-    ``psi_range`` that is not two numbers is refused by name.
+    flagged when truncation occurs.  Default sampling is 0.5 degrees.
     """
     if springs.kappa.shape != (geom.n_total_creases,):
         raise ConfigurationError("spring model size does not match geometry")
-    psis, truncated = landscape_psis(geom.alpha, _range_ends("psi_range", psi_range),
-                                     n_samples)
+    psis, truncated = landscape_psis(
+        geom.alpha, _read("psi_range", psi_range, -_HUGE, _HUGE, shape=(2,)), n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     energy = _spring_energy(springs.kappa, springs.rest_angle, rho_m, rho_s, rho_b)
     return LandscapeCurve(psi=psis, energy=energy, rho_m=rho_m, rho_s=rho_s,
@@ -264,14 +256,12 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     about SURFACE_BLOCK slope samples; xi is NaN unless bistable.  Each
     grid must be a non-empty 1-D array of rest angles in the domain that
     ``SpringModel.per_kind`` accepts, or ConfigurationError names it."""
-    gm, gb = (np.asarray(g, dtype=float)
-              for g in (rest_main_grid, rest_boundary_grid))
-    for name, g, lo, hi, span in (("rest_main_grid", gm, 0.0, np.pi, "[0, pi]"),
-                                  ("rest_boundary_grid", gb, -np.pi, 0.0, "[-pi, 0]")):
-        # written so that NaN fails too
-        if not (g.ndim == 1 and g.size and np.all((g >= lo) & (g <= hi))):
-            raise ConfigurationError(f"{name} must be a non-empty 1-D grid of "
-                                     f"rest angles in {span} rad")
+    gm = _read("rest_main_grid", rest_main_grid, 0.0, np.pi, "iuf", (None,),
+               ConfigurationError)
+    gb = _read("rest_boundary_grid", rest_boundary_grid, -np.pi, 0.0, "iuf", (None,),
+               ConfigurationError)
+    for name, g in (("rest_main_grid", gm), ("rest_boundary_grid", gb)):
+        _count(f"len({name})", len(g), 1, ConfigurationError)
     psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
     rs = sub_angle_from_main(geom.alpha, gm)[:, None]
     xi = np.empty((len(gm), len(gb)))

@@ -18,12 +18,11 @@ continues, which keeps the crease assignments and matches how the energy
 minima along grasping paths are reached well past the first boundary
 contact.
 """
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import MIN_STEP, StepFailure, trace_paths
+from .kinematics import MIN_STEP, StepFailure, _count, _read, trace_paths
 from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
@@ -39,16 +38,12 @@ class GraspProgram:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
-        self.controlled_units = tuple(sorted(set(int(u) for u in
-                                                 self.controlled_units)))
-        if not self.controlled_units:
-            raise ValueError("controlled_units must be non-empty")
-        if not MIN_STEP <= self.delta_rho_c <= np.pi:   # halving floor to half turn
-            raise ValueError(f"delta_rho_c must be in [MIN_STEP, pi] = [{MIN_STEP:g}, "
-                             f"{np.pi:g}] rad, got {float(self.delta_rho_c)!r}")
-        if (isinstance(self.max_steps, bool)
-                or not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        units = _read("controlled_units", self.controlled_units, 1, np.inf, "iu", (None,))
+        self.controlled_units = tuple(sorted(set(units.tolist())))
+        _count("len(controlled_units)", len(self.controlled_units), 1)
+        # from the halving floor to a half turn
+        _read("delta_rho_c", self.delta_rho_c, MIN_STEP, np.pi)
+        _count("max_steps", self.max_steps, 1)
 
     def label(self):
         return "units-" + "-".join(str(u) for u in self.controlled_units)

@@ -15,11 +15,11 @@ Euler-angle pose of uniform states when set to psi.
 """
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
 
 import numpy as np
 
-from .kinematics import _chain_matrices, check_states, sub_angles
+from .kinematics import (_HUGE, _TINY, _chain_matrices, _count, _read, check_states,
+                         sub_angles)
 from .unitcell import boundary_direction
 
 
@@ -84,13 +84,10 @@ def build_geometry(n_cell, L1, L2):
 
     The pattern only closes around the central vertex for n_cell >= 3.
     """
-    if isinstance(n_cell, bool) or not isinstance(n_cell, Integral) or n_cell < 3:
-        raise ValueError(f"n_cell must be an integer >= 3 to tile the plane, "
-                         f"got {n_cell!r}")
-    if not (0 < L1 < np.inf and 0 < L2 < np.inf):
-        raise ValueError("panel lengths L1, L2 must be finite and positive")
-    return LeafOutGeometry(n_cell=int(n_cell), alpha=np.pi / n_cell, L1=float(L1),
-                           L2=float(L2))
+    n_cell = _count("n_cell", n_cell, 3)
+    L1 = float(_read("L1", L1, _TINY, _HUGE))
+    L2 = float(_read("L2", L2, _TINY, _HUGE))
+    return LeafOutGeometry(n_cell=n_cell, alpha=np.pi / n_cell, L1=L1, L2=L2)
 
 
 @dataclass
@@ -152,13 +149,9 @@ def reconstruct_mesh(geom, rho_o, tilt=0.0):
     finite number.  The outer panels reach L1 along the midline; their extent
     affects neither kinematics nor energy.
     """
-    rho_o = np.asarray(rho_o, dtype=float)
-    if rho_o.shape != (geom.n_vertex_creases,):
-        raise ValueError(f"rho_o has shape {rho_o.shape}, need "
-                         f"({geom.n_vertex_creases},): one angle per crease")
+    rho_o = _read("rho_o", rho_o, shape=(geom.n_vertex_creases,))
     check_states(geom, rho_o[None], "rho_o row")
-    if not (isinstance(tilt, Real) and np.isfinite(tilt)):
-        raise ValueError(f"tilt must be a finite number, got {tilt!r}")
+    tilt = _read("tilt", tilt, -_HUGE, _HUGE)
     n = geom.n_cell
     G = _unit_frames(geom, rho_o, tilt)
 

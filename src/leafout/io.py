@@ -223,12 +223,16 @@ def read_observations_csv(fname):
         raise ValueError("observation file must have header 'h_mm,outcome'")
     out = []
     for r in rows[1:]:
-        if len(r) != 2 or not 0 <= float(r[0]) < np.inf:
+        try:
+            h_mm = float(r[0]) if len(r) == 2 else np.nan
+        except ValueError:      # not a number
+            h_mm = np.nan
+        if not 0 <= h_mm < np.inf:
             raise ValueError(f"malformed observation row: {r}")
         outcome = r[1].strip()
         if outcome not in ("cross", "circle", "triangle"):
             raise ValueError(f"unknown observation outcome {outcome!r}")
-        out.append((float(r[0]) * 1e-3, outcome))
+        out.append((h_mm * 1e-3, outcome))
     return out
 
 

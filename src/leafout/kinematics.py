@@ -43,6 +43,12 @@ at most MAX_HALVINGS times and not below MIN_STEP, which bounds its work
 to 2**(MAX_HALVINGS + 1) - 1 times the substeps of its first try.  Every
 array operation acts on each path's row alone, so a path's trace is the
 same whichever paths are stepped beside it.
+
+The entries that check their arguments (README lists them) read each
+one once, at the entry, through ``_read`` (``_count`` for a count): dtype
+kind, shape and a closed interval, refused by a ValueError "<name> must
+be <domain>, got <value>".  Semantic checks follow; the stepping kernels
+check nothing.
 """
 from dataclasses import dataclass
 
@@ -82,19 +88,80 @@ def angle_bounds(geom):
     return lo, hi
 
 
-_KINDS = {"iuf": "real numbers", "iu": "integers", "b": "booleans"}
+# the least positive and the largest float, literals: a numpy call at
+# import would raise every task's peak RSS
+_TINY = 5e-324
+_HUGE = 1.7976931348623157e308
+# per dtype kind: its words for one value and for several, and the dtype of
+# an empty array
+_KINDS = {"iuf": ("a number", "numbers", float), "iu": ("an integer", "integers", int),
+          "b": ("a boolean", "booleans", bool)}
 
 
-def _as_array(name, value, kinds):
-    """``value`` as an array whose dtype kind is one of ``kinds``, a key of
-    _KINDS; ragged or other input raises a ValueError naming ``name``."""
+def _fits(got, want):
+    """Whether shape ``got`` matches ``want``, whose None entries take any
+    length and a leading ... any leading dimensions."""
+    if want[:1] == (...,):
+        want = want[1:]
+        got = got[max(0, len(got) - len(want)):]
+    return len(got) == len(want) and all(w in (None, g) for g, w in zip(got, want))
+
+
+def _domain(lo, hi, kinds, shapes):
+    """What ``_read`` accepts, in words, as "a number in (0, inf)": _TINY
+    reads as an open 0 and +-_HUGE as an open +-inf; bounds that differ by
+    entry are left to the message on a bad entry."""
+    one, many, _ = _KINDS[kinds]
+    if lo is not None and np.ndim(lo) == np.ndim(hi) == 0:
+        low = "(0" if lo == _TINY else "(-inf" if lo <= -_HUGE else f"[{lo:g}"
+        high = "inf)" if hi >= _HUGE else f"{hi:g}]"
+        one, many = (f"{words} in {low}, {high}" for words in (one, many))
+    words = " or ".join(f"a {shape} array of {many}" if shape else one
+                        for shape in shapes)
+    return words.replace("None", "n").replace("Ellipsis", "...")
+
+
+def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError):
+    """``value`` read as an array of a dtype kind in ``kinds`` (a key of
+    _KINDS), of ``shape`` (or of one of a list of shapes; see ``_fits``)
+    and, unless ``lo`` is None, with every entry in [lo, hi], bounds that
+    broadcast against the shape; NaN fails.  Real numbers come back as
+    float64, not copied when they are already.  Anything else raises
+    ``error``, a ValueError, reading "<name> must be <domain>, got <value>",
+    which for a bad entry names it by its index."""
+    shapes = shape if isinstance(shape, list) else [shape]
     try:
         array = np.asarray(value)
     except ValueError:          # numpy's own error does not name the argument
-        raise ValueError(f"{name} is ragged: its rows differ in length") from None
-    if array.dtype.kind not in kinds:
-        raise ValueError(f"{name} must hold {_KINDS[kinds]}, got dtype {array.dtype}")
+        got = "a ragged sequence"
+    else:
+        got = None
+        if array.size and array.dtype.kind not in kinds:
+            got = f"an array of dtype {array.dtype}" if array.ndim else repr(value)
+        elif not any(_fits(array.shape, s) for s in shapes):
+            got = f"shape {array.shape}" if array.ndim else repr(value)
+    if got is not None:
+        raise error(f"{name} must be {_domain(lo, hi, kinds, shapes)}, got {got}")
+    if "f" in kinds or not array.size:      # numpy reads [] as float64
+        array = array.astype(_KINDS[kinds][2], copy=False)
+    if lo is not None:
+        if array.ndim:
+            inside = (array >= lo) & (array <= hi)          # False for NaN
+            at = (None if inside.all()
+                  else np.unravel_index(np.argmin(inside), array.shape))
+        else:   # compared in Python: numpy's 0-d compares touch code that raised peak RSS
+            at = None if lo <= array.item() <= hi else ()
+        if at is not None:
+            lo, hi = (np.broadcast_to(b, array.shape)[at] for b in (lo, hi))
+            raise error(f"{name}{list(map(int, at)) if at else ''} must be "
+                        f"{_domain(lo, hi, kinds, [()])}, got {array[at].item()!r}")
     return array
+
+
+def _count(name, value, least, error=ValueError):
+    """``value`` as an int, refused by ``_read`` unless it is an integer
+    of at least ``least``."""
+    return int(_read(name, value, least, np.inf, "iu", (), error))
 
 
 def _chain_matrices(geom, rho_o):
@@ -389,44 +456,23 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     every crease, and the path continues; the path's ``frozen`` mask marks
     it from that state on.  Controlled angles reaching their box end the
     path.  The path parameter ``delta_rho_c`` sums the largest controlled
-    increment of each step (of all angles when none is controlled).  A
-    ragged, misshapen or mistyped argument, a non-finite increment, a
-    step_scale that is not finite or under MIN_STEP, or a negative step
-    count raises a ValueError naming it before any closure.
+    increment of each step (of all angles when none is controlled).  Each
+    argument is read by ``_read`` before any closure.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
     first failing path's StepFailure is raised with ``completed`` holding
     the paths listed before it.
     """
-    rho = _as_array("starts", starts, "iuf").astype(float)
-    n = geom.n_vertex_creases
-    if rho.ndim != 2 or rho.shape[1] != n:
-        raise ValueError(f"starts has shape {rho.shape}, need (B, {n}): one row "
-                         "of fold angles per path")
-    n_path = len(rho)
     # each argument is checked whole, in order, so the first bad one is named
-    req_d0 = _as_array("delta_rho_0", delta_rho_0, "iuf").astype(float)
-    if req_d0.shape != rho.shape:
-        raise ValueError(f"delta_rho_0 has shape {req_d0.shape}, need {rho.shape}")
-    if not np.isfinite(req_d0).all():
-        raise ValueError("delta_rho_0 must be finite")
-    ctrl = _as_array("controlled", controlled, "b")
-    if ctrl.shape != rho.shape:
-        raise ValueError(f"controlled has shape {ctrl.shape}, need {rho.shape}")
-    per_path = ((), (n_path,))      # one value for all paths or one per path
-    req_scale = _as_array("step_scale", step_scale, "iuf").astype(float)
-    if req_scale.shape not in per_path:
-        raise ValueError(f"step_scale has shape {req_scale.shape}, need () or ({n_path},)")
-    # written so that NaN fails; an infinite scale would be retried forever
-    if not np.all((req_scale >= MIN_STEP) & (req_scale < np.inf)):
-        raise ValueError(f"step_scale must be finite and at least MIN_STEP = "
-                         f"{MIN_STEP:g} rad, got {req_scale.tolist()!r}")
-    n_steps = _as_array("n_steps", n_steps, "iu")
-    if n_steps.shape not in per_path:
-        raise ValueError(f"n_steps has shape {n_steps.shape}, need () or ({n_path},)")
-    if np.any(n_steps < 0):
-        raise ValueError(f"n_steps must be non-negative, got {n_steps.tolist()!r}")
+    rho = _read("starts", starts, shape=(None, geom.n_vertex_creases))
+    n_path = len(rho)
+    req_d0 = _read("delta_rho_0", delta_rho_0, -_HUGE, _HUGE, shape=rho.shape)
+    ctrl = _read("controlled", controlled, kinds="b", shape=rho.shape)
+    per_path = [(), (n_path,)]      # one value for all paths or one per path
+    # an infinite scale would be retried forever
+    req_scale = _read("step_scale", step_scale, MIN_STEP, _HUGE, shape=per_path)
+    n_steps = _read("n_steps", n_steps, 0, np.inf, "iu", per_path)
     r, C = check_states(geom, rho, "starts row")
     bounds = lo, hi = angle_bounds(geom)
     loose, steered = ~ctrl, ctrl.any(axis=-1)

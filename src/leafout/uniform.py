@@ -23,12 +23,14 @@ psi-slopes, for a scalar or an array of psi.  Every uniform state, path
 and energy landscape, and the slope that locates landscape extrema, reads
 its angles from it.  ``psi_samples`` and ``landscape_psis`` lay out the
 psi grids of a uniform path and of an energy landscape.
-"""
-from numbers import Integral
 
+``kinematics._read`` reads the arguments: a psi range is two finite
+numbers in either order and a sample count an integer of at least 2; a
+psi outside the motion range, NaN included, is an OutOfRangeError.
+"""
 import numpy as np
 
-from .kinematics import FoldingPath, _as_array, check_states
+from .kinematics import _HUGE, FoldingPath, _count, _read, check_states
 from .unitcell import sub_angle_from_main
 
 DEFAULT_PSI_STEP = np.radians(0.5)  # landscape grid spacing without n_samples
@@ -99,23 +101,11 @@ def psi_from_main(alpha, rho_m):
 def uniform_state(geom, psi):
     """The uniform state at the Euler angle psi, a scalar: its (N,) row of
     fold angles, checked by ``check_states``."""
-    if np.ndim(psi) != 0:
-        raise ValueError(f"psi must be a scalar, got shape {np.shape(psi)}")
-    (rho_m, _, rho_b), _ = uniform_motion(geom.alpha, psi)
+    (rho_m, _, rho_b), _ = uniform_motion(geom.alpha, _read("psi", psi))
     rho = np.empty(geom.n_vertex_creases)
     rho[0::2], rho[1::2] = rho_m, rho_b
     check_states(geom, rho[None])
     return rho
-
-
-def _range_ends(name, value):
-    """A range argument as a float array of its two ends [lo, hi], reversed
-    or not; anything but two real numbers raises a ValueError naming
-    ``name``."""
-    ends = _as_array(name, value, "iuf")
-    if ends.shape != (2,):
-        raise ValueError(f"{name} must be two numbers [lo, hi], got shape {ends.shape}")
-    return ends.astype(float)
 
 
 def clip_psi_range(alpha, psi_range):
@@ -131,14 +121,6 @@ def clip_psi_range(alpha, psi_range):
     return max(want_lo, lo), min(want_hi, hi), clipped
 
 
-def sample_count(n_samples):
-    """``n_samples`` as an int; anything but an integer >= 2 is rejected."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, Integral) \
-            or n_samples < 2:
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    return int(n_samples)
-
-
 def psi_samples(alpha, psi_range, n_samples):
     """Uniform psi grid over a requested interval, cut to the motion range.
 
@@ -147,7 +129,7 @@ def psi_samples(alpha, psi_range, n_samples):
     (a NaN endpoint leaves none).
     """
     lo, hi, truncated = clip_psi_range(alpha, psi_range)
-    psis = np.linspace(psi_range[0], psi_range[1], sample_count(n_samples))
+    psis = np.linspace(psi_range[0], psi_range[1], _count("n_samples", n_samples, 2))
     psis = psis[(psis >= lo) & (psis <= hi)]
     if psis.size < 2:
         raise ValueError(f"{psis.size} of {n_samples} samples fall inside the "
@@ -162,14 +144,10 @@ def landscape_psis(alpha, psi_range, n_samples=None):
 
     When the interval spans the flat state the grid is snapped to contain
     psi = 0 exactly: the energy kinks there (the two fold phases meet at
-    a corner), and an extremum on that node is exact.  A non-finite
-    endpoint is rejected.
+    a corner), and an extremum on that node is exact.
     """
-    for end in psi_range:
-        if not -np.inf < end < np.inf:      # False for NaN
-            raise ValueError(f"psi_range endpoint {end} is not finite")
     if n_samples is not None:
-        n_samples = sample_count(n_samples)
+        n_samples = _count("n_samples", n_samples, 2)
     lo, hi, clipped = clip_psi_range(alpha, psi_range)
     if lo < 0.0 < hi:
         if n_samples is None:
@@ -194,11 +172,10 @@ def uniform_path(geom, psi_range, n_samples):
     motion range are clipped away and the truncation flagged.  Each
     sample's sub angle is computed once and shared by every unit.  Every
     sample is checked against the angle boxes and the closure tolerance
-    in one batched pass; the error names the first failing sample.  A
-    ``psi_range`` that is not two numbers is refused by name.
+    in one batched pass; the error names the first failing sample.
     """
-    psis, truncated = psi_samples(geom.alpha, _range_ends("psi_range", psi_range),
-                                  n_samples)
+    psis, truncated = psi_samples(
+        geom.alpha, _read("psi_range", psi_range, -_HUGE, _HUGE, shape=(2,)), n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
     rho = np.empty((psis.size, geom.n_vertex_creases))
     rho[:, 0::2], rho[:, 1::2] = rho_m[:, None], rho_b[:, None]

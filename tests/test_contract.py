@@ -7,16 +7,19 @@ a hostile value, ends in exit 0 with finite outputs, exit 2 with one JSON
 config error and no output directory, or exit 3 with a partial manifest,
 and never raises or warns.
 
-The library's state, drive and range entries: ``uniform_state``,
-``reconstruct_mesh``, ``trace_paths`` and ``path_energies``, given
-fold-angle rows of the wrong length or ndim, with NaN or infinite angles,
-outside the boxes, not closed or turning the chain by a half-turn, a tilt
-that is not a finite number, or a trace_paths argument (starts, drive or
-step count) that is ragged or of the wrong shape, type or value; and
+The library's entries: ``uniform_state``, ``reconstruct_mesh``,
+``trace_paths`` and ``path_energies``, given fold-angle rows of the wrong
+length or ndim, text or ragged, with NaN or infinite angles, outside the
+boxes, not closed or turning the chain by a half-turn, a tilt or psi that
+is not a finite number, or a trace_paths argument (starts, drive or step
+count) that is ragged or of the wrong shape, type or value;
 ``landscape_over_psi``, ``uniform_path`` and ``trigger_map``, given a range
-that is not two numbers or a map count that is not a positive integer:
-each returns the oracle's answer or raises a ValueError that names the
-argument, and never warns."""
+that is not two finite numbers of its domain or a map count that is not a
+positive integer; and ``build_geometry``, ``DropScenario``,
+``SpringModel``, ``SpringModel.per_kind``, ``GraspProgram`` and
+``ratio_surface``, given one argument that is text, ragged, array-valued,
+NaN, infinite or out of its domain: each returns the oracle's answer or
+raises a ValueError that names the argument, and never warns."""
 import contextlib
 import functools
 import io
@@ -234,7 +237,7 @@ def _grasped(n_cell):
 
 
 ROW_DEFECTS = ("none", "short", "long", "scalar", "stack", "nan", "box", "open",
-               "mirrored", "half-turn")
+               "mirrored", "half-turn", "text", "ragged")
 # trace_paths' arguments in the order it checks them; closure comes last
 TRACE_ARGS = ("starts", "delta_rho_0", "controlled", "step_scale", "n_steps")
 
@@ -259,7 +262,8 @@ RANGES = {True: [lambda a, b: (a, b), lambda a, b: [a, b], lambda a, b: np.array
           False: [lambda a, b: a, lambda a, b: (a,), lambda a, b: (a, (a + b) / 2, b),
                   lambda a, b: (), lambda a, b: [[a], b], lambda a, b: [[a, b]],
                   lambda a, b: (str(a), str(b)), lambda a, b: (False, True),
-                  lambda a, b: None]}
+                  lambda a, b: None, lambda a, b: (a, math.nan),
+                  lambda a, b: (-math.inf, b), lambda a, b: (a, math.inf)]}
 
 
 @st.composite
@@ -273,9 +277,9 @@ def ranges(draw, lo, hi, ok):
 @st.composite
 def state_inputs(draw):
     """(geometry, rows, starts, drive, broken, tilt, psi): a closed row of
-    fold angles, uniform or grasped, with one defect applied; trace_paths'
-    starts made from it, as a (1, N) stack or as it is, perhaps ragged or
-    text, its zero drive (increments, mask, step scale and step count, one
+    fold angles, uniform or grasped, with one defect applied (text and
+    ragged rows among them); trace_paths' starts made from it, as a (1, N)
+    stack or as it is, its zero drive (increments, mask, step scale and step count, one
     number or a list), perhaps with one bad argument, and the set of
     trace_paths arguments that are malformed; a tilt for reconstruct_mesh;
     and a psi for uniform_state."""
@@ -307,15 +311,16 @@ def state_inputs(draw):
     elif defect == "half-turn":         # the chain turns by pi about crease i
         rho = np.zeros(n)
         rho[i] = sum(box)
+    elif defect == "text":
+        rho = rho.astype(str).tolist()
+    elif defect == "ragged":
+        rho = [rho.tolist(), [0.0]]
     psi = draw(st.one_of(st.floats(lo - 0.5, hi + 0.5), st.sampled_from(
-        [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1)])))
-    starts = np.asarray(rho)[None] if draw(st.booleans()) else rho
-    broken = set() if np.shape(starts) == (1, n) else {"starts"}
-    starts_defect = draw(st.one_of(st.just("none"), st.sampled_from(["ragged", "text"])))
-    if starts_defect != "none":
-        broken.add("starts")
-        starts = ([np.ravel(starts).tolist(), [0.0]] if starts_defect == "ragged"
-                  else np.asarray(starts).astype(str))
+        [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1), "0.1",
+         [[0.1], 0.2], True, None])))
+    starts = [rho] if draw(st.booleans()) else rho      # a (1, N) stack or as is
+    broken = ({"starts"} if defect in ("text", "ragged") or np.shape(starts) != (1, n)
+              else set())
     drive = {"delta_rho_0": np.zeros((1, n)), "controlled": np.zeros((1, n), dtype=bool),
              "step_scale": draw(st.one_of(st.floats(MIN_STEP, 1.0), st.just([0.01]))),
              "n_steps": draw(st.one_of(st.just(1), st.lists(st.just(1), max_size=3)))}
@@ -342,20 +347,120 @@ def range_inputs(draw):
     psi_ranges = [draw(ranges(lo + 0.01, hi - 0.01, ok)) for ok in oks]
     bad = draw(st.sampled_from([None, "h_range", "rest_angle_range", "n_h", "n_rest"]))
     limit = np.pi - 2 * geom.alpha      # rest angles past it are not bistable
-    args = {"h_range": draw(ranges(0.0, 1.0, bad != "h_range")),
-            "rest_angle_range": draw(ranges(0.05, limit - 0.05, bad != "rest_angle_range"))}
+    # two numbers outside the domain: negative heights, rest angles of 0
+    # or less or past pi
+    outside = {"h_range": ranges(-1.0, -1e-3, True),
+               "rest_angle_range": st.one_of(ranges(-1.0, 0.0, True),
+                                             ranges(3.2, 4.0, True))}
+    args = {name: draw(ranges(lo, hi, True) if bad != name else
+                       st.one_of(ranges(lo, hi, False), outside[name]))
+            for name, lo, hi in (("h_range", 0.0, 1.0),
+                                 ("rest_angle_range", 0.05, limit - 0.05))}
     for name in ("n_h", "n_rest"):
         args[name] = draw(st.sampled_from(
             [0, -1, 2.5, np.nan, "3", True, None] if bad == name else [1, 2, np.int64(3)]))
     return geom, psi_ranges, oks, draw(st.integers(2, 9)), args, bad
 
 
+# bad values of any number, array or count argument
+NOT_A_NUMBER = ["0.1", None, True, 0.1j, [0.1, 0.2], [[0.1], 0.2]]
+NOT_A_COUNT = [2.5, "3", True, None, [3], [[3], 3]]
+NOT_POSITIVE = [0.0, -1.0, math.nan, math.inf, *NOT_A_NUMBER]
+NOT_AN_ARRAY = [0.1, [], [[0.1, 0.2]], ["0.1", "0.2"], [[0.1], 0.2], None, [0.1, math.nan]]
+ANGLES = {"main": (0.0, np.pi), "boundary": (-np.pi, 0.0)}
+
+
+def _outside(kind):
+    """Bad values of an angle of a kind: off its box, not finite, not a
+    number."""
+    lo, hi = ANGLES[kind]
+    return [lo - 0.1, hi + 0.1, math.nan, math.inf, *NOT_A_NUMBER]
+
+
+def _grid(kind):
+    """Bad rest-angle grids of a kind: the generic bad arrays and grids
+    with an angle off the box."""
+    lo, hi = ANGLES[kind]
+    return [*NOT_AN_ARRAY, [lo, hi + 0.1], [lo - 0.1, hi]]
+
+
+# every other entry with arguments from outside, by argument: a good value
+# and the bad ones
+ARGUMENT_ENTRIES = {
+    "build_geometry": {"n_cell": (5, [2, -1, 5.0, *NOT_A_COUNT]),
+                       "L1": (70.0, NOT_POSITIVE), "L2": (30.0, NOT_POSITIVE)},
+    "DropScenario": {"m_ball": (22.3e-3, NOT_POSITIVE), "R_ball": (35e-3, NOT_POSITIVE),
+                     "h": (0.36, [-1e-3, math.nan, math.inf, *NOT_A_NUMBER]),
+                     "g": (9.81, NOT_POSITIVE), "kappa_pet": (0.76, NOT_POSITIVE),
+                     # None takes the width of the complete comb teeth
+                     "effective_width_mm": (23.0, [x for x in NOT_POSITIVE if x is not None]),
+                     "rest_angle": (1.25, [0.0, 3.2, math.nan, *NOT_A_NUMBER])},
+    "SpringModel.per_kind": {"rest_main": (2.0, _outside("main")),
+                             "rest_boundary": (-0.5, _outside("boundary")),
+                             # None takes the sub angle of rest_main
+                             "rest_sub": (2.1, [x for x in _outside("main") if x is not None])},
+    "SpringModel": {"kappa": (np.ones(20), [[-1.0] * 20, [math.inf] * 20, *NOT_AN_ARRAY]),
+                    "rest_angle": (np.full(20, 0.5), NOT_AN_ARRAY)},
+    "GraspProgram": {"controlled_units": ((3, 1), [(), ("a",), (0,), (1.5,), (True,),
+                                                   [[1], 2], None, "1"]),
+                     "delta_rho_c": (0.01, [0.0, MIN_STEP / 2, 3.2, math.nan, math.inf,
+                                            *NOT_A_NUMBER]),
+                     "max_steps": (3, [0, -1, *NOT_A_COUNT])},
+    "ratio_surface": {"rest_main_grid": ([1.0, 2.0], _grid("main")),
+                      "rest_boundary_grid": ([-2.0, -1.0], _grid("boundary"))},
+}
+
+
+@st.composite
+def argument_inputs(draw):
+    """(entry, its arguments, the one that is bad or None): an entry of
+    ARGUMENT_ENTRIES with good arguments, one perhaps swapped for a bad
+    value."""
+    entry = draw(st.sampled_from(sorted(ARGUMENT_ENTRIES)))
+    table = ARGUMENT_ENTRIES[entry]
+    args = {name: good for name, (good, _) in table.items()}
+    bad = draw(st.sampled_from([None, *table]))
+    if bad is not None:
+        args[bad] = draw(st.sampled_from(table[bad][1]))
+    return entry, args, bad
+
+
+def _check_argument_entries(entry, args, bad):
+    """The other entries of the contract property: with good arguments
+    each returns what they ask for; with a bad one it refuses by name."""
+    geom = _geometry(5)
+    call = {"build_geometry": lambda: lf.build_geometry(**args),
+            "DropScenario": lambda: lf.DropScenario(**args),
+            "SpringModel.per_kind": lambda: lf.SpringModel.per_kind(
+                geom, 1.0, 1.0, 1.0, **args),
+            "SpringModel": lambda: lf.SpringModel(**args),
+            "GraspProgram": lambda: lf.GraspProgram(**args),
+            "ratio_surface": lambda: lf.ratio_surface(geom, **args)}[entry]
+    if bad is not None:
+        _refuses_by_name(call, bad)
+        return
+    got = call()
+    if entry == "build_geometry":
+        assert (got.n_cell, got.alpha, got.L1, got.L2) == (5, np.pi / 5, 70.0, 30.0)
+    elif entry == "SpringModel.per_kind":
+        assert np.array_equal(got.rest_angle, np.tile([2.0, 2.1, 2.1, -0.5], 5))
+    elif entry == "SpringModel":
+        assert np.array_equal(got.kappa, args["kappa"])
+    elif entry == "GraspProgram":
+        assert got.controlled_units == (1, 3)
+    elif entry == "ratio_surface":
+        assert got.xi.shape == (2, 2)
+
+
 def _oracle_accepts(geom, rows, closed):
-    """Rows (..., N) with every angle inside its box to 1e-9 and, when
-    ``closed``, each row's chain closed to 1e-10."""
-    rows = np.asarray(rows, dtype=float)
+    """Rows (..., N) of real numbers with every angle inside its box to
+    1e-9 and, when ``closed``, each row's chain closed to 1e-10."""
+    try:
+        rows = np.asarray(rows)
+    except ValueError:          # ragged
+        return False
     n = geom.n_vertex_creases
-    if rows.ndim == 0 or rows.shape[-1] != n:
+    if rows.dtype.kind not in "iuf" or rows.ndim == 0 or rows.shape[-1] != n:
         return False
     lo, hi = np.tile([0.0, -np.pi], geom.n_cell), np.tile([np.pi, 0.0], geom.n_cell)
     if not np.all((rows >= lo - 1e-9) & (rows <= hi + 1e-9)):
@@ -374,8 +479,8 @@ def _refuses_by_name(call, name):
 
 
 @settings(max_examples=300, deadline=None)
-@given(state_inputs(), range_inputs())
-def test_state_entries_answer_or_refuse_by_name(case, range_case):
+@given(state_inputs(), range_inputs(), argument_inputs())
+def test_state_entries_answer_or_refuse_by_name(case, range_case, argument_case):
     geom, rho, starts, drive, broken, tilt, psi = case
     n, cos_a = geom.n_vertex_creases, np.cos(geom.alpha)
     springs = lf.SpringModel.uniform(geom, 1.0, 1.0, -0.5)
@@ -395,7 +500,7 @@ def test_state_entries_answer_or_refuse_by_name(case, range_case):
             _refuses_by_name(lambda: lf.path_energies(geom, springs, rho), "rho_o")
 
         mesh_of = functools.partial(lf.reconstruct_mesh, geom, rho, tilt)
-        if not (np.ndim(rho) == 1 and _oracle_accepts(geom, rho, closed=True)):
+        if not (_oracle_accepts(geom, rho, closed=True) and np.ndim(rho) == 1):
             _refuses_by_name(mesh_of, "rho_o")
         elif not (isinstance(tilt, float) and math.isfinite(tilt)):
             _refuses_by_name(mesh_of, "tilt")
@@ -419,7 +524,7 @@ def test_state_entries_answer_or_refuse_by_name(case, range_case):
             _refuses_by_name(trace, "starts")
 
         lo, hi = lf.psi_motion_range(geom.alpha)
-        if np.ndim(psi) == 0 and lo <= psi <= hi:
+        if isinstance(psi, (float, np.ndarray)) and np.ndim(psi) == 0 and lo <= psi <= hi:
             # the boundary crease stays in the mirror plane between units
             row, psi, sin_a = lf.uniform_state(geom, psi), float(psi), np.sin(geom.alpha)
             half = row[0::2] / 2
@@ -431,6 +536,7 @@ def test_state_entries_answer_or_refuse_by_name(case, range_case):
         else:
             _refuses_by_name(lambda: lf.uniform_state(geom, psi), "psi")
         _check_range_entries(*range_case)
+        _check_argument_entries(*argument_case)
     assert [str(w.message) for w in caught] == []
 
 

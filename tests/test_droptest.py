@@ -182,8 +182,8 @@ def test_scenario_rejects_non_finite_values():
 
 def test_trigger_map_needs_a_cell(geom5):
     scen = prototype_scenario()
-    for n_h, n_rest in ((0, 3), (3, 0)):
-        with pytest.raises(ValueError, match="n_h and n_rest"):
+    for n_h, n_rest, name in ((0, 3, "n_h"), (3, 0, "n_rest")):
+        with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, inf\), got 0"):
             lf.trigger_map(geom5, scen, (0.1, 0.5), (np.radians(60), np.radians(80)),
                            n_h=n_h, n_rest=n_rest)
 
@@ -212,7 +212,8 @@ def test_trigger_map_names_first_non_bistable_rest(geom5):
                        (np.radians(40), np.radians(120)), n_h=2, n_rest=25)
     for rests in ((np.nan, np.radians(80)), (0.0, np.radians(80)),
                   (np.radians(40), np.inf), (np.radians(40), 4.0)):
-        with pytest.raises(ValueError, match="rest angles"):
+        with pytest.raises(ValueError,
+                           match=r"rest_angle_range\[[01]\] must be a number in \(0, 3.14159\]"):
             lf.trigger_map(geom5, prototype_scenario(), (0.1, 0.5), rests, 2, 25)
 
 

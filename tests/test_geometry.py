@@ -53,17 +53,12 @@ def test_build_geometry_square(geom4):
 
 
 def test_build_geometry_rejects_degenerate():
-    with pytest.raises(ValueError):
-        lf.build_geometry(2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        lf.build_geometry(5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        lf.build_geometry(5, 1.0, -3.0)
-    for n_cell in (5.5, 5.0, True, "5"):
-        with pytest.raises(ValueError, match="n_cell"):
+    for n_cell in (2, 5.5, 5.0, True, "5"):
+        with pytest.raises(ValueError, match=r"n_cell must be an integer in \[3, inf\), got"):
             lf.build_geometry(n_cell, 1.0, 1.0)
-    for L1, L2 in ((np.inf, 1.0), (1.0, np.nan)):
-        with pytest.raises(ValueError, match="finite"):
+    for L1, L2, name in ((0.0, 1.0, "L1"), (1.0, -3.0, "L2"), (np.inf, 1.0, "L1"),
+                         (1.0, np.nan, "L2")):
+        with pytest.raises(ValueError, match=rf"{name} must be a number in \(0, inf\), got"):
             lf.build_geometry(5, L1, L2)
     assert lf.build_geometry(np.int64(5), 1.0, 1.0).n_cell == 5
 

@@ -444,6 +444,11 @@ def test_observation_reader(tmp_path):
     worse.write_text("height,outcome\n100,cross\n")
     with pytest.raises(ValueError):
         lio.read_observations_csv(worse)
+    # a height that is not a number is a malformed row, like any other
+    for row in ("abc,cross", "-1,cross", "nan,cross", "100", ""):
+        bad.write_text(f"h_mm,outcome\n100,cross\n{row}\n")
+        with pytest.raises(ValueError, match="malformed observation row"):
+            lio.read_observations_csv(bad)
 
 
 def test_manifest_contents():

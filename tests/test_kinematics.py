@@ -327,13 +327,14 @@ def test_trace_requires_closed_start(geom5):
     d0, ctrl, scale = (np.array([part]) for part in drive(np.zeros(10)))
     for starts, error, match in (
             ([[0.3] + [0.0] * 9], lf.NotClosedError, "starts row 0: closure residual"),
-            (np.zeros((1, 8)), ValueError, r"starts has shape \(1, 8\), need \(B, 10\)"),
-            (np.zeros((1, 12)), ValueError, r"starts has shape \(1, 12\)"),
-            (np.zeros(10), ValueError, r"starts has shape \(10,\)"),
-            (np.zeros((1, 1, 10)), ValueError, r"starts has shape \(1, 1, 10\)"),
+            (np.zeros((1, 8)), ValueError,
+             r"starts must be a \(n, 10\) array of numbers, got shape \(1, 8\)"),
+            (np.zeros((1, 12)), ValueError, r"starts must .*, got shape \(1, 12\)"),
+            (np.zeros(10), ValueError, r"starts must .*, got shape \(10,\)"),
+            (np.zeros((1, 1, 10)), ValueError, r"starts must .*, got shape \(1, 1, 10\)"),
             (np.zeros((2, 10)), ValueError,
-             r"delta_rho_0 has shape \(1, 10\), need \(2, 10\)"),
-            ([], ValueError, r"starts has shape \(0,\)")):
+             r"delta_rho_0 must be a \(2, 10\) array of numbers in \(-inf, inf\), got shape \(1, 10\)"),
+            ([], ValueError, r"starts must .*, got shape \(0,\)")):
         with pytest.raises(error, match=match):
             trace_paths(geom5, starts, d0, ctrl, scale, 2)
 
@@ -571,7 +572,7 @@ def test_fold_state_validation(geom5, uniform_minus30):
     mountain[1] = 0.5      # boundary crease must stay mountain
     for rows, name in ((open_, "rho_o row 0: closure residual"),
                        (mountain, "rho_o row 0: angles violate"),
-                       (np.zeros(8), r"rho_o has shape \(8,\)")):
+                       (np.zeros(8), r"rho_o must .*, got shape \(8,\)")):
         with pytest.raises(ValueError, match=name):
             lf.reconstruct_mesh(geom5, rows)
         with pytest.raises(ValueError, match=name.replace("rho_o", "starts")
@@ -581,14 +582,16 @@ def test_fold_state_validation(geom5, uniform_minus30):
         lf.reconstruct_mesh(geom5, open_)
 
 
-MIN_STEP_ERROR = "step_scale must be finite and at least MIN_STEP"
+MIN_STEP_ERROR = r"step_scale must be a number in \[1e-08, inf\), got"
 
 
 @pytest.mark.parametrize("arg, value, match", [
-    ("delta_rho_0", [[np.nan] + [0.0] * 9] * 2, "delta_rho_0 must be finite"),
-    ("delta_rho_0", np.full((2, 4), 0.01), "delta_rho_0 has shape"),
-    ("controlled", [[0, 2], [0, 2]], "controlled must hold booleans"),
-    ("controlled", np.zeros((2, 4), dtype=bool), "controlled has shape"),
+    ("delta_rho_0", [[np.nan] + [0.0] * 9] * 2,
+     r"delta_rho_0\[0, 0\] must be a number in \(-inf, inf\), got nan"),
+    ("delta_rho_0", np.full((2, 4), 0.01), r"delta_rho_0 must .*, got shape \(2, 4\)"),
+    ("controlled", [[0, 2], [0, 2]],
+     r"controlled must be a \(2, 10\) array of booleans, got an array of dtype int"),
+    ("controlled", np.zeros((2, 4), dtype=bool), r"controlled must .*, got shape \(2, 4\)"),
     ("step_scale", 0.0, MIN_STEP_ERROR),
     ("step_scale", np.nan, MIN_STEP_ERROR),
     ("step_scale", 1e-9, MIN_STEP_ERROR),

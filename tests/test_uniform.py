@@ -85,7 +85,7 @@ def test_uniform_state_record(geom5):
 
 def test_uniform_state_refuses_array_psi(geom5):
     for psi in (np.array([0.1, 0.2]), [0.1], np.zeros((1, 1))):
-        with pytest.raises(ValueError, match=r"psi must be a scalar, got shape \("):
+        with pytest.raises(ValueError, match=r"psi must be a number, got shape \("):
             lf.uniform_state(geom5, psi)
     assert np.array_equal(lf.uniform_state(geom5, np.array(0.1)),
                           lf.uniform_state(geom5, 0.1))
@@ -249,11 +249,13 @@ def test_boundary_angle_identity_with_euler_angle():
 def test_uniform_path_sampling_validated(geom5):
     rng = (np.radians(-40), np.radians(40))
     for n_samples in (0, 1, -5, 7.9, np.nan, True):
-        with pytest.raises(ValueError, match="n_samples"):
+        with pytest.raises(ValueError, match=r"n_samples must be an integer in \[2, inf\), got"):
             lf.uniform_path(geom5, rng, n_samples)
+    for rng in ((np.nan, 0.3), (0.3, np.inf)):
+        with pytest.raises(ValueError, match=r"psi_range\[[01]\] must be a number in \(-inf, inf\)"):
+            lf.uniform_path(geom5, rng, 2)
     # fewer than two samples inside the motion range
-    for rng in ((np.nan, 0.3), (np.radians(100), np.radians(120)),
-                (np.radians(-40), np.radians(80))):
+    for rng in ((np.radians(100), np.radians(120)), (np.radians(-40), np.radians(80))):
         with pytest.raises(ValueError, match="inside the uniform motion range"):
             lf.uniform_path(geom5, rng, 2)
     assert len(lf.uniform_path(geom5, (np.radians(-40), np.radians(80)), 3)) == 2
