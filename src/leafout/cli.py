@@ -367,8 +367,7 @@ def _grasp_outputs(inputs, out, terminations):
             geom, path, energies,
             extra={"label": prog.label(),
                    "controlled_units": list(prog.controlled_units),
-                   "config_space": {k: c.tolist() for k, c in
-                                    zip("xyz", config_space(path))}}))
+                   "config_space": dict(zip("xyz", config_space(path)))}))
     if failure is not None:
         raise failure
     lio.write_json(bundle, out("multigrasp_bundle.json"))

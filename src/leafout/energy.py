@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kinematics import _HUGE, _count, _read, angle_bounds, sub_angles
-from .unitcell import sub_angle_from_main
+from .kinematics import _HUGE, _count, _read, _sub_angle, angle_bounds, sub_angles
 from .uniform import landscape_psis, uniform_motion
 
 REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
@@ -56,11 +55,15 @@ class SpringModel:
     @classmethod
     def per_kind(cls, geom, kappa_main, kappa_sub, kappa_boundary,
                  rest_main, rest_boundary, rest_sub=None):
+        kappa_main, kappa_sub, kappa_boundary = (
+            _read(name, kappa, 0.0, _HUGE, error=ConfigurationError) for name, kappa in
+            (("kappa_main", kappa_main), ("kappa_sub", kappa_sub),
+             ("kappa_boundary", kappa_boundary)))
         rest_main = _read("rest_main", rest_main, 0.0, np.pi, error=ConfigurationError)
         rest_boundary = _read("rest_boundary", rest_boundary, -np.pi, 0.0,
                               error=ConfigurationError)
         if rest_sub is None:
-            rest_sub = sub_angle_from_main(geom.alpha, rest_main)
+            rest_sub = _sub_angle(geom.alpha, rest_main)
         rest_sub = _read("rest_sub", rest_sub, 0.0, np.pi, error=ConfigurationError)
         n = geom.n_cell
         kap = np.tile([kappa_main, kappa_sub, kappa_sub, kappa_boundary], n)
@@ -263,7 +266,7 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     for name, g in (("rest_main_grid", gm), ("rest_boundary_grid", gb)):
         _count(f"len({name})", len(g), 1, ConfigurationError)
     psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
-    rs = sub_angle_from_main(geom.alpha, gm)[:, None]
+    rs = _sub_angle(geom.alpha, gm)[:, None]
     xi = np.empty((len(gm), len(gb)))
     step = max(1, SURFACE_BLOCK // (len(psis) * len(gb)))
     for i in range(0, len(gm), step):

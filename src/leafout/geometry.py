@@ -20,7 +20,6 @@ import numpy as np
 
 from .kinematics import (_HUGE, _TINY, _chain_matrices, _count, _read, check_states,
                          sub_angles)
-from .unitcell import boundary_direction
 
 
 class CreaseKind(Enum):
@@ -141,6 +140,15 @@ def _unit_frames(geom, rho_o, tilt):
     return pose @ P @ _rot_x(rho_m / 2) @ _UNIT_AXES
 
 
+def _boundary_direction(alpha, rho_m):
+    """Unit vectors along each cell's left boundary crease, which its sub
+    crease parallels (the near panels are parallelograms), in the unit frame:
+    main crease along the second axis, mirror plane spanned by axes 2 and 3."""
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    return np.stack([-sa * np.cos(rho_m / 2) + 0.0 * rho_m, ca + 0.0 * rho_m,
+                     sa * np.sin(rho_m / 2)], axis=-1)
+
+
 def reconstruct_mesh(geom, rho_o, tilt=0.0):
     """Build the rigid-panel mesh of a closed fold state.
 
@@ -159,7 +167,7 @@ def reconstruct_mesh(geom, rho_o, tilt=0.0):
     # sub crease bl by -rho_s, which carries the midline e2 to t (Rodrigues)
     rho_m = rho_o[0::2]
     rho_s = sub_angles(geom, rho_o)[:, None]
-    bl = boundary_direction(geom.alpha, rho_m)
+    bl = _boundary_direction(geom.alpha, rho_m)
     br = bl * np.array([-1.0, 1.0, 1.0])
     e2 = np.array([0.0, 1.0, 0.0])
     e2_cross_bl = np.stack([bl[:, 2], np.zeros(n), -bl[:, 0]], axis=-1)

@@ -164,12 +164,12 @@ def path_to_json_dict(geom, path, energies=None, extra=None):
         "geometry": geom.to_dict(),
         "param_name": path.param_name,
         "termination": path.termination,
-        "params": path.params.tolist(),
+        "params": path.params,
         "rho_o": path.rho_o,
         "rho_s": path.rho_s,
     }
     if energies is not None:
-        d["energy"] = np.asarray(energies, dtype=float).tolist()
+        d["energy"] = np.asarray(energies, dtype=float)
     if extra:
         d.update(extra)
     return d
@@ -238,8 +238,8 @@ def read_observations_csv(fname):
 
 def write_json(obj, fname):
     """The text of ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a
-    newline, streamed to the file; a 2-D float array in ``obj`` is written
-    as its list."""
+    newline, streamed to the file; a 1-D array or a 2-D float array in
+    ``obj`` is written as its list."""
     with open(fname, "w") as fh:
         _write_json(fh.write, obj, "\n")
         fh.write("\n")
@@ -263,12 +263,14 @@ def _is_float_table(o):
 
 def _write_json(write, o, outer):
     """Write ``o`` as json.dump does with ``outer`` as its line start, a
-    float array as json.dump writes its list.  A list of scalars is one
-    call of the C encoder, whose item separator carries the newline and
-    indent; a float table is a grid table of its rows (``_table_blocks``);
-    anything else is written item by item."""
+    1-D array or a float table as json.dump writes its list.  A list of
+    scalars is one call of the C encoder, whose item separator carries the
+    newline and indent; a float table is a grid table of its rows
+    (``_table_blocks``); anything else is written item by item."""
     inner = outer + "  "
     enc = _encoder(inner)
+    if isinstance(o, np.ndarray) and o.ndim == 1:
+        o = o.tolist()
     if isinstance(o, (list, tuple)) and o and set(map(type, o)) <= _SCALARS:
         write("[" + inner + enc.encode(o)[1:-1] + outer + "]")
     elif _is_float_table(o):

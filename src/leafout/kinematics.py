@@ -8,6 +8,20 @@ array; the sub-crease angles follow from the main ones (``sub_angles``).
 A state is valid when the chained crease rotations compose to the
 identity and every angle lies in its mountain/valley box.
 
+Each unit cell also carries an interior degree-4 vertex where the main
+crease, the two sub creases and the outward midline fold line meet.  The
+flat sector angles there are (pi - alpha, alpha, alpha, pi - alpha), the
+mirror-symmetric Miura vertex: the sub creases are parallel to the unit's
+boundary creases and the cell is symmetric about its midline.  This
+layout is a documented reconstruction; the crease pattern figure fixes it
+only up to that mirror symmetry.  In the symmetric folding branch both
+sub creases share one fold angle rho_S, a strictly increasing function of
+the main-crease angle rho_M given exactly by the vertex relation
+
+    tan(rho_S / 2) = tan(rho_M / 2) / cos(alpha),
+
+which ``sub_angle_from_main`` evaluates in atan2 form.
+
 Stepping traces a stack of paths in lockstep, each repeating one constant
 drive: a row of increments, a mask of the controlled ones and a substep
 cap, given as arrays with one row or value per path and checked once, at
@@ -54,8 +68,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .unitcell import sub_angle_from_main
-
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 SVD_CUTOFF = 1e-10      # relative singular-value cutoff of the pseudo-inverse
@@ -88,10 +100,12 @@ def angle_bounds(geom):
     return lo, hi
 
 
-# the least positive and the largest float, literals: a numpy call at
-# import would raise every task's peak RSS
+# literal bounds (a numpy call at import would raise every task's peak RSS):
+# the least positive and largest float, the largest int64, the float below pi/2
 _TINY = 5e-324
 _HUGE = 1.7976931348623157e308
+_INT_MAX = 9223372036854775807
+_BELOW_HALF_PI = 1.5707963267948963
 # per dtype kind: its words for one value and for several, and the dtype of
 # an empty array
 _KINDS = {"iuf": ("a number", "numbers", float), "iu": ("an integer", "integers", int),
@@ -108,15 +122,19 @@ def _fits(got, want):
 
 
 def _domain(lo, hi, kinds, shapes):
-    """What ``_read`` accepts, in words, as "a number in (0, inf)": _TINY
-    reads as an open 0 and +-_HUGE as an open +-inf; bounds that differ by
-    entry are left to the message on a bad entry."""
+    """What ``_read`` accepts, in words, as "a number in (0, inf)": _TINY,
+    +-_HUGE, _INT_MAX and _BELOW_HALF_PI read as open 0, +-inf, 2**63 and
+    pi/2, and a shape (...,) as "a number or an array"; bounds that differ
+    by entry are left to the message on a bad entry."""
     one, many, _ = _KINDS[kinds]
+    where = ""
     if lo is not None and np.ndim(lo) == np.ndim(hi) == 0:
         low = "(0" if lo == _TINY else "(-inf" if lo <= -_HUGE else f"[{lo:g}"
-        high = "inf)" if hi >= _HUGE else f"{hi:g}]"
-        one, many = (f"{words} in {low}, {high}" for words in (one, many))
-    words = " or ".join(f"a {shape} array of {many}" if shape else one
+        high = ("inf)" if hi >= _HUGE else "2**63)" if hi == _INT_MAX
+                else "pi/2)" if hi == _BELOW_HALF_PI else f"{hi:g}]")
+        where = f" in {low}, {high}"
+    words = " or ".join(f"{one} or an array of {many}{where}" if shape == (...,) else
+                        f"a {shape} array of {many}{where}" if shape else one + where
                         for shape in shapes)
     return words.replace("None", "n").replace("Ellipsis", "...")
 
@@ -160,8 +178,8 @@ def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError
 
 def _count(name, value, least, error=ValueError):
     """``value`` as an int, refused by ``_read`` unless it is an integer
-    of at least ``least``."""
-    return int(_read(name, value, least, np.inf, "iu", (), error))
+    of at least ``least`` that fits in an int64."""
+    return int(_read(name, value, least, _INT_MAX, "iu", (), error))
 
 
 def _chain_matrices(geom, rho_o):
@@ -413,11 +431,27 @@ def check_states(geom, rho_o, what="state"):
     return r, C
 
 
+def _sub_angle(alpha, rho_m):
+    """rho_S of main angles rho_m, clipped onto [0, pi] first, by the
+    vertex relation in atan2 form; the callers have read both arguments."""
+    half = np.clip(rho_m, 0.0, np.pi) / 2
+    return 2 * np.arctan2(np.sin(half), np.cos(alpha) * np.cos(half))
+
+
+def sub_angle_from_main(alpha, rho_m):
+    """Sub-crease fold angle rho_S of main-crease angle(s) rho_M, a number
+    or an array in [0, pi] (to 1e-12), by the vertex relation in atan2
+    form: rho_S = 2 atan2(sin(rho_M/2), cos(alpha) cos(rho_M/2)), which
+    maps the endpoints exactly (0 -> 0, pi -> pi); alpha is in (0, pi/2)."""
+    return _sub_angle(float(_read("alpha", alpha, _TINY, _BELOW_HALF_PI)),
+                      _read("rho_m", rho_m, -1e-12, np.pi + 1e-12, shape=(...,)))
+
+
 def sub_angles(geom, rho_o):
     """Sub-crease angles (..., n_cell) of fold-angle rows (..., N) by the
-    vertex relation; the main angles are clipped onto [0, pi] first, since
-    a checked state may sit up to 1e-9 outside its box."""
-    return sub_angle_from_main(geom.alpha, np.clip(rho_o[..., 0::2], 0.0, np.pi))
+    vertex relation; a checked state's main angles may sit up to 1e-9
+    outside their box, and are clipped onto it."""
+    return _sub_angle(geom.alpha, rho_o[..., 0::2])
 
 
 @dataclass

@@ -24,14 +24,15 @@ and energy landscape, and the slope that locates landscape extrema, reads
 its angles from it.  ``psi_samples`` and ``landscape_psis`` lay out the
 psi grids of a uniform path and of an energy landscape.
 
-``kinematics._read`` reads the arguments: a psi range is two finite
-numbers in either order and a sample count an integer of at least 2; a
-psi outside the motion range, NaN included, is an OutOfRangeError.
+``kinematics._read`` reads the arguments: alpha is in (0, pi/2), a main
+angle in [0, pi], a psi range two finite numbers in either order and a
+sample count an integer of at least 2; a psi outside the motion range,
+NaN included, is an OutOfRangeError.
 """
 import numpy as np
 
-from .kinematics import _HUGE, FoldingPath, _count, _read, check_states
-from .unitcell import sub_angle_from_main
+from .kinematics import (_BELOW_HALF_PI, _HUGE, _TINY, FoldingPath, _count, _read,
+                         _sub_angle, check_states, sub_angle_from_main)
 
 DEFAULT_PSI_STEP = np.radians(0.5)  # landscape grid spacing without n_samples
 
@@ -47,20 +48,7 @@ def psi_motion_range(alpha):
     limit (rho_B = -pi), the closed side where the main crease is fully
     folded (rho_M = pi).
     """
-    return -np.pi / 2, np.pi / 2 - alpha
-
-
-def _checked_psi(alpha, psi):
-    """psi as a float array, rejected unless inside the motion range."""
-    psi = np.asarray(psi, dtype=float)
-    lo, hi = psi_motion_range(alpha)
-    inside = (psi >= lo) & (psi <= hi)      # False for NaN
-    if not np.all(inside):
-        bad = np.ravel(psi)[~np.ravel(inside)][0]
-        raise OutOfRangeError(
-            f"psi={np.degrees(bad):.3f} deg outside the uniform motion range "
-            f"[{np.degrees(lo):.3f}, {np.degrees(hi):.3f}] deg")
-    return psi
+    return -np.pi / 2, np.pi / 2 - float(_read("alpha", alpha, _TINY, _BELOW_HALF_PI))
 
 
 def uniform_motion(alpha, psi):
@@ -74,10 +62,10 @@ def uniform_motion(alpha, psi):
 
     one-sided at psi = +-0.0 by the sign of the zero.  rho_M is the exact
     root of the mirror-plane condition, whose atan2 form stays accurate
-    near the flat state; rho_S comes from ``sub_angle_from_main``.
-    Accepts a scalar or an array.
+    near the flat state; rho_S comes from the vertex relation.
+    Accepts a number or an array.
     """
-    psi = _checked_psi(alpha, psi)
+    psi = _read("psi", psi, *psi_motion_range(alpha), shape=(...,), error=OutOfRangeError)
     ca, sa = np.cos(alpha), np.sin(alpha)
     s, c, sgn = np.sin(psi), np.cos(psi), np.copysign(1.0, psi)
     rho_m = 2 * (np.arctan2(sa * s, ca) + np.arctan2(np.abs(s), ca * c))
@@ -85,17 +73,17 @@ def uniform_motion(alpha, psi):
     d_m = 2 * ca * (sa * c / (ca * ca + sa * sa * s2) + sgn / (ca * ca * c * c + s2))
     d_s = ca / ((ca * np.cos(rho_m / 2)) ** 2 + np.sin(rho_m / 2) ** 2) * d_m
     # 0.0 - keeps the flat state's rho_B at +0.0
-    return ((rho_m, sub_angle_from_main(alpha, rho_m), 0.0 - 2 * np.abs(psi)),
+    return ((rho_m, _sub_angle(alpha, rho_m), 0.0 - 2 * np.abs(psi)),
             (d_m, d_s, -2.0 * sgn))
 
 
 def psi_from_main(alpha, rho_m):
     """Closed-phase Euler angle psi >= 0 of main-crease angle(s) rho_M in
     [0, pi], the inverse of ``uniform_motion``'s rho_M there:
-    psi = rho_S / 2 - atan2(sin(a) sin(rho_M/2), cos(a))."""
+    psi = rho_S / 2 - atan2(sin(a) sin(rho_M/2), cos(a)); both arguments
+    are read by ``sub_angle_from_main``."""
     return (sub_angle_from_main(alpha, rho_m) / 2
-            - np.arctan2(np.sin(alpha) * np.sin(np.asarray(rho_m) / 2),
-                         np.cos(alpha)))
+            - np.arctan2(np.sin(alpha) * np.sin(np.asarray(rho_m) / 2), np.cos(alpha)))
 
 
 def uniform_state(geom, psi):
@@ -144,11 +132,16 @@ def landscape_psis(alpha, psi_range, n_samples=None):
 
     When the interval spans the flat state the grid is snapped to contain
     psi = 0 exactly: the energy kinks there (the two fold phases meet at
-    a corner), and an extremum on that node is exact.
+    a corner), and an extremum on that node is exact.  An interval that
+    keeps no length once clipped is refused.
     """
     if n_samples is not None:
         n_samples = _count("n_samples", n_samples, 2)
     lo, hi, clipped = clip_psi_range(alpha, psi_range)
+    if not lo < hi:         # written so that NaN fails
+        raise ValueError("psi_range must overlap the uniform motion range "
+                         "[%g, %g] over a positive length, got " % psi_motion_range(alpha)
+                         + str(list(map(float, psi_range))))
     if lo < 0.0 < hi:
         if n_samples is None:
             n_lo = max(1, int(round(-lo / DEFAULT_PSI_STEP)))

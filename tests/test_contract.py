@@ -14,12 +14,15 @@ boxes, not closed or turning the chain by a half-turn, a tilt or psi that
 is not a finite number, or a trace_paths argument (starts, drive or step
 count) that is ragged or of the wrong shape, type or value;
 ``landscape_over_psi``, ``uniform_path`` and ``trigger_map``, given a range
-that is not two finite numbers of its domain or a map count that is not a
-positive integer; and ``build_geometry``, ``DropScenario``,
-``SpringModel``, ``SpringModel.per_kind``, ``GraspProgram`` and
-``ratio_surface``, given one argument that is text, ragged, array-valued,
-NaN, infinite or out of its domain: each returns the oracle's answer or
-raises a ValueError that names the argument, and never warns."""
+that is not two finite numbers of its domain (for a landscape, two that
+differ) or a map count that is not a positive integer; and
+``build_geometry``, ``DropScenario``, ``SpringModel``,
+``SpringModel.per_kind``, ``GraspProgram``, ``ratio_surface``,
+``sub_angle_from_main``, ``uniform_motion``, ``psi_from_main`` and
+``psi_motion_range``, given one argument that is text, ragged, NaN,
+infinite, out of its domain or, where it must be a number, array-valued:
+each returns the oracle's answer or raises a ValueError that names the
+argument, and never warns."""
 import contextlib
 import functools
 import io
@@ -367,7 +370,13 @@ NOT_A_NUMBER = ["0.1", None, True, 0.1j, [0.1, 0.2], [[0.1], 0.2]]
 NOT_A_COUNT = [2.5, "3", True, None, [3], [[3], 3]]
 NOT_POSITIVE = [0.0, -1.0, math.nan, math.inf, *NOT_A_NUMBER]
 NOT_AN_ARRAY = [0.1, [], [[0.1, 0.2]], ["0.1", "0.2"], [[0.1], 0.2], None, [0.1, math.nan]]
+# bad values of an argument that may be a number or an array of any shape
+NOT_NUMBERS = ["0.1", None, True, 0.1j, [[0.1], 0.2], ["0.1", "0.2"], [0.1, math.nan]]
+NOT_A_STIFFNESS = [-1.0, math.nan, math.inf, *NOT_A_NUMBER]
 ANGLES = {"main": (0.0, np.pi), "boundary": (-np.pi, 0.0)}
+ALPHA = np.pi / 5
+NOT_AN_ALPHA = [0.0, -0.1, np.pi / 2, 2.0, math.nan, math.inf, *NOT_A_NUMBER]
+NOT_A_MAIN_ANGLE = [-0.1, np.pi + 0.1, math.inf, *NOT_NUMBERS]
 
 
 def _outside(kind):
@@ -395,7 +404,10 @@ ARGUMENT_ENTRIES = {
                      # None takes the width of the complete comb teeth
                      "effective_width_mm": (23.0, [x for x in NOT_POSITIVE if x is not None]),
                      "rest_angle": (1.25, [0.0, 3.2, math.nan, *NOT_A_NUMBER])},
-    "SpringModel.per_kind": {"rest_main": (2.0, _outside("main")),
+    "SpringModel.per_kind": {"kappa_main": (1.0, NOT_A_STIFFNESS),
+                             "kappa_sub": (0.5, NOT_A_STIFFNESS),
+                             "kappa_boundary": (2.0, NOT_A_STIFFNESS),
+                             "rest_main": (2.0, _outside("main")),
                              "rest_boundary": (-0.5, _outside("boundary")),
                              # None takes the sub angle of rest_main
                              "rest_sub": (2.1, [x for x in _outside("main") if x is not None])},
@@ -408,6 +420,13 @@ ARGUMENT_ENTRIES = {
                      "max_steps": (3, [0, -1, *NOT_A_COUNT])},
     "ratio_surface": {"rest_main_grid": ([1.0, 2.0], _grid("main")),
                       "rest_boundary_grid": ([-2.0, -1.0], _grid("boundary"))},
+    "sub_angle_from_main": {"alpha": (ALPHA, NOT_AN_ALPHA),
+                            "rho_m": ([0.0, 1.0, np.pi], NOT_A_MAIN_ANGLE)},
+    "uniform_motion": {"alpha": (ALPHA, NOT_AN_ALPHA),
+                       "psi": ([[-0.4], [0.3]], [-np.pi / 2 - 0.1, np.pi / 2 - ALPHA + 0.1,
+                                                  [0.1, 1.0], -math.inf, *NOT_NUMBERS])},
+    "psi_from_main": {"alpha": (ALPHA, NOT_AN_ALPHA), "rho_m": (1.0, NOT_A_MAIN_ANGLE)},
+    "psi_motion_range": {"alpha": (ALPHA, NOT_AN_ALPHA)},
 }
 
 
@@ -431,11 +450,14 @@ def _check_argument_entries(entry, args, bad):
     geom = _geometry(5)
     call = {"build_geometry": lambda: lf.build_geometry(**args),
             "DropScenario": lambda: lf.DropScenario(**args),
-            "SpringModel.per_kind": lambda: lf.SpringModel.per_kind(
-                geom, 1.0, 1.0, 1.0, **args),
+            "SpringModel.per_kind": lambda: lf.SpringModel.per_kind(geom, **args),
             "SpringModel": lambda: lf.SpringModel(**args),
             "GraspProgram": lambda: lf.GraspProgram(**args),
-            "ratio_surface": lambda: lf.ratio_surface(geom, **args)}[entry]
+            "ratio_surface": lambda: lf.ratio_surface(geom, **args),
+            "sub_angle_from_main": lambda: lf.sub_angle_from_main(**args),
+            "uniform_motion": lambda: lf.uniform_motion(**args),
+            "psi_from_main": lambda: lf.psi_from_main(**args),
+            "psi_motion_range": lambda: lf.psi_motion_range(**args)}[entry]
     if bad is not None:
         _refuses_by_name(call, bad)
         return
@@ -443,6 +465,7 @@ def _check_argument_entries(entry, args, bad):
     if entry == "build_geometry":
         assert (got.n_cell, got.alpha, got.L1, got.L2) == (5, np.pi / 5, 70.0, 30.0)
     elif entry == "SpringModel.per_kind":
+        assert np.array_equal(got.kappa, np.tile([1.0, 0.5, 0.5, 2.0], 5))
         assert np.array_equal(got.rest_angle, np.tile([2.0, 2.1, 2.1, -0.5], 5))
     elif entry == "SpringModel":
         assert np.array_equal(got.kappa, args["kappa"])
@@ -450,6 +473,23 @@ def _check_argument_entries(entry, args, bad):
         assert got.controlled_units == (1, 3)
     elif entry == "ratio_surface":
         assert got.xi.shape == (2, 2)
+    elif entry == "sub_angle_from_main":
+        # tan(rho_S / 2) cos(alpha) = tan(rho_M / 2), exact at 0 and pi
+        assert got[0] == 0.0 and got[2] == np.pi
+        assert abs(np.tan(got[1] / 2) * np.cos(ALPHA) - np.tan(0.5)) < 1e-12
+    elif entry == "uniform_motion":
+        (rho_m, rho_s, rho_b), _ = got
+        psi = np.array(args["psi"])
+        assert rho_m.shape == rho_s.shape == rho_b.shape == psi.shape
+        # the boundary crease stays in the mirror plane between units
+        assert np.max(np.abs(np.cos(ALPHA) * np.cos(rho_m / 2) + np.sin(ALPHA) * np.sin(psi)
+                             * np.sin(rho_m / 2) - np.cos(ALPHA) * np.cos(psi))) < 1e-12
+        assert np.array_equal(rho_b, -2 * np.abs(psi))
+    elif entry == "psi_from_main":
+        (rho_m, _, _), _ = lf.uniform_motion(ALPHA, got)
+        assert got >= 0.0 and abs(rho_m - 1.0) < 1e-12
+    elif entry == "psi_motion_range":
+        assert got == (-np.pi / 2, np.pi / 2 - ALPHA)
 
 
 def _oracle_accepts(geom, rows, closed):
@@ -547,7 +587,7 @@ def _check_range_entries(geom, psi_ranges, oks, n_samples, args, bad):
     (psi_range, (a, b)), ok = psi_ranges[0], oks[0]
     landscape = functools.partial(lf.landscape_over_psi, geom, springs, psi_range,
                                   n_samples)
-    if ok:
+    if ok and a != b:
         curve = landscape()
         assert (curve.psi[0], curve.psi[-1]) == (min(a, b), max(a, b))
         assert np.all(np.diff(curve.psi) >= 0) and not curve.truncated

@@ -183,7 +183,7 @@ def test_scenario_rejects_non_finite_values():
 def test_trigger_map_needs_a_cell(geom5):
     scen = prototype_scenario()
     for n_h, n_rest, name in ((0, 3, "n_h"), (3, 0, "n_rest")):
-        with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, inf\), got 0"):
+        with pytest.raises(ValueError, match=rf"{name} must be an integer in \[1, 2\*\*63\), got 0"):
             lf.trigger_map(geom5, scen, (0.1, 0.5), (np.radians(60), np.radians(80)),
                            n_h=n_h, n_rest=n_rest)
 

@@ -7,7 +7,7 @@ import leafout as lf
 import leafout.energy as energy_mod
 from leafout.energy import ConfigurationError, landscape_extrema, zero_contours
 from leafout.kinematics import sub_angles
-from leafout.unitcell import sub_angle_from_main
+from leafout import sub_angle_from_main
 from oracles import (dense_landscape_xi, dense_uniform_path, direct_energy,
                      sampled_extrema, zero_contours_loop)
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -263,7 +264,9 @@ _strings = st.text(max_size=6) | st.sampled_from(['", "', '"], ["', "a], [b", "{
 # tables: rows of ints, bools, None, NaN and +-inf, past one 64-row block
 _tables = st.lists(st.lists(st.none() | st.booleans() | st.integers() | _floats,
                             min_size=1, max_size=4), min_size=1, max_size=70)
+# a 1-D float array is written as its list
 _leaves = (st.none() | st.booleans() | _numbers | _strings | _number_lists
+           | st.lists(_floats, max_size=5).map(np.array)
            | st.lists(_number_lists, max_size=4) | _tables
            | st.lists(st.lists(_number_lists, max_size=3), max_size=3))
 _json_values = st.recursive(
@@ -384,6 +387,22 @@ def test_config_hash_needs_no_openssl():
                          capture_output=True, text=True).stdout.split()
     canonical = json.dumps({"a": "x", "b": [1.5]}, separators=(",", ":"))
     assert out == ["False", hashlib.sha256(canonical.encode()).hexdigest()]
+
+
+def test_package_names_load_on_first_use():
+    # importing the package loads none of its modules, and so not numpy;
+    # each public name is its module's object, and any other is refused
+    code = ("import sys, leafout; print('numpy' in sys.modules, "
+            "[m for m in sys.modules if m.startswith('leafout')])")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == "False ['leafout']"
+    for name in lf.__all__:
+        module = importlib.import_module(f"leafout.{lf._MODULE_OF[name]}")
+        assert getattr(lf, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="unitcell"):
+        lf.unitcell
 
 
 def test_no_task_imports_numpy_ma(tmp_path):

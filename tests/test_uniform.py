@@ -248,8 +248,9 @@ def test_boundary_angle_identity_with_euler_angle():
 
 def test_uniform_path_sampling_validated(geom5):
     rng = (np.radians(-40), np.radians(40))
-    for n_samples in (0, 1, -5, 7.9, np.nan, True):
-        with pytest.raises(ValueError, match=r"n_samples must be an integer in \[2, inf\), got"):
+    # counts past an int64 are refused by name, not by numpy
+    for n_samples in (0, 1, -5, 7.9, np.nan, True, 10**19, 10**30, -10**30):
+        with pytest.raises(ValueError, match=r"n_samples must be an integer in \[2, 2\*\*63\), got"):
             lf.uniform_path(geom5, rng, n_samples)
     for rng in ((np.nan, 0.3), (0.3, np.inf)):
         with pytest.raises(ValueError, match=r"psi_range\[[01]\] must be a number in \(-inf, inf\)"):
@@ -259,6 +260,12 @@ def test_uniform_path_sampling_validated(geom5):
         with pytest.raises(ValueError, match="inside the uniform motion range"):
             lf.uniform_path(geom5, rng, 2)
     assert len(lf.uniform_path(geom5, (np.radians(-40), np.radians(80)), 3)) == 2
+    # a landscape window that keeps no length once clipped to the motion range
+    springs = lf.SpringModel.uniform(geom5, 1.0, 1.0, -0.5)
+    for window in ((1.2, 1.4), (0.1, 0.1), (-2.0, -1.8)):
+        with pytest.raises(ValueError, match=r"psi_range must overlap the uniform motion "
+                                             r"range \[-1.5708, 0.942478\] over a positive"):
+            lf.landscape_over_psi(geom5, springs, window)
 
 
 def test_uniform_path_is_columnar_and_matches_states(geom5):
