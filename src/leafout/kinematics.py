@@ -49,14 +49,16 @@ take the plain tangent step t_k.  The traced states are second-order
 accurate in the step: halving it cuts their distance from the continuous
 motion about fourfold.
 
-Each pass steps the whole stack under masks: an ended path rides along
-with every angle fixed and no increment, and a row that needs no further
-substep or Newton iteration has no free angle, so its update is exactly
-zero.  A failed step is retried in the next pass with step_scale halved,
-at most MAX_HALVINGS times and not below MIN_STEP, which bounds its work
-to 2**(MAX_HALVINGS + 1) - 1 times the substeps of its first try.  Every
-array operation acts on each path's row alone, so a path's trace is the
-same whichever paths are stepped beside it.
+Each pass steps the whole stack under masks.  ``trace_paths`` gives
+``_project`` each row's seed: the increments of its controlled angles,
+or of every unpinned angle when none is controlled, and no increment for
+an ended path, which rides along with every angle fixed.  A row that
+needs no further substep or Newton iteration has no free angle, so its
+update is exactly zero.  A failed step is retried in the next pass with
+step_scale halved, at most MAX_HALVINGS times and not below MIN_STEP,
+which bounds its work to 2**(MAX_HALVINGS + 1) - 1 times the substeps of
+its first try.  Every array operation acts on each path's row alone, so
+a path's trace is the same whichever paths are stepped beside it.
 
 The entries that check their arguments (README lists them) read each
 one once, at the entry, through ``_read`` (``_count`` for a count): dtype
@@ -338,35 +340,36 @@ def _newton(geom, rho, free):
     return r, C, closed
 
 
-# step outcomes; every code above _LOCKED is a failed try
-_OK, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX = range(4)
-_FAILURES = {
-    _NOT_CONVERGED: "Newton correction did not converge",
-    _OUTSIDE_BOX: "clamped state cannot be closed inside the boxes",
-}
+# step outcomes, and _AT_FACE; a path's ending is one of them (_OK while
+# it runs), and every code above _LOCKED is a failed try
+_OK, _AT_FACE, _LOCKED, _NOT_CONVERGED, _OUTSIDE_BOX = range(5)
+# by code: a traced path's termination, or the message of its StepFailure
+_ENDINGS = ("max-steps", "controlled-at-boundary", "locked",
+            "Newton correction did not converge",
+            "clamped state cannot be closed inside the boxes")
 
 
-def _project(geom, rho, r, C, d0, fixed, step_scale, bounds, history):
+def _project(geom, rho, r, C, seed, fixed, step_scale, bounds, history):
     """One constrained step of each row of a stack of closed states.
 
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
-    Jacobians, ``d0`` the requested increments (zero at frozen entries),
-    ``fixed`` the controlled-or-frozen mask, ``step_scale`` (B,) the
-    substep caps and ``bounds`` the ``angle_bounds`` boxes.  ``history``
-    is each row's previous substep for the two-step predictor: its tangent
-    increment (B, N) and its parameter increment h = max |seed| / n_sub
-    (B,), 0 where the row has none, which makes it take the plain tangent
-    step.  Returns the stepped states with their residuals and Jacobians,
-    the history for the next step (valid where the status is ok; none
-    after a clamp), the (B, N) mask of clamped angles and a status code
-    per row; the inputs are not changed.  Substeps and corrections act on
-    the whole stack; a row taking no part keeps its angles, as does one
-    with every angle fixed and no increment.
+    Jacobians, ``seed`` the increments that seed the tangent (exact at the
+    fixed entries, projected at the free ones, zero at every angle that
+    takes no part), ``fixed`` the controlled-or-frozen mask,
+    ``step_scale`` (B,) the substep caps and ``bounds`` the
+    ``angle_bounds`` boxes.  ``history`` is each row's previous substep
+    for the two-step predictor: its tangent increment (B, N) and its
+    parameter increment h = max |seed| / n_sub (B,), 0 where the row has
+    none, which makes it take the plain tangent step.  Returns the stepped
+    states with their residuals and Jacobians, the history for the next
+    step (none where a row was clamped or its status is not ok), the
+    (B, N) mask of clamped angles and a status code per row; the inputs
+    are not changed.  Substeps and corrections act on the whole stack; a
+    row taking no part keeps its angles, as does one with every angle
+    fixed and no increment.
     """
     lo, hi = bounds
     free = ~fixed
-    # without fixed entries the whole request seeds the tangent
-    seed = np.where(fixed | ~fixed.any(axis=-1, keepdims=True), d0, 0.0)
     lock_tol = LOCK_TOL * np.maximum(1.0, np.abs(seed).max(axis=-1))
     t, unmet = _tangent(C, seed, fixed)
     status = np.where(unmet > lock_tol, _LOCKED, _OK)
@@ -400,7 +403,8 @@ def _project(geom, rho, r, C, d0, fixed, step_scale, bounds, history):
         status[hit & ~closed] = _NOT_CONVERGED
         outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
         status[hit & closed & outside] = _OUTSIDE_BOX
-    return rho, r, C, (t_prev, np.where(hit, 0.0, h)), clamped, status
+    h = np.where(hit | (status != _OK), 0.0, h)     # the next step starts afresh
+    return rho, r, C, (t_prev, h), clamped, status
 
 
 def check_states(geom, rho_o, what="state"):
@@ -472,11 +476,6 @@ class FoldingPath:
         return len(self.rho_o)
 
 
-# how a traced path ended, by code; 0 (still running) ends with max-steps
-_ENDINGS = ("max-steps", "controlled-at-boundary", "locked", "failed")
-_AT_FACE, _LOCKED_END, _FAILED = range(1, 4)
-
-
 def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     """Trace one folding path per start row (B, N), all in lockstep; each
     start must pass ``check_states``.
@@ -487,11 +486,15 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     ``n_steps`` the steps, one value for all paths or one per path.  When
     an uncontrolled angle reaches its box face it is pinned there for the
     remainder of the path, which keeps the mountain/valley assignment of
-    every crease, and the path continues; the path's ``frozen`` mask marks
-    it from that state on.  Controlled angles reaching their box end the
-    path.  The path parameter ``delta_rho_c`` sums the largest controlled
-    increment of each step (of all angles when none is controlled).  Each
-    argument is read by ``_read`` before any closure.
+    every crease, and the path continues, whether it is steered or not;
+    the path's ``frozen`` mask marks it from that state on.  Once every
+    controlled angle is within 1e-12 of the face it is driven towards,
+    the path ends before its next step, even when it has no step left.
+    The path parameter ``delta_rho_c`` sums the largest controlled
+    increment of each step; a path with no controlled angle projects the
+    increments of its unpinned angles onto the tangent space and sums the
+    largest of them.  Each argument is read by ``_read`` before any
+    closure.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
@@ -510,13 +513,13 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     r, C = check_states(geom, rho, "starts row")
     bounds = lo, hi = angle_bounds(geom)
     loose, steered = ~ctrl, ctrl.any(axis=-1)
-    # the parameter increment: the largest controlled one, or of all without any
-    measured = ctrl | ~steered[:, None]
+    # the seed, whose largest entry is the parameter increment: the
+    # controlled increments, or every unpinned one of a path without any
+    seeded = ctrl | ~steered[:, None]
     scale = req_scale               # halved on each failed try of a step
     min_scale = np.maximum(MIN_STEP, req_scale / 2.0 ** MAX_HALVINGS)
     n_done = np.zeros(n_path, dtype=int)
-    ending = np.zeros(n_path, dtype=int)            # index into _ENDINGS
-    failure = np.zeros(n_path, dtype=int)           # status of a failed last try
+    ending = np.full(n_path, _OK)   # the code that ended each path, _OK while it runs
     frozen = np.zeros(rho.shape, dtype=bool)
     history = np.zeros(rho.shape), np.zeros(n_path)     # no previous substep
     # per pass: which paths took a step, all angles, increments and pinned angles
@@ -525,52 +528,43 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     # each pass tries the next step of every running path; the other
     # paths ride along with every angle fixed and no increment
     while True:
-        # controlled angles may at most reach their box face
+        # controlled angles may at most reach their box face; once all are
+        # there the path ends, whatever steps it has left
         d0 = np.where(ctrl, np.clip(req_d0, lo - rho, hi - rho), req_d0)
-        run = (ending == 0) & (n_done < n_steps)
-        at_face = run & steered & (loose | (np.abs(d0) <= 1e-14)).all(axis=-1)
-        ending[at_face] = _AT_FACE
-        run &= ~at_face
+        ending[(ending == _OK) & steered
+               & (loose | (np.abs(d0) <= 1e-12)).all(axis=-1)] = _AT_FACE
+        run = (ending == _OK) & (n_done < n_steps)
         if not run.any():
             break
-        dparam = np.abs(np.where(measured, d0, 0.0)).max(axis=-1)
         hold = frozen | ~run[:, None]
-        new_rho, new_r, new_C, (t_last, h_last), clamped, status = _project(
-            geom, rho, r, C, np.where(hold, 0.0, d0), ctrl | hold, scale, bounds,
-            history)
+        seed = np.where(seeded & ~hold, d0, 0.0)
+        new_rho, new_r, new_C, history, clamped, status = _project(
+            geom, rho, r, C, seed, ctrl | hold, scale, bounds, history)
         ok = run & (status == _OK)
-        # a row that did not step, or failed, starts its next step afresh
-        history = t_last, np.where(ok, h_last, 0.0)
-        ending[run & (status == _LOCKED)] = _LOCKED_END
         failed = run & (status > _LOCKED)
         scale = np.where(failed, scale / 2, req_scale)
-        given_up = failed & (scale < min_scale)
-        ending[given_up], failure[given_up] = _FAILED, status[given_up]
+        # a lock ends a path at once, a failed try once it can be halved no more
+        stop = run & (status == _LOCKED) | failed & (scale < min_scale)
+        ending[stop] = status[stop]
         pins = clamped & ok[:, None]
         if pins.any():          # a new mask: the log holds the earlier one
             frozen = frozen | pins
-        log.append((ok, new_rho, dparam, frozen))
+        log.append((ok, new_rho, np.abs(seed).max(axis=-1), frozen))
         rho = np.where(ok[:, None], new_rho, rho)
         r = np.where(ok[:, None], new_r, r)
         C = np.where(ok[:, None, None], new_C, C)
         n_done += ok
-        # controlled angles pinned at their face end the sweep
-        ending[ok & steered & (loose | (rho >= hi - 1e-12)
-                               | (rho <= lo + 1e-12)).all(axis=-1)] = _AT_FACE
 
     # each path's rows, in step order; its first row is the start state
     took, angles, increments, pinned = (np.array(a) for a in zip(*log))
-    path_of = took.nonzero()[1]
-    angles, increments, pinned = angles[took], increments[took], pinned[took]
-    subs = sub_angles(geom, angles)
     paths = []
     for b in range(n_path):
-        if ending[b] == _FAILED:
-            raise StepFailure(_FAILURES[failure[b]], completed=paths)
-        mine = path_of == b
+        if ending[b] > _LOCKED:
+            raise StepFailure(_ENDINGS[ending[b]], completed=paths)
+        mine = took[:, b]
         paths.append(FoldingPath(
-            rho_o=angles[mine], rho_s=subs[mine],
-            params=np.cumsum(increments[mine]), param_name="delta_rho_c",
-            termination=_ENDINGS[ending[b]], frozen=pinned[mine]))
+            rho_o=angles[mine, b], rho_s=sub_angles(geom, angles[mine, b]),
+            params=np.cumsum(increments[mine, b]), param_name="delta_rho_c",
+            termination=_ENDINGS[ending[b]], frozen=pinned[mine, b]))
     return paths
 

@@ -370,6 +370,26 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     assert first.termination == alone.termination == "max-steps"
 
 
+# an unsteered drive: unit 1's main crease closes and unit 3's opens by 1 deg
+UNSTEERED_D0 = np.zeros(12)
+UNSTEERED_D0[[0, 4]] = np.radians([-1.0, 1.0])
+
+
+def test_unsteered_path_moves_on_past_its_pins(geom5):
+    # with no controlled angle every unpinned increment seeds the tangent;
+    # the seed once kept only the pinned entries, all zero, so after its
+    # first pin the path stood still while its parameter grew by 1 deg a step
+    d0 = UNSTEERED_D0[:10]
+    path = trace(geom5, lf.uniform_state(geom5, np.radians(3.0)), drive(d0), 30)
+    first_pin = np.flatnonzero(path.frozen.any(axis=-1))[0]
+    assert 0 < first_pin < len(path) - 1
+    moves = np.abs(np.diff(path.rho_o, axis=0)).max(axis=-1)
+    assert (moves[first_pin:] > np.radians(0.4)).all()
+    # each step adds the largest increment of the angles unpinned before it
+    unpinned = np.where(path.frozen[:-1], 0.0, np.abs(d0)).max(axis=-1)
+    assert np.array_equal(path.params, np.cumsum(np.r_[0.0, unpinned]))
+
+
 # per cell count, unsplit steps whose first tries cannot be closed inside
 # the boxes: they close only after halved retries
 UNSPLIT_RETRIED = {4: ((0, 2, 4), 1.0), 5: ((0, 4), 2.0), 6: ((0, 6), 2.0)}
@@ -380,7 +400,8 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     # in one batch: halved retries run beside the other paths' next steps,
     # the paths split their steps into 3, 1 and 10 substeps of different
     # sizes and so different Newton iteration counts, the first freezes an
-    # angle mid-trace, the fourth locks at once, and the last, driven from
+    # angle mid-trace, the fourth locks at once, the fifth controls no
+    # angle, and the last, driven from
     # the exact flat state where the Jacobian is rank-deficient, is solved
     # by the SVD in solves whose other rows take the closed form
     failed_tries, svd_rows, svd_alone = [], [], []
@@ -412,18 +433,19 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     geom = lf.build_geometry(n_cell, 70.0, 30.0)
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
-    starts = [start] * 4 + [np.zeros(n)]
+    starts = [start] * 4 + [lf.uniform_state(geom, np.radians(3.0)), np.zeros(n)]
     drives = [_drive((0,), np.radians(3.0), np.radians(1.0), n),
               _drive(*UNSPLIT_RETRIED[n_cell], 4.0, n),
               _drive(tuple(range(0, n, 2)), np.radians(5.0), n=n),
               _drive(tuple(range(n)), 0.01, n=n),
+              drive(UNSTEERED_D0[:n]),
               _drive((0,), np.radians(0.5), n=n)]
     together = trace_all(geom, starts, drives, 30)
     assert failed_tries
     assert any(svd_alone)
     assert not together[0].frozen[0].any() and together[0].frozen[-1].any()
     assert together[3].termination == "locked"
-    assert len(together[4]) == 31
+    assert len(together[5]) == 31
     for begin, drv, path in zip(starts, drives, together):
         alone = trace(geom, begin, drv, 30)
         assert np.array_equal(alone.rho_o, path.rho_o)
@@ -454,7 +476,7 @@ def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
 
 
 def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
-    # every clipped increment is under the 1e-14 at-face tolerance, so the
+    # every clipped increment is under the 1e-12 at-face tolerance, so the
     # first pass ends every path and no step is tried
     monkeypatch.setattr(kinematics, "_project", None)
     start = lf.near_flat_start(geom5)
@@ -470,6 +492,14 @@ def test_trace_terminates_at_controlled_box(geom5):
     path = trace(geom5, start, drv, 100)
     assert path.termination == "controlled-at-boundary"
     assert np.isclose(path.rho_o[-1, 0], np.pi, atol=1e-9)
+    # the face ends a path ahead of its step limit: on the step that reaches
+    # it, and at a start already there with no step allowed (once max-steps)
+    last = trace(geom5, start, drv, len(path) - 1)
+    assert last.termination == "controlled-at-boundary"
+    assert np.array_equal(last.rho_o, path.rho_o)
+    at_face = trace(geom5, path.rho_o[-1], drv, 0)
+    assert at_face.termination == "controlled-at-boundary"
+    assert np.array_equal(at_face.rho_o, path.rho_o[-1:])
 
 
 def test_trace_boundary_stop_vs_freeze(geom5, monkeypatch):
