@@ -19,6 +19,11 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+# kinematics, the largest module, is imported before numpy: its compile
+# (1.8 MB traced) then does not stack on numpy's memory, which would raise
+# every task's peak RSS
+from .kinematics import StepFailure
+
 import numpy as np
 
 from . import __version__
@@ -27,7 +32,6 @@ from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
 from .explore import DEFAULT_MAX_STEPS, GraspProgram, config_space, run_programs
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
-from .kinematics import StepFailure
 from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
                       landscape_psis, psi_samples, uniform_path, uniform_state)
 from . import io as lio

@@ -613,15 +613,16 @@ def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
 
 
 def test_failing_program_keeps_earlier_outputs(tmp_path, monkeypatch):
-    # 2 rad steps: units 1-3 cannot close its first step inside the boxes,
-    # and with no halved retries it gives up at once
+    # 2 rad steps on 8 cells: units 1-3 cannot close its first step inside
+    # the boxes, and with no halved retries it gives up at once
     from leafout import kinematics
     monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
     cfg = write_cfg(tmp_path, {"name": "multi-grasp",
                                "programs": [[1, 2], [1, 3], [1, 2, 3]],
                                "delta_rho_c_deg": float(np.degrees(2.0)),
                                "max_steps": 5},
-                    springs=BASE["springs"])
+                    springs=BASE["springs"],
+                    geometry={"n_cell": 8, "L1": 70.0, "L2": 30.0})
     out = tmp_path / "o"
     rc = main(["multi-grasp", "--config", str(cfg), "--out", str(out)])
     assert rc == 3

@@ -269,6 +269,24 @@ def test_zero_request_is_fixed_point(geom5, uniform_minus30):
     assert np.max(np.abs(rho - uniform_minus30)) < 1e-12
 
 
+def test_newton_iterates_once_on_a_closed_row(geom5, uniform_minus30, monkeypatch):
+    # a row with a free angle takes one iteration even when it already
+    # closes, so a good prediction is closed as tightly as a poor one; a
+    # row with no free angle takes none
+    steps = []
+
+    def recording_solve(C, free, v):
+        steps.append(free.copy())
+        return _masked_solve(C, free, v)
+
+    monkeypatch.setattr(kinematics, "_masked_solve", recording_solve)
+    assert max_residual(geom5, uniform_minus30) < kinematics.NEWTON_TOL
+    free = np.array([[True] * 10, [False] * 10])
+    closed = kinematics._newton(geom5, np.array([uniform_minus30] * 2), free)[2]
+    assert closed.all()
+    assert len(steps) == 1 and np.array_equal(steps[0], free)
+
+
 def test_uniform_drive_stays_uniform(geom5):
     # start from the slightly folded uniform state, drive every main equally
     start = lf.near_flat_start(geom5)
@@ -355,13 +373,13 @@ def _drive(ctrl, amount, step_scale=np.radians(0.5), n=10):
 
 
 def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
-    # a 2 rad unsplit step on units 1 and 3 cannot be closed inside the
+    # a 2.7 rad unsplit step on units 1 and 4 cannot be closed inside the
     # boxes; with no halved retries it fails at once, while small steps on
     # units 1 and 2 trace normally beside it
     monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
     start = lf.near_flat_start(geom5)
     good = _drive((0, 2), np.radians(0.5), 4.0)
-    bad = _drive((0, 4), 2.0, 4.0)
+    bad = _drive((0, 6), 2.7, 4.0)
     alone = trace(geom5, start, good, 5)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
         trace_all(geom5, [start, start, start], [good, bad, good], 5)
@@ -392,7 +410,7 @@ def test_unsteered_path_moves_on_past_its_pins(geom5):
 
 # per cell count, unsplit steps whose first tries cannot be closed inside
 # the boxes: they close only after halved retries
-UNSPLIT_RETRIED = {4: ((0, 2, 4), 1.0), 5: ((0, 4), 2.0), 6: ((0, 6), 2.0)}
+UNSPLIT_RETRIED = {4: ((0, 2, 4), 2.6), 5: ((0, 4, 8), 2.85), 6: ((0, 6), 2.85)}
 
 
 @pytest.mark.parametrize("n_cell", [4, 5, 6])
