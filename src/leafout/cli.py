@@ -384,8 +384,6 @@ def _mesh_inputs(task, geom, springs):
     rho_o = (uniform_state(geom, s["psi_deg"]) if "psi_deg" in s else
              s["rho_o_deg"] if "rho_o_deg" in s else np.zeros(geom.n_vertex_creases))
     mesh = reconstruct_mesh(geom, rho_o, tilt=s.get("tilt_deg", s.get("psi_deg", 0.0)))
-    if not np.isfinite(mesh.vertices).all():
-        raise ConfigError("mesh vertices are not finite")
     return geom, mesh_to_obj(mesh)
 
 

@@ -229,10 +229,14 @@ class BistabilityReport:
 
 def characterize_bistability(curve):
     """Classify a landscape curve and measure its energy gaps: row 0 of
-    ``landscape_extrema``.  Every report lists the minima."""
-    if curve.psi[0] >= 0.0 or curve.psi[-1] <= 0.0:
-        raise ValueError("curve must span both the open and closed phase")
-    ext = landscape_extrema(curve.psi, 1, *_uniform_landscapes(
+    ``landscape_extrema``.  Every report lists the minima.  ``curve.psi``
+    and ``curve.energy`` must be finite (M,) arrays, or ``_read`` refuses
+    them by name, and psi must run from the open to the closed phase."""
+    psi = _read("curve.psi", curve.psi, -_HUGE, _HUGE, shape=(None,))
+    if not (psi.size and psi[0] < 0.0 < psi[-1]):
+        raise ValueError("curve.psi must span both the open and closed phase")
+    _read("curve.energy", curve.energy, -_HUGE, _HUGE, shape=psi.shape)
+    ext = landscape_extrema(psi, 1, *_uniform_landscapes(
         curve.alpha, curve.springs.kappa, curve.springs.rest_angle[None]))
     psi, E = ext.psi.tolist(), ext.energy.tolist()
     minima = [(p, e) for p, e, m in zip(psi, E, ext.is_min) if m]

@@ -210,8 +210,11 @@ def _split_quads(vertices, quads):
 
 
 def mesh_to_obj(mesh):
-    """ASCII OBJ text: vertices then triangulated faces, 1-based indices."""
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in
-              (_split_quads(mesh.vertices, mesh.faces) + 1).tolist()]
+    """ASCII OBJ text: vertices then triangulated faces, 1-based indices.
+    ``mesh.vertices`` must be a finite (V, 3) array and ``mesh.faces``
+    quads of indices into it, or ``_read`` refuses them by name."""
+    vertices = _read("mesh.vertices", mesh.vertices, -_HUGE, _HUGE, shape=(None, 3))
+    faces = _read("mesh.faces", mesh.faces, 0, len(vertices) - 1, "iu", (None, 4))
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in (_split_quads(vertices, faces) + 1).tolist()]
     return "\n".join(lines) + "\n"

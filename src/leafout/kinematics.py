@@ -52,16 +52,22 @@ The reused tangents cost nothing, and the predictor is accurate enough
 for a grasp substep to span four drive increments: on the default
 programs the traces lie within 8e-6 rad of the continuous motion.
 
-Each pass steps the whole stack under masks.  ``trace_paths`` gives
-``_project`` each row's seed: the increments of its controlled angles,
-or of every unpinned angle when none is controlled, and no increment for
-an ended path, which rides along with every angle fixed.  A row that
-needs no further substep or Newton iteration has no free angle, so its
-update is exactly zero.  A failed step is retried in the next pass with
-step_scale halved, at most MAX_HALVINGS times and not below MIN_STEP,
-which bounds its work to 2**(MAX_HALVINGS + 1) - 1 times the substeps of
-its first try.  Every array operation acts on each path's row alone, so
-a path's trace is the same whichever paths are stepped beside it.
+Each pass steps the whole stack.  ``trace_paths`` gives ``_project``
+each row's seed: the increments of its controlled angles, or of every
+unpinned angle when none is controlled, and no increment for an ended
+path, which rides along with every angle fixed.  A row that needs no
+further substep or Newton iteration has no free angle, so its update is
+exactly zero.  The rows are selected by masks only in a pass where they
+differ: one where a path ends, locks, fails a try, clamps, restarts the
+predictor or splits its step into more substeps than another.  One
+reduction over the stack tells each such event; without it the masks
+would select every row, so the pass skips them and every row's
+arithmetic stays the same.  A failed step is retried in the next pass
+with step_scale halved, at most MAX_HALVINGS times and not below
+MIN_STEP, which bounds its work to 2**(MAX_HALVINGS + 1) - 1 times the
+substeps of its first try.  Every array operation acts on each path's
+row alone, so a path's trace is the same whichever paths are stepped
+beside it.
 
 The entries that check their arguments (README lists them) read each
 one once, at the entry, through ``_read`` (``_count`` for a count): dtype
@@ -115,6 +121,12 @@ _BELOW_HALF_PI = 1.5707963267948963
 # an empty array
 _KINDS = {"iuf": ("a number", "numbers", float), "iu": ("an integer", "integers", int),
           "b": ("a boolean", "booleans", bool)}
+
+
+# the reductions of the stepping loop as ufunc methods, without the Python
+# wrappers of the ndarray methods (axis 0 unless given, None for all)
+_any, _all, _max, _sum = (np.logical_or.reduce, np.logical_and.reduce, np.maximum.reduce,
+                          np.add.reduce)
 
 
 def _fits(got, want):
@@ -294,33 +306,38 @@ def _masked_solve(C, free, v):
     the adjugate over det G, plus one step of iterative refinement on
     v - C_free x.  Only the other rows with a free column (rank-deficient,
     near-flat or locked Jacobians, fewer than three free columns) take an
-    SVD; a row without a free column is exactly zero.
+    SVD; a row without a free column is exactly zero.  When every row
+    passes, the guarded division and the SVD fallback are skipped.
     """
     Cf = np.where(free[:, None, :], C, 0.0)
     g = (Cf @ Cf.transpose(0, 2, 1)).reshape(-1, 9)
-    p = g[:, _ADJ]
-    adj = p[:, 0, 0] * p[:, 0, 1] - p[:, 1, 0] * p[:, 1, 1]
-    det = (g[:, :3] * adj[:, ::3]).sum(axis=-1)
-    ok = det > GRAM_GUARD * g[:, ::4].sum(axis=-1) ** 3
-    W = Cf.transpose(0, 2, 1) @ np.divide(
-        adj, det[:, None], out=np.zeros(adj.shape), where=ok[:, None]).reshape(-1, 3, 3)
+    q = g[:, _ADJ]
+    q = q[:, :, 0] * q[:, :, 1]             # G[a] G[b] and G[c] G[d]
+    adj = q[:, 0] - q[:, 1]
+    det = _sum(g[:, :3] * adj[:, ::3], -1)
+    ok = det > GRAM_GUARD * _sum(g[:, ::4], -1) ** 3
+    every = _all(ok)
+    inverse = (adj / det[:, None] if every else
+               np.divide(adj, det[:, None], out=np.zeros(adj.shape), where=ok[:, None]))
+    W = Cf.transpose(0, 2, 1) @ inverse.reshape(-1, 3, 3)
     x = (W @ v[:, :, None])[..., 0]
     x += (W @ (v - (Cf @ x[:, :, None])[..., 0])[:, :, None])[..., 0]
-    rest = ~ok & free.any(axis=-1)
-    if rest.any():
-        x[rest] = _svd_solve(Cf[rest], v[rest])
+    if not every:
+        rest = ~ok & free.any(axis=-1)
+        if rest.any():
+            x[rest] = _svd_solve(Cf[rest], v[rest])
     return np.where(free, x, 0.0)
 
 
-def _tangent(C, seed, fixed):
+def _tangent(C, seed, free):
     """Tangent increments per row and their unmet constraint max |C t|.
 
-    Fixed entries of ``seed`` are kept exactly; the free entries move by
-    the least amount that makes C t = 0.  A row with nothing fixed thus
-    projects its whole seed onto the tangent space.
+    Entries of ``seed`` off the ``free`` mask are kept exactly; the free
+    entries move by the least amount that makes C t = 0.  A row with every
+    entry free thus projects its whole seed onto the tangent space.
     """
-    t = seed - _masked_solve(C, ~fixed, (C * seed[:, None, :]).sum(axis=-1))
-    return t, np.abs((C * t[:, None, :]).sum(axis=-1)).max(axis=-1)
+    t = seed - _masked_solve(C, free, _sum(C * seed[:, None, :], -1))
+    return t, _max(np.abs(_sum(C * t[:, None, :], -1)), -1)
 
 
 def _newton(geom, rho, free):
@@ -332,19 +349,20 @@ def _newton(geom, rho, free):
     closes, so a good prediction is closed as tightly as a poor one.  Each
     iteration solves the whole stack: a closed row has no free column
     left, so its update is exactly zero and its residual is recomputed
-    unchanged.
+    unchanged.  The loop ends as soon as every row closes.
     """
     r, C = _closure(geom, rho)
-    closed = np.abs(r).max(axis=-1) < NEWTON_TOL
     step = free
     for _ in range(NEWTON_MAX_ITER):
-        if not step.any():
+        if not _any(step, None):
             break
         rho -= _masked_solve(C, step, r)
         r, C = _closure(geom, rho)
-        closed = np.abs(r).max(axis=-1) < NEWTON_TOL
+        closed = _max(np.abs(r), -1) < NEWTON_TOL
+        if _all(closed):
+            return r, C, closed
         step = free & ~closed[:, None]
-    return r, C, closed
+    return r, C, _max(np.abs(r), -1) < NEWTON_TOL
 
 
 # step outcomes, and _AT_FACE; a path's ending is one of them (_OK while
@@ -367,19 +385,31 @@ _AB = [[1.0, 0.0, 0.0, 0.0, 0.0],
        [1901 / 720, -2774 / 720, 2616 / 720, -1274 / 720, 251 / 720]]
 
 
-def _project(geom, rho, r, C, seed, fixed, step_scale, bounds, history):
+def _pick(rows, new, old):
+    """Per row of a stack, ``new`` where the (B,) mask ``rows`` is set and
+    ``old`` elsewhere; ``new`` itself when ``rows`` is None, for every row."""
+    if rows is None:
+        return new
+    return np.where(rows.reshape(-1, *(1,) * (np.ndim(new) - 1)), new, old)
+
+
+def _project(geom, rho, r, C, seed, seed_max, free, step_scale, bounds, weights,
+             history):
     """One constrained step of each row of a stack of closed states.
 
     ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
     Jacobians, ``seed`` the increments that seed the tangent (exact at the
     fixed entries, projected at the free ones, zero at every angle that
-    takes no part), ``fixed`` the controlled-or-frozen mask,
-    ``step_scale`` (B,) the substep caps and ``bounds`` the
-    ``angle_bounds`` boxes.  ``history`` holds each row's earlier
-    substeps: its last four tangent increments (B, 4, N), newest first,
-    the parameter increment h = max |seed| / n_sub (B,) of the last one,
-    0 where the row has none, and how many of them (B,), up to four, were
-    taken at that same h.
+    takes no part) and ``seed_max`` (B,) its largest magnitude per row,
+    ``free`` the mask of the angles that are neither controlled nor frozen
+    nor in a row taking no part, ``step_scale`` (B,) the substep caps,
+    ``bounds`` the ``angle_bounds`` boxes followed by the same boxes
+    widened by the clamp's 1e-12, and ``weights`` the Adams-Bashforth
+    table _AB as an array.  ``history`` holds each row's earlier substeps:
+    its last four tangent increments (B, 4, N), newest first, the
+    parameter increment h = seed_max / n_sub (B,) of the last one, 0 where
+    the row has none, and how many of them (B,), up to four, were taken at
+    that same h.
 
     A substep whose h equals the last one bit for bit moves the free
     angles by the equal-step Adams-Bashforth rule of the highest order
@@ -396,21 +426,35 @@ def _project(geom, rho, r, C, seed, fixed, step_scale, bounds, history):
     row; the inputs are not changed.  Substeps and corrections act on the
     whole stack; a row taking no part keeps its angles, as does one with
     every angle fixed and no increment.
+
+    Each rare event is told by one reduction over the stack: a lock or a
+    failed correction (any status), a split step (an n_sub above 1), a
+    changed h (which a restart, with h_prev = 0, needs) and a clamp.  Only
+    then does its masked bookkeeping run: selecting with a mask that holds
+    for every row is the identity, so each row's arithmetic is the same
+    either way.  A pass without these events takes one tangent solve, the
+    predictor sum, Newton and the clamp test.
     """
-    lo, hi = bounds
-    free = ~fixed
-    lock_tol = LOCK_TOL * np.maximum(1.0, np.abs(seed).max(axis=-1))
-    t, unmet = _tangent(C, seed, fixed)
+    lo, hi, below, above = bounds
+    lock_tol = LOCK_TOL * np.maximum(1.0, seed_max)
+    t, unmet = _tangent(C, seed, free)
     status = np.where(unmet > lock_tol, _LOCKED, _OK)
-    n_sub = np.maximum(1, np.ceil(np.abs(t).max(axis=-1) / step_scale)).astype(int)
-    t /= n_sub[:, None]
-    sub_seed = seed / n_sub[:, None]
-    h = np.abs(seed).max(axis=-1) / n_sub
+    sub_seed, h = seed, seed_max
+    n_sub = _max(np.abs(t), -1) / step_scale
+    n_max = 1
+    if _max(n_sub) > 1:     # split into n_sub equal substeps, at least one
+        n_sub = np.maximum(1.0, np.ceil(n_sub))
+        n_max = int(n_sub.max())
+        t /= n_sub[:, None]
+        sub_seed = seed / n_sub[:, None]
+        h = seed_max / n_sub
     past, h_prev, n_same = history
-    for k in range(n_sub.max()):
-        go = (status == _OK) & (n_sub > k)
+    for k in range(n_max):
+        # the rows that take this substep; None while all of them do
+        go = ((status == _OK) & (n_sub > k) if k else
+              status == _OK if _any(status) else None)
         if k > 0:
-            t, unmet = _tangent(C, sub_seed, fixed | ~go[:, None])
+            t, unmet = _tangent(C, sub_seed, free & go[:, None])
             locked = go & (unmet > lock_tol)
             status[locked] = _LOCKED
             go &= ~locked
@@ -418,30 +462,45 @@ def _project(geom, rho, r, C, seed, fixed, step_scale, bounds, history):
         # one its first row, plain t_k, plus the two-step term
         # (w / 2)(t_k - w t_{k-1}), which is 0 without history (w = 0)
         same = h == h_prev
-        w = np.divide(h, h_prev, out=np.zeros(h.shape), where=~same & (h_prev > 0))[:, None]
         recent = np.concatenate((t[:, None], past), axis=1)     # t_k, ..., t_{k-4}
-        move = (np.array(_AB)[n_same * same][:, :, None] * recent).sum(axis=1)
-        move += w / 2 * (t - w * past[:, 0])
-        heun = go & (h_prev == 0) & (h > 0)
-        if heun.any():
-            t_euler = _tangent(_closure(geom, rho + t)[1], sub_seed, fixed)[0]
-            move = np.where(heun[:, None], (t + t_euler) / 2, move)
-        rho = np.where(go[:, None], rho + np.where(free, move, t), rho)
-        r, C, closed = _newton(geom, rho, free & go[:, None])
-        status[go & ~closed] = _NOT_CONVERGED
-        past = np.where(go[:, None, None], recent[:, :4], past)
-        n_same = np.where(go, np.minimum(n_same * same + 1, 4), n_same)
-        h_prev = np.where(go, h, h_prev)
+        if _all(same):          # so no row restarts: h_prev = 0 means h = 0
+            n_same_next = np.minimum(n_same + 1, 4)
+            move = _sum(weights[n_same][:, :, None] * recent, 1)
+        else:
+            n_same_next = np.minimum(n_same * same + 1, 4)
+            move = _sum(weights[n_same * same][:, :, None] * recent, 1)
+            w = np.divide(h, h_prev, out=np.zeros(h.shape),
+                          where=~same & (h_prev > 0))[:, None]
+            move += w / 2 * (t - w * past[:, 0])
+            heun = (h_prev == 0) & (h > 0)
+            if go is not None:
+                heun &= go
+            if heun.any():
+                t_euler = _tangent(_closure(geom, rho + t)[1], sub_seed, free)[0]
+                move = np.where(heun[:, None], (t + t_euler) / 2, move)
+        rho = _pick(go, rho + np.where(free, move, t), rho)
+        r, C, closed = _newton(geom, rho, free if go is None else free & go[:, None])
+        if not _all(closed):
+            status[~closed if go is None else go & ~closed] = _NOT_CONVERGED
+        past = _pick(go, recent[:, :4], past)
+        n_same = _pick(go, n_same_next, n_same)
+        h_prev = _pick(go, h, h_prev)
 
-    clamped = ((rho < lo - 1e-12) | (rho > hi + 1e-12)) & (status == _OK)[:, None]
-    hit = clamped.any(axis=-1)
-    if hit.any():
+    clamped = (rho < below) | (rho > above)
+    not_ok = _any(status)
+    if not_ok:
+        clamped &= (status == _OK)[:, None]
+    # a clamped row, or one whose status is not ok, starts its next step afresh
+    if _any(clamped, None):
+        hit = clamped.any(axis=-1)
         rho = np.where(hit[:, None], np.clip(rho, lo, hi), rho)
         r, C, closed = _newton(geom, rho, free & ~clamped & hit[:, None])
         status[hit & ~closed] = _NOT_CONVERGED
         outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
         status[hit & closed & outside] = _OUTSIDE_BOX
-    h_prev = np.where(hit | (status != _OK), 0.0, h_prev)    # the next step starts afresh
+        h_prev = np.where(hit | (status != _OK), 0.0, h_prev)
+    elif not_ok:
+        h_prev = np.where(status != _OK, 0.0, h_prev)
     return rho, r, C, (past, h_prev, n_same), clamped, status
 
 
@@ -553,49 +612,72 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     req_scale = _read("step_scale", step_scale, MIN_STEP, _HUGE, shape=per_path)
     n_steps = _read("n_steps", n_steps, 0, np.inf, "iu", per_path)
     r, C = check_states(geom, rho, "starts row")
-    bounds = lo, hi = angle_bounds(geom)
-    loose, steered = ~ctrl, ctrl.any(axis=-1)
+    lo, hi = angle_bounds(geom)
+    # worked out once per trace: the boxes with the clamp's slack, and the
+    # predictor's weights (a numpy call at import raises every task's peak RSS)
+    bounds, weights = (lo, hi, lo - 1e-12, hi + 1e-12), np.array(_AB)
+    steered = ctrl.any(axis=-1)
     # the seed, whose largest entry is the parameter increment: the
     # controlled increments, or every unpinned one of a path without any
     seeded = ctrl | ~steered[:, None]
+    # cut each pass so that a controlled angle at most reaches its box face;
+    # the other angles have no face to cut at
+    req_seed = np.where(seeded, req_d0, 0.0)
+    lo_cut, hi_cut = np.where(ctrl, lo, -np.inf), np.where(ctrl, hi, np.inf)
     scale = req_scale               # halved on each failed try of a step
     min_scale = np.maximum(MIN_STEP, req_scale / 2.0 ** MAX_HALVINGS)
     n_done = np.zeros(n_path, dtype=int)
     ending = np.full(n_path, _OK)   # the code that ended each path, _OK while it runs
     frozen = np.zeros(rho.shape, dtype=bool)
+    free, live = ~ctrl, seeded      # neither controlled nor pinned; seeded, not pinned
+    whole = True                    # no seeded angle is pinned
     # no earlier substep: tangent increments, parameter increment, equal count
     history = np.zeros((n_path, 4, rho.shape[1])), np.zeros(n_path), np.zeros(n_path, int)
     # per pass: which paths took a step, all angles, increments and pinned angles
     log = [(np.ones(n_path, dtype=bool), rho, np.zeros(n_path), frozen)]
 
     # each pass tries the next step of every running path; the other
-    # paths ride along with every angle fixed and no increment
+    # paths ride along with every angle fixed and no increment.  A mask
+    # that holds for every path is not applied: see _project
     while True:
-        # controlled angles may at most reach their box face; once all are
-        # there the path ends, whatever steps it has left
-        d0 = np.where(ctrl, np.clip(req_d0, lo - rho, hi - rho), req_d0)
-        ending[(ending == _OK) & steered
-               & (loose | (np.abs(d0) <= 1e-12)).all(axis=-1)] = _AT_FACE
+        # the cut seed; a steered path's other entries are zero, so its
+        # largest entry tells when every controlled angle sits at its face,
+        # and the path then ends, whatever steps it has left
+        d0 = np.minimum(np.maximum(req_seed, lo_cut - rho), hi_cut - rho)
+        size = _max(np.abs(d0), -1)
+        at_face = steered & (size <= 1e-12)
+        if _any(at_face):
+            ending[at_face & (ending == _OK)] = _AT_FACE
         run = (ending == _OK) & (n_done < n_steps)
-        if not run.any():
+        if not _any(run):
             break
-        hold = frozen | ~run[:, None]
-        seed = np.where(seeded & ~hold, d0, 0.0)
+        every = _all(run)
+        seed, seed_max = d0, size
+        if not (every and whole):   # pinned angles and paths at rest take no increment
+            seed = np.where(live & run[:, None], d0, 0.0)
+            seed_max = np.abs(seed).max(axis=-1)
         new_rho, new_r, new_C, history, clamped, status = _project(
-            geom, rho, r, C, seed, ctrl | hold, scale, bounds, history)
-        ok = run & (status == _OK)
-        failed = run & (status > _LOCKED)
-        scale = np.where(failed, scale / 2, req_scale)
-        # a lock ends a path at once, a failed try once it can be halved no more
-        stop = run & (status == _LOCKED) | failed & (scale < min_scale)
-        ending[stop] = status[stop]
-        pins = clamped & ok[:, None]
-        if pins.any():          # a new mask: the log holds the earlier one
+            geom, rho, r, C, seed, seed_max, free if every else free & run[:, None],
+            scale, bounds, weights, history)
+        if _any(status):
+            ok = run & (status == _OK)
+            failed = run & (status > _LOCKED)
+            scale = np.where(failed, scale / 2, req_scale)
+            # a lock ends a path at once, a failed try once it can be halved no more
+            stop = run & (status == _LOCKED) | failed & (scale < min_scale)
+            ending[stop] = status[stop]
+            every = ok.all()
+        else:
+            ok, scale = run, req_scale
+        pins = clamped if every else clamped & ok[:, None]
+        if _any(pins, None):    # a new mask: the log holds the earlier one
             frozen = frozen | pins
-        log.append((ok, new_rho, np.abs(seed).max(axis=-1), frozen))
-        rho = np.where(ok[:, None], new_rho, rho)
-        r = np.where(ok[:, None], new_r, r)
-        C = np.where(ok[:, None, None], new_C, C)
+            free, live = ~ctrl & ~frozen, seeded & ~frozen
+            whole = not (seeded & frozen).any()
+        log.append((ok, new_rho, seed_max, frozen))
+        stepped = None if every else ok
+        rho, r, C = (_pick(stepped, new_rho, rho), _pick(stepped, new_r, r),
+                     _pick(stepped, new_C, C))
         n_done += ok
 
     # each path's rows, in step order; its first row is the start state

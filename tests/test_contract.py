@@ -20,10 +20,14 @@ differ) or a map count that is not a positive integer; and
 ``SpringModel.per_kind``, ``GraspProgram``, ``ratio_surface``,
 ``sub_angle_from_main``, ``uniform_motion``, ``psi_from_main`` and
 ``psi_motion_range``, given one argument that is text, ragged, NaN,
-infinite, out of its domain or, where it must be a number, array-valued:
-each returns the oracle's answer or raises a ValueError that names the
+infinite, out of its domain or, where it must be a number, array-valued;
+and ``mesh_to_obj`` and ``characterize_bistability``, given a mesh or a
+landscape curve with one such array (vertices or faces, psi or energy),
+faces indexing past the vertices or a psi that misses a phase: each
+returns the oracle's answer or raises a ValueError that names the
 argument, and never warns."""
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -393,9 +397,42 @@ def _grid(kind):
     return [*NOT_AN_ARRAY, [lo, hi + 0.1], [lo - 0.1, hi]]
 
 
+# a mesh and a bistable landscape curve of five cells, whose arrays the
+# entries that take them are given
+MESH = lf.reconstruct_mesh(_geometry(5), lf.uniform_state(_geometry(5), -0.5))
+CURVE = lf.landscape_over_psi(_geometry(5), lf.SpringModel.uniform(
+    _geometry(5), 1.0, np.radians(120.0), np.radians(-30.0)), (-1.5, 0.9), 601)
+
+
+def _with_entry(array, index, value):
+    """A copy of ``array`` with one entry set to ``value``."""
+    array = np.array(array)
+    array[index] = value
+    return array
+
+
+NOT_FINITE_ROWS = [_with_entry(MESH.vertices, (4, 1), math.nan),
+                   _with_entry(MESH.vertices, (0, 2), -math.inf), MESH.vertices[:, :2],
+                   MESH.vertices.ravel(), [[0.0, 0.0, 0.0], [1.0]],
+                   MESH.vertices.astype(str), None, "0.1"]
+NOT_A_CURVE_ARRAY = [math.nan, math.inf, "0.1", None, [[0.1], 0.2]]
+
 # every other entry with arguments from outside, by argument: a good value
 # and the bad ones
 ARGUMENT_ENTRIES = {
+    "mesh_to_obj": {"vertices": (MESH.vertices, NOT_FINITE_ROWS),
+                    # past the last vertex, negative, triangles, not integers
+                    "faces": (MESH.faces, [
+                        [*MESH.faces[:-1], (0, 1, 2, len(MESH.vertices))],
+                        [(-1, 1, 2, 3)], [(0, 1, 2)], [(0.0, 1.0, 2.0, 3.0)],
+                        [("0", "1", "2", "3")], None])},
+    "characterize_bistability": {
+        "psi": (CURVE.psi, [_with_entry(CURVE.psi, 7, math.nan),
+                            _with_entry(CURVE.psi, -1, math.inf), CURVE.psi[:, None],
+                            np.abs(CURVE.psi), CURVE.psi[:0], *NOT_A_CURVE_ARRAY]),
+        "energy": (CURVE.energy, [_with_entry(CURVE.energy, 3, math.nan),
+                                  CURVE.energy[:-1], CURVE.energy[None],
+                                  *NOT_A_CURVE_ARRAY])},
     "build_geometry": {"n_cell": (5, [2, -1, 5.0, *NOT_A_COUNT]),
                        "L1": (70.0, NOT_POSITIVE), "L2": (30.0, NOT_POSITIVE)},
     "DropScenario": {"m_ball": (22.3e-3, NOT_POSITIVE), "R_ball": (35e-3, NOT_POSITIVE),
@@ -457,7 +494,10 @@ def _check_argument_entries(entry, args, bad):
             "sub_angle_from_main": lambda: lf.sub_angle_from_main(**args),
             "uniform_motion": lambda: lf.uniform_motion(**args),
             "psi_from_main": lambda: lf.psi_from_main(**args),
-            "psi_motion_range": lambda: lf.psi_motion_range(**args)}[entry]
+            "psi_motion_range": lambda: lf.psi_motion_range(**args),
+            "mesh_to_obj": lambda: lf.mesh_to_obj(dataclasses.replace(MESH, **args)),
+            "characterize_bistability": lambda: lf.characterize_bistability(
+                dataclasses.replace(CURVE, **args))}[entry]
     if bad is not None:
         _refuses_by_name(call, bad)
         return
@@ -490,6 +530,12 @@ def _check_argument_entries(entry, args, bad):
         assert got >= 0.0 and abs(rho_m - 1.0) < 1e-12
     elif entry == "psi_motion_range":
         assert got == (-np.pi / 2, np.pi / 2 - ALPHA)
+    elif entry == "mesh_to_obj":
+        # one line per vertex, then two triangles per quad
+        kinds = [line.split()[0] for line in got.splitlines()]
+        assert kinds == ["v"] * len(MESH.vertices) + ["f"] * (2 * len(MESH.faces))
+    elif entry == "characterize_bistability":
+        assert got.stability_class == "bistable" and got.psi_open < 0.0 < got.psi_closed
 
 
 def _oracle_accepts(geom, rows, closed):

@@ -156,10 +156,10 @@ def test_column_conjugation_between_adjacent_units(geom5, uniform_minus30):
 
 def tangent_projector(C):
     """Matrix of the unconstrained tangent step: ``_tangent`` applied to
-    every unit increment (nothing fixed)."""
+    every unit increment (every entry free)."""
     n = C.shape[1]
     t, unmet = _tangent(np.broadcast_to(C, (n, *C.shape)), np.eye(n),
-                        np.zeros((n, n), dtype=bool))
+                        np.ones((n, n), dtype=bool))
     assert np.max(unmet) < 1e-14
     return t.T
 
@@ -466,6 +466,34 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     assert len(together[5]) == 31
     for begin, drv, path in zip(starts, drives, together):
         alone = trace(geom, begin, drv, 30)
+        assert np.array_equal(alone.rho_o, path.rho_o)
+        assert np.array_equal(alone.rho_s, path.rho_s)
+        assert np.array_equal(alone.params, path.params)
+        assert alone.termination == path.termination
+        assert np.array_equal(alone.frozen, path.frozen)
+
+
+def test_paths_going_idle_at_different_passes_trace_alike_alone(geom5):
+    # no path fails, but they stop at different passes: two at their own
+    # step counts, one at its controlled face ahead of its count, while an
+    # unsteered path runs on; the passes in which only some paths step
+    # apply their masks, and no argument is written to
+    start = lf.near_flat_start(geom5)
+    starts = np.array([start, start, start, lf.uniform_state(geom5, np.radians(3.0))])
+    drives = [_drive((0, 2), np.radians(0.5)), _drive((0, 4), np.radians(2.0)),
+              _drive((0, 2, 4, 6, 8), np.radians(20.0), np.radians(5.0)),
+              drive(UNSTEERED_D0[:10])]
+    d0, ctrl, scale = (np.array(part) for part in zip(*drives))
+    n_steps = np.array([4, 11, 100, 25])
+    for arg in (starts, d0, ctrl, scale, n_steps):
+        arg.flags.writeable = False
+    together = trace_paths(geom5, starts, d0, ctrl, scale, n_steps)
+    assert [path.termination for path in together] == [
+        "max-steps", "max-steps", "controlled-at-boundary", "max-steps"]
+    assert [len(together[b]) for b in (0, 1, 3)] == [5, 12, 26] and len(together[2]) < 11
+    for b, path in enumerate(together):
+        (alone,) = trace_paths(geom5, starts[b:b + 1], d0[b:b + 1], ctrl[b:b + 1],
+                               scale[b:b + 1], n_steps[b:b + 1])
         assert np.array_equal(alone.rho_o, path.rho_o)
         assert np.array_equal(alone.rho_s, path.rho_s)
         assert np.array_equal(alone.params, path.params)
