@@ -4,15 +4,15 @@ The command names the task, or `validate`; `--config` supplies a nested JSON
 file, individual keys can be overridden with `--set a.b.c=value`, and
 `--out` overrides the output directory.  Angles in configs are degrees;
 everything internal is radians.  Exit codes: 0 success, 2 invalid
-command line or configuration, 3 numerical failure (partial outputs are
-flagged in the manifest).
+command line or configuration, 3 numerical failure or an output that
+cannot be written (partial outputs are flagged in the manifest).
 
 ``SCHEMA`` gives every config key its type, default, SI conversion and
-the bounds the CLI owns; ``_read`` checks one block against it.  Each
-task is one entry of ``TASKS``: a build step that checks the rest of the
-config and returns the task's inputs (all that `validate` runs), and a
-run step that computes and writes the outputs from those inputs and
-reports how each path ended.
+the bounds the CLI owns; ``_read`` checks one block against it, every
+number through ``kinematics._read``.  Each task is one entry of ``TASKS``:
+a build step that checks the rest of the config and returns the task's
+inputs (all that `validate` runs), and a run step that computes and
+writes the outputs from those inputs and reports how each path ended.
 """
 import json
 import os
@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 # kinematics, the largest module, is imported before numpy: its compile
 # (1.8 MB traced) then does not stack on numpy's memory, which would raise
 # every task's peak RSS
-from .kinematics import StepFailure
+from .kinematics import _HUGE, StepFailure, _read as _read_value
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from . import __version__
 from .droptest import DropScenario, trigger_map
 from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
-from .explore import DEFAULT_MAX_STEPS, GraspProgram, config_space, run_programs
+from .explore import (DEFAULT_MAX_STEPS, GraspProgram, config_space, controlled_creases,
+                      run_programs)
 from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
 from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
                       landscape_psis, psi_samples, uniform_path, uniform_state)
@@ -56,31 +57,23 @@ MAX_GRASP_WORK = 2 * 10 ** 6    # len(programs) x max_steps x 2 n_cell
 
 
 class Key(NamedTuple):
-    """One config key: its JSON type (a ``_TYPES`` name), its default
-    (REQUIRED, or None: left out, so that the library default applies),
-    the conversion of its numbers to SI units, the name it is passed on as,
-    and the bounds in config units that no library call checks."""
+    """One config key: its JSON type (a ``_NUMERIC`` or ``_TYPES`` name),
+    its default (REQUIRED, or None: left out, so that the library default
+    applies), the conversion of its numbers to SI units, the name it is
+    passed on as, and the bounds in config units no library call checks."""
     type: str
     default: object = None
     conv: Callable = float
     name: str = None
-    lo: float = -np.inf
-    hi: float = np.inf
+    lo: float = -_HUGE
+    hi: float = _HUGE
 
 
-def _number(v):
-    """A finite number: not NaN, +-inf, a bool or an int past float range."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-# JSON type: (its name in messages, its check)
+# numeric JSON type: the dtype kinds and shape that kinematics._read takes
+_NUMERIC = {"int": ("iu", ()), "number": ("iuf", ()), "range": ("iuf", (2,)),
+            "numbers": ("iuf", (None,))}
+# other JSON type: (its name in messages, its check)
 _TYPES = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "number": ("a finite number", _number),
-    "range": ("[lo, hi] of finite numbers",
-              lambda v: type(v) is list and len(v) == 2 and all(map(_number, v))),
-    "numbers": ("a list of finite numbers",
-                lambda v: type(v) is list and all(map(_number, v))),
     "string": ("a string", lambda v: type(v) is str),
     "object": ("an object", lambda v: type(v) is dict),
     "programs": ("a non-empty list of non-empty lists of unit indices",
@@ -126,7 +119,7 @@ SCHEMA = {
                       "observations_csv": Key("string")},
         "multi-grasp": {**_NAME, "programs": Key("programs", REQUIRED),
                         "delta_rho_c_deg": Key("number", None, np.radians, "delta_rho_c"),
-                        "max_steps": Key("int", lo=1)},
+                        "max_steps": Key("int")},
         "export-mesh": {**_NAME, "state": Key("object", {"type": "flat"})}},
     # DropScenario fields; a key left out takes the prototype value
     "task.drop": {"m_ball_g": Key("number", None, _milli, "m_ball"),
@@ -165,12 +158,18 @@ def _read(block, table, where, tag=None):
             raise ConfigError(f"missing config key: {path}{key}")
         if v is None and key not in block:
             continue
-        what, ok = _TYPES[kind]
-        if not (ok(v) and (kind not in ("int", "number", "range") or all(
-                lo <= x <= hi for x in (v if kind == "range" else [v])))):
-            bounds = "".join(f" {op} {b:g}" for op, b in ((">=", lo), ("<=", hi))
-                             if abs(b) < np.inf)
-            raise ConfigError(f"{path}{key} must be {what}{bounds}, got {v!r}")
+        if kind in _NUMERIC:
+            kinds, shape = _NUMERIC[kind]
+            # numpy reads a bool among numbers as a number, and one alone as
+            # a bool, so a listed bool is read alone
+            at = next((i for i, x in enumerate(v) if type(x) is bool), None) \
+                if shape and type(v) is list else None
+            if at is None:
+                _read_value(path + key, v, lo, hi, kinds, shape, ConfigError)
+            else:
+                _read_value(f"{path}{key}[{at}]", v[at], lo, hi, kinds, (), ConfigError)
+        elif not _TYPES[kind][1](v):
+            raise ConfigError(f"{path}{key} must be {_TYPES[kind][0]}, got {v!r}")
         values[name or key] = (tuple(map(conv, v)) if kind == "range" else
                                conv(v) if kind in ("number", "numbers") else v)
     return values
@@ -314,11 +313,7 @@ def _surface_outputs(inputs, out, terminations):
 def _drop_inputs(task, geom, springs):
     """Drop-test decision map with its observation overlay, every rest
     angle checked against the bistable band."""
-    drop = _read(task["drop"], SCHEMA["task.drop"], "task.drop")
-    try:
-        scenario = DropScenario(**drop)
-    except ValueError as exc:
-        raise ConfigError(f"bad drop settings: {exc}") from exc
+    scenario = DropScenario(**_read(task["drop"], SCHEMA["task.drop"], "task.drop"))
     fname = task.get("observations_csv")
     obs = lio.read_observations_csv(fname) if fname else None
     _cap("n_h x n_rest", task["n_h"] * task["n_rest"], MAX_POINTS)
@@ -342,16 +337,16 @@ def _grasp_inputs(task, geom, springs):
     progs = task["programs"]
     _cap("len(programs) x max_steps x 2 n_cell", len(progs) * task.get(
         "max_steps", DEFAULT_MAX_STEPS) * 2 * geom.n_cell, MAX_GRASP_WORK)
+    step = {k: task[k] for k in ("delta_rho_c", "max_steps") if k in task}
+    programs = [GraspProgram(tuple(units), **step) for units in progs]
+    controlled_creases(geom, programs)
     seen = set()
     for p in progs:
-        if min(p) < 1 or max(p) > geom.n_cell:
-            raise ConfigError(f"program {p} has unit indices outside 1..n_cell")
         if frozenset(p) in seen:
             raise ConfigError(f"program {p} drives the same units as an "
                               "earlier program")
         seen.add(frozenset(p))
-    step = {k: task[k] for k in ("delta_rho_c", "max_steps") if k in task}
-    return geom, springs, [GraspProgram(tuple(units), **step) for units in progs]
+    return geom, springs, programs
 
 
 def _grasp_outputs(inputs, out, terminations):
@@ -440,16 +435,22 @@ def run_task(cfg, command, out_dir):
 
     try:
         spec.run(inputs, out, terminations)
-        status, error = "ok", None
+        status, kind, error = "ok", None, None
     except (StepFailure, OutOfRangeError) as exc:
-        status, error = "partial", f"{type(exc).__name__}: {exc}"
+        status, kind, error = "partial", "numerical", f"{type(exc).__name__}: {exc}"
+    except OSError as exc:
+        del outputs[-1:]    # a run step names each file just before it writes it
+        status, kind, error = "partial", "output", f"{type(exc).__name__}: {exc}"
     manifest = lio.manifest_dict(cfg, outputs, status=status,
                                  terminations=terminations)
     if error is not None:
         manifest["error"] = error
-    lio.write_json(manifest, os.path.join(outdir, "manifest.json"))
+    try:
+        lio.write_json(manifest, os.path.join(outdir, "manifest.json"))
+    except OSError as exc:
+        kind, error = "output", "; ".join(filter(None, (error, f"{type(exc).__name__}: {exc}")))
     if error is not None:
-        print(_error_report("numerical", error), file=sys.stderr)
+        print(_error_report(kind, error), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -6,6 +6,8 @@ E(psi) is the workhorse for bistability characterization and for the
 rest-angle design surface of the energy ratio xi.  Its energy and its
 exact slope dE/dpsi take the angles and their psi-slopes from
 ``uniform.uniform_motion`` and its grid from ``uniform.landscape_psis``.
+An argument out of its domain, or a spring model that does not cover the
+geometry's creases, is refused with a ValueError (``kinematics._read``'s).
 """
 from dataclasses import asdict, dataclass, field
 
@@ -18,11 +20,6 @@ REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
 SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
 
 
-class ConfigurationError(ValueError):
-    """Spring model outside its domain or not covering the geometry's
-    crease set."""
-
-
 @dataclass
 class SpringModel:
     """Per-crease stiffness and rest angle, in canonical crease order
@@ -31,19 +28,17 @@ class SpringModel:
     rest_angle: np.ndarray
 
     def __post_init__(self):
-        self.kappa = _read("kappa", self.kappa, 0.0, _HUGE, "iuf", (None,),
-                           ConfigurationError)
-        self.rest_angle = _read("rest_angle", self.rest_angle, -_HUGE, _HUGE, "iuf",
-                                (None,), ConfigurationError)
+        self.kappa = _read("kappa", self.kappa, 0.0, _HUGE, "iuf", (None,))
+        self.rest_angle = _read("rest_angle", self.rest_angle, -_HUGE, _HUGE, "iuf", (None,))
         if self.kappa.shape != self.rest_angle.shape:
-            raise ConfigurationError("kappa and rest_angle length mismatch")
+            raise ValueError("kappa and rest_angle length mismatch")
         # sum kappa (pi + |rest|)^2 bounds twice the energy of any angles
         # in [-pi, pi], so while it is finite no energy overflows
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.sum(self.kappa * (np.pi + np.abs(self.rest_angle)) ** 2)
         if not bound < np.inf:
-            raise ConfigurationError("spring energies would overflow: stiffness "
-                                     f"or rest angles too large (bound {bound:g})")
+            raise ValueError("spring energies would overflow: stiffness "
+                             f"or rest angles too large (bound {bound:g})")
 
     @classmethod
     def uniform(cls, geom, kappa, rest_main, rest_boundary, rest_sub=None):
@@ -55,16 +50,13 @@ class SpringModel:
     @classmethod
     def per_kind(cls, geom, kappa_main, kappa_sub, kappa_boundary,
                  rest_main, rest_boundary, rest_sub=None):
-        kappa_main, kappa_sub, kappa_boundary = (
-            _read(name, kappa, 0.0, _HUGE, error=ConfigurationError) for name, kappa in
-            (("kappa_main", kappa_main), ("kappa_sub", kappa_sub),
-             ("kappa_boundary", kappa_boundary)))
-        rest_main = _read("rest_main", rest_main, 0.0, np.pi, error=ConfigurationError)
-        rest_boundary = _read("rest_boundary", rest_boundary, -np.pi, 0.0,
-                              error=ConfigurationError)
+        kappas = dict(kappa_main=kappa_main, kappa_sub=kappa_sub, kappa_boundary=kappa_boundary)
+        kappa_main, kappa_sub, kappa_boundary = (_read(k, v, 0.0, _HUGE) for k, v in kappas.items())
+        rest_main = _read("rest_main", rest_main, 0.0, np.pi)
+        rest_boundary = _read("rest_boundary", rest_boundary, -np.pi, 0.0)
         if rest_sub is None:
             rest_sub = _sub_angle(geom.alpha, rest_main)
-        rest_sub = _read("rest_sub", rest_sub, 0.0, np.pi, error=ConfigurationError)
+        rest_sub = _read("rest_sub", rest_sub, 0.0, np.pi)
         n = geom.n_cell
         kap = np.tile([kappa_main, kappa_sub, kappa_sub, kappa_boundary], n)
         rest = np.tile([rest_main, rest_sub, rest_sub, rest_boundary], n)
@@ -76,7 +68,7 @@ def path_energies(geom, springs, rho_o):
     state or a path's ``rho_o``, its sub angles from ``sub_angles``.  Every
     angle must lie in its box (to 1e-9); closure is not checked."""
     if springs.kappa.shape != (geom.n_total_creases,):
-        raise ConfigurationError("spring model size does not match geometry")
+        raise ValueError("spring model size does not match geometry")
     lo, hi = angle_bounds(geom)
     rho_o = _read("rho_o", rho_o, lo - 1e-9, hi + 1e-9,
                   shape=(..., geom.n_vertex_creases))
@@ -140,7 +132,7 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
     flagged when truncation occurs.  Default sampling is 0.5 degrees.
     """
     if springs.kappa.shape != (geom.n_total_creases,):
-        raise ConfigurationError("spring model size does not match geometry")
+        raise ValueError("spring model size does not match geometry")
     psis, truncated = landscape_psis(
         geom.alpha, _read("psi_range", psi_range, -_HUGE, _HUGE, shape=(2,)), n_samples)
     (rho_m, rho_s, rho_b), _ = uniform_motion(geom.alpha, psis)
@@ -262,13 +254,11 @@ def ratio_surface(geom, rest_main_grid, rest_boundary_grid):
     and xi is scale-free), classified by ``landscape_extrema`` in blocks of
     about SURFACE_BLOCK slope samples; xi is NaN unless bistable.  Each
     grid must be a non-empty 1-D array of rest angles in the domain that
-    ``SpringModel.per_kind`` accepts, or ConfigurationError names it."""
-    gm = _read("rest_main_grid", rest_main_grid, 0.0, np.pi, "iuf", (None,),
-               ConfigurationError)
-    gb = _read("rest_boundary_grid", rest_boundary_grid, -np.pi, 0.0, "iuf", (None,),
-               ConfigurationError)
+    ``SpringModel.per_kind`` accepts, or a ValueError names it."""
+    gm = _read("rest_main_grid", rest_main_grid, 0.0, np.pi, "iuf", (None,))
+    gb = _read("rest_boundary_grid", rest_boundary_grid, -np.pi, 0.0, "iuf", (None,))
     for name, g in (("rest_main_grid", gm), ("rest_boundary_grid", gb)):
-        _count(f"len({name})", len(g), 1, ConfigurationError)
+        _count(f"len({name})", len(g), 1)
     psis = landscape_psis(geom.alpha, (-np.pi, np.pi))[0]
     rs = _sub_angle(geom.alpha, gm)[:, None]
     xi = np.empty((len(gm), len(gb)))

@@ -71,6 +71,16 @@ def config_space(path):
     return rho[:, 2] - rho[:, 6], rho[:, 4] - rho[:, 8], path.params
 
 
+def controlled_creases(geom, programs):
+    """The (len(programs), 2 n_cell) mask of the main creases each program
+    drives; a controlled unit outside 1..n_cell is refused by ``_read``."""
+    ctrl = np.zeros((len(programs), geom.n_vertex_creases), dtype=bool)
+    for b, program in enumerate(programs):
+        units = _read("controlled_units", program.controlled_units, 1, geom.n_cell, "iu", (None,))
+        ctrl[b, 2 * (units - 1)] = True
+    return ctrl
+
+
 def run_programs(geom, programs):
     """Trace grasping programs together from the near-flat start.
 
@@ -84,13 +94,7 @@ def run_programs(geom, programs):
     raised StepFailure's ``completed`` holds the paths of the programs
     listed before it.
     """
-    ctrl = np.zeros((len(programs), geom.n_vertex_creases), dtype=bool)
-    for b, program in enumerate(programs):
-        if (max(program.controlled_units) > geom.n_cell
-                or min(program.controlled_units) < 1):
-            raise ValueError(f"controlled_units {program.controlled_units} has an "
-                             f"index outside 1..n_cell = 1..{geom.n_cell}")
-        ctrl[b, [2 * (u - 1) for u in program.controlled_units]] = True
+    ctrl = controlled_creases(geom, programs)
     rate = np.array([p.delta_rho_c for p in programs], dtype=float)
     starts = np.tile(near_flat_start(geom), (len(programs), 1))
     try:

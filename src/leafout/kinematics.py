@@ -193,10 +193,10 @@ def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError
     return array
 
 
-def _count(name, value, least, error=ValueError):
+def _count(name, value, least):
     """``value`` as an int, refused by ``_read`` unless it is an integer
     of at least ``least`` that fits in an int64."""
-    return int(_read(name, value, least, _INT_MAX, "iu", (), error))
+    return int(_read(name, value, least, _INT_MAX, "iu", ()))
 
 
 def _chain_matrices(geom, rho_o):

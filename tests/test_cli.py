@@ -390,7 +390,7 @@ def test_drop_rest_angle_outside_half_turn_is_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {**DROP, "drop": {"rest_angle_deg": 200.0}})
     assert main(["validate", "--config", str(cfg)]) == 2
     msg = json.loads(capsys.readouterr().err)["error"]["message"]
-    assert msg.startswith("bad drop settings") and "rest_angle" in msg
+    assert msg.startswith("rest_angle must be") and "rest_angle" in msg
     assert "boundary rest angle" not in msg
 
 
@@ -669,6 +669,25 @@ def test_output_path_that_cannot_be_written_is_config_error(tmp_path, capsys,
     assert err["kind"] == "config" and str(out) in err["message"]
     assert blocker.read_text() == "keep"
     assert not (out / "uniform_path.csv").exists()
+
+
+@pytest.mark.parametrize("taken", ["uniform_path.csv", "manifest.json"])
+def test_output_that_cannot_be_written_exits_3(tmp_path, capsys, taken):
+    # a directory in an output's place was an IsADirectoryError traceback
+    # (exit 1) with no manifest
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert main(["uniform-path", "--config", str(CONFIGS / "uniform_path.json"),
+                 "--out", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["kind"] == "output" and str(out / taken) in err["message"]
+    if taken == "manifest.json":
+        assert (out / "uniform_path.json").is_file()
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "partial" and manifest["error"] == err["message"]
+        assert manifest["outputs"] == []
 
 
 def test_unknown_task_key_is_config_error(tmp_path, capsys):

@@ -5,7 +5,10 @@ configs for the blocks and states no stored config has (a drop block,
 uniform and angles mesh states, per-kind springs), with one key changed to
 a hostile value, ends in exit 0 with finite outputs, exit 2 with one JSON
 config error and no output directory, or exit 3 with a partial manifest,
-and never raises or warns.
+and never raises or warns.  Every numeric key of ``cli.SCHEMA``, given a
+bool, a string, NaN, a list where a number is due or a number past its
+bound, makes `validate` exit 2 with the one line "<dotted key> must be
+<domain>, got <value>" of ``kinematics._read``.
 
 The library's entries: ``uniform_state``, ``reconstruct_mesh``,
 ``trace_paths`` and ``path_energies``, given fold-angle rows of the wrong
@@ -33,6 +36,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -42,9 +46,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leafout as lf
-from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, apply_overrides,
+from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, SCHEMA, apply_overrides,
                          main)
-from leafout.kinematics import MIN_STEP
+from leafout.kinematics import _HUGE, MIN_STEP
 from oracles import chain_closure_norm, direct_energy
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -230,6 +234,68 @@ def test_mesh_of_every_state_type_exports(n_cell):
                 assert rc == 0, (state["type"], command, err)
             manifest = json.loads((pathlib.Path(tmp) / "o" / "manifest.json").read_text())
             assert manifest["status"] == "ok"
+
+
+# the stored or unstored config (with overrides) that holds each table of
+# numeric keys in SCHEMA, by the path of its block
+TASK_CONFIGS = {"uniform-path": "uniform_path", "energy-landscape": "landscape",
+                "ratio-surface": "ratio_surface", "drop-test": "drop_map",
+                "multi-grasp": "multigrasp", "export-mesh": "mesh"}
+SCHEMA_BLOCKS = [
+    ("uniform_path", [], ("geometry",), SCHEMA["geometry"]),
+    ("landscape", [], ("springs",), SCHEMA["springs"]["uniform"]),
+    ("per_kind_springs", [], ("springs",), SCHEMA["springs"]["per kind"]),
+    ("landscape", [], ("springs", "rest_deg"), SCHEMA["springs.rest_deg"]),
+    ("drop_block", [], ("task", "drop"), SCHEMA["task.drop"]),
+    ("mesh", ['task.state={"type": "flat"}'], ("task", "state"), SCHEMA["task.state"]["flat"]),
+    ("mesh", [], ("task", "state"), SCHEMA["task.state"]["uniform"]),
+    ("mesh_angles", [], ("task", "state"), SCHEMA["task.state"]["angles"]),
+    *((TASK_CONFIGS[name], [], ("task",), table) for name, table in SCHEMA["task"].items())]
+NUMERIC = ("int", "number", "range", "numbers")
+# kinematics._read's words for a numeric key's domain
+DOMAIN = (r"(an integer|a number|a \((2|n),\) array of numbers)"
+          r" in [(\[](-inf|-?\d+(\.\d+)?), (inf|-?\d+(\.\d+)?)[)\]]")
+
+
+def _schema_tables(tables):
+    """Every table of SCHEMA: a dict of Keys."""
+    if all(isinstance(v, dict) for v in tables.values()):
+        for table in tables.values():
+            yield from _schema_tables(table)
+    else:
+        yield tables
+
+
+def _bad_numbers(key, good):
+    """A bool, a string, NaN, a list where a number is due and a number past
+    a bound of ``key``, each as the value of a scalar key or as the first
+    entry of a list key's ``good`` value."""
+    past = (key.hi + 1 if key.hi < _HUGE else key.lo - 1 if key.lo > -_HUGE
+            else math.inf)
+    bad = [True, "12", math.nan, [1.0, 2.0], past]
+    return bad if key.type in ("int", "number") else [[b, *good[1:]] for b in bad]
+
+
+def test_every_numeric_schema_key_refuses_by_name():
+    covered = {(id(table), name) for *_, table in SCHEMA_BLOCKS for name in table}
+    assert covered >= {(id(table), name) for table in _schema_tables(SCHEMA)
+                       for name, key in table.items() if key.type in NUMERIC}
+    for config, overrides, block, table in SCHEMA_BLOCKS:
+        for name, key in table.items():
+            if key.type not in NUMERIC:
+                continue
+            cfg = apply_overrides(_reduced(config), overrides)
+            dotted = ".".join((*block, name))
+            good = _get(cfg, block).get(name, key.default)
+            for bad in _bad_numbers(key, good):
+                _get(cfg, block)[name] = bad
+                with tempfile.TemporaryDirectory() as tmp:
+                    rc, err = _run("validate", cfg, tmp)
+                (line,) = err.splitlines()
+                error = json.loads(line)["error"]
+                assert (rc, error["kind"]) == (2, "config"), (dotted, bad, err)
+                assert re.fullmatch(rf"{re.escape(dotted)}(\[0\])? must be {DOMAIN}, got .+",
+                                    error["message"]), (dotted, bad, error)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import leafout as lf
 import leafout.energy as energy_mod
-from leafout.energy import ConfigurationError, landscape_extrema, zero_contours
+from leafout.energy import landscape_extrema, zero_contours
 from leafout.kinematics import sub_angles
 from leafout import sub_angle_from_main
 from oracles import (dense_landscape_xi, dense_uniform_path, direct_energy,
@@ -62,7 +62,7 @@ def test_energy_of_general_state_matches_oracle(geom5, springs_grasp):
 def test_path_energies_checks_spring_size(geom4, springs_grasp):
     path = lf.uniform_path(geom4, (-0.5, 0.5), 5)
     for rho_o in (path.rho_o, lf.uniform_state(geom4, path.params[0])):
-        with pytest.raises(ConfigurationError, match="does not match"):
+        with pytest.raises(ValueError, match="does not match"):
             lf.path_energies(geom4, springs_grasp, rho_o)
 
 
@@ -228,7 +228,7 @@ def test_ratio_surface_small_grid(geom5):
 ], ids=["boundary-rest-positive", "boundary-rest-nan", "main-rest-nan"])
 def test_ratio_surface_rejects_rest_outside_domain(geom5, grids, name):
     # a rest angle SpringModel.per_kind refuses gives no xi, not even NaN
-    with pytest.raises(ConfigurationError, match=name):
+    with pytest.raises(ValueError, match=name):
         lf.ratio_surface(geom5, *grids)
 
 
@@ -238,7 +238,7 @@ def test_ratio_surface_rejects_rest_outside_domain(geom5, grids, name):
     (([[1.0]], [-0.5]), "rest_main_grid"),
 ], ids=["main-empty", "boundary-empty", "main-2d"])
 def test_ratio_surface_rejects_empty_grid(geom5, grids, name):
-    with pytest.raises(ConfigurationError, match=name):
+    with pytest.raises(ValueError, match=name):
         lf.ratio_surface(geom5, *grids)
 
 
@@ -402,20 +402,20 @@ def test_missing_crease_assignment_rejected(geom5, springs_bistable):
     # a model one crease short does not cover the pattern
     short = lf.SpringModel(springs_bistable.kappa[:-1],
                            springs_bistable.rest_angle[:-1])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="does not match"):
         lf.path_energies(geom5, short, np.zeros(10))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="does not match"):
         lf.landscape_over_psi(geom5, short, (-0.5, 0.5))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="length mismatch"):
         lf.SpringModel(springs_bistable.kappa[:-1], springs_bistable.rest_angle)
 
 
 def test_spring_model_validation(geom5):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="kappa_main must be"):
         lf.SpringModel.uniform(geom5, -1.0, 0.5, -0.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="rest_boundary must be"):
         lf.SpringModel.uniform(geom5, 1.0, 0.5, 0.5)   # boundary rest valley
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ValueError, match="rest_main must be"):
         lf.SpringModel.uniform(geom5, 1.0, -0.5, -0.5)
 
 
@@ -504,16 +504,16 @@ def test_interior_extrema_ignores_endpoints():
 
 def test_non_finite_stiffness_rejected(geom5):
     for kappa in (np.nan, np.inf):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match="kappa_main must be"):
             lf.SpringModel.uniform(geom5, kappa, 0.5, -0.5)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match="kappa_boundary must be"):
             lf.SpringModel.per_kind(geom5, 0.0, 0.0, kappa, 0.0, -0.5)
 
 
 def test_overflowing_stiffness_rejected(geom5):
     # finite stiffness whose energies overflow: 1e308 on 20 creases
     for kappa in (1e308, 1e307):
-        with pytest.raises(ConfigurationError, match="overflow"):
+        with pytest.raises(ValueError, match="overflow"):
             lf.SpringModel.uniform(geom5, kappa, 0.5, -0.5)
     springs = lf.SpringModel.uniform(geom5, 1e305, 0.5, -0.5)
     curve = lf.landscape_over_psi(geom5, springs, (-np.pi, np.pi))
