@@ -159,15 +159,7 @@ def _read(block, table, where, tag=None):
         if v is None and key not in block:
             continue
         if kind in _NUMERIC:
-            kinds, shape = _NUMERIC[kind]
-            # numpy reads a bool among numbers as a number, and one alone as
-            # a bool, so a listed bool is read alone
-            at = next((i for i, x in enumerate(v) if type(x) is bool), None) \
-                if shape and type(v) is list else None
-            if at is None:
-                _read_value(path + key, v, lo, hi, kinds, shape, ConfigError)
-            else:
-                _read_value(f"{path}{key}[{at}]", v[at], lo, hi, kinds, (), ConfigError)
+            _read_value(path + key, v, lo, hi, *_NUMERIC[kind], ConfigError)
         elif not _TYPES[kind][1](v):
             raise ConfigError(f"{path}{key} must be {_TYPES[kind][0]}, got {v!r}")
         values[name or key] = (tuple(map(conv, v)) if kind == "range" else

@@ -12,19 +12,18 @@ an outer column of shape (n, 1), an inner column (1, m) and a cell column
 float table, a 2-D float array.  The ratio surface and the trigger map
 are grids: a rest value is written once per block and repeated along its
 row, a height once per table and tiled.  Block by block of about
-TABLE_CELLS cells, each distinct cell column (compared by its bytes, so
-0.0 and -0.0 stay apart) is encoded once, adjacent columns without a twin
-in one FLOAT printf; a uniform path repeats each angle in every unit's
-column, so most of its cells are never formatted.  Each block is joined
-in C and streamed to the file, so no table exists as text or strings at
-full size.  Any other JSON list of scalars is one C-encoder call, and
-other lists, lists of float lists among them, are written item by item.
+TABLE_CELLS cells, each distinct float cell column (compared by its bytes,
+so 0.0 and -0.0 stay apart) is encoded once; a uniform path repeats each
+angle in every unit's column, so most of its cells are never formatted.
+Each block is joined in C and streamed to the file, so no table exists as
+text or strings at full size.  Any other JSON list of scalars is one
+C-encoder call, and other lists, lists of float lists among them, are
+written item by item.
 
 Manifests record the configuration hash and tool version but never
 timestamps; the hash is CPython's built-in SHA-256, which needs no
 OpenSSL.
 """
-import collections
 import csv
 import functools
 import itertools
@@ -63,7 +62,7 @@ def _path_columns(*arrays):
             for col in np.asarray(a, dtype=float).reshape(len(a), -1).T[:, :, None]]
 
 
-def _table_blocks(columns, encode, fmt, sep, row_sep):
+def _table_blocks(columns, encode, sep, row_sep):
     """The text of a grid table, block by block of whole outer rows (about
     TABLE_CELLS cells), cells joined by ``sep`` and rows by ``row_sep``.
 
@@ -74,13 +73,10 @@ def _table_blocks(columns, encode, fmt, sep, row_sep):
     a column given as a pair (array, cells) by ``cells`` of its 1-D
     blocks, so that it need not exist as strings at full size.  An outer
     value is written once per block and repeated, an inner value once per
-    table and tiled.  Adjacent float cell columns without a twin (a float
-    cell column with the same bytes, never ``==``, which would merge 0.0
-    with -0.0) form a run, printed by ``fmt`` in one printf: that is the
-    whole block when the run fills the row, else it is split into rows at
-    ``row_sep``, which no printed float contains.  Without ``fmt``, and for
-    twins, each distinct column is encoded once.  The cells are then
-    joined in C, row by row and then the rows."""
+    table and tiled.  Each distinct float cell column of a block is
+    encoded once, keyed by its bytes (never ``==``, which would merge 0.0
+    with -0.0).  The cells are then joined in C, row by row and then the
+    rows."""
     def floats(v):
         return encode(v.tolist())
 
@@ -92,37 +88,23 @@ def _table_blocks(columns, encode, fmt, sep, row_sep):
     tiles = [cells(c[0]) if len(c) < n else None for c, cells in zip(columns, writers)]
     for i in range(0, n, step):
         b = min(step, n - i)
-        block = [c if t is not None else c[i:i + b] for c, t in zip(columns, tiles)]
-        keys = [v.tobytes() if v.shape == (b, m) and cells is floats else None
-                for v, cells in zip(block, writers)]
-        twins = collections.Counter(keys)
-        parts, encoded = [], {}     # cell strings per column, a run as a tuple
-        for v, cells, tile, key in zip(block, writers, tiles, keys):
+        parts, encoded = [], {}     # cell strings per column; float cells by their bytes
+        for c, cells, tile in zip(columns, writers, tiles):
             if tile is not None:
                 parts.append(itertools.chain.from_iterable(itertools.repeat(tile, b)))
-            elif v.shape[1] < m:
+                continue
+            v = c[i:i + b]
+            if v.shape[1] < m:
                 parts.append(itertools.chain.from_iterable(
                     map(itertools.repeat, cells(v.ravel()), itertools.repeat(m))))
-            elif key is None:
-                parts.append(cells(v.ravel()))
-            elif fmt and twins[key] == 1:
-                if not (parts and isinstance(parts[-1], tuple)):
-                    parts.append(())
-                parts[-1] += (v.ravel().tolist(),)
-            else:
+            elif cells is floats:
+                key = v.tobytes()
                 if key not in encoded:
                     encoded[key] = cells(v.ravel())
                 parts.append(encoded[key])
-        for j, run in enumerate(parts):
-            if isinstance(run, tuple):
-                text = row_sep.join([sep.join([fmt] * len(run))] * (b * m)) % tuple(
-                    itertools.chain.from_iterable(zip(*run)))
-                if len(parts) == 1:
-                    yield text
-                    break
-                parts[j] = text.split(row_sep)
-        else:
-            yield row_sep.join(map(sep.join, zip(*parts)))
+            else:
+                parts.append(cells(v.ravel()))
+        yield row_sep.join(map(sep.join, zip(*parts)))
 
 
 def _csv_cells(values):
@@ -135,7 +117,7 @@ def _write_table(fname, header, columns, end="\n"):
     and each line closed by ``end``, streamed block by block."""
     with open(fname, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for text in _table_blocks(columns, _csv_cells, FLOAT, ",", end):
+        for text in _table_blocks(columns, _csv_cells, ",", end):
             fh.write(text)
             fh.write(end)
 
@@ -278,7 +260,7 @@ def _write_json(write, o, outer):
         row_sep = inner + "]," + inner + "[" + cell
         write("[" + inner + "[" + cell)
         for i, text in enumerate(_table_blocks(_path_columns(np.asarray(o)), _json_cells,
-                                               None, "," + cell, row_sep)):
+                                               "," + cell, row_sep)):
             if i:
                 write(row_sep)
             write(text)

@@ -53,13 +53,13 @@ for a grasp substep to span four drive increments: on the default
 programs the traces lie within 8e-6 rad of the continuous motion.
 
 Each pass steps the whole stack.  ``trace_paths`` gives ``_project``
-each row's seed: the increments of its controlled angles, or of every
-unpinned angle when none is controlled, and no increment for an ended
-path, which rides along with every angle fixed.  A row that needs no
-further substep or Newton iteration has no free angle, so its update is
-exactly zero.  The rows are selected by masks only in a pass where they
-differ: one where a path ends, locks, fails a try, clamps, restarts the
-predictor or splits its step into more substeps than another.  One
+each row's seed: the increments of its controlled angles (every path is
+steered), and no increment for an ended path, which rides along with
+every angle fixed.  A row that needs no further substep or Newton
+iteration has no free angle, so its update is exactly zero.  The rows
+are selected by masks only in a pass where they differ: one where a path
+ends, locks, fails a try, clamps, restarts the predictor or splits its
+step into more substeps than another.  One
 reduction over the stack tells each such event; without it the masks
 would select every row, so the pass skips them and every row's
 arithmetic stays the same.  A failed step is retried in the next pass
@@ -156,6 +156,23 @@ def _domain(lo, hi, kinds, shapes):
     return words.replace("None", "n").replace("Ellipsis", "...")
 
 
+def _odd_entry(value, kinds, at=()):
+    """The index and value of the first entry of nested lists and tuples
+    that numpy reads as another kind than it is: a bool, which it reads as
+    a number among numbers, and, unless ``kinds`` takes floats, an int past
+    int64, which turns the array into floats or objects; None if none is."""
+    for i, x in enumerate(value):
+        if isinstance(x, (list, tuple)):
+            odd = _odd_entry(x, kinds, at + (i,))
+            if odd is not None:
+                return odd
+        elif isinstance(x, (bool, np.bool_)):
+            return at + (i,), bool(x)
+        elif "f" not in kinds and type(x) is int and not -_INT_MAX - 1 <= x <= _INT_MAX:
+            return at + (i,), x
+    return None
+
+
 def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError):
     """``value`` read as an array of a dtype kind in ``kinds`` (a key of
     _KINDS), of ``shape`` (or of one of a list of shapes; see ``_fits``)
@@ -163,7 +180,9 @@ def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError
     broadcast against the shape; NaN fails.  Real numbers come back as
     float64, not copied when they are already.  Anything else raises
     ``error``, a ValueError, reading "<name> must be <domain>, got <value>",
-    which for a bad entry names it by its index."""
+    which for a bad entry names it by its index.  A list or tuple of
+    numbers is refused at its first bool, and one of integers at its first
+    int past int64, whose domain then ends at 2**63."""
     shapes = shape if isinstance(shape, list) else [shape]
     try:
         array = np.asarray(value)
@@ -171,6 +190,14 @@ def _read(name, value, lo=None, hi=None, kinds="iuf", shape=(), error=ValueError
         got = "a ragged sequence"
     else:
         got = None
+        odd = (_odd_entry(value, kinds) if "b" not in kinds
+               and isinstance(value, (list, tuple)) else None)
+        if odd is not None:
+            at, x = odd
+            if type(x) is int and lo is not None:
+                hi = min(hi, _INT_MAX)
+            raise error(f"{name}{list(at)} must be {_domain(lo, hi, kinds, [()])}, "
+                        f"got {x!r}")
         if array.size and array.dtype.kind not in kinds:
             got = f"an array of dtype {array.dtype}" if array.ndim else repr(value)
         elif not any(_fits(array.shape, s) for s in shapes):
@@ -333,8 +360,7 @@ def _tangent(C, seed, free):
     """Tangent increments per row and their unmet constraint max |C t|.
 
     Entries of ``seed`` off the ``free`` mask are kept exactly; the free
-    entries move by the least amount that makes C t = 0.  A row with every
-    entry free thus projects its whole seed onto the tangent space.
+    entries move by the least amount that makes C t = 0.
     """
     t = seed - _masked_solve(C, free, _sum(C * seed[:, None, :], -1))
     return t, _max(np.abs(_sum(C * t[:, None, :], -1)), -1)
@@ -584,18 +610,16 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     step is split into equal substeps; the predictor carries the tangent
     increments of a path's last four substeps from step to step, and
     restarts with Heun's rule at the path's start and after a clamp or a
-    failed try (see the module docstring).  When
-    an uncontrolled angle reaches its box face it is pinned there for the
-    remainder of the path, which keeps the mountain/valley assignment of
-    every crease, and the path continues, whether it is steered or not;
-    the path's ``frozen`` mask marks it from that state on.  Once every
-    controlled angle is within 1e-12 of the face it is driven towards,
-    the path ends before its next step, even when it has no step left.
-    The path parameter ``delta_rho_c`` sums the largest controlled
-    increment of each step; a path with no controlled angle projects the
-    increments of its unpinned angles onto the tangent space and sums the
-    largest of them.  Each argument is read by ``_read`` before any
-    closure.
+    failed try (see the module docstring).  When an uncontrolled angle
+    reaches its box face it is pinned there for the remainder of the
+    path, which keeps the mountain/valley assignment of every crease, and
+    the path continues; the path's ``frozen`` mask marks it from that
+    state on.  Once every controlled angle is within 1e-12 of the face it
+    is driven towards, the path ends before its next step, even when it
+    has no step left.  The path parameter ``delta_rho_c`` sums the largest
+    controlled increment of each step.  Each argument is read by ``_read``
+    before any closure, and a ``controlled`` row that marks no angle is
+    refused then too.
 
     Every path is traced exactly as it would be alone.  If a path fails
     on its last retry, the other paths still run to their end, then the
@@ -607,6 +631,10 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     n_path = len(rho)
     req_d0 = _read("delta_rho_0", delta_rho_0, -_HUGE, _HUGE, shape=rho.shape)
     ctrl = _read("controlled", controlled, kinds="b", shape=rho.shape)
+    idle = ~ctrl.any(axis=-1)
+    if idle.any():
+        raise ValueError(f"controlled[{np.argmax(idle)}] must mark at least one angle, "
+                         "got none")
     per_path = [(), (n_path,)]      # one value for all paths or one per path
     # an infinite scale would be retried forever
     req_scale = _read("step_scale", step_scale, MIN_STEP, _HUGE, shape=per_path)
@@ -616,21 +644,17 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     # worked out once per trace: the boxes with the clamp's slack, and the
     # predictor's weights (a numpy call at import raises every task's peak RSS)
     bounds, weights = (lo, hi, lo - 1e-12, hi + 1e-12), np.array(_AB)
-    steered = ctrl.any(axis=-1)
     # the seed, whose largest entry is the parameter increment: the
-    # controlled increments, or every unpinned one of a path without any
-    seeded = ctrl | ~steered[:, None]
-    # cut each pass so that a controlled angle at most reaches its box face;
-    # the other angles have no face to cut at
-    req_seed = np.where(seeded, req_d0, 0.0)
+    # controlled increments, cut each pass so that a controlled angle at
+    # most reaches its box face; the other angles have no face to cut at
+    req_seed = np.where(ctrl, req_d0, 0.0)
     lo_cut, hi_cut = np.where(ctrl, lo, -np.inf), np.where(ctrl, hi, np.inf)
     scale = req_scale               # halved on each failed try of a step
     min_scale = np.maximum(MIN_STEP, req_scale / 2.0 ** MAX_HALVINGS)
     n_done = np.zeros(n_path, dtype=int)
     ending = np.full(n_path, _OK)   # the code that ended each path, _OK while it runs
     frozen = np.zeros(rho.shape, dtype=bool)
-    free, live = ~ctrl, seeded      # neither controlled nor pinned; seeded, not pinned
-    whole = True                    # no seeded angle is pinned
+    free = ~ctrl                    # neither controlled nor pinned
     # no earlier substep: tangent increments, parameter increment, equal count
     history = np.zeros((n_path, 4, rho.shape[1])), np.zeros(n_path), np.zeros(n_path, int)
     # per pass: which paths took a step, all angles, increments and pinned angles
@@ -640,12 +664,12 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     # paths ride along with every angle fixed and no increment.  A mask
     # that holds for every path is not applied: see _project
     while True:
-        # the cut seed; a steered path's other entries are zero, so its
-        # largest entry tells when every controlled angle sits at its face,
-        # and the path then ends, whatever steps it has left
+        # the cut seed; its other entries are zero, so its largest entry
+        # tells when every controlled angle sits at its face, and the path
+        # then ends, whatever steps it has left
         d0 = np.minimum(np.maximum(req_seed, lo_cut - rho), hi_cut - rho)
         size = _max(np.abs(d0), -1)
-        at_face = steered & (size <= 1e-12)
+        at_face = size <= 1e-12
         if _any(at_face):
             ending[at_face & (ending == _OK)] = _AT_FACE
         run = (ending == _OK) & (n_done < n_steps)
@@ -653,9 +677,8 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
             break
         every = _all(run)
         seed, seed_max = d0, size
-        if not (every and whole):   # pinned angles and paths at rest take no increment
-            seed = np.where(live & run[:, None], d0, 0.0)
-            seed_max = np.abs(seed).max(axis=-1)
+        if not every:               # paths at rest take no increment
+            seed, seed_max = np.where(run[:, None], d0, 0.0), np.where(run, size, 0.0)
         new_rho, new_r, new_C, history, clamped, status = _project(
             geom, rho, r, C, seed, seed_max, free if every else free & run[:, None],
             scale, bounds, weights, history)
@@ -672,8 +695,7 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
         pins = clamped if every else clamped & ok[:, None]
         if _any(pins, None):    # a new mask: the log holds the earlier one
             frozen = frozen | pins
-            free, live = ~ctrl & ~frozen, seeded & ~frozen
-            whole = not (seeded & frozen).any()
+            free = ~ctrl & ~frozen
         log.append((ok, new_rho, seed_max, frozen))
         stepped = None if every else ok
         rho, r, C = (_pick(stepped, new_rho, rho), _pick(stepped, new_r, r),

@@ -158,9 +158,11 @@ def test_criterion_06_jacobian_against_finite_differences():
             continue
         state = lf.uniform_state(GEOM, psi)
         d0 = rng.uniform(-0.02, 0.02, size=10)
+        # two creases driven, the rest following: a non-uniform state
+        ctrl = np.zeros(10, dtype=bool)
+        ctrl[rng.choice(10, 2, replace=False)] = True
         try:
-            path = trace_paths(GEOM, [state], [d0], np.zeros((1, 10), dtype=bool),
-                               np.radians(0.5), 1)[0]
+            path = trace_paths(GEOM, [state], [d0], [ctrl], np.radians(0.5), 1)[0]
         except StepFailure:
             continue
         if path.termination != "max-steps":     # locked

@@ -26,7 +26,9 @@ differ) or a map count that is not a positive integer; and
 infinite, out of its domain or, where it must be a number, array-valued;
 and ``mesh_to_obj`` and ``characterize_bistability``, given a mesh or a
 landscape curve with one such array (vertices or faces, psi or energy),
-faces indexing past the vertices or a psi that misses a phase: each
+faces indexing past the vertices or a psi that misses a phase.  Every
+list or array argument of numbers is also given as a list with a bool at
+any one position, which numpy would read as a number.  Each entry
 returns the oracle's answer or raises a ValueError that names the
 argument, and never warns."""
 import contextlib
@@ -310,7 +312,7 @@ def _grasped(n_cell):
 
 
 ROW_DEFECTS = ("none", "short", "long", "scalar", "stack", "nan", "box", "open",
-               "mirrored", "half-turn", "text", "ragged")
+               "mirrored", "half-turn", "text", "ragged", "bool")
 # trace_paths' arguments in the order it checks them; closure comes last
 TRACE_ARGS = ("starts", "delta_rho_0", "controlled", "step_scale", "n_steps")
 
@@ -321,10 +323,11 @@ def _drive_defects(n):
     return {"delta_rho_0": [np.full((1, n), np.nan), np.full((1, n), np.inf),
                             np.zeros((1, n - 1)), np.zeros(n), [[0.0] * n, [0.0]],
                             [["0"] * n], None, np.zeros((1, n), dtype=complex)],
-            # an index list, an integer mask and masks of the wrong shape
+            # an index list, an integer mask, masks of the wrong shape and
+            # a row that marks no angle
             "controlled": [[[0]], np.zeros((1, n), dtype=int),
                            np.zeros((1, n + 1), dtype=bool), np.zeros(n, dtype=bool),
-                           [[False] * n, [False]]],
+                           [[False] * n, [False]], np.zeros((1, n), dtype=bool)],
             "step_scale": [np.nan, np.inf, 0.0, -1.0, np.nextafter(MIN_STEP, 0.0),
                            [0.01, 0.01], [[0.01]], [[0.01], 0.01], "0.01", None, True],
             "n_steps": [[[1], 2], 2.5, -1, [-1], "3", True, None, np.float64(1.0)]}
@@ -335,8 +338,18 @@ RANGES = {True: [lambda a, b: (a, b), lambda a, b: [a, b], lambda a, b: np.array
           False: [lambda a, b: a, lambda a, b: (a,), lambda a, b: (a, (a + b) / 2, b),
                   lambda a, b: (), lambda a, b: [[a], b], lambda a, b: [[a, b]],
                   lambda a, b: (str(a), str(b)), lambda a, b: (False, True),
+                  lambda a, b: (True, b), lambda a, b: [a, False],
                   lambda a, b: None, lambda a, b: (a, math.nan),
                   lambda a, b: (-math.inf, b), lambda a, b: (a, math.inf)]}
+
+
+@st.composite
+def with_bool(draw, good):
+    """``good``, an array or a non-empty list, as nested lists with a bool
+    at any one position: numpy would read it as a number."""
+    cells = np.array(good, dtype=object)
+    cells.flat[draw(st.integers(0, cells.size - 1))] = draw(st.booleans())
+    return cells.tolist()
 
 
 @st.composite
@@ -350,10 +363,11 @@ def ranges(draw, lo, hi, ok):
 @st.composite
 def state_inputs(draw):
     """(geometry, rows, starts, drive, broken, tilt, psi): a closed row of
-    fold angles, uniform or grasped, with one defect applied (text and
-    ragged rows among them); trace_paths' starts made from it, as a (1, N)
-    stack or as it is, its zero drive (increments, mask, step scale and step count, one
-    number or a list), perhaps with one bad argument, and the set of
+    fold angles, uniform or grasped, with one defect applied (text, ragged
+    and bool rows among them); trace_paths' starts made from it, as a
+    (1, N) stack or as it is, its drive of one angle by 2e-12 (increments,
+    mask, step scale and step count, one number or a list), perhaps with
+    one bad argument (a list with a bool among them), and the set of
     trace_paths arguments that are malformed; a tilt for reconstruct_mesh;
     and a psi for uniform_state."""
     geom = _geometry(draw(st.sampled_from([3, 5, 8])))
@@ -388,20 +402,28 @@ def state_inputs(draw):
         rho = rho.astype(str).tolist()
     elif defect == "ragged":
         rho = [rho.tolist(), [0.0]]
+    elif defect == "bool":
+        rho = draw(with_bool(rho))
     psi = draw(st.one_of(st.floats(lo - 0.5, hi + 0.5), st.sampled_from(
         [np.nan, np.inf, np.array([lo, hi]), np.array([0.1]), np.array(0.1), "0.1",
          [[0.1], 0.2], True, None])))
     starts = [rho] if draw(st.booleans()) else rho      # a (1, N) stack or as is
-    broken = ({"starts"} if defect in ("text", "ragged") or np.shape(starts) != (1, n)
+    broken = ({"starts"} if defect in ("text", "ragged", "bool") or np.shape(starts) != (1, n)
               else set())
-    drive = {"delta_rho_0": np.zeros((1, n)), "controlled": np.zeros((1, n), dtype=bool),
+    # one controlled angle, driven just past the 1e-12 at-face tolerance
+    j = draw(st.integers(0, n - 1))
+    drive = {"delta_rho_0": np.eye(1, n, j) * draw(st.sampled_from([2e-12, -2e-12])),
+             "controlled": np.eye(1, n, j, dtype=bool),
              "step_scale": draw(st.one_of(st.floats(MIN_STEP, 1.0), st.just([0.01]))),
              "n_steps": draw(st.one_of(st.just(1), st.lists(st.just(1), max_size=3)))}
     if np.shape(drive["n_steps"]) not in ((), (1,)):
         broken.add("n_steps")
     bad = draw(st.sampled_from([None, *TRACE_ARGS[1:]]))
     if bad is not None:
-        drive[bad] = draw(st.sampled_from(_drive_defects(n)[bad]))
+        defects = st.sampled_from(_drive_defects(n)[bad])
+        if bad != "controlled" and np.ndim(drive[bad]) and np.size(drive[bad]):
+            defects |= with_bool(drive[bad])
+        drive[bad] = draw(defects)
         broken.add(bad)
     tilt = draw(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
         [np.nan, np.inf, "0.1", None, [0.1], 0.1j])))
@@ -537,13 +559,17 @@ ARGUMENT_ENTRIES = {
 def argument_inputs(draw):
     """(entry, its arguments, the one that is bad or None): an entry of
     ARGUMENT_ENTRIES with good arguments, one perhaps swapped for a bad
-    value."""
+    value, or, where it is a list or an array, for its list with a bool."""
     entry = draw(st.sampled_from(sorted(ARGUMENT_ENTRIES)))
     table = ARGUMENT_ENTRIES[entry]
     args = {name: good for name, (good, _) in table.items()}
     bad = draw(st.sampled_from([None, *table]))
     if bad is not None:
-        args[bad] = draw(st.sampled_from(table[bad][1]))
+        good, defects = table[bad]
+        defects = st.sampled_from(defects)
+        if np.ndim(good):
+            defects |= with_bool(good)
+        args[bad] = draw(defects)
     return entry, args, bad
 
 
@@ -608,10 +634,13 @@ def _oracle_accepts(geom, rows, closed):
     """Rows (..., N) of real numbers with every angle inside its box to
     1e-9 and, when ``closed``, each row's chain closed to 1e-10."""
     try:
-        rows = np.asarray(rows)
+        array = np.asarray(rows)
     except ValueError:          # ragged
         return False
-    n = geom.n_vertex_creases
+    # numpy reads a bool among numbers as a number
+    if any(isinstance(x, bool) for x in np.array(rows, dtype=object).flat):
+        return False
+    rows, n = array, geom.n_vertex_creases
     if rows.dtype.kind not in "iuf" or rows.ndim == 0 or rows.shape[-1] != n:
         return False
     lo, hi = np.tile([0.0, -np.pi], geom.n_cell), np.tile([np.pi, 0.0], geom.n_cell)
@@ -668,10 +697,14 @@ def test_state_entries_answer_or_refuse_by_name(case, range_case, argument_case)
         if broken:
             _refuses_by_name(trace, min(broken, key=TRACE_ARGS.index))
         elif _oracle_accepts(geom, starts, closed=True):
-            # a zero drive leaves the start where it is
+            # a drive just past the at-face tolerance takes its one step
+            # within the closure tolerance of the start, or ends at once at
+            # a start whose controlled angle sits at the face it is driven to
             (path,) = trace()
-            assert np.array_equal(path.rho_o[0], starts[0]) and len(path) == 2
-            assert np.max(np.abs(path.rho_o[1] - starts[0])) < 1e-10
+            assert np.array_equal(path.rho_o[0], starts[0])
+            assert (len(path), path.termination) in ((2, "max-steps"),
+                                                     (1, "controlled-at-boundary"))
+            assert np.max(np.abs(path.rho_o - starts[0])) < 1e-10
         else:
             _refuses_by_name(trace, "starts")
 

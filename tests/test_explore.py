@@ -217,6 +217,27 @@ def test_grasp_paths_track_the_continuous_motion(geom5, units):
     assert worst[0] > 3 * worst[1]
 
 
+@pytest.mark.parametrize("n_cell", [5, 6, 8])
+def test_program_of_every_unit_folds_uniformly(n_cell):
+    # the program that drives every unit (units-1-2-3-4-5 at five cells,
+    # the one default program the oracle test above skips) traces the
+    # exact uniform motion: every unit agrees with unit 1, whose boundary
+    # angle is -2 psi of its main angle
+    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    program = lf.GraspProgram(range(1, n_cell + 1))
+    if n_cell == 5:
+        assert program.label() in [p.label() for p in stored_programs()]
+    for step_deg in (0.5, 0.25):
+        (path,) = lf.run_programs(geom, [lf.GraspProgram(
+            program.controlled_units, np.radians(step_deg), max_steps=1000)])
+        assert path.termination == "controlled-at-boundary"
+        rho = path.rho_o
+        psi = lf.psi_from_main(geom.alpha, rho[:, 0])
+        assert np.max(np.abs(rho[:, 1] + 2 * psi)) < 1e-12
+        units = rho.reshape(len(rho), n_cell, 2)
+        assert np.max(np.abs(units - units[:, :1])) < 1e-12
+
+
 def test_program_validation(geom5):
     with pytest.raises(ValueError, match=r"len\(controlled_units\) must be an integer in \[1, 2\*\*63\)"):
         lf.GraspProgram(())

@@ -216,6 +216,35 @@ def test_trigger_map_csv_matches_reference(geom5, tmp_path):
         assert f.read_bytes() == _trigger_reference(grid).encode(), (n, m)
 
 
+def test_grid_table_twin_cell_columns_match_per_cell_reference(tmp_path):
+    # cell columns of a grid with m > 1: two with the same bytes, and one
+    # that holds -0.0 where its twin holds 0.0, beside an outer, an inner
+    # and a string column given as (array, cells)
+    f = tmp_path / "g.csv"
+
+    def sign(values):
+        return ["neg" if x < 0 else "pos" for x in values]
+
+    for n, m in _GRIDS:
+        outer, inner = _grid_cells((2, max(n, m)))
+        a, b = _grid_cells((n, m)), _grid_cells((n + 1, m))[1:]
+        zeros = np.random.default_rng(n * m).random((n, m)) < 0.5
+        zeros.flat[0] = True
+        zero = np.where(zeros, 0.0, b)
+        columns = [outer[:n, None], inner[None, :m], a, zero, a.copy(),
+                   np.where(zeros, -0.0, b), (a, sign)]
+        lio._write_table(f, [f"c{k}" for k in range(len(columns))], columns)
+        rows = [[f"c{k}" for k in range(len(columns))]]
+        for i in range(n):
+            for j in range(m):
+                x, z = a[i, j], zero[i, j]
+                rows.append([_g(outer[i]), _g(inner[j]), _g(x), _g(z), _g(x),
+                             _g(-0.0 if zeros[i, j] else z), sign([x])[0]])
+        assert f.read_bytes() == _csv_reference(rows).encode(), (n, m)
+        cells = [r.split(",") for r in f.read_text().splitlines()[1:]]
+        assert ("0", "-0") in {(r[3], r[5]) for r in cells}
+
+
 def _square_map(n):
     rest, h = np.linspace(0.5, 1.0, n), np.linspace(0.05, 0.8, n)
     return lf.TriggerMap(heights=h, rest_angles=rest, E_ball=h, delta_E_g=rest,

@@ -24,7 +24,7 @@ def max_residual(geom, rho):
     return np.max(np.abs(_closure(geom, np.asarray(rho, dtype=float)[None])[0]))
 
 
-def drive(d0, ctrl=(), step_scale=np.radians(0.5)):
+def drive(d0, ctrl, step_scale=np.radians(0.5)):
     """One path's drive as trace_paths takes it: the increment row, the
     mask of the controlled entries ``ctrl`` and the step scale."""
     d0 = np.asarray(d0, dtype=float)
@@ -264,9 +264,11 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
                     <= 1e-15 * s[0] / s[-1] * np.linalg.norm(exact))
 
 
-def test_zero_request_is_fixed_point(geom5, uniform_minus30):
-    rho = step(geom5, uniform_minus30, drive(np.zeros(10)))
-    assert np.max(np.abs(rho - uniform_minus30)) < 1e-12
+def test_zero_request_is_fixed_point(geom5, uniform_minus30, monkeypatch):
+    # a request of no increment on the controlled angles takes no step
+    monkeypatch.setattr(kinematics, "_project", None)
+    rho = step(geom5, uniform_minus30, drive(np.zeros(10), (0, 3)))
+    assert np.array_equal(rho, uniform_minus30)
 
 
 def test_newton_iterates_once_on_a_closed_row(geom5, uniform_minus30, monkeypatch):
@@ -328,7 +330,8 @@ def test_controlled_increments_exact(geom5):
 
 
 def test_trace_zero_driver(geom5, uniform_minus30):
-    path = trace(geom5, uniform_minus30, drive(np.zeros(10)), 5)
+    # a drive just over the 1e-12 at-face tolerance steps without drift
+    path = trace(geom5, uniform_minus30, _drive((0,), 2e-12), 5)
     assert len(path) == 6
     assert np.max(np.abs(path.rho_o - uniform_minus30)) < 1e-10
 
@@ -342,7 +345,7 @@ def test_no_paths_trace_to_no_paths(geom5):
 def test_trace_requires_closed_start(geom5):
     # the shape is checked first: 8 or 12 angles would fail as not closed,
     # a flat row or a 3-D stack inside numpy; two rows need two drives
-    d0, ctrl, scale = (np.array([part]) for part in drive(np.zeros(10)))
+    d0, ctrl, scale = (np.array([part]) for part in drive(np.zeros(10), (0,)))
     for starts, error, match in (
             ([[0.3] + [0.0] * 9], lf.NotClosedError, "starts row 0: closure residual"),
             (np.zeros((1, 8)), ValueError,
@@ -357,13 +360,23 @@ def test_trace_requires_closed_start(geom5):
             trace_paths(geom5, starts, d0, ctrl, scale, 2)
 
 
+def test_row_without_controlled_angle_refused_before_closure(geom5, monkeypatch):
+    # every path is steered: a row that marks no angle is refused by its
+    # index, before the open start could fail its closure check
+    monkeypatch.setattr(kinematics, "_chain", None)
+    with pytest.raises(ValueError,
+                       match=r"^controlled\[1\] must mark at least one angle, got none$"):
+        trace_paths(geom5, [[0.3] + [0.0] * 9] * 2, np.zeros((2, 10)),
+                    [[True] + [False] * 9, [False] * 10], 0.01, 5)
+
+
 def test_nan_start_rejected_before_stepping(geom5, uniform_minus30, monkeypatch):
     # starts are checked like every state: a NaN angle fails the box check
     monkeypatch.setattr(kinematics, "_project", None)
     rho = uniform_minus30.copy()
     rho[3] = np.nan
     with pytest.raises(ValueError, match="starts row 0: angles violate"):
-        trace(geom5, rho, drive(np.zeros(10)), 2)
+        trace(geom5, rho, drive(np.zeros(10), (0,)), 2)
 
 
 def _drive(ctrl, amount, step_scale=np.radians(0.5), n=10):
@@ -388,26 +401,6 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     assert first.termination == alone.termination == "max-steps"
 
 
-# an unsteered drive: unit 1's main crease closes and unit 3's opens by 1 deg
-UNSTEERED_D0 = np.zeros(12)
-UNSTEERED_D0[[0, 4]] = np.radians([-1.0, 1.0])
-
-
-def test_unsteered_path_moves_on_past_its_pins(geom5):
-    # with no controlled angle every unpinned increment seeds the tangent;
-    # the seed once kept only the pinned entries, all zero, so after its
-    # first pin the path stood still while its parameter grew by 1 deg a step
-    d0 = UNSTEERED_D0[:10]
-    path = trace(geom5, lf.uniform_state(geom5, np.radians(3.0)), drive(d0), 30)
-    first_pin = np.flatnonzero(path.frozen.any(axis=-1))[0]
-    assert 0 < first_pin < len(path) - 1
-    moves = np.abs(np.diff(path.rho_o, axis=0)).max(axis=-1)
-    assert (moves[first_pin:] > np.radians(0.4)).all()
-    # each step adds the largest increment of the angles unpinned before it
-    unpinned = np.where(path.frozen[:-1], 0.0, np.abs(d0)).max(axis=-1)
-    assert np.array_equal(path.params, np.cumsum(np.r_[0.0, unpinned]))
-
-
 # per cell count, unsplit steps whose first tries cannot be closed inside
 # the boxes: they close only after halved retries
 UNSPLIT_RETRIED = {4: ((0, 2, 4), 2.6), 5: ((0, 4, 8), 2.85), 6: ((0, 6), 2.85)}
@@ -418,8 +411,8 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     # in one batch: halved retries run beside the other paths' next steps,
     # the paths split their steps into 3, 1 and 10 substeps of different
     # sizes and so different Newton iteration counts, the first freezes an
-    # angle mid-trace, the fourth locks at once, the fifth controls no
-    # angle, and the last, driven from
+    # angle mid-trace, the fourth locks at once, the fifth closes unit 1's
+    # main crease to its face and ends there, and the last, driven from
     # the exact flat state where the Jacobian is rank-deficient, is solved
     # by the SVD in solves whose other rows take the closed form
     failed_tries, svd_rows, svd_alone = [], [], []
@@ -456,13 +449,14 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
               _drive(*UNSPLIT_RETRIED[n_cell], 4.0, n),
               _drive(tuple(range(0, n, 2)), np.radians(5.0), n=n),
               _drive(tuple(range(n)), 0.01, n=n),
-              drive(UNSTEERED_D0[:n]),
+              _drive((0,), np.radians(-1.0), n=n),
               _drive((0,), np.radians(0.5), n=n)]
     together = trace_all(geom, starts, drives, 30)
     assert failed_tries
     assert any(svd_alone)
     assert not together[0].frozen[0].any() and together[0].frozen[-1].any()
     assert together[3].termination == "locked"
+    assert together[4].termination == "controlled-at-boundary" and len(together[4]) < 31
     assert len(together[5]) == 31
     for begin, drv, path in zip(starts, drives, together):
         alone = trace(geom, begin, drv, 30)
@@ -475,14 +469,14 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
 
 def test_paths_going_idle_at_different_passes_trace_alike_alone(geom5):
     # no path fails, but they stop at different passes: two at their own
-    # step counts, one at its controlled face ahead of its count, while an
-    # unsteered path runs on; the passes in which only some paths step
+    # step counts, one at its controlled face ahead of its count, while a
+    # fourth runs on; the passes in which only some paths step
     # apply their masks, and no argument is written to
     start = lf.near_flat_start(geom5)
     starts = np.array([start, start, start, lf.uniform_state(geom5, np.radians(3.0))])
     drives = [_drive((0, 2), np.radians(0.5)), _drive((0, 4), np.radians(2.0)),
               _drive((0, 2, 4, 6, 8), np.radians(20.0), np.radians(5.0)),
-              drive(UNSTEERED_D0[:10])]
+              _drive((4,), np.radians(1.0))]
     d0, ctrl, scale = (np.array(part) for part in zip(*drives))
     n_steps = np.array([4, 11, 100, 25])
     for arg in (starts, d0, ctrl, scale, n_steps):
@@ -639,7 +633,7 @@ def test_step_scale_substepping_equivalence(geom5):
 @given(arrays(float, 10, elements=st.floats(min_value=-0.01, max_value=0.01)))
 def test_projection_keeps_states_closed(geom5, d0):
     state = lf.uniform_state(geom5, np.radians(-35.0))
-    assert max_residual(geom5, step(geom5, state, drive(d0))) < 1e-10
+    assert max_residual(geom5, step(geom5, state, drive(d0, (0, 3)))) < 1e-10
 
 
 def test_fold_state_validation(geom5, uniform_minus30):
@@ -653,7 +647,7 @@ def test_fold_state_validation(geom5, uniform_minus30):
             lf.reconstruct_mesh(geom5, rows)
         with pytest.raises(ValueError, match=name.replace("rho_o", "starts")
                            .replace(r"\(8,\)", r"\(1, 8\)")):
-            trace(geom5, rows, drive(np.zeros(10)), 2)
+            trace(geom5, rows, drive(np.zeros(10), (0,)), 2)
     with pytest.raises(lf.NotClosedError):
         lf.reconstruct_mesh(geom5, open_)
 
@@ -697,6 +691,26 @@ def test_trace_entry_checks_each_drive_argument(geom5, uniform_minus30, arg, val
     else:
         with pytest.raises(ValueError, match=match):
             trace_paths(geom5, **args)
+
+
+def test_listed_bool_or_wide_int_refused_by_index(geom5):
+    # numpy reads a bool among numbers as a number, and an int past int64
+    # among ints as a float; either is refused at its index
+    springs = lf.SpringModel.uniform(geom5, 1.0, 1.0, -0.5)
+    for call, match in (
+            (lambda: lf.trigger_map(geom5, lf.DropScenario(), (0.1, True), (0.7, 1.2), 3, 2),
+             r"h_range\[1\] must be a number in \[0, inf\), got True"),
+            (lambda: lf.landscape_over_psi(geom5, springs, [-0.5, True], 5),
+             r"psi_range\[1\] must be a number in \(-inf, inf\), got True"),
+            (lambda: lf.GraspProgram((True, 2)),
+             r"controlled_units\[0\] must be an integer in \[1, inf\), got True"),
+            (lambda: lf.GraspProgram((2 ** 63, 2)),
+             r"controlled_units\[0\] must be an integer in \[1, 2\*\*63\), "
+             r"got 9223372036854775808"),
+            (lambda: lf.path_energies(geom5, springs, [[0.0] * 9 + [np.False_]]),
+             r"rho_o\[0, 9\] must be a number, got False")):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            call()
 
 
 def test_check_states_names_first_failing_row(geom5):
