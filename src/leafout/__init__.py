@@ -14,8 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
-    ("geometry", "CreaseId CreaseKind FoldedMesh LeafOutGeometry build_geometry "
-                 "mesh_to_obj reconstruct_mesh"),
+    ("geometry", "FoldedMesh LeafOutGeometry mesh_to_obj reconstruct_mesh"),
     ("kinematics", "FoldingPath NotClosedError StepFailure sub_angle_from_main trace_paths"),
     ("uniform", "OutOfRangeError psi_from_main psi_motion_range uniform_motion "
                 "uniform_path uniform_state"),

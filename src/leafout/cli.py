@@ -32,7 +32,7 @@ from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
 from .explore import (DEFAULT_MAX_STEPS, GraspProgram, config_space, controlled_creases,
                       run_programs)
-from .geometry import build_geometry, mesh_to_obj, reconstruct_mesh
+from .geometry import LeafOutGeometry, mesh_to_obj, reconstruct_mesh
 from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
                       landscape_psis, psi_samples, uniform_path, uniform_state)
 from . import io as lio
@@ -225,7 +225,7 @@ def validate_config(cfg):
     spec = TASKS[task["name"]]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            geom = build_geometry(g["n_cell"], g["L1"], g["L2"])
+            geom = LeafOutGeometry(g["n_cell"], g["L1"], g["L2"])
             springs = _springs(geom, c["springs"]) if "springs" in c else None
             return spec, spec.build(task, geom, springs)
     except ArithmeticError as exc:      # numpy's FloatingPointError among them

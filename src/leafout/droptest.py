@@ -86,6 +86,12 @@ class DropScenario:
         kappa_pet_si(self.kappa_pet, self.kappa_pet_unit)   # validate unit
 
 
+def _pet_width(geom, scenario):
+    """The scenario's effective PET width, or that of the comb along L2."""
+    width = scenario.effective_width_mm
+    return default_effective_width(geom.L2) if width is None else width
+
+
 def prototype_spring_model(geom, scenario):
     """Boundary-only spring model of the prototype.
 
@@ -93,10 +99,8 @@ def prototype_spring_model(geom, scenario):
     constant times its effective width; the boundary rest angle is the
     mountain fold -rest_angle.
     """
-    width = scenario.effective_width_mm
-    if width is None:
-        width = default_effective_width(geom.L2)
-    kappa_b = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit) * width
+    kappa_b = (kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
+               * _pet_width(geom, scenario))
     return SpringModel.per_kind(geom, 0.0, 0.0, kappa_b,
                                 rest_main=0.0, rest_sub=0.0,
                                 rest_boundary=-abs(scenario.rest_angle))
@@ -140,7 +144,9 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
     are carried through for overlay plotting.  Raises ValueError naming
     the argument for heights that are not two finite numbers >= 0, rest
     angles that are not two in (0, pi] or a count that is not an integer
-    of at least 1, and ValueError when a map value overflows.
+    of at least 1, and ValueError when a rest angle lies outside the
+    bistable band, when the boundary creases get no PET width (and so no
+    barrier) or when a map value overflows.
     """
     hs = _read("h_range", h_range, 0.0, _HUGE, shape=(2,))
     rs = _read("rest_angle_range", rest_angle_range, _TINY, np.pi, shape=(2,))
@@ -154,6 +160,11 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
                          f"(needs rest < {np.degrees(limit):.6g} deg); no "
                          "snap-through barrier")
     kappa_b = prototype_spring_model(geom, scenario).kappa[3]
+    if not kappa_b > 0.0:
+        raise ValueError(f"prototype boundary creases carry no PET: effective width "
+                         f"{_pet_width(geom, scenario):.6g} mm, set by effective_width_mm "
+                         f"or, without it, by the complete {COMB_GAP_MM + COMB_CUT_MM:g} mm "
+                         f"comb teeth along L2 = {geom.L2:.6g} mm; no snap-through barrier")
     kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
     with np.errstate(all="ignore"):         # checked below
         d_g = 0.5 * geom.n_cell * kappa_b * rests ** 2

@@ -1,12 +1,17 @@
 """Leaf-out crease pattern and 3D folded-shape reconstruction.
 
-The pattern joins ``n_cell`` Miura-ori unit cells around a central vertex.
-Each cell is a fan of four parallelogram panels: two near panels between
-the main crease and the boundary creases shared with the neighbours, and
-two outer panels beyond the sub creases.  The outward midline fold line
-of each cell (from the interior vertex to the tip) is required for rigid
-foldability but carries no torsion spring and is not part of the crease
-enumeration; it is exposed on the mesh as ``tip_edges``.
+The pattern joins ``n_cell`` identical Miura-ori unit cells around a
+central vertex, so ``LeafOutGeometry(n_cell, L1, L2)`` describes it whole:
+the sector angle alpha = pi / n_cell follows from the cell count.  Each
+cell is a fan of four parallelogram panels: two near panels between the
+main crease and the boundary creases shared with the neighbours, and two
+outer panels beyond the sub creases.  Its four spring-bearing creases are
+numbered once, in ``SpringModel``'s canonical order (main, sub left, sub
+right, boundary, per unit counterclockwise), and the mesh's
+``crease_edges`` follow that order.  The outward midline fold line of each
+cell (from the interior vertex to the tip) is required for rigid
+foldability but carries no torsion spring and is not one of those creases;
+it is exposed on the mesh as ``tip_edges``.
 
 Canonical pose: the central vertex at the origin, unit 1's main crease
 along +i2, the flat pattern in the i1-i2 plane.  ``reconstruct_mesh``
@@ -14,7 +19,6 @@ accepts a ``tilt`` angle rotating unit 1 about i1, which reproduces the
 Euler-angle pose of uniform states when set to psi.
 """
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,39 +26,29 @@ from .kinematics import (_HUGE, _TINY, _chain_matrices, _count, _read, check_sta
                          sub_angles)
 
 
-class CreaseKind(Enum):
-    MAIN = "main"
-    SUB = "sub"
-    BOUNDARY = "boundary"
-
-
-@dataclass(frozen=True)
-class CreaseId:
-    """Identifier of one spring-bearing crease.
-
-    ``unit_index`` is 1-based and counterclockwise.  ``sub_side`` is
-    "left"/"right" for sub creases and None otherwise.  Boundary crease n
-    connects unit n to unit n+1 (wrapping).
-    """
-    kind: CreaseKind
-    unit_index: int
-    sub_side: str | None = None
-
-    def __post_init__(self):
-        if self.kind is CreaseKind.SUB:
-            if self.sub_side not in ("left", "right"):
-                raise ValueError("sub crease needs sub_side left/right")
-        elif self.sub_side is not None:
-            raise ValueError(f"{self.kind} crease takes no sub_side")
-
-
 @dataclass(frozen=True)
 class LeafOutGeometry:
-    """Pattern definition: cell count, central angle and panel lengths."""
+    """Pattern definition: ``n_cell`` identical unit cells around the
+    central vertex, so the sector angle is alpha = pi / n_cell, and the
+    panel lengths L1 (main crease) and L2 (boundary crease).
+
+    The pattern only closes around the central vertex for n_cell >= 3.
+    Each field is read on construction, n_cell by ``kinematics._count`` and
+    the lengths by ``kinematics._read`` as finite positive numbers.
+    """
     n_cell: int
-    alpha: float
     L1: float
     L2: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_cell", _count("n_cell", self.n_cell, 3))
+        for name in ("L1", "L2"):
+            object.__setattr__(self, name, float(_read(name, getattr(self, name), _TINY, _HUGE)))
+
+    @property
+    def alpha(self):
+        """Sector angle of each unit cell."""
+        return np.pi / self.n_cell
 
     @property
     def n_vertex_creases(self):
@@ -78,31 +72,23 @@ class LeafOutGeometry:
         }
 
 
-def build_geometry(n_cell, L1, L2):
-    """Validated constructor; alpha = pi / n_cell by definition.
-
-    The pattern only closes around the central vertex for n_cell >= 3.
-    """
-    n_cell = _count("n_cell", n_cell, 3)
-    L1 = float(_read("L1", L1, _TINY, _HUGE))
-    L2 = float(_read("L2", L2, _TINY, _HUGE))
-    return LeafOutGeometry(n_cell=n_cell, alpha=np.pi / n_cell, L1=L1, L2=L2)
-
-
 @dataclass
 class FoldedMesh:
     """Rigid-panel mesh of a folded state.
 
-    ``faces`` are quads indexing into ``vertices``; ``crease_edges`` maps
-    every spring-bearing crease to its vertex pair; ``tip_edges`` are the
-    per-unit outward midline fold lines (no spring).  ``unit_frames``
-    (n_cell, 3, 3) holds the rotation of each unit-local frame into the
-    global frame; its columns are the unit's axes e1, e2, e3.
+    Per unit counterclockwise: ``faces`` (4 n_cell, 4) are its four quads
+    indexing into ``vertices``; ``crease_edges`` (n_cell, 4, 2) holds the
+    vertex pairs of its spring-bearing creases in ``SpringModel``'s
+    canonical order (main, sub left, sub right, boundary), so that
+    ``crease_edges.reshape(-1, 2)[j]`` is crease j; ``tip_edges``
+    (n_cell, 2) is its outward midline fold line (no spring).
+    ``unit_frames`` (n_cell, 3, 3) holds the rotation of each unit-local
+    frame into the global frame; its columns are the unit's axes e1, e2, e3.
     """
     vertices: np.ndarray
-    faces: list
-    crease_edges: dict
-    tip_edges: list
+    faces: np.ndarray
+    crease_edges: np.ndarray
+    tip_edges: np.ndarray
     unit_frames: np.ndarray
 
 
@@ -181,18 +167,15 @@ def reconstruct_mesh(geom, rho_o, tilt=0.0):
     verts = np.concatenate([np.zeros((1, 3)),       # 0: central vertex
                             (local @ G.transpose(0, 2, 1)).reshape(-1, 3)])
 
-    faces, crease_edges, tip_edges = [], {}, []
-    for k in range(n):
-        a, dl, dr, tip, fl, fr, bl_id = range(1 + 7 * k, 8 + 7 * k)
-        br_id = 7 + 7 * ((k - 1) % n)       # the previous unit's Bl
-        faces += [(0, br_id, dr, a), (0, a, dl, bl_id),
-                  (a, dr, fr, tip), (a, tip, fl, dl)]
-        crease_edges[CreaseId(CreaseKind.MAIN, k + 1)] = (0, a)
-        crease_edges[CreaseId(CreaseKind.SUB, k + 1, "left")] = (a, dl)
-        crease_edges[CreaseId(CreaseKind.SUB, k + 1, "right")] = (a, dr)
-        crease_edges[CreaseId(CreaseKind.BOUNDARY, k + 1)] = (0, bl_id)
-        tip_edges.append((a, tip))
-    return FoldedMesh(verts, faces, crease_edges, tip_edges, G)
+    # per unit, the indices of the central vertex, its A, Dl, Dr, T, Fl, Fr,
+    # Bl and the previous unit's Bl (its right boundary crease's end); the
+    # faces are its near right, near left, outer right and outer left quads
+    ids = np.zeros((n, 9), dtype=np.intp)
+    ids[:, 1:8] = np.arange(1, 1 + 7 * n).reshape(n, 7)
+    ids[:, 8] = np.roll(ids[:, 7], 1)
+    faces = ids[:, [[0, 8, 3, 1], [0, 1, 2, 7], [1, 3, 6, 4], [1, 4, 5, 2]]].reshape(-1, 4)
+    crease_edges = ids[:, [[0, 1], [1, 2], [1, 3], [0, 7]]]
+    return FoldedMesh(verts, faces, crease_edges, ids[:, [1, 4]], G)
 
 
 def _split_quads(vertices, quads):

@@ -6,12 +6,12 @@ import leafout as lf
 
 @pytest.fixture(scope="session")
 def geom5():
-    return lf.build_geometry(5, 70.0, 30.0)
+    return lf.LeafOutGeometry(5, 70.0, 30.0)
 
 
 @pytest.fixture(scope="session")
 def geom4():
-    return lf.build_geometry(4, 1.0, 1.0)
+    return lf.LeafOutGeometry(4, 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from leafout.kinematics import StepFailure, _closure, trace_paths
 from oracles import (chain_closure_norm, fd_constraint_matrix, sampled_extrema,
                      sub_angle_oracle)
 
-GEOM = lf.build_geometry(5, 70.0, 30.0)
+GEOM = lf.LeafOutGeometry(5, 70.0, 30.0)
 CTRL_ALL = np.tile([True, False], 5)      # every main crease
 
 

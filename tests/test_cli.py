@@ -138,7 +138,7 @@ def test_uniform_path_csv_extrema_match_energy_report(tmp_path):
     assert energy is not None
     mins, maxs = sampled_extrema(energy)
     assert len(mins) == 2 and len(maxs) == 1
-    geom = lf.build_geometry(5, 70.0, 30.0)
+    geom = lf.LeafOutGeometry(5, 70.0, 30.0)
     springs = lf.SpringModel.uniform(geom, 1.0, np.radians(120.0),
                                      np.radians(-30.0))
     report = lf.characterize_bistability(
@@ -394,6 +394,15 @@ def test_drop_rest_angle_outside_half_turn_is_named(tmp_path, capsys):
     assert "boundary rest angle" not in msg
 
 
+def test_drop_without_pet_width_is_named(tmp_path, capsys):
+    # L2 = 10 mm holds no complete 12.5 mm comb tooth: no width, no barrier
+    cfg = write_cfg(tmp_path, DROP, geometry={"n_cell": 5, "L1": 70.0, "L2": 10.0})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    msg = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "effective width 0 mm" in msg and "effective_width_mm" in msg
+    assert main(["validate", "--config", str(cfg), "--set", "task.drop.effective_width_mm=5"]) == 0
+
+
 def test_drop_test_accepts_whole_bistable_band(tmp_path):
     # bistable up to 180 (1 - 2 / n_cell) = 108 deg, exclusive
     cfg = write_cfg(tmp_path, {**DROP, "rest_range_deg": [40.0, 107.8]})
@@ -537,6 +546,8 @@ def _huge_mesh(length):
     ("export-mesh", _huge_mesh(1e308)),
     ("export-mesh", lambda tmp_path: write_cfg(tmp_path, MESH, geometry={
         "n_cell": 5, "L1": 70.0, "L2": 1e308})),
+    ("drop-test", lambda tmp_path: write_cfg(tmp_path, DROP, geometry={
+        "n_cell": 5, "L1": 70.0, "L2": 10.0})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
         "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
         "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
@@ -548,7 +559,7 @@ def _huge_mesh(length):
         "program-bool", "geometry-unknown", "rest_deg-unknown",
         "output-unknown", "top-level-unknown", "state-unknown",
         "n_samples-1e11", "n_h-1e11", "n_cell-4000", "mesh-L-1e200",
-        "mesh-L-1e308", "mesh-L2-1e308"])
+        "mesh-L-1e308", "mesh-L2-1e308", "drop-L2-under-one-tooth"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # each was an exit-1 traceback (a null count, a spring constant that is
     # not a number, a grasp step under the at-face tolerance, an array too
@@ -557,7 +568,8 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # value of the wrong type read as another, a grasp step above a half
     # turn, always cut at the face, a key that was silently ignored, or a
     # grasp that did not end; a grasp on fewer than five cells passed
-    # validate and then raised
+    # validate and then raised; a drop map whose boundary creases hold no
+    # complete comb tooth read "grasp" everywhere on a flat landscape
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):

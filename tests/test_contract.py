@@ -19,7 +19,7 @@ count) that is ragged or of the wrong shape, type or value;
 ``landscape_over_psi``, ``uniform_path`` and ``trigger_map``, given a range
 that is not two finite numbers of its domain (for a landscape, two that
 differ) or a map count that is not a positive integer; and
-``build_geometry``, ``DropScenario``, ``SpringModel``,
+``LeafOutGeometry``, ``DropScenario``, ``SpringModel``,
 ``SpringModel.per_kind``, ``GraspProgram``, ``ratio_surface``,
 ``sub_angle_from_main``, ``uniform_motion``, ``psi_from_main`` and
 ``psi_motion_range``, given one argument that is text, ragged, NaN,
@@ -66,7 +66,7 @@ GEOMETRY = {"n_cell": 5, "L1": 70.0, "L2": 30.0}
 def grasped_angles_deg(n_cell, steps=20):
     """The fold angles, in degrees, of a closed non-uniform state: the end
     of a short grasp on units 1 and 3."""
-    geom = lf.build_geometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
+    geom = lf.LeafOutGeometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
     (path,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=steps)])
     return np.degrees(path.rho_o[-1]).tolist()
 
@@ -302,7 +302,7 @@ def test_every_numeric_schema_key_refuses_by_name():
 
 @functools.lru_cache(maxsize=None)
 def _geometry(n_cell):
-    return lf.build_geometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
+    return lf.LeafOutGeometry(n_cell, GEOMETRY["L1"], GEOMETRY["L2"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -521,8 +521,8 @@ ARGUMENT_ENTRIES = {
         "energy": (CURVE.energy, [_with_entry(CURVE.energy, 3, math.nan),
                                   CURVE.energy[:-1], CURVE.energy[None],
                                   *NOT_A_CURVE_ARRAY])},
-    "build_geometry": {"n_cell": (5, [2, -1, 5.0, *NOT_A_COUNT]),
-                       "L1": (70.0, NOT_POSITIVE), "L2": (30.0, NOT_POSITIVE)},
+    "LeafOutGeometry": {"n_cell": (5, [2, -1, 5.0, *NOT_A_COUNT]),
+                        "L1": (70.0, NOT_POSITIVE), "L2": (30.0, NOT_POSITIVE)},
     "DropScenario": {"m_ball": (22.3e-3, NOT_POSITIVE), "R_ball": (35e-3, NOT_POSITIVE),
                      "h": (0.36, [-1e-3, math.nan, math.inf, *NOT_A_NUMBER]),
                      "g": (9.81, NOT_POSITIVE), "kappa_pet": (0.76, NOT_POSITIVE),
@@ -577,7 +577,7 @@ def _check_argument_entries(entry, args, bad):
     """The other entries of the contract property: with good arguments
     each returns what they ask for; with a bad one it refuses by name."""
     geom = _geometry(5)
-    call = {"build_geometry": lambda: lf.build_geometry(**args),
+    call = {"LeafOutGeometry": lambda: lf.LeafOutGeometry(**args),
             "DropScenario": lambda: lf.DropScenario(**args),
             "SpringModel.per_kind": lambda: lf.SpringModel.per_kind(geom, **args),
             "SpringModel": lambda: lf.SpringModel(**args),
@@ -594,7 +594,7 @@ def _check_argument_entries(entry, args, bad):
         _refuses_by_name(call, bad)
         return
     got = call()
-    if entry == "build_geometry":
+    if entry == "LeafOutGeometry":
         assert (got.n_cell, got.alpha, got.L1, got.L2) == (5, np.pi / 5, 70.0, 30.0)
     elif entry == "SpringModel.per_kind":
         assert np.array_equal(got.kappa, np.tile([1.0, 0.5, 0.5, 2.0], 5))
@@ -687,11 +687,11 @@ def test_state_entries_answer_or_refuse_by_name(case, range_case, argument_case)
             _refuses_by_name(mesh_of, "tilt")
         else:
             mesh = mesh_of()
-            for crease, (a, b) in mesh.crease_edges.items():
-                length = {"main": geom.L1, "boundary": geom.L2}.get(crease.kind.value)
-                if length is not None:
-                    assert abs(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
-                               - length) < 1e-9 * length
+            # main and boundary creases by canonical position: L1 and L2 long
+            for position, length in ((0, geom.L1), (3, geom.L2)):
+                a, b = mesh.crease_edges[:, position].T
+                assert np.max(np.abs(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
+                                     - length)) < 1e-9 * length
 
         trace = functools.partial(lf.trace_paths, geom, starts, **drive)
         if broken:

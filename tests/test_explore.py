@@ -41,7 +41,7 @@ def test_start_state_matches_rounded_nominal_pair(geom5):
 
 @pytest.mark.parametrize("n_cell", [3, 5, 8, 12])
 def test_near_flat_start_is_exact_uniform_state(n_cell):
-    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
     start = lf.near_flat_start(geom)
     # 7.1 deg up to the rounding of the psi round trip (at most 3 ulp)
     assert np.all(np.abs(start[0::2] - NEAR_FLAT_MAIN) <= 3 * np.spacing(NEAR_FLAT_MAIN))
@@ -223,7 +223,7 @@ def test_program_of_every_unit_folds_uniformly(n_cell):
     # the one default program the oracle test above skips) traces the
     # exact uniform motion: every unit agrees with unit 1, whose boundary
     # angle is -2 psi of its main angle
-    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
     program = lf.GraspProgram(range(1, n_cell + 1))
     if n_cell == 5:
         assert program.label() in [p.label() for p in stored_programs()]
@@ -254,7 +254,7 @@ def test_program_validation(geom5):
 
 @pytest.fixture(scope="module")
 def geom3():
-    return lf.build_geometry(3, 70.0, 30.0)
+    return lf.LeafOutGeometry(3, 70.0, 30.0)
 
 
 @pytest.fixture(scope="module")

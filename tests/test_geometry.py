@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import leafout as lf
-from leafout.geometry import CreaseId, CreaseKind, _split_quads, mesh_to_obj
+from leafout.geometry import _split_quads, mesh_to_obj
 from leafout.kinematics import check_states
 
 # cell counts the mesh invariants are checked at: the prototype, and two
@@ -28,7 +28,7 @@ def edge_length_error(mesh, flat_vertices):
     """Max deviation of face edge lengths from the flat pattern."""
     worst = 0.0
     for f in mesh.faces:
-        for a, b in zip(f, f[1:] + f[:1]):
+        for a, b in zip(f, np.roll(f, -1)):
             l1 = np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])
             l0 = np.linalg.norm(flat_vertices[a] - flat_vertices[b])
             worst = max(worst, abs(l1 - l0))
@@ -52,37 +52,45 @@ def test_build_geometry_square(geom4):
     assert geom4.n_vertex_creases == 8
 
 
-def test_build_geometry_rejects_degenerate():
+def test_geometry_rejects_degenerate():
     for n_cell in (2, 5.5, 5.0, True, "5"):
         with pytest.raises(ValueError, match=r"n_cell must be an integer in \[3, 2\*\*63\), got"):
-            lf.build_geometry(n_cell, 1.0, 1.0)
+            lf.LeafOutGeometry(n_cell, 1.0, 1.0)
     for L1, L2, name in ((0.0, 1.0, "L1"), (1.0, -3.0, "L2"), (np.inf, 1.0, "L1"),
                          (1.0, np.nan, "L2")):
         with pytest.raises(ValueError, match=rf"{name} must be a number in \(0, inf\), got"):
-            lf.build_geometry(5, L1, L2)
-    assert lf.build_geometry(np.int64(5), 1.0, 1.0).n_cell == 5
+            lf.LeafOutGeometry(5, L1, L2)
+    assert lf.LeafOutGeometry(np.int64(5), 1.0, 1.0).n_cell == 5
+    # alpha is no field: a sector angle apart from the cell count is refused
+    with pytest.raises(TypeError):
+        lf.LeafOutGeometry(5, 0.3, 70.0, 30.0)
+    with pytest.raises(TypeError):
+        lf.LeafOutGeometry(n_cell=5, alpha=0.3, L1=70.0, L2=30.0)
+    for n in range(3, 361):
+        assert lf.LeafOutGeometry(n, 1.0, 1.0).alpha == np.pi / n
 
 
 def test_crease_enumeration(geom5):
-    creases = list(lf.reconstruct_mesh(geom5, np.zeros(10)).crease_edges)
-    assert len(creases) == 20
-    kinds = [c.kind for c in creases]
-    assert kinds.count(CreaseKind.MAIN) == 5
-    assert kinds.count(CreaseKind.SUB) == 10
-    assert kinds.count(CreaseKind.BOUNDARY) == 5
-    assert len(set(creases)) == 20
-
-
-def test_crease_id_validation():
-    with pytest.raises(ValueError):
-        CreaseId(CreaseKind.SUB, 1)           # sub needs a side
-    with pytest.raises(ValueError):
-        CreaseId(CreaseKind.MAIN, 1, "left")  # main takes none
+    # crease_edges.reshape(-1, 2)[j] is crease j of SpringModel's canonical
+    # order: main, sub left, sub right, boundary, per unit
+    edges = lf.reconstruct_mesh(geom5, np.zeros(10)).crease_edges
+    assert edges.shape == (5, 4, 2)
+    assert len({tuple(e) for e in edges.reshape(-1, 2)}) == 20
+    # main and boundary creases leave the central vertex, sub creases the
+    # unit's interior vertex, the far end of its main crease
+    main, sub_l, sub_r, boundary = edges.transpose(1, 0, 2)
+    assert np.all(main[:, 0] == 0) and np.all(boundary[:, 0] == 0)
+    assert np.array_equal(sub_l[:, 0], main[:, 1])
+    assert np.array_equal(sub_r[:, 0], main[:, 1])
+    # boundary crease n joins unit n to unit n + 1: both units' quads hold it
+    faces = lf.reconstruct_mesh(geom5, np.zeros(10)).faces.reshape(5, 4, 4)
+    for k, (_, b) in enumerate(boundary):
+        assert b in faces[k, 1] and b in faces[(k + 1) % 5, 0]
 
 
 def test_flat_mesh_is_planar():
     for n_cell in CELL_COUNTS:
-        geom = lf.build_geometry(n_cell, 70.0, 30.0)
+        geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
         mesh = lf.reconstruct_mesh(geom, np.zeros(2 * n_cell))
         assert np.max(np.abs(mesh.vertices[:, 2])) < 1e-12, n_cell
 
@@ -110,7 +118,7 @@ def test_closed_phase_tips_converge(geom5):
 def test_panel_planarity_and_isometry(psi_deg):
     psi = np.radians(psi_deg)
     for n_cell in CELL_COUNTS:
-        geom = lf.build_geometry(n_cell, 70.0, 30.0)
+        geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
         mesh = lf.reconstruct_mesh(geom, lf.uniform_state(geom, psi), tilt=psi)
         tol = 1e-8 * geom.L1
         assert face_planarity(mesh) < tol, n_cell
@@ -144,35 +152,35 @@ def _fold_angle(mesh, edge, f1, f2):
 
 
 def test_mesh_dihedrals_round_trip_fold_angles():
-    # fold angles measured back from panel normals reproduce the state
+    # fold angles measured back from panel normals reproduce the state, and
+    # the dihedral at crease_edges.reshape(-1, 2)[j] is the angle that
+    # path_energies charges crease j
     for n_cell in CELL_COUNTS:
-        geom = lf.build_geometry(n_cell, 70.0, 30.0)
+        geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
         (path,) = lf.run_programs(geom, [lf.GraspProgram((1, 3), max_steps=100)])
         state, rho_s = path.rho_o[-1], path.rho_s[-1]
         mesh = lf.reconstruct_mesh(geom, state)
+        measured = np.empty((n_cell, 4))
         for k in range(n_cell):
             NR, NL, OR, OL = mesh.faces[4 * k: 4 * k + 4]
             NR_next = mesh.faces[4 * ((k + 1) % n_cell)]
-            n = k + 1
-            rm = _fold_angle(mesh, mesh.crease_edges[CreaseId(CreaseKind.MAIN, n)],
-                             NR, NL)
-            rsl = _fold_angle(mesh,
-                              mesh.crease_edges[CreaseId(CreaseKind.SUB, n, "left")],
-                              NL, OL)
-            rsr = _fold_angle(mesh,
-                              mesh.crease_edges[CreaseId(CreaseKind.SUB, n, "right")],
-                              NR, OR)
-            rb = _fold_angle(mesh,
-                             mesh.crease_edges[CreaseId(CreaseKind.BOUNDARY, n)],
-                             NL, NR_next)
-            rt = _fold_angle(mesh, mesh.tip_edges[k], OR, OL)
-            assert abs(rm - state[2 * k]) < 1e-9, (n_cell, k)
-            assert abs(rsr - rho_s[k]) < 1e-9, (n_cell, k)
-            # the left sub crease's edge runs the other way
-            assert abs(abs(rsl) - rho_s[k]) < 1e-9, (n_cell, k)
-            assert abs(rb - state[2 * k + 1]) < 1e-9, (n_cell, k)
+            # the quads each crease hinges, in canonical order; the left sub
+            # crease's edge runs the other way, so its quads swap
+            hinged = ((NR, NL), (OL, NL), (NR, OR), (NL, NR_next))
+            measured[k] = [_fold_angle(mesh, edge, *faces)
+                           for edge, faces in zip(mesh.crease_edges[k], hinged)]
             # the tip fold mirrors the main crease (collinear midline pair)
+            rt = _fold_angle(mesh, mesh.tip_edges[k], OR, OL)
             assert abs(rt + state[2 * k]) < 1e-9, (n_cell, k)
+        rm, rsl, rsr, rb = measured.T
+        assert np.max(np.abs(rm - state[0::2])) < 1e-9, n_cell
+        assert np.max(np.abs(rsl - rho_s)) < 1e-9, n_cell
+        assert np.max(np.abs(rsr - rho_s)) < 1e-9, n_cell
+        assert np.max(np.abs(rb - state[1::2])) < 1e-9, n_cell
+        # springs resting at the measured dihedrals store (1e-9)^2 / 2 at
+        # most, which bounds every crease's term of the sum
+        springs = lf.SpringModel(np.ones(4 * n_cell), measured.ravel())
+        assert lf.path_energies(geom, springs, state) < 0.5e-18, n_cell
 
 
 def test_cyclic_relabel_preserves_validity_and_energy(geom5, springs_bistable):
@@ -205,9 +213,9 @@ def test_mesh_rejects_open_state(geom5):
 def test_mesh_counts(geom5, uniform_minus30):
     mesh = lf.reconstruct_mesh(geom5, uniform_minus30)
     assert len(mesh.vertices) == 1 + 7 * geom5.n_cell
-    assert len(mesh.faces) == 4 * geom5.n_cell
-    assert len(mesh.crease_edges) == geom5.n_total_creases
-    assert len(mesh.tip_edges) == geom5.n_cell
+    assert mesh.faces.shape == (4 * geom5.n_cell, 4)
+    assert mesh.crease_edges.reshape(-1, 2).shape == (geom5.n_total_creases, 2)
+    assert mesh.tip_edges.shape == (geom5.n_cell, 2)
 
 
 def test_unit_frames_orthonormal_and_psi(geom5):

@@ -441,7 +441,7 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     monkeypatch.setattr(kinematics, "_project", counting_project)
     monkeypatch.setattr(kinematics, "_svd_solve", recording_svd)
     monkeypatch.setattr(kinematics, "_masked_solve", spying_solve)
-    geom = lf.build_geometry(n_cell, 70.0, 30.0)
+    geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
     starts = [start] * 4 + [lf.uniform_state(geom, np.radians(3.0)), np.zeros(n)]

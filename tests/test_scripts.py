@@ -1,7 +1,9 @@
 """The stored experiment configs under ``configs/``, run through the CLI at
-reduced sizes: each must validate and write the files of its dataset."""
+reduced sizes: each must validate and write the files of its dataset.  The
+README's library quickstart runs as written."""
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -60,3 +62,10 @@ def test_multigrasp_script(tmp_path):
                       "units-1-2-3-4", "units-1-2-3-4-5"]
     for label in labels:
         assert (tmp_path / f"trace_{label}.csv").exists()
+
+
+def test_readme_quickstart_runs():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n")[1].split("\n## ")[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(code, "README.md", "exec"), {})

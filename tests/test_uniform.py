@@ -221,8 +221,7 @@ def test_boundary_vector_matches_mesh_edge(geom5):
     psi = np.radians(-30)
     st = lf.uniform_state(geom5, psi)
     mesh = lf.reconstruct_mesh(geom5, st, tilt=psi)
-    from leafout.geometry import CreaseId, CreaseKind
-    a, b = mesh.crease_edges[CreaseId(CreaseKind.BOUNDARY, 1)]
+    a, b = mesh.crease_edges[0, 3]      # unit 1's boundary crease
     edge = mesh.vertices[b] - mesh.vertices[a]
     edge = edge / np.linalg.norm(edge)
     want = boundary_vector(geom5.alpha, psi, st[0])
