@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 # kinematics, the largest module, is imported before numpy: its compile
 # (1.8 MB traced) then does not stack on numpy's memory, which would raise
 # every task's peak RSS
-from .kinematics import _HUGE, StepFailure, _read as _read_value
+from .kinematics import _HUGE, _TINY, StepFailure, _read as _read_value
 
 import numpy as np
 
@@ -254,9 +254,11 @@ def _uniform_path_outputs(inputs, out, terminations):
 
 def _landscape_inputs(task, geom, springs):
     """Springs, psi range and sample count of an energy-landscape task; the
-    classifier is checked at the default 0.5 deg spacing."""
+    classifier is checked at the default 0.5 deg spacing.  Springs with
+    every kappa 0 give a flat landscape, which has no state to classify."""
     if springs is None:
         raise ConfigError("missing config key: springs")
+    _read_value("max(springs.kappa)", np.max(springs.kappa), _TINY, _HUGE, error=ConfigError)
     rng, n = task["psi_range_deg"], task.get("n_samples")
     lo, hi, _ = clip_psi_range(geom.alpha, rng)
     if n is not None:

@@ -29,12 +29,10 @@ material, and the width can be overridden directly.
 finite and positive, heights finite and at least 0, rest angles in
 (0, pi] and map counts integers of at least 1.
 """
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .energy import SpringModel
-from .kinematics import _HUGE, _TINY, _count, _read
+from .kinematics import _HUGE, _TINY, _Record, _count, _read
 
 G_DEFAULT = 9.81                 # m/s^2
 KAPPA_PET_DEFAULT = 0.76         # PET hinge constant per mm of crease width
@@ -63,8 +61,7 @@ def default_effective_width(crease_length_mm):
     return float(teeth) * COMB_GAP_MM
 
 
-@dataclass
-class DropScenario:
+class DropScenario(_Record):
     """Ball drop onto the prototype; heights measured plate-to-ball-bottom.
     The defaults are the prototype experiment."""
     m_ball: float = 22.3e-3            # kg
@@ -106,8 +103,7 @@ def prototype_spring_model(geom, scenario):
                                 rest_boundary=-abs(scenario.rest_angle))
 
 
-@dataclass
-class TriggerMap:
+class TriggerMap(_Record):
     """Arrays over drop height (n_h,) and rest angle (n_rest,): ``E_ball``
     (n_h,), ``delta_E_g`` and the E_gap = 0 contour ``threshold_heights``
     (n_rest,), and ``E_gap`` (n_rest, n_h)."""
@@ -117,7 +113,7 @@ class TriggerMap:
     delta_E_g: np.ndarray          # J
     E_gap: np.ndarray              # J / (J/rad^2 per mm)
     threshold_heights: np.ndarray  # m
-    observations: list = field(default_factory=list)
+    observations: list = []
 
     @property
     def outcomes(self):

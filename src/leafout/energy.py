@@ -9,19 +9,17 @@ exact slope dE/dpsi take the angles and their psi-slopes from
 An argument out of its domain, or a spring model that does not cover the
 geometry's creases, is refused with a ValueError (``kinematics._read``'s).
 """
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
-from .kinematics import _HUGE, _count, _read, _sub_angle, angle_bounds, sub_angles
+from .kinematics import (_HUGE, _TINY, _Record, _count, _read, _sub_angle, angle_bounds,
+                         sub_angles)
 from .uniform import landscape_psis, uniform_motion
 
 REFINE_PASSES = 6  # reach float resolution on brackets up to 4 deg wide
 SURFACE_BLOCK = 2 ** 18  # slope samples per ratio-surface block
 
 
-@dataclass
-class SpringModel:
+class SpringModel(_Record):
     """Per-crease stiffness and rest angle, in canonical crease order
     (main, sub left, sub right, boundary, per unit counterclockwise)."""
     kappa: np.ndarray
@@ -80,8 +78,7 @@ def path_energies(geom, springs, rho_o):
                         axis=-1)
 
 
-@dataclass
-class LandscapeCurve:
+class LandscapeCurve(_Record):
     """E(psi) along the uniform path, with the path arrays kept for
     downstream sweeps and the springs and alpha that give its slope."""
     psi: np.ndarray
@@ -142,8 +139,7 @@ def landscape_over_psi(geom, springs, psi_range, n_samples=None):
                           truncated=truncated)
 
 
-@dataclass
-class LandscapeExtrema:
+class LandscapeExtrema(_Record):
     """Interior extrema of B landscapes, in row then psi order, and per row
     the class and xi (NaN unless bistable)."""
     row: np.ndarray
@@ -201,8 +197,7 @@ def landscape_extrema(psi, n, slope, energy):
                             (d_g - d_r) / (d_g + d_r))
 
 
-@dataclass
-class BistabilityReport:
+class BistabilityReport(_Record):
     stability_class: str
     psi_open: float | None = None
     psi_closed: float | None = None
@@ -213,21 +208,24 @@ class BistabilityReport:
     delta_E_g: float | None = None
     delta_E_r: float | None = None
     ratio_xi: float | None = None
-    minima: list = field(default_factory=list)
+    minima: list = []
 
     def to_dict(self):
-        return {k: v for k, v in asdict(self).items() if k != "minima"}
+        return {k: v for k, v in vars(self).items() if k != "minima"}
 
 
 def characterize_bistability(curve):
     """Classify a landscape curve and measure its energy gaps: row 0 of
     ``landscape_extrema``.  Every report lists the minima.  ``curve.psi``
     and ``curve.energy`` must be finite (M,) arrays, or ``_read`` refuses
-    them by name, and psi must run from the open to the closed phase."""
+    them by name, and psi must run from the open to the closed phase.  A
+    spring model with every kappa 0 is refused too: its landscape is flat
+    and has no stable state to report."""
     psi = _read("curve.psi", curve.psi, -_HUGE, _HUGE, shape=(None,))
     if not (psi.size and psi[0] < 0.0 < psi[-1]):
         raise ValueError("curve.psi must span both the open and closed phase")
     _read("curve.energy", curve.energy, -_HUGE, _HUGE, shape=psi.shape)
+    _read("max(curve.springs.kappa)", np.max(curve.springs.kappa, initial=0.0), _TINY, _HUGE)
     ext = landscape_extrema(psi, 1, *_uniform_landscapes(
         curve.alpha, curve.springs.kappa, curve.springs.rest_angle[None]))
     psi, E = ext.psi.tolist(), ext.energy.tolist()
@@ -240,8 +238,7 @@ def characterize_bistability(curve):
         delta_E_r=E[1] - E[2], ratio_xi=float(ext.ratio_xi[0]), minima=minima)
 
 
-@dataclass
-class RatioSurface:
+class RatioSurface(_Record):
     rest_main: np.ndarray
     rest_boundary: np.ndarray
     xi: np.ndarray               # (len(rest_main), len(rest_boundary)), NaN where undefined

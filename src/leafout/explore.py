@@ -18,11 +18,9 @@ continues, which keeps the crease assignments and matches how the energy
 minima along grasping paths are reached well past the first boundary
 contact.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kinematics import MIN_STEP, StepFailure, _count, _read, trace_paths
+from .kinematics import MIN_STEP, StepFailure, _Record, _count, _read, trace_paths
 from .uniform import psi_from_main, uniform_state
 
 NEAR_FLAT_MAIN = np.radians(7.1)
@@ -34,8 +32,7 @@ DEFAULT_MAX_STEPS = 400
 SUBSTEP_SPAN = 4
 
 
-@dataclass
-class GraspProgram:
+class GraspProgram(_Record):
     """One driving program: which units are controlled and by how much."""
     controlled_units: tuple
     delta_rho_c: float = DEFAULT_DELTA_RHO_C

@@ -18,23 +18,22 @@ along +i2, the flat pattern in the i1-i2 plane.  ``reconstruct_mesh``
 accepts a ``tilt`` angle rotating unit 1 about i1, which reproduces the
 Euler-angle pose of uniform states when set to psi.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kinematics import (_HUGE, _TINY, _chain_matrices, _count, _read, check_states,
+from .kinematics import (_HUGE, _TINY, _Record, _chain_matrices, _count, _read, check_states,
                          sub_angles)
 
 
-@dataclass(frozen=True)
-class LeafOutGeometry:
+class LeafOutGeometry(_Record):
     """Pattern definition: ``n_cell`` identical unit cells around the
     central vertex, so the sector angle is alpha = pi / n_cell, and the
     panel lengths L1 (main crease) and L2 (boundary crease).
 
     The pattern only closes around the central vertex for n_cell >= 3.
     Each field is read on construction, n_cell by ``kinematics._count`` and
-    the lengths by ``kinematics._read`` as finite positive numbers.
+    the lengths by ``kinematics._read`` as finite positive numbers.  A
+    geometry is immutable, so no field changes after these checks, and
+    geometries with equal fields are equal and hash alike.
     """
     n_cell: int
     L1: float
@@ -44,6 +43,15 @@ class LeafOutGeometry:
         object.__setattr__(self, "n_cell", _count("n_cell", self.n_cell, 3))
         for name in ("L1", "L2"):
             object.__setattr__(self, name, float(_read(name, getattr(self, name), _TINY, _HUGE)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash((self.n_cell, self.L1, self.L2))
 
     @property
     def alpha(self):
@@ -72,8 +80,7 @@ class LeafOutGeometry:
         }
 
 
-@dataclass
-class FoldedMesh:
+class FoldedMesh(_Record):
     """Rigid-panel mesh of a folded state.
 
     Per unit counterclockwise: ``faces`` (4 n_cell, 4) are its four quads

@@ -74,9 +74,12 @@ one once, at the entry, through ``_read`` (``_count`` for a count): dtype
 kind, shape and a closed interval, refused by a ValueError "<name> must
 be <domain>, got <value>".  Semantic checks follow; the stepping kernels
 check nothing.
-"""
-from dataclasses import dataclass
 
+The library's records (``FoldingPath`` here, and the geometry, spring,
+landscape, drop-test and grasp records) are plain classes on ``_Record``:
+importing the CLI then builds no class through a factory that generates
+code, and loads no ``dataclasses`` or ``copy``.
+"""
 import numpy as np
 
 NEWTON_TOL = 1e-10
@@ -102,6 +105,54 @@ class StepFailure(RuntimeError):
 
 class NotClosedError(ValueError):
     """A state violated the loop-closure tolerance."""
+
+
+class _Record:
+    """A record: a class's annotations are its fields, in order, each given
+    by position or keyword; a class attribute of a field's name is its
+    default, a list default copied for each instance.  A missing, unknown
+    or repeated argument raises TypeError, and ``__post_init__`` runs last.
+    Records of one class are equal when their fields are (and so are not
+    hashable), and repr as ``Name(field=value, ...)``."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+        given = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            given[name] = value
+        values = vars(self)
+        for name in fields:
+            if name in given:
+                values[name] = given[name]
+            elif name in self._defaults:
+                default = self._defaults[name]
+                values[name] = default.copy() if type(default) is list else default
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ([getattr(self, n) for n in self._fields]
+                == [getattr(other, n) for n in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def angle_bounds(geom):
@@ -581,8 +632,7 @@ def sub_angles(geom, rho_o):
     return _sub_angle(geom.alpha, rho_o[..., 0::2])
 
 
-@dataclass
-class FoldingPath:
+class FoldingPath(_Record):
     """Ordered closed states as arrays: fold angles ``rho_o`` (M, N) and
     sub angles ``rho_s`` (M, n_cell), with the driving parameter of each
     state and the termination.  A traced path's ``frozen`` (M, N) marks

@@ -403,6 +403,20 @@ def test_drop_without_pet_width_is_named(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg), "--set", "task.drop.effective_width_mm=5"]) == 0
 
 
+def test_flat_landscape_is_named(tmp_path, capsys):
+    # springs with every kappa 0 leave no landscape to classify; a path's
+    # energies of 0 are still a correct answer
+    cfg = write_cfg(tmp_path, LANDSCAPE, springs={"rest_deg": {"rho_m": 60.0, "rho_b": -60.0}})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    msg = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert msg == "max(springs.kappa) must be a number in (0, inf), got 0.0"
+    cfg = write_cfg(tmp_path, PATH, springs={"kappa": 0, "rest_deg": {"rho_m": 60.0,
+                                                                   "rho_b": -60.0}})
+    assert main(["uniform-path", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    header, *rows = lio.read_csv(tmp_path / "o" / "uniform_path.csv")
+    assert header[-1] == "energy" and {float(r[-1]) for r in rows} == {0.0}
+
+
 def test_drop_test_accepts_whole_bistable_band(tmp_path):
     # bistable up to 180 (1 - 2 / n_cell) = 108 deg, exclusive
     cfg = write_cfg(tmp_path, {**DROP, "rest_range_deg": [40.0, 107.8]})
@@ -548,6 +562,8 @@ def _huge_mesh(length):
         "n_cell": 5, "L1": 70.0, "L2": 1e308})),
     ("drop-test", lambda tmp_path: write_cfg(tmp_path, DROP, geometry={
         "n_cell": 5, "L1": 70.0, "L2": 10.0})),
+    ("energy-landscape", _stored("landscape", "springs.kappa=0")),
+    ("energy-landscape", _springs_config(LANDSCAPE, {})),
 ], ids=["top-level-list", "state-list", "rest-text", "L1-inf", "tilt-nan",
         "n_cell-fraction", "output-list", "output-dir-number", "drop-list",
         "max_steps-null", "n_h-null", "n_rest-null", "path-kappa-null",
@@ -559,7 +575,8 @@ def _huge_mesh(length):
         "program-bool", "geometry-unknown", "rest_deg-unknown",
         "output-unknown", "top-level-unknown", "state-unknown",
         "n_samples-1e11", "n_h-1e11", "n_cell-4000", "mesh-L-1e200",
-        "mesh-L-1e308", "mesh-L2-1e308", "drop-L2-under-one-tooth"])
+        "mesh-L-1e308", "mesh-L2-1e308", "drop-L2-under-one-tooth",
+        "landscape-kappa-0", "landscape-rest-only"])
 def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # each was an exit-1 traceback (a null count, a spring constant that is
     # not a number, a grasp step under the at-face tolerance, an array too
@@ -569,7 +586,8 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, make_cfg):
     # turn, always cut at the face, a key that was silently ignored, or a
     # grasp that did not end; a grasp on fewer than five cells passed
     # validate and then raised; a drop map whose boundary creases hold no
-    # complete comb tooth read "grasp" everywhere on a flat landscape
+    # complete comb tooth read "grasp" everywhere on a flat landscape, and
+    # a landscape with every kappa 0 was reported monostable with no extremum
     cfg = make_cfg(tmp_path)
     out = tmp_path / "o"
     for cmd in ("validate", command):

@@ -32,7 +32,6 @@ any one position, which numpy would read as a number.  Each entry
 returns the oracle's answer or raises a ValueError that names the
 argument, and never warns."""
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -587,9 +586,9 @@ def _check_argument_entries(entry, args, bad):
             "uniform_motion": lambda: lf.uniform_motion(**args),
             "psi_from_main": lambda: lf.psi_from_main(**args),
             "psi_motion_range": lambda: lf.psi_motion_range(**args),
-            "mesh_to_obj": lambda: lf.mesh_to_obj(dataclasses.replace(MESH, **args)),
+            "mesh_to_obj": lambda: lf.mesh_to_obj(type(MESH)(**{**vars(MESH), **args})),
             "characterize_bistability": lambda: lf.characterize_bistability(
-                dataclasses.replace(CURVE, **args))}[entry]
+                type(CURVE)(**{**vars(CURVE), **args}))}[entry]
     if bad is not None:
         _refuses_by_name(call, bad)
         return

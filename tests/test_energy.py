@@ -196,6 +196,16 @@ def test_characterize_needs_both_phases(geom5, springs_bistable):
         lf.characterize_bistability(curve)
 
 
+def test_characterize_refuses_flat_landscape(geom5):
+    # with every kappa 0 the landscape is identically 0: no stable state
+    springs = lf.SpringModel.uniform(geom5, 0.0, np.radians(60.0), np.radians(-60.0))
+    curve = lf.landscape_over_psi(geom5, springs, (np.radians(-89), np.radians(53)))
+    assert not curve.energy.any()
+    with pytest.raises(ValueError, match=r"max\(curve\.springs\.kappa\) must be a number "
+                                         r"in \(0, inf\), got 0\.0"):
+        lf.characterize_bistability(curve)
+
+
 def test_scaling_invariance(geom5, springs_grasp):
     rng = (np.radians(-89), np.radians(53))
     r1 = lf.characterize_bistability(

@@ -70,6 +70,20 @@ def test_geometry_rejects_degenerate():
         assert lf.LeafOutGeometry(n, 1.0, 1.0).alpha == np.pi / n
 
 
+def test_geometry_is_immutable_and_hashable():
+    # no field changes after the checks; equal fields, equal geometries
+    geom = lf.LeafOutGeometry(5, 70.0, 30.0)
+    for name in ("n_cell", "L1", "L2"):
+        with pytest.raises(AttributeError):
+            setattr(geom, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(geom, name)
+    assert (geom.n_cell, geom.L1, geom.L2) == (5, 70.0, 30.0)
+    same = lf.LeafOutGeometry(n_cell=np.int64(5), L1=70, L2=30)
+    assert same == geom and hash(same) == hash(geom) and len({geom, same}) == 1
+    assert geom != lf.LeafOutGeometry(5, 70.0, 31.0)
+
+
 def test_crease_enumeration(geom5):
     # crease_edges.reshape(-1, 2)[j] is crease j of SpringModel's canonical
     # order: main, sub left, sub right, boundary, per unit

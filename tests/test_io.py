@@ -418,6 +418,18 @@ def test_config_hash_needs_no_openssl():
     assert out == ["False", hashlib.sha256(canonical.encode()).hexdigest()]
 
 
+def test_cli_import_builds_no_dataclass():
+    # the records are plain classes: importing the CLI after numpy, which
+    # loads neither module itself, loads no dataclasses and no copy
+    code = ("import sys, numpy; before = {'dataclasses', 'copy'} & set(sys.modules); "
+            "import leafout.cli; print(sorted(before), sorted({'dataclasses', 'copy'} & "
+            "set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[] []\n"
+
+
 def test_package_names_load_on_first_use():
     # importing the package loads none of its modules, and so not numpy;
     # each public name is its module's object, and any other is refused

@@ -727,3 +727,25 @@ def test_check_states_names_first_failing_row(geom5):
     rho[2, 3] = np.nan
     with pytest.raises(ValueError, match="state 2"):
         kinematics.check_states(geom5, rho)
+
+
+def test_records_take_fields_by_position_or_keyword():
+    # a record's annotations are its fields, in order: given by position
+    # or keyword, a class attribute the default, __post_init__ last
+    assert lf.DropScenario(0.03, 0.04, 0.5) == lf.DropScenario(h=0.5, R_ball=0.04, m_ball=0.03)
+    assert lf.DropScenario() == lf.DropScenario(22.3e-3, 35e-3, 0.360, 9.81, 0.76)
+    assert lf.DropScenario().effective_width_mm is None
+    assert lf.GraspProgram((3, 2, 3)) == lf.GraspProgram(controlled_units=[2, 3])
+    assert repr(lf.GraspProgram((3, 2), 0.5, 7)) == (
+        "GraspProgram(controlled_units=(2, 3), delta_rho_c=0.5, max_steps=7)")
+    # a list default is each instance's own
+    reports = [lf.BistabilityReport("monostable") for _ in range(2)]
+    maps = [lf.TriggerMap(*[np.zeros(1)] * 6) for _ in range(2)]
+    reports[0].minima.append((0.0, 0.0))
+    maps[0].observations.append((0.1, 1.2, "grasp"))
+    assert reports[1].minima == [] and maps[1].observations == []
+    for call in (lambda: lf.DropScenario(mass=1.0), lambda: lf.GraspProgram(),
+                 lambda: lf.GraspProgram((2,), controlled_units=(3,)),
+                 lambda: lf.GraspProgram((2,), 0.5, 7, 1)):
+        with pytest.raises(TypeError):
+            call()
