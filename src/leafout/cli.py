@@ -258,7 +258,7 @@ def _landscape_inputs(task, geom, springs):
     every kappa 0 give a flat landscape, which has no state to classify."""
     if springs is None:
         raise ConfigError("missing config key: springs")
-    _read_value("max(springs.kappa)", np.max(springs.kappa), _TINY, _HUGE, error=ConfigError)
+    _read_value("max(springs.kappa)", np.max(springs.kappa), _TINY, _HUGE)
     rng, n = task["psi_range_deg"], task.get("n_samples")
     lo, hi, _ = clip_psi_range(geom.alpha, rng)
     if n is not None:

@@ -63,15 +63,16 @@ def default_effective_width(crease_length_mm):
 
 class DropScenario(_Record):
     """Ball drop onto the prototype; heights measured plate-to-ball-bottom.
-    The defaults are the prototype experiment."""
+    The defaults are the prototype experiment.  ``trigger_map`` reads only
+    m_ball, g, kappa_pet, kappa_pet_unit and effective_width_mm."""
     m_ball: float = 22.3e-3            # kg
-    R_ball: float = 35e-3              # m (geometry bookkeeping only)
-    h: float = 0.360                   # m
+    R_ball: float = 35e-3              # m; checked, enters no output
+    h: float = 0.360                   # m; checked, enters no output
     g: float = G_DEFAULT
     kappa_pet: float = KAPPA_PET_DEFAULT
     kappa_pet_unit: str = KAPPA_PET_UNIT_DEFAULT
     effective_width_mm: float | None = None   # per boundary crease
-    rest_angle: float = np.radians(71.8)      # magnitude of the PET rest fold
+    rest_angle: float = np.radians(71.8)      # PET rest fold; prototype_spring_model only
 
     def __post_init__(self):
         for name, lo, hi in (("m_ball", _TINY, _HUGE), ("R_ball", _TINY, _HUGE),
@@ -155,13 +156,14 @@ def trigger_map(geom, scenario, h_range, rest_angle_range, n_h, n_rest,
                          f"{np.degrees(rests[bad[0]]):.6g} deg is not bistable "
                          f"(needs rest < {np.degrees(limit):.6g} deg); no "
                          "snap-through barrier")
-    kappa_b = prototype_spring_model(geom, scenario).kappa[3]
+    kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
+    width = _pet_width(geom, scenario)
+    kappa_b = kap_si * width            # prototype_spring_model's boundary stiffness
     if not kappa_b > 0.0:
         raise ValueError(f"prototype boundary creases carry no PET: effective width "
-                         f"{_pet_width(geom, scenario):.6g} mm, set by effective_width_mm "
+                         f"{width:.6g} mm, set by effective_width_mm "
                          f"or, without it, by the complete {COMB_GAP_MM + COMB_CUT_MM:g} mm "
                          f"comb teeth along L2 = {geom.L2:.6g} mm; no snap-through barrier")
-    kap_si = kappa_pet_si(scenario.kappa_pet, scenario.kappa_pet_unit)
     with np.errstate(all="ignore"):         # checked below
         d_g = 0.5 * geom.n_cell * kappa_b * rests ** 2
         e_ball = scenario.m_ball * scenario.g * heights

@@ -420,13 +420,13 @@ def _tangent(C, seed, free):
 def _newton(geom, rho, free):
     """Min-norm Newton updates of the free angles until each row closes.
 
-    Updates ``rho`` in place; returns the residuals and Jacobians at the
-    final iterates and which rows closed to below NEWTON_TOL.  Every row
-    with a free angle takes at least one iteration, even one that already
-    closes, so a good prediction is closed as tightly as a poor one.  Each
-    iteration solves the whole stack: a closed row has no free column
-    left, so its update is exactly zero and its residual is recomputed
-    unchanged.  The loop ends as soon as every row closes.
+    Updates ``rho`` in place; returns the Jacobians at the final iterates
+    and which rows closed to below NEWTON_TOL.  Every row with a free angle
+    takes at least one iteration, even one that already closes, so a good
+    prediction is closed as tightly as a poor one.  Each iteration solves
+    the whole stack: a closed row has no free column left, so its update
+    is exactly zero and its residual is recomputed unchanged.  The loop
+    ends as soon as every row closes.
     """
     r, C = _closure(geom, rho)
     step = free
@@ -437,9 +437,9 @@ def _newton(geom, rho, free):
         r, C = _closure(geom, rho)
         closed = _max(np.abs(r), -1) < NEWTON_TOL
         if _all(closed):
-            return r, C, closed
+            return C, closed
         step = free & ~closed[:, None]
-    return r, C, _max(np.abs(r), -1) < NEWTON_TOL
+    return C, _max(np.abs(r), -1) < NEWTON_TOL
 
 
 # step outcomes, and _AT_FACE; a path's ending is one of them (_OK while
@@ -470,23 +470,21 @@ def _pick(rows, new, old):
     return np.where(rows.reshape(-1, *(1,) * (np.ndim(new) - 1)), new, old)
 
 
-def _project(geom, rho, r, C, seed, seed_max, free, step_scale, bounds, weights,
-             history):
+def _project(geom, rho, C, seed, seed_max, free, step_scale, bounds, weights, history):
     """One constrained step of each row of a stack of closed states.
 
-    ``rho`` (B, N) holds the states, ``r`` and ``C`` their residuals and
-    Jacobians, ``seed`` the increments that seed the tangent (exact at the
-    fixed entries, projected at the free ones, zero at every angle that
-    takes no part) and ``seed_max`` (B,) its largest magnitude per row,
-    ``free`` the mask of the angles that are neither controlled nor frozen
-    nor in a row taking no part, ``step_scale`` (B,) the substep caps,
-    ``bounds`` the ``angle_bounds`` boxes followed by the same boxes
-    widened by the clamp's 1e-12, and ``weights`` the Adams-Bashforth
-    table _AB as an array.  ``history`` holds each row's earlier substeps:
-    its last four tangent increments (B, 4, N), newest first, the
-    parameter increment h = seed_max / n_sub (B,) of the last one, 0 where
-    the row has none, and how many of them (B,), up to four, were taken at
-    that same h.
+    ``rho`` (B, N) holds the states, ``C`` their Jacobians, ``seed`` the
+    increments that seed the tangent (exact at the fixed entries, projected
+    at the free ones, zero at every angle that takes no part) and
+    ``seed_max`` (B,) its largest magnitude per row, ``free`` the mask of
+    the angles that are neither controlled nor frozen nor in a row taking
+    no part, ``step_scale`` (B,) the substep caps, ``bounds`` the
+    ``angle_bounds`` boxes followed by the same boxes widened by the
+    clamp's 1e-12, and ``weights`` the Adams-Bashforth table _AB as an
+    array.  ``history`` holds each row's earlier substeps: its last four
+    tangent increments (B, 4, N), newest first, the parameter increment
+    h = seed_max / n_sub (B,) of the last one, 0 where the row has none,
+    and how many of them (B,), up to four, were taken at that same h.
 
     A substep whose h equals the last one bit for bit moves the free
     angles by the equal-step Adams-Bashforth rule of the highest order
@@ -497,12 +495,12 @@ def _project(geom, rho, r, C, seed, seed_max, free, step_scale, bounds, weights,
     costs one more closure and tangent solve of the stack, in passes where
     some row restarts.  The fixed angles move by t_k exactly.
 
-    Returns the stepped states with their residuals and Jacobians, the
-    history for the next step (none where a row was clamped or its status
-    is not ok), the (B, N) mask of clamped angles and a status code per
-    row; the inputs are not changed.  Substeps and corrections act on the
-    whole stack; a row taking no part keeps its angles, as does one with
-    every angle fixed and no increment.
+    Returns the stepped states with their Jacobians, the history for the
+    next step (none where a row was clamped or its status is not ok), the
+    (B, N) mask of clamped angles and a status code per row; the inputs
+    are not changed.  Substeps and corrections act on the whole stack; a
+    row taking no part keeps its angles, as does one with every angle
+    fixed and no increment.
 
     Each rare event is told by one reduction over the stack: a lock or a
     failed correction (any status), a split step (an n_sub above 1), a
@@ -556,7 +554,7 @@ def _project(geom, rho, r, C, seed, seed_max, free, step_scale, bounds, weights,
                 t_euler = _tangent(_closure(geom, rho + t)[1], sub_seed, free)[0]
                 move = np.where(heun[:, None], (t + t_euler) / 2, move)
         rho = _pick(go, rho + np.where(free, move, t), rho)
-        r, C, closed = _newton(geom, rho, free if go is None else free & go[:, None])
+        C, closed = _newton(geom, rho, free if go is None else free & go[:, None])
         if not _all(closed):
             status[~closed if go is None else go & ~closed] = _NOT_CONVERGED
         past = _pick(go, recent[:, :4], past)
@@ -571,20 +569,20 @@ def _project(geom, rho, r, C, seed, seed_max, free, step_scale, bounds, weights,
     if _any(clamped, None):
         hit = clamped.any(axis=-1)
         rho = np.where(hit[:, None], np.clip(rho, lo, hi), rho)
-        r, C, closed = _newton(geom, rho, free & ~clamped & hit[:, None])
+        C, closed = _newton(geom, rho, free & ~clamped & hit[:, None])
         status[hit & ~closed] = _NOT_CONVERGED
         outside = np.any((rho < lo - 1e-9) | (rho > hi + 1e-9), axis=-1)
         status[hit & closed & outside] = _OUTSIDE_BOX
         h_prev = np.where(hit | (status != _OK), 0.0, h_prev)
     elif not_ok:
         h_prev = np.where(status != _OK, 0.0, h_prev)
-    return rho, r, C, (past, h_prev, n_same), clamped, status
+    return rho, C, (past, h_prev, n_same), clamped, status
 
 
 def check_states(geom, rho_o, what="state"):
     """Check a stack of fold states (M, N) against the mountain/valley
     boxes (to 1e-9) and the closure tolerance NEWTON_TOL, all rows in one
-    closure pass, and return that pass's residuals and Jacobians.
+    closure pass, and return that pass's Jacobians.
 
     The residual is the skew part of the chain product F, which vanishes
     for a half-turn too; such a row, told by tr F = 1 + 2 cos(theta) <= 1,
@@ -606,7 +604,7 @@ def check_states(geom, rho_o, what="state"):
     if bad.size:
         raise NotClosedError(f"{what} {bad[0]}: closure residual "
                              f"{res[bad[0]]:.3e} > {NEWTON_TOL:.1e}")
-    return r, C
+    return C
 
 
 def _sub_angle(alpha, rho_m):
@@ -689,7 +687,7 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
     # an infinite scale would be retried forever
     req_scale = _read("step_scale", step_scale, MIN_STEP, _HUGE, shape=per_path)
     n_steps = _read("n_steps", n_steps, 0, np.inf, "iu", per_path)
-    r, C = check_states(geom, rho, "starts row")
+    C = check_states(geom, rho, "starts row")
     lo, hi = angle_bounds(geom)
     # worked out once per trace: the boxes with the clamp's slack, and the
     # predictor's weights (a numpy call at import raises every task's peak RSS)
@@ -729,8 +727,8 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
         seed, seed_max = d0, size
         if not every:               # paths at rest take no increment
             seed, seed_max = np.where(run[:, None], d0, 0.0), np.where(run, size, 0.0)
-        new_rho, new_r, new_C, history, clamped, status = _project(
-            geom, rho, r, C, seed, seed_max, free if every else free & run[:, None],
+        new_rho, new_C, history, clamped, status = _project(
+            geom, rho, C, seed, seed_max, free if every else free & run[:, None],
             scale, bounds, weights, history)
         if _any(status):
             ok = run & (status == _OK)
@@ -748,8 +746,7 @@ def trace_paths(geom, starts, delta_rho_0, controlled, step_scale, n_steps):
             free = ~ctrl & ~frozen
         log.append((ok, new_rho, seed_max, frozen))
         stepped = None if every else ok
-        rho, r, C = (_pick(stepped, new_rho, rho), _pick(stepped, new_r, r),
-                     _pick(stepped, new_C, C))
+        rho, C = _pick(stepped, new_rho, rho), _pick(stepped, new_C, C)
         n_done += ok
 
     # each path's rows, in step order; its first row is the start state

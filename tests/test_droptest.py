@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leafout as lf
 from leafout.droptest import default_effective_width, kappa_pet_si
@@ -103,9 +105,41 @@ def test_default_effective_width_models():
 def test_overflowing_map_rejected(geom5):
     # a finite ball, hinge and height whose energies overflow
     for scen in (prototype_scenario(m_ball=1e305, g=1e10),
-                 prototype_scenario(kappa_pet=1e-320)):
+                 prototype_scenario(kappa_pet=1e-320),
+                 prototype_scenario(kappa_pet=1e308, kappa_pet_unit="N*m/rad/mm",
+                                    effective_width_mm=23.0)):
         with pytest.raises(ValueError, match="overflow"):
             lf.trigger_map(geom5, scen, (0.1, 0.5), (REST, REST), 2, 1)
+
+
+def test_map_reads_no_spring_model(geom5):
+    # the map never evaluates the spring model's rest angle, so a stiffness
+    # whose spring energies would overflow at a 170 deg rest (but whose map
+    # values do not) gives the same map at 30 deg and at 170 deg
+    maps = [lf.trigger_map(geom5, lf.DropScenario(
+                kappa_pet=8.7e304, kappa_pet_unit="N*m/rad/mm", effective_width_mm=23.0,
+                rest_angle=np.radians(deg)),
+            (0.05, 0.8), (np.radians(40), np.radians(57)), 3, 3) for deg in (30, 170)]
+    for name in ("heights", "rest_angles", "E_ball", "delta_E_g", "E_gap",
+                 "threshold_heights"):
+        assert np.array_equal(getattr(maps[0], name), getattr(maps[1], name)), name
+    assert np.isfinite(maps[0].delta_E_g).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.sampled_from(["N*mm/rad/mm", "N*m/rad/mm"]),
+       st.floats(1e-3, 1e3), st.one_of(st.none(), st.floats(0.1, 500.0)),
+       st.floats(12.5, 200.0), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_barrier_is_the_spring_model_barrier(n_cell, unit, kappa_pet, width, L2, a, b):
+    # dE_g = (n/2) kappa_b rest^2 with kappa_b the boundary stiffness of
+    # prototype_spring_model, bit for bit, for explicit and comb widths
+    geom = lf.LeafOutGeometry(n_cell, 70.0, L2)
+    scen = lf.DropScenario(kappa_pet=kappa_pet, kappa_pet_unit=unit,
+                           effective_width_mm=width)
+    limit = np.pi - 2 * geom.alpha
+    tmap = lf.trigger_map(geom, scen, (0.05, 0.8), sorted((a * limit, b * limit)), 2, 5)
+    kappa_b = lf.prototype_spring_model(geom, scen).kappa[3]
+    assert np.array_equal(tmap.delta_E_g, 0.5 * n_cell * kappa_b * tmap.rest_angles ** 2)
 
 
 def test_kappa_unit_readings():

@@ -284,7 +284,7 @@ def test_newton_iterates_once_on_a_closed_row(geom5, uniform_minus30, monkeypatc
     monkeypatch.setattr(kinematics, "_masked_solve", recording_solve)
     assert max_residual(geom5, uniform_minus30) < kinematics.NEWTON_TOL
     free = np.array([[True] * 10, [False] * 10])
-    closed = kinematics._newton(geom5, np.array([uniform_minus30] * 2), free)[2]
+    closed = kinematics._newton(geom5, np.array([uniform_minus30] * 2), free)[1]
     assert closed.all()
     assert len(steps) == 1 and np.array_equal(steps[0], free)
 
