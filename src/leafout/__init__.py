@@ -15,14 +15,15 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in (
     ("geometry", "FoldedMesh LeafOutGeometry mesh_to_obj reconstruct_mesh"),
-    ("kinematics", "FoldingPath NotClosedError StepFailure sub_angle_from_main trace_paths"),
+    ("kinematics", "FoldingPath NotClosedError sub_angle_from_main"),
     ("uniform", "OutOfRangeError psi_from_main psi_motion_range uniform_motion "
                 "uniform_path uniform_state"),
     ("energy", "BistabilityReport LandscapeCurve RatioSurface SpringModel "
                "characterize_bistability landscape_over_psi path_energies ratio_surface"),
     ("droptest", "DropScenario TriggerMap default_effective_width prototype_spring_model "
                  "trigger_map"),
-    ("explore", "GraspProgram config_space near_flat_start run_programs"),
+    ("explore", "GraspProgram StepFailure config_space near_flat_start run_programs "
+                "trace_paths"),
 ) for name in names.split()}
 __all__ = list(_MODULE_OF)
 

@@ -19,10 +19,11 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-# kinematics, the largest module, is imported before numpy: its compile
-# (1.8 MB traced) then does not stack on numpy's memory, which would raise
-# every task's peak RSS
-from .kinematics import _HUGE, _TINY, StepFailure, _read as _read_value
+# explore, the largest module cli imports, is imported before numpy: its
+# compile (1.2 MB traced) then does not stack on numpy's memory, which would
+# raise every task's peak RSS
+from .explore import (DEFAULT_MAX_STEPS, GraspProgram, StepFailure, config_space,
+                      controlled_creases, run_programs)
 
 import numpy as np
 
@@ -30,11 +31,10 @@ from . import __version__
 from .droptest import DropScenario, trigger_map
 from .energy import (SpringModel, characterize_bistability, landscape_over_psi,
                      path_energies, ratio_surface)
-from .explore import (DEFAULT_MAX_STEPS, GraspProgram, config_space, controlled_creases,
-                      run_programs)
 from .geometry import LeafOutGeometry, mesh_to_obj, reconstruct_mesh
-from .uniform import (DEFAULT_PSI_STEP, OutOfRangeError, clip_psi_range,
-                      landscape_psis, psi_samples, uniform_path, uniform_state)
+from .kinematics import _HUGE, _TINY, _read as _read_value
+from .uniform import (DEFAULT_PSI_STEP, clip_psi_range, landscape_psis, psi_samples,
+                      uniform_path, uniform_state)
 from . import io as lio
 
 EXIT_OK = 0
@@ -430,7 +430,7 @@ def run_task(cfg, command, out_dir):
     try:
         spec.run(inputs, out, terminations)
         status, kind, error = "ok", None, None
-    except (StepFailure, OutOfRangeError) as exc:
+    except StepFailure as exc:
         status, kind, error = "partial", "numerical", f"{type(exc).__name__}: {exc}"
     except OSError as exc:
         del outputs[-1:]    # a run step names each file just before it writes it

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .droptest import _outcome_strings
-from .kinematics import SVD_CUTOFF
+from .explore import SVD_CUTOFF
 
 FLOAT = "%.17g"     # deterministic float format, 17 significant digits
 TABLE_CELLS = 256   # grid cells (table lines) encoded at a time

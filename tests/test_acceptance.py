@@ -11,7 +11,8 @@ import pytest
 
 import leafout as lf
 from leafout.cli import main as cli_main
-from leafout.kinematics import StepFailure, _closure, trace_paths
+from leafout.explore import StepFailure, trace_paths
+from leafout.kinematics import _closure
 from oracles import (chain_closure_norm, fd_constraint_matrix, sampled_extrema,
                      sub_angle_oracle)
 

@@ -447,6 +447,31 @@ def test_export_mesh_out_of_range_psi(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("task", [
+    {"name": "uniform-path", "psi_range_deg": [-180.0, 180.0]},
+    {"name": "uniform-path", "psi_range_deg": [90.0, -90.0]},
+    {"name": "energy-landscape", "psi_range_deg": [-180.0, 180.0]},
+    {"name": "energy-landscape", "psi_range_deg": [90.0, -90.0]},
+    {"name": "ratio-surface", "rest_main_range_deg": [0.0, 180.0],
+     "rest_boundary_range_deg": [-180.0, 0.0]},
+    {"name": "export-mesh", "state": {"type": "uniform", "psi_deg": -90.0}},
+    {"name": "export-mesh", "state": {"type": "uniform", "psi_deg": 90.0 - 180.0 / 5}},
+], ids=["path-wide", "path-reversed", "landscape-wide", "landscape-reversed",
+        "surface-whole", "mesh-open-end", "mesh-closed-end"])
+def test_windows_past_the_motion_range_end_cleanly(tmp_path, task):
+    # every task clips or checks psi before its run step, so a window at or
+    # past either end of the motion range (-90 and 54 deg at n_cell 5) is
+    # computed or refused as a config error, never a partial run
+    cfg = write_cfg(tmp_path, task)
+    out = tmp_path / "o"
+    rc = main([task["name"], "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 2)
+    manifest = out / "manifest.json"
+    assert manifest.exists() == (rc == 0)
+    if rc == 0:
+        assert json.loads(manifest.read_text())["status"] == "ok"
+
+
 def _export_mesh_rejected(tmp_path, capsys, state):
     cfg = write_cfg(tmp_path, {"name": "export-mesh", "state": state})
     out = tmp_path / "o"
@@ -626,7 +651,7 @@ def test_size_caps_are_inclusive(tmp_path, capsys, config, over, at_cap):
 
 def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
     from leafout import cli as cli_mod
-    from leafout.kinematics import StepFailure
+    from leafout.explore import StepFailure
 
     def boom(*a, **kw):
         raise StepFailure("synthetic non-convergence")
@@ -645,8 +670,8 @@ def test_numerical_failure_flags_partial_manifest(tmp_path, monkeypatch):
 def test_failing_program_keeps_earlier_outputs(tmp_path, monkeypatch):
     # 2 rad steps on 8 cells: units 1-3 cannot close its first step inside
     # the boxes, and with no halved retries it gives up at once
-    from leafout import kinematics
-    monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
+    from leafout import explore
+    monkeypatch.setattr(explore, "MAX_HALVINGS", 0)
     cfg = write_cfg(tmp_path, {"name": "multi-grasp",
                                "programs": [[1, 2], [1, 3], [1, 2, 3]],
                                "delta_rho_c_deg": float(np.degrees(2.0)),

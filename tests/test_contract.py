@@ -49,7 +49,8 @@ from hypothesis import strategies as st
 import leafout as lf
 from leafout.cli import (MAX_CELLS, MAX_GRASP_WORK, MAX_POINTS, SCHEMA, apply_overrides,
                          main)
-from leafout.kinematics import _HUGE, MIN_STEP
+from leafout.explore import MIN_STEP
+from leafout.kinematics import _HUGE
 from oracles import chain_closure_norm, direct_energy
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"

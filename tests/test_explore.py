@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import leafout as lf
-from leafout import kinematics
+from leafout import explore
 from leafout.explore import NEAR_FLAT_MAIN
 from leafout.kinematics import _closure
 from oracles import chain_closure_norm, grasp_motion
@@ -184,10 +184,10 @@ def test_default_programs_take_few_kernel_calls(geom5, monkeypatch):
     calls = dict.fromkeys(("_project", "_newton", "_tangent", "_closure",
                            "_masked_solve", "_svd_solve"), 0)
     for name in calls:
-        def counting(*args, kernel=getattr(kinematics, name), name=name):
+        def counting(*args, kernel=getattr(explore, name), name=name):
             calls[name] += 1
             return kernel(*args)
-        monkeypatch.setattr(kinematics, name, counting)
+        monkeypatch.setattr(explore, name, counting)
     paths = lf.run_programs(geom5, stored_programs())
     assert [len(path) for path in paths] == [347] * 6
     assert calls == {"_project": 346, "_newton": 363, "_tangent": 364, "_closure": 765,

@@ -18,7 +18,7 @@ import leafout as lf
 from leafout import io as lio
 from leafout.cli import TASKS, main
 from leafout.energy import RatioSurface
-from leafout.kinematics import SVD_CUTOFF
+from leafout.explore import SVD_CUTOFF
 from oracles import read_path_csv
 
 
@@ -428,6 +428,22 @@ def test_cli_import_builds_no_dataclass():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[] []\n"
+
+
+def test_cli_imports_its_largest_modules_before_numpy():
+    # explore and kinematics start to import, and so compile, before numpy
+    # is loaded: their compiler memory then does not stack on numpy's
+    code = ("import sys; seen = {}\n"
+            "def hook(event, args):\n"
+            "    if event == 'import':\n"
+            "        seen.setdefault(args[0], 'numpy' in sys.modules)\n"
+            "sys.addaudithook(hook)\n"
+            "import leafout.cli\n"
+            "print(seen['leafout.explore'], seen['leafout.kinematics'], 'numpy' in seen)")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lio.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False False True\n"
 
 
 def test_package_names_load_on_first_use():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import leafout as lf
-from leafout import kinematics
-from leafout.kinematics import (StepFailure, _closure, _masked_solve, _tangent,
-                                angle_bounds, trace_paths)
+from leafout import explore, kinematics
+from leafout.explore import StepFailure, _masked_solve, _tangent, trace_paths
+from leafout.kinematics import _closure, angle_bounds
 from oracles import (chain_closure_norm, fd_constraint_matrix, matrix_exp_rotation,
                      min_norm_solve_exact, rot_x, rot_z)
 
@@ -244,8 +244,8 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
     # leaks rounding into the zeroed columns, which the solve keeps exactly
     # zero); every row is the one it gets alone
     C, free, v = stack
-    with mock.patch.object(kinematics, "_svd_solve",
-                           wraps=kinematics._svd_solve) as svd:
+    with mock.patch.object(explore, "_svd_solve",
+                           wraps=explore._svd_solve) as svd:
         x = _masked_solve(C, free, v)
     svd_rows = [c for call in svd.call_args_list for c in call.args[0]]
     for b in range(len(C)):
@@ -254,7 +254,7 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
                                                   v[b:b + 1])[0])
         assert np.all(x[b][~free[b]] == 0.0)
         if any(np.array_equal(Cf, c) for c in svd_rows) or not free[b].any():
-            P = np.linalg.pinv(Cf, rcond=kinematics.SVD_CUTOFF)
+            P = np.linalg.pinv(Cf, rcond=explore.SVD_CUTOFF)
             tol = 1e-12 * np.linalg.norm(P, 2) * np.linalg.norm(v[b])
             assert np.linalg.norm((x[b] - P @ v[b])[free[b]]) <= tol
         else:
@@ -266,7 +266,7 @@ def test_masked_solve_matches_exact_and_svd_oracles(stack):
 
 def test_zero_request_is_fixed_point(geom5, uniform_minus30, monkeypatch):
     # a request of no increment on the controlled angles takes no step
-    monkeypatch.setattr(kinematics, "_project", None)
+    monkeypatch.setattr(explore, "_project", None)
     rho = step(geom5, uniform_minus30, drive(np.zeros(10), (0, 3)))
     assert np.array_equal(rho, uniform_minus30)
 
@@ -281,10 +281,10 @@ def test_newton_iterates_once_on_a_closed_row(geom5, uniform_minus30, monkeypatc
         steps.append(free.copy())
         return _masked_solve(C, free, v)
 
-    monkeypatch.setattr(kinematics, "_masked_solve", recording_solve)
+    monkeypatch.setattr(explore, "_masked_solve", recording_solve)
     assert max_residual(geom5, uniform_minus30) < kinematics.NEWTON_TOL
     free = np.array([[True] * 10, [False] * 10])
-    closed = kinematics._newton(geom5, np.array([uniform_minus30] * 2), free)[1]
+    closed = explore._newton(geom5, np.array([uniform_minus30] * 2), free)[1]
     assert closed.all()
     assert len(steps) == 1 and np.array_equal(steps[0], free)
 
@@ -372,7 +372,7 @@ def test_row_without_controlled_angle_refused_before_closure(geom5, monkeypatch)
 
 def test_nan_start_rejected_before_stepping(geom5, uniform_minus30, monkeypatch):
     # starts are checked like every state: a NaN angle fails the box check
-    monkeypatch.setattr(kinematics, "_project", None)
+    monkeypatch.setattr(explore, "_project", None)
     rho = uniform_minus30.copy()
     rho[3] = np.nan
     with pytest.raises(ValueError, match="starts row 0: angles violate"):
@@ -389,7 +389,7 @@ def test_failed_path_keeps_earlier_paths(geom5, monkeypatch):
     # a 2.7 rad unsplit step on units 1 and 4 cannot be closed inside the
     # boxes; with no halved retries it fails at once, while small steps on
     # units 1 and 2 trace normally beside it
-    monkeypatch.setattr(kinematics, "MAX_HALVINGS", 0)
+    monkeypatch.setattr(explore, "MAX_HALVINGS", 0)
     start = lf.near_flat_start(geom5)
     good = _drive((0, 2), np.radians(0.5), 4.0)
     bad = _drive((0, 6), 2.7, 4.0)
@@ -420,7 +420,7 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
     def counting_project(*args):
         out = project(*args)
         status = out[-1]
-        failed_tries.extend(status[status > kinematics._LOCKED])
+        failed_tries.extend(status[status > explore._LOCKED])
         return out
 
     def recording_svd(C, v):
@@ -436,11 +436,11 @@ def test_halved_steps_trace_alike_alone_and_in_lockstep(n_cell, monkeypatch):
             svd_alone.append(took == [False] * (len(drives) - 1) + [True])
         return x
 
-    project, svd_solve, masked_solve = (kinematics._project, kinematics._svd_solve,
-                                        kinematics._masked_solve)
-    monkeypatch.setattr(kinematics, "_project", counting_project)
-    monkeypatch.setattr(kinematics, "_svd_solve", recording_svd)
-    monkeypatch.setattr(kinematics, "_masked_solve", spying_solve)
+    project, svd_solve, masked_solve = (explore._project, explore._svd_solve,
+                                        explore._masked_solve)
+    monkeypatch.setattr(explore, "_project", counting_project)
+    monkeypatch.setattr(explore, "_svd_solve", recording_svd)
+    monkeypatch.setattr(explore, "_masked_solve", spying_solve)
     geom = lf.LeafOutGeometry(n_cell, 70.0, 30.0)
     n = geom.n_vertex_creases
     start = lf.near_flat_start(geom)
@@ -506,19 +506,19 @@ def test_failing_step_gives_up_after_max_halvings(geom5, monkeypatch):
         tries.append(out[-1][0])
         return out
 
-    project = kinematics._project
-    monkeypatch.setattr(kinematics, "_project", counting_project)
+    project = explore._project
+    monkeypatch.setattr(explore, "_project", counting_project)
     drv = _drive((0, 2), np.pi, np.pi)
     with pytest.raises(StepFailure, match="inside the boxes") as info:
         trace(geom5, lf.near_flat_start(geom5), drv, 5)
     assert info.value.completed == []
-    assert tries == [kinematics._OUTSIDE_BOX] * (kinematics.MAX_HALVINGS + 1)
+    assert tries == [explore._OUTSIDE_BOX] * (explore.MAX_HALVINGS + 1)
 
 
 def test_requests_under_face_tolerance_end_before_stepping(geom5, monkeypatch):
     # every clipped increment is under the 1e-12 at-face tolerance, so the
     # first pass ends every path and no step is tried
-    monkeypatch.setattr(kinematics, "_project", None)
+    monkeypatch.setattr(explore, "_project", None)
     start = lf.near_flat_start(geom5)
     drives = [_drive((0,), 1e-15), _drive((0, 2), 1e-15)]
     for path in trace_all(geom5, [start, start], drives, 5):
@@ -550,12 +550,12 @@ def test_trace_boundary_stop_vs_freeze(geom5, monkeypatch):
     def recording_project(*args):
         out = project(*args)
         clamped, status = out[-2:]
-        if status[0] == kinematics._OK:
+        if status[0] == explore._OK:
             clamped_rows.append(clamped[0].any())
         return out
 
-    project = kinematics._project
-    monkeypatch.setattr(kinematics, "_project", recording_project)
+    project = explore._project
+    monkeypatch.setattr(explore, "_project", recording_project)
     start = lf.near_flat_start(geom5)
     path = trace(geom5, start, _drive((0, 2), np.radians(0.5)), 400)
     changed = np.flatnonzero((path.frozen[1:] != path.frozen[:-1]).any(axis=-1))
@@ -665,10 +665,10 @@ MIN_STEP_ERROR = r"step_scale must be a number in \[1e-08, inf\), got"
     ("step_scale", 0.0, MIN_STEP_ERROR),
     ("step_scale", np.nan, MIN_STEP_ERROR),
     ("step_scale", 1e-9, MIN_STEP_ERROR),
-    ("step_scale", np.nextafter(kinematics.MIN_STEP, 0.0), MIN_STEP_ERROR),
+    ("step_scale", np.nextafter(explore.MIN_STEP, 0.0), MIN_STEP_ERROR),
     ("step_scale", -1.0, MIN_STEP_ERROR),
     ("step_scale", np.inf, MIN_STEP_ERROR),
-    ("step_scale", kinematics.MIN_STEP, None),
+    ("step_scale", explore.MIN_STEP, None),
     ("n_steps", -1, "n_steps"),
     ("n_steps", [5, -1], "n_steps"),
     ("n_steps", 2.5, "n_steps"),
